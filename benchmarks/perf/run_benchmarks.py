@@ -375,55 +375,33 @@ def warn_ineffective_jobs(requested: int) -> dict:
 
 
 def bench_fig13_cell(repeats: int = 3) -> dict:
-    """One representative fig13 cell, batched PHY path on vs off.
+    """One representative fig13 cell, best-of-N.
 
-    The quick-suite wall below runs with the config default
-    (``batch_phy=True``); this isolates what the flag itself buys,
-    and proves the two modes bit-identical on a full cell.  The two
-    modes run interleaved, best-of-N, and the speedup is computed on
-    *CPU* time — on a loaded shared box, wall-clock noise between two
-    three-second runs swamps a single-digit-percent effect.
+    Reported in *CPU* time as well as wall: on a loaded shared box,
+    wall-clock noise between two three-second runs swamps a
+    single-digit-percent effect.
     """
     from repro.apps.bulk import run_bulk_download
     from repro.phy.per import reset_phy_memos
     from repro.scenarios.testbed import TestbedConfig
 
-    def cell(batch_phy: bool) -> float:
+    wall = cpu = math.inf
+    for _ in range(repeats):
         reset_phy_memos()
+        w0, c0 = time.perf_counter(), time.process_time()
         result = run_bulk_download(
-            TestbedConfig(
-                seed=1,
-                scheme="wgtt",
-                client_speeds_mph=[15.0],
-                batch_phy=batch_phy,
-            ),
+            TestbedConfig(seed=1, scheme="wgtt", client_speeds_mph=[15.0]),
             protocol="tcp",
             udp_rate_bps=50e6,
         )
-        return result.throughput_mbps
-
-    throughput = {}
-    wall = {True: math.inf, False: math.inf}
-    cpu = {True: math.inf, False: math.inf}
-    for _ in range(repeats):
-        for batch_phy in (True, False):
-            w0, c0 = time.perf_counter(), time.process_time()
-            throughput[batch_phy] = cell(batch_phy)
-            wall[batch_phy] = min(
-                wall[batch_phy], time.perf_counter() - w0
-            )
-            cpu[batch_phy] = min(
-                cpu[batch_phy], time.process_time() - c0
-            )
+        wall = min(wall, time.perf_counter() - w0)
+        cpu = min(cpu, time.process_time() - c0)
     return {
         "cell": "tcp/wgtt/15mph/seed1",
         "repeats": repeats,
-        "batch_on_wall_s": round(wall[True], 2),
-        "batch_off_wall_s": round(wall[False], 2),
-        "batch_on_cpu_s": round(cpu[True], 2),
-        "batch_off_cpu_s": round(cpu[False], 2),
-        "batch_speedup_cpu": round(cpu[False] / cpu[True], 2),
-        "bit_identical_throughput": throughput[True] == throughput[False],
+        "wall_s": round(wall, 2),
+        "cpu_s": round(cpu, 2),
+        "throughput_mbps": result.throughput_mbps,
     }
 
 
@@ -458,7 +436,7 @@ def bench_fig13(jobs: int = 4) -> dict:
             PR1_RECORDED_FIG13_WALL_S / serial_wall, 2
         ),
         "jobs_parity": serial["rows"] == parallel["rows"],
-        "batch_cell": bench_fig13_cell(),
+        "cell": bench_fig13_cell(),
     }
 
 

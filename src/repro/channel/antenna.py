@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.mobility.road import Position
 
@@ -25,6 +26,20 @@ class Antenna:
     def gain_dbi(self, target: Position) -> float:
         raise NotImplementedError
 
+    def gain_bound_dbi(self, min_dx: float, max_cross: float) -> float:
+        """Upper bound on :meth:`gain_dbi` over every target at least
+        ``min_dx`` metres along the road (x) from the antenna and at
+        most ``max_cross`` metres from it in the cross-road (y-z)
+        plane, to within float rounding; non-increasing in ``min_dx``.
+        ``+inf`` when no bound is known (the medium then walks every
+        radio)."""
+        return math.inf
+
+    def bound_key(self) -> Optional[tuple]:
+        """Hashable value that determines :meth:`gain_bound_dbi`
+        (antennas with equal keys share one sound-radius solve)."""
+        return None
+
 
 @dataclass
 class OmniAntenna(Antenna):
@@ -34,6 +49,12 @@ class OmniAntenna(Antenna):
 
     def gain_dbi(self, target: Position) -> float:
         return self.peak_gain_dbi
+
+    def gain_bound_dbi(self, min_dx: float, max_cross: float) -> float:
+        return self.peak_gain_dbi
+
+    def bound_key(self) -> Optional[tuple]:
+        return ("omni", self.peak_gain_dbi)
 
 
 @dataclass
@@ -86,6 +107,23 @@ class ParabolicAntenna(Antenna):
         rolloff_db = 3.0 * (theta_deg / half_power_half_angle) ** 2
         rolloff_db = min(rolloff_db, self.side_lobe_suppression_db)
         return self.peak_gain_dbi - rolloff_db
+
+    def gain_bound_dbi(self, min_dx: float, max_cross: float) -> float:
+        """With the boresight perpendicular to the road, a target
+        ``dx`` along it and ``c`` across has ``cos(theta) <=
+        c / hypot(dx, c)``, so ``theta >= atan(min_dx / max_cross)``
+        and :meth:`gain_dbi`'s roll-off at that angle (inlined: the
+        exact path is hot) bounds the gain from above."""
+        if self._bore[0] != 0.0:
+            return math.inf
+        theta_deg = math.degrees(math.atan2(min_dx, max_cross))
+        rolloff_db = 3.0 * (theta_deg / (self.beamwidth_deg / 2.0)) ** 2
+        rolloff_db = min(rolloff_db, self.side_lobe_suppression_db)
+        return self.peak_gain_dbi - rolloff_db
+
+    def bound_key(self) -> Optional[tuple]:
+        key = (self.peak_gain_dbi, self.beamwidth_deg, self.side_lobe_suppression_db)
+        return key if self._bore[0] == 0.0 else None
 
 
 def _unit_vector(origin: Position, target: Position) -> tuple:

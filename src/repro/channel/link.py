@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.channel.antenna import Antenna
 from repro.channel.fading import (
-    NUM_SUBCARRIERS,
     TappedRayleighChannel,
     coherence_time_us,
     doppler_hz,
@@ -37,6 +36,9 @@ from repro.sim.rng import RngRegistry
 
 #: Thermal noise over 20 MHz plus a 7 dB receiver noise figure.
 NOISE_FLOOR_DBM = -94.0
+#: Added to the power bound: the exact budget sums the same terms in
+#: another order and reads its angles from ``acos``, not ``atan``.
+BOUND_SLACK_DB = 1e-9
 
 
 @dataclass
@@ -53,6 +55,9 @@ class RadioPort:
     tx_power_dbm: float
     position_fn: Callable[[int], Position]
     speed_mps_fn: Callable[[], float] = field(default=lambda: 0.0)
+    #: Declared by radios that never move (AP mounts): lets the medium
+    #: index them by x and the channel map memoise fixed↔fixed budgets.
+    fixed_position: Optional[Position] = None
     #: One-slot position memo.  A client port is shared by every link
     #: that involves the client, so when a frame completes, the mobility
     #: model is evaluated once per timestamp instead of once per link.
@@ -70,6 +75,25 @@ class RadioPort:
         self._pos_time = time_us
         self._pos_cache = pos
         return pos
+
+
+def _mean_snr_db(
+    tx_dbm: float, ap: RadioPort, client: RadioPort,
+    pathloss: LogDistancePathLoss, time_us: int,
+) -> float:
+    """The fading-free link budget, ``ap`` / ``client`` in id order.
+    One expression for :class:`Link` and the link-free
+    :meth:`ChannelMap.mean_rx_power_dbm`: float addition is not
+    associative, and the two must agree to the bit."""
+    ap_pos = ap.position_at(time_us)
+    client_pos = client.position_at(time_us)
+    return (
+        tx_dbm
+        + ap.antenna.gain_dbi(client_pos)
+        + client.antenna.gain_dbi(ap_pos)
+        - pathloss.loss_db(ap_pos.distance_to(client_pos))
+        - NOISE_FLOOR_DBM
+    )
 
 
 class Link:
@@ -111,7 +135,11 @@ class Link:
         # the interference scan samples the *start* times of every
         # overlapping transmission, and those keys recur across the
         # completions in a busy window — a single slot thrashes.
-        self._mean_snr_cache: Dict[Tuple[int, float], float] = {}
+        self._mean_snr_cache: Dict[Tuple[Optional[int], float], float] = {}
+        #: Neither end moves: one budget per direction, whatever the time.
+        self._static = (
+            ap.fixed_position is not None and client.fixed_position is not None
+        )
         self._esnr_key: Optional[Tuple[int, float]] = None
         self._esnr_db: float = 0.0
         self._coh_speed: Optional[float] = None
@@ -138,13 +166,6 @@ class Link:
             self.client.position_at(time_us)
         )
 
-    def _combined_gain_db(self, time_us: int) -> float:
-        ap_pos = self.ap.position_at(time_us)
-        client_pos = self.client.position_at(time_us)
-        return self.ap.antenna.gain_dbi(client_pos) + self.client.antenna.gain_dbi(
-            ap_pos
-        )
-
     def _tx_power_dbm(self, downlink: bool, tx_id: Optional[str]) -> float:
         if tx_id is not None:
             if tx_id == self.ap.node_id:
@@ -167,20 +188,12 @@ class Link:
         several times per frame (decode check, interference, RSSI).
         """
         tx_dbm = self._tx_power_dbm(downlink, tx_id)
-        key = (time_us, tx_dbm)
+        key = (None if self._static else time_us, tx_dbm)
         cache = self._mean_snr_cache
         cached = cache.get(key)
         if cached is not None:
             return cached
-        ap_pos = self.ap.position_at(time_us)
-        client_pos = self.client.position_at(time_us)
-        value = (
-            tx_dbm
-            + self.ap.antenna.gain_dbi(client_pos)
-            + self.client.antenna.gain_dbi(ap_pos)
-            - self.pathloss.loss_db(ap_pos.distance_to(client_pos))
-            - NOISE_FLOOR_DBM
-        )
+        value = _mean_snr_db(tx_dbm, self.ap, self.client, self.pathloss, time_us)
         if len(cache) >= 32:
             cache.clear()
         cache[key] = value
@@ -301,12 +314,6 @@ class Link:
         mean_db = self.mean_snr_db(time_us, downlink, tx_id)
         return mean_db + linear_to_db(power)
 
-    def snapshot(self, time_us: Optional[int] = None, downlink: bool = True):
-        """Convenience: subcarrier SNRs at 'now' (or an explicit time)."""
-        if time_us is None:
-            time_us = self._sim.now
-        return self.subcarrier_snr_db(time_us, downlink)
-
 
 class ChannelMap:
     """Registry of every AP↔client link in a scenario.
@@ -334,6 +341,12 @@ class ChannelMap:
         #: per-endpoint index of instantiated links, maintained on link
         #: creation so ``links_for_client`` never scans the full map.
         self._links_by_port: Dict[str, List[Link]] = {}
+        #: (tx_id, rx_id) -> mean received power, fixed↔fixed pairs only:
+        #: the answer never changes, so it is kept for good.
+        self._fixed_power: Dict[Tuple[str, str], float] = {}
+        #: Bumped whenever a port's position may no longer be what an
+        #: index built earlier saw (the medium re-indexes on a change).
+        self.geometry_epoch = 0
 
     def register_port(self, port: RadioPort) -> None:
         if port.node_id in self._ports:
@@ -342,9 +355,6 @@ class ChannelMap:
 
     def port(self, node_id: str) -> RadioPort:
         return self._ports[node_id]
-
-    def port_ids(self):
-        return self._ports.keys()
 
     def link(self, a_id: str, b_id: str) -> Link:
         """The (lazily created) link between any two radio ports.
@@ -372,12 +382,53 @@ class ChannelMap:
             self._links_by_port.setdefault(key[1], []).append(existing)
         return existing
 
+    def mean_rx_power_dbm(self, tx_id: str, rx_id: str, time_us: int) -> float:
+        """Fading-free power ``rx_id`` receives from ``tx_id``: the bits
+        of ``link(tx_id, rx_id).mean_rx_power_dbm`` without instantiating
+        a :class:`Link` (fading taps, RNG stream) -- most pairs the medium
+        asks about are far below the noise floor and never need one."""
+        pair = (tx_id, rx_id)
+        link = self._links.get(pair if tx_id <= rx_id else (rx_id, tx_id))
+        if link is not None:
+            return link.mean_snr_db(time_us, tx_id=tx_id) + NOISE_FLOOR_DBM
+        cached = self._fixed_power.get(pair)
+        if cached is not None:
+            return cached
+        tx, rx = self._ports[tx_id], self._ports[rx_id]
+        a, b = (tx, rx) if tx_id <= rx_id else (rx, tx)
+        value = (
+            _mean_snr_db(tx.tx_power_dbm, a, b, self._pathloss, time_us)
+            + NOISE_FLOOR_DBM
+        )
+        if tx.fixed_position is not None and rx.fixed_position is not None:
+            self._fixed_power[pair] = value
+        return value
+
+    def mean_rx_power_bound_dbm(
+        self, tx_id: str, rx_antenna: Antenna, min_dx: float, max_cross: float
+    ) -> float:
+        """Upper bound on :meth:`mean_rx_power_dbm` from ``tx_id`` to
+        any receiver carrying ``rx_antenna`` at least ``min_dx`` metres
+        along the road and at most ``max_cross`` across it; the 3-D
+        distance is at least ``min_dx``, so the bound is non-increasing
+        in it (``+inf`` when an antenna cannot bound its gain)."""
+        tx = self._ports[tx_id]
+        return (
+            tx.tx_power_dbm
+            + tx.antenna.gain_bound_dbi(min_dx, max_cross)
+            + rx_antenna.gain_bound_dbi(min_dx, max_cross)
+            - self._pathloss.loss_db(min_dx)
+            + BOUND_SLACK_DB
+        )
+
     def invalidate_geometry(self) -> None:
         """Drop every position/geometry memo in the scenario.
 
         Required after mutating a mobility model in place at a fixed
         simulation time (see :meth:`Link.invalidate_geometry`).
         """
+        self._fixed_power.clear()
+        self.geometry_epoch += 1
         for port in self._ports.values():
             port._pos_time = None
             port._pos_cache = None
@@ -405,7 +456,10 @@ class ChannelMap:
         """
         if node_id not in self._ports:
             return
-        del self._ports[node_id]
+        port = self._ports.pop(node_id)
+        if port.fixed_position is not None:
+            self._fixed_power.clear()
+        self.geometry_epoch += 1
         gone = self._links_by_port.pop(node_id, [])
         for link in gone:
             peer = (
@@ -422,8 +476,3 @@ class ChannelMap:
                 peer_links[:] = [ln for ln in peer_links if ln is not link]
                 if not peer_links:
                     del self._links_by_port[peer]
-
-
-def subcarrier_count() -> int:
-    """Number of subcarriers in every CSI snapshot (56 for HT20)."""
-    return NUM_SUBCARRIERS

@@ -25,9 +25,7 @@ one fused numpy pipeline over the whole stack:
 Every elementwise kernel is shared with the scalar path, so a fused
 evolution is **bit-identical** to sequential per-link
 :meth:`~repro.channel.fading.TappedRayleighChannel.evolve_to` calls —
-``tests/test_phy_batch.py`` asserts this property directly and the
-batched-vs-scalar drive test in ``tests/test_perf_equivalence.py``
-asserts it end-to-end.
+``tests/test_phy_batch.py`` asserts this property directly.
 
 Rician links (``k > 0``) and links that need no evolution fall back to
 the exact scalar code for the state update and join the batch only for

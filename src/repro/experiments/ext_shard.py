@@ -19,7 +19,7 @@ exercises the :mod:`repro.shard` control plane end to end:
   outcome digest.
 
 ``--bench`` additionally measures per-query candidate-set cost of the
-uniform-grid AP index (:class:`~repro.scenarios.spatial.ApGridIndex`)
+uniform-grid AP index (:class:`~repro.mobility.spatial.ApGridIndex`)
 against the legacy linear scan as the deployment grows 8 → 400 APs,
 and writes the result to ``BENCH_PR10.json`` — the committed evidence
 that nearest-AP cost stays flat while linear cost grows with N.
@@ -36,9 +36,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import run_grid
 from repro.mobility.road import Position, Road
+from repro.mobility.spatial import ApGridIndex
 from repro.mobility.vehicle import VehicleTrack
 from repro.scenarios.presets import shard_corridor_config
-from repro.scenarios.spatial import ApGridIndex
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.shard.config import ShardConfig
 

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.channel.antenna import Antenna
 from repro.channel.link import ChannelMap, NOISE_FLOOR_DBM
 from repro.channel.link_batch import warm_snapshots
 from repro.mac.frames import Frame, SIFS_US
+from repro.mobility.road import Position
+from repro.mobility.spatial import ApGridIndex
 from repro.phy.batch import prewarm_receivers
 from repro.sim.engine import Simulator
 
@@ -33,6 +36,10 @@ CS_THRESHOLD_DBM = -82.0
 SENSE_DELAY_US = 4
 #: How long finished transmissions are kept for interference accounting.
 HISTORY_US = 20_000
+#: Mean received power below which a frame is not even energy-detectable.
+AUDIBLE_FLOOR_DBM = NOISE_FLOOR_DBM - 10
+#: A sender still audible this far along the road reaches every radio.
+MAX_SOUND_RADIUS_M = 2_000.0
 
 
 @dataclass
@@ -44,10 +51,6 @@ class Transmission:
     start_us: int
     end_us: int
     channel: int = 11
-
-    def overlaps(self, start_us: int, end_us: int) -> int:
-        """Microseconds of overlap with [start_us, end_us)."""
-        return max(0, min(self.end_us, end_us) - max(self.start_us, start_us))
 
 
 class MacEntity:
@@ -63,7 +66,8 @@ class MacEntity:
     def on_air_frame(
         self, frame: Frame, snr_db: Optional[np.ndarray], decodable: bool
     ) -> None:
-        """Called at the end of every other station's transmission.
+        """Called at the end of every other station's transmission that
+        could reach this radio (one provably out of earshot is skipped).
 
         ``snr_db`` is the per-subcarrier SINR snapshot at this receiver
         (None when the frame was completely below the noise floor or
@@ -72,33 +76,29 @@ class MacEntity:
         """
         raise NotImplementedError
 
-    def cares_about(self, frame: Frame) -> bool:
+    def cares_about(self, frame: Frame, sender_role: Optional[str]) -> bool:
         """Cheap pre-filter: should the medium bother computing this
         receiver's SINR for ``frame``? Devices that can never use the
         frame (e.g. a client hearing another client's data) return
-        False and skip the channel-model work entirely."""
+        False and skip the channel-model work entirely.  ``sender_role``
+        is the transmitter's :meth:`WirelessMedium.role_of`."""
         return True
 
 
 class WirelessMedium:
     """Arbiter for one Wi-Fi channel."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        channel_map: ChannelMap,
-        batch_phy: bool = True,
-    ):
+    def __init__(self, sim: Simulator, channel_map: ChannelMap):
         self._sim = sim
         self._channel = channel_map
         self._devices: Dict[str, MacEntity] = {}
         self._transmissions: List[Transmission] = []
         self.frames_sent = 0
         self.airtime_us = 0
-        #: Coalesce each frame completion's receiver set into one fused
-        #: channel-evolution + PHY-kernel batch (bit-identical to the
-        #: per-receiver scalar path; ``False`` keeps the scalar loop).
-        self.batch_phy = batch_phy
+        #: Cumulative candidate receivers walked by frame completions.
+        self.receivers_examined = 0
+        # Audibility index, rebuilt lazily by ``_reindex`` (None = stale).
+        self._indexed_epoch: Optional[int] = None
 
     # ------------------------------------------------------------------
     # registration
@@ -108,6 +108,7 @@ class WirelessMedium:
         if device.node_id in self._devices:
             raise ValueError(f"duplicate device {device.node_id!r}")
         self._devices[device.node_id] = device
+        self._indexed_epoch = None
 
     def unregister(self, node_id: str) -> None:
         """Remove a retired device from the medium.
@@ -115,21 +116,86 @@ class WirelessMedium:
         Churn support: a departed vehicle must stop being a candidate
         receiver (and stop pinning its MacEntity).  Callers must defer
         this past the interference-history horizon — ``busy_until`` and
-        ``_interference_mw`` replay recent ``_transmissions`` through
-        the channel map, which fails once the port is forgotten.
+        ``_complete`` replay recent ``_transmissions`` through the
+        channel map, which fails once the port is forgotten.
         """
         self._devices.pop(node_id, None)
+        self._indexed_epoch = None
 
     def devices(self):
         return self._devices.values()
 
+    def role_of(self, node_id: str) -> Optional[str]:
+        """``"ap"`` / ``"client"`` for a registered radio, else None."""
+        return getattr(self._devices.get(node_id), "role", None)
+
+    # ------------------------------------------------------------------
+    # audibility index
+    # ------------------------------------------------------------------
+
+    def _reindex(self) -> None:
+        """Sort the registered radios into *indexed* (fixed position,
+        boundable antenna: found by x-range query) and *roaming*
+        (everything else: a candidate receiver of every frame)."""
+        self._indexed_epoch = self._channel.geometry_epoch
+        self._order = {node_id: i for i, node_id in enumerate(self._devices)}
+        self._fixed = ApGridIndex()
+        self._roaming: List[str] = []
+        self._rx_antennas: Dict[tuple, Antenna] = {}
+        self._radius: Dict[tuple, float] = {}
+        #: Distinct cross-road (y, z) spots the indexed radios occupy.
+        self._spots: Set[Tuple[float, float]] = set()
+        for node_id in self._devices:
+            port = self._channel.port(node_id)
+            key = port.antenna.bound_key()
+            if port.fixed_position is None or key is None:
+                self._roaming.append(node_id)
+                continue
+            self._fixed.add(node_id, port.fixed_position)
+            self._rx_antennas.setdefault(key, port.antenna)
+            self._spots.add((port.fixed_position.y, port.fixed_position.z))
+
+    def _sound_radius_m(self, sender: str, pos: Position) -> float:
+        """Along-road distance beyond which ``sender`` (at ``pos``) is
+        provably below :data:`AUDIBLE_FLOOR_DBM` at every indexed radio:
+        the first whole metre at which the power bound, non-increasing
+        in the offset, has fallen through the floor."""
+        # Farthest an indexed radio can sit from the sender across the
+        # road, rounded up (the bound only grows with it).
+        cross = math.ceil(
+            max(math.hypot(y - pos.y, z - pos.z) for y, z in self._spots)
+        )
+        bound = self._channel.mean_rx_power_bound_dbm
+        radius = 0.0
+        while radius < MAX_SOUND_RADIUS_M and any(
+            bound(sender, antenna, radius, cross) >= AUDIBLE_FLOOR_DBM
+            for antenna in self._rx_antennas.values()
+        ):
+            radius += 1.0
+        return radius if radius < MAX_SOUND_RADIUS_M else math.inf
+
+    def _candidates(self, tx: Transmission) -> Collection[str]:
+        """Registration-ordered superset of the radios that can hear
+        ``tx``: every roaming radio, plus the indexed ones within the
+        sender's sound radius (derivation: ``docs/scaling.md``).  One
+        solve per (power, antenna kind, lane)."""
+        if self._indexed_epoch != self._channel.geometry_epoch:
+            self._reindex()
+        if not self._spots:
+            return self._devices
+        port = self._channel.port(tx.sender)
+        pos = port.position_at(tx.start_us)
+        key = (port.tx_power_dbm, port.antenna.bound_key(), pos.y, pos.z)
+        radius = self._radius.get(key)
+        if radius is None:
+            radius = self._radius[key] = self._sound_radius_m(tx.sender, pos)
+        ids = self._fixed.within(pos.x, radius) + self._roaming
+        ids.sort(key=self._order.__getitem__)
+        return ids
+
     # ------------------------------------------------------------------
     # carrier sense
     # ------------------------------------------------------------------
-
-    def _rx_power_dbm(self, tx_id: str, rx_id: str, time_us: int) -> float:
-        link = self._channel.link(tx_id, rx_id)
-        return link.mean_rx_power_dbm(time_us, tx_id=tx_id)
 
     def busy_until(self, node_id: str, now: Optional[int] = None) -> int:
         """Latest end time of any transmission this node can sense.
@@ -151,7 +217,10 @@ class WirelessMedium:
                 continue
             if tx.start_us > now - SENSE_DELAY_US:
                 continue
-            if self._rx_power_dbm(tx.sender, node_id, tx.start_us) >= CS_THRESHOLD_DBM:
+            if (
+                self._channel.mean_rx_power_dbm(tx.sender, node_id, tx.start_us)
+                >= CS_THRESHOLD_DBM
+            ):
                 latest = max(latest, tx.end_us)
         return latest
 
@@ -221,28 +290,6 @@ class WirelessMedium:
     # reception
     # ------------------------------------------------------------------
 
-    def _interference_mw(self, tx: Transmission, rx_id: str) -> float:
-        """Overlap-weighted co-channel interference power at ``rx_id``."""
-        total_mw = 0.0
-        duration = max(tx.end_us - tx.start_us, 1)
-        for other in self._transmissions:
-            if other is tx or other.sender == rx_id:
-                continue
-            if other.channel != tx.channel:
-                continue
-            overlap = other.overlaps(tx.start_us, tx.end_us)
-            if overlap == 0:
-                continue
-            power_dbm = self._rx_power_dbm(other.sender, rx_id, other.start_us)
-            total_mw += (overlap / duration) * 10.0 ** (power_dbm / 10.0)
-        return total_mw
-
-    def _was_transmitting(self, node_id: str, tx: Transmission) -> bool:
-        for other in self._transmissions:
-            if other.sender == node_id and other.overlaps(tx.start_us, tx.end_us):
-                return True
-        return False
-
     def _complete(self, tx: Transmission) -> None:
         noise_mw = 10.0 ** (NOISE_FLOOR_DBM / 10.0)
         # The overlap geometry of every co-channel transmission against
@@ -268,10 +315,6 @@ class WirelessMedium:
             interferers.append(
                 (other.sender, other.start_us, overlap / duration)
             )
-        if not self.batch_phy:
-            self._deliver_scalar(tx, noise_mw, interferers, active_senders)
-            return
-
         # ---- plan pass: apply the cheap per-receiver filters first, so
         # the receivers that need a full SINR snapshot are known before
         # any channel math runs.  They form this completion's
@@ -279,26 +322,30 @@ class WirelessMedium:
         # one stacked PHY prewarm instead of per-receiver scalar calls.
         # Every per-link computation is independent (private RNG
         # streams, per-link caches) and ``on_air_frame`` dispatch keeps
-        # the original device order below, so the restructuring is
-        # bit-identical to the scalar loop.
+        # the device registration order, so neither the batching nor
+        # the candidate pruning can move a bit.
+        mean_power = self._channel.mean_rx_power_dbm
+        sender_role = self.role_of(tx.sender)
+        candidates = self._candidates(tx)
+        self.receivers_examined += len(candidates)
         receivers: List[tuple] = []  # (node_id, device, link_or_None)
-        for node_id, device in self._devices.items():
+        for node_id in candidates:
             if node_id == tx.sender:
                 continue
+            device = self._devices[node_id]
             if getattr(device, "channel", 11) != tx.channel:
                 continue  # tuned elsewhere: hears nothing
-            if not device.cares_about(tx.frame):
+            if not device.cares_about(tx.frame, sender_role):
                 continue
-            if node_id in active_senders:
-                # Half-duplex: it was transmitting itself.
+            if (
+                node_id in active_senders  # half-duplex: it was transmitting
+                or mean_power(tx.sender, node_id, tx_start) < AUDIBLE_FLOOR_DBM
+            ):
                 receivers.append((node_id, device, None))
                 continue
-            link = self._channel.link(tx.sender, node_id)
-            if link.mean_rx_power_dbm(tx_start, tx_id=tx.sender) < NOISE_FLOOR_DBM - 10:
-                # Far below the noise floor: not even energy-detectable.
-                receivers.append((node_id, device, None))
-                continue
-            receivers.append((node_id, device, link))
+            receivers.append(
+                (node_id, device, self._channel.link(tx.sender, node_id))
+            )
 
         live = [
             (i, entry[2])
@@ -315,75 +362,22 @@ class WirelessMedium:
             for sender, start_us, weight in interferers:
                 if sender == node_id:
                     continue
-                power_dbm = self._rx_power_dbm(sender, node_id, start_us)
+                power_dbm = mean_power(sender, node_id, start_us)
                 interference_mw += weight * 10.0 ** (power_dbm / 10.0)
             if interference_mw > 0.0:
                 penalty_db = 10.0 * math.log10(1.0 + interference_mw / noise_mw)
                 snr_db = snr_db - penalty_db
             rows[i] = snr_db
         if len(live) >= 2:
-            self._prewarm_phy(live, rows)
+            # Seed the preamble memo for the whole contention domain in
+            # one stacked kernel call, on the very row objects handed to
+            # ``on_air_frame``.  Only the preamble: it is the one PHY
+            # term every receiver evaluates unconditionally; eagerly
+            # seeding data / CSI terms, gated on a per-device preamble
+            # draw, measured as a net loss (docs/performance.md).
+            prewarm_receivers([rows[i] for i, _link in live])
         for i, (node_id, device, link) in enumerate(receivers):
             if link is None:
                 device.on_air_frame(tx.frame, None, False)
             else:
                 device.on_air_frame(tx.frame, rows[i], True)
-
-    def _prewarm_phy(
-        self,
-        live: List[tuple],
-        rows: List[Optional[np.ndarray]],
-    ) -> None:
-        """Seed the preamble memo for every live receiver at once.
-
-        The rows handed over are the exact array objects the dispatch
-        loop passes to ``on_air_frame``, so each receiver's preamble
-        check collapses to a memo hit on a value bit-identical to the
-        scalar computation.
-
-        Only the preamble term is prewarmed.  It is the one PHY
-        quantity *every* receiver in the contention domain evaluates
-        unconditionally, so one stacked kernel call amortizes across
-        the whole domain.  Data / CSI follow-ups are gated on a
-        per-device preamble draw — seeding their ESNR / coded-BER /
-        RSSI eagerly costs about as much per row as the lazy memoized
-        scalar path and is wasted whenever the draw fails, which
-        measured as a net end-to-end loss (see docs/performance.md).
-        """
-        prewarm_receivers([rows[i] for i, _link in live])
-
-    def _deliver_scalar(
-        self,
-        tx: Transmission,
-        noise_mw: float,
-        interferers: List[tuple],
-        active_senders: set,
-    ) -> None:
-        """The original per-receiver loop (``batch_phy=False``)."""
-        for node_id, device in self._devices.items():
-            if node_id == tx.sender:
-                continue
-            if getattr(device, "channel", 11) != tx.channel:
-                continue  # tuned elsewhere: hears nothing
-            if not device.cares_about(tx.frame):
-                continue
-            if node_id in active_senders:
-                # Half-duplex: it was transmitting itself.
-                device.on_air_frame(tx.frame, None, False)
-                continue
-            link = self._channel.link(tx.sender, node_id)
-            if link.mean_rx_power_dbm(tx.start_us, tx_id=tx.sender) < NOISE_FLOOR_DBM - 10:
-                # Far below the noise floor: not even energy-detectable.
-                device.on_air_frame(tx.frame, None, False)
-                continue
-            snr_db = link.subcarrier_snr_db(tx.start_us, tx_id=tx.sender)
-            interference_mw = 0.0
-            for sender, start_us, weight in interferers:
-                if sender == node_id:
-                    continue
-                power_dbm = self._rx_power_dbm(sender, node_id, start_us)
-                interference_mw += weight * 10.0 ** (power_dbm / 10.0)
-            if interference_mw > 0.0:
-                penalty_db = 10.0 * math.log10(1.0 + interference_mw / noise_mw)
-                snr_db = snr_db - penalty_db
-            device.on_air_frame(tx.frame, snr_db, True)

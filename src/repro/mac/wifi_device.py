@@ -472,20 +472,13 @@ class WifiDevice(MacEntity):
     # receive path
     # ------------------------------------------------------------------
 
-    def cares_about(self, frame: Frame) -> bool:
+    def cares_about(self, frame: Frame, sender_role: Optional[str]) -> bool:
         if not self.powered:
             return False
         if frame.is_broadcast or frame.ra in self.addresses:
             return True
-        if self.role == "ap" and self.monitor:
-            # Overhear client transmissions (CSI + BA forwarding).
-            sender = self._medium_device_role(frame.tx_device)
-            return sender == "client"
-        return False
-
-    def _medium_device_role(self, node_id: str) -> Optional[str]:
-        device = self._medium._devices.get(node_id)
-        return getattr(device, "role", None)
+        # Monitor APs overhear client transmissions (CSI + BA forwarding).
+        return self.role == "ap" and self.monitor and sender_role == "client"
 
     def on_air_frame(
         self, frame: Frame, snr_db: Optional[np.ndarray], decodable: bool
@@ -512,7 +505,7 @@ class WifiDevice(MacEntity):
         """APs measure CSI on every decodable client transmission."""
         if self.role != "ap":
             return
-        if self._medium_device_role(frame.tx_device) != "client":
+        if self._medium.role_of(frame.tx_device) != "client":
             return
         if self._draw.random() >= preamble_success_probability(snr_db):
             return

@@ -20,6 +20,7 @@ never prune the true winner even though APs differ in y/z.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mobility.road import Position
@@ -41,6 +42,9 @@ class ApGridIndex:
         self._count = 0
         self._min_key = 0
         self._max_key = 0
+        #: AP x-positions, ascending, and their ids: :meth:`within`'s view.
+        self._xs: List[float] = []
+        self._ids: List[str] = []
         #: Cumulative nearest() calls (candidate-set cost accounting).
         self.queries = 0
         #: Cumulative candidates whose distance was actually computed.
@@ -64,6 +68,17 @@ class ApGridIndex:
             (ap_id, position, self._count)
         )
         self._count += 1
+        at = bisect_right(self._xs, position.x)
+        self._xs.insert(at, position.x)
+        self._ids.insert(at, ap_id)
+
+    def within(self, x: float, radius_m: float) -> List[str]:
+        """Every AP with ``|ap.x - x| <= radius_m``, by ascending x: a
+        range query reads the x-sorted array, not the buckets, and is
+        not counted in :attr:`queries` / :attr:`scanned`."""
+        return self._ids[
+            bisect_left(self._xs, x - radius_m) : bisect_right(self._xs, x + radius_m)
+        ]
 
     def nearest(
         self,

@@ -29,11 +29,11 @@ from repro.core.access_point import WgttAccessPoint
 from repro.core.controller import WgttController
 from repro.mac.medium import WirelessMedium
 from repro.mobility.road import Position, Road
+from repro.mobility.spatial import ApGridIndex
 from repro.mobility.vehicle import VehicleTrack
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import IpIdAllocator
 from repro.obs.context import ObsContext
-from repro.scenarios.spatial import ApGridIndex
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.transport.flows import Host
@@ -201,9 +201,7 @@ class ScenarioBuilder:
             coherence_factor=config.coherence_factor,
             rician_k_db=config.rician_k_db,
         )
-        tb.medium = WirelessMedium(
-            tb.sim, tb.channel, batch_phy=config.batch_phy
-        )
+        tb.medium = WirelessMedium(tb.sim, tb.channel)
         tb.backhaul = EthernetBackhaul(tb.sim)
         tb.server_host = Host("server")
         tb._server_ip_ids = IpIdAllocator()
@@ -231,6 +229,7 @@ class ScenarioBuilder:
                         antenna,
                         config.ap_tx_power_dbm,
                         lambda t, m=mount: m,
+                        fixed_position=mount,
                     )
                 )
                 tb.ap_ids.append(ap_id)

@@ -24,6 +24,7 @@ from repro.baselines.enhanced_80211r import (
 )
 from repro.channel.antenna import OmniAntenna
 from repro.channel.link import ChannelMap, RadioPort
+from repro.channel.link_batch import probe_snapshots
 from repro.channel.pathloss import LogDistancePathLoss
 from repro.core.access_point import WgttAccessPoint
 from repro.core.assoc_sync import StaInfo
@@ -39,6 +40,7 @@ from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import IpIdAllocator, Packet
 from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.metrics import metric_key
+from repro.phy.batch import effective_snr_db_batch
 from repro.shard.config import ShardConfig
 from repro.sim.engine import SECOND, Simulator
 from repro.sim.rng import RngRegistry
@@ -49,8 +51,8 @@ from repro.transport.udp import UdpSink, UdpSource
 if TYPE_CHECKING:
     from repro.ha.cluster import HaCluster
     from repro.ha.standby import StandbyController
+    from repro.mobility.spatial import ApGridIndex
     from repro.scenarios.builder import RegionSpec
-    from repro.scenarios.spatial import ApGridIndex
     from repro.shard.manager import ShardManager
 
 #: Default AP x-positions: 7.5 m spacing as measured in §2.
@@ -117,11 +119,6 @@ class TestbedConfig:
     #: builds the default everything-off context — the configuration
     #: under which runs are bit-identical to the pre-obs tree.
     obs: Optional[ObsConfig] = None
-    #: Batched snapshot/PHY fast path on the shared medium and the
-    #: oracle probes.  Bit-identical to the scalar path (asserted by
-    #: ``tests/test_perf_equivalence.py``); ``False`` forces the
-    #: per-receiver scalar loop everywhere.
-    batch_phy: bool = True
     #: Partition the corridor into AP-cluster shards, each owned by its
     #: own controller, with inter-shard client handoff (``repro.shard``).
     #: Off (the default) takes the exact legacy single-controller
@@ -836,31 +833,16 @@ class Testbed:
         """The AP with the instantaneously best ESNR (oracle knowledge,
         used only by the accuracy metric — never by the protocols)."""
         client_id = self.clients[client_index].client_id
-        if self.config.batch_phy:
-            from repro.channel.link_batch import probe_snapshots
-            from repro.phy.batch import effective_snr_db_batch
-
-            entries = [
-                (self.channel.link(ap_id, client_id), ap_id)
-                for ap_id in self.ap_ids
-            ]
-            snaps = probe_snapshots(time_us, entries)
-            esnrs = effective_snr_db_batch(np.stack(snaps))
-            best_ap, best_esnr = None, -1e9
-            for ap_id, esnr in zip(self.ap_ids, esnrs):
-                if esnr > best_esnr:
-                    best_ap, best_esnr = ap_id, float(esnr)
-            return best_ap
-        from repro.phy.esnr import effective_snr_db
-
+        entries = [
+            (self.channel.link(ap_id, client_id), ap_id)
+            for ap_id in self.ap_ids
+        ]
+        snaps = probe_snapshots(time_us, entries)
+        esnrs = effective_snr_db_batch(np.stack(snaps))
         best_ap, best_esnr = None, -1e9
-        for ap_id in self.ap_ids:
-            link = self.channel.link(ap_id, client_id)
-            esnr = effective_snr_db(
-                link.probe_subcarrier_snr_db(time_us, tx_id=ap_id)
-            )
+        for ap_id, esnr in zip(self.ap_ids, esnrs):
             if esnr > best_esnr:
-                best_ap, best_esnr = ap_id, esnr
+                best_ap, best_esnr = ap_id, float(esnr)
         return best_ap
 
     def serving_ap_of(self, client_index: int) -> Optional[str]:

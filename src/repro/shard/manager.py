@@ -21,7 +21,7 @@ globally:
   the owning shard's active controller.
 
 Clients are placed by the testbed's spatial AP index
-(:class:`~repro.scenarios.spatial.ApGridIndex`), restricted to the
+(:class:`~repro.mobility.spatial.ApGridIndex`), restricted to the
 owning shard's APs, so candidate-set work stays O(nearby) no matter
 how long the corridor grows.
 

@@ -162,7 +162,7 @@ class SloGuard:
         out: Dict[str, float] = {
             "engine_pending_events": testbed.sim.pending_events(),
             "channel_ports": len(testbed.channel._ports),
-            "medium_devices": len(testbed.medium._devices),
+            "medium_devices": len(testbed.medium.devices()),
             "clients_active": len(testbed.clients),
             "clients_retiring": len(testbed._retiring),
         }

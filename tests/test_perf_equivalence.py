@@ -11,9 +11,6 @@ other:
   element for element, over randomized insert/expire sequences;
 * the parallel grid runner must return byte-identical results for
   ``jobs=1`` and ``jobs=2``;
-* a full testbed drive with the batched PHY/channel fast path
-  (``batch_phy=True``) must be bit-identical to the scalar path —
-  same throughput, same goodput series, same switch count;
 * the selector must hold its memory bound (no dead series) over long
   multi-client runs;
 * the engine's compacted heap must behave exactly like the lazy one.
@@ -285,60 +282,6 @@ def test_run_grid_preserves_grid_order(monkeypatch):
 
 def test_run_grid_empty_grid():
     assert run_grid(_parity_cell, [], jobs=4) == []
-
-
-# ----------------------------------------------------------------------
-# batched PHY/channel fast path vs scalar path
-# ----------------------------------------------------------------------
-
-
-def _drive_fingerprint(batch_phy: bool, scheme: str, protocol: str):
-    """Run a short bulk-download drive and collapse it to the values a
-    numerics change could not leave unchanged."""
-    from repro.apps.bulk import run_bulk_download
-    from repro.phy.per import reset_phy_memos
-    from repro.scenarios.testbed import TestbedConfig
-
-    reset_phy_memos()
-    result = run_bulk_download(
-        TestbedConfig(
-            seed=5,
-            scheme=scheme,
-            client_speeds_mph=[20.0],
-            batch_phy=batch_phy,
-        ),
-        protocol=protocol,
-        duration_s=1.5,
-        udp_rate_bps=50e6,
-    )
-    return (
-        result.throughput_mbps,
-        tuple(result.goodput_series_mbps),
-        result.tcp_timeouts,
-        result.switch_count,
-    )
-
-
-class TestBatchedPhyEquivalence:
-    """``batch_phy=True`` must be bit-identical to ``batch_phy=False``.
-
-    The batched medium reorders *computation* (fused fading evolution,
-    stacked LUT gathers, preamble prewarm) but may not change a single
-    RNG draw or float — these drives cover UL/DL data, block-acks, CSI
-    fan-out, controller probes and interference, under both schemes and
-    transports.
-    """
-
-    @pytest.mark.parametrize("protocol", ["tcp", "udp"])
-    def test_wgtt_drive_bit_identical(self, protocol):
-        assert _drive_fingerprint(True, "wgtt", protocol) == _drive_fingerprint(
-            False, "wgtt", protocol
-        )
-
-    def test_baseline_drive_bit_identical(self):
-        assert _drive_fingerprint(True, "baseline", "tcp") == _drive_fingerprint(
-            False, "baseline", "tcp"
-        )
 
 
 # ----------------------------------------------------------------------

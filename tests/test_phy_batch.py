@@ -3,8 +3,8 @@
 The contract of :mod:`repro.phy.batch` and
 :mod:`repro.channel.link_batch` is *bit identity*: every batched
 function must return, element for element, exactly the bytes the scalar
-path produces — including NaN and ±inf inputs — so flipping
-``batch_phy`` can never change an experiment.  These tests sweep link
+path produces — including NaN and ±inf inputs — so batching can
+never change an experiment.  These tests sweep link
 counts from 1 to 256, every modulation in the BER table, and injected
 non-finite values, holding:
 

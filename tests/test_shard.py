@@ -35,7 +35,7 @@ from repro.scenarios.presets import (
     preset_names,
     shard_corridor_config,
 )
-from repro.scenarios.spatial import ApGridIndex
+from repro.mobility.spatial import ApGridIndex
 from repro.scenarios.testbed import Testbed, TestbedConfig, build_testbed
 from repro.shard.config import ShardConfig
 

@@ -125,7 +125,7 @@ class TestClientChurn:
         tb = _wgtt_testbed()
         tb.run_seconds(0.2)
         ports_before = len(tb.channel._ports)
-        devices_before = len(tb.medium._devices)
+        devices_before = len(tb.medium.devices())
         track = VehicleTrack(
             tb.road, start_x=0.0, speed_mph=15.0,
             start_time_us=tb.sim.now,
@@ -142,7 +142,7 @@ class TestClientChurn:
         # horizon; after the delay both tables are back to baseline.
         tb.run_seconds(0.2)
         assert len(tb.channel._ports) == ports_before
-        assert len(tb.medium._devices) == devices_before
+        assert len(tb.medium.devices()) == devices_before
         assert not tb._retiring
 
     def test_departed_client_state_freed_everywhere(self):
