@@ -11,14 +11,14 @@ Run:  python examples/quickstart.py [seed]
 
 import sys
 
-from repro.scenarios import TestbedConfig, build_testbed
+from repro.scenarios import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     config = TestbedConfig(seed=seed, scheme="wgtt", client_speeds_mph=[15.0])
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     sender, receiver = testbed.add_downlink_tcp_flow(0)
     sender.start()
 

@@ -14,7 +14,7 @@ import sys
 
 from repro.apps.video import VideoPlayer
 from repro.apps.web import PageLoad
-from repro.scenarios import multi_client_config, build_testbed
+from repro.scenarios import Testbed, multi_client_config
 from repro.sim.engine import SECOND
 
 
@@ -24,7 +24,7 @@ def main() -> None:
     config = multi_client_config(3, speed_mph=10.0, gap_m=8.0,
                                  seed=seed, scheme="wgtt",
                                  client_start_x_m=24.0)
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
 
     video_sender, video_receiver = testbed.add_downlink_tcp_flow(0)
     player = VideoPlayer(testbed.sim, video_receiver)

@@ -11,7 +11,7 @@ Run:  python examples/video_commute.py [speed_mph]
 import sys
 
 from repro.apps.video import VideoPlayer
-from repro.scenarios import TestbedConfig, build_testbed
+from repro.scenarios import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 
 
@@ -19,7 +19,7 @@ def watch(scheme: str, speed_mph: float, seed: int = 3) -> None:
     config = TestbedConfig(
         seed=seed, scheme=scheme, client_speeds_mph=[speed_mph]
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     sender, receiver = testbed.add_downlink_tcp_flow(0)
     player = VideoPlayer(testbed.sim, receiver)
     sender.start()

@@ -8,11 +8,11 @@ uplink de-duplication), the Enhanced 802.11r baseline, and the full
 
 Quickstart::
 
-    from repro.scenarios import TestbedConfig, build_testbed
+    from repro.scenarios import Testbed, TestbedConfig
     from repro.apps import BulkFlow
 
-    testbed = build_testbed(TestbedConfig(seed=1, scheme="wgtt",
-                                          client_speeds_mph=[15.0]))
+    testbed = Testbed(TestbedConfig(seed=1, scheme="wgtt",
+                                    client_speeds_mph=[15.0]))
     flow = testbed.add_downlink_tcp_flow(client_index=0)
     testbed.run_seconds(10.0)
     print(flow.throughput_mbps())

@@ -11,8 +11,8 @@ reproduction's *actual* invariants instead of generic style:
   ``repro.obs.schema`` catalog, both directions (TRC001–TRC003);
 * :mod:`~repro.analysis.passes.checkpoint` — controller volatile state
   vs ``repro.ha.checkpoint`` coverage (CKP001–CKP003);
-* :mod:`~repro.analysis.passes.metricnames` — canonical metric keys,
-  one instrument type per name (MET001–MET002).
+* :mod:`~repro.analysis.passes.metricnames` — canonical metric keys
+  (MET001).
 
 Deliberate exceptions are inline, explained, and audited:
 ``# noqa-repro: RULE — reason`` (SUP001 fires on a missing reason,

@@ -1,22 +1,18 @@
-"""Metrics-name lint: canonical keys, one instrument type per name.
+"""Metrics-name lint: canonical keys.
 
-The :class:`~repro.obs.metrics.MetricsRegistry` keys every instrument
-by the canonical ``name{label=value}`` string with sorted labels —
-that string is the contract trace comparisons and the soak SLO guard
-key on across runs.  Two ways to silently break it: a hand-written key
-literal that doesn't parse canonically (snapshot diffs then miss it
-forever), and one name registered as two instrument types in different
-files (the registry raises at runtime — but only on the first run that
-happens to hit both sites).
+The :class:`~repro.obs.metrics.MetricsRegistry` keys every value by the
+canonical ``name{label=value}`` string with sorted labels — that string
+is the contract trace comparisons and the soak SLO guard key on across
+runs.  The way to silently break it is a hand-written key literal that
+doesn't parse canonically (snapshot diffs then miss it forever).
 
 ========  ============================================================
 rule      fires when
 ========  ============================================================
 MET001    a metric name/key literal is malformed: braces in a name
-          passed to ``metric_key``/``counter``/``gauge``/``histogram``
-          (labels go through kwargs), or a ``name{...}`` key literal
-          whose labels are not canonical (``k=v`` pairs, sorted)
-MET002    one metric name registered as two instrument types
+          passed to ``metric_key`` (labels go through kwargs), or a
+          ``name{...}`` key literal whose labels are not canonical
+          (``k=v`` pairs, sorted)
 ========  ============================================================
 """
 
@@ -24,7 +20,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.analysis.astutil import end_line, str_literal
 from repro.analysis.engine import AnalysisPass
@@ -39,8 +35,6 @@ _KEYLIKE_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*\{.*\}$")
 _KEY_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_.]*)\{(?P<labels>[^{}]*)\}$"
 )
-
-_INSTRUMENT_METHODS = ("counter", "gauge", "histogram")
 
 
 def _key_problem(literal: str) -> str:
@@ -72,29 +66,18 @@ class MetricNamePass(AnalysisPass):
     name = "metric-names"
     rules = {
         "MET001": "malformed metric name or non-canonical key literal",
-        "MET002": "metric name registered as conflicting instrument types",
     }
 
     def run(self, project: Project) -> List[Finding]:
         findings: List[Finding] = []
-        #: base name -> {instrument type: (path, line)}
-        types_seen: Dict[str, Dict[str, Tuple[str, int]]] = {}
-
         for file in project.files:
             if file.tree is None:
                 continue
             if "repro/analysis/" in file.path.as_posix():
                 continue
-            is_metrics_impl = file.path.as_posix().endswith(
-                "repro/obs/metrics.py"
-            )
             for node in ast.walk(file.tree):
                 if isinstance(node, ast.Call):
-                    findings.extend(
-                        self._check_call(
-                            file, node, types_seen, is_metrics_impl
-                        )
-                    )
+                    findings.extend(self._check_call(file, node))
                 elif isinstance(node, ast.Constant):
                     literal = str_literal(node)
                     if literal is None or not _KEYLIKE_RE.match(literal):
@@ -120,78 +103,35 @@ class MetricNamePass(AnalysisPass):
                                 end_line=end_line(node),
                             )
                         )
-
-        for name in sorted(types_seen):
-            registered = types_seen[name]
-            if len(registered) < 2:
-                continue
-            kinds = sorted(registered)
-            first_kind = kinds[0]
-            for kind in kinds[1:]:
-                path, line = registered[kind]
-                findings.append(
-                    Finding(
-                        path=path,
-                        line=line,
-                        col=0,
-                        rule="MET002",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"metric {name!r} registered as {kind} here "
-                            f"but as {first_kind} at "
-                            f"{registered[first_kind][0]}:"
-                            f"{registered[first_kind][1]} — the registry "
-                            "raises TypeError on whichever run hits both"
-                        ),
-                        hint="give the two instruments distinct names",
-                    )
-                )
         return findings
 
-    def _check_call(
-        self,
-        file,
-        node: ast.Call,
-        types_seen: Dict[str, Dict[str, Tuple[str, int]]],
-        is_metrics_impl: bool,
-    ) -> List[Finding]:
+    def _check_call(self, file, node: ast.Call) -> List[Finding]:
         func = node.func
         method = None
         if isinstance(func, ast.Attribute):
             method = func.attr
         elif isinstance(func, ast.Name):
             method = func.id
-        if method == "metric_key":
-            name_node = node.args[0] if node.args else None
-        elif method in _INSTRUMENT_METHODS and isinstance(func, ast.Attribute):
-            if is_metrics_impl:
-                return []  # the registry's own plumbing
-            name_node = node.args[0] if node.args else None
-        else:
+        if method != "metric_key" or not node.args:
             return []
-        name = str_literal(name_node)
+        name = str_literal(node.args[0])
         if name is None:
             return []  # dynamic names are legal (collector loops)
-        findings: List[Finding] = []
-        if not _NAME_RE.match(name):
-            findings.append(
-                Finding(
-                    path=file.display_path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule="MET001",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"metric name {name!r} is not a bare identifier "
-                        "— labels belong in keyword arguments, not "
-                        "hand-formatted into the name"
-                    ),
-                    hint='write e.g. counter("drops", ap=ap_id)',
-                    end_line=end_line(node),
-                )
+        if _NAME_RE.match(name):
+            return []
+        return [
+            Finding(
+                path=file.display_path,
+                line=node.lineno,
+                col=node.col_offset,
+                rule="MET001",
+                severity=Severity.ERROR,
+                message=(
+                    f"metric name {name!r} is not a bare identifier "
+                    "— labels belong in keyword arguments, not "
+                    "hand-formatted into the name"
+                ),
+                hint='write e.g. metric_key("drops", ap=ap_id)',
+                end_line=end_line(node),
             )
-        if method in _INSTRUMENT_METHODS:
-            types_seen.setdefault(name, {}).setdefault(
-                method, (file.display_path, node.lineno)
-            )
-        return findings
+        ]

@@ -356,6 +356,10 @@ class ChannelMap:
     def port(self, node_id: str) -> RadioPort:
         return self._ports[node_id]
 
+    def port_count(self) -> int:
+        """Registered radio ports (a bounded gauge under churn)."""
+        return len(self._ports)
+
     def link(self, a_id: str, b_id: str) -> Link:
         """The (lazily created) link between any two radio ports.
 

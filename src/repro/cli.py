@@ -12,8 +12,7 @@ Four commands cover the common workflows:
 * ``list``        — enumerate the available experiment drivers.
 
 Experiment ids come from the registration decorator
-(:mod:`repro.experiments.registry`); the hand-maintained ``EXPERIMENTS``
-dict is gone.  A deprecation shim keeps the old name importable.
+(:mod:`repro.experiments.registry`).
 """
 
 from __future__ import annotations
@@ -21,41 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from collections.abc import Mapping
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.experiments import registry as experiment_registry
 from repro.experiments.common import format_table
 from repro.experiments.registry import ExperimentConfig
-
-
-class _DeprecatedExperiments(Mapping):
-    """Read-only view of the registry under the legacy ``EXPERIMENTS``
-    name.  Iteration/lookup works as before (id -> description); any
-    use warns once per call site."""
-
-    def _descriptions(self) -> dict:
-        warnings.warn(
-            "repro.cli.EXPERIMENTS is deprecated; use "
-            "repro.experiments.registry (experiment_ids()/descriptions())",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return experiment_registry.descriptions()
-
-    def __getitem__(self, key: str) -> str:
-        return self._descriptions()[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._descriptions())
-
-    def __len__(self) -> int:
-        return len(self._descriptions())
-
-
-#: Deprecated: the registry is the source of truth now.
-EXPERIMENTS = _DeprecatedExperiments()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,15 +207,6 @@ def cmd_drive(args) -> int:
         if args.profile and testbed.sim.obs.profiler is not None:
             print(testbed.sim.obs.profiler.report())
     return 0
-
-
-def _run_experiment(experiment_id: str, seed: int, quick: bool, jobs: int = 1):
-    """Legacy helper (kept for callers of the old CLI internals)."""
-    experiment = experiment_registry.get(experiment_id)
-    result = experiment.run(
-        ExperimentConfig(seed=seed, quick=quick), jobs=jobs
-    )
-    return result.data
 
 
 def cmd_experiment(args) -> int:

@@ -40,6 +40,7 @@ from repro.mac.wifi_device import WifiDevice
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
 from repro.net.tunnel import tunnel_wire_size
+from repro.obs.metrics import metric_key
 from repro.sim.engine import Simulator, Timer
 from repro.sim.rng import RngRegistry
 
@@ -49,6 +50,28 @@ HEARTBEAT_WIRE_BYTES = 32
 
 class WgttAccessPoint:
     """One roadside WGTT AP."""
+
+    #: ``stats`` counters that only move under an adversarial schedule
+    #: (or an extreme reordering no stock run produces):
+    #: :meth:`collect_metrics` hides them while zero so a healthy run's
+    #: snapshot — and every soak fingerprint folded from it — keeps its
+    #: key set.  Adding a name here is all it takes to add a lazily
+    #: exported counter.
+    LAZY_STATS: Tuple[str, ...] = (
+        # Adversary-facing rejection counters.
+        "stale_stops",
+        "stale_starts",
+        "stale_failovers",
+        "stale_takeovers",
+        "stale_ctrl_hellos",
+        "stale_serving_updates",
+        "stale_sta_syncs",
+        "serving_relinquished",
+        # Churn-facing guard: a stop/start/failover that was in flight
+        # when the (prioritized) client-departed message tore the
+        # client down must not resurrect serving duty.
+        "serving_after_departure",
+    )
 
     def __init__(
         self,
@@ -166,22 +189,7 @@ class WgttAccessPoint:
             "backpressure_signals": 0,
             "clients_departed": 0,
             "data_after_departure": 0,
-            # Adversary-facing rejection counters: zero on every
-            # healthy run (metrics export filters them while zero so
-            # adversary-free fingerprints are unchanged).
-            "stale_stops": 0,
-            "stale_starts": 0,
-            "stale_failovers": 0,
-            "stale_takeovers": 0,
-            "stale_ctrl_hellos": 0,
-            "stale_serving_updates": 0,
-            "stale_sta_syncs": 0,
-            "serving_relinquished": 0,
-            # Churn-facing guard: a stop/start/failover that was in
-            # flight when the (prioritized) client-departed message
-            # tore the client down must not resurrect serving duty.
-            # Zero on churn-free runs (lazily exported).
-            "serving_after_departure": 0,
+            **dict.fromkeys(self.LAZY_STATS, 0),
         }
         backhaul.register(ap_id, self._on_backhaul)
         self._heartbeat_timer = Timer(self._sim, self._heartbeat_tick)
@@ -201,6 +209,46 @@ class WgttAccessPoint:
 
     def is_serving(self, client_id: str) -> bool:
         return client_id in self._serving
+
+    # ------------------------------------------------------------------
+    # observability
+    # ------------------------------------------------------------------
+
+    def cyclic_queue_count(self) -> int:
+        """Per-client cyclic queues currently held (bounded gauge)."""
+        return len(self._cyclic)
+
+    def hold_buffer_depth(self) -> int:
+        """Forwards parked while the controller is silent."""
+        return len(self._hold_buffer)
+
+    def collect_metrics(self) -> Dict[str, object]:
+        """Everything this AP publishes to the metrics snapshot."""
+        ap_id = self.ap_id
+        lazy = self.LAZY_STATS
+        out: Dict[str, object] = {
+            metric_key("ap_stat", ap=ap_id, name=name): value
+            for name, value in self.stats.items()
+            if value or name not in lazy
+        }
+        queues = self._cyclic.values()
+        out[metric_key("ap_overflow_drops", ap=ap_id)] = sum(
+            queue.overflow_drops for queue in queues
+        )
+        out[metric_key("ap_cyclic_queues", ap=ap_id)] = (
+            self.cyclic_queue_count()
+        )
+        out[metric_key("ap_cyclic_high_watermark", ap=ap_id)] = max(
+            (queue.high_watermark for queue in queues), default=0
+        )
+        out[metric_key("ap_cyclic_overwrites", ap=ap_id)] = sum(
+            queue.overwrites for queue in queues
+        )
+        out[metric_key("ap_hold_buffer", ap=ap_id)] = self.hold_buffer_depth()
+        device = self.device.stats
+        out[metric_key("ap_mpdus_sent", ap=ap_id)] = device["mpdus_sent"]
+        out[metric_key("ap_ba_timeouts", ap=ap_id)] = device["ba_timeouts"]
+        return out
 
     def start_serving(self, client_id: str) -> None:
         """Adopt transmission duty directly (initial association)."""

@@ -38,6 +38,7 @@ from repro.core.switching import (
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
 from repro.net.tunnel import tunnel_wire_size
+from repro.obs.metrics import metric_key
 from repro.sim.engine import Simulator, Timer
 from repro.sim.rng import RngRegistry
 
@@ -98,6 +99,20 @@ class ClientState:
 
 class WgttController:
     """Central coordinator of the AP array."""
+
+    #: ``stats`` counters that only move under an adversarial schedule
+    #: (or a sharded deployment): :meth:`collect_metrics` hides them
+    #: while zero so a healthy run's snapshot — and every soak
+    #: fingerprint folded from it — keeps its key set.  Adding a name
+    #: here is all it takes to add a lazily exported counter.
+    LAZY_STATS: Tuple[str, ...] = (
+        # Replayed pre-departure sta-syncs / serving claims rejected.
+        "stale_sta_syncs",
+        "stale_serving_claims",
+        # Sharded deployments only: uplinks rejected by the ownership
+        # gate.
+        "uplink_unowned",
+    )
 
     def __init__(
         self,
@@ -228,14 +243,7 @@ class WgttController:
             "admission_enqueued": 0,
             "admission_released": 0,
             "admission_dropped": 0,
-            # Adversary-facing rejection counters: zero on every
-            # healthy run (metrics export filters them while zero so
-            # adversary-free fingerprints are unchanged).
-            "stale_sta_syncs": 0,
-            "stale_serving_claims": 0,
-            # Sharded deployments only (lazily exported like the stale
-            # counters): uplinks rejected by the ownership gate.
-            "uplink_unowned": 0,
+            **dict.fromkeys(self.LAZY_STATS, 0),
         }
         #: Per-client fair pacing (soak extension).  None unless
         #: ``admission_enabled`` — the default ingress path never
@@ -251,6 +259,44 @@ class WgttController:
                 self.stats,
             )
         backhaul.register(controller_id, self._on_backhaul)
+
+    # ------------------------------------------------------------------
+    # observability
+    # ------------------------------------------------------------------
+
+    def collect_metrics(self) -> Dict[str, object]:
+        """Everything this controller publishes to the metrics snapshot."""
+        stats = self.stats
+        lazy = self.LAZY_STATS
+        out: Dict[str, object] = {
+            metric_key("controller_stat", name=name): value
+            for name, value in stats.items()
+            if value or name not in lazy
+        }
+        out["dedup_accepted"] = self.dedup.accepted
+        out["dedup_duplicates"] = self.dedup.duplicates
+        out["switches_completed"] = len(self.coordinator.history)
+        out["switches_abandoned"] = self.coordinator.abandoned
+        out["switches_aborted"] = self.coordinator.aborted
+        out["liveness_events"] = len(self.liveness.events)
+        # Convenience top-level aliases the soak SLO guard (and humans
+        # reading ``drive --metrics``) watch without knowing the
+        # controller_stat{name=...} key scheme.
+        out["backpressure_on"] = stats["backpressure_on"]
+        out["backpressure_off"] = stats["backpressure_off"]
+        # Bounded-memory gauges: each of these must plateau on a soak.
+        out["controller_tracked_clients"] = len(self._clients)
+        out["controller_index_cursors"] = self._index_alloc.tracked_clients()
+        out["controller_selector_series"] = self.selector.series_count()
+        out["controller_dedup_window"] = self.dedup.window_size()
+        if self._pacer is not None:
+            out["admission_backlog"] = self._pacer.backlog()
+            out["admission_clients"] = self._pacer.tracked_clients()
+        if self._backhaul.adversary_armed:
+            # stale_acks moves on ordinary retransmissions too, so it
+            # must not surface (new key!) in adversary-free snapshots.
+            out["switches_stale_acks"] = self.coordinator.stale_acks
+        return out
 
     # ------------------------------------------------------------------
     # topology / association

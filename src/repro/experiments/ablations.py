@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from repro.core.config import WgttConfig
 from repro.experiments.common import mean, seeds_for
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.experiments.registry import register_experiment
 
 
@@ -56,7 +56,7 @@ def run_variant(
         wgtt=wgtt,
         channel_plan=channel_plan,
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     sender, receiver = testbed.add_downlink_tcp_flow(0)
     sender.start()
     testbed.run_seconds(duration_s)

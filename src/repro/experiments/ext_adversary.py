@@ -38,7 +38,7 @@ from repro.core.config import WgttConfig
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import run_grid
 from repro.faults.plan import FaultPlan
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
 
@@ -101,7 +101,7 @@ def run_schedule(
         wgtt=WgttConfig(ha_enabled=True) if ha else WgttConfig(),
         fault_plan=plan,
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     checker = testbed.install_invariant_checker()
 
     dl_sender, dl_receiver = testbed.add_downlink_tcp_flow(0)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.common import mean, seeds_for
 from repro.experiments.runner import run_grid
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.experiments.registry import register_experiment
 
 #: Spacings to sweep; the paper's testbed is 7.5 m.
@@ -35,7 +35,7 @@ def run_spacing(
         ap_spacing_m=spacing_m,
         client_speeds_mph=[speed_mph],
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     sender, _receiver = testbed.add_downlink_tcp_flow(0)
     sender.start()
     testbed.run_seconds(duration_s)

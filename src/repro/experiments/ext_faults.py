@@ -9,7 +9,7 @@ reports
 
 * **failover latency** — crash instant → client re-served by a live AP
   (heartbeat detection lag + emergency handshake), from the
-  :class:`~repro.metrics.recorder.FailoverAudit` join;
+  :class:`~repro.obs.recorders.FailoverAudit` join;
 * **throughput retained** — chaos-run TCP throughput over the
   fault-free twin run of the same seed;
 * **deadline violations** — recoveries slower than
@@ -31,8 +31,8 @@ from typing import Dict, List, Optional
 from repro.experiments.common import mean, seeds_for
 from repro.experiments.runner import run_grid
 from repro.faults.plan import ApCrash, FaultPlan
-from repro.metrics.recorder import FailoverAudit
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.obs.recorders import FailoverAudit
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
 from repro.experiments.registry import register_experiment
@@ -89,7 +89,7 @@ def run_cell(
 
     def one_run(fault_plan: Optional[FaultPlan]) -> Dict:
         config = TestbedConfig(seed=seed, scheme="wgtt", fault_plan=fault_plan)
-        testbed = build_testbed(config)
+        testbed = Testbed(config)
         sender, _receiver = testbed.add_downlink_tcp_flow(0)
         sender.start()
         testbed.run_seconds(duration_s)
@@ -174,7 +174,7 @@ def run_smoke(seed: int = 3) -> Dict:
     """Crash the serving AP mid-drive; fail unless the client recovers
     within the configured deadline *and* TCP makes forward progress."""
     config = TestbedConfig(seed=seed, scheme="wgtt")
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     sender, receiver = testbed.add_downlink_tcp_flow(0)
     sender.start()
 

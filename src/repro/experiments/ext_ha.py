@@ -8,7 +8,7 @@ in the sweep, and each cell reports
 
 * **recovery latency** — kill instant → every client registered at the
   promoted standby with a live serving AP (detection lag + promotion +
-  re-publication), from :class:`~repro.metrics.recorder.HaAudit`;
+  re-publication), from :class:`~repro.obs.recorders.HaAudit`;
 * **duplicate leakage** — uplink copies the server saw twice across the
   failover (the shipped dedup window should keep this near zero), plus
   the post-restore duplicates the window *caught*;
@@ -34,8 +34,8 @@ from repro.core.config import WgttConfig
 from repro.experiments.common import mean, seeds_for
 from repro.experiments.runner import run_grid
 from repro.faults.plan import ControllerCrash, FaultPlan
-from repro.metrics.recorder import FailoverAudit, HaAudit
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.obs.recorders import FailoverAudit, HaAudit
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS, SECOND
 from repro.experiments.registry import register_experiment
 
@@ -68,7 +68,7 @@ def run_cell(
         wgtt=_ha_config(checkpoint_interval_ms),
         fault_plan=plan,
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     source, sink = testbed.add_downlink_udp_flow(0, rate_bps=4e6)
     source.start()
     uplink_sender, _ = testbed.add_uplink_tcp_flow(0)
@@ -153,7 +153,7 @@ def run_smoke(seed: int = 3) -> Dict:
         wgtt=_ha_config(checkpoint_interval_ms=100),
         fault_plan=plan,
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     source, sink = testbed.add_downlink_udp_flow(0, rate_bps=4e6)
     source.start()
 

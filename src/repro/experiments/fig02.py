@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.phy.esnr import effective_snr_db
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS, SECOND
 from repro.experiments.registry import register_experiment
 
@@ -22,7 +22,7 @@ def run(seed: int = 3, speed_mph: float = 25.0, quick: bool = False) -> Dict:
     config = TestbedConfig(
         seed=seed, scheme="wgtt", num_aps=3, client_speeds_mph=[speed_mph]
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     client = testbed.clients[0]
     # Sample through the overlap region of AP0/AP1/AP2.
     start_us = client.track.time_to_reach_x(testbed.config.first_ap_x_m)

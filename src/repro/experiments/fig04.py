@@ -20,7 +20,7 @@ from repro.experiments.registry import register_experiment
 
 
 def run_speed(seed: int, speed_mph: float, udp_rate_bps: float = 30e6) -> Dict:
-    from repro.scenarios.testbed import build_testbed
+    from repro.scenarios.testbed import Testbed
 
     config = two_ap_config(
         seed=seed,
@@ -28,7 +28,7 @@ def run_speed(seed: int, speed_mph: float, udp_rate_bps: float = 30e6) -> Dict:
         client_speeds_mph=[speed_mph],
         roaming=stock_80211r_config(),
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     meter = CapacityLossMeter(testbed, sample_period_us=20_000)
     source, sink = testbed.add_downlink_udp_flow(0, rate_bps=udp_rate_bps)
     source.start()

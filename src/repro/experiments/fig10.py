@@ -12,7 +12,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.phy.esnr import effective_snr_db
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.experiments.registry import register_experiment
 
 
@@ -28,7 +28,7 @@ def run(
     a sensible "the link works here" line in this link budget; it
     reproduces the 6-10 m adjacent-AP overlap of the paper's heatmap."""
     config = TestbedConfig(seed=seed, scheme="wgtt", client_speeds_mph=[0.0])
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     client = testbed.clients[0]
     track = client.track
     xs = list(np.arange(0.0, testbed.road.length_m, x_step_m))

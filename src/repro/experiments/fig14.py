@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS, SECOND, Timer
 from repro.experiments.registry import register_experiment
 
@@ -22,7 +22,7 @@ def run_scheme(
     config = TestbedConfig(
         seed=seed, scheme=scheme, client_speeds_mph=[speed_mph]
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     association_series: List[Tuple[int, str]] = []
 
     def sample_association():

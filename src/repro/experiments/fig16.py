@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.metrics.recorder import RateUsageLog
+from repro.obs.recorders import RateUsageLog
 from repro.metrics.stats import cdf_points, percentile
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.experiments.registry import register_experiment
 
 
@@ -20,7 +20,7 @@ def run_scheme(
     seed: int, scheme: str, protocol: str = "tcp", duration_s: float = 10.0
 ) -> Dict:
     config = TestbedConfig(seed=seed, scheme=scheme, client_speeds_mph=[15.0])
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     log = RateUsageLog(testbed, client_id="client0")
     if protocol == "tcp":
         sender, _receiver = testbed.add_downlink_tcp_flow(0)

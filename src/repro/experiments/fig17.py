@@ -11,7 +11,7 @@ from typing import Dict, List
 
 from repro.experiments.common import mean, seeds_for
 from repro.scenarios.presets import multi_client_config
-from repro.scenarios.testbed import build_testbed
+from repro.scenarios.testbed import Testbed
 from repro.experiments.registry import register_experiment
 
 
@@ -26,7 +26,7 @@ def run_cell(
     config = multi_client_config(
         num_clients, speed_mph=15.0, seed=seed, scheme=scheme
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     flows = []
     for i in range(num_clients):
         if protocol == "tcp":

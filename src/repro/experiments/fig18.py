@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.metrics.recorder import UplinkLossMeter
+from repro.obs.recorders import UplinkLossMeter
 from repro.scenarios.presets import multi_client_config
-from repro.scenarios.testbed import build_testbed
+from repro.scenarios.testbed import Testbed
 from repro.sim.engine import SECOND, Timer
 from repro.experiments.registry import register_experiment
 
@@ -27,7 +27,7 @@ def run_scheme(
     config = multi_client_config(
         num_clients, speed_mph=15.0, seed=seed, scheme=scheme
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     meters: List[UplinkLossMeter] = []
     for i in range(num_clients):
         source, sink = testbed.add_uplink_udp_flow(i, rate_bps=rate_bps)

@@ -17,7 +17,7 @@ from repro.scenarios.presets import (
     opposing_config,
     parallel_config,
 )
-from repro.scenarios.testbed import build_testbed
+from repro.scenarios.testbed import Testbed
 from repro.experiments.registry import register_experiment
 
 CASES: Dict[str, Callable] = {
@@ -36,7 +36,7 @@ def run_cell(
     udp_rate_bps: float = 15e6,
 ) -> float:
     config = CASES[case](speed_mph=15.0, seed=seed, scheme=scheme)
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     flows = []
     for i in range(len(testbed.clients)):
         if protocol == "tcp":

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 from repro.metrics.capacity import selector_capacity_loss_mbps
 from repro.phy.esnr import effective_snr_db
 from repro.phy.per import best_rate_bps
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS, SECOND
 from repro.experiments.registry import register_experiment
 
@@ -40,7 +40,7 @@ def record_traces(
     "accurateness vs agility" trade-off §5.3.1 describes.
     """
     config = TestbedConfig(seed=seed, scheme="wgtt", client_speeds_mph=[speed_mph])
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     noise_rng = testbed.rng.stream("fig21/measurement-noise")
     client_id = testbed.clients[0].client_id
     esnr_trace: Dict[str, List[Tuple[int, float]]] = {

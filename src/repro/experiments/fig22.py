@@ -10,7 +10,7 @@ from typing import Dict, List
 
 from repro.core.config import WgttConfig
 from repro.experiments.common import mean, seeds_for
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.experiments.registry import register_experiment
 
 HYSTERESIS_MS = (40, 80, 120)
@@ -21,7 +21,7 @@ def run_cell(seed: int, hysteresis_ms: int, duration_s: float = 10.0) -> Dict:
     config = TestbedConfig(
         seed=seed, scheme="wgtt", client_speeds_mph=[15.0], wgtt=wgtt
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     sender, receiver = testbed.add_downlink_tcp_flow(0)
     sender.start()
     testbed.run_seconds(duration_s)

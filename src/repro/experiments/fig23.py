@@ -17,7 +17,7 @@ from repro.scenarios.presets import (
     mixed_density_config,
     sparse_segment_bounds,
 )
-from repro.scenarios.testbed import build_testbed
+from repro.scenarios.testbed import Testbed
 from repro.sim.engine import SECOND
 from repro.experiments.registry import register_experiment
 
@@ -31,7 +31,7 @@ def run_cell(
     config = mixed_density_config(
         seed=seed, scheme=scheme, client_speeds_mph=[speed_mph]
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     source, sink = testbed.add_downlink_udp_flow(0, rate_bps=udp_rate_bps)
     source.start()
     track = testbed.clients[0].track

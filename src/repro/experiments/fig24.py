@@ -17,7 +17,7 @@ from repro.apps.conferencing import (
     ConferencingSender,
 )
 from repro.metrics.stats import cdf_points, percentile
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.experiments.registry import register_experiment
 
 
@@ -31,7 +31,7 @@ def run_call(
     config = TestbedConfig(
         seed=seed, scheme=scheme, client_speeds_mph=[speed_mph]
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     client = testbed.clients[0]
     # Downlink leg (conference room -> vehicle).
     down = ConferencingSender(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.metrics.stats import summarize
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.experiments.registry import register_experiment
 
 
@@ -18,7 +18,7 @@ def run_rate(seed: int, rate_mbps: float, duration_s: float = 8.0) -> Dict:
     config = TestbedConfig(
         seed=seed, scheme="wgtt", client_speeds_mph=[15.0]
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     source, _sink = testbed.add_downlink_udp_flow(0, rate_bps=rate_mbps * 1e6)
     source.start()
     testbed.run_seconds(duration_s)

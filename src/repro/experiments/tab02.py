@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.metrics.accuracy import SwitchingAccuracyMeter
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.experiments.registry import register_experiment
 
 
@@ -18,7 +18,7 @@ def run_cell(
     seed: int, scheme: str, protocol: str, duration_s: float = 10.0
 ) -> float:
     config = TestbedConfig(seed=seed, scheme=scheme, client_speeds_mph=[15.0])
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     meter = SwitchingAccuracyMeter(testbed, sample_period_us=20_000)
     if protocol == "tcp":
         sender, _ = testbed.add_downlink_tcp_flow(0)

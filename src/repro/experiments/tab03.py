@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.mac.frames import BlockAckFrame
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.experiments.registry import register_experiment
 
 
@@ -31,7 +31,7 @@ def run_rate(seed: int, rate_mbps: float, duration_s: float = 8.0) -> Dict:
         client_speeds_mph=[0.0],
         client_start_x_m=10.0,
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
 
     # Observe every BA headed for the client directly on the medium.
     ba_intervals: List[tuple] = []

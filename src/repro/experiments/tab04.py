@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.apps.video import VideoPlayer
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.experiments.registry import register_experiment
 
@@ -23,7 +23,7 @@ def run_cell(seed: int, scheme: str, speed_mph: float) -> Dict:
     config = TestbedConfig(
         seed=seed, scheme=scheme, client_speeds_mph=[speed_mph]
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     sender, receiver = testbed.add_downlink_tcp_flow(0)
     player = VideoPlayer(testbed.sim, receiver)
     sender.start()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.apps.web import PageLoad
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.experiments.registry import register_experiment
 
@@ -25,7 +25,7 @@ def run_cell(seed: int, scheme: str, speed_mph: float) -> float:
     config = TestbedConfig(
         seed=seed, scheme=scheme, client_speeds_mph=[speed_mph]
     )
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     transit_s = min(testbed.transit_duration_us() / SECOND, 30.0)
     step = 0.25
     elapsed = 0.0

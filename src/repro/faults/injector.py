@@ -71,6 +71,13 @@ class FaultInjector:
         self.gray_windows = 0
         self._armed = False
 
+    def collect_metrics(self) -> Dict[str, object]:
+        """Executed-fault totals for the metrics snapshot."""
+        out: Dict[str, object] = {"faults_executed": len(self.events)}
+        if self.gray_windows:
+            out["faults_gray_windows"] = self.gray_windows
+        return out
+
     # ------------------------------------------------------------------
     # arming
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ The cluster owns the pieces neither controller can own alone:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
@@ -73,6 +73,20 @@ class HaCluster:
         if self.standby.promoted and self.standby.alive:
             return self.standby
         return None
+
+    def collect_metrics(self) -> Dict[str, object]:
+        """The pair's share of the metrics snapshot: the controller
+        keys of whoever owns the control plane (the primary while
+        nobody does — after a promotion the standby is doing the work,
+        so its numbers are the live ones), plus the cluster's own
+        shipping counters."""
+        active = self.active_controller() or self.primary
+        out = active.collect_metrics()
+        out["ha_checkpoints_shipped"] = self.checkpoints_shipped
+        out["ha_checkpoint_bytes"] = self.checkpoint_bytes
+        out["ha_lost_downlink"] = self.lost_downlink
+        out["ha_promotions"] = self.standby.stats["promotions"]
+        return out
 
     def accept_downlink(self, packet: Packet) -> None:
         active = self.active_controller()

@@ -42,6 +42,9 @@ from repro.sim.rng import RngRegistry
 class StandbyController(WgttController):
     """A WgttController that boots inert and activates on promotion."""
 
+    #: Duplicated/replayed warm-feed mirrors: adversary-only, lazy.
+    LAZY_STATS = (*WgttController.LAZY_STATS, "stale_warm_updates")
+
     def __init__(
         self,
         sim: Simulator,
@@ -69,7 +72,6 @@ class StandbyController(WgttController):
         self.on_promote = lambda: None
         self.stats["checkpoints_received"] = 0
         self.stats["promotions"] = 0
-        self.stats["stale_warm_updates"] = 0
 
     # ------------------------------------------------------------------
     # warm feed (pre-promotion) vs full dispatch (post-promotion)

@@ -125,6 +125,13 @@ class WirelessMedium:
     def devices(self):
         return self._devices.values()
 
+    def collect_metrics(self) -> Dict[str, object]:
+        """Air-side totals for the metrics snapshot."""
+        return {
+            "medium_frames_sent": self.frames_sent,
+            "medium_airtime_us": self.airtime_us,
+        }
+
     def role_of(self, node_id: str) -> Optional[str]:
         """``"ap"`` / ``"client"`` for a registered radio, else None."""
         return getattr(self._devices.get(node_id), "role", None)

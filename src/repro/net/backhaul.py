@@ -17,6 +17,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.metrics import metric_key
 from repro.sim.engine import Simulator
 from repro.sim.rng import seeded_generator
 
@@ -193,6 +194,29 @@ class EthernetBackhaul:
         #: metric collectors key on this so adversary counters only
         #: appear in runs that actually used the adversary.
         self.adversary_armed = False
+
+    def collect_metrics(self) -> Dict[str, object]:
+        """Traffic accounting for the metrics snapshot."""
+        stats = self.stats
+        out: Dict[str, object] = {
+            "backhaul_messages": stats.messages,
+            "backhaul_bytes": stats.bytes,
+            "backhaul_control_messages": stats.control_messages,
+            "backhaul_fault_dropped": stats.fault_dropped,
+            "backhaul_loss_dropped": self.dropped,
+        }
+        for kind, count in stats.by_kind.items():
+            out[metric_key("backhaul_messages_by_kind", kind=kind)] = count
+        if self.adversary_armed:
+            # Conditional keys: the armed latch only flips once an
+            # adversary event executes, so adversary-free runs keep
+            # the exact pre-adversary metric key set (fingerprints).
+            out["backhaul_adversary_duplicated"] = stats.duplicated
+            out["backhaul_adversary_replayed"] = stats.replayed
+            out["backhaul_adversary_corrupt_dropped"] = stats.corrupt_dropped
+            out["backhaul_adversary_oneway_dropped"] = stats.oneway_dropped
+            out["backhaul_adversary_gray_dropped"] = stats.gray_dropped
+        return out
 
     def register(self, node_id: str, handler: Callable[[str, str, object], None]):
         """Attach a node to the LAN."""

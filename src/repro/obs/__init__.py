@@ -2,8 +2,8 @@
 
 * :mod:`repro.obs.trace` — structured event/span tracer with sim-time
   stamps, JSONL and Chrome ``trace_event`` export;
-* :mod:`repro.obs.metrics` — central metrics registry (counters,
-  gauges, histograms with labels, deterministic snapshots);
+* :mod:`repro.obs.metrics` — central metrics registry (owner-published
+  collectors, labelled keys, deterministic snapshots);
 * :mod:`repro.obs.profile` — opt-in engine hot-loop profiler;
 * :mod:`repro.obs.schema` — the event schema and a JSONL validator
   (``python -m repro.obs.schema trace.jsonl``);
@@ -18,22 +18,13 @@ to one built before this package existed.  See docs/observability.md.
 """
 
 from repro.obs.context import ObsConfig, ObsContext
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metric_key,
-)
+from repro.obs.metrics import MetricsRegistry, metric_key
 from repro.obs.profile import EngineProfiler
 from repro.obs.trace import TraceEvent, Tracer, chrome_trace
 
 __all__ = [
     "ObsConfig",
     "ObsContext",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "metric_key",
     "EngineProfiler",

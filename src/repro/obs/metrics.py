@@ -1,17 +1,15 @@
-"""Central metrics registry: counters, gauges, histograms with labels.
+"""Central metrics registry: pull-style collectors, one snapshot.
 
 One :class:`MetricsRegistry` per :class:`~repro.obs.context.ObsContext`
-absorbs the counters that used to live scattered across subsystem
-``stats`` dicts (cyclic ``overflow_drops``, dedup hits, switch
-outcomes, liveness misses, backhaul loss...).  Two feeding styles:
-
-* **direct instruments** — ``registry.counter("x", ap="ap0").inc()``;
-  memoized by (name, labels), so hot paths hold the instrument and pay
-  one attribute increment;
-* **collectors** — ``registry.register_collector(fn)`` pulls existing
-  subsystem ``stats`` dicts at snapshot time.  Zero hot-path cost and
-  zero behaviour risk, which is why the testbed wires today's counters
-  through collectors instead of rewriting every increment site.
+gathers the counters every subsystem keeps in its own ``stats`` dict
+(cyclic ``overflow_drops``, dedup hits, switch outcomes, liveness
+misses, backhaul loss...).  There is one feeding style: the component
+that owns the numbers exposes ``collect_metrics()`` returning
+``{metric_key: value}``, and whoever builds the component registers it
+with ``registry.register_collector(component.collect_metrics)``.
+Collectors run only when a snapshot is requested, so the hot paths keep
+their plain ``dict[key] += 1`` increments — zero added cost and zero
+behaviour risk for the bit-identity contract.
 
 Snapshots are plain ``{key: value}`` dicts with deterministically
 sorted keys, so a snapshot JSON-round-trips byte-identically.
@@ -20,27 +18,13 @@ sorted keys, so a snapshot JSON-round-trips byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "MetricsStream",
     "metric_key",
 ]
-
-#: Default histogram bucket upper bounds (microseconds-friendly).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    100.0,
-    1_000.0,
-    10_000.0,
-    100_000.0,
-    1_000_000.0,
-)
-
-Number = Union[int, float]
 
 
 def metric_key(name: str, /, **labels: object) -> str:
@@ -55,144 +39,23 @@ def metric_key(name: str, /, **labels: object) -> str:
     return f"{name}{{{inner}}}"
 
 
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: str):
-        self.key = key
-        self.value = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-    def snapshot_value(self) -> Number:
-        return self.value
-
-
-class Gauge:
-    """A value that can move both ways."""
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: str):
-        self.key = key
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def add(self, amount: Number) -> None:
-        self.value += amount
-
-    def snapshot_value(self) -> Number:
-        return self.value
-
-
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus-style)."""
-
-    __slots__ = ("key", "bounds", "counts", "total", "count")
-
-    def __init__(self, key: str, buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
-        if list(buckets) != sorted(buckets):
-            raise ValueError("histogram buckets must be sorted")
-        self.key = key
-        self.bounds = tuple(float(b) for b in buckets)
-        #: Per-bound counts plus the +Inf overflow bucket.
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: Number) -> None:
-        self.count += 1
-        self.total += value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
-
-    def snapshot_value(self) -> Dict[str, object]:
-        buckets: Dict[str, int] = {}
-        cumulative = 0
-        for bound, bucket_count in zip(self.bounds, self.counts):
-            cumulative += bucket_count
-            buckets[f"{bound:g}"] = cumulative
-        buckets["+Inf"] = self.count
-        return {"buckets": buckets, "count": self.count, "sum": self.total}
-
-
-Instrument = Union[Counter, Gauge, Histogram]
-
-
 class MetricsRegistry:
-    """Registry of instruments plus snapshot-time collectors."""
+    """Registry of snapshot-time collectors."""
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, Instrument] = {}
         self._collectors: List[Callable[[], Dict[str, object]]] = []
-
-    # ------------------------------------------------------------------
-    # instruments (memoized by key; type conflicts are an error)
-    # ------------------------------------------------------------------
-
-    def _get(self, cls: type, key: str, factory: Callable[[], Instrument]) -> Instrument:
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = factory()
-            self._instruments[key] = instrument
-        elif not isinstance(instrument, cls):
-            raise TypeError(
-                f"metric {key!r} already registered as "
-                f"{type(instrument).__name__}, not {cls.__name__}"
-            )
-        return instrument
-
-    def counter(self, name: str, **labels: object) -> Counter:
-        key = metric_key(name, **labels)
-        return self._get(Counter, key, lambda: Counter(key))  # type: ignore[return-value]
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        key = metric_key(name, **labels)
-        return self._get(Gauge, key, lambda: Gauge(key))  # type: ignore[return-value]
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Tuple[float, ...]] = None,
-        **labels: object,
-    ) -> Histogram:
-        key = metric_key(name, **labels)
-        bounds = buckets if buckets is not None else DEFAULT_BUCKETS
-        instrument = self._get(Histogram, key, lambda: Histogram(key, bounds))
-        return instrument  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # collectors
-    # ------------------------------------------------------------------
 
     def register_collector(self, collect: Callable[[], Dict[str, object]]) -> None:
         """Register a pull-style source: called at :meth:`snapshot`
         time, returning ``{metric_key: value}``.  Collector keys
-        overwrite earlier collectors' keys (registration order), never
-        direct instruments'."""
+        overwrite earlier collectors' keys (registration order)."""
         self._collectors.append(collect)
-
-    # ------------------------------------------------------------------
-    # snapshots
-    # ------------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """All current values, keys deterministically sorted."""
         merged: Dict[str, object] = {}
         for collect in self._collectors:
             merged.update(collect())
-        for key, instrument in self._instruments.items():
-            merged[key] = instrument.snapshot_value()
         return {key: merged[key] for key in sorted(merged)}
 
     def to_json(self) -> str:

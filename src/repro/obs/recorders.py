@@ -6,8 +6,7 @@ public results methods, no device hooks.  :class:`UplinkLossMeter`
 samples transport counters (unchanged).  :class:`FailoverAudit` and
 :class:`HaAudit` join the fault injector's trace with controller
 timelines (unchanged joins, now living beside the event stream they
-describe).  ``repro.metrics.recorder`` re-exports everything from here
-for backwards compatibility.
+describe).
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ per-frame entry points below collapse to dictionary hits.  Keys embed
 in each entry, making ``id`` reuse impossible while the entry lives.
 The memos are LRU-bounded (:data:`PHY_MEMO_CAPACITY`) so hour-long
 soak runs cannot grow them without limit, and hit/miss/eviction
-counters are exported through :func:`phy_memo_stats` (the testbed
-registers them with the ``MetricsRegistry``).  SNR arrays are treated
+counters are exported through :func:`phy_memo_stats` (published to
+the ``MetricsRegistry`` by :func:`collect_metrics`).  SNR arrays are treated
 as immutable throughout the simulator — derived quantities always
 allocate fresh arrays.
 """
@@ -36,6 +36,7 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
+from repro.obs.metrics import metric_key
 from repro.phy.esnr import DEFAULT_MODULATION, ESNR_CAP_DB
 from repro.phy.lut import ber_at_snr_db_lut, lut_for
 from repro.phy.mcs import CODING_GAIN_DB, Mcs
@@ -123,6 +124,15 @@ def phy_memo_stats() -> Dict[str, Dict[str, int]]:
         "coded_ber": _coded_memo.stats(),
         "preamble": _preamble_memo_lru.stats(),
         "rssi": _rssi_memo.stats(),
+    }
+
+
+def collect_metrics() -> Dict[str, object]:
+    """The memo counters as ``phy_memo{memo=...,stat=...}`` keys."""
+    return {
+        metric_key("phy_memo", memo=memo, stat=stat): value
+        for memo, stats in phy_memo_stats().items()
+        for stat, value in stats.items()
     }
 
 

@@ -11,18 +11,12 @@ from repro.scenarios.presets import (
     sparse_segment_bounds,
     two_ap_config,
 )
-from repro.scenarios.testbed import (
-    ClientNode,
-    Testbed,
-    TestbedConfig,
-    build_testbed,
-)
+from repro.scenarios.testbed import ClientNode, Testbed, TestbedConfig
 
 __all__ = [
     "ClientNode",
     "Testbed",
     "TestbedConfig",
-    "build_testbed",
     "MIXED_DENSITY_AP_XS",
     "dense_segment_bounds",
     "following_config",

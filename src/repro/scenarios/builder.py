@@ -1,20 +1,21 @@
 """Composable scenario construction over explicit region specs.
 
 ``Testbed.__init__`` used to be one monolithic constructor: substrate,
-AP bank, control plane, HA, clients, fault plumbing and metrics
-recorders all inline.  This module decomposes it into a
-:class:`ScenarioBuilder` whose build stages are separately invokable
-and parameterized by :class:`RegionSpec` — the piece the sharded
-control plane (``repro.shard``) composes per AP-cluster region while
-the classic single-controller path keeps running the exact same code
-in the exact same order.
+AP bank, control plane, HA, clients and fault plumbing all inline.
+This module decomposes it into a :class:`ScenarioBuilder` whose build
+stages are separately invokable and parameterized by
+:class:`RegionSpec` — every region's control plane, sharded or not, is
+one :class:`~repro.shard.manager.Shard`.
+
+Each stage also registers what it built with the metrics registry
+(``component.collect_metrics``): the component decides which numbers
+it publishes, the stage that creates it wires it in.
 
 Byte-identity contract: ``ScenarioBuilder(config).build()`` executes
 the identical construction sequence (RNG stream creation, backhaul
 registration, timer arming) the legacy constructor did, so a
 default-config run is bit-identical to the pre-builder tree.
-``Testbed(config)`` itself now delegates here; ``build_testbed`` is a
-deprecated shim.
+``Testbed(config)`` is the one public way in; it delegates here.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.baselines.enhanced_80211r import Baseline80211rAp, BaselineWlc
 from repro.channel.antenna import ParabolicAntenna
 from repro.channel.link import ChannelMap, RadioPort
-from repro.core.access_point import WgttAccessPoint
-from repro.core.controller import WgttController
 from repro.mac.medium import WirelessMedium
 from repro.mobility.road import Position, Road
 from repro.mobility.spatial import ApGridIndex
@@ -34,6 +33,7 @@ from repro.mobility.vehicle import VehicleTrack
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import IpIdAllocator
 from repro.obs.context import ObsContext
+from repro.phy import per as phy_per
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.transport.flows import Host
@@ -179,7 +179,6 @@ class ScenarioBuilder:
         self.build_ha(tb)
         self.build_clients(tb)
         self.build_faults(tb)
-        self.build_recorders(tb)
         return tb
 
     # ------------------------------------------------------------------
@@ -205,6 +204,11 @@ class ScenarioBuilder:
         tb.backhaul = EthernetBackhaul(tb.sim)
         tb.server_host = Host("server")
         tb._server_ip_ids = IpIdAllocator()
+        register = tb.obs.metrics.register_collector
+        register(tb.backhaul.collect_metrics)
+        register(tb.medium.collect_metrics)
+        register(tb.sim.collect_metrics)
+        register(phy_per.collect_metrics)
 
     def build_ap_bank(self, tb: "Testbed") -> None:
         """Radio ports + antennas for every region's APs, corridor
@@ -237,8 +241,8 @@ class ScenarioBuilder:
                 tb.ap_index.add(ap_id, mount)
 
     def build_control_plane(self, tb: "Testbed") -> None:
-        """Controller(s) + protocol APs: single WGTT controller,
-        sharded controllers, or the baseline WLC."""
+        """Controller(s) + protocol APs (+ warm standbys): one WGTT
+        region, sharded regions under a manager, or the baseline WLC."""
         config = self.config
         tb.controller = None
         tb.standby = None
@@ -247,34 +251,26 @@ class ScenarioBuilder:
         tb.wgtt_aps = {}
         tb.baseline_aps = {}
         tb.shard_manager = None
-        if config.scheme == "wgtt":
-            if config.sharding_enabled:
-                from repro.shard.manager import ShardManager
-
-                tb.shard_manager = ShardManager(tb, self.regions)
-            else:
-                self._build_single_wgtt(tb)
-        else:
+        register = tb.obs.metrics.register_collector
+        if config.scheme != "wgtt":
             self._build_baseline(tb)
+        elif config.sharding_enabled:
+            from repro.shard.manager import ShardManager
 
-    def _build_single_wgtt(self, tb: "Testbed") -> None:
-        tb.controller = WgttController(
-            tb.sim, tb.backhaul, tb.rng, self.config.wgtt
-        )
-        tb.controller.on_uplink = tb._deliver_uplink
-        for index, ap_id in enumerate(tb.ap_ids):
-            ap = WgttAccessPoint(
-                tb.sim,
-                tb.medium,
-                tb.backhaul,
-                tb.rng,
-                ap_id,
-                self.config.wgtt,
-            )
-            ap.device.channel = self.config.ap_channel(index)
-            ap.device.start_beaconing()
-            tb.wgtt_aps[ap_id] = ap
-            tb.controller.add_ap(ap_id)
+            tb.shard_manager = ShardManager(tb, self.regions)
+            register(tb.shard_manager.collect_metrics)
+        else:
+            from repro.shard.manager import Shard
+
+            (region,) = self.regions
+            shard = Shard(tb, region)
+            tb.controller = shard.controller
+            tb.standby = shard.standby
+            tb.ha = shard.ha
+            # The pair publishes whichever controller is active.
+            register((shard.ha or shard.controller).collect_metrics)
+            for ap in shard.aps.values():
+                register(ap.collect_metrics)
 
     def _build_baseline(self, tb: "Testbed") -> None:
         tb.wlc = BaselineWlc(tb.sim, tb.backhaul)
@@ -288,33 +284,12 @@ class ScenarioBuilder:
             tb.wlc.add_ap(ap_id)
 
     def build_ha(self, tb: "Testbed") -> None:
-        """Warm standby + cluster (opt-in: ``wgtt.ha_enabled``), then
-        the multi-channel retune hook.  Sharded deployments build HA
-        per shard inside the shard manager instead."""
-        config = self.config
-        if tb.controller is not None and config.wgtt.ha_enabled:
-            from repro.ha.cluster import HaCluster
-            from repro.ha.standby import StandbyController
-
-            tb.standby = StandbyController(
-                tb.sim,
-                tb.backhaul,
-                tb.rng,
-                config.wgtt,
-                controller_id=config.wgtt.standby_id,
-                primary_id=tb.controller.controller_id,
-            )
-            tb.standby.on_uplink = tb._deliver_uplink
-            for ap_id in tb.ap_ids:
-                tb.standby.add_ap(ap_id)
-            tb.ha = HaCluster(
-                tb.sim, tb.backhaul, tb.controller, tb.standby, config.wgtt
-            )
-            tb.ha.start()
-        if config.channel_plan is not None and tb.controller is not None:
-            tb.controller.on_serving_update = tb._retune_client
-            if tb.standby is not None:
-                tb.standby.on_serving_update = tb._retune_client
+        """The multi-channel retune hook (the warm standby itself is
+        built with its region, in :meth:`build_control_plane`)."""
+        if self.config.channel_plan is not None:
+            for ctrl in (tb.controller, tb.standby):
+                if ctrl is not None:
+                    ctrl.on_serving_update = tb._retune_client
 
     def build_clients(self, tb: "Testbed") -> None:
         """Client nodes (radio, host stack, keepalives), churn
@@ -328,6 +303,7 @@ class ScenarioBuilder:
         tb._next_client_index = len(tb.clients)
         tb._retiring = {}
         tb.clients_retired = 0
+        tb.obs.metrics.register_collector(tb.collect_metrics)
         if config.instant_association:
             for client in tb.clients:
                 tb._associate_instantly(client)
@@ -351,7 +327,3 @@ class ScenarioBuilder:
         tb.invariant_checker = None
         if self.config.fault_plan is not None:
             tb.install_fault_plan(self.config.fault_plan)
-
-    def build_recorders(self, tb: "Testbed") -> None:
-        """Metrics collectors over every built subsystem."""
-        tb._register_obs_collectors()

@@ -10,7 +10,6 @@ attachment and run helpers — every experiment driver goes through it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -267,9 +266,9 @@ class Testbed:
 
     Construction is delegated to
     :class:`~repro.scenarios.builder.ScenarioBuilder`, whose stages
-    (substrate, AP bank, control plane, HA, clients, faults,
-    recorders) run in the legacy constructor order — a default config
-    builds the exact same simulation the monolithic ``__init__`` did.
+    (substrate, AP bank, control plane, HA, clients, faults) run in
+    the legacy constructor order — a default config builds the exact
+    same simulation the monolithic ``__init__`` did.
     """
 
     # Not a pytest test class despite the name.
@@ -333,70 +332,11 @@ class Testbed:
     # observability
     # ------------------------------------------------------------------
 
-    def _register_obs_collectors(self) -> None:
-        """Wire the scattered subsystem counters into the metrics
-        registry as snapshot-time collectors.
-
-        Collectors read the existing ``stats`` dicts only when a
-        snapshot is requested, so the hot paths keep their plain
-        ``dict[key] += 1`` increments — zero added cost and zero
-        behaviour risk for the bit-identity contract.
-        """
-        registry = self.obs.metrics
-        registry.register_collector(self._collect_backhaul_metrics)
-        registry.register_collector(self._collect_medium_metrics)
-        registry.register_collector(self._collect_phy_memo_metrics)
-        registry.register_collector(self._collect_client_metrics)
-        if self.controller is not None:
-            registry.register_collector(self._collect_controller_metrics)
-            registry.register_collector(self._collect_ap_metrics)
-        if self.ha is not None:
-            registry.register_collector(self._collect_ha_metrics)
-        if self.shard_manager is not None:
-            registry.register_collector(self.shard_manager.collect_metrics)
-
-    def _collect_backhaul_metrics(self) -> Dict[str, object]:
-        stats = self.backhaul.stats
-        out: Dict[str, object] = {
-            "backhaul_messages": stats.messages,
-            "backhaul_bytes": stats.bytes,
-            "backhaul_control_messages": stats.control_messages,
-            "backhaul_fault_dropped": stats.fault_dropped,
-            "backhaul_loss_dropped": self.backhaul.dropped,
-        }
-        for kind, count in stats.by_kind.items():
-            out[metric_key("backhaul_messages_by_kind", kind=kind)] = count
-        if self.backhaul.adversary_armed:
-            # Conditional keys: the armed latch only flips once an
-            # adversary event executes, so adversary-free runs keep
-            # the exact pre-adversary metric key set (fingerprints).
-            out["backhaul_adversary_duplicated"] = stats.duplicated
-            out["backhaul_adversary_replayed"] = stats.replayed
-            out["backhaul_adversary_corrupt_dropped"] = stats.corrupt_dropped
-            out["backhaul_adversary_oneway_dropped"] = stats.oneway_dropped
-            out["backhaul_adversary_gray_dropped"] = stats.gray_dropped
-        return out
-
-    def _collect_medium_metrics(self) -> Dict[str, object]:
-        return {
-            "medium_frames_sent": self.medium.frames_sent,
-            "medium_airtime_us": self.medium.airtime_us,
-            "engine_events_processed": self.sim.events_processed,
-            "engine_compactions": self.sim.compactions,
-        }
-
-    def _collect_phy_memo_metrics(self) -> Dict[str, object]:
-        from repro.phy.per import phy_memo_stats
-
-        out: Dict[str, object] = {}
-        for memo, stats in phy_memo_stats().items():
-            for field_name, value in stats.items():
-                out[
-                    metric_key("phy_memo", memo=memo, stat=field_name)
-                ] = value
-        return out
-
-    def _collect_client_metrics(self) -> Dict[str, object]:
+    def collect_metrics(self) -> Dict[str, object]:
+        """The testbed's own share of the metrics snapshot: per-client
+        node counters.  Every other key is published by the component
+        that owns it and registered by the builder stage that creates
+        it."""
         out: Dict[str, object] = {}
         for client in self.clients:
             cid = client.client_id
@@ -408,99 +348,9 @@ class Testbed:
             )
         return out
 
-    #: Stats keys that only move under an adversarial schedule (or an
-    #: extreme reordering no stock run produces).  They are exported
-    #: only once nonzero, so the metrics snapshot — and therefore every
-    #: soak fingerprint — of an adversary-free run is byte-identical to
-    #: what it was before the hardening counters existed.
-    _LAZY_STATS = frozenset(
-        {
-            "stale_sta_syncs",
-            "stale_serving_claims",
-            "stale_stops",
-            "stale_starts",
-            "stale_failovers",
-            "stale_takeovers",
-            "stale_ctrl_hellos",
-            "stale_serving_updates",
-            "stale_warm_updates",
-            "serving_relinquished",
-            "serving_after_departure",
-            "uplink_unowned",
-        }
-    )
-
-    def _collect_controller_metrics(self) -> Dict[str, object]:
-        controller = self.controller
-        out: Dict[str, object] = {
-            metric_key("controller_stat", name=name): value
-            for name, value in controller.stats.items()
-            if value or name not in self._LAZY_STATS
-        }
-        out["dedup_accepted"] = controller.dedup.accepted
-        out["dedup_duplicates"] = controller.dedup.duplicates
-        out["switches_completed"] = len(controller.coordinator.history)
-        out["switches_abandoned"] = controller.coordinator.abandoned
-        out["switches_aborted"] = controller.coordinator.aborted
-        out["liveness_events"] = len(controller.liveness.events)
-        # Convenience top-level aliases the soak SLO guard (and humans
-        # reading ``drive --metrics``) watch without knowing the
-        # controller_stat{name=...} key scheme.
-        out["backpressure_on"] = controller.stats["backpressure_on"]
-        out["backpressure_off"] = controller.stats["backpressure_off"]
-        # Bounded-memory gauges: each of these must plateau on a soak.
-        out["controller_tracked_clients"] = len(controller._clients)
-        out["controller_index_cursors"] = (
-            controller._index_alloc.tracked_clients()
-        )
-        out["controller_selector_series"] = controller.selector.series_count()
-        out["controller_dedup_window"] = controller.dedup.window_size()
-        if controller._pacer is not None:
-            out["admission_backlog"] = controller._pacer.backlog()
-            out["admission_clients"] = controller._pacer.tracked_clients()
-        if self.fault_injector is not None:
-            out["faults_executed"] = len(self.fault_injector.events)
-            if self.fault_injector.gray_windows:
-                out["faults_gray_windows"] = self.fault_injector.gray_windows
-        if self.backhaul.adversary_armed:
-            # stale_acks moves on ordinary retransmissions too, so it
-            # must not surface (new key!) in adversary-free snapshots.
-            out["switches_stale_acks"] = controller.coordinator.stale_acks
-        return out
-
-    def _collect_ap_metrics(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for ap_id, ap in self.wgtt_aps.items():
-            for name, value in ap.stats.items():
-                if not value and name in self._LAZY_STATS:
-                    continue
-                out[metric_key("ap_stat", ap=ap_id, name=name)] = value
-            queues = ap._cyclic.values()
-            out[metric_key("ap_overflow_drops", ap=ap_id)] = sum(
-                queue.overflow_drops for queue in queues
-            )
-            out[metric_key("ap_cyclic_queues", ap=ap_id)] = len(ap._cyclic)
-            out[metric_key("ap_cyclic_high_watermark", ap=ap_id)] = max(
-                (queue.high_watermark for queue in queues), default=0
-            )
-            out[metric_key("ap_cyclic_overwrites", ap=ap_id)] = sum(
-                queue.overwrites for queue in queues
-            )
-            out[metric_key("ap_hold_buffer", ap=ap_id)] = len(ap._hold_buffer)
-            device = ap.device.stats
-            out[metric_key("ap_mpdus_sent", ap=ap_id)] = device["mpdus_sent"]
-            out[metric_key("ap_ba_timeouts", ap=ap_id)] = device["ba_timeouts"]
-        return out
-
-    def _collect_ha_metrics(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "ha_checkpoints_shipped": self.ha.checkpoints_shipped,
-            "ha_checkpoint_bytes": self.ha.checkpoint_bytes,
-            "ha_lost_downlink": self.ha.lost_downlink,
-        }
-        if self.standby is not None:
-            out["ha_promotions"] = self.standby.stats["promotions"]
-        return out
+    def retiring_count(self) -> int:
+        """Retired clients whose radio teardown has not fired yet."""
+        return len(self._retiring)
 
     def _nearest_ap(self, client: ClientNode) -> str:
         """Nearest (live, when known) AP — O(nearby) via the spatial
@@ -558,6 +408,12 @@ class Testbed:
             raise ValueError("fault injection targets the WGTT scheme")
         self.fault_injector = FaultInjector(self, plan)
         self.fault_injector.arm()
+        if self.shard_manager is None:
+            # Like the controller and AP keys, fault totals are
+            # published for the single-controller deployment only.
+            self.obs.metrics.register_collector(
+                self.fault_injector.collect_metrics
+            )
         return self.fault_injector
 
     def install_invariant_checker(self, **kwargs):
@@ -855,21 +711,3 @@ class Testbed:
         agent = self.clients[client_index].agent
         return agent.current_ap if agent else None
 
-
-def build_testbed(config: TestbedConfig) -> Testbed:
-    """Deprecated construction shim.
-
-    Construction now flows through
-    :class:`~repro.scenarios.builder.ScenarioBuilder` (``Testbed(config)``
-    delegates to it); this wrapper survives so the historical call
-    sites keep working, but new code should construct ``Testbed`` (or
-    a ``ScenarioBuilder``) directly.
-    """
-    warnings.warn(
-        "repro.scenarios.build_testbed is deprecated; construct "
-        "Testbed(config) directly or use "
-        "repro.scenarios.builder.ScenarioBuilder",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Testbed(config)

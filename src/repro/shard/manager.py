@@ -65,10 +65,17 @@ COMPLETED_HANDOFF_CAP = 4096
 
 
 class Shard:
-    """One region's control plane: controller, APs, optional HA pair."""
+    """One region's control plane: controller, APs, optional HA pair.
+
+    The classic single-controller deployment is one of these built
+    without a ``manager`` (no ownership gate, no handoff dispatch).
+    """
 
     def __init__(
-        self, testbed: "Testbed", region: "RegionSpec", manager: "ShardManager"
+        self,
+        testbed: "Testbed",
+        region: "RegionSpec",
+        manager: Optional["ShardManager"] = None,
     ):
         self.region = region
         config = testbed.config
@@ -124,9 +131,14 @@ class Shard:
                 config.wgtt,
             )
             self.ha.start()
-        # Shard glue on both ends of the (possible) HA pair: the
-        # ownership gate and the handoff-kind dispatch survive a
-        # promotion because the standby is wired identically.
+        if manager is not None:
+            self._install_shard_glue(manager)
+
+    def _install_shard_glue(self, manager: "ShardManager") -> None:
+        """Ownership gate + handoff-kind dispatch, on both ends of the
+        (possible) HA pair: they survive a promotion because the
+        standby is wired identically."""
+        region = self.region
         for ctrl in self.controllers():
             ctrl.owns_client = (
                 lambda client_id, _k=region.shard, _c=ctrl: manager._owns(

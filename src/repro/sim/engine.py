@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from time import perf_counter  # noqa-repro: DET001 — profiler wall-time measurement only; never feeds simulation state
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.context import ObsContext
 
@@ -121,6 +121,13 @@ class Simulator:
         self.obs = obs if obs is not None else ObsContext()
         self.obs.trace.bind_clock(self)
         self._profiler = self.obs.profiler
+
+    def collect_metrics(self) -> Dict[str, object]:
+        """Event-loop totals for the metrics snapshot."""
+        return {
+            "engine_events_processed": self.events_processed,
+            "engine_compactions": self.compactions,
+        }
 
     def set_profiler(self, profiler) -> None:
         """Install (or remove, with None) the hot-loop profiler."""

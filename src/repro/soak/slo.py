@@ -31,9 +31,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.obs.metrics import MetricsStream
+from repro.phy.per import phy_memo_stats
 from repro.sim.engine import SECOND, Timer
 
 if TYPE_CHECKING:
@@ -155,38 +156,40 @@ class SloGuard:
     # probes
     # ------------------------------------------------------------------
 
-    def _probe(self) -> Dict[str, float]:
-        """Every bounded structure, read without side effects."""
+    #: (probe, snapshot key) — controller gauges its collector already
+    #: publishes.  An absent key (baseline scheme, sharded topology,
+    #: admission off) leaves the probe out, as the owner decided.
+    _SNAPSHOT_PROBES = (
+        ("controller_tracked_clients", "controller_tracked_clients"),
+        ("controller_index_cursors", "controller_index_cursors"),
+        ("selector_series", "controller_selector_series"),
+        ("dedup_window", "controller_dedup_window"),
+        ("admission_backlog", "admission_backlog"),
+        ("admission_clients", "admission_clients"),
+    )
+
+    def _probe(self, snapshot: Mapping[str, Any]) -> Dict[str, float]:
+        """Every bounded structure, read without side effects: the
+        controller gauges from this sample's metrics snapshot, the
+        rest through their owners' public accessors."""
         testbed = self._testbed
-        controller = testbed.controller
         out: Dict[str, float] = {
             "engine_pending_events": testbed.sim.pending_events(),
-            "channel_ports": len(testbed.channel._ports),
+            "channel_ports": testbed.channel.port_count(),
             "medium_devices": len(testbed.medium.devices()),
             "clients_active": len(testbed.clients),
-            "clients_retiring": len(testbed._retiring),
+            "clients_retiring": testbed.retiring_count(),
         }
-        if controller is not None:
-            out["controller_tracked_clients"] = len(controller._clients)
-            out["controller_index_cursors"] = (
-                controller._index_alloc.tracked_clients()
-            )
-            out["selector_series"] = controller.selector.series_count()
-            out["dedup_window"] = controller.dedup.window_size()
-            if controller._pacer is not None:
-                out["admission_backlog"] = controller._pacer.backlog()
-                out["admission_clients"] = (
-                    controller._pacer.tracked_clients()
-                )
+        for probe, key in self._SNAPSHOT_PROBES:
+            if key in snapshot:
+                out[probe] = snapshot[key]
         if testbed.wgtt_aps:
             out["ap_cyclic_queues_max"] = max(
-                len(ap._cyclic) for ap in testbed.wgtt_aps.values()
+                ap.cyclic_queue_count() for ap in testbed.wgtt_aps.values()
             )
             out["ap_hold_buffer_max"] = max(
-                len(ap._hold_buffer) for ap in testbed.wgtt_aps.values()
+                ap.hold_buffer_depth() for ap in testbed.wgtt_aps.values()
             )
-        from repro.phy.per import phy_memo_stats
-
         out["phy_memo_max"] = max(
             stats["size"] for stats in phy_memo_stats().values()
         )
@@ -219,8 +222,6 @@ class SloGuard:
         controller = testbed.controller
         if controller is not None:
             limits["dedup_window"] = controller.dedup.capacity
-        from repro.phy.per import phy_memo_stats
-
         limits["phy_memo_max"] = max(
             stats["capacity"] for stats in phy_memo_stats().values()
         )
@@ -233,10 +234,10 @@ class SloGuard:
     def _sample(self) -> None:
         sim = self._testbed.sim
         self.samples += 1
-        probes = self._probe()
+        snapshot = self._testbed.obs.metrics.snapshot()
+        probes = self._probe(snapshot)
         for name, value in probes.items():
             self._series.setdefault(name, []).append(float(value))
-        snapshot = self._testbed.obs.metrics.snapshot()
         if self._stream is not None:
             self._stream.write(
                 sim.now, "sample", {"metrics": snapshot, "probes": probes}

@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import WgttConfig
 from repro.core.selection import ApSelector
 from repro.experiments import ablations
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 
 
 class TestSelectorMetrics:
@@ -47,7 +47,7 @@ class TestConfigFlags:
             client_start_x_m=13.0,  # several APs hear the client
             wgtt=dataclasses.replace(WgttConfig(), fanout_enabled=False),
         )
-        testbed = build_testbed(config)
+        testbed = Testbed(config)
         source, _ = testbed.add_downlink_udp_flow(0, rate_bps=10e6)
         source.start()
         testbed.run_seconds(1.5)
@@ -60,7 +60,7 @@ class TestConfigFlags:
             seed=3, scheme="wgtt", client_speeds_mph=[0.0],
             client_start_x_m=13.0,
         )
-        testbed = build_testbed(config)
+        testbed = Testbed(config)
         source, _ = testbed.add_downlink_udp_flow(0, rate_bps=10e6)
         source.start()
         testbed.run_seconds(1.5)
@@ -75,7 +75,7 @@ class TestConfigFlags:
             client_start_x_m=6.0,
             wgtt=dataclasses.replace(WgttConfig(), ba_forwarding_enabled=False),
         )
-        testbed = build_testbed(config)
+        testbed = Testbed(config)
         sender, _ = testbed.add_downlink_tcp_flow(0)
         sender.start()
         testbed.run_seconds(4.0)

@@ -3,13 +3,13 @@ using a minimal hand-built testbed (one AP, one parked client)."""
 
 
 from repro.core.switching import StartMsg, StopMsg
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.net.packet import Packet
 from repro.sim.engine import MS, SECOND
 
 
 def make(seed=3, start_x=9.5):
-    testbed = build_testbed(
+    testbed = Testbed(
         TestbedConfig(seed=seed, scheme="wgtt", client_speeds_mph=[0.0],
                       client_start_x_m=start_x, num_aps=2)
     )

@@ -304,9 +304,9 @@ class TestBackhaulGrayFailure:
 
 class TestInjectorExecution:
     def _run_with_plan(self, plan, seconds=2.0):
-        from repro.scenarios.testbed import TestbedConfig, build_testbed
+        from repro.scenarios.testbed import Testbed, TestbedConfig
 
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(
                 seed=3, scheme="wgtt", client_speeds_mph=[15.0],
                 client_start_x_m=6.0, fault_plan=plan,

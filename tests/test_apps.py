@@ -115,9 +115,9 @@ class TestConferencing:
 
 class TestPageLoad:
     def test_page_completes_on_good_link(self):
-        from repro.scenarios.testbed import TestbedConfig, build_testbed
+        from repro.scenarios.testbed import Testbed, TestbedConfig
 
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(
                 seed=3, scheme="wgtt", client_speeds_mph=[0.0],
                 client_start_x_m=9.5,
@@ -130,9 +130,9 @@ class TestPageLoad:
         assert page.bytes_delivered() >= 400_000 - 6 * MSS
 
     def test_incomplete_page_reports_infinity(self):
-        from repro.scenarios.testbed import TestbedConfig, build_testbed
+        from repro.scenarios.testbed import Testbed, TestbedConfig
 
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(
                 seed=3, scheme="wgtt", client_speeds_mph=[0.0],
                 client_start_x_m=9.5,

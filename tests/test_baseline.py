@@ -2,7 +2,7 @@
 
 
 from repro.baselines import RoamingConfig, stock_80211r_config
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 
 
@@ -14,7 +14,7 @@ def make_baseline(seed=3, speed=0.0, start_x=9.0, **roaming_kw):
         client_start_x_m=start_x,
         roaming=RoamingConfig(**roaming_kw) if roaming_kw else RoamingConfig(),
     )
-    return build_testbed(config)
+    return Testbed(config)
 
 
 class TestRoamingConfig:
@@ -108,7 +108,7 @@ class TestRoamingAgent:
             client_speeds_mph=[20.0],
             roaming=stock_80211r_config(),
         )
-        testbed = build_testbed(config)
+        testbed = Testbed(config)
         source, _ = testbed.add_downlink_udp_flow(0, rate_bps=20e6)
         source.start()
         testbed.run_seconds(

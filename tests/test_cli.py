@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments import registry as experiment_registry
 
 
 def test_list_command(capsys):
@@ -17,7 +18,9 @@ def test_list_command(capsys):
 def test_list_covers_every_registered_experiment(capsys):
     main(["list"])
     out = capsys.readouterr().out
-    assert len([l for l in out.splitlines() if l.strip()]) == len(EXPERIMENTS)
+    assert len([l for l in out.splitlines() if l.strip()]) == len(
+        experiment_registry.experiment_ids()
+    )
 
 
 def test_drive_tcp(capsys):

@@ -1,7 +1,5 @@
 """Tests for the experiment registry (decorator registration, the
-uniform run() interface) and the legacy EXPERIMENTS deprecation shim."""
-
-import warnings
+uniform run() interface)."""
 
 import pytest
 
@@ -107,17 +105,3 @@ class TestUniformRun:
 
         assert tab01.run is registry.get("tab01")._fn
 
-
-class TestDeprecatedExperimentsShim:
-    def test_mapping_protocol_with_warning(self):
-        from repro.cli import EXPERIMENTS
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert len(EXPERIMENTS) == len(EXPECTED_IDS)
-            assert set(EXPERIMENTS) == EXPECTED_IDS
-            assert EXPERIMENTS["fig13"] == registry.get("fig13").description
-            assert "fig13" in EXPERIMENTS
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )

@@ -43,10 +43,10 @@ class TestFig02Driver:
 
 class TestExtFaultsDriver:
     def test_registered_in_cli(self):
-        from repro.cli import EXPERIMENTS
+        from repro.experiments import registry
 
-        assert "ext_faults" in EXPERIMENTS
-        assert "ext_density" in EXPERIMENTS
+        assert "ext_faults" in registry.experiment_ids()
+        assert "ext_density" in registry.experiment_ids()
 
     def test_smoke_recovers_within_deadline(self):
         """The CI chaos smoke: one mid-drive crash of the serving AP

@@ -5,14 +5,14 @@ liveness-driven emergency failover, and determinism of it all."""
 import pytest
 
 from repro.faults import ApCrash, CsiBlackout, FaultPlan, LinkJitter, Partition
-from repro.metrics.recorder import FailoverAudit
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.obs.recorders import FailoverAudit
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
 
 
 def lossy_testbed(loss_rate: float, seed: int = 3):
-    testbed = build_testbed(
+    testbed = Testbed(
         TestbedConfig(seed=seed, scheme="wgtt", client_speeds_mph=[15.0],
                       client_start_x_m=6.0)
     )
@@ -116,7 +116,7 @@ class TestLossyBackhaul:
 
 class TestUplinkTcp:
     def test_uplink_tcp_flow_over_wgtt(self):
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(seed=3, scheme="wgtt", client_speeds_mph=[0.0],
                           client_start_x_m=9.5)
         )
@@ -128,7 +128,7 @@ class TestUplinkTcp:
         assert receiver.rcv_nxt >= sender.snd_una
 
     def test_uplink_tcp_flow_over_baseline(self):
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(seed=3, scheme="baseline", client_speeds_mph=[0.0],
                           client_start_x_m=9.5)
         )
@@ -142,7 +142,7 @@ def chaos_testbed(plan=None, seed=3, **overrides):
     config = TestbedConfig(
         seed=seed, scheme="wgtt", fault_plan=plan, **overrides
     )
-    return build_testbed(config)
+    return Testbed(config)
 
 
 class TestFaultPlan:
@@ -459,7 +459,7 @@ class TestFaultFreeEquivalence:
 class TestMultiChannel:
     def test_cross_channel_deafness(self):
         """APs on another channel hear nothing from the client."""
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(seed=3, scheme="wgtt", client_speeds_mph=[0.0],
                           client_start_x_m=11.0, channel_plan=[1, 6, 11])
         )
@@ -473,6 +473,6 @@ class TestMultiChannel:
         assert testbed.wgtt_aps["ap0"].stats["csi_reports"] > 50
 
     def test_single_channel_default(self):
-        testbed = build_testbed(TestbedConfig(seed=3, scheme="wgtt"))
+        testbed = Testbed(TestbedConfig(seed=3, scheme="wgtt"))
         channels = {ap.device.channel for ap in testbed.wgtt_aps.values()}
         assert channels == {11}

@@ -17,10 +17,10 @@ from repro.ha import (
     checkpoint_controller,
     restore_controller,
 )
-from repro.metrics.recorder import FailoverAudit, HaAudit
+from repro.obs.recorders import FailoverAudit, HaAudit
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim import RngRegistry, Simulator
 from repro.sim.engine import MS, SECOND
 
@@ -170,7 +170,7 @@ class TestCheckpointRoundTrip:
 
 def _continuation_trace(restore_at_us):
     config = TestbedConfig(seed=11, scheme="wgtt", num_aps=4)
-    testbed = build_testbed(config)
+    testbed = Testbed(config)
     source, sink = testbed.add_downlink_udp_flow(0, rate_bps=2e6)
     source.start()
     testbed.run_until(restore_at_us)
@@ -210,7 +210,7 @@ def _ha_testbed(plan=None, checkpoint_interval_ms=100, seed=3):
         ),
         fault_plan=plan,
     )
-    return build_testbed(config)
+    return Testbed(config)
 
 
 class TestWarmStandbyFailover:
@@ -280,6 +280,28 @@ class TestWarmStandbyFailover:
         assert audit.post_restore_duplicates() == (
             testbed.standby.dedup.duplicates
         )
+
+    def test_snapshot_follows_the_promoted_standby(self):
+        """Regression: the metrics snapshot used to read the primary
+        unconditionally, so after a promotion every controller number
+        froze at the crash instant while the standby did the work."""
+        kill_us = 1 * SECOND
+        plan = FaultPlan([ControllerCrash(at_us=kill_us, down_us=None)])
+        testbed = _ha_testbed(plan)
+        testbed.add_downlink_udp_flow(0, rate_bps=2e6)[0].start()
+        testbed.add_uplink_udp_flow(0, rate_bps=1e6)[0].start()
+        testbed.run_until(kill_us + 250 * MS)
+        assert testbed.standby.promoted
+        at_promotion = testbed.obs.metrics.snapshot()
+        testbed.run_seconds(2.0)
+        later = testbed.obs.metrics.snapshot()
+        for key in ("switches_completed", "dedup_accepted"):
+            assert later[key] > at_promotion[key], key
+        assert later["dedup_accepted"] == testbed.standby.dedup.accepted
+        assert later["dedup_accepted"] > testbed.controller.dedup.accepted
+        assert later["ha_promotions"] == 1
+        # The standby's own counters surface once it is the publisher.
+        assert later["controller_stat{name=promotions}"] == 1
 
     def test_checkpoint_cadence_follows_config(self):
         fast = _ha_testbed(checkpoint_interval_ms=25)

@@ -7,13 +7,13 @@ import pytest
 from repro.core.assoc_sync import StaInfo
 from repro.core.switching import StopMsg, SwitchRecord, _Pending
 from repro.invariants import InvariantChecker, InvariantViolation
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 
 
 def static_testbed(seed=3, **kwargs):
     """One parked client — no organic switches to muddy assertions."""
-    return build_testbed(
+    return Testbed(
         TestbedConfig(
             seed=seed, scheme="wgtt", client_speeds_mph=[0.0],
             client_start_x_m=6.0, **kwargs,
@@ -28,7 +28,7 @@ def serving_ap(testbed, client_id="client0"):
 
 class TestCheckerLifecycle:
     def test_install_requires_wgtt_scheme(self):
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(seed=3, scheme="baseline",
                           client_speeds_mph=[0.0], client_start_x_m=6.0)
         )
@@ -64,7 +64,7 @@ class TestCheckerLifecycle:
 
 class TestHealthyRun:
     def test_clean_run_has_zero_violations(self):
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(seed=3, scheme="wgtt", client_speeds_mph=[15.0],
                           client_start_x_m=6.0)
         )

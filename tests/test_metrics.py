@@ -75,9 +75,9 @@ class TestSelectorCapacityLoss:
 class TestMetersOnTestbed:
     def test_accuracy_meter_static_served_by_best(self):
         from repro.metrics.accuracy import SwitchingAccuracyMeter
-        from repro.scenarios.testbed import TestbedConfig, build_testbed
+        from repro.scenarios.testbed import Testbed, TestbedConfig
 
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(
                 seed=3, scheme="wgtt", client_speeds_mph=[0.0],
                 client_start_x_m=10.0,  # parked on ap0's boresight
@@ -94,9 +94,9 @@ class TestMetersOnTestbed:
 
     def test_capacity_meter_low_loss_at_boresight(self):
         from repro.metrics.capacity import CapacityLossMeter
-        from repro.scenarios.testbed import TestbedConfig, build_testbed
+        from repro.scenarios.testbed import Testbed, TestbedConfig
 
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(
                 seed=3, scheme="wgtt", client_speeds_mph=[0.0],
                 client_start_x_m=10.0,

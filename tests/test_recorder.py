@@ -1,7 +1,7 @@
 """Tests for the run-time recorders (rate log, uplink loss meter)."""
 
-from repro.metrics.recorder import RateUsageLog, UplinkLossMeter
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.obs.recorders import RateUsageLog, UplinkLossMeter
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim import Simulator
 
 
@@ -51,7 +51,7 @@ class TestUplinkLossMeter:
 
 class TestRateUsageLog:
     def test_captures_rates_for_target_client(self):
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(seed=3, scheme="wgtt", client_speeds_mph=[0.0],
                           client_start_x_m=9.5)
         )
@@ -68,7 +68,7 @@ class TestRateUsageLog:
     def test_coexists_with_other_event_subscribers(self):
         # The old monkey-patched device hook supported chaining; the
         # event-stream rewrite must allow multiple independent sinks.
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(seed=3, scheme="wgtt", client_speeds_mph=[0.0],
                           client_start_x_m=9.5)
         )

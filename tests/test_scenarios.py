@@ -5,7 +5,7 @@ import pytest
 from repro.scenarios import (
     MIXED_DENSITY_AP_XS,
     TestbedConfig,
-    build_testbed,
+    Testbed,
     dense_segment_bounds,
     following_config,
     mixed_density_config,
@@ -35,12 +35,12 @@ class TestTestbedConfig:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            build_testbed(TestbedConfig(scheme="5g"))
+            Testbed(TestbedConfig(scheme="5g"))
 
 
 class TestTestbedBuild:
     def test_wgtt_build_wires_everything(self):
-        testbed = build_testbed(TestbedConfig(seed=1, scheme="wgtt"))
+        testbed = Testbed(TestbedConfig(seed=1, scheme="wgtt"))
         assert testbed.controller is not None
         assert testbed.wlc is None
         assert len(testbed.wgtt_aps) == 8
@@ -48,7 +48,7 @@ class TestTestbedBuild:
         assert testbed.controller.ap_ids() == set(testbed.ap_ids)
 
     def test_baseline_build_wires_everything(self):
-        testbed = build_testbed(TestbedConfig(seed=1, scheme="baseline"))
+        testbed = Testbed(TestbedConfig(seed=1, scheme="baseline"))
         assert testbed.wlc is not None
         assert testbed.controller is None
         assert len(testbed.baseline_aps) == 8
@@ -57,15 +57,15 @@ class TestTestbedBuild:
     def test_same_seed_same_channel(self):
         """Cross-scheme comparisons rely on identical fading given the
         same seed."""
-        a = build_testbed(TestbedConfig(seed=5, scheme="wgtt"))
-        b = build_testbed(TestbedConfig(seed=5, scheme="baseline"))
+        a = Testbed(TestbedConfig(seed=5, scheme="wgtt"))
+        b = Testbed(TestbedConfig(seed=5, scheme="baseline"))
         snr_a = a.channel.link("ap0", "client0").subcarrier_snr_db(0)
         snr_b = b.channel.link("ap0", "client0").subcarrier_snr_db(0)
         assert snr_a.tolist() == snr_b.tolist()
 
     def test_run_determinism(self):
         def run():
-            testbed = build_testbed(
+            testbed = Testbed(
                 TestbedConfig(seed=9, scheme="wgtt", client_speeds_mph=[15.0])
             )
             sender, _ = testbed.add_downlink_tcp_flow(0)
@@ -77,13 +77,13 @@ class TestTestbedBuild:
 
     def test_multiple_clients(self):
         config = multi_client_config(3, seed=1, scheme="wgtt")
-        testbed = build_testbed(config)
+        testbed = Testbed(config)
         assert len(testbed.clients) == 3
         ids = {c.client_id for c in testbed.clients}
         assert ids == {"client0", "client1", "client2"}
 
     def test_keepalives_emitted_when_idle(self):
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(seed=1, scheme="wgtt", client_speeds_mph=[0.0],
                           client_start_x_m=9.5)
         )
@@ -91,7 +91,7 @@ class TestTestbedBuild:
         assert testbed.clients[0].keepalives_sent > 10
 
     def test_keepalives_can_be_disabled(self):
-        testbed = build_testbed(
+        testbed = Testbed(
             TestbedConfig(seed=1, scheme="wgtt", client_speeds_mph=[0.0],
                           client_keepalive_us=0)
         )
@@ -103,7 +103,7 @@ class TestTestbedBuild:
         channel probes)."""
 
         def run(probe):
-            testbed = build_testbed(
+            testbed = Testbed(
                 TestbedConfig(seed=9, scheme="wgtt", client_speeds_mph=[15.0])
             )
             sender, _ = testbed.add_downlink_tcp_flow(0)

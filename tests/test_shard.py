@@ -5,8 +5,7 @@ Covers the PR-10 surface:
 * ``ApGridIndex`` returns exactly what the legacy linear ``min()``
   returned (random layouts, ties, predicates);
 * ``ScenarioBuilder``/``RegionSpec`` construct the identical testbed
-  the monolithic constructor did, and ``build_testbed`` survives as a
-  deprecation shim;
+  ``Testbed(config)`` does, stage by stage;
 * per-client checkpoint state survives an extract → bytes → merge
   round trip;
 * inter-shard handoffs migrate a client with zero invariant
@@ -36,7 +35,7 @@ from repro.scenarios.presets import (
     shard_corridor_config,
 )
 from repro.mobility.spatial import ApGridIndex
-from repro.scenarios.testbed import Testbed, TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.shard.config import ShardConfig
 
 
@@ -211,11 +210,6 @@ class TestBuilderEquivalence:
         )
         assert staged == direct
 
-    def test_build_testbed_shim_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="ScenarioBuilder"):
-            shimmed = _drive_fingerprint(build_testbed)
-        assert shimmed == _drive_fingerprint(Testbed)
-
     def test_stage_decomposition_is_invokable(self):
         """Each build stage is an explicit, separately callable step."""
         builder = ScenarioBuilder(TestbedConfig())
@@ -227,10 +221,14 @@ class TestBuilderEquivalence:
         builder.build_ha(tb)
         builder.build_clients(tb)
         builder.build_faults(tb)
-        builder.build_recorders(tb)
         assert len(tb.wgtt_aps) == 8
         assert tb.controller is not None
         assert len(tb.ap_index) == 8
+        # Each stage registered what it built: the staged shell
+        # publishes the same key set a one-shot Testbed does.
+        assert set(tb.obs.metrics.snapshot()) == set(
+            Testbed(TestbedConfig()).obs.metrics.snapshot()
+        )
 
 
 class TestApXsMemoization:

@@ -10,7 +10,7 @@ from repro.core.controller import WgttController
 from repro.core.cyclic_queue import CyclicQueue
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim import RngRegistry, Simulator
 from repro.sim.engine import MS, SECOND
 from repro.soak import (
@@ -115,7 +115,7 @@ def _wgtt_testbed(**wgtt_kw):
     config = TestbedConfig(
         seed=2, scheme="wgtt", wgtt=WgttConfig(**wgtt_kw)
     )
-    return build_testbed(config)
+    return Testbed(config)
 
 
 class TestClientChurn:

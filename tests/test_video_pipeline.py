@@ -4,12 +4,12 @@ conferencing, and web on a parked (good-link) client."""
 
 from repro.apps.conferencing import SKYPE, ConferencingReceiver, ConferencingSender
 from repro.apps.video import VideoPlayer
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 
 
 def parked_testbed(seed=3, scheme="wgtt"):
-    return build_testbed(
+    return Testbed(
         TestbedConfig(seed=seed, scheme=scheme, client_speeds_mph=[0.0],
                       client_start_x_m=9.5)
     )

@@ -2,7 +2,7 @@
 running on the full testbed."""
 
 
-from repro.scenarios.testbed import TestbedConfig, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS
 
 
@@ -14,7 +14,7 @@ def make_wgtt(seed=3, speed=0.0, start_x=9.5, **config_kw):
         client_start_x_m=start_x,
         **config_kw,
     )
-    return build_testbed(config)
+    return Testbed(config)
 
 
 class TestAssociation:
@@ -33,7 +33,7 @@ class TestAssociation:
             client_start_x_m=9.5,
             instant_association=False,
         )
-        testbed = build_testbed(config)
+        testbed = Testbed(config)
         client = testbed.clients[0]
         client.device.send_mgmt("assoc-req", config.wgtt.bssid)
         testbed.run_seconds(1.0)
@@ -50,7 +50,7 @@ class TestAssociation:
             seed=3, scheme="wgtt", instant_association=False,
             client_speeds_mph=[0.0],
         )
-        testbed = build_testbed(config)
+        testbed = Testbed(config)
         from repro.net.packet import Packet
 
         testbed.controller.accept_downlink(Packet("server", "client0", 100))
