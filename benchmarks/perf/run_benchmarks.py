@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Hot-path microbenchmarks + end-to-end wall-clock, written to JSON.
+"""Three hot-path probes, written to JSON.
 
-Measures the four optimisation targets of the performance overhaul and
-records them (with their reference-implementation counterparts where
-one exists) in a machine-readable file, so regressions show up as a
-diff rather than a vibe:
+The perf ledger (``benchmarks/ledger``) is the benchmark: whole drives,
+end to end and layer by layer.  It imports these three micro-probes
+(``layers.probe_metrics``) so that a traced run also says what one
+event, one ESNR evaluation and one selector query cost in isolation:
 
 * ``engine``    — discrete-event throughput (schedule/cancel/fire mix),
                   plus the heap-compaction behaviour under timer churn.
@@ -15,31 +15,13 @@ diff rather than a vibe:
                   cold single-evaluation timings recorded alongside.
 * ``selector``  — AP-selection queries/s, incremental sliding window
                   vs the naive re-``sorted()`` reference.
-* ``phy_batch`` — the vectorized snapshot-batch ESNR kernel
-                  (``repro.phy.batch``) against a loop of scalar calls,
-                  at several link counts, with an in-bench bit-identity
-                  check.
-* ``obs``       — the observability layer's hot-loop guard cost
-                  (``benchmarks/perf/obs_overhead.py``), embedded so
-                  one JSON carries the whole perf picture.
-* ``fig13``     — wall-clock of the headline experiment in quick mode,
-                  serial and parallel, plus one representative cell
-                  with the batched PHY path on vs off.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf/run_benchmarks.py \
-        [--output BENCH_PR6.json] [--skip-fig13] [--jobs N]
+    PYTHONPATH=src python benchmarks/perf/run_benchmarks.py [--output PATH]
 
-``--skip-fig13`` keeps CI smoke runs to a few seconds; the committed
-``BENCH_PR6.json`` at the repo root is a full run.
-
-When the requested ``--jobs`` exceeds what the machine can actually
-run in parallel (``run_grid`` clamps CPU-bound workers to the core
-count), the parallel leg silently measures serial execution — the
-runner now detects this and says so, on stderr and in the JSON, so a
-"parallel" number from a one-core box cannot be mistaken for a real
-scaling result.
+A probe number is context, never a claim: a speed claim is a ledger
+metric on a whole workload (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -50,15 +32,9 @@ import math
 import os
 import platform
 import random
-import sys
 import time
 
 import numpy as np
-
-#: fig13 quick-mode wall-clock of the pre-overhaul tree (commit
-#: 615ea72, same machine class as the committed BENCH_PR1.json), the
-#: denominator for the end-to-end speedup this PR claims.
-SEED_BASELINE_FIG13_WALL_S = 132.69
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -112,12 +88,12 @@ def bench_engine() -> dict:
 # ----------------------------------------------------------------------
 
 
-#: ESNR evaluations the MAC performs against one SNR snapshot while a
-#: frame is on the air: one per A-MPDU subframe plus the preamble and
-#: rate-control lookups.  4 is conservative — saturated aggregates run
-#: 16-32 subframes — and it is exactly the repetition the identity
-#: memos in ``repro.phy.per`` were built for.  The seed recomputed the
-#: full scipy chain on every one of these evaluations.
+#: Evaluations of one SNR snapshot per timed pass — the repetition the
+#: identity memos in ``repro.phy.per`` serve from a dictionary, against
+#: the seed's full scipy chain per evaluation.  An upper bound on what
+#: a drive sees: the MAC evaluates the payload term once per distinct
+#: MPDU size, and the measured ``esnr`` memo hit share on the ledger
+#: workloads is 2-18 % (docs/performance.md).
 ESNR_EVALS_PER_SNAPSHOT = 4
 
 
@@ -244,203 +220,6 @@ def bench_selector() -> dict:
 
 
 # ----------------------------------------------------------------------
-# batched PHY kernel
-# ----------------------------------------------------------------------
-
-
-#: Link counts the batched-kernel bench sweeps.  64 is the headline
-#: figure (the PR's ≥8× target); 8 is the testbed's real
-#: contention-domain size, where per-call numpy dispatch bounds the
-#: achievable batching gain.
-PHY_BATCH_LINK_COUNTS = (8, 64, 256)
-
-
-def bench_phy_batch() -> dict:
-    """Stacked effective-SNR kernel vs a loop of scalar calls.
-
-    Fresh arrays per repetition on the scalar side so the identity
-    memos cannot serve hits — this measures the *compute* paths, which
-    is what the batched medium replaces.  The two paths are checked
-    bit-identical inside the bench before any timing is recorded.
-    """
-    from repro.phy.batch import effective_snr_db_batch
-    from repro.phy.esnr import effective_snr_db
-
-    rng = np.random.default_rng(17)
-    report: dict = {"modulation": "64qam", "link_counts": {}}
-    for n_links in PHY_BATCH_LINK_COUNTS:
-        stack = rng.uniform(0.0, 40.0, size=(n_links, 56))
-        rows = [stack[i] for i in range(n_links)]
-
-        batch_out = effective_snr_db_batch(stack)
-        scalar_out = np.asarray([effective_snr_db(row) for row in rows])
-        if batch_out.tobytes() != scalar_out.tobytes():
-            raise AssertionError(
-                f"batch/scalar ESNR mismatch at {n_links} links"
-            )
-
-        def run_batch():
-            effective_snr_db_batch(stack)
-
-        def run_scalar():
-            from repro.phy.per import reset_phy_memos
-
-            reset_phy_memos()
-            for row in rows:
-                effective_snr_db(row)
-
-        batch_wall = _best_of(run_batch, repeats=20)
-        scalar_wall = _best_of(run_scalar, repeats=5)
-        report["link_counts"][str(n_links)] = {
-            "batch_us": round(batch_wall * 1e6, 2),
-            "scalar_loop_us": round(scalar_wall * 1e6, 2),
-            "speedup": round(scalar_wall / batch_wall, 2),
-        }
-    report["bit_identical"] = True
-    report["speedup_64_links"] = report["link_counts"]["64"]["speedup"]
-    return report
-
-
-# ----------------------------------------------------------------------
-# observability overhead (embedded from obs_overhead.py)
-# ----------------------------------------------------------------------
-
-
-def bench_obs() -> dict:
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    try:
-        import obs_overhead
-    finally:
-        sys.path.pop(0)
-    guard = obs_overhead.bench_guard()
-    engine = obs_overhead.bench_engine()
-    # Same budget the CI obs-smoke job asserts: the guard added to the
-    # hot loop must stay under 3% of the real per-event dispatch cost.
-    fraction = (
-        guard["guard_cost_ns_per_event"]
-        / 1e3
-        / engine["per_event_plain_us"]
-    )
-    return {
-        "guard_cost_ns_per_event": round(
-            guard["guard_cost_ns_per_event"], 2
-        ),
-        "per_event_plain_us": round(engine["per_event_plain_us"], 3),
-        "disabled_overhead_fraction": round(fraction, 4),
-        "profiling_on_overhead": round(
-            engine["profiling_on_overhead"], 3
-        ),
-        "within_budget": fraction <= 0.03,
-    }
-
-
-# ----------------------------------------------------------------------
-# fig13 end to end
-# ----------------------------------------------------------------------
-
-
-#: fig13 quick-mode serial wall recorded by the previous perf PR
-#: (committed BENCH_PR1.json, same machine class) — the denominator
-#: for the end-to-end speedup this PR reports.
-PR1_RECORDED_FIG13_WALL_S = 57.98
-
-
-def warn_ineffective_jobs(requested: int) -> dict:
-    """Detect ``--jobs`` values the machine cannot honour.
-
-    Returns the fields the fig13 report embeds; prints a stderr
-    warning when the parallel leg would actually run serial (or
-    degraded), so the recorded "parallel" wall is never mistaken for a
-    scaling measurement.
-    """
-    from repro.experiments.runner import available_jobs
-
-    effective = min(requested, available_jobs())
-    info = {
-        "jobs_requested": requested,
-        "jobs_effective": effective,
-        "jobs_ineffective": effective < requested,
-    }
-    if effective < requested:
-        print(
-            f"WARNING: --jobs {requested} requested but only {effective} "
-            f"worker(s) are effective on this machine "
-            f"(cpu_count={os.cpu_count()}); the parallel fig13 timing "
-            "below measures "
-            + ("serial" if effective == 1 else "degraded")
-            + " execution, not parallel scaling.",
-            file=sys.stderr,
-        )
-    return info
-
-
-def bench_fig13_cell(repeats: int = 3) -> dict:
-    """One representative fig13 cell, best-of-N.
-
-    Reported in *CPU* time as well as wall: on a loaded shared box,
-    wall-clock noise between two three-second runs swamps a
-    single-digit-percent effect.
-    """
-    from repro.apps.bulk import run_bulk_download
-    from repro.phy.per import reset_phy_memos
-    from repro.scenarios.testbed import TestbedConfig
-
-    wall = cpu = math.inf
-    for _ in range(repeats):
-        reset_phy_memos()
-        w0, c0 = time.perf_counter(), time.process_time()
-        result = run_bulk_download(
-            TestbedConfig(seed=1, scheme="wgtt", client_speeds_mph=[15.0]),
-            protocol="tcp",
-            udp_rate_bps=50e6,
-        )
-        wall = min(wall, time.perf_counter() - w0)
-        cpu = min(cpu, time.process_time() - c0)
-    return {
-        "cell": "tcp/wgtt/15mph/seed1",
-        "repeats": repeats,
-        "wall_s": round(wall, 2),
-        "cpu_s": round(cpu, 2),
-        "throughput_mbps": result.throughput_mbps,
-    }
-
-
-def bench_fig13(jobs: int = 4) -> dict:
-    from repro.experiments import fig13
-
-    jobs_info = warn_ineffective_jobs(jobs)
-
-    t0, c0 = time.perf_counter(), time.process_time()
-    serial = fig13.run(quick=True, jobs=1)
-    serial_wall = time.perf_counter() - t0
-    serial_cpu = time.process_time() - c0
-
-    t0 = time.perf_counter()
-    parallel = fig13.run(quick=True, jobs=jobs)
-    parallel_wall = time.perf_counter() - t0
-
-    return {
-        "quick": True,
-        "serial_wall_s": round(serial_wall, 2),
-        # CPU time of the in-process serial leg: the load-robust number
-        # to compare across bench runs on a shared box.
-        "serial_cpu_s": round(serial_cpu, 2),
-        "parallel_wall_s": round(parallel_wall, 2),
-        **jobs_info,
-        "seed_baseline_wall_s": SEED_BASELINE_FIG13_WALL_S,
-        "pr1_recorded_wall_s": PR1_RECORDED_FIG13_WALL_S,
-        "serial_speedup_vs_seed": round(
-            SEED_BASELINE_FIG13_WALL_S / serial_wall, 2
-        ),
-        "serial_speedup_vs_pr1": round(
-            PR1_RECORDED_FIG13_WALL_S / serial_wall, 2
-        ),
-        "jobs_parity": serial["rows"] == parallel["rows"],
-        "cell": bench_fig13_cell(),
-    }
-
-
-# ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
 
@@ -448,18 +227,7 @@ def bench_fig13(jobs: int = 4) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default=None, metavar="PATH",
-                        help="write the JSON report here (default: stdout)")
-    parser.add_argument("--skip-fig13", action="store_true",
-                        help="skip the minutes-long end-to-end benchmark")
-    parser.add_argument("--jobs", type=int, default=4, metavar="N",
-                        help="worker count for the parallel fig13 leg "
-                             "(ineffective values are detected and "
-                             "flagged)")
-    parser.add_argument("--assert-batch-speedup", type=float, default=None,
-                        metavar="X",
-                        help="exit nonzero unless the 64-link batched "
-                             "ESNR kernel beats the scalar loop by at "
-                             "least X (CI perf gate)")
+                        help="also write the JSON report here")
     args = parser.parse_args()
 
     report = {
@@ -471,32 +239,13 @@ def main() -> int:
         "engine": bench_engine(),
         "esnr": bench_esnr(),
         "selector": bench_selector(),
-        "phy_batch": bench_phy_batch(),
-        "obs": bench_obs(),
     }
-    if not args.skip_fig13:
-        report["fig13"] = bench_fig13(jobs=args.jobs)
-
     text = json.dumps(report, indent=2) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
         print(f"wrote {args.output}")
     print(text)
-
-    if args.assert_batch_speedup is not None:
-        got = report["phy_batch"]["speedup_64_links"]
-        if got < args.assert_batch_speedup:
-            print(
-                f"FAIL: 64-link batched ESNR speedup {got:.2f}x is below "
-                f"the required {args.assert_batch_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"batch speedup gate passed: {got:.2f}x >= "
-            f"{args.assert_batch_speedup:.2f}x"
-        )
     return 0
 
 

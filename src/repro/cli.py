@@ -3,7 +3,7 @@
 Four commands cover the common workflows:
 
 * ``drive``       — one drive-by under either scheme, summarized.
-                    ``--trace``/``--profile``/``--metrics`` switch on
+                    ``--trace``/``--metrics`` switch on
                     the observability layer (``repro.obs``).
 * ``experiment``  — run a paper table/figure driver and print its rows.
 * ``soak``        — an SLO-guarded endurance run (``repro.soak``):
@@ -58,10 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     drive.add_argument(
         "--trace-detail", action="store_true",
         help="also keep per-packet trace events (large files)",
-    )
-    drive.add_argument(
-        "--profile", action="store_true",
-        help="profile the engine hot loop and print the breakdown",
     )
     drive.add_argument(
         "--metrics", metavar="PATH", default=None,
@@ -143,12 +139,11 @@ def cmd_drive(args) -> int:
         print("error: --trace-detail requires --trace", file=sys.stderr)
         return 2
     obs = None
-    want_obs = args.trace is not None or args.profile or args.metrics
+    want_obs = args.trace is not None or args.metrics
     if want_obs:
         obs = ObsConfig(
             trace=args.trace is not None,
             detail=args.trace_detail,
-            profile=args.profile,
         )
     if args.preset is not None:
         from repro.scenarios.presets import preset
@@ -204,8 +199,6 @@ def cmd_drive(args) -> int:
         if args.metrics is not None:
             testbed.sim.obs.metrics.export_json(args.metrics)
             print(f"  metrics    : {args.metrics}")
-        if args.profile and testbed.sim.obs.profiler is not None:
-            print(testbed.sim.obs.profiler.report())
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Extension experiment: city-scale sharded control plane gate + bench.
+"""Extension experiment: city-scale sharded control plane gate.
 
 The paper runs one controller over an eight-AP city block.  A transit
 *network* is a different regime: hundreds of picocells along miles of
@@ -18,11 +18,11 @@ exercises the :mod:`repro.shard` control plane end to end:
 * byte-determinism — the same seed twice produces the identical
   outcome digest.
 
-``--bench`` additionally measures per-query candidate-set cost of the
-uniform-grid AP index (:class:`~repro.mobility.spatial.ApGridIndex`)
-against the legacy linear scan as the deployment grows 8 → 400 APs,
-and writes the result to ``BENCH_PR10.json`` — the committed evidence
-that nearest-AP cost stays flat while linear cost grows with N.
+Every result also carries :func:`candidate_set_bench`: the per-query
+candidate-set cost of the uniform-grid AP index
+(:class:`~repro.mobility.spatial.ApGridIndex`) against the legacy
+linear scan as the deployment grows — operation counts, no timing —
+and ``--smoke`` fails unless that cost stays flat.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from repro.scenarios.presets import shard_corridor_config
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.shard.config import ShardConfig
 
-#: Deployment sizes for the candidate-set bench (APs along the road).
-BENCH_NUM_APS: Sequence[int] = (8, 50, 200, 400)
 #: Nearest-AP probes per deployment size (evenly spaced along the road).
 BENCH_PROBES = 256
 
@@ -153,7 +151,7 @@ def outcome_digest(outcome: Dict) -> str:
 
 
 def candidate_set_bench(
-    num_aps_list: Sequence[int] = BENCH_NUM_APS, probes: int = BENCH_PROBES
+    num_aps_list: Sequence[int], probes: int = BENCH_PROBES
 ) -> Dict:
     """Per-query candidate-set cost of nearest-AP lookup vs AP count.
 
@@ -198,28 +196,6 @@ def candidate_set_bench(
         # cost grows with N (50x here).
         "flat": growth < 2.0,
     }
-
-
-def bench(path: Optional[str] = None) -> Dict:
-    """The committed PR artifact: candidate-set scaling plus one
-    end-to-end sharded gate run per bracketed deployment size."""
-    result = {
-        "bench": "pr10-shard-candidate-set",
-        "candidate_set": candidate_set_bench(),
-        "gate_runs": [
-            run_schedule(3, num_shards=2, fleet=2, num_aps=8),
-            run_schedule(3, num_shards=4, fleet=2, num_aps=24),
-        ],
-    }
-    result["ok"] = bool(
-        result["candidate_set"]["flat"]
-        and all(r["ok"] for r in result["gate_runs"])
-    )
-    if path is not None:
-        with open(path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return result
 
 
 @register_experiment(
@@ -319,22 +295,14 @@ def run_smoke(seed: int = 3, duration_s: float = 8.0) -> Dict:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ext_shard",
-        description="sharded control plane gate + candidate-set bench",
+        description="sharded control plane gate",
     )
     parser.add_argument("--smoke", action="store_true",
                         help="CI subset + determinism check; exit 1 on breach")
-    parser.add_argument("--bench", metavar="PATH", nargs="?",
-                        const="BENCH_PR10.json", default=None,
-                        help="write the candidate-set bench artifact "
-                        "(default %(const)s) and exit")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--full", action="store_true")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.bench is not None:
-        result = bench(path=args.bench)
-        print(json.dumps(result, indent=2, default=str))
-        return 0 if result["ok"] else 1
     if args.smoke:
         result = run_smoke(seed=args.seed)
         print(json.dumps(result, indent=2, default=str))

@@ -26,7 +26,7 @@ from repro.channel.link_batch import warm_snapshots
 from repro.mac.frames import Frame, SIFS_US
 from repro.mobility.road import Position
 from repro.mobility.spatial import ApGridIndex
-from repro.phy.batch import prewarm_receivers
+from repro.phy.per import prewarm_receivers
 from repro.sim.engine import Simulator
 
 #: Energy level above which a station defers (carrier sense).

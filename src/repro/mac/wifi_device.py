@@ -497,8 +497,8 @@ class WifiDevice(MacEntity):
             self._receive_ack(frame, snr_db)
 
     def _rssi_from_snr(self, snr_db: np.ndarray) -> float:
-        # Served through the bounded identity memo so the batched
-        # medium's CSI prewarm turns this into a dictionary hit.
+        # Memoised per snapshot array; the medium seeds only the
+        # preamble memo, so the first call per snapshot computes.
         return NOISE_FLOOR_DBM + wideband_rssi_offset_db(snr_db)
 
     def _maybe_csi(self, frame: Frame, snr_db: np.ndarray) -> None:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.channel.link_batch import probe_snapshots
-from repro.phy.batch import prewarm_best_rate
 from repro.phy.per import best_rate_bps
 from repro.scenarios.testbed import Testbed
 from repro.sim.engine import MS, Timer
@@ -41,17 +39,11 @@ class CapacityLossMeter:
         client_id = testbed.clients[self._client_index].client_id
         serving = testbed.serving_ap_of(self._client_index)
         best_rate, serving_rate = 0.0, 0.0
-        # One fused probe + stacked PHY prewarm for the whole AP set;
-        # the per-AP ``best_rate_bps`` calls below then hit the
-        # identity memos.
-        entries = [
-            (testbed.channel.link(ap_id, client_id), ap_id)
-            for ap_id in testbed.ap_ids
-        ]
-        snaps = probe_snapshots(now, entries)
-        prewarm_best_rate(snaps)
-        for ap_id, snap in zip(testbed.ap_ids, snaps):
-            rate = best_rate_bps(snap)
+        for ap_id in testbed.ap_ids:
+            link = testbed.channel.link(ap_id, client_id)
+            rate = best_rate_bps(
+                link.probe_subcarrier_snr_db(now, tx_id=ap_id)
+            )
             best_rate = max(best_rate, rate)
             if ap_id == serving:
                 serving_rate = rate

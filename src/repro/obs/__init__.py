@@ -1,10 +1,9 @@
-"""Unified observability layer: tracing, metrics, profiling.
+"""Unified observability layer: tracing and metrics.
 
 * :mod:`repro.obs.trace` — structured event/span tracer with sim-time
   stamps, JSONL and Chrome ``trace_event`` export;
 * :mod:`repro.obs.metrics` — central metrics registry (owner-published
   collectors, labelled keys, deterministic snapshots);
-* :mod:`repro.obs.profile` — opt-in engine hot-loop profiler;
 * :mod:`repro.obs.schema` — the event schema and a JSONL validator
   (``python -m repro.obs.schema trace.jsonl``);
 * :mod:`repro.obs.recorders` — the experiment recorders
@@ -19,7 +18,6 @@ to one built before this package existed.  See docs/observability.md.
 
 from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.metrics import MetricsRegistry, metric_key
-from repro.obs.profile import EngineProfiler
 from repro.obs.trace import TraceEvent, Tracer, chrome_trace
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "ObsContext",
     "MetricsRegistry",
     "metric_key",
-    "EngineProfiler",
     "TraceEvent",
     "Tracer",
     "chrome_trace",

@@ -1,12 +1,12 @@
-"""The observability context: tracer + metrics + optional profiler.
+"""The observability context: tracer + metrics.
 
 :class:`ObsConfig` is the picklable, config-file-friendly knob set that
 rides on :class:`~repro.scenarios.testbed.TestbedConfig` (so parallel
 ``run_grid`` workers rebuild the same context); :class:`ObsContext` is
 the live object every :class:`~repro.sim.engine.Simulator` carries as
 ``sim.obs``.  Everything defaults off: a default-configured run keeps
-``tracer.active`` False and installs no profiler, which is what keeps
-fault-free runs bit-identical to the pre-obs tree.
+``tracer.active`` False, which is what keeps fault-free runs
+bit-identical to the pre-obs tree.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import EngineProfiler
 from repro.obs.trace import Tracer
 
 __all__ = ["ObsConfig", "ObsContext"]
@@ -29,12 +28,10 @@ class ObsConfig:
     trace: bool = False
     #: Also keep per-packet ("detail") records; large files.
     detail: bool = False
-    #: Install the engine hot-loop profiler.
-    profile: bool = False
 
 
 class ObsContext:
-    """One tracer + one metrics registry (+ optional profiler)."""
+    """One tracer + one metrics registry."""
 
     def __init__(self, config: Optional[ObsConfig] = None):
         self.config = config if config is not None else ObsConfig()
@@ -42,6 +39,3 @@ class ObsContext:
             recording=self.config.trace, detail=self.config.detail
         )
         self.metrics = MetricsRegistry()
-        self.profiler: Optional[EngineProfiler] = (
-            EngineProfiler() if self.config.profile else None
-        )

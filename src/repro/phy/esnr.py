@@ -64,9 +64,10 @@ def effective_snr_db(
 
     Both non-linear maps go through the shared uniform-grid gather
     kernel (:class:`repro.phy.lut.ModulationLut`), the same kernel the
-    batched evaluator (:mod:`repro.phy.batch`) runs on whole link
-    stacks — one row of a batch reproduces this result bitwise.  This
-    is the single most frequently called function in the simulator.
+    stacked evaluator (:func:`repro.phy.per.effective_snr_db_batch`)
+    runs on whole link stacks — one row of a batch reproduces this
+    result bitwise below the cap.  This is the single most frequently
+    called function in the simulator.
     """
     lut = lut_for(modulation)
     ber = lut.ber_of_db_batch(subcarrier_snr_db)

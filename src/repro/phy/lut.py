@@ -24,7 +24,7 @@ per-element binary search: the bucket index is one multiply away
 (``pos = (x - grid_min) * inv_step``), and the interpolation is a
 gather (``table.take(idx)``) plus one fused multiply-add against a
 precomputed slope table.  The scalar entry points and the batched
-``(n_links, n_subcarriers)`` entry points in :mod:`repro.phy.batch`
+``(n_links, n_subcarriers)`` entry points in :mod:`repro.phy.per`
 share this exact formulation — same subtraction, same truncation, same
 ``lo + slope[i] * frac`` — so a batched lookup is bit-identical to the
 scalar lookup it replaces, which is what lets the batched medium path
@@ -276,7 +276,8 @@ def effective_snr_db_lut(subcarrier_snr_db, modulation: str) -> float:
     Same three steps as the closed form — per-subcarrier BER, mean,
     inverse — with both non-linear maps served from the tables via the
     shared uniform-grid gather, so one row of a batched evaluation
-    (:mod:`repro.phy.batch`) reproduces this scalar result bitwise.
+    (:func:`repro.phy.per.effective_snr_db_batch`) reproduces this
+    scalar result bitwise.
     """
     lut = lut_for(modulation)
     ber = lut.ber_of_db_batch(subcarrier_snr_db)

@@ -13,26 +13,31 @@ robust rate, to be received; below a small SNR floor nothing decodes.
 
 Hot path: all non-linear maps are served from the log-domain lookup
 tables in :mod:`repro.phy.lut`, and the per-aggregate quantities
-(effective SNR, coded BER, preamble success) carry bounded *identity*
-memos: the MAC evaluates the same SNR snapshot once per subframe of an
-A-MPDU, and the batched medium path (:mod:`repro.phy.batch`) pre-seeds
-the same memos for every receiver of a completed transmission, so the
-per-frame entry points below collapse to dictionary hits.  Keys embed
-``id()`` of the snapshot array; a strong reference to the array is held
-in each entry, making ``id`` reuse impossible while the entry lives.
-The memos are LRU-bounded (:data:`PHY_MEMO_CAPACITY`) so hour-long
-soak runs cannot grow them without limit, and hit/miss/eviction
-counters are exported through :func:`phy_memo_stats` (published to
-the ``MetricsRegistry`` by :func:`collect_metrics`).  SNR arrays are treated
-as immutable throughout the simulator — derived quantities always
-allocate fresh arrays.
+(effective SNR, coded BER, preamble success, wideband RSSI offset)
+carry bounded *identity* memos.  ``WifiDevice._receive_data`` evaluates
+the payload term once per distinct MPDU size of an A-MPDU, not once per
+subframe, so the memos see little reuse inside one frame; the hit that
+pays is the preamble's: when a completed transmission has two or more
+live receivers the medium evaluates every receiver's preamble term in
+one stacked call (:func:`prewarm_receivers`) and seeds that memo — and
+only that one — so each receiver's :func:`preamble_success_probability`
+is a dictionary hit.
+
+Keys embed ``id()`` of the snapshot array; a strong reference to the
+array is held in each entry, making ``id`` reuse impossible while the
+entry lives.  The memos are LRU-bounded (:data:`PHY_MEMO_CAPACITY`) so
+hour-long soak runs cannot grow them without limit, and
+hit/miss/eviction counters are exported through :func:`phy_memo_stats`
+(published to the ``MetricsRegistry`` by :func:`collect_metrics`).  SNR
+arrays are treated as immutable throughout the simulator — derived
+quantities always allocate fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -158,44 +163,11 @@ def reset_phy_memo_stats() -> None:
         memo.evictions = 0
 
 
-# ----------------------------------------------------------------------
-# batch prewarm hooks (repro.phy.batch seeds these after a fused
-# multi-link evaluation so the per-frame scalar entry points hit)
-# ----------------------------------------------------------------------
-
-
-def seed_effective_snr_db(
-    subcarrier_snr_db: np.ndarray, modulation: str, esnr_db: float
-) -> None:
-    _esnr_memo.put(
-        (id(subcarrier_snr_db), modulation), (subcarrier_snr_db, esnr_db)
-    )
-
-
-def seed_coded_ber(
-    subcarrier_snr_db: np.ndarray, mcs: Mcs, value: float
-) -> None:
-    _coded_memo.put(
-        (id(subcarrier_snr_db), id(mcs)), (subcarrier_snr_db, mcs, value)
-    )
-
-
-def seed_preamble_success(
-    subcarrier_snr_db: np.ndarray, value: float
-) -> None:
-    _preamble_memo_lru.put(id(subcarrier_snr_db), (subcarrier_snr_db, value))
-
-
-def seed_rssi_offset(subcarrier_snr_db: np.ndarray, value: float) -> None:
-    _rssi_memo.put(id(subcarrier_snr_db), (subcarrier_snr_db, value))
-
-
 def wideband_rssi_offset_db(subcarrier_snr_db: np.ndarray) -> float:
     """Wideband fading+SNR offset over the noise floor, in dB.
 
     ``NOISE_FLOOR_DBM + offset`` is the instantaneous RSSI a receiver
     reports for this snapshot (see ``WifiDevice._rssi_from_snr``).
-    Factored here so the batched CSI fan-out can pre-seed it.
     """
     entry = _rssi_memo.get(id(subcarrier_snr_db))
     if entry is not None:
@@ -230,8 +202,8 @@ def effective_snr_db_memoized(
 
     Bit-identical to :func:`repro.phy.esnr.effective_snr_db` (same
     kernels, same cap ternary); the CSI path uses this entry point so a
-    report whose snapshot was pre-seeded by the batched medium resolves
-    without recomputing the LUT collapse.
+    snapshot whose reference-modulation ESNR is already in the memo
+    resolves without recomputing the LUT collapse.
     """
     esnr_db = _effective_snr_db_memo(subcarrier_snr_db, modulation)
     return esnr_db if esnr_db < ESNR_CAP_DB else ESNR_CAP_DB
@@ -279,6 +251,83 @@ def preamble_success_probability(subcarrier_snr_db: np.ndarray) -> float:
             id(subcarrier_snr_db), (subcarrier_snr_db, value)
         )
     return value
+
+
+# ----------------------------------------------------------------------
+# stacked twins: every live receiver of one completed transmission
+# ----------------------------------------------------------------------
+#
+# Bit-identical, row for row, to the scalar functions above: the heavy
+# elementwise stages (grid gather, ``log10``, ``power``,
+# ``add.reduce(axis=-1)``) produce the same bits on a 2-D stack as on
+# each 1-D row, and the per-row finishing runs the same scalar ops
+# (``tests/test_phy_batch.py`` sweeps 1-256 rows with NaN/±inf inputs).
+
+
+def _as_matrix(subcarrier_snr_db) -> np.ndarray:
+    matrix = np.asarray(subcarrier_snr_db, dtype=float)
+    if matrix.ndim == 1:
+        matrix = matrix[None, :]
+    return matrix
+
+
+def effective_snr_db_batch(
+    subcarrier_snr_db, modulation: str = DEFAULT_MODULATION
+) -> np.ndarray:
+    """Uncapped effective SNR (dB) of each row of a
+    ``(n_links, n_subcarriers)`` stack — row-wise
+    :func:`repro.phy.lut.effective_snr_db_lut`."""
+    matrix = _as_matrix(subcarrier_snr_db)
+    lut = lut_for(modulation)
+    ber = lut.ber_of_db_batch(matrix)
+    mean = np.add.reduce(ber, axis=-1) / matrix.shape[-1]
+    return lut.snr_db_for_ber_batch(mean)
+
+
+def preamble_success_batch(
+    subcarrier_snr_db,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`preamble_success_probability`.
+
+    Returns ``(p_preamble, bpsk_esnr_db)``; the BPSK effective SNR is
+    evaluated for every row (the scalar path skips it below the
+    wideband floor, but computing it never changes a value).
+    """
+    matrix = _as_matrix(subcarrier_snr_db)
+    linear = np.power(10.0, matrix * 0.1)
+    wideband = np.add.reduce(linear, axis=-1) / matrix.shape[-1]
+    esnr = effective_snr_db_batch(matrix, "bpsk")
+    # ``esnr + gain`` is the same IEEE add the scalar path does.
+    bers = lut_for("bpsk").ber_of_db_batch(esnr + CODING_GAIN_DB[1 / 2])
+    out = np.empty(len(wideband))
+    for i in range(len(wideband)):
+        wideband_db = 10.0 * math.log10(max(float(wideband[i]), 1e-12))
+        if wideband_db < PREAMBLE_SNR_FLOOR_DB:
+            out[i] = 0.0
+        else:
+            # scalar ``**`` finishing — same op the scalar path runs
+            out[i] = (1.0 - float(bers[i])) ** _PREAMBLE_BITS
+    return out, esnr
+
+
+def prewarm_receivers(rows: Sequence[np.ndarray]) -> None:
+    """Evaluate the preamble term of one completed transmission's live
+    receivers in one stacked call and seed the preamble memo.
+
+    ``rows`` are the *final* per-receiver snapshot arrays — the exact
+    objects the MAC will hand to ``device.on_air_frame`` (interference
+    penalties already applied) — because the memo keys on object
+    identity.  Only the preamble: it is the one PHY term every receiver
+    evaluates unconditionally; the data / CSI terms behind the
+    per-device preamble draw measured cheaper left to the lazy scalar
+    path (docs/performance.md).
+    """
+    matrix = np.empty((len(rows), rows[0].shape[0]))
+    for i, row in enumerate(rows):
+        matrix[i] = row
+    preamble, _bpsk_esnr = preamble_success_batch(matrix)
+    for i, row in enumerate(rows):
+        _preamble_memo_lru.put(id(row), (row, float(preamble[i])))
 
 
 def mpdu_success_probability(

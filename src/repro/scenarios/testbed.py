@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.baselines.enhanced_80211r import (
     Baseline80211rAp,
     BaselineWlc,
@@ -23,7 +21,6 @@ from repro.baselines.enhanced_80211r import (
 )
 from repro.channel.antenna import OmniAntenna
 from repro.channel.link import ChannelMap, RadioPort
-from repro.channel.link_batch import probe_snapshots
 from repro.channel.pathloss import LogDistancePathLoss
 from repro.core.access_point import WgttAccessPoint
 from repro.core.assoc_sync import StaInfo
@@ -39,7 +36,7 @@ from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import IpIdAllocator, Packet
 from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.metrics import metric_key
-from repro.phy.batch import effective_snr_db_batch
+from repro.phy.esnr import effective_snr_db
 from repro.shard.config import ShardConfig
 from repro.sim.engine import SECOND, Simulator
 from repro.sim.rng import RngRegistry
@@ -689,16 +686,14 @@ class Testbed:
         """The AP with the instantaneously best ESNR (oracle knowledge,
         used only by the accuracy metric — never by the protocols)."""
         client_id = self.clients[client_index].client_id
-        entries = [
-            (self.channel.link(ap_id, client_id), ap_id)
-            for ap_id in self.ap_ids
-        ]
-        snaps = probe_snapshots(time_us, entries)
-        esnrs = effective_snr_db_batch(np.stack(snaps))
         best_ap, best_esnr = None, -1e9
-        for ap_id, esnr in zip(self.ap_ids, esnrs):
+        for ap_id in self.ap_ids:
+            link = self.channel.link(ap_id, client_id)
+            esnr = effective_snr_db(
+                link.probe_subcarrier_snr_db(time_us, tx_id=ap_id)
+            )
             if esnr > best_esnr:
-                best_ap, best_esnr = ap_id, float(esnr)
+                best_ap, best_esnr = ap_id, esnr
         return best_ap
 
     def serving_ap_of(self, client_index: int) -> Optional[str]:

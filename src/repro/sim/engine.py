@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from time import perf_counter  # noqa-repro: DET001 — profiler wall-time measurement only; never feeds simulation state
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.context import ObsContext
@@ -23,22 +22,6 @@ from repro.obs.context import ObsContext
 MS = 1_000
 #: One second expressed in engine ticks (microseconds).
 SECOND = 1_000_000
-
-
-def _profile_key(callback: Optional[Callable[[], None]]) -> str:
-    """Attribution key for the profiler: the callback's qualified name,
-    with :class:`Timer`-wrapped callbacks unwrapped to their inner
-    function so timers show up by owner rather than as one
-    ``Timer._fire`` bucket."""
-    if callback is None:
-        return "<fired>"
-    inner = getattr(callback, "__self__", None)
-    if isinstance(inner, Timer):
-        callback = inner._callback
-    try:
-        return callback.__qualname__
-    except AttributeError:
-        return type(callback).__name__
 
 
 class EventHandle:
@@ -98,7 +81,7 @@ class Simulator:
         Initial clock value; almost always zero, but tests occasionally
         start mid-stream to exercise wrap-around logic elsewhere.
     obs:
-        Observability context (tracer + metrics + optional profiler).
+        Observability context (tracer + metrics).
         Every simulator carries one — a default, everything-off context
         is built when none is given, so subsystems can emit through
         ``sim.obs.trace`` unconditionally behind its ``active`` guard.
@@ -120,7 +103,6 @@ class Simulator:
         self.compactions = 0
         self.obs = obs if obs is not None else ObsContext()
         self.obs.trace.bind_clock(self)
-        self._profiler = self.obs.profiler
 
     def collect_metrics(self) -> Dict[str, object]:
         """Event-loop totals for the metrics snapshot."""
@@ -128,11 +110,6 @@ class Simulator:
             "engine_events_processed": self.events_processed,
             "engine_compactions": self.compactions,
         }
-
-    def set_profiler(self, profiler) -> None:
-        """Install (or remove, with None) the hot-loop profiler."""
-        self.obs.profiler = profiler
-        self._profiler = profiler
 
     @property
     def now(self) -> int:
@@ -219,16 +196,7 @@ class Simulator:
                 continue
             self._now = time_us
             self.events_processed += 1
-            profiler = self._profiler
-            if profiler is None:
-                handle._fire()
-            else:
-                # _fire nulls the callback before invoking it, so the
-                # attribution key must be computed first.
-                key = _profile_key(handle.callback)
-                started = perf_counter()
-                handle._fire()
-                profiler.add(key, perf_counter() - started)
+            handle._fire()
             return True
         return False
 

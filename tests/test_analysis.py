@@ -597,6 +597,46 @@ class TestCliAndSelfCheck:
                     reach_ins.append(f"{rel}:{node.lineno} .{node.attr}")
         assert reach_ins == []
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "stdlib_module_names"),
+        reason="sys.stdlib_module_names needs Python 3.10+",
+    )
+    def test_every_third_party_import_is_a_declared_dependency(self):
+        """``pip install .`` must yield an importable package: whatever
+        ``src/repro`` imports that is neither stdlib nor ``repro``
+        itself has to be in ``[project].dependencies``."""
+        import re
+
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        listed = re.search(
+            r"^dependencies\s*=\s*\[(.*?)\]", pyproject, re.M | re.S
+        )
+        assert listed, "pyproject.toml has no [project].dependencies"
+        declared = {
+            name.lower().replace("-", "_")
+            for name in re.findall(r'"([A-Za-z0-9_.-]+)', listed.group(1))
+        }
+        undeclared = set()
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                for module in modules:
+                    top = module.split(".")[0]
+                    if (
+                        top != "repro"
+                        and top not in sys.stdlib_module_names
+                        and top.lower() not in declared
+                    ):
+                        undeclared.add(
+                            f"{path.relative_to(REPO_ROOT)}:{node.lineno} {top}"
+                        )
+        assert sorted(undeclared) == []
+
 
 # ----------------------------------------------------------------------
 # Flags-manifest regression: AST view == runtime view

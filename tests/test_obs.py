@@ -1,6 +1,6 @@
 """Tests for the observability layer (repro.obs): tracer semantics,
 trace determinism, tracing-off bit-identity, the metrics registry,
-the schema validator, Chrome export nesting, and the engine profiler."""
+the schema validator, and Chrome export nesting."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.apps.bulk import run_bulk_download
 from repro.faults.plan import ControllerCrash, FaultPlan
 from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.metrics import MetricsRegistry, metric_key
-from repro.obs.profile import EngineProfiler
 from repro.obs.schema import validate_lines, validate_record
 from repro.obs.trace import Tracer, chrome_trace
 from repro.scenarios.testbed import Testbed, TestbedConfig, WgttConfig
@@ -143,7 +142,7 @@ class TestDeterminism:
         must produce identical protocol results: tracing draws no
         randomness and mutates no state."""
         plain = _quick_drive(obs=None)
-        traced = _quick_drive(obs=ObsConfig(trace=True, detail=True, profile=True))
+        traced = _quick_drive(obs=ObsConfig(trace=True, detail=True))
         assert _result_fields(plain) == _result_fields(traced)
         assert plain.testbed.sim.events_processed == traced.testbed.sim.events_processed
 
@@ -321,34 +320,3 @@ class TestChromeExport:
         assert _contains(promotion, restore)
         assert _contains(promotion, announce)
         assert restore["args"]["from_checkpoint"] is True
-
-
-# ----------------------------------------------------------------------
-# engine profiler
-# ----------------------------------------------------------------------
-
-
-class TestProfiler:
-    def test_counts_match_events_processed(self):
-        sim = Simulator(obs=ObsContext(ObsConfig(profile=True)))
-        for i in range(5):
-            sim.schedule_at(i * MS, lambda: None)
-        sim.run(until_us=10 * MS)
-        profiler = sim.obs.profiler
-        assert profiler is not None
-        assert profiler.total_events() == sim.events_processed == 5
-        assert profiler.total_seconds() >= 0.0
-
-    def test_rows_sorted_by_cost(self):
-        profiler = EngineProfiler()
-        profiler.add("cheap", 0.001)
-        profiler.add("dear", 0.5)
-        rows = profiler.rows()
-        assert rows[0]["callback"] == "dear"
-        assert rows[0]["count"] == 1
-        assert "dear" in profiler.report(top=1)
-
-    def test_off_by_default(self):
-        sim = Simulator()
-        assert sim.obs.profiler is None
-        assert sim._profiler is None

@@ -1,21 +1,20 @@
-"""Property tests for the batched PHY / channel kernels.
+"""Property tests for the stacked PHY / fused channel calls.
 
-The contract of :mod:`repro.phy.batch` and
-:mod:`repro.channel.link_batch` is *bit identity*: every batched
-function must return, element for element, exactly the bytes the scalar
+The contract of the stacked twins in :mod:`repro.phy.per` and of
+:func:`repro.channel.link_batch.warm_snapshots` is *bit identity*:
+each must return, element for element, exactly the bytes the scalar
 path produces — including NaN and ±inf inputs — so batching can
 never change an experiment.  These tests sweep link
 counts from 1 to 256, every modulation in the BER table, and injected
 non-finite values, holding:
 
 * the vectorized LUT gathers to their scalar counterparts,
-* the stacked ESNR / coded-BER / preamble / payload / RSSI kernels to
-  the per-row scalar functions in :mod:`repro.phy.per`,
-* both to the closed-form scipy ``*_exact`` oracles (0.05 dB bound),
-* the prewarm seeding to fresh scalar recomputation,
+* the stacked ESNR / preamble kernels to the per-row scalar functions,
+* the stacked ESNR to the closed-form scipy ``*_exact`` oracle
+  (0.05 dB bound),
+* the preamble prewarm to fresh scalar recomputation, and
 * the fused multi-link fading evolution to sequential per-link
-  evolution (same RNG stream, same bits), and
-* the fused probe path to strict side-effect freedom.
+  evolution (same RNG stream, same bits).
 """
 
 from __future__ import annotations
@@ -26,39 +25,23 @@ import numpy as np
 import pytest
 
 from repro.channel import ChannelMap, OmniAntenna, ParabolicAntenna, RadioPort
-from repro.channel.link_batch import probe_snapshots, warm_snapshots
+from repro.channel.link_batch import warm_snapshots
 from repro.mobility import Position, Road, VehicleTrack
 from repro.phy.ber import BER_BY_MODULATION
-from repro.phy.batch import (
-    coded_ber_batch,
-    effective_snr_db_batch,
-    mean_ber_batch,
-    mpdu_payload_success_batch,
-    preamble_success_batch,
-    prewarm_best_rate,
-    prewarm_receivers,
-    rssi_offset_batch,
-)
-from repro.phy.esnr import (
-    effective_snr_db,
-    effective_snr_db_exact,
-    mean_ber_exact,
-)
+from repro.phy.esnr import effective_snr_db, effective_snr_db_exact
 from repro.phy.lut import (
     SNR_GRID_MAX_DB,
     SNR_GRID_MIN_DB,
     effective_snr_db_lut,
     lut_for,
 )
-from repro.phy.mcs import MCS_TABLE
 from repro.phy.per import (
-    best_rate_bps,
-    coded_ber,
-    mpdu_payload_success_probability,
+    effective_snr_db_batch,
     phy_memo_stats,
+    preamble_success_batch,
     preamble_success_probability,
+    prewarm_receivers,
     reset_phy_memos,
-    wideband_rssi_offset_db,
 )
 from repro.sim import RngRegistry, Simulator
 
@@ -144,18 +127,9 @@ class TestLutGatherBitIdentity:
 class TestStackedKernelsBitIdentity:
     @pytest.mark.parametrize("n_rows", LINK_COUNTS)
     @pytest.mark.parametrize("modulation", MODULATIONS)
-    def test_effective_snr_capped(self, n_rows, modulation):
-        stack = _random_stack(np.random.default_rng(n_rows), n_rows)
-        batch = effective_snr_db_batch(stack, modulation, capped=True)
-        _assert_bits_equal(
-            batch, [effective_snr_db(row, modulation) for row in stack]
-        )
-
-    @pytest.mark.parametrize("n_rows", LINK_COUNTS)
-    @pytest.mark.parametrize("modulation", MODULATIONS)
     def test_effective_snr_uncapped(self, n_rows, modulation):
         stack = _random_stack(np.random.default_rng(100 + n_rows), n_rows)
-        batch = effective_snr_db_batch(stack, modulation, capped=False)
+        batch = effective_snr_db_batch(stack, modulation)
         _assert_bits_equal(
             batch, [effective_snr_db_lut(row, modulation) for row in stack]
         )
@@ -166,13 +140,6 @@ class TestStackedKernelsBitIdentity:
         assert batch.shape == (1,)
         _assert_bits_equal(batch, [effective_snr_db(row)])
 
-    @pytest.mark.parametrize("mcs", MCS_TABLE, ids=lambda m: m.name)
-    def test_coded_ber(self, mcs):
-        reset_phy_memos()
-        stack = _random_stack(np.random.default_rng(21), 8)
-        coded, _esnr = coded_ber_batch(stack, mcs)
-        _assert_bits_equal(coded, [coded_ber(row, mcs) for row in stack])
-
     @pytest.mark.parametrize("n_rows", LINK_COUNTS)
     def test_preamble_success(self, n_rows):
         reset_phy_memos()
@@ -180,29 +147,6 @@ class TestStackedKernelsBitIdentity:
         p, _esnr = preamble_success_batch(stack)
         _assert_bits_equal(
             p, [preamble_success_probability(row) for row in stack]
-        )
-
-    @pytest.mark.parametrize("mcs", MCS_TABLE, ids=lambda m: m.name)
-    def test_mpdu_payload_success(self, mcs):
-        reset_phy_memos()
-        stack = _random_stack(np.random.default_rng(29), 16)
-        for length in (64, 1500):
-            batch = mpdu_payload_success_batch(stack, mcs, length)
-            _assert_bits_equal(
-                batch,
-                [
-                    mpdu_payload_success_probability(row, mcs, length)
-                    for row in stack
-                ],
-            )
-
-    @pytest.mark.parametrize("n_rows", LINK_COUNTS)
-    def test_rssi_offset(self, n_rows):
-        reset_phy_memos()
-        stack = _random_stack(np.random.default_rng(31 + n_rows), n_rows)
-        batch = rssi_offset_batch(stack)
-        _assert_bits_equal(
-            batch, [wideband_rssi_offset_db(row) for row in stack]
         )
 
 
@@ -216,23 +160,11 @@ class TestBatchAgainstExactOracles:
     def test_effective_snr_tracks_exact(self, modulation):
         rng = np.random.default_rng(41)
         stack = rng.uniform(0.0, 45.0, size=(32, 56))
-        batch = effective_snr_db_batch(stack, modulation, capped=False)
+        batch = effective_snr_db_batch(stack, modulation)
         for i, row in enumerate(stack):
             exact = effective_snr_db_exact(row, modulation)
             if exact < 45.0:  # beyond the cap the LUT saturates by design
                 assert float(batch[i]) == pytest.approx(exact, abs=0.05)
-
-    @pytest.mark.parametrize("modulation", MODULATIONS)
-    def test_mean_ber_tracks_exact(self, modulation):
-        rng = np.random.default_rng(43)
-        stack = rng.uniform(0.0, 35.0, size=(16, 56))
-        batch = mean_ber_batch(stack, modulation, 2.0)
-        for i, row in enumerate(stack):
-            exact = mean_ber_exact(row, modulation, 2.0)
-            if exact > 1e-12:
-                assert float(batch[i]) == pytest.approx(exact, rel=0.15)
-            else:
-                assert float(batch[i]) <= 1e-11
 
 
 # ----------------------------------------------------------------------
@@ -241,36 +173,8 @@ class TestBatchAgainstExactOracles:
 
 
 class TestPrewarmSeeding:
-    def test_prewarm_receivers_seeds_scalar_values(self):
-        reset_phy_memos()
-        rng = np.random.default_rng(47)
-        rows = [rng.uniform(-5.0, 35.0, 56) for _ in range(8)]
-        mcs = MCS_TABLE[-1]
-        prewarm_receivers(
-            rows,
-            data_mcs=mcs,
-            data_indices=range(len(rows)),
-            csi_indices=range(len(rows)),
-        )
-        before = phy_memo_stats()
-        for row in rows:
-            # Fresh copies force full scalar recomputation; the memos
-            # keyed on the original objects must hold the same bits.
-            reference = row.copy()
-            assert preamble_success_probability(
-                row
-            ) == preamble_success_probability(reference)
-            assert coded_ber(row, mcs) == coded_ber(reference, mcs)
-            assert wideband_rssi_offset_db(row) == wideband_rssi_offset_db(
-                reference
-            )
-        after = phy_memo_stats()
-        # The original rows must have been served from the seeds.
-        assert after["preamble"]["hits"] >= before["preamble"]["hits"] + 8
-        assert after["coded_ber"]["hits"] >= before["coded_ber"]["hits"] + 8
-
     def test_prewarm_receivers_preamble_only_call(self):
-        """The medium's call shape: no index sets, preamble seeds only."""
+        """The medium's call shape: preamble seeds only."""
         reset_phy_memos()
         rng = np.random.default_rng(53)
         rows = [rng.uniform(-30.0, 30.0, 56) for _ in range(5)]
@@ -283,17 +187,9 @@ class TestPrewarmSeeding:
             [preamble_success_probability(row.copy()) for row in rows],
         )
 
-    def test_prewarm_best_rate_matches_scalar(self):
-        reset_phy_memos()
-        rng = np.random.default_rng(59)
-        rows = [rng.uniform(-10.0, 40.0, 56) for _ in range(8)]
-        prewarm_best_rate(rows)
-        for row in rows:
-            assert best_rate_bps(row) == best_rate_bps(row.copy())
-
 
 # ----------------------------------------------------------------------
-# fused fading / LinkBatch vs sequential scalar evolution
+# fused fading vs sequential scalar evolution
 # ----------------------------------------------------------------------
 
 
@@ -368,39 +264,5 @@ def test_fused_warm_with_partially_warm_links():
     for i in range(4):
         want = scalar_map.link(f"ap{i}", "client0").subcarrier_snr_db(
             2_000, tx_id=f"ap{i}"
-        )
-        assert fused[i].tobytes() == want.tobytes()
-
-
-def test_fused_probe_is_side_effect_free():
-    """probe_snapshots must not advance fading state or consume RNG:
-    a committed snapshot after heavy probing equals one on a twin map
-    that never probed."""
-    probed_map = _make_channel_map(79, 3)
-    control_map = _make_channel_map(79, 3)
-    entries = [
-        (probed_map.link(f"ap{i}", "client0"), f"ap{i}") for i in range(3)
-    ]
-    for t in (500, 900, 1_300, 2_000):
-        probe_snapshots(t, entries)
-    for i in range(3):
-        after = probed_map.link(f"ap{i}", "client0").subcarrier_snr_db(
-            5_000, tx_id=f"ap{i}"
-        )
-        control = control_map.link(f"ap{i}", "client0").subcarrier_snr_db(
-            5_000, tx_id=f"ap{i}"
-        )
-        assert after.tobytes() == control.tobytes()
-
-
-def test_fused_probe_matches_scalar_probe():
-    cmap = _make_channel_map(83, 4)
-    entries = [
-        (cmap.link(f"ap{i}", "client0"), f"ap{i}") for i in range(4)
-    ]
-    fused = probe_snapshots(7_000, entries)
-    for i in range(4):
-        want = cmap.link(f"ap{i}", "client0").probe_subcarrier_snr_db(
-            7_000, tx_id=f"ap{i}"
         )
         assert fused[i].tobytes() == want.tobytes()

@@ -100,21 +100,37 @@ class TestTestbedBuild:
 
     def test_ground_truth_probe_does_not_perturb(self):
         """Oracle sampling must not change the run (side-effect-free
-        channel probes)."""
+        channel probes): neither the accuracy oracle nor the capacity
+        meter may move the transport or any published counter."""
+        from repro.metrics.capacity import CapacityLossMeter
 
-        def run(probe):
+        def run(oracle):
             testbed = Testbed(
                 TestbedConfig(seed=9, scheme="wgtt", client_speeds_mph=[15.0])
             )
             sender, _ = testbed.add_downlink_tcp_flow(0)
             sender.start()
+            if oracle == "capacity_meter":
+                meter = CapacityLossMeter(testbed, sample_period_us=20_000)
             for _ in range(10):
                 testbed.run_seconds(0.2)
-                if probe:
+                if oracle == "ground_truth":
                     testbed.best_ap_ground_truth(0, testbed.sim.now)
-            return sender.snd_una
+            if oracle == "capacity_meter":
+                assert len(meter.samples) == 100
+            # The PHY memo counters see the oracle's own evaluations and
+            # the engine counts the meter's own timer; neither is the
+            # experiment.
+            snapshot = {
+                key: value
+                for key, value in testbed.obs.metrics.snapshot().items()
+                if not key.startswith(("phy_memo", "engine_"))
+            }
+            return sender.snd_una, snapshot
 
-        assert run(False) == run(True)
+        plain = run(None)
+        assert run("ground_truth") == plain
+        assert run("capacity_meter") == plain
 
 
 class TestPresets:
