@@ -68,13 +68,21 @@ class MacEntity:
     ) -> None:
         """Called at the end of every other station's transmission that
         could reach this radio (one provably out of earshot is skipped).
-
-        ``snr_db`` is the per-subcarrier SINR snapshot at this receiver
-        (None when the frame was completely below the noise floor or
-        the receiver was itself transmitting); ``decodable`` is False
-        when reception was physically impossible (half-duplex clash).
+        Three outcomes: ``(None, False)``, not received (below the
+        audible floor, or this radio was itself transmitting);
+        ``(row, True)``, received, ``row`` being the per-subcarrier SINR
+        snapshot here with interference folded in; ``(None, True)``,
+        heard but not read (:meth:`wants_snapshot` said no, so no
+        snapshot exists) -- the radio must still spend the randomness
+        its decode attempt would have.
         """
         raise NotImplementedError
+
+    def wants_snapshot(self, frame: Frame) -> bool:
+        """Will this radio *read* its snapshot of ``frame``?  False lets
+        the medium skip the channel and PHY work -- between two fixed
+        radios only, whose link no other frame samples."""
+        return True
 
     def cares_about(self, frame: Frame, sender_role: Optional[str]) -> bool:
         """Cheap pre-filter: should the medium bother computing this
@@ -332,10 +340,12 @@ class WirelessMedium:
         # the device registration order, so neither the batching nor
         # the candidate pruning can move a bit.
         mean_power = self._channel.mean_rx_power_dbm
+        port = self._channel.port
         sender_role = self.role_of(tx.sender)
+        sender_fixed = port(tx.sender).fixed_position is not None
         candidates = self._candidates(tx)
         self.receivers_examined += len(candidates)
-        receivers: List[tuple] = []  # (node_id, device, link_or_None)
+        receivers: List[tuple] = []  # (node_id, device, link_or_None, decodable)
         for node_id in candidates:
             if node_id == tx.sender:
                 continue
@@ -348,11 +358,19 @@ class WirelessMedium:
                 node_id in active_senders  # half-duplex: it was transmitting
                 or mean_power(tx.sender, node_id, tx_start) < AUDIBLE_FLOOR_DBM
             ):
-                receivers.append((node_id, device, None))
-                continue
-            receivers.append(
-                (node_id, device, self._channel.link(tx.sender, node_id))
-            )
+                receivers.append((node_id, device, None, False))
+            elif (
+                sender_fixed
+                and not device.wants_snapshot(tx.frame)
+                and port(node_id).fixed_position is not None
+            ):
+                # Heard, not read: this Link's fading stream is sampled
+                # nowhere else, so not building it is unobservable.
+                receivers.append((node_id, device, None, True))
+            else:
+                receivers.append(
+                    (node_id, device, self._channel.link(tx.sender, node_id), True)
+                )
 
         live = [
             (i, entry[2])
@@ -383,8 +401,5 @@ class WirelessMedium:
             # seeding data / CSI terms, gated on a per-device preamble
             # draw, measured as a net loss (docs/performance.md).
             prewarm_receivers([rows[i] for i, _link in live])
-        for i, (node_id, device, link) in enumerate(receivers):
-            if link is None:
-                device.on_air_frame(tx.frame, None, False)
-            else:
-                device.on_air_frame(tx.frame, rows[i], True)
+        for row, (_node_id, device, _link, decodable) in zip(rows, receivers):
+            device.on_air_frame(tx.frame, row, decodable)

@@ -151,7 +151,8 @@ class WifiDevice(MacEntity):
         self.on_overheard_block_ack: Callable[[BlockAckFrame], None] = (
             lambda f: None
         )
-        self.on_beacon: Callable[[BeaconFrame, float], None] = lambda f, rssi: None
+        #: Unset, the radio declines beacon snapshots (``wants_snapshot``).
+        self.on_beacon: Optional[Callable[[BeaconFrame, float], None]] = None
         self.on_mgmt: Callable[[MgmtFrame], None] = lambda f: None
         self.on_refill_needed: Callable[[str, int], None] = lambda peer, room: None
         self.on_mpdus_dropped: Callable[[str, List[Packet]], None] = (
@@ -480,10 +481,17 @@ class WifiDevice(MacEntity):
         # Monitor APs overhear client transmissions (CSI + BA forwarding).
         return self.role == "ap" and self.monitor and sender_role == "client"
 
+    def wants_snapshot(self, frame: Frame) -> bool:
+        return self.on_beacon is not None or not isinstance(frame, BeaconFrame)
+
     def on_air_frame(
         self, frame: Frame, snr_db: Optional[np.ndarray], decodable: bool
     ) -> None:
-        if snr_db is None or not decodable:
+        if snr_db is None:
+            if decodable:
+                # Heard, not read: the draw ``_receive_beacon`` would make,
+                # from the stream this radio's data / BA / CSI decodes share.
+                self._draw.random()
             return
         if isinstance(frame, DataAmpdu):
             self._receive_data(frame, snr_db)
@@ -496,11 +504,6 @@ class WifiDevice(MacEntity):
         elif isinstance(frame, AckFrame):
             self._receive_ack(frame, snr_db)
 
-    def _rssi_from_snr(self, snr_db: np.ndarray) -> float:
-        # Memoised per snapshot array; the medium seeds only the
-        # preamble memo, so the first call per snapshot computes.
-        return NOISE_FLOOR_DBM + wideband_rssi_offset_db(snr_db)
-
     def _maybe_csi(self, frame: Frame, snr_db: np.ndarray) -> None:
         """APs measure CSI on every decodable client transmission."""
         if self.role != "ap":
@@ -509,7 +512,8 @@ class WifiDevice(MacEntity):
             return
         if self._draw.random() >= preamble_success_probability(snr_db):
             return
-        self.on_csi(frame.tx_device, snr_db, self._rssi_from_snr(snr_db))
+        rssi_dbm = NOISE_FLOOR_DBM + wideband_rssi_offset_db(snr_db)
+        self.on_csi(frame.tx_device, snr_db, rssi_dbm)
 
     def _receive_data(self, frame: DataAmpdu, snr_db: np.ndarray) -> None:
         self._maybe_csi(frame, snr_db)
@@ -614,7 +618,8 @@ class WifiDevice(MacEntity):
     def _receive_beacon(self, frame: BeaconFrame, snr_db: np.ndarray) -> None:
         if self._draw.random() >= preamble_success_probability(snr_db):
             return
-        self.on_beacon(frame, self._rssi_from_snr(snr_db))
+        if self.on_beacon is not None:
+            self.on_beacon(frame, NOISE_FLOOR_DBM + wideband_rssi_offset_db(snr_db))
 
     def _receive_mgmt(self, frame: MgmtFrame, snr_db: np.ndarray) -> None:
         self._maybe_csi(frame, snr_db)

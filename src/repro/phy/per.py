@@ -12,12 +12,12 @@ A decode also requires the PLCP preamble/header, sent at the most
 robust rate, to be received; below a small SNR floor nothing decodes.
 
 Hot path: all non-linear maps are served from the log-domain lookup
-tables in :mod:`repro.phy.lut`, and the per-aggregate quantities
-(effective SNR, coded BER, preamble success, wideband RSSI offset)
-carry bounded *identity* memos.  ``WifiDevice._receive_data`` evaluates
-the payload term once per distinct MPDU size of an A-MPDU, not once per
-subframe, so the memos see little reuse inside one frame; the hit that
-pays is the preamble's: when a completed transmission has two or more
+tables in :mod:`repro.phy.lut`, and two per-snapshot quantities
+(effective SNR, preamble success) carry bounded *identity* memos.
+``WifiDevice._receive_data`` evaluates the payload term once per
+distinct MPDU size of an A-MPDU, not once per subframe, so nothing asks
+twice for a coded BER or an RSSI (their memos never hit and are gone);
+the hit that pays is the preamble's: when a transmission has two or more
 live receivers the medium evaluates every receiver's preamble term in
 one stacked call (:func:`prewarm_receivers`) and seeds that memo — and
 only that one — so each receiver's :func:`preamble_success_probability`
@@ -99,9 +99,6 @@ class _IdentityLru:
     def clear(self) -> None:
         self._data.clear()
 
-    def __len__(self) -> int:
-        return len(self._data)
-
     def stats(self) -> Dict[str, int]:
         return {
             "size": len(self._data),
@@ -114,21 +111,15 @@ class _IdentityLru:
 
 #: value: (snr_array, esnr_db) keyed by (id(array), modulation)
 _esnr_memo = _IdentityLru()
-#: value: (snr_array, mcs, coded_ber) keyed by (id(array), id(mcs))
-_coded_memo = _IdentityLru()
 #: value: (snr_array, p_preamble) keyed by id(array)
 _preamble_memo_lru = _IdentityLru()
-#: value: (snr_array, offset_db) keyed by id(array)
-_rssi_memo = _IdentityLru()
 
 
 def phy_memo_stats() -> Dict[str, Dict[str, int]]:
     """Counters for the bounded PHY memos (for the obs collectors)."""
     return {
         "esnr": _esnr_memo.stats(),
-        "coded_ber": _coded_memo.stats(),
         "preamble": _preamble_memo_lru.stats(),
-        "rssi": _rssi_memo.stats(),
     }
 
 
@@ -144,9 +135,7 @@ def collect_metrics() -> Dict[str, object]:
 def reset_phy_memos() -> None:
     """Drop all memo entries (counters survive; tests use this)."""
     _esnr_memo.clear()
-    _coded_memo.clear()
     _preamble_memo_lru.clear()
-    _rssi_memo.clear()
 
 
 def reset_phy_memo_stats() -> None:
@@ -157,7 +146,7 @@ def reset_phy_memo_stats() -> None:
     telemetry — the counters are process-lifetime by default and would
     otherwise carry the first run's totals into the second.
     """
-    for memo in (_esnr_memo, _coded_memo, _preamble_memo_lru, _rssi_memo):
+    for memo in (_esnr_memo, _preamble_memo_lru):
         memo.hits = 0
         memo.misses = 0
         memo.evictions = 0
@@ -167,17 +156,11 @@ def wideband_rssi_offset_db(subcarrier_snr_db: np.ndarray) -> float:
     """Wideband fading+SNR offset over the noise floor, in dB.
 
     ``NOISE_FLOOR_DBM + offset`` is the instantaneous RSSI a receiver
-    reports for this snapshot (see ``WifiDevice._rssi_from_snr``).
+    reports for this snapshot (CSI reports, beacon RSSI).
     """
-    entry = _rssi_memo.get(id(subcarrier_snr_db))
-    if entry is not None:
-        return entry[1]
     powers = 10.0 ** (np.asarray(subcarrier_snr_db) / 10.0)
     linear = float(np.add.reduce(powers)) / powers.shape[0]
-    value = 10.0 * math.log10(max(linear, 1e-12))
-    if isinstance(subcarrier_snr_db, np.ndarray):
-        _rssi_memo.put(id(subcarrier_snr_db), (subcarrier_snr_db, value))
-    return value
+    return 10.0 * math.log10(max(linear, 1e-12))
 
 
 def _effective_snr_db_memo(subcarrier_snr_db: np.ndarray, modulation: str) -> float:
@@ -218,16 +201,9 @@ def coded_ber(subcarrier_snr_db: np.ndarray, mcs: Mcs) -> float:
     convolutional code and interleaver operate across the whole band,
     so coding is credited after the collapse, not per subcarrier.
     """
-    key = (id(subcarrier_snr_db), id(mcs))
-    entry = _coded_memo.get(key)
-    if entry is not None:
-        return entry[2]
     gain_db = CODING_GAIN_DB[mcs.coding_rate]
     esnr_db = _effective_snr_db_memo(subcarrier_snr_db, mcs.modulation)
-    value = ber_at_snr_db_lut(mcs.modulation, esnr_db + gain_db)
-    if isinstance(subcarrier_snr_db, np.ndarray):
-        _coded_memo.put(key, (subcarrier_snr_db, mcs, value))
-    return value
+    return ber_at_snr_db_lut(mcs.modulation, esnr_db + gain_db)
 
 
 def preamble_success_probability(subcarrier_snr_db: np.ndarray) -> float:

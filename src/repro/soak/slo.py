@@ -10,11 +10,12 @@ the same seed sample at identical instants), and on every sample:
   channel map's port table, the medium's device table, the engine's
   event heap, the PHY memo LRUs, the admission pacer's backlog — and
   raises a violation the moment one exceeds its hard cap;
-* every ``checkpoint_every`` samples, folds the full snapshot into a
+* every ``checkpoint_every`` samples, folds the snapshot into a
   SHA-256 **fingerprint checkpoint** (written as a ``checkpoint``
   line).  Two same-seed runs must produce identical checkpoint chains —
   any divergence pinpoints *when* determinism drifted, not just that
-  it did.
+  it did.  The ``phy_memo{...}`` counters and the ``phy_memo_max`` probe
+  are streamed and bounded but not hashed: they describe the caches.
 
 At :meth:`finish` the guard additionally asserts the **memory
 plateau** (no bounded gauge may still be growing in the final third of
@@ -262,8 +263,10 @@ class SloGuard:
                 )
         fresh.extend(self._drain_invariants())
         if self.samples % self._checkpoint_every == 0:
+            run = {k: v for k, v in snapshot.items() if not k.startswith("phy_memo{")}
+            bounded = {k: v for k, v in probes.items() if k != "phy_memo_max"}
             payload = json.dumps(
-                {"t_us": sim.now, "metrics": snapshot, "probes": probes},
+                {"t_us": sim.now, "metrics": run, "probes": bounded},
                 sort_keys=True,
                 separators=(",", ":"),
             )

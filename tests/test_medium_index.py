@@ -6,14 +6,21 @@ radius.  The walk over *every* registered radio that it replaced lives
 here, in the test tree, as the reference:
 
 * for every frame completion of a corridor, an 8-AP TCP drive and a
-  soak with churn and faults, the medium delivers a snapshot to exactly
-  the receivers the reference names, in the same order, and skips only
-  radios the reference leaves without one;
+  soak with churn and faults, the medium calls a frame ``decodable`` at
+  exactly the receivers the reference finds audible, in the same order,
+  computes a snapshot for exactly those of them that will read it (or
+  are not fixed↔fixed: "heard, not read" stops there), and skips only
+  radios the reference leaves inaudible;
 * the power bound the radius is solved from is never below the exact
   mean received power, over random geometry (hypothesis);
 * the caches behind it die with the geometry they were computed from;
 * receivers examined per frame and links per AP do not grow with the
-  corridor (counts, not times: safe on a noisy CI box).
+  corridor, and no AP↔AP link is ever built (counts, not times: safe on
+  a noisy CI box);
+* "heard, not read" changes nothing but the work: the same three runs
+  with ``wants_snapshot`` forced True (a snapshot for every audible
+  radio, the behaviour it replaced) give the same flow series, switch
+  history, soak fingerprint and metrics from strictly more snapshots.
 """
 
 from __future__ import annotations
@@ -60,15 +67,18 @@ def reference_power_dbm(channel: ChannelMap, tx_id: str, rx_id: str, t: int) -> 
     return mean_snr_db + NOISE_FLOOR_DBM
 
 
-def reference_receivers(medium: WirelessMedium, tx) -> List[Tuple[str, bool]]:
-    """``(node_id, gets a snapshot)`` for every radio the full walk
-    would call ``on_air_frame`` on, in registration order."""
+def reference_receivers(medium: WirelessMedium, tx) -> List[Tuple[str, bool, bool]]:
+    """``(node_id, audible, gets a snapshot)`` for every radio the full
+    walk would call ``on_air_frame`` on, in registration order.  A
+    snapshot is owed to an audible radio unless it will not read one
+    and neither end of the link moves."""
     on_air = {
         other.sender
         for other in medium._transmissions
         if min(other.end_us, tx.end_us) > max(other.start_us, tx.start_us)
     }
     sender_role = medium.role_of(tx.sender)
+    port = medium._channel.port
     out = []
     for device in medium.devices():
         if device.node_id == tx.sender:
@@ -83,7 +93,12 @@ def reference_receivers(medium: WirelessMedium, tx) -> List[Tuple[str, bool]]:
             )
             >= FLOOR_DBM
         )
-        out.append((device.node_id, audible))
+        unread = (
+            not device.wants_snapshot(tx.frame)
+            and port(tx.sender).fixed_position is not None
+            and port(device.node_id).fixed_position is not None
+        )
+        out.append((device.node_id, audible, audible and not unread))
     return out
 
 
@@ -92,6 +107,8 @@ class Tally:
     #: Completions where the index left at least one radio out.
     pruned = 0
     snapshots = 0
+    #: Audible radios that were told so without a snapshot.
+    unread = 0
 
 
 @pytest.fixture
@@ -99,12 +116,12 @@ def checked(monkeypatch) -> Tally:
     """Hold every frame completion of every medium built during the
     test to the reference walk."""
     tally = Tally()
-    seen: List[Tuple[str, bool]] = []
+    seen: List[Tuple[str, bool, bool]] = []
     real_complete = WirelessMedium._complete
     real_on_air = WifiDevice.on_air_frame
 
     def on_air_frame(self, frame, snr_db, decodable):
-        seen.append((self.node_id, snr_db is not None and decodable))
+        seen.append((self.node_id, decodable, snr_db is not None))
         real_on_air(self, frame, snr_db, decodable)
 
     def complete(self, tx):
@@ -114,12 +131,13 @@ def checked(monkeypatch) -> Tally:
         got = list(seen)
         assert [r for r in got if r[1]] == [r for r in expected if r[1]]
         # What the medium visited is the reference's list with some
-        # snapshot-less radios left out: same ids, same order.
+        # inaudible radios left out: same ids, same order.
         remaining = iter(expected)
         assert all(entry in remaining for entry in got), (got, expected)
         tally.completions += 1
         tally.pruned += len(got) < len(expected)
-        tally.snapshots += sum(flag for _id, flag in got)
+        tally.snapshots += sum(snap for _id, _heard, snap in got)
+        tally.unread += sum(heard and not snap for _id, heard, snap in got)
 
     monkeypatch.setattr(WifiDevice, "on_air_frame", on_air_frame)
     monkeypatch.setattr(WirelessMedium, "_complete", complete)
@@ -142,57 +160,150 @@ def corridor_config(num_aps: int, num_shards: int, cars: int, seed: int) -> Test
     return config
 
 
-def run_corridor(config: TestbedConfig, sim_s: float) -> Testbed:
+def behaviour(snapshot) -> dict:
+    """A metrics snapshot minus the cache counters, which describe the
+    PHY memos and not the run (``tests/test_scenarios.py`` likewise)."""
+    return {k: v for k, v in snapshot.items() if not k.startswith("phy_memo{")}
+
+
+def drive(config: TestbedConfig, sim_s: float, tcp: bool = False):
+    """One downlink flow per client.  Returns the testbed and what the
+    run did: flow series, switch history, metrics."""
     tb = Testbed(config)
-    for index in range(len(tb.clients)):
-        source, _sink = tb.add_downlink_udp_flow(index, rate_bps=3e6)
+    flows = [
+        tb.add_downlink_tcp_flow(index)
+        if tcp
+        else tb.add_downlink_udp_flow(index, rate_bps=3e6)
+        for index in range(len(tb.clients))
+    ]
+    for source, _sink in flows:
         source.start()
     tb.run_seconds(sim_s)
-    return tb
+    now = tb.sim.now
+    series = [
+        sink.goodput_series_mbps(now) if tcp else sink.throughput_series_mbps(now)
+        for _source, sink in flows
+    ]
+    if tb.shard_manager is not None:
+        controllers = [shard.controller for shard in tb.shard_manager.shards]
+    else:
+        controllers = [tb.controller]
+    history = [
+        (r.client, r.from_ap, r.to_ap, r.started_us, r.completed_us, r.outcome)
+        for controller in controllers
+        for r in controller.coordinator.history
+    ]
+    return tb, (series, history, behaviour(tb.obs.metrics.snapshot()))
+
+
+def corridor_fleet():
+    return drive(corridor_config(100, 10, cars=4, seed=100), 0.12)[1]
+
+
+def tcp_drive_8_aps():
+    config = TestbedConfig(seed=5, scheme="wgtt", client_speeds_mph=[25.0])
+    return drive(config, 0.8, tcp=True)[1]
+
+
+def soak_with_churn_and_faults():
+    result = SoakHarness(
+        SoakConfig(
+            seed=3,
+            duration_s=2.5,
+            invariants_enabled=True,
+            fault_intensity=4.0,
+            adversary_intensity=4.0,
+            admission_enabled=True,
+            sample_interval_s=0.5,
+            budgets=SloBudgets(min_delivery_ratio=0.0),
+            workload=WorkloadConfig(
+                arrival_rate_per_s=6.0,
+                mean_dwell_s=0.6,
+                min_dwell_us=400_000,
+                max_concurrent=6,
+                rate_min_bps=0.5e6,
+                rate_max_bps=2e6,
+            ),
+        )
+    ).run()
+    assert result.churn_stats["departures"] > 0
+    return result.fingerprint, result.churn_stats, behaviour(result.final_metrics)
 
 
 class TestExactness:
     def test_corridor_fleet(self, checked):
-        run_corridor(corridor_config(100, 10, cars=4, seed=100), 0.12)
+        corridor_fleet()
         assert checked.completions > 200
-        assert checked.snapshots > 1000
+        assert checked.snapshots > 500
         # Every beacon and client frame leaves most of the road out
         # (a data frame is for one client: nothing to leave out).
         assert checked.pruned > 100
+        # APs hearing each other's beacons: about as many again.
+        assert checked.unread > 500
 
     def test_tcp_drive_8_aps(self, checked):
-        tb = Testbed(
-            TestbedConfig(seed=5, scheme="wgtt", client_speeds_mph=[25.0])
-        )
-        source, _sink = tb.add_downlink_tcp_flow(0)
-        source.start()
-        tb.run_seconds(0.8)
+        tcp_drive_8_aps()
         assert checked.completions > 500
         assert checked.snapshots > 1000
 
     def test_soak_with_churn_and_faults(self, checked):
-        result = SoakHarness(
-            SoakConfig(
-                seed=3,
-                duration_s=2.5,
-                invariants_enabled=True,
-                fault_intensity=4.0,
-                adversary_intensity=4.0,
-                admission_enabled=True,
-                sample_interval_s=0.5,
-                budgets=SloBudgets(min_delivery_ratio=0.0),
-                workload=WorkloadConfig(
-                    arrival_rate_per_s=6.0,
-                    mean_dwell_s=0.6,
-                    min_dwell_us=400_000,
-                    max_concurrent=6,
-                    rate_min_bps=0.5e6,
-                    rate_max_bps=2e6,
-                ),
-            )
-        ).run()
-        assert result.churn_stats["departures"] > 0
+        soak_with_churn_and_faults()
         assert checked.completions > 500
+
+
+# ----------------------------------------------------------------------
+# heard, not read
+# ----------------------------------------------------------------------
+
+
+class TestHeardNotRead:
+    """An AP that would drop a neighbour's beacon unread gets no
+    snapshot of it.  The behaviour replaced -- a snapshot for every
+    audible radio -- is the reference: ``wants_snapshot`` always True."""
+
+    @pytest.mark.parametrize(
+        "scenario", [corridor_fleet, tcp_drive_8_aps, soak_with_churn_and_faults]
+    )
+    def test_same_run_as_a_snapshot_for_every_audible_radio(
+        self, scenario, monkeypatch
+    ):
+        snapshots = [0]
+        real_on_air = WifiDevice.on_air_frame
+
+        def on_air_frame(self, frame, snr_db, decodable):
+            snapshots[0] += snr_db is not None
+            real_on_air(self, frame, snr_db, decodable)
+
+        monkeypatch.setattr(WifiDevice, "on_air_frame", on_air_frame)
+        shipped, shipped_snapshots = scenario(), snapshots[0]
+        snapshots[0] = 0
+        monkeypatch.setattr(WifiDevice, "wants_snapshot", lambda self, frame: True)
+        assert scenario() == shipped
+        assert 0 < shipped_snapshots < snapshots[0]
+
+    def test_a_radio_that_listens_for_beacons_gets_them(self):
+        """The baseline scheme's client roams on beacon RSSI; an AP
+        handed a handler reads its neighbours' beacons too, while the
+        APs beside it still build no AP-to-AP link."""
+        tb = Testbed(TestbedConfig(seed=2, scheme="baseline", client_speeds_mph=[15.0]))
+        heard: List[Tuple[str, float]] = []
+        listener = tb.baseline_aps["ap3"].device
+        listener.on_beacon = lambda frame, rssi: heard.append((frame.ta, rssi))
+        tb.run_seconds(0.6)
+        agent = tb.clients[0].agent
+        assert agent.association_log
+        assert -95.0 < agent.rssi_of(agent.current_ap) < -20.0
+        assert {"ap2", "ap4"} <= {ta for ta, _rssi in heard}
+        assert all(-95.0 < rssi < -20.0 for _ta, rssi in heard)
+        links = {
+            ap_id: {
+                link.ap.node_id if link.client.node_id == ap_id else link.client.node_id
+                for link in tb.channel.links_for_client(ap_id)
+            }
+            for ap_id in tb.ap_ids
+        }
+        assert links["ap3"] >= {"ap2", "ap4", "client0"}
+        assert links["ap0"] <= {"ap3", "client0"}
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +408,7 @@ class Ear(WifiDevice):
         self.heard: List[str] = []
 
     def on_air_frame(self, frame, snr_db, decodable):
-        if snr_db is not None:
+        if decodable:
             self.heard.append(frame.tx_device)
 
 
@@ -385,16 +496,28 @@ class TestCacheLifetime:
 
 
 class TestFlatInApCount:
-    def measure(self, num_aps: int) -> Tuple[float, float]:
-        tb = run_corridor(corridor_config(num_aps, num_aps // 10, cars=2, seed=7), 0.25)
-        links_per_ap = sum(
-            len(tb.channel.links_for_client(ap_id)) for ap_id in tb.ap_ids
-        ) / len(tb.ap_ids)
-        return tb.medium.receivers_examined / tb.medium.frames_sent, links_per_ap
+    def measure(self, num_aps: int) -> Tuple[float, int]:
+        tb, _ = drive(corridor_config(num_aps, num_aps // 10, cars=2, seed=7), 0.25)
+        links = [tb.channel.links_for_client(ap_id) for ap_id in tb.ap_ids]
+        # An AP's links are to cars: beacons between APs are heard, not
+        # read, so no AP<->AP Link (taps, RNG stream) is ever built.
+        cars = {client.client_id for client in tb.clients}
+        assert all(
+            {link.ap.node_id, link.client.node_id} & cars
+            for per_ap in links
+            for link in per_ap
+        )
+        assert max(map(len, links)) <= len(cars)
+        return (
+            tb.medium.receivers_examined / tb.medium.frames_sent,
+            sum(map(len, links)),
+        )
 
     def test_50_vs_400_aps(self):
         examined_50, links_50 = self.measure(50)
         examined_400, links_400 = self.measure(400)
         assert 5.0 < examined_50 < 20.0
         assert max(examined_50, examined_400) <= 1.15 * min(examined_50, examined_400)
+        # Links in the whole corridor: cars x the APs in earshot of one.
+        assert 10 < links_50 < 60
         assert max(links_50, links_400) <= 1.15 * min(links_50, links_400)

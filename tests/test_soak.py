@@ -416,6 +416,18 @@ class TestSoakHarness:
         c = run_soak(_short_config(seed=6))
         assert a.fingerprint != c.fingerprint
 
+    def test_fingerprint_is_of_the_run_not_of_the_caches(self, monkeypatch):
+        """The medium's preamble prewarm only seeds a memo: without it
+        every receiver computes the same number itself.  Same run,
+        different cache counters -- same fingerprint."""
+        a = run_soak(_short_config())
+        monkeypatch.setattr("repro.mac.medium.prewarm_receivers", lambda rows: None)
+        b = run_soak(_short_config())
+        hits = "phy_memo{memo=preamble,stat=hits}"
+        assert a.final_metrics[hits] > b.final_metrics[hits]
+        assert a.fingerprint == b.fingerprint
+        assert a.churn_stats == b.churn_stats
+
     def test_admission_soak_runs_clean(self):
         result = run_soak(_short_config(admission_enabled=True))
         assert result.ok
