@@ -20,12 +20,17 @@ AP-side WGTT behaviour:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.channel.csi import CsiReport
-from repro.core.assoc_sync import STA_SYNC_WIRE_BYTES, AssociationDirectory, StaInfo
+from repro.core.assoc_sync import (
+    STA_SYNC_WIRE_BYTES,
+    AssociationDirectory,
+    DepartedMemory,
+    StaInfo,
+)
 from repro.core.ba_forwarding import (
     BA_FORWARD_WIRE_BYTES,
     BaSeenCache,
@@ -152,17 +157,12 @@ class WgttAccessPoint:
         #: Clients whose cyclic-queue span currently exceeds the high
         #: watermark (backpressure signalled, release pending).
         self._backpressured: Set[str] = set()
-        #: Recently departed clients (bounded FIFO).  "client-departed"
-        #: rides the prioritized control path and can overtake "data"
-        #: messages already queued behind the per-port data FIFO; a
-        #: late fan-out arriving after teardown would silently recreate
-        #: the client's cyclic queue and leak it forever under churn.
-        #: Maps client -> departure time so a replayed pre-departure
-        #: sta-sync (associated_at_us <= departure) can be told apart
-        #: from a genuine re-admission.
-        self._departed: Dict[str, int] = {}
-        self._departed_order: Deque[str] = deque()
-        self._departed_cap = 4096
+        #: Recently departed clients.  "client-departed" rides the
+        #: prioritized control path and can overtake "data" messages
+        #: already queued behind the per-port data FIFO; a late fan-out
+        #: arriving after teardown would silently recreate the client's
+        #: cyclic queue and leak it forever under churn.
+        self._departed = DepartedMemory()
 
         self.stats = {
             "stops_handled": 0,
@@ -250,28 +250,51 @@ class WgttAccessPoint:
         out[metric_key("ap_ba_timeouts", ap=ap_id)] = device["ba_timeouts"]
         return out
 
-    def start_serving(self, client_id: str) -> None:
-        """Adopt transmission duty directly (initial association)."""
+    def start_serving(self, client_id: str, index: Optional[int] = None) -> None:
+        """Take transmission duty, resuming at cyclic ``index`` (the
+        reader head when None: initial association).
+
+        The 12-bit WGTT index doubles as the MAC sequence number, so
+        continuing the client's shared sequence space from it keeps the
+        client's block-ACK/reorder state valid across a switch.
+        """
+        if index is None:
+            index = self.cyclic_queue(client_id).head
         self._serving.add(client_id)
-        self.device.reset_tx_state(client_id, self.cyclic_queue(client_id).head)
+        self.device.reset_tx_state(client_id, index)
         self.device.set_session_mode(client_id, "active")
         self._refill(client_id, self.device.queue_room(client_id))
+
+    def _release_radio(self, client_id: str) -> int:
+        """Silence the radio toward a client this AP no longer serves:
+        no BA wait, nothing unacknowledged kept (a 12-bit sequence
+        space cannot carry seconds-old frames).  Returns the MPDUs
+        abandoned."""
+        session = self.device.session(client_id)
+        session.ba_timer.stop()
+        session.awaiting = None
+        abandoned = session.scoreboard.abandon_all()
+        self.device.set_session_mode(client_id, "off")
+        return abandoned
 
     # ------------------------------------------------------------------
     # liveness: heartbeats, crash, restart
     # ------------------------------------------------------------------
 
+    def _send_heartbeat(self) -> None:
+        self._heartbeat_seq += 1
+        self._backhaul.send_control(
+            self.ap_id,
+            self._controller_id,
+            "heartbeat",
+            self._heartbeat_seq,
+            size_bytes=HEARTBEAT_WIRE_BYTES,
+        )
+        self.stats["heartbeats_sent"] += 1
+
     def _heartbeat_tick(self) -> None:
         if self.alive:
-            self._heartbeat_seq += 1
-            self._backhaul.send_control(
-                self.ap_id,
-                self._controller_id,
-                "heartbeat",
-                self._heartbeat_seq,
-                size_bytes=HEARTBEAT_WIRE_BYTES,
-            )
-            self.stats["heartbeats_sent"] += 1
+            self._send_heartbeat()
         self._heartbeat_timer.start(self._config.heartbeat_interval_us)
 
     def crash(self) -> None:
@@ -296,7 +319,6 @@ class WgttAccessPoint:
         self._hold_buffer.clear()
         self._backpressured.clear()
         self._departed.clear()
-        self._departed_order.clear()
         self._switch_handled.clear()
         self.device.power_off()
         for queue in self._cyclic.values():
@@ -344,7 +366,7 @@ class WgttAccessPoint:
     def holding(self) -> bool:
         return self._holding
 
-    def _ctrl_beat(self, src: str) -> None:
+    def _ctrl_beat(self, src: str, payload: object) -> None:
         """A controller heartbeat: (re)arm the watch, clear any hold."""
         self.stats["ctrl_heartbeats_seen"] += 1
         self._ctrl_last_beat = self._sim.now
@@ -435,8 +457,6 @@ class WgttAccessPoint:
 
     def _rehome(self, new_controller_id: str, epoch: int) -> None:
         """ctrl-takeover: a promoted standby is the controller now."""
-        if not self._ctrl_epoch_ok(epoch, "stale_takeovers"):
-            return
         if new_controller_id != self._controller_id:
             self._controller_id = new_controller_id
             self.stats["rehomed"] += 1
@@ -454,15 +474,7 @@ class WgttAccessPoint:
             self._exit_hold()
         # Beat immediately so the new controller's liveness tracker
         # hears this AP without waiting out a full heartbeat period.
-        self._heartbeat_seq += 1
-        self._backhaul.send_control(
-            self.ap_id,
-            self._controller_id,
-            "heartbeat",
-            self._heartbeat_seq,
-            size_bytes=HEARTBEAT_WIRE_BYTES,
-        )
-        self.stats["heartbeats_sent"] += 1
+        self._send_heartbeat()
         # Report per-client cyclic write edges so the promoted
         # controller can true up its (checkpoint-stale) index cursors
         # and never overwrite an undelivered slot.
@@ -489,8 +501,6 @@ class WgttAccessPoint:
         Claims ride the same FIFO data port as the sta-sync replay, so
         they can never arrive before the registration they refer to.
         """
-        if not self._ctrl_epoch_ok(epoch, "stale_ctrl_hellos"):
-            return
         self._controller_id = src
         self._ctrl_last_beat = self._sim.now
         if self._holding:
@@ -509,14 +519,10 @@ class WgttAccessPoint:
             )
             self.stats["serving_claims_sent"] += 1
 
-    def _client_departed(self, client_id: str) -> None:
+    def _client_departed(self, src: str, client_id: str) -> None:
         """client-departed: free every per-client resource on this AP."""
         self.stats["clients_departed"] += 1
-        if client_id not in self._departed:
-            self._departed_order.append(client_id)
-            if len(self._departed_order) > self._departed_cap:
-                self._departed.pop(self._departed_order.popleft(), None)
-        self._departed[client_id] = self._sim.now
+        self._departed.depart(client_id, self._sim.now)
         self._serving.discard(client_id)
         self._backpressured.discard(client_id)
         self._serving_view.pop(client_id, None)
@@ -554,95 +560,86 @@ class WgttAccessPoint:
     # backhaul dispatch
     # ------------------------------------------------------------------
 
-    def _on_backhaul(self, src: str, kind: str, payload: object) -> None:
+    def _on_backhaul(self, src: str, kind: str, payload: Any) -> None:
+        """The one dispatch: look the kind up in :attr:`KINDS`, run its
+        row's guards, call its handler.  A kind without a row is
+        ignored."""
         if not self.alive:
             return  # backhaul already drops these; defense in depth
-        if kind == "data":
-            client_id, index, packet = payload
-            self._downlink_data(client_id, index, packet)
-        elif kind == "stop":
-            self._handle_stop(payload)
-        elif kind == "start":
-            self._handle_start(payload)
-        elif kind == "failover":
-            self._handle_failover(payload)
-        elif kind == "ba-fwd":
-            self._handle_forwarded_ba(payload)
-        elif kind == "sta-sync":
-            departed_at = self._departed.get(payload.client)
-            if departed_at is not None:
-                if payload.associated_at_us <= departed_at:
-                    # A replayed pre-departure sta-sync: lifting the
-                    # departed guard for it would let late fan-outs
-                    # recreate the torn-down cyclic queue and leak it.
-                    self.stats["stale_sta_syncs"] += 1
-                    return
-                # Re-admission (a returning rider gets a fresh session):
-                # lift the departed-drop guard so fan-outs flow again.
-                del self._departed[payload.client]
-                try:
-                    self._departed_order.remove(payload.client)
-                except ValueError:
-                    pass
-            self.directory.admit(payload)
-        elif kind == "serving-update":
-            client_id, ap_id, gen = payload
-            last = self._serving_gen_view.get(client_id)
-            if last is not None and gen <= last:
-                # Duplicate or replayed update: the view already holds
-                # a same-or-newer generation.  Applying it could point
-                # BA forwarding at an AP that stopped serving long ago.
-                self.stats["stale_serving_updates"] += 1
+        row = self.KINDS.get(kind)
+        if row is None:
+            return
+        handler, departed, stale_switch, stale_epoch = row
+        if departed is not None:
+            # A fan-out is a bare (client, index, packet) tuple; the
+            # handshake kinds carry a message dataclass.
+            client_id = payload[0] if type(payload) is tuple else payload.client
+            if client_id in self._departed:
+                # The message lost the race with the (prioritized)
+                # client-departed teardown.  Acting on it would recreate
+                # what the teardown freed: a cyclic queue nobody drains,
+                # or serving duty for a rider the controller no longer
+                # tracks — nothing would ever revoke it.
+                self.stats[departed] += 1
                 return
-            self._serving_gen_view[client_id] = gen
-            self._serving_view[client_id] = ap_id
-            if ap_id != self.ap_id and client_id in self._serving:
-                # The controller has authoritatively placed this client
-                # elsewhere while we still hold serving duty.  That only
-                # happens when we were unreachable during a failover (a
-                # partition hid the handover from us) — keep transmitting
-                # and two APs serve one client.  Relinquish immediately:
-                # the generation tag already proved this update is newer
-                # than anything we acted on.
-                self._serving.discard(client_id)
-                self._backpressured.discard(client_id)
-                session = self.device.session(client_id)
-                session.ba_timer.stop()
-                session.awaiting = None
-                session.scoreboard.abandon_all()
-                self.device.set_session_mode(client_id, "off")
-                self.stats["serving_relinquished"] += 1
-                tracer = self._sim.obs.trace
-                if tracer.active:
-                    tracer.emit(
-                        "ap",
-                        "serving-relinquish",
-                        track=f"ap/{self.ap_id}",
-                        ap=self.ap_id,
-                        client=client_id,
-                        new_ap=ap_id,
-                    )
-        elif kind == "ctrl-heartbeat":
-            self._ctrl_beat(src)
-        elif kind == "ctrl-takeover":
-            self._rehome(src, payload)
-        elif kind == "ctrl-hello":
-            self._ctrl_resync(src, payload)
-        elif kind == "client-departed":
-            self._client_departed(payload)
+        if stale_switch is not None and not self._switch_id_ok(
+            payload.client, payload.switch_id, stale_switch
+        ):
+            return
+        if stale_epoch is not None and not self._ctrl_epoch_ok(
+            payload, stale_epoch
+        ):
+            return
+        handler(self, src, payload)
+
+    def _handle_sta_sync(self, src: str, info: StaInfo) -> None:
+        if self._departed.is_replay(info):
+            # Lifting the departed guard for a replay would let late
+            # fan-outs recreate the torn-down cyclic queue and leak it.
+            self.stats["stale_sta_syncs"] += 1
+            return
+        self.directory.admit(info)
+
+    def _handle_serving_update(self, src: str, payload: tuple) -> None:
+        client_id, ap_id, gen = payload
+        last = self._serving_gen_view.get(client_id)
+        if last is not None and gen <= last:
+            # Duplicate or replayed update: the view already holds a
+            # same-or-newer generation.  Applying it could point BA
+            # forwarding at an AP that stopped serving long ago.
+            self.stats["stale_serving_updates"] += 1
+            return
+        self._serving_gen_view[client_id] = gen
+        self._serving_view[client_id] = ap_id
+        if ap_id != self.ap_id and client_id in self._serving:
+            # The controller has authoritatively placed this client
+            # elsewhere while we still hold serving duty.  That only
+            # happens when we were unreachable during a failover (a
+            # partition hid the handover from us) — keep transmitting
+            # and two APs serve one client.  Relinquish immediately:
+            # the generation tag already proved this update is newer
+            # than anything we acted on.
+            self._serving.discard(client_id)
+            self._backpressured.discard(client_id)
+            self._release_radio(client_id)
+            self.stats["serving_relinquished"] += 1
+            tracer = self._sim.obs.trace
+            if tracer.active:
+                tracer.emit(
+                    "ap",
+                    "serving-relinquish",
+                    track=f"ap/{self.ap_id}",
+                    ap=self.ap_id,
+                    client=client_id,
+                    new_ap=ap_id,
+                )
 
     # ------------------------------------------------------------------
     # downlink: fan-out intake and radio refill
     # ------------------------------------------------------------------
 
-    def _downlink_data(self, client_id: str, index: int, packet: Packet) -> None:
-        if client_id in self._departed:
-            # A fan-out that was already in flight behind the data FIFO
-            # when the (prioritized) client-departed control message
-            # overtook it.  Inserting would recreate the torn-down
-            # cyclic queue — drop it instead, explicitly.
-            self.stats["data_after_departure"] += 1
-            return
+    def _downlink_data(self, src: str, payload: tuple) -> None:
+        client_id, index, packet = payload
         queue = self.cyclic_queue(client_id)
         queue.insert(index, packet)
         tracer = self._sim.obs.trace
@@ -766,7 +763,7 @@ class WgttAccessPoint:
         self._switch_handled[client_id] = switch_id
         return True
 
-    def _handle_stop(self, message: StopMsg) -> None:
+    def _handle_stop(self, src: str, message: StopMsg) -> None:
         """stop(c): cease serving; find k; send start(c, k) to the target.
 
         The in-flight aggregate (the NIC hardware queue) is allowed to
@@ -776,16 +773,6 @@ class WgttAccessPoint:
         becomes k.
         """
         client_id = message.client
-        if client_id in self._departed:
-            # A handshake message that lost the race with the
-            # (prioritized) client-departed teardown.  Forwarding
-            # start(c, k) now would resurrect serving duty for a rider
-            # the controller no longer tracks — nothing would ever
-            # revoke it.
-            self.stats["serving_after_departure"] += 1
-            return
-        if not self._switch_id_ok(client_id, message.switch_id, "stale_stops"):
-            return
         self.stats["stops_handled"] += 1
         tracer = self._sim.obs.trace
         span = (
@@ -810,18 +797,15 @@ class WgttAccessPoint:
         # pulled. The software-queue backlog is filtered out; its first
         # index is k.
         self.device.set_session_mode(client_id, "drain")
-        session = self.device.session(client_id)
-        backlog = session.queue.drain()
+        backlog = self.device.session(client_id).queue.drain()
         self.stats["packets_dropped_at_stop"] += len(backlog)
 
         def end_drain():
             if client_id in self._serving:
                 return  # duty came back before the drain window closed
-            session.ba_timer.stop()
-            session.awaiting = None
-            abandoned = session.scoreboard.abandon_all()
-            self.stats["packets_dropped_at_stop"] += abandoned
-            self.device.set_session_mode(client_id, "off")
+            self.stats["packets_dropped_at_stop"] += self._release_radio(
+                client_id
+            )
 
         self._sim.schedule(self._config.nic_drain_us, end_drain)
         if backlog:
@@ -850,16 +834,8 @@ class WgttAccessPoint:
         jitter = self._config.stop_processing_jitter_us
         return max(500, int(self._rng.normal(mean, jitter / 2.0)))
 
-    def _handle_start(self, message: StartMsg) -> None:
+    def _handle_start(self, src: str, message: StartMsg) -> None:
         client_id = message.client
-        if client_id in self._departed:
-            # See _handle_stop: adopting serving duty for a departed
-            # client leaks it forever (the controller forgot the
-            # client, so no serving-update will ever relinquish it).
-            self.stats["serving_after_departure"] += 1
-            return
-        if not self._switch_id_ok(client_id, message.switch_id, "stale_starts"):
-            return
         self.stats["starts_handled"] += 1
         tracer = self._sim.obs.trace
         span = (
@@ -877,31 +853,9 @@ class WgttAccessPoint:
         )
         dropped = self.cyclic_queue(client_id).advance_to(message.index)
         self.stats["cyclic_dropped_on_advance"] += dropped
+        self._adopt_after_processing(message, span, lambda: message.index)
 
-        def activate():
-            if client_id in self._departed:
-                # Departure landed inside the start-processing window.
-                self.stats["serving_after_departure"] += 1
-                if span is not None:
-                    tracer.end(span)
-                return
-            ack = AckMsg(
-                client=client_id, ap=self.ap_id, switch_id=message.switch_id
-            )
-            self._backhaul.send_control(self.ap_id, self._controller_id, "ack", ack)
-            if span is not None:
-                tracer.end(span)
-            self._serving.add(client_id)
-            # Continue the client's shared sequence space from k: the
-            # 12-bit WGTT index doubles as the MAC sequence number, so
-            # the client's block-ACK/reorder state survives the switch.
-            self.device.reset_tx_state(client_id, message.index)
-            self.device.set_session_mode(client_id, "active")
-            self._refill(client_id, self.device.queue_room(client_id))
-
-        self._sim.schedule(self._config.start_processing_us, activate)
-
-    def _handle_failover(self, message: FailoverMsg) -> None:
+    def _handle_failover(self, src: str, message: FailoverMsg) -> None:
         """failover(c): the serving AP died — adopt the client *now*.
 
         No start(c, k) can come from the dead AP, so k is recovered
@@ -912,14 +866,6 @@ class WgttAccessPoint:
         backlog resumes at the write edge — the next fanned-out packet.
         """
         client_id = message.client
-        if client_id in self._departed:
-            # See _handle_stop: never adopt a departed client.
-            self.stats["serving_after_departure"] += 1
-            return
-        if not self._switch_id_ok(
-            client_id, message.switch_id, "stale_failovers"
-        ):
-            return
         self.stats["failovers_handled"] += 1
         queue = self.cyclic_queue(client_id)
         tracer = self._sim.obs.trace
@@ -937,23 +883,39 @@ class WgttAccessPoint:
             else None
         )
 
-        def activate():
+        def own_backlog_head() -> int:
             backlog = queue.backlog_packets()
             k = backlog[0][0] if backlog else queue.write_edge
-            dropped = queue.advance_to(k)
-            self.stats["cyclic_dropped_on_advance"] += dropped
+            self.stats["cyclic_dropped_on_advance"] += queue.advance_to(k)
+            return k
+
+        self._adopt_after_processing(message, span, own_backlog_head)
+
+    def _adopt_after_processing(
+        self, message, span: Optional[int], resume_index: Callable[[], int]
+    ) -> None:
+        """The incoming AP's half of start and failover alike: one
+        start-processing delay from now, ack the controller and take
+        serving duty at ``resume_index()`` (asked for then, not now)."""
+        client_id = message.client
+        tracer = self._sim.obs.trace
+
+        def activate():
+            if client_id in self._departed:
+                # Departure landed inside the processing window: see
+                # the dispatch guard — never adopt a departed client.
+                self.stats["serving_after_departure"] += 1
+                if span is not None:
+                    tracer.end(span)
+                return
+            k = resume_index()
             ack = AckMsg(
                 client=client_id, ap=self.ap_id, switch_id=message.switch_id
             )
-            self._backhaul.send_control(
-                self.ap_id, self._controller_id, "ack", ack
-            )
+            self._backhaul.send_control(self.ap_id, self._controller_id, "ack", ack)
             if span is not None:
                 tracer.end(span, k=k)
-            self._serving.add(client_id)
-            self.device.reset_tx_state(client_id, k)
-            self.device.set_session_mode(client_id, "active")
-            self._refill(client_id, self.device.queue_room(client_id))
+            self.start_serving(client_id, k)
 
         self._sim.schedule(self._config.start_processing_us, activate)
 
@@ -1030,7 +992,7 @@ class WgttAccessPoint:
             frame.ta, frame.start_seq, set(frame.acked), self._sim.now
         )
 
-    def _handle_forwarded_ba(self, forwarded: ForwardedBa) -> None:
+    def _handle_forwarded_ba(self, src: str, forwarded: ForwardedBa) -> None:
         if not self._ba_seen.check_and_record(forwarded, self._sim.now):
             self.stats["ba_forward_duplicate"] += 1
             return
@@ -1061,3 +1023,34 @@ class WgttAccessPoint:
             self.ap_id, "sta-sync", info, size_bytes=STA_SYNC_WIRE_BYTES
         )
         self.device.send_mgmt("assoc-resp", client_id)
+
+    # ------------------------------------------------------------------
+    # the dispatch table
+    # ------------------------------------------------------------------
+
+    #: kind -> (handler, departed-client counter, stale-switch counter,
+    #: stale-epoch counter).  :meth:`_on_backhaul` runs the guards a row
+    #: names, in that order, and bumps the named ``stats`` counter
+    #: instead of calling ``handler(self, src, payload)`` when one
+    #: trips: the payload's client is in the departed memory, its
+    #: ``switch_id`` is older than the newest handled for that client,
+    #: or the payload (a controller epoch) is not newer than the one
+    #: acknowledged.  A guard only one kind needs lives in its handler.
+    KINDS: Dict[
+        str,
+        Tuple[Callable[..., None], Optional[str], Optional[str], Optional[str]],
+    ] = {
+        "data": (_downlink_data, "data_after_departure", None, None),
+        "stop": (_handle_stop, "serving_after_departure", "stale_stops", None),
+        "start": (_handle_start, "serving_after_departure", "stale_starts", None),
+        "failover": (
+            _handle_failover, "serving_after_departure", "stale_failovers", None,
+        ),
+        "ba-fwd": (_handle_forwarded_ba, None, None, None),
+        "sta-sync": (_handle_sta_sync, None, None, None),
+        "serving-update": (_handle_serving_update, None, None, None),
+        "ctrl-heartbeat": (_ctrl_beat, None, None, None),
+        "ctrl-takeover": (_rehome, None, None, "stale_takeovers"),
+        "ctrl-hello": (_ctrl_resync, None, None, "stale_ctrl_hellos"),
+        "client-departed": (_client_departed, None, None, None),
+    }

@@ -15,13 +15,13 @@ One commodity Linux box on the Ethernet backhaul runs everything:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.channel.csi import CsiReport
 from repro.core.assoc_sync import (
     STA_SYNC_WIRE_BYTES,
     AssociationDirectory,
+    DepartedMemory,
     StaInfo,
 )
 from repro.core.admission import AdmissionPacer
@@ -48,10 +48,6 @@ from repro.sim.rng import RngRegistry
 #: replayed capture from an *earlier* resync — accepting it would flip
 #: a client onto whatever AP served it back then.
 SERVING_CLAIM_WINDOW_US = 2_000_000
-
-#: Departed clients remembered for sta-sync replay rejection (matches
-#: the AP-side departed FIFO bound).
-DEPARTED_MEMORY_CAP = 4096
 
 
 class ClientState:
@@ -188,10 +184,9 @@ class WgttController:
         #: one without any cross-incarnation counter handoff.
         self.epoch_us = sim.now  # volatile-ok: per-incarnation authority; a promoted standby must mint a fresh, strictly-later epoch or replays from the dead primary could win
         self._serving_seq = 0  # volatile-ok: sequence within this incarnation's epoch; restarts at 0 under the fresh epoch by design
-        #: client -> departure time: recently departed clients, for
-        #: rejecting replayed sta-syncs that would resurrect them
-        #: (bounded FIFO, mirroring the AP-side departed memory).
-        self._departed_at: "OrderedDict[str, int]" = OrderedDict()
+        #: Recently departed clients, for rejecting replayed sta-syncs
+        #: that would resurrect them.
+        self._departed_at = DepartedMemory()
 
         #: Delivered (de-duplicated) uplink datagrams go here.
         self.on_uplink: Callable[[Packet], None] = lambda packet: None
@@ -208,12 +203,22 @@ class WgttController:
         #: and without the gate both shards would deliver them upstream.
         #: None (the default) disables the check entirely.
         self.owns_client: Optional[Callable[[str], bool]] = None
-        #: Backhaul kinds the dispatch table does not recognise land
-        #: here (shard glue: the inter-shard handoff protocol rides the
-        #: same controller endpoint without new controller state).
-        self.on_unhandled: Callable[[str, str, object], None] = (
-            lambda src, kind, payload: None
-        )
+        #: The dispatch table: backhaul kind -> ``handler(src, payload)``.
+        #: A kind without an entry is ignored.  The one extension point:
+        #: the warm standby adds its feed, the shard glue the inter-shard
+        #: handoff protocol (which rides this endpoint without new
+        #: controller state).
+        self.handlers: Dict[str, Callable[[str, Any], None]] = {
+            "csi": self._handle_csi,
+            "uplink": self._handle_uplink,
+            "ack": lambda src, message: self.coordinator.on_ack(message),
+            "sta-sync": lambda src, info: self.register_association(info),
+            "heartbeat": self._handle_heartbeat,
+            "ap-hello": self._ap_rejoined,
+            "backpressure": self._handle_backpressure,
+            "serving-claim": self._handle_serving_claim,
+            "edge-report": self._handle_edge_report,
+        }
         #: (time_us, client, ap) — serving-AP timeline for Figure 14/15.
         self.serving_timeline: List[Tuple[int, str, str]] = []  # volatile-ok: observability export, never read by protocol logic; crash docs promise it survives like an external metrics pipeline
 
@@ -323,27 +328,21 @@ class WgttController:
 
     def register_association(self, info: StaInfo) -> None:
         """Install a client (from sta-sync replication or directly)."""
-        departed_at = self._departed_at.get(info.client)
-        if departed_at is not None:
-            if info.associated_at_us <= departed_at:
-                # A replayed sta-sync from *before* the departure:
-                # admitting it would resurrect the client — recreating
-                # its selection timer and serving entry with no radio
-                # behind them, leaking both forever under churn.
-                self.stats["stale_sta_syncs"] += 1
-                tracer = self._sim.obs.trace
-                if tracer.active:
-                    tracer.emit(
-                        "controller",
-                        "stale-sta-sync",
-                        track="assoc",
-                        detail=True,
-                        client=info.client,
-                    )
-                return
-            # A genuine re-admission (fresh association after the
-            # departure): forget the departure.
-            del self._departed_at[info.client]
+        if self._departed_at.is_replay(info):
+            # Admitting it would resurrect the client — recreating its
+            # selection timer and serving entry with no radio behind
+            # them, leaking both forever under churn.
+            self.stats["stale_sta_syncs"] += 1
+            tracer = self._sim.obs.trace
+            if tracer.active:
+                tracer.emit(
+                    "controller",
+                    "stale-sta-sync",
+                    track="assoc",
+                    detail=True,
+                    client=info.client,
+                )
+            return
         self.directory.admit(info)
         if info.client not in self._clients:
             serving = self._pending_claims.pop(info.client, info.first_ap)
@@ -366,9 +365,7 @@ class WgttController:
         if state is None:
             return
         self.stats["clients_departed"] += 1
-        self._departed_at[client_id] = self._sim.now
-        if len(self._departed_at) > DEPARTED_MEMORY_CAP:
-            self._departed_at.popitem(last=False)
+        self._departed_at.depart(client_id, self._sim.now)
         timer = self._selection_timers.pop(client_id, None)
         if timer is not None:
             timer.stop()
@@ -540,32 +537,18 @@ class WgttController:
     # backhaul dispatch
     # ------------------------------------------------------------------
 
-    def _on_backhaul(self, src: str, kind: str, payload: object) -> None:
+    def _on_backhaul(self, src: str, kind: str, payload: Any) -> None:
         if not self.alive:
             return  # backhaul already drops these; defense in depth
-        if kind == "csi":
-            self._handle_csi(payload)
-        elif kind == "uplink":
-            self._handle_uplink(payload)
-        elif kind == "ack":
-            self.coordinator.on_ack(payload)
-        elif kind == "sta-sync":
-            self.register_association(payload)
-        elif kind == "heartbeat":
-            self.stats["heartbeats"] += 1
-            self.liveness.beat(src)
-        elif kind == "ap-hello":
-            self._ap_rejoined(src)
-        elif kind == "backpressure":
-            self._handle_backpressure(src, payload)
-        elif kind == "serving-claim":
-            self._handle_serving_claim(src, payload)
-        elif kind == "edge-report":
-            self._handle_edge_report(src, payload)
-        else:
-            self.on_unhandled(src, kind, payload)
+        handler = self.handlers.get(kind)
+        if handler is not None:
+            handler(src, payload)
 
-    def _handle_edge_report(self, src: str, payload: object) -> None:
+    def _handle_heartbeat(self, src: str, payload: object) -> None:
+        self.stats["heartbeats"] += 1
+        self.liveness.beat(src)
+
+    def _handle_edge_report(self, src: str, payload: Any) -> None:
         """Re-home cursor resync: an AP's per-client cyclic write edges.
 
         A promoted standby restored its :class:`IndexAllocator` from a
@@ -578,7 +561,7 @@ class WgttController:
             if self._index_alloc.fast_forward(client_id, int(edge)):
                 self.stats["cursor_fast_forwards"] += 1
 
-    def _handle_backpressure(self, src: str, payload: object) -> None:
+    def _handle_backpressure(self, src: str, payload: Any) -> None:
         """Serving-AP overload signal: pace/resume one client's fan-out."""
         client_id, engaged = payload
         state = self._clients.get(client_id)
@@ -620,7 +603,7 @@ class WgttController:
             state.serving_ap = src
             self._publish_serving(client_id, src)
 
-    def _handle_csi(self, report: CsiReport) -> None:
+    def _handle_csi(self, src: str, report: CsiReport) -> None:
         if report.ap_id in self._dead_aps:
             # In-flight report from an AP declared dead moments ago:
             # admitting it would resurrect the AP in the selector.
@@ -635,7 +618,7 @@ class WgttController:
             report.esnr_db,
         )
 
-    def _handle_uplink(self, packet: Packet) -> None:
+    def _handle_uplink(self, src: str, packet: Packet) -> None:
         if self.owns_client is not None and not self.owns_client(
             packet.src
         ):
@@ -732,7 +715,7 @@ class WgttController:
                     "controller", "ap-recovered", track="liveness", ap=ap_id
                 )
 
-    def _ap_rejoined(self, ap_id: str) -> None:
+    def _ap_rejoined(self, ap_id: str, payload: object) -> None:
         """ap-hello: a (re)started AP announces itself.
 
         The controller replays the association directory (the paper's
@@ -914,36 +897,10 @@ class WgttController:
         self._ctrl_heartbeat_timer.stop()
         if self._pacer is not None:
             self._pacer.halt()
-        self.coordinator.halt()
-        self.coordinator.restore(
-            {
-                "next_switch_id": 1,
-                "abandoned": self.coordinator.abandoned,
-                "aborted": self.coordinator.aborted,
-                "pending": {},
-                "history": [
-                    r.to_state() for r in self.coordinator.history
-                ],
-            }
-        )
-        self.liveness.stop()
-        self.liveness.restore(
-            {
-                "last_beat": {},
-                "dead": [],
-                "events": [list(e) for e in self.liveness.events],
-                "check_deadline_us": None,
-            }
-        )
+        self.coordinator.crash()
+        self.liveness.crash()
         self.selector.restore({})
-        self.dedup.restore(
-            {
-                "capacity": self.dedup.snapshot()["capacity"],
-                "keys": [],
-                "accepted": self.dedup.accepted,
-                "duplicates": self.dedup.duplicates,
-            }
-        )
+        self.dedup.crash()
         self.directory = AssociationDirectory()
         self._index_alloc = IndexAllocator(self._config.cyclic_queue_size)
         self._clients.clear()

@@ -60,6 +60,11 @@ class PacketDeduplicator:
     def capacity(self) -> int:
         return self._capacity
 
+    def crash(self) -> None:
+        """Controller crash: the key window is volatile; the counters
+        are durable observability and stay."""
+        self._seen.clear()
+
     # -- checkpoint support -------------------------------------------
 
     def snapshot(self) -> dict:

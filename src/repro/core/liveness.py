@@ -86,9 +86,13 @@ class ApLivenessTracker:
         self._last_beat.pop(ap_id, None)
         self._dead.discard(ap_id)
 
-    def stop(self) -> None:
-        """Disarm the periodic check (controller crash / teardown)."""
+    def crash(self) -> None:
+        """Controller crash: the table is volatile — beat times, the
+        dead set and the periodic check go; ``events`` is durable
+        observability and stays."""
         self._check_timer.stop()
+        self._last_beat = {}
+        self._dead = set()
 
     def reset_clock(self, now_us: int) -> None:
         """Refresh every tracked AP's last-beat to ``now_us``.

@@ -366,16 +366,16 @@ class SwitchCoordinator:
 
     # -- crash / checkpoint support --------------------------------------
 
-    def halt(self) -> None:
-        """Controller crash: freeze every pending handshake in place.
-
-        Timers stop (a dead controller retransmits nothing) but the
-        pending records are *kept* — they are part of the state a
-        restore re-arms, and a restarted controller resumes the
-        retransmission clocks from its checkpoint.
+    def crash(self) -> None:
+        """Controller crash: every in-flight handshake is lost (a dead
+        controller retransmits nothing) and the next incarnation's
+        switch_id space restarts.  ``history`` and the abandoned /
+        aborted / stale-ack counts are durable observability and stay.
         """
         for pending in self._pending.values():
             pending.timer.stop()
+        self._pending = {}
+        self._next_switch_id = 1
 
     def snapshot(self) -> dict:
         # ``stale_acks`` is deliberately NOT checkpointed: it is durable

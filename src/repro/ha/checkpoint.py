@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -156,13 +155,7 @@ def checkpoint_controller(controller) -> ControllerCheckpoint:
         "dead_aps": sorted(controller._dead_aps),
         "last_heard": last_heard,
         "pending_claims": dict(controller._pending_claims),
-        # List-of-pairs, not a dict: _departed_at is a bounded FIFO
-        # (eviction order = insertion order) and JSON objects would
-        # lose that order under canonical sorted-keys rendering.
-        "departed_at": [
-            [client_id, int(t)]
-            for client_id, t in controller._departed_at.items()
-        ],
+        "departed_at": controller._departed_at.snapshot(),
     }
     return ControllerCheckpoint(
         version=CHECKPOINT_VERSION,
@@ -222,9 +215,7 @@ def restore_controller(controller, checkpoint: ControllerCheckpoint) -> None:
         for client_id, heard in state["last_heard"].items()
     }
     controller._pending_claims = dict(state["pending_claims"])
-    controller._departed_at = OrderedDict(
-        (client_id, int(t)) for client_id, t in state["departed_at"]
-    )
+    controller._departed_at.restore(state["departed_at"])
 
     # Timers, in the canonical order.
     for client_id in sorted(state["selection_deadlines"]):
@@ -362,7 +353,7 @@ def merge_client_state(controller, state: dict, serving_ap=None) -> bool:
     if not heard:
         del controller._last_heard[client_id]
     # A client handed back after departing elsewhere is live again.
-    controller._departed_at.pop(client_id, None)
+    controller._departed_at.forget(client_id)
     controller._clients[client_id] = client
     controller._publish_serving(client_id, client.serving_ap)
     deadline = state["selection_deadline_us"]

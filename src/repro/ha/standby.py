@@ -29,7 +29,7 @@ machinery runs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
@@ -72,38 +72,41 @@ class StandbyController(WgttController):
         self.on_promote = lambda: None
         self.stats["checkpoints_received"] = 0
         self.stats["promotions"] = 0
+        # The primary's checkpoints and heartbeats are consumed in
+        # either role; the rest of the warm feed only while inert.
+        self.handlers["ha-checkpoint"] = self._checkpoint_received
+        self.handlers["ctrl-heartbeat"] = self._primary_beat
+        #: The dispatch table before promotion (``handlers`` after).
+        self.warm_handlers: Dict[str, Callable[[str, Any], None]] = {
+            "ha-checkpoint": self._checkpoint_received,
+            "ctrl-heartbeat": self._primary_beat,
+            "sta-sync": lambda src, info: self.directory.admit(info),
+            "serving-update": self._warm_serving_update,
+        }
 
     # ------------------------------------------------------------------
     # warm feed (pre-promotion) vs full dispatch (post-promotion)
     # ------------------------------------------------------------------
 
     def _on_backhaul(self, src: str, kind: str, payload: object) -> None:
-        if not self.alive:
-            return
-        if kind == "ha-checkpoint":
-            self._checkpoint_received(payload)
-            return
-        if kind == "ctrl-heartbeat":
-            self._primary_beat()
-            return
         if self.promoted:
             super()._on_backhaul(src, kind, payload)
-            return
-        # Inert: only the passive warm feed is consumed.
-        if kind == "sta-sync":
-            self.directory.admit(payload)
-        elif kind == "serving-update":
-            client_id, ap_id, gen = payload
-            last = self._warm_serving_gen.get(client_id)
-            if last is not None and gen <= last:
-                # Duplicate or replayed mirror: the feed already holds
-                # a same-or-newer generation for this client.
-                self.stats["stale_warm_updates"] += 1
-                return
-            self._warm_serving_gen[client_id] = gen
-            self._warm_serving[client_id] = (self._sim.now, ap_id)
+        elif self.alive and kind in self.warm_handlers:
+            # Inert: only the passive warm feed is consumed.
+            self.warm_handlers[kind](src, payload)
 
-    def _checkpoint_received(self, payload: object) -> None:
+    def _warm_serving_update(self, src: str, payload: tuple) -> None:
+        client_id, ap_id, gen = payload
+        last = self._warm_serving_gen.get(client_id)
+        if last is not None and gen <= last:
+            # Duplicate or replayed mirror: the feed already holds
+            # a same-or-newer generation for this client.
+            self.stats["stale_warm_updates"] += 1
+            return
+        self._warm_serving_gen[client_id] = gen
+        self._warm_serving[client_id] = (self._sim.now, ap_id)
+
+    def _checkpoint_received(self, src: str, payload: object) -> None:
         data = payload if isinstance(payload, bytes) else bytes(payload)
         self.last_checkpoint = ControllerCheckpoint.from_bytes(data)
         self.stats["checkpoints_received"] += 1
@@ -112,7 +115,7 @@ class StandbyController(WgttController):
     # primary liveness
     # ------------------------------------------------------------------
 
-    def _primary_beat(self) -> None:
+    def _primary_beat(self, src: str, payload: object) -> None:
         self._primary_last_beat = self._sim.now
         if not self.promoted and not self._primary_watch_timer.armed:
             interval = self._config.controller_heartbeat_interval_us

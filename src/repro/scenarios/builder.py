@@ -251,6 +251,7 @@ class ScenarioBuilder:
         tb.wgtt_aps = {}
         tb.baseline_aps = {}
         tb.shard_manager = None
+        tb.region_shard = None
         register = tb.obs.metrics.register_collector
         if config.scheme != "wgtt":
             self._build_baseline(tb)
@@ -263,7 +264,7 @@ class ScenarioBuilder:
             from repro.shard.manager import Shard
 
             (region,) = self.regions
-            shard = Shard(tb, region)
+            shard = tb.region_shard = Shard(tb, region)
             tb.controller = shard.controller
             tb.standby = shard.standby
             tb.ha = shard.ha

@@ -49,7 +49,7 @@ if TYPE_CHECKING:
     from repro.ha.standby import StandbyController
     from repro.mobility.spatial import ApGridIndex
     from repro.scenarios.builder import RegionSpec
-    from repro.shard.manager import ShardManager
+    from repro.shard.manager import Shard, ShardManager
 
 #: Default AP x-positions: 7.5 m spacing as measured in §2.
 DEFAULT_AP_SPACING_M = 7.5
@@ -302,6 +302,8 @@ class Testbed:
     #: Sharded control plane (``sharding_enabled``); None keeps every
     #: helper on the legacy single-controller path.
     shard_manager: Optional["ShardManager"]
+    #: The classic deployment's one region (None when sharded or baseline).
+    region_shard: Optional["Shard"]
     clients: List[ClientNode]
     _next_client_index: int
     #: Retired ids live here until their deferred radio teardown
@@ -370,23 +372,20 @@ class Testbed:
             self.shard_manager.associate_instantly(client)
             return
         first_ap = self._nearest_ap(client)
-        if self.config.scheme == "wgtt":
+        shard = self.region_shard
+        if shard is not None:  # the wgtt scheme
             info = StaInfo(
                 client=client.client_id,
                 associated_at_us=self.sim.now,
                 first_ap=first_ap,
             )
-            for ap in self.wgtt_aps.values():
-                if ap.alive:
-                    ap.directory.admit(info)
+            shard.admit(info)
             active = self.active_controller()
             if active is not None and active.alive:
                 active.register_association(info)
             # else: controller down mid-arrival — the AP directories
             # admitted above replay the association (sta-sync +
             # serving-claim) during the ctrl-hello resync on restart.
-            if self.standby is not None:
-                self.standby.directory.admit(info)
             self.wgtt_aps[first_ap].start_serving(client.client_id)
         else:
             agent = client.agent

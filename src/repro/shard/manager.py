@@ -145,11 +145,24 @@ class Shard:
                     _k, _c, client_id
                 )
             )
-            ctrl.on_unhandled = (
-                lambda src, kind, payload, _k=region.shard, _c=ctrl: (
-                    manager._on_controller_unhandled(_k, _c, src, kind, payload)
+            ctrl.handlers[HANDOFF_KIND] = (
+                lambda src, msg, _k=region.shard, _c=ctrl: (
+                    manager._handle_handoff(_k, _c, src, msg)
                 )
             )
+            ctrl.handlers[HANDOFF_ACK_KIND] = (
+                lambda src, ack: manager._handle_ack(ack)
+            )
+
+    def admit(self, info: StaInfo) -> None:
+        """Instant association's stand-in for the sta-sync broadcast:
+        install ``info`` on every live AP of the region and on its
+        standby (a crashed AP gets the replay when it says ap-hello)."""
+        for ap in self.aps.values():
+            if ap.alive:
+                ap.directory.admit(info)
+        if self.standby is not None:
+            self.standby.directory.admit(info)
 
     def controllers(self) -> List[WgttController]:
         """Primary first, then the standby when HA is on."""
@@ -335,12 +348,8 @@ class ShardManager:
             associated_at_us=self._sim.now,
             first_ap=target,
         )
-        for ap in shard.aps.values():
-            if ap.alive:
-                ap.directory.admit(info)
+        shard.admit(info)
         ctrl.register_association(info)
-        if shard.standby is not None:
-            shard.standby.directory.admit(info)
         shard.aps[target].start_serving(client_id)
 
     # ------------------------------------------------------------------
@@ -476,21 +485,8 @@ class ShardManager:
         self._send_handoff(pending)
 
     # ------------------------------------------------------------------
-    # receiving side (via controller.on_unhandled)
+    # receiving side (the two kinds added to controller.handlers)
     # ------------------------------------------------------------------
-
-    def _on_controller_unhandled(
-        self,
-        shard_idx: int,
-        controller: WgttController,
-        src: str,
-        kind: str,
-        payload: object,
-    ) -> None:
-        if kind == HANDOFF_KIND:
-            self._handle_handoff(shard_idx, controller, src, payload)
-        elif kind == HANDOFF_ACK_KIND:
-            self._handle_ack(payload)
 
     def _record_completed(self, handoff_id: int, shard_idx: int) -> None:
         self._completed[handoff_id] = shard_idx
@@ -544,14 +540,12 @@ class ShardManager:
             associated_at_us=self._sim.now,
             first_ap=target,
         )
-        for ap in shard.aps.values():
-            if ap.alive:
-                ap.directory.admit(info)
+        # Merge first: the transferred sta record (the original
+        # association time) wins over ``info`` where both would land.
         merged = merge_client_state(controller, state, serving_ap=target)
+        shard.admit(info)
         if merged:
             shard.aps[target].start_serving(client_id)
-            if shard.standby is not None:
-                shard.standby.directory.admit(info)
             self.stats["handoffs_completed"] += 1
             tracer = self._sim.obs.trace
             if tracer.active:

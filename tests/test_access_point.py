@@ -2,7 +2,10 @@
 using a minimal hand-built testbed (one AP, one parked client)."""
 
 
-from repro.core.switching import StartMsg, StopMsg
+import pytest
+
+from repro.core.access_point import WgttAccessPoint
+from repro.core.switching import FailoverMsg, StartMsg, StopMsg
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.net.packet import Packet
 from repro.sim.engine import MS, SECOND
@@ -34,7 +37,7 @@ class TestStopStart:
         backlog_head = ap0.device.session("client0").queue.peek()
         assert backlog_head is not None
         expected_k = backlog_head.meta["wgtt_index"]
-        ap0._handle_stop(StopMsg(client="client0", target_ap="ap1", switch_id=1))
+        ap0._handle_stop("controller", StopMsg(client="client0", target_ap="ap1", switch_id=1))
         testbed.run_seconds(0.1)  # let the ioctl delay elapse
         message = captured["msg"]
         assert isinstance(message, StartMsg)
@@ -50,7 +53,7 @@ class TestStopStart:
             lambda src, kind, p: captured.setdefault(kind, p)
         )
         head = ap0.cyclic_queue("client0").head
-        ap0._handle_stop(StopMsg(client="client0", target_ap="ap1", switch_id=2))
+        ap0._handle_stop("controller", StopMsg(client="client0", target_ap="ap1", switch_id=2))
         testbed.run_seconds(0.1)
         assert captured["start"].index == head
 
@@ -72,7 +75,7 @@ class TestStopStart:
                 i, Packet("server", "client0", 1000, seq=i)
             )
         ap1._handle_start(
-            StartMsg(client="client0", index=45, switch_id=9, from_ap="ap0")
+            "ap0", StartMsg(client="client0", index=45, switch_id=9, from_ap="ap0")
         )
         testbed.run_seconds(0.1)
         assert len(acks) == 1 and acks[0].switch_id == 9
@@ -88,7 +91,7 @@ class TestStopStart:
         source, _ = testbed.add_downlink_udp_flow(0, rate_bps=50e6)
         source.start()
         testbed.run_seconds(0.3)
-        ap0._handle_stop(StopMsg(client="client0", target_ap="ap1", switch_id=1))
+        ap0._handle_stop("controller", StopMsg(client="client0", target_ap="ap1", switch_id=1))
         session = ap0.device.session("client0")
         assert session.mode == "drain"
         drain = testbed.config.wgtt.nic_drain_us
@@ -97,12 +100,84 @@ class TestStopStart:
         assert session.scoreboard.in_flight() == 0
 
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("start", StartMsg(client="client0", index=0, switch_id=7, from_ap="ap0")),
+            ("failover", FailoverMsg(client="client0", dead_ap="ap0", switch_id=7)),
+        ],
+    )
+    def test_departure_inside_processing_window_never_adopts(self, kind, message):
+        """start and failover share one deferred ack-then-adopt; a
+        client-departed landing inside its 3 ms window must cancel it
+        (the failover path used to adopt the forgotten rider for good)."""
+        testbed = make()
+        ap1 = testbed.wgtt_aps["ap1"]
+        ap1._on_backhaul("controller", kind, message)
+        testbed.run_seconds(0.001)
+        ap1._on_backhaul("controller", "client-departed", "client0")
+        testbed.run_seconds(0.05)
+        assert "client0" not in ap1._serving
+        assert ap1.device.session("client0").mode == "off"
+        assert ap1.stats["serving_after_departure"] == 1
+
+
+#: One payload per guarded kind, carrying switch id / epoch ``tag``.
+GUARDED_PAYLOADS = {
+    "data": lambda tag: ("client0", 7, Packet("server", "client0", 1000)),
+    "stop": lambda tag: StopMsg(client="client0", target_ap="ap1", switch_id=tag),
+    "start": lambda tag: StartMsg(
+        client="client0", index=0, switch_id=tag, from_ap="ap0"
+    ),
+    "failover": lambda tag: FailoverMsg(
+        client="client0", dead_ap="ap0", switch_id=tag
+    ),
+    "ctrl-takeover": lambda tag: tag,
+    "ctrl-hello": lambda tag: tag,
+}
+
+
+class TestDispatchGuards:
+    """The guards run at the one dispatch, straight from the table."""
+
+    def test_every_guarded_kind_has_a_payload_here(self):
+        guarded = {k for k, row in WgttAccessPoint.KINDS.items() if any(row[1:])}
+        assert guarded == set(GUARDED_PAYLOADS)
+
+    @pytest.mark.parametrize("kind", sorted(GUARDED_PAYLOADS))
+    def test_tripped_guard_bumps_its_counter_and_runs_no_handler(self, kind):
+        row = WgttAccessPoint.KINDS[kind]
+        trips = {
+            1: lambda ap: ap._departed.depart("client0", 0),
+            2: lambda ap: ap._switch_handled.update(client0=9),
+            3: lambda ap: setattr(ap, "_ctrl_epoch", 9),
+        }
+        for column, trip in [(None, None), *trips.items()]:
+            counter = row[column] if column is not None else None
+            if column is not None and counter is None:
+                continue
+            ap = make().wgtt_aps["ap1"]
+            calls = []
+            ap.KINDS = {kind: (lambda *args: calls.append(args), *row[1:])}
+            if trip is not None:
+                trip(ap)
+            before = dict(ap.stats)
+            payload = GUARDED_PAYLOADS[kind](5)  # older than 9
+            ap._on_backhaul("controller", kind, payload)
+            moved = {k: v - before[k] for k, v in ap.stats.items() if v != before[k]}
+            if counter is None:
+                assert calls == [(ap, "controller", payload)] and moved == {}
+            else:
+                assert calls == [] and moved == {counter: 1}
+
+
 class TestCsiPath:
     def test_csi_report_reaches_controller_with_esnr(self):
         testbed = make()
         reports = []
-        original = testbed.controller._handle_csi
-        testbed.controller._handle_csi = lambda r: (reports.append(r), original(r))
+        handlers = testbed.controller.handlers
+        original = handlers["csi"]
+        handlers["csi"] = lambda src, r: (reports.append(r), original(src, r))
         source, _ = testbed.add_uplink_udp_flow(0, rate_bps=2e6)
         source.start()
         testbed.run_seconds(1.0)

@@ -42,7 +42,7 @@ def feed(controller, sim, ap_id, esnr_db, count=6, spacing_us=1500):
             subcarrier_snr_db=np.full(56, esnr_db),
             rssi_dbm=-60.0,
         )
-        controller._handle_csi(report)
+        controller._handle_csi(ap_id, report)
 
 
 class TestSwitchGating:
@@ -97,7 +97,7 @@ class TestSwitchGating:
             subcarrier_snr_db=np.full(56, 20.0),
             rssi_dbm=-50.0,
         )
-        controller._handle_csi(report)  # must not raise
+        controller._handle_csi("ap0", report)  # must not raise
 
 
 class TestDownlinkGating:

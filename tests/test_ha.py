@@ -51,13 +51,14 @@ def feed(controller, sim, ap_id, esnr_db, client_id="client0", count=6):
     base = sim.now
     for i in range(count):
         controller._handle_csi(
+            ap_id,
             CsiReport(
                 time_us=base + i * 1500,
                 ap_id=ap_id,
                 client_id=client_id,
                 subcarrier_snr_db=np.full(56, esnr_db),
                 rssi_dbm=-60.0,
-            )
+            ),
         )
 
 
@@ -88,9 +89,10 @@ def enrich(sim, controller, rng: np.random.Generator):
     # Uplink datagrams populate the dedup window.
     for i in range(int(rng.integers(3, 12))):
         controller._handle_uplink(
+            "ap0",
             Packet(
                 "client0", "server", 200, protocol="udp", ip_id=int(i)
-            )
+            ),
         )
     # Downlink packets advance index cursors.
     for i in range(int(rng.integers(1, 6))):

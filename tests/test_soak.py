@@ -191,10 +191,9 @@ class TestClientChurn:
     def test_departed_guard_bounded(self):
         tb = _wgtt_testbed()
         ap = next(iter(tb.wgtt_aps.values()))
-        for i in range(ap._departed_cap + 50):
-            ap._client_departed(f"ghost{i}")
-        assert len(ap._departed) == ap._departed_cap
-        assert len(ap._departed_order) == ap._departed_cap
+        for i in range(ap._departed.cap + 50):
+            ap._client_departed("controller", f"ghost{i}")
+        assert len(ap._departed) == ap._departed.cap
 
 
 # ----------------------------------------------------------------------
