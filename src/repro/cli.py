@@ -214,16 +214,18 @@ def cmd_experiment(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     data = result.data
+    rows = result.rows()
     if args.json:
         print(json.dumps(data, default=_json_default, indent=2))
-        return 0
-    rows = result.rows()
-    if rows is not None:
+    elif rows is not None:
         columns = list(rows[0].keys()) if rows else []
         print(format_table(rows, columns))
     else:
         print(json.dumps(_summarize(data), default=_json_default, indent=2))
-    return 0
+    # A gate (``--smoke``, or a driver that judges itself) says so in
+    # its result; anything else has no verdict and exits 0.
+    failed = isinstance(data, dict) and data.get("ok") is False
+    return 1 if failed else 0
 
 
 def _summarize(value, depth=0):

@@ -313,9 +313,6 @@ class WgttController:
     def ap_ids(self) -> Set[str]:
         return set(self._ap_ids)
 
-    def live_aps(self) -> Set[str]:
-        return self._ap_ids - self._dead_aps
-
     def dead_aps(self) -> Set[str]:
         return set(self._dead_aps)
 
@@ -948,9 +945,6 @@ class WgttController:
             return
         self._ctrl_heartbeat_timer.start(interval)
 
-    def stop_ctrl_heartbeats(self) -> None:
-        self._ctrl_heartbeat_timer.stop()
-
     def _ctrl_heartbeat_tick(self) -> None:
         if not self.alive:
             return
@@ -973,11 +967,6 @@ class WgttController:
 
     def switch_durations_ms(self) -> List[float]:
         return [d / 1000.0 for d in self.coordinator.completed_durations_us()]
-
-    def switch_rate_per_second(self, duration_us: int) -> float:
-        if duration_us <= 0:
-            return 0.0
-        return len(self.coordinator.history) / (duration_us / 1e6)
 
     def failover_records(self) -> List[SwitchRecord]:
         """Completed emergency failovers, in completion order."""

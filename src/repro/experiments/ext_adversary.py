@@ -28,10 +28,8 @@ determinism check; the full sweep fuzzes ``>= 20`` schedules.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import sys
 from typing import Dict, List, Optional
 
 from repro.core.config import WgttConfig
@@ -221,26 +219,3 @@ def run_smoke(seed: int = 3, duration_s: float = 5.0) -> Dict:
         "rows": outcomes,
     }
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ext_adversary",
-        description="message-level adversary fuzz gate with runtime invariants",
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI subset + determinism check; exit 1 on breach")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.smoke:
-        result = run_smoke(seed=args.seed)
-        print(json.dumps(result, indent=2, default=str))
-        return 0 if result["ok"] else 1
-    result = run(quick=not args.full, jobs=args.jobs)
-    print(json.dumps(result, indent=2, default=str))
-    return 0 if result["ok"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

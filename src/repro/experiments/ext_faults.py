@@ -16,16 +16,13 @@ reports
   ``failover_deadline_us`` (default 100 ms) plus clients never
   recovered.
 
-``main()`` also exposes a ``--smoke`` mode for CI: one mid-drive crash
-of the serving AP, asserting recovery within the deadline and TCP
-forward progress afterwards (nonzero exit on violation).
+``run_smoke()`` is the CI gate (``repro experiment ext_faults
+--smoke``): one mid-drive crash of the serving AP, asserting recovery
+within the deadline and TCP forward progress afterwards.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from typing import Dict, List, Optional
 
 from repro.experiments.common import mean, seeds_for
@@ -216,25 +213,3 @@ def run_smoke(seed: int = 3) -> Dict:
         "summary": summary,
     }
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ext_faults", description="chaos sweep / failover smoke"
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="one mid-drive crash; exit 1 on violation")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.smoke:
-        result = run_smoke(seed=args.seed)
-        print(json.dumps(result, indent=2, default=str))
-        return 0 if result["ok"] else 1
-    result = run(quick=not args.full, jobs=args.jobs)
-    print(json.dumps(result, indent=2, default=str))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

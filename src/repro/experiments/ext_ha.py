@@ -17,17 +17,14 @@ in the sweep, and each cell reports
   cyclic-queue ``overflow_drops`` (must stay zero — the backlog the
   standby's takeover resumes from is intact).
 
-``main()`` exposes ``--smoke`` for CI: one controller kill at t = 2 s,
-asserting promotion, full client recovery within 250 ms of the kill,
-zero cyclic-queue overflow loss, post-failover delivery progress, and
-accounted duplicates (nonzero exit on violation).
+``run_smoke()`` is the CI gate (``repro experiment ext_ha --smoke``):
+one controller kill at t = 2 s, asserting promotion, full client
+recovery within 250 ms of the kill, zero cyclic-queue overflow loss,
+post-failover delivery progress, and accounted duplicates.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from typing import Dict, List, Optional
 
 from repro.core.config import WgttConfig
@@ -202,26 +199,3 @@ def run_smoke(seed: int = 3) -> Dict:
         "failover_summary": failover_summary,
     }
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ext_ha",
-        description="controller-kill sweep under warm-standby HA",
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="one controller kill; exit 1 on violation")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.smoke:
-        result = run_smoke(seed=args.seed)
-        print(json.dumps(result, indent=2, default=str))
-        return 0 if result["ok"] else 1
-    result = run(quick=not args.full, jobs=args.jobs)
-    print(json.dumps(result, indent=2, default=str))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -27,10 +27,8 @@ and ``--smoke`` fails unless that cost stays flat.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.registry import register_experiment
@@ -291,26 +289,3 @@ def run_smoke(seed: int = 3, duration_s: float = 8.0) -> Dict:
         "rows": outcomes,
     }
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ext_shard",
-        description="sharded control plane gate",
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI subset + determinism check; exit 1 on breach")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.smoke:
-        result = run_smoke(seed=args.seed)
-        print(json.dumps(result, indent=2, default=str))
-        return 0 if result["ok"] else 1
-    result = run(quick=not args.full, jobs=args.jobs)
-    print(json.dumps(result, indent=2, default=str))
-    return 0 if result["ok"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -16,16 +16,14 @@ them.  This experiment drives :mod:`repro.soak` at two scales:
   fingerprints, zero SLO/invariant violations in both runs, and that
   churn actually happened (arrivals and departures both nonzero).
 
-``main()`` exposes ``--smoke`` (nonzero exit on any violation or
-fingerprint divergence) and ``--full`` for the sim-hour endurance run.
+Both run through ``repro experiment ext_soak [--smoke] [--full]``
+(nonzero exit on any violation or fingerprint divergence; ``--full`` is
+the sim-hour endurance run).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.experiments.registry import register_experiment
 from repro.soak.harness import SoakConfig, SoakResult, run_soak
@@ -133,31 +131,3 @@ def run_smoke(seed: int = 3) -> Dict:
         "summary": first.summary(),
     }
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ext_soak", description="SLO-guarded endurance soak"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="double smoke soak; exit 1 on violation or drift",
-    )
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="one sim-hour endurance run (>=1000 arrivals)",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        result = run_smoke(seed=args.seed)
-        print(json.dumps(result, indent=2, default=str))
-        return 0 if result["ok"] else 1
-    result = run(quick=not args.full)
-    print(json.dumps(result, indent=2, default=str))
-    return 0 if result["ok"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

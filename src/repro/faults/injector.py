@@ -16,7 +16,7 @@ so unit rigs don't need a full :class:`~repro.scenarios.testbed.Testbed`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.faults.plan import (
     ApCrash,
@@ -311,7 +311,3 @@ class FaultInjector:
     def trace_lines(self) -> List[str]:
         """Canonical one-line-per-event rendering (for byte comparison)."""
         return [f"{t} {a} {s}" for (t, a, s) in self.events]
-
-    def first_crash_us(self) -> Optional[int]:
-        crashes = self.crash_times()
-        return crashes[0][0] if crashes else None

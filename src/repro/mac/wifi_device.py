@@ -265,10 +265,6 @@ class WifiDevice(MacEntity):
         if mode != "off":
             self._kick()
 
-    def flush_session(self, peer: str) -> int:
-        """Drop everything queued for ``peer`` (not yet on the air)."""
-        return self.session(peer).queue.flush()
-
     def reset_tx_state(self, peer: str, seq: int) -> None:
         """Adopt transmission duty mid-stream: continue the shared
         per-client sequence space from ``seq`` with a clean slate."""

@@ -49,13 +49,3 @@ class SwitchingAccuracyMeter:
             return 0.0
         hits = sum(1 for _, serving, best in self.samples if serving == best)
         return hits / len(self.samples)
-
-    def accuracy_over(self, start_us: int, end_us: int) -> float:
-        window = [
-            (serving, best)
-            for t, serving, best in self.samples
-            if start_us <= t < end_us
-        ]
-        if not window:
-            return 0.0
-        return sum(1 for s, b in window if s == b) / len(window)

@@ -51,7 +51,7 @@ RELIABLE_KINDS: FrozenSet[str] = frozenset(
 #: are tagged ``detail`` so a default (non-detail) traced drive keeps
 #: only the protocol-level control handshakes.
 _DETAIL_KINDS: FrozenSet[str] = frozenset(
-    {"data", "csi", "uplink", "ba-fwd", "heartbeat", "ctrl-heartbeat", "keepalive"}
+    {"data", "csi", "uplink", "ba-fwd", "heartbeat", "ctrl-heartbeat"}
 )
 
 
@@ -223,9 +223,6 @@ class EthernetBackhaul:
         if node_id in self._handlers:
             raise ValueError(f"{node_id!r} already attached to backhaul")
         self._handlers[node_id] = handler
-
-    def is_attached(self, node_id: str) -> bool:
-        return node_id in self._handlers
 
     # ------------------------------------------------------------------
     # fault injection (crash / partition / jitter)

@@ -96,9 +96,6 @@ class MetricsStream:
         self._handle.flush()
         self.lines_written += 1
 
-    def write_snapshot(self, t_us: int, registry: "MetricsRegistry") -> None:
-        self.write(t_us, "sample", {"metrics": registry.snapshot()})
-
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()

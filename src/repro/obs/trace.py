@@ -133,10 +133,6 @@ class Tracer:
     def now(self) -> int:
         return self._clock() if self._clock is not None else 0
 
-    def set_recording(self, recording: bool) -> None:
-        self._recording = recording
-        self.active = self._recording or bool(self._sinks)
-
     def subscribe(
         self,
         sink: Callable[[TraceEvent], None],

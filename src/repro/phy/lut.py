@@ -155,10 +155,6 @@ class ModulationLut:
     # forward: SNR -> BER
     # ------------------------------------------------------------------
 
-    def ber_of_db(self, snr_db) -> np.ndarray:
-        """Uncoded linear BER for an array of SNRs in dB (any shape)."""
-        return self.ber_of_db_batch(np.asarray(snr_db, dtype=float))
-
     def ber_of_db_scalar(self, snr_db: float) -> float:
         """Uncoded BER at one SNR point (dB) — uniform-grid fast path.
 
@@ -283,11 +279,6 @@ def effective_snr_db_lut(subcarrier_snr_db, modulation: str) -> float:
     ber = lut.ber_of_db_batch(subcarrier_snr_db)
     mean = float(np.add.reduce(ber)) / ber.shape[0]
     return lut.snr_db_for_ber(mean)
-
-
-def effective_snr_linear_lut(subcarrier_snr_db, modulation: str) -> float:
-    """LUT-based effective SNR as a linear power ratio."""
-    return 10.0 ** (effective_snr_db_lut(subcarrier_snr_db, modulation) / 10.0)
 
 
 def mean_ber_lut(

@@ -69,10 +69,6 @@ class RegionSpec:
             f"ap{self.first_ap_index + i}" for i in range(len(self.ap_xs))
         )
 
-    def span_m(self) -> Tuple[float, float]:
-        """x-extent of this region's AP bank."""
-        return (self.ap_xs[0], self.ap_xs[-1])
-
 
 class ScenarioBuilder:
     """Composable construction of a :class:`Testbed`.

@@ -254,9 +254,6 @@ class ClientNode:
             peer = self.testbed.config.wgtt.bssid
         self.device.enqueue(packet, peer)
 
-    def position_x(self) -> float:
-        return self.track.position_at(self.testbed.sim.now).x
-
 
 class Testbed:
     """A fully wired simulation instance.
@@ -450,14 +447,6 @@ class Testbed:
     def restart_ap(self, ap_id: str) -> None:
         """Immediately restart a crashed AP."""
         self.wgtt_aps[ap_id].restart()
-
-    def crash_controller(self) -> None:
-        """Immediately crash the (primary) controller."""
-        self.controller.crash()
-
-    def restart_controller(self) -> None:
-        """Immediately restart a crashed controller."""
-        self.controller.restart()
 
     def active_controller(self) -> Optional[WgttController]:
         """The controller currently owning the control plane."""

@@ -88,9 +88,6 @@ class ChurnDriver:
                 lambda s=session: self._arrive(s),
             )
 
-    def active_count(self) -> int:
-        return len(self._active)
-
     # ------------------------------------------------------------------
     # arrival
     # ------------------------------------------------------------------

@@ -118,11 +118,6 @@ class WorkloadPlan:
     def __iter__(self):
         return iter(self.sessions)
 
-    def total_offered_bytes(self) -> int:
-        return sum(
-            flow.size_bytes for s in self.sessions for flow in s.flows
-        )
-
     @classmethod
     def generate(
         cls,

@@ -92,9 +92,6 @@ class TcpSender:
         self._supplied_segments += num_segments
         self._try_send()
 
-    def acked_segments(self) -> int:
-        return self.snd_una
-
     def acked_bytes(self) -> int:
         return self.snd_una * MSS
 

@@ -62,10 +62,19 @@ class TestExtFaultsDriver:
             for latency in result["failover_ms"]
         )
 
-    def test_smoke_cli_exit_code(self):
+    def test_smoke_cli_exit_code(self, capsys, monkeypatch):
+        from repro import cli
         from repro.experiments import ext_faults
 
-        assert ext_faults.main(["--smoke", "--seed", "3"]) == 0
+        argv = ["experiment", "ext_faults", "--smoke", "--seed", "3"]
+        assert cli.main(argv) == 0
+        assert '"ok": true' in capsys.readouterr().out
+        # The gate's verdict is the exit code: a driver result that
+        # says ok: False exits 1.
+        monkeypatch.setattr(
+            ext_faults, "run_smoke", lambda seed=3: {"ok": False, "seed": seed}
+        )
+        assert cli.main(argv) == 1
 
 
 class TestFig10Driver:
