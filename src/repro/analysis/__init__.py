@@ -4,7 +4,8 @@ An AST-based lint engine (stdlib only) whose passes encode this
 reproduction's *actual* invariants instead of generic style:
 
 * :mod:`~repro.analysis.passes.determinism` — seed discipline, wall-
-  clock bans, sorted iteration on export paths (DET001–DET005);
+  clock bans, sorted iteration on export paths, no salted ``hash()``
+  (DET001–DET006);
 * :mod:`~repro.analysis.passes.flags` — feature-flag defaults vs the
   committed ``analysis/flags.toml`` manifest (CFG001–CFG003);
 * :mod:`~repro.analysis.passes.tracekinds` — trace emit sites vs the

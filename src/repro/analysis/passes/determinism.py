@@ -27,6 +27,8 @@ DET004    the same literal stream label used at two different call
 DET005    iteration over a ``set`` in an export-path or trace-emitting
           function, or over ``dict.values()/.keys()`` in an
           export-path function, without ``sorted(...)``
+DET006    a call to builtin ``hash()``: str/bytes hashes are salted
+          per process, so a value derived from one differs run to run
 ========  ============================================================
 """
 
@@ -124,6 +126,7 @@ class DeterminismPass(AnalysisPass):
         "DET003": "non-literal RngRegistry stream/spawn label",
         "DET004": "duplicate literal rng stream label across call sites",
         "DET005": "unsorted set/dict-view iteration on an export path",
+        "DET006": "builtin hash() call (salted per process)",
     }
 
     def run(self, project: Project) -> List[Finding]:
@@ -166,6 +169,28 @@ class DeterminismPass(AnalysisPass):
                     for banned in _BANNED_CALLS
                 ):
                     findings.append(self._det001(file, node, name + "()"))
+                elif name == "hash":
+                    findings.append(
+                        Finding(
+                            path=file.display_path,
+                            line=node.lineno,
+                            col=node.col_offset,
+                            rule="DET006",
+                            severity=Severity.ERROR,
+                            message=(
+                                "builtin hash() call: str and bytes hashes "
+                                "are salted per process (PYTHONHASHSEED), so "
+                                "anything derived from one breaks same-seed "
+                                "byte identity across processes"
+                            ),
+                            hint=(
+                                "use a stable digest (zlib.crc32, hashlib); "
+                                "repro.net.packet.src_bits is the one for "
+                                "node ids"
+                            ),
+                            end_line=end_line(node),
+                        )
+                    )
                 elif _NP_RANDOM_CALL.match(name) and not in_rng_module:
                     findings.append(
                         Finding(

@@ -96,8 +96,7 @@ class PacketDeduplicator:
         A dedup key is ``(src_bits << 16) | ip_id``, so this is the
         per-client slice of the window — what an inter-shard handoff
         ships so the receiving shard recognises copies of datagrams the
-        sending shard already forwarded upstream.  In-process only:
-        ``src_bits`` derives from the per-process ``hash()``.
+        sending shard already forwarded upstream.
         """
         return [key for key in self._seen if key >> 16 == src_bits]
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.assoc_sync import AssociationDirectory, StaInfo
+from repro.net.packet import src_bits
 
 #: Bump when the checkpoint layout changes; restore refuses mismatches.
 #: v2: added "departed_at" (the departed-client replay guard — without
@@ -261,7 +262,6 @@ def extract_client_state(controller, client_id: str) -> dict:
     selection_timer = controller._selection_timers.get(client_id)
     retry_timer = controller._retry_timers.get(client_id)
     heard = controller._last_heard.get(client_id, {})
-    src_bits = hash(client_id) & 0xFFFFFFFF
     return {
         "version": CLIENT_STATE_VERSION,
         "client": client_id,
@@ -275,7 +275,7 @@ def extract_client_state(controller, client_id: str) -> dict:
                 client_id
             ).items()
         },
-        "dedup_keys": controller.dedup.keys_for_src(src_bits),
+        "dedup_keys": controller.dedup.keys_for_src(src_bits(client_id)),
         "index_cursor": controller._index_alloc.peek(client_id),
         "last_heard": {
             ap_id: [int(t), float(v)] for ap_id, (t, v) in heard.items()

@@ -10,6 +10,8 @@ same packet the other AP already has?") are cheap and exact.
 from __future__ import annotations
 
 import itertools
+import zlib
+from functools import lru_cache
 from typing import Optional
 
 #: Bytes of IP header assumed on every datagram.
@@ -20,6 +22,18 @@ UDP_HEADER_BYTES = 8
 TCP_HEADER_BYTES = 20
 
 _packet_counter = itertools.count(1)
+
+
+@lru_cache(maxsize=4096)
+def src_bits(node_id: str) -> int:
+    """The 32 bits standing in for a node's IPv4 source address.
+
+    A CRC of the id, not builtin ``hash()``: that one is salted per
+    process, and these bits are serialised (checkpoints, inter-shard
+    handoff slices), so "same seed, same bytes" would hold only under a
+    pinned ``PYTHONHASHSEED``.  Memoised: it runs once per uplink copy.
+    """
+    return zlib.crc32(node_id.encode("utf-8"))
 
 
 class Packet:
@@ -90,11 +104,10 @@ class Packet:
     def dedup_key(self) -> int:
         """48-bit key from source address and IP-ID (paper §3.2.2).
 
-        The source id is hashed into 32 bits standing in for the IPv4
-        source address, and combined with the 16-bit IP identification.
+        :func:`src_bits` of the source id stands in for the IPv4 source
+        address and is combined with the 16-bit IP identification.
         """
-        src_bits = hash(self.src) & 0xFFFFFFFF
-        return (src_bits << 16) | self.ip_id
+        return (src_bits(self.src) << 16) | self.ip_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -58,7 +58,7 @@ def rules_of(findings):
 
 
 # ----------------------------------------------------------------------
-# DET001..DET005 — determinism lint
+# DET001..DET006 — determinism lint
 # ----------------------------------------------------------------------
 
 
@@ -145,6 +145,22 @@ class TestDeterminismRules:
             [DeterminismPass()],
         )
         assert rules_of(findings) == ["DET004"]
+
+    def test_det006_builtin_hash(self, tmp_path):
+        findings = run_fixture(
+            tmp_path,
+            "import zlib\n"
+            "def key(src, table):\n"
+            "    a = hash(src) & 0xFFFFFFFF\n"
+            "    b = zlib.crc32(src.encode())  # a stable digest is fine\n"
+            "    c = table.hash(src)  # so is somebody's method\n"
+            "    d = hash((1, 2))"
+            "  # noqa-repro: DET006 — ints only, unsalted\n"
+            "    return a, b, c, d\n",
+            [DeterminismPass()],
+        )
+        assert rules_of(findings) == ["DET006"]
+        assert findings[0].line == 3
 
     def test_det005_unsorted_values_in_export(self, tmp_path):
         findings = run_fixture(

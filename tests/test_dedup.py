@@ -1,8 +1,15 @@
 """Tests for uplink de-duplication and the BA-forwarding seen-cache."""
 
+import json
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
 from repro.core.ba_forwarding import BaSeenCache, ForwardedBa
 from repro.core.dedup import PacketDeduplicator
-from repro.net.packet import Packet
+from repro.net.packet import Packet, src_bits
 
 
 def pkt(src="client0", ip_id=0, protocol="udp"):
@@ -200,3 +207,46 @@ class TestBaSeenCache:
         cache.check_and_record(self.ba(start=0), now_us=0)
         cache.check_and_record(self.ba(start=64), now_us=0)
         assert len(cache) == 2
+
+
+class TestDedupKeyAcrossProcesses:
+    """"Same seed, same bytes" must not depend on PYTHONHASHSEED: the
+    key's source bits ride checkpoints and inter-shard handoff slices."""
+
+    SCENARIO = """
+import json
+from repro.scenarios.presets import shard_corridor_config
+from repro.scenarios.testbed import Testbed
+
+tb = Testbed(shard_corridor_config(
+    num_shards=2, num_aps=8, seed=3,
+    client_speeds_mph=[35.0], client_start_x_m=30.0,
+))
+source, sink = tb.add_uplink_udp_flow(0, rate_bps=2e6)
+source.start()
+tb.run_seconds(1.5)
+snapshot = tb.obs.metrics.snapshot()
+print(json.dumps({
+    "handoffs": snapshot["shard_handoffs_completed"],
+    "shard_handoff_bytes": snapshot["shard_handoff_bytes"],
+    "backhaul_bytes": snapshot["backhaul_bytes"],
+    "series": sink.throughput_series_mbps(tb.sim.now),
+}))
+"""
+
+    def test_src_bits_is_a_crc_of_the_id(self):
+        assert src_bits("client0") == zlib.crc32(b"client0")
+        assert pkt(ip_id=7).dedup_key() == (zlib.crc32(b"client0") << 16) | 7
+
+    def test_handoff_bytes_equal_under_two_hash_seeds(self):
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("3", "4"):
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCENARIO],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src_dir},
+                check=True, capture_output=True, text=True, timeout=120,
+            )
+            outputs.append(json.loads(done.stdout))
+        assert outputs[0]["handoffs"] >= 1  # a slice with uplink keys was shipped
+        assert outputs[0] == outputs[1]
