@@ -178,15 +178,13 @@ class DeterminismPass(AnalysisPass):
                             rule="DET006",
                             severity=Severity.ERROR,
                             message=(
-                                "builtin hash() call: str and bytes hashes "
-                                "are salted per process (PYTHONHASHSEED), so "
-                                "anything derived from one breaks same-seed "
-                                "byte identity across processes"
+                                "builtin hash() call: str/bytes hashes are "
+                                "salted per process, so a value derived from "
+                                "one differs between runs of the same seed"
                             ),
                             hint=(
-                                "use a stable digest (zlib.crc32, hashlib); "
-                                "repro.net.packet.src_bits is the one for "
-                                "node ids"
+                                "use a stable digest (zlib.crc32, hashlib; "
+                                "repro.net.packet.src_bits for node ids)"
                             ),
                             end_line=end_line(node),
                         )

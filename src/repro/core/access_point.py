@@ -566,10 +566,10 @@ class WgttAccessPoint:
         ignored."""
         if not self.alive:
             return  # backhaul already drops these; defense in depth
-        row = self.KINDS.get(kind)
-        if row is None:
+        try:
+            handler, departed, stale_switch, stale_epoch = self.KINDS[kind]
+        except KeyError:
             return
-        handler, departed, stale_switch, stale_epoch = row
         if departed is not None:
             # A fan-out is a bare (client, index, packet) tuple; the
             # handshake kinds carry a message dataclass.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Any, Dict, List, Set
 
 #: Wire size of one replicated sta_info record.
 STA_SYNC_WIRE_BYTES = 256
@@ -55,57 +55,47 @@ class AssociationDirectory:
         return set(self._records)
 
 
-class DepartedMemory:
-    """Bounded FIFO of recently departed clients -> departure time.
+class DepartedMemory(OrderedDict[str, int]):
+    """Recently departed clients -> departure time, oldest first, bounded.
 
     "client-departed" rides the prioritized control path and can
     overtake messages already queued for the client; whoever tears a
     client down remembers it here so those stragglers are dropped
     instead of recreating its state.  The time tells a replayed
-    pre-departure sta-sync from a genuine re-admission.
+    pre-departure sta-sync from a genuine re-admission.  (A dict
+    subclass so the per-fan-out ``in`` stays a C-level lookup.)
     """
 
     def __init__(self, cap: int = 4096):
+        super().__init__()
         self.cap = cap
-        self._at: "OrderedDict[str, int]" = OrderedDict()
-
-    def __contains__(self, client_id: str) -> bool:
-        return client_id in self._at
-
-    def __len__(self) -> int:
-        return len(self._at)
 
     def depart(self, client_id: str, now_us: int) -> None:
         """Remember a departure (a re-departure keeps its FIFO place)."""
-        self._at[client_id] = now_us
-        if len(self._at) > self.cap:
-            self._at.popitem(last=False)
-
-    def forget(self, client_id: str) -> None:
-        self._at.pop(client_id, None)
-
-    def clear(self) -> None:
-        self._at.clear()
+        self[client_id] = now_us
+        if len(self) > self.cap:
+            self.popitem(last=False)
 
     def is_replay(self, info: StaInfo) -> bool:
         """True for a sta-sync from *before* the client's departure:
         admitting it would resurrect torn-down state with no radio
         behind it.  A newer one is a genuine re-admission (a returning
         rider gets a fresh session) and lifts the guard."""
-        departed_at = self._at.get(info.client)
+        departed_at = self.get(info.client)
         if departed_at is None:
             return False
         if info.associated_at_us <= departed_at:
             return True
-        del self._at[info.client]
+        del self[info.client]
         return False
 
     # -- checkpoint support -------------------------------------------
 
-    def snapshot(self) -> List[List[object]]:
+    def snapshot(self) -> List[List[Any]]:
         """List-of-pairs, not a dict: eviction order is insertion order
         and a JSON object would lose it under sorted-keys rendering."""
-        return [[client_id, int(t)] for client_id, t in self._at.items()]
+        return [[client_id, int(t)] for client_id, t in self.items()]
 
-    def restore(self, pairs: List[List[object]]) -> None:
-        self._at = OrderedDict((client_id, int(t)) for client_id, t in pairs)
+    def restore(self, pairs: List[List[Any]]) -> None:
+        self.clear()
+        self.update((client_id, int(t)) for client_id, t in pairs)

@@ -537,9 +537,11 @@ class WgttController:
     def _on_backhaul(self, src: str, kind: str, payload: Any) -> None:
         if not self.alive:
             return  # backhaul already drops these; defense in depth
-        handler = self.handlers.get(kind)
-        if handler is not None:
-            handler(src, payload)
+        try:
+            handler = self.handlers[kind]
+        except KeyError:
+            return
+        handler(src, payload)
 
     def _handle_heartbeat(self, src: str, payload: object) -> None:
         self.stats["heartbeats"] += 1

@@ -353,7 +353,7 @@ def merge_client_state(controller, state: dict, serving_ap=None) -> bool:
     if not heard:
         del controller._last_heard[client_id]
     # A client handed back after departing elsewhere is live again.
-    controller._departed_at.forget(client_id)
+    controller._departed_at.pop(client_id, None)
     controller._clients[client_id] = client
     controller._publish_serving(client_id, client.serving_ap)
     deadline = state["selection_deadline_us"]

@@ -74,12 +74,14 @@ class StandbyController(WgttController):
         self.stats["promotions"] = 0
         # The primary's checkpoints and heartbeats are consumed in
         # either role; the rest of the warm feed only while inert.
-        self.handlers["ha-checkpoint"] = self._checkpoint_received
-        self.handlers["ctrl-heartbeat"] = self._primary_beat
-        #: The dispatch table before promotion (``handlers`` after).
-        self.warm_handlers: Dict[str, Callable[[str, Any], None]] = {
+        either_role: Dict[str, Callable[[str, Any], None]] = {
             "ha-checkpoint": self._checkpoint_received,
             "ctrl-heartbeat": self._primary_beat,
+        }
+        self.handlers.update(either_role)
+        #: The dispatch table before promotion (``handlers`` after).
+        self.warm_handlers: Dict[str, Callable[[str, Any], None]] = {
+            **either_role,
             "sta-sync": lambda src, info: self.directory.admit(info),
             "serving-update": self._warm_serving_update,
         }

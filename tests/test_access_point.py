@@ -144,31 +144,34 @@ class TestDispatchGuards:
         guarded = {k for k, row in WgttAccessPoint.KINDS.items() if any(row[1:])}
         assert guarded == set(GUARDED_PAYLOADS)
 
+    @staticmethod
+    def deliver(kind, trip=None):
+        """A fresh AP with ``kind``'s handler replaced by a spy; returns
+        (handler calls, stats counters that moved) for one message."""
+        ap = make().wgtt_aps["ap1"]
+        calls = []
+        spy = lambda *args: calls.append(args[1:])  # drop the AP itself
+        ap.KINDS = {kind: (spy, *WgttAccessPoint.KINDS[kind][1:])}
+        if trip is not None:
+            trip(ap)
+        before = dict(ap.stats)
+        ap._on_backhaul("controller", kind, GUARDED_PAYLOADS[kind](5))
+        moved = {k: v - before[k] for k, v in ap.stats.items() if v != before[k]}
+        return calls, moved
+
     @pytest.mark.parametrize("kind", sorted(GUARDED_PAYLOADS))
     def test_tripped_guard_bumps_its_counter_and_runs_no_handler(self, kind):
-        row = WgttAccessPoint.KINDS[kind]
-        trips = {
-            1: lambda ap: ap._departed.depart("client0", 0),
-            2: lambda ap: ap._switch_handled.update(client0=9),
-            3: lambda ap: setattr(ap, "_ctrl_epoch", 9),
-        }
-        for column, trip in [(None, None), *trips.items()]:
-            counter = row[column] if column is not None else None
-            if column is not None and counter is None:
-                continue
-            ap = make().wgtt_aps["ap1"]
-            calls = []
-            ap.KINDS = {kind: (lambda *args: calls.append(args), *row[1:])}
-            if trip is not None:
-                trip(ap)
-            before = dict(ap.stats)
-            payload = GUARDED_PAYLOADS[kind](5)  # older than 9
-            ap._on_backhaul("controller", kind, payload)
-            moved = {k: v - before[k] for k, v in ap.stats.items() if v != before[k]}
-            if counter is None:
-                assert calls == [(ap, "controller", payload)] and moved == {}
-            else:
-                assert calls == [] and moved == {counter: 1}
+        calls, moved = self.deliver(kind)
+        assert len(calls) == 1 and moved == {}  # no guard tripped: handled
+        # One way to trip each guard column, against tag 5.
+        trips = (
+            lambda ap: ap._departed.depart("client0", 0),
+            lambda ap: ap._switch_handled.update(client0=9),
+            lambda ap: setattr(ap, "_ctrl_epoch", 9),
+        )
+        for counter, trip in zip(WgttAccessPoint.KINDS[kind][1:], trips):
+            if counter is not None:
+                assert self.deliver(kind, trip) == ([], {counter: 1})
 
 
 class TestCsiPath:

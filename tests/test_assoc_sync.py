@@ -89,6 +89,3 @@ def test_departed_memory_snapshot_round_trip_keeps_order():
     restored = DepartedMemory(cap=4)
     restored.restore(memory.snapshot())
     assert restored.snapshot() == [["zed", 0], ["alpha", 1], ["mid", 2]]
-    restored.forget("alpha")
-    restored.clear()
-    assert len(restored) == 0
