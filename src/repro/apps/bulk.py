@@ -69,14 +69,11 @@ def run_bulk_download(
         timeouts = 0
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    switch_count = 0
-    if testbed.shard_manager is not None:
+    if testbed.shards:
         switch_count = sum(
             len(shard.controller.coordinator.history)
-            for shard in testbed.shard_manager.shards
+            for shard in testbed.shards
         )
-    elif testbed.controller is not None:
-        switch_count = len(testbed.controller.coordinator.history)
     else:
         agent = testbed.clients[client_index].agent
         switch_count = max(0, len(agent.association_log) - 1)

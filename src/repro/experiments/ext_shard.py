@@ -12,7 +12,7 @@ exercises the :mod:`repro.shard` control plane end to end:
   controller-side state (selection windows, serving map, dedup window)
   migrating via the checkpoint-based inter-shard handoff protocol;
 * the sharded runtime invariant checker
-  (:class:`~repro.invariants.shard.ShardInvariantChecker`) auditing
+  (:class:`~repro.invariants.ShardInvariantChecker`) auditing
   every run — zero violations, zero duplicate deliveries across
   handoffs;
 * byte-determinism — the same seed twice produces the identical
@@ -31,6 +31,7 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.config import WgttConfig
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import run_grid
 from repro.mobility.road import Position, Road
@@ -38,7 +39,6 @@ from repro.mobility.spatial import ApGridIndex
 from repro.mobility.vehicle import VehicleTrack
 from repro.scenarios.presets import shard_corridor_config
 from repro.scenarios.testbed import Testbed, TestbedConfig
-from repro.shard.config import ShardConfig
 
 #: Nearest-AP probes per deployment size (evenly spaced along the road).
 BENCH_PROBES = 256
@@ -77,7 +77,7 @@ def run_schedule(
         num_shards=num_shards,
         num_aps=num_aps,
         seed=seed,
-        shard=ShardConfig(num_shards=num_shards, ha_enabled=ha),
+        wgtt=WgttConfig(ha_enabled=ha),
     )
     config.client_tracks = _fleet_tracks(config, fleet)
     testbed = Testbed(config)
@@ -250,7 +250,7 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
 
 
 def run_smoke(seed: int = 3, duration_s: float = 8.0) -> Dict:
-    """Small gate: two topologies (flat shards, per-shard HA), schedule
+    """Small gate: two topologies (flat shards, a standby per region), schedule
     #1 run twice and required to produce the identical outcome digest."""
     first = run_schedule(
         seed, num_shards=2, fleet=2, duration_s=duration_s, num_aps=8

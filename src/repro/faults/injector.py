@@ -11,7 +11,8 @@ fault traces and byte-identical protocol behaviour.
 
 The injector duck-types its target: anything with ``sim``,
 ``backhaul``, ``rng`` and a ``wgtt_aps`` (or ``aps``) mapping works,
-so unit rigs don't need a full :class:`~repro.scenarios.testbed.Testbed`.
+so unit rigs don't need a full :class:`~repro.scenarios.testbed.Testbed`;
+controller faults address whatever its ``shards`` (if any) hold.
 """
 
 from __future__ import annotations
@@ -47,19 +48,13 @@ class FaultInjector:
         if aps is None:
             aps = getattr(testbed, "aps", {})
         self.aps: Dict[str, object] = aps
-        #: Controllers addressable by ControllerCrash/ControllerRestart.
-        #: Duck-typed like the APs: anything with alive/crash()/restart().
-        self.controllers: Dict[str, object] = {}
-        controller = getattr(testbed, "controller", None)
-        if controller is not None:
-            self.controllers[
-                getattr(controller, "controller_id", "controller")
-            ] = controller
-        standby = getattr(testbed, "standby", None)
-        if standby is not None:
-            self.controllers[
-                getattr(standby, "controller_id", "controller-b")
-            ] = standby
+        #: Controllers addressable by ControllerCrash/ControllerRestart:
+        #: every region's primary and standby, by backhaul id.
+        self.controllers: Dict[str, object] = {
+            ctrl.controller_id: ctrl
+            for shard in getattr(testbed, "shards", ())
+            for ctrl in shard.controllers()
+        }
         #: (time_us, action, subject) — the executed fault trace.
         #: Actions: crash / restart / partition / heal / jitter-on /
         #: jitter-off / csi-off / csi-on / ctrl-crash / ctrl-restart /
@@ -70,6 +65,22 @@ class FaultInjector:
         #: Gray-failure windows opened so far (metrics surface this).
         self.gray_windows = 0
         self._armed = False
+
+    #: Plan event type (the set is closed) -> the executor that opens
+    #: it; whatever closes it again chains off that.
+    EXECUTORS = {
+        ApCrash: "_crash",
+        Partition: "_partition",
+        LinkJitter: "_jitter_on",
+        CsiBlackout: "_csi_off",
+        ControllerCrash: "_ctrl_crash",
+        ControllerRestart: "_ctrl_restart",
+        MsgDuplication: "_dup_on",
+        StaleReplay: "_replay_start",
+        MsgCorruption: "_corrupt_on",
+        OneWayPartition: "_oneway_on",
+        GrayFailure: "_gray_on",
+    }
 
     def collect_metrics(self) -> Dict[str, object]:
         """Executed-fault totals for the metrics snapshot."""
@@ -83,40 +94,26 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def arm(self) -> None:
-        """Schedule every fault in the plan.  Idempotent-hostile: call once."""
+        """Schedule every fault in the plan.  Idempotent-hostile: call once.
+
+        A plan naming an AP or controller this testbed does not have is
+        refused here, before anything is scheduled — not by the fault's
+        callback, mid-run.
+        """
         if self._armed:
             raise RuntimeError("FaultInjector.arm() called twice")
+        for event in self.plan:
+            if isinstance(event, (ApCrash, CsiBlackout)):
+                self._ap(event.ap_id)
+            elif isinstance(event, (ControllerCrash, ControllerRestart)):
+                self._controller(event.controller_id)
         self._armed = True
         now = self.sim.now
         for event in self.plan:
-            delay = max(0, event.at_us - now)
-            if isinstance(event, ApCrash):
-                self.sim.schedule(delay, lambda e=event: self._crash(e))
-            elif isinstance(event, Partition):
-                self.sim.schedule(delay, lambda e=event: self._partition(e))
-            elif isinstance(event, LinkJitter):
-                self.sim.schedule(delay, lambda e=event: self._jitter_on(e))
-            elif isinstance(event, CsiBlackout):
-                self.sim.schedule(delay, lambda e=event: self._csi_off(e))
-            elif isinstance(event, ControllerCrash):
-                self.sim.schedule(delay, lambda e=event: self._ctrl_crash(e))
-            elif isinstance(event, ControllerRestart):
-                self.sim.schedule(
-                    delay,
-                    lambda e=event: self._ctrl_restart(e.controller_id),
-                )
-            elif isinstance(event, MsgDuplication):
-                self.sim.schedule(delay, lambda e=event: self._dup_on(e))
-            elif isinstance(event, StaleReplay):
-                self.sim.schedule(delay, lambda e=event: self._replay_start(e))
-            elif isinstance(event, MsgCorruption):
-                self.sim.schedule(delay, lambda e=event: self._corrupt_on(e))
-            elif isinstance(event, OneWayPartition):
-                self.sim.schedule(delay, lambda e=event: self._oneway_on(e))
-            elif isinstance(event, GrayFailure):
-                self.sim.schedule(delay, lambda e=event: self._gray_on(e))
-            else:  # pragma: no cover - plan types are closed
-                raise TypeError(f"unknown fault event {event!r}")
+            execute = getattr(self, self.EXECUTORS[type(event)])
+            self.sim.schedule(
+                max(0, event.at_us - now), lambda e=event, x=execute: x(e)
+            )
 
     # ------------------------------------------------------------------
     # executors
@@ -130,14 +127,17 @@ class FaultInjector:
                 "faults", "fault", track="faults", action=action, subject=subject
             )
 
-    def _ap(self, ap_id: str):
+    def _named(self, what: str, table: Dict[str, object], node_id: str):
         try:
-            return self.aps[ap_id]
+            return table[node_id]
         except KeyError:
             raise KeyError(
-                f"fault plan names unknown AP {ap_id!r}; "
-                f"known: {sorted(self.aps)}"
+                f"fault plan names unknown {what} {node_id!r}; "
+                f"known: {sorted(table)}"
             ) from None
+
+    def _ap(self, ap_id: str):
+        return self._named("AP", self.aps, ap_id)
 
     def _crash(self, event: ApCrash) -> None:
         ap = self._ap(event.ap_id)
@@ -194,13 +194,7 @@ class FaultInjector:
         ap.csi_suppressed = False
 
     def _controller(self, controller_id: str):
-        try:
-            return self.controllers[controller_id]
-        except KeyError:
-            raise KeyError(
-                f"fault plan names unknown controller {controller_id!r}; "
-                f"known: {sorted(self.controllers)}"
-            ) from None
+        return self._named("controller", self.controllers, controller_id)
 
     def _ctrl_crash(self, event: ControllerCrash) -> None:
         controller = self._controller(event.controller_id)
@@ -209,16 +203,14 @@ class FaultInjector:
         self._log("ctrl-crash", event.controller_id)
         controller.crash()
         if event.down_us is not None:
-            self.sim.schedule(
-                event.down_us,
-                lambda: self._ctrl_restart(event.controller_id),
-            )
+            self.sim.schedule(event.down_us, lambda: self._ctrl_restart(event))
 
-    def _ctrl_restart(self, controller_id: str) -> None:
-        controller = self._controller(controller_id)
+    def _ctrl_restart(self, event) -> None:
+        """``event``: the restart, or the crash whose ``down_us`` ran out."""
+        controller = self._controller(event.controller_id)
         if getattr(controller, "alive", True):
             return  # already restarted
-        self._log("ctrl-restart", controller_id)
+        self._log("ctrl-restart", event.controller_id)
         controller.restart()
 
     # -- message-level adversary executors ----------------------------

@@ -17,8 +17,8 @@ from repro.invariants.checker import (
     DEFAULT_RECONVERGE_SLACK_US,
     InvariantChecker,
     InvariantViolation,
+    ShardInvariantChecker,
 )
-from repro.invariants.shard import ShardInvariantChecker
 
 __all__ = [
     "DEFAULT_INTERVAL_US",

@@ -6,6 +6,12 @@ runs a periodic state probe over controller/AP structures.  It never
 mutates protocol state and never draws randomness, so an armed checker
 cannot change what a run does — only what the run can *prove*.
 
+Every probe walks ``testbed.shards``, one control plane per region, so
+the paper's single controller and a sharded corridor are checked by
+the same code: one active controller *per region*, handshakes and
+liveness verdicts audited against each region's own active controller,
+serving duty audited across *all* regions' APs.
+
 Checked invariants
 ------------------
 
@@ -32,8 +38,8 @@ Checked invariants
     window — the server-side :class:`~repro.core.dedup.PacketDeduplicator`
     actually suppressed every adversary-injected copy.
 ``single-active-controller``
-    At most one controller is alive in an active role ("primary" or
-    promoted "active") at any probe instant.
+    At most one controller of a region is alive in an active role
+    ("primary" or promoted "active") at any probe instant.
 ``bounded-retry-storm``
     No handshake retransmits more than ``switch_retry_limit`` times —
     duplicated/replayed control traffic must not amplify into a storm.
@@ -42,13 +48,32 @@ Checked invariants
     except while the AP is genuinely unreachable (partition, one-way
     partition) and within the detection/recovery slack after a
     transition.
+
+A corridor of several regions (:class:`ShardInvariantChecker`) swaps
+one name:
+
+``single-owner-shard``
+    Every client is tracked by at most one shard's active controller,
+    and when tracked, by the shard the manager's ownership map names.
+    Brief untracked windows (a handoff in backhaul flight) are legal;
+    double-tracking never is.
+
+``monotonic-serving-gen`` gives way to it: serving generations are
+scoped to one controller incarnation, and a client that hands off
+legitimately restarts its generation sequence on the new shard.
+``single-serving-ap`` gains two excuses there — a handoff in flight,
+and a departure whose teardown is racing the probe.  The trace-fed
+``no-duplicate-delivery`` needs no change and matters most: it audits
+the *merged* server ingress stream, so a copy delivered by two
+different shards is caught exactly like one that escaped a single
+controller's dedup window.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.obs.metrics import metric_key
 from repro.sim.engine import Timer
@@ -124,6 +149,10 @@ class InvariantChecker:
         self._interval_us = interval_us
         self._reconverge_slack_us = reconverge_slack_us
         self._max_violations = max_violations
+        #: ap -> the region whose controller answers for it.
+        self._ap_region = {
+            ap_id: shard for shard in testbed.shards for ap_id in shard.aps
+        }
         self._timer = Timer(self._sim, self._probe_tick)
         self.started = False
         self.finished = False
@@ -143,7 +172,7 @@ class InvariantChecker:
         #: window's FIFO policy and capacity so bounded-memory eviction
         #: in the protocol is never misread as duplicate delivery).
         self._delivered: "OrderedDict[int, None]" = OrderedDict()
-        self._delivered_cap = self._dedup_capacity()
+        self._delivered_cap = int(testbed.shards[0].controller.dedup.capacity)
 
         # -- probe episode state --------------------------------------
         #: client -> first probe time an inexcusable overlap was seen.
@@ -249,6 +278,14 @@ class InvariantChecker:
     def _clear_episode(self, invariant: str, subject: str) -> None:
         self._flagged.discard((invariant, subject))
 
+    def _keep_episodes(self, invariant: str, subjects: Set[str]) -> None:
+        """Close every episode of ``invariant`` but those still seen."""
+        self._flagged = {
+            key
+            for key in self._flagged
+            if key[0] != invariant or key[1] in subjects
+        }
+
     # ------------------------------------------------------------------
     # trace-fed invariants
     # ------------------------------------------------------------------
@@ -328,37 +365,42 @@ class InvariantChecker:
 
     def _probe(self) -> None:
         self.checks += 1
-        active = self._active_controller()
         self._probe_single_active_controller()
-        self._probe_single_serving(active)
-        if active is not None and active.alive:
-            self._probe_switch_spans(active)
-            self._probe_liveness_agreement(active)
+        self._probe_single_serving()
+        live = self._live_regions()
+        self._probe_switch_spans(live)
+        for shard, active in live:
+            self._probe_liveness_agreement(shard, active)
+
+    def _live_regions(self) -> list:
+        """(region, its active controller) wherever one is up."""
+        live = []
+        for shard in self._testbed.shards:
+            active = shard.active_controller()
+            if active is not None and active.alive:
+                live.append((shard, active))
+        return live
 
     def _probe_single_active_controller(self) -> None:
-        testbed = self._testbed
-        actives = [
-            c.controller_id
-            for c in (testbed.controller, testbed.standby)
-            if c is not None
-            and c.alive
-            and getattr(c, "role", "primary") in ("primary", "active")
-        ]
-        if len(actives) > 1:
-            self._violate_once(
-                "single-active-controller",
-                ",".join(sorted(actives)),
-                f"{len(actives)} controllers active at once: "
-                f"{sorted(actives)}",
+        violating: Set[str] = set()
+        for shard in self._testbed.shards:
+            actives = sorted(
+                c.controller_id
+                for c in shard.controllers()
+                if c.alive
+                and getattr(c, "role", "primary") in ("primary", "active")
             )
-        else:
-            self._flagged = {
-                key
-                for key in self._flagged
-                if key[0] != "single-active-controller"
-            }
+            if len(actives) > 1:
+                subject = ",".join(actives)
+                violating.add(subject)
+                self._violate_once(
+                    "single-active-controller",
+                    subject,
+                    f"{len(actives)} controllers active at once: {actives}",
+                )
+        self._keep_episodes("single-active-controller", violating)
 
-    def _probe_single_serving(self, active) -> None:
+    def _probe_single_serving(self) -> None:
         testbed = self._testbed
         now = self._sim.now
         serving: Dict[str, List[str]] = {}
@@ -372,7 +414,7 @@ class InvariantChecker:
         for client, holders in serving.items():
             if len(holders) <= 1:
                 continue
-            if self._overlap_excused(active, client, holders):
+            if self._overlap_excused(client, holders):
                 continue
             overlapping.add(client)
             since = self._overlap_since.setdefault(client, now)
@@ -391,65 +433,63 @@ class InvariantChecker:
                 del self._overlap_since[client]
                 self._clear_episode("single-serving-ap", client)
 
-    def _overlap_excused(
-        self, active, client: str, holders: List[str]
-    ) -> bool:
-        if active is None or not active.alive:
-            return True  # no authority exists to reconcile the overlap
-        if active.coordinator.busy(client):
-            return True  # mid-handshake: duty is legitimately moving
+    def _overlap_excused(self, client: str, holders: List[str]) -> bool:
+        """Each holder is judged against its own region's controller —
+        the only authority that can see and repair it."""
         backhaul = self._testbed.backhaul
-        controller_id = active.controller_id
-        dead = active.dead_aps()
         for ap_id in holders:
-            if ap_id in dead:
+            active = self._ap_region[ap_id].active_controller()
+            if active is None or not active.alive:
+                return True  # no authority exists to reconcile the overlap
+            if active.coordinator.busy(client):
+                return True  # mid-handshake: duty is legitimately moving
+            if ap_id in active.dead_aps():
                 return True  # controller already quarantined this AP
+            controller_id = active.controller_id
             if backhaul.unreachable(
                 controller_id, ap_id
             ) or backhaul.unreachable(ap_id, controller_id):
                 return True  # repair traffic cannot reach it (yet)
         return False
 
-    def _probe_switch_spans(self, active) -> None:
+    def _probe_switch_spans(self, regions) -> None:
+        if not regions:
+            return  # nobody to ask; open episodes keep their flag
         now = self._sim.now
         bound = self._switch_age_bound_us()
-        coordinator = active.coordinator
-        live = set()
-        for client_id in sorted(coordinator._pending):
-            pending = coordinator._pending[client_id]
-            subject = f"{client_id}/{pending.switch_id}"
-            live.add(subject)
-            # Charge the handshake only for time under a live
-            # controller: halt() freezes retransmission clocks, and a
-            # restore resumes them at the new epoch.
-            started = max(pending.record.started_us, active.epoch_us)
-            age = now - started
-            if age > bound:
-                self._violate_once(
-                    "switch-span-terminates",
-                    subject,
-                    (
-                        f"switch {pending.switch_id} for {client_id} "
-                        f"pending {age}us, past the {bound}us "
-                        f"retransmission envelope"
-                    ),
-                )
-        self._flagged = {
-            key
-            for key in self._flagged
-            if key[0] != "switch-span-terminates" or key[1] in live
-        }
+        live: Set[str] = set()
+        for _, active in regions:
+            coordinator = active.coordinator
+            for client_id in sorted(coordinator._pending):
+                pending = coordinator._pending[client_id]
+                subject = f"{client_id}/{pending.switch_id}"
+                live.add(subject)
+                # Charge the handshake only for time under a live
+                # controller: halt() freezes retransmission clocks, and
+                # a restore resumes them at the new epoch.
+                started = max(pending.record.started_us, active.epoch_us)
+                age = now - started
+                if age > bound:
+                    self._violate_once(
+                        "switch-span-terminates",
+                        subject,
+                        (
+                            f"switch {pending.switch_id} for {client_id} "
+                            f"pending {age}us, past the {bound}us "
+                            f"retransmission envelope"
+                        ),
+                    )
+        self._keep_episodes("switch-span-terminates", live)
 
-    def _probe_liveness_agreement(self, active) -> None:
-        testbed = self._testbed
-        backhaul = testbed.backhaul
+    def _probe_liveness_agreement(self, shard, active) -> None:
+        backhaul = self._testbed.backhaul
         now = self._sim.now
         slack = self._liveness_slack_us()
         declared_dead = active.dead_aps()
         controller_id = active.controller_id
         disagreeing = set()
-        for ap_id in sorted(testbed.wgtt_aps):
-            ap = testbed.wgtt_aps[ap_id]
+        for ap_id in sorted(shard.aps):
+            ap = shard.aps[ap_id]
             declared = ap_id in declared_dead
             actual = not ap.alive
             if declared == actual:
@@ -477,8 +517,8 @@ class InvariantChecker:
                         f"backhaul reachable"
                     ),
                 )
-        for ap_id in list(self._disagree_since):
-            if ap_id not in disagreeing:
+        for ap_id in shard.aps:
+            if ap_id in self._disagree_since and ap_id not in disagreeing:
                 del self._disagree_since[ap_id]
                 self._clear_episode("liveness-agreement", ap_id)
 
@@ -486,19 +526,8 @@ class InvariantChecker:
     # derived bounds
     # ------------------------------------------------------------------
 
-    def _active_controller(self):
-        return self._testbed.active_controller()
-
     def _wgtt_config(self):
         return self._testbed.config.wgtt
-
-    def _dedup_capacity(self) -> int:
-        controller = getattr(self._testbed, "controller", None)
-        if controller is not None and hasattr(controller, "dedup"):
-            return int(controller.dedup.capacity)
-        from repro.core.dedup import DEFAULT_CAPACITY
-
-        return DEFAULT_CAPACITY
 
     def _switch_age_bound_us(self) -> int:
         """Worst-case pending lifetime from the retransmission schedule.
@@ -524,3 +553,68 @@ class InvariantChecker:
         """
         cfg = self._wgtt_config()
         return (cfg.heartbeat_miss_limit + 2) * cfg.heartbeat_interval_us
+
+
+class ShardInvariantChecker(InvariantChecker):
+    """The checker for a corridor of several regions: what is genuinely
+    about sharding, on top of the probes every topology shares."""
+
+    INVARIANTS: Tuple[str, ...] = (
+        "bounded-retry-storm",
+        "liveness-agreement",
+        "no-duplicate-delivery",
+        "single-active-controller",
+        "single-owner-shard",
+        "single-serving-ap",
+        "switch-span-terminates",
+    )
+
+    TRACE_NAMES: Tuple[str, ...] = (
+        "uplink-deliver",
+        "switch-retry",
+    )
+
+    def _probe(self) -> None:
+        super()._probe()
+        self._probe_single_owner_shard()
+
+    def _probe_single_owner_shard(self) -> None:
+        manager = self._testbed.shard_manager
+        tracked: Dict[str, List[int]] = {}
+        for shard, ctrl in self._live_regions():
+            for client in ctrl._clients:
+                tracked.setdefault(client, []).append(shard.region.shard)
+        violating: Set[str] = set()
+        for client in sorted(tracked):
+            holders = tracked[client]
+            owner = manager.owner_of(client)
+            if len(holders) > 1:
+                violating.add(client)
+                self._violate_once(
+                    "single-owner-shard",
+                    client,
+                    (
+                        f"{client} tracked by {len(holders)} shard "
+                        f"controllers at once ({holders}); owner map "
+                        f"says shard {owner}"
+                    ),
+                )
+            elif owner is not None and holders[0] != owner:
+                violating.add(client)
+                self._violate_once(
+                    "single-owner-shard",
+                    client,
+                    (
+                        f"{client} tracked by shard {holders[0]} but "
+                        f"the ownership map names shard {owner}"
+                    ),
+                )
+        self._keep_episodes("single-owner-shard", violating)
+
+    def _overlap_excused(self, client: str, holders: List[str]) -> bool:
+        manager = self._testbed.shard_manager
+        if manager.handoff_in_flight(client):
+            return True  # duty is legitimately moving between shards
+        if manager.owner_of(client) is None:
+            return True  # departing: teardown is racing the probe
+        return super()._overlap_excused(client, holders)

@@ -136,7 +136,9 @@ class FailoverAudit:
 
     def __init__(self, testbed: "Testbed"):
         if testbed.controller is None:
-            raise ValueError("FailoverAudit requires the WGTT scheme")
+            raise ValueError(
+                "FailoverAudit reads tb.controller: one WGTT region only"
+            )
         self._testbed = testbed
         self._controller = testbed.controller
         self._deadline_us = testbed.config.wgtt.failover_deadline_us
@@ -279,7 +281,9 @@ class HaAudit:
 
     def __init__(self, testbed: "Testbed"):
         if getattr(testbed, "ha", None) is None:
-            raise ValueError("HaAudit requires an HA-enabled testbed")
+            raise ValueError(
+                "HaAudit reads tb.ha: one WGTT region with ha_enabled only"
+            )
         self._testbed = testbed
         self._cluster = testbed.ha
         self._primary = testbed.controller

@@ -79,17 +79,11 @@ class ScenarioBuilder:
     testbed shell.
     """
 
-    def __init__(
-        self,
-        config: "TestbedConfig",
-        regions: Optional[List[RegionSpec]] = None,
-    ):
+    def __init__(self, config: "TestbedConfig"):
         if config.scheme not in ("wgtt", "baseline"):
             raise ValueError(f"unknown scheme {config.scheme!r}")
         self.config = config
-        self.regions: List[RegionSpec] = (
-            list(regions) if regions is not None else self.plan_regions(config)
-        )
+        self.regions: List[RegionSpec] = self.plan_regions(config)
 
     # ------------------------------------------------------------------
     # region planning
@@ -99,58 +93,41 @@ class ScenarioBuilder:
     def plan_regions(config: "TestbedConfig") -> List[RegionSpec]:
         """Partition the corridor into regions.
 
-        Sharding off: one region covering every AP under the classic
-        ``"controller"`` id.  Sharding on: ``ShardConfig.num_shards``
+        ``config.shard`` unset: one region covering every AP under the
+        classic ``"controller"`` id.  Set: ``ShardConfig.num_shards``
         contiguous chunks, as even as possible (earlier shards take the
-        remainder), each with its own controller id.
+        remainder), each with its own controller id.  Either way a
+        region gets a warm standby iff ``wgtt.ha_enabled``.
         """
         xs = config.ap_xs()
-        if not config.sharding_enabled:
-            standby = (
-                config.wgtt.standby_id
-                if config.scheme == "wgtt" and config.wgtt.ha_enabled
-                else None
-            )
-            return [
-                RegionSpec(
-                    shard=0,
-                    first_ap_index=0,
-                    ap_xs=tuple(xs),
-                    controller_id="controller",
-                    standby_id=standby,
-                )
-            ]
-        if config.scheme != "wgtt":
-            raise ValueError("sharding requires the wgtt scheme")
-        if config.wgtt.ha_enabled:
-            raise ValueError(
-                "sharding uses per-shard HA (ShardConfig.ha_enabled), "
-                "not wgtt.ha_enabled"
-            )
-        if config.channel_plan is not None:
-            raise ValueError("channel_plan is not supported with sharding")
         shard_cfg = config.shard
-        count = shard_cfg.num_shards
+        wgtt = config.scheme == "wgtt"
+        if shard_cfg is not None and not wgtt:
+            raise ValueError("sharding requires the wgtt scheme")
+        count = 1 if shard_cfg is None else shard_cfg.num_shards
         if count < 1:
             raise ValueError("num_shards must be >= 1")
         if count > len(xs):
             raise ValueError("more shards than APs")
+        ha = wgtt and config.wgtt.ha_enabled
         base, extra = divmod(len(xs), count)
         regions: List[RegionSpec] = []
         start = 0
         for k in range(count):
             size = base + (1 if k < extra else 0)
+            if shard_cfg is None:
+                controller_id = "controller"
+                standby_id = config.wgtt.standby_id
+            else:
+                controller_id = shard_cfg.controller_id(k)
+                standby_id = shard_cfg.standby_id(k)
             regions.append(
                 RegionSpec(
                     shard=k,
                     first_ap_index=start,
                     ap_xs=tuple(xs[start : start + size]),
-                    controller_id=shard_cfg.controller_id(k),
-                    standby_id=(
-                        shard_cfg.standby_id(k)
-                        if shard_cfg.ha_enabled
-                        else None
-                    ),
+                    controller_id=controller_id,
+                    standby_id=standby_id if ha else None,
                 )
             )
             start += size
@@ -210,7 +187,6 @@ class ScenarioBuilder:
         """Radio ports + antennas for every region's APs, corridor
         order, plus the spatial index nearest-AP queries run on."""
         config = self.config
-        tb.regions = list(self.regions)
         tb.ap_ids = []
         tb.ap_positions = {}
         tb.ap_index = ApGridIndex()
@@ -237,41 +213,43 @@ class ScenarioBuilder:
                 tb.ap_index.add(ap_id, mount)
 
     def build_control_plane(self, tb: "Testbed") -> None:
-        """Controller(s) + protocol APs (+ warm standbys): one WGTT
-        region, sharded regions under a manager, or the baseline WLC."""
+        """One :class:`~repro.shard.manager.Shard` per WGTT region
+        (controller, protocol APs, warm standby) — under a manager when
+        the corridor has several — or the baseline WLC; and the
+        downlink ingress that goes with it."""
         config = self.config
-        tb.controller = None
-        tb.standby = None
-        tb.ha = None
         tb.wlc = None
         tb.wgtt_aps = {}
         tb.baseline_aps = {}
+        tb.shards = []
         tb.shard_manager = None
-        tb.region_shard = None
         register = tb.obs.metrics.register_collector
         if config.scheme != "wgtt":
             self._build_baseline(tb)
-        elif config.sharding_enabled:
+        elif config.shard is not None:
             from repro.shard.manager import ShardManager
 
-            tb.shard_manager = ShardManager(tb, self.regions)
-            register(tb.shard_manager.collect_metrics)
+            manager = tb.shard_manager = ShardManager(tb, self.regions)
+            tb.shards = manager.shards
+            tb._ingress = manager.accept_downlink
+            register(manager.collect_metrics)
         else:
             from repro.shard.manager import Shard
 
             (region,) = self.regions
-            shard = tb.region_shard = Shard(tb, region)
-            tb.controller = shard.controller
-            tb.standby = shard.standby
-            tb.ha = shard.ha
-            # The pair publishes whichever controller is active.
-            register((shard.ha or shard.controller).collect_metrics)
+            shard = Shard(tb, region)
+            tb.shards = [shard]
+            # The pair routes to and publishes whichever one is active.
+            pair = shard.ha or shard.controller
+            tb._ingress = pair.accept_downlink
+            register(pair.collect_metrics)
             for ap in shard.aps.values():
                 register(ap.collect_metrics)
 
     def _build_baseline(self, tb: "Testbed") -> None:
         tb.wlc = BaselineWlc(tb.sim, tb.backhaul)
         tb.wlc.on_uplink = tb._deliver_uplink
+        tb._ingress = tb.wlc.accept_downlink
         for index, ap_id in enumerate(tb.ap_ids):
             ap = Baseline80211rAp(
                 tb.sim, tb.medium, tb.backhaul, tb.rng, ap_id
@@ -284,8 +262,8 @@ class ScenarioBuilder:
         """The multi-channel retune hook (the warm standby itself is
         built with its region, in :meth:`build_control_plane`)."""
         if self.config.channel_plan is not None:
-            for ctrl in (tb.controller, tb.standby):
-                if ctrl is not None:
+            for shard in tb.shards:
+                for ctrl in shard.controllers():
                     ctrl.on_serving_update = tb._retune_client
 
     def build_clients(self, tb: "Testbed") -> None:

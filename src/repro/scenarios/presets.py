@@ -123,11 +123,8 @@ def shard_corridor_config(
     (``repro.shard``).  Tune the partition via ``shard=ShardConfig(...)``
     in ``overrides``.
     """
-    if "shard" not in overrides:
-        overrides["shard"] = ShardConfig(num_shards=num_shards)
-    return TestbedConfig(
-        num_aps=num_aps, sharding_enabled=True, **overrides
-    )
+    overrides.setdefault("shard", ShardConfig(num_shards=num_shards))
+    return TestbedConfig(num_aps=num_aps, **overrides)
 
 
 #: CLI-facing preset registry: name -> declarative config factory.

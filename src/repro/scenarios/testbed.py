@@ -11,7 +11,7 @@ attachment and run helpers — every experiment driver goes through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.enhanced_80211r import (
     Baseline80211rAp,
@@ -23,7 +23,6 @@ from repro.channel.antenna import OmniAntenna
 from repro.channel.link import ChannelMap, RadioPort
 from repro.channel.pathloss import LogDistancePathLoss
 from repro.core.access_point import WgttAccessPoint
-from repro.core.assoc_sync import StaInfo
 from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
 from repro.faults.injector import FaultInjector
@@ -48,7 +47,6 @@ if TYPE_CHECKING:
     from repro.ha.cluster import HaCluster
     from repro.ha.standby import StandbyController
     from repro.mobility.spatial import ApGridIndex
-    from repro.scenarios.builder import RegionSpec
     from repro.shard.manager import Shard, ShardManager
 
 #: Default AP x-positions: 7.5 m spacing as measured in §2.
@@ -115,14 +113,12 @@ class TestbedConfig:
     #: builds the default everything-off context — the configuration
     #: under which runs are bit-identical to the pre-obs tree.
     obs: Optional[ObsConfig] = None
-    #: Partition the corridor into AP-cluster shards, each owned by its
-    #: own controller, with inter-shard client handoff (``repro.shard``).
-    #: Off (the default) takes the exact legacy single-controller
-    #: construction path — runs are bit-identical to the pre-shard tree.
-    sharding_enabled: bool = False
-    #: Shard-count / handoff-protocol tunables (consulted only when
-    #: ``sharding_enabled``).
-    shard: ShardConfig = field(default_factory=ShardConfig)
+    #: Set to partition the corridor into AP-cluster shards, each owned
+    #: by its own controller, with inter-shard client handoff
+    #: (``repro.shard``): shard count and handoff-protocol tunables.
+    #: None (the default) is the paper's deployment, one region under
+    #: one controller.
+    shard: Optional[ShardConfig] = None
 
     def ap_channel(self, index: int) -> int:
         if self.channel_plan is None:
@@ -280,27 +276,28 @@ class Testbed:
     backhaul: EthernetBackhaul
     server_host: Host
     _server_ip_ids: IpIdAllocator
-    #: Region plan the AP bank was built from (one region per shard;
-    #: a single region for the classic deployment).
-    regions: List["RegionSpec"]
     ap_ids: List[str]
     ap_positions: Dict[str, Position]
     #: Uniform-grid spatial index every nearest-AP query runs on.
     ap_index: "ApGridIndex"
-    controller: Optional[WgttController]
-    #: Warm standby + cluster glue (built when wgtt.ha_enabled).
-    standby: Optional["StandbyController"]
-    ha: Optional["HaCluster"]
+    #: One control plane per WGTT region, corridor order: controller,
+    #: its APs, warm standby when ``wgtt.ha_enabled``.  One entry for the
+    #: paper's deployment, none for the baseline scheme.  Whatever walks
+    #: the control plane reads this; ``controller`` / ``standby`` /
+    #: ``ha`` below are the single region's, for the many drivers that
+    #: only ever meet one.
+    shards: List["Shard"]
+    #: What only a corridor of several regions needs: owner map,
+    #: boundary scan, inter-shard handoff (``config.shard`` set).
+    shard_manager: Optional["ShardManager"]
     wlc: Optional[BaselineWlc]
-    #: Every WGTT AP across all shards (shard-local views live on the
-    #: shard manager's :class:`~repro.shard.manager.Shard` objects).
+    #: Every WGTT AP across all regions (``Shard.aps`` is the local view).
     wgtt_aps: Dict[str, WgttAccessPoint]
     baseline_aps: Dict[str, Baseline80211rAp]
-    #: Sharded control plane (``sharding_enabled``); None keeps every
-    #: helper on the legacy single-controller path.
-    shard_manager: Optional["ShardManager"]
-    #: The classic deployment's one region (None when sharded or baseline).
-    region_shard: Optional["Shard"]
+    #: Server-side downlink ingress, resolved once at build time: the
+    #: shard manager, else the region's HA pair or controller, else the
+    #: baseline WLC.
+    _ingress: Callable[[Packet], None]
     clients: List[ClientNode]
     _next_client_index: int
     #: Retired ids live here until their deferred radio teardown
@@ -316,6 +313,25 @@ class Testbed:
         from repro.scenarios.builder import ScenarioBuilder
 
         ScenarioBuilder(config).construct_into(self)
+
+    @property
+    def _sole_region(self) -> Optional["Shard"]:
+        return self.shards[0] if len(self.shards) == 1 else None
+
+    @property
+    def controller(self) -> Optional[WgttController]:
+        region = self._sole_region
+        return region.controller if region is not None else None
+
+    @property
+    def standby(self) -> Optional["StandbyController"]:
+        region = self._sole_region
+        return region.standby if region is not None else None
+
+    @property
+    def ha(self) -> Optional["HaCluster"]:
+        region = self._sole_region
+        return region.ha if region is not None else None
 
     def _retune_client(self, client_id: str, ap_id: str) -> None:
         """Multi-channel ablation glue: a switch retunes the client."""
@@ -348,43 +364,17 @@ class Testbed:
         """Retired clients whose radio teardown has not fired yet."""
         return len(self._retiring)
 
-    def _nearest_ap(self, client: ClientNode) -> str:
-        """Nearest (live, when known) AP — O(nearby) via the spatial
-        index; result identical to the legacy linear ``min()`` scan."""
-        position = client.track.position_at(self.sim.now)
-        if self.wgtt_aps:
-            # Mid-run arrivals (churn) must not be homed onto a crashed
-            # AP; at t=0 everything is alive and this filter is a no-op.
-            live = self.ap_index.nearest(
-                position, predicate=lambda ap: self.wgtt_aps[ap].alive
-            )
-            if live is not None:
-                return live
-        best = self.ap_index.nearest(position)
-        assert best is not None  # the AP bank is never empty
-        return best
-
     def _associate_instantly(self, client: ClientNode) -> None:
-        if self.shard_manager is not None:
+        if self.shard_manager is not None:  # it picks the region first
             self.shard_manager.associate_instantly(client)
             return
-        first_ap = self._nearest_ap(client)
-        shard = self.region_shard
-        if shard is not None:  # the wgtt scheme
-            info = StaInfo(
-                client=client.client_id,
-                associated_at_us=self.sim.now,
-                first_ap=first_ap,
-            )
-            shard.admit(info)
-            active = self.active_controller()
-            if active is not None and active.alive:
-                active.register_association(info)
-            # else: controller down mid-arrival — the AP directories
-            # admitted above replay the association (sta-sync +
-            # serving-claim) during the ctrl-hello resync on restart.
-            self.wgtt_aps[first_ap].start_serving(client.client_id)
-        else:
+        position = client.track.position_at(self.sim.now)
+        region = self._sole_region
+        if region is not None:
+            region.associate(client.client_id, position)
+        else:  # the baseline scheme
+            first_ap = self.ap_index.nearest(position)
+            assert first_ap is not None  # the AP bank is never empty
             agent = client.agent
             agent.current_ap = first_ap
             agent._last_switch_us = self.sim.now
@@ -401,12 +391,9 @@ class Testbed:
             raise ValueError("fault injection targets the WGTT scheme")
         self.fault_injector = FaultInjector(self, plan)
         self.fault_injector.arm()
-        if self.shard_manager is None:
-            # Like the controller and AP keys, fault totals are
-            # published for the single-controller deployment only.
-            self.obs.metrics.register_collector(
-                self.fault_injector.collect_metrics
-            )
+        self.obs.metrics.register_collector(
+            self.fault_injector.collect_metrics
+        )
         return self.fault_injector
 
     def install_invariant_checker(self, **kwargs):
@@ -416,25 +403,19 @@ class Testbed:
         emit sites start producing — protocol behaviour is unchanged
         (emission draws no randomness), but runs are no longer
         trace-dormant.  Keyword arguments forward to
-        :class:`~repro.invariants.InvariantChecker`.
+        :class:`~repro.invariants.InvariantChecker` (a corridor of
+        several regions gets the subclass that also watches ownership).
         """
         if self.config.scheme != "wgtt":
             raise ValueError("the invariant checker targets the WGTT scheme")
         if self.invariant_checker is not None:
             raise RuntimeError("invariant checker already installed")
-        if self.shard_manager is not None:
-            from repro.invariants.shard import ShardInvariantChecker
+        from repro.invariants import InvariantChecker, ShardInvariantChecker
 
-            shard_checker = ShardInvariantChecker(self, **kwargs)
-            shard_checker.start()
-            self.obs.metrics.register_collector(
-                shard_checker.collect_metrics
-            )
-            self.invariant_checker = shard_checker
-            return shard_checker
-        from repro.invariants import InvariantChecker
-
-        checker = InvariantChecker(self, **kwargs)
+        checker = (
+            InvariantChecker if self.shard_manager is None
+            else ShardInvariantChecker
+        )(self, **kwargs)
         checker.start()
         self.obs.metrics.register_collector(checker.collect_metrics)
         self.invariant_checker = checker
@@ -449,23 +430,25 @@ class Testbed:
         self.wgtt_aps[ap_id].restart()
 
     def active_controller(self) -> Optional[WgttController]:
-        """The controller currently owning the control plane."""
-        if self.ha is not None:
-            return self.ha.active_controller()
-        return self.controller
+        """The controller currently owning the single region's control
+        plane (None mid-failover, and for any other topology)."""
+        region = self._sole_region
+        return region.active_controller() if region is not None else None
 
     def depart_client(
         self,
         client_index: Optional[int] = None,
         *,
         client_id: Optional[str] = None,
-    ) -> None:
+    ) -> bool:
         """Deregister a client everywhere (commuter leaves the bus).
 
         Accepts either a positional index into :attr:`clients` (the
         historical call shape, default 0) or an explicit ``client_id``
         keyword — churn code holds ids, not list positions, because
-        positions shift as other clients retire.
+        positions shift as other clients retire.  False when a control
+        plane that should have heard it was down: the caller comes back
+        (the soak's churn driver parks and retries).
         """
         if client_id is None:
             index = 0 if client_index is None else client_index
@@ -473,11 +456,9 @@ class Testbed:
         elif client_index is not None:
             raise ValueError("pass client_index or client_id, not both")
         if self.shard_manager is not None:
-            self.shard_manager.depart_client(client_id)
-            return
-        active = self.active_controller()
-        if active is not None:
-            active.deregister_client(client_id)
+            return self.shard_manager.depart_client(client_id)
+        heard = [shard.depart(client_id) for shard in self.shards]
+        return all(heard)
 
     # ------------------------------------------------------------------
     # client churn (soak extension)
@@ -572,14 +553,7 @@ class Testbed:
     def send_downlink(self, packet: Packet) -> None:
         """Server-side ingress: tag IP-ID, add server latency, route."""
         packet.ip_id = self._server_ip_ids.allocate(packet.src)
-        if self.shard_manager is not None:
-            ingress = self.shard_manager.accept_downlink
-        elif self.ha is not None:
-            ingress = self.ha.accept_downlink
-        elif self.controller is not None:
-            ingress = self.controller.accept_downlink
-        else:
-            ingress = self.wlc.accept_downlink
+        ingress = self._ingress
         self.sim.schedule(
             self.config.wgtt.server_latency_us, lambda: ingress(packet)
         )
@@ -688,8 +662,9 @@ class Testbed:
         client_id = self.clients[client_index].client_id
         if self.shard_manager is not None:
             return self.shard_manager.serving_ap(client_id)
-        if self.controller is not None:
-            active = self.active_controller() or self.controller
+        region = self._sole_region
+        if region is not None:
+            active = region.active_controller() or region.controller
             return active.serving_ap(client_id)
         agent = self.clients[client_index].agent
         return agent.current_ap if agent else None

@@ -3,9 +3,10 @@
 One :class:`ShardConfig` governs how a corridor testbed is partitioned
 into contiguous AP-cluster shards (each owned by its own
 ``WgttController``) and how the inter-shard client handoff protocol
-behaves.  The master switch lives on the testbed config
-(``TestbedConfig.sharding_enabled``) so that, off, construction takes
-the exact legacy single-controller path and stays byte-identical.
+behaves.  Setting ``TestbedConfig.shard`` *is* the switch: ``None``
+(the default) is the paper's one region under the classic
+``"controller"`` id.  Whether a region gets a warm standby is not a
+sharding question — ``WgttConfig.ha_enabled`` says so for every region.
 """
 
 from __future__ import annotations
@@ -42,16 +43,11 @@ class ShardConfig:
     #: boundary line.
     boundary_hysteresis_m: float = 2.0
 
-    #: Give every shard its own PR-3 warm standby (one
-    #: ``StandbyController`` + ``HaCluster`` per shard).  Off by
-    #: default: a shard controller is then a single point of failure
-    #: for its region only.
-    ha_enabled: bool = False
-
     def controller_id(self, shard: int) -> str:
         """Backhaul id of shard ``shard``'s primary controller."""
         return f"controller-s{shard}"
 
     def standby_id(self, shard: int) -> str:
-        """Backhaul id of shard ``shard``'s warm standby."""
+        """Backhaul id of shard ``shard``'s warm standby (built when
+        ``WgttConfig.ha_enabled``)."""
         return f"standby-s{shard}"

@@ -1,11 +1,14 @@
-"""Sharded control plane: per-region controllers + inter-shard handoff.
+"""Region control planes, and what a corridor of several adds.
 
-The corridor is partitioned into contiguous AP-cluster regions
-(:class:`~repro.scenarios.builder.RegionSpec`); each region gets its
-own :class:`~repro.core.controller.WgttController` (optionally with a
-warm standby, ``ShardConfig.ha_enabled``).  The
-:class:`ShardManager` owns the pieces a single controller used to own
-globally:
+A WGTT testbed is a list of :class:`Shard` — one per contiguous
+AP-cluster region (:class:`~repro.scenarios.builder.RegionSpec`), each
+with its own :class:`~repro.core.controller.WgttController`, its APs
+and (``WgttConfig.ha_enabled``) a warm standby.  The paper's deployment
+is one of them; everything that walks the control plane (instant
+association, departure, fault injection, the invariant probes) goes
+through :attr:`Testbed.shards` whatever their number.  A corridor of
+several regions also gets a :class:`ShardManager`, which owns only what
+one region never needs:
 
 * **ownership** — every client belongs to exactly one shard; both
   controllers near a boundary decode the client's frames, so each
@@ -25,9 +28,9 @@ Clients are placed by the testbed's spatial AP index
 owning shard's APs, so candidate-set work stays O(nearby) no matter
 how long the corridor grows.
 
-Sharded scenarios require ``instant_association`` — over-the-air
-association broadcasts sta-sync to every backhaul node, which would
-register the client with every shard at once.
+A corridor of several regions requires ``instant_association`` —
+over-the-air association broadcasts sta-sync to every backhaul node,
+which would register the client with every shard at once.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from repro.shard.handoff import (
 from repro.sim.engine import Timer
 
 if TYPE_CHECKING:
+    from repro.mobility.road import Position
     from repro.scenarios.builder import RegionSpec
     from repro.scenarios.testbed import ClientNode, Testbed
 
@@ -78,6 +82,8 @@ class Shard:
         manager: Optional["ShardManager"] = None,
     ):
         self.region = region
+        self._sim = testbed.sim
+        self._ap_index = testbed.ap_index
         config = testbed.config
         self.controller = WgttController(
             testbed.sim,
@@ -164,6 +170,53 @@ class Shard:
         if self.standby is not None:
             self.standby.directory.admit(info)
 
+    def nearest_ap(self, position: "Position") -> str:
+        """The region's AP nearest ``position`` — a live one when there
+        is one (a mid-run arrival must not be homed onto a crashed AP;
+        at t=0 everything is alive and the filter is a no-op)."""
+        aps = self.aps
+        best = self._ap_index.nearest(
+            position,
+            predicate=lambda ap_id: ap_id in aps and aps[ap_id].alive,
+        ) or self._ap_index.nearest(
+            position, predicate=lambda ap_id: ap_id in aps
+        )
+        assert best is not None  # a region is never empty
+        return best
+
+    def associate(self, client_id: str, position: "Position") -> None:
+        """Instant association: home the client on the region's nearest
+        live AP, exactly as the over-the-air exchange would leave it."""
+        first_ap = self.nearest_ap(position)
+        info = StaInfo(
+            client=client_id,
+            associated_at_us=self._sim.now,
+            first_ap=first_ap,
+        )
+        self.admit(info)
+        active = self.active_controller()
+        if active is not None and active.alive:
+            active.register_association(info)
+        # else: controller down mid-arrival — the AP directories
+        # admitted above replay the association (sta-sync +
+        # serving-claim) during the ctrl-hello resync on restart.
+        self.aps[first_ap].start_serving(client_id)
+
+    def depart(self, client_id: str) -> bool:
+        """Deregister a departing client from the region.  False when
+        no live controller was there to take it: the APs were told
+        nothing, so the caller has to come back."""
+        for ctrl in self.controllers():
+            if client_id in ctrl._clients:
+                ctrl.deregister_client(client_id)
+            else:
+                # Neighbour shards accumulate CSI prewarm state for
+                # clients they never owned; free it.
+                ctrl.selector.forget_client(client_id)
+                ctrl._last_heard.pop(client_id, None)
+        active = self.active_controller()
+        return active is not None and active.alive
+
     def controllers(self) -> List[WgttController]:
         """Primary first, then the standby when HA is on."""
         out: List[WgttController] = [self.controller]
@@ -218,7 +271,6 @@ class ShardManager:
         self._sim = testbed.sim
         self._backhaul = testbed.backhaul
         self.config = testbed.config.shard
-        self.regions = list(regions)
         self.shards = [Shard(testbed, region, self) for region in regions]
         #: Boundary k sits midway between region k's last AP and region
         #: k+1's first AP.
@@ -301,33 +353,17 @@ class ShardManager:
         self._nodes[client_id] = client
         self._fresh_associate(client_id, shard_idx)
 
-    def depart_client(self, client_id: str) -> None:
+    def depart_client(self, client_id: str) -> bool:
+        """Every region forgets the client (the owner deregisters it,
+        the rest free what they overheard).  False while any region's
+        control plane is down to miss it — calling again is harmless."""
         pending = self._pending.pop(client_id, None)
         if pending is not None:
             pending.timer.stop()
         self._owner.pop(client_id, None)
         self._nodes.pop(client_id, None)
-        for shard in self.shards:
-            for ctrl in shard.controllers():
-                if client_id in ctrl._clients:
-                    ctrl.deregister_client(client_id)
-                else:
-                    # Neighbour shards accumulate CSI prewarm state for
-                    # clients they never owned; free it.
-                    ctrl.selector.forget_client(client_id)
-                    ctrl._last_heard.pop(client_id, None)
-
-    def _nearest_shard_ap(self, shard: Shard, position) -> Optional[str]:
-        aps = shard.aps
-        best = self._testbed.ap_index.nearest(
-            position,
-            predicate=lambda ap_id: ap_id in aps and aps[ap_id].alive,
-        )
-        if best is not None:
-            return best
-        return self._testbed.ap_index.nearest(
-            position, predicate=lambda ap_id: ap_id in aps
-        )
+        heard = [shard.depart(client_id) for shard in self.shards]
+        return all(heard)
 
     def _fresh_associate(self, client_id: str, shard_idx: int) -> None:
         """Associate a client with a shard from scratch (t=0 arrival,
@@ -339,18 +375,7 @@ class ShardManager:
             return  # control plane down; the scan loop retries
         if client_id in ctrl._clients:
             return
-        position = node.track.position_at(self._sim.now)
-        target = self._nearest_shard_ap(shard, position)
-        if target is None:
-            return
-        info = StaInfo(
-            client=client_id,
-            associated_at_us=self._sim.now,
-            first_ap=target,
-        )
-        shard.admit(info)
-        ctrl.register_association(info)
-        shard.aps[target].start_serving(client_id)
+        shard.associate(client_id, node.track.position_at(self._sim.now))
 
     # ------------------------------------------------------------------
     # boundary scan + handoff initiation (sending side)
@@ -530,9 +555,8 @@ class ShardManager:
             self._record_completed(msg.handoff_id, shard_idx)
             self._send_ack(controller, src, msg)
             return
-        position = node.track.position_at(self._sim.now)
-        target = self._nearest_shard_ap(shard, position)
-        if target is None or not shard.aps[target].alive:
+        target = shard.nearest_ap(node.track.position_at(self._sim.now))
+        if not shard.aps[target].alive:
             return  # nothing live to serve from; let the sender retry
         state = client_state_from_bytes(msg.state)
         info = StaInfo(

@@ -162,10 +162,7 @@ class ChurnDriver:
         for source in rider.sources:
             source.stop()
         self._harvest(rider)
-        active = testbed.active_controller()
-        if active is not None and active.alive:
-            active.deregister_client(client_id)
-        else:
+        if not testbed.depart_client(client_id=client_id):
             # Controller down: park the dereg, retry until delivered.
             self._pending_dereg.append(client_id)
             self.stats["dereg_deferred"] += 1
@@ -185,12 +182,12 @@ class ChurnDriver:
             self._testbed.server_host.detach_udp_sink(sink.flow_id)
 
     def _retry_dereg(self) -> None:
-        active = self._testbed.active_controller()
-        if active is not None and active.alive:
-            pending, self._pending_dereg = self._pending_dereg, []
-            for client_id in pending:
-                active.deregister_client(client_id)
+        pending, self._pending_dereg = self._pending_dereg, []
+        for client_id in pending:
+            if self._testbed.depart_client(client_id=client_id):
                 self.stats["dereg_retried"] += 1
+            else:
+                self._pending_dereg.append(client_id)
         if self._pending_dereg:
             self._retry_timer.start(DEREG_RETRY_INTERVAL_US)
 

@@ -613,6 +613,26 @@ class TestCliAndSelfCheck:
                     reach_ins.append(f"{rel}:{node.lineno} .{node.attr}")
         assert reach_ins == []
 
+    def test_only_the_testbed_asks_whether_there_is_a_shard_manager(self):
+        """Every WGTT control plane is ``tb.shards``; code that walks it
+        loops over that.  ``shard_manager is (not) None`` anywhere but
+        the testbed's own delegations (and ``repro.shard``) is the
+        classic/sharded fork growing back one ``if`` at a time."""
+        src = REPO_ROOT / "src" / "repro"
+        forks = []
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            if rel.startswith("shard/") or rel == "scenarios/testbed.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Attribute)
+                    and side.attr == "shard_manager"
+                    for side in (node.left, *node.comparators)
+                ):
+                    forks.append(f"{rel}:{node.lineno}")
+        assert forks == []
+
     @pytest.mark.skipif(
         not hasattr(sys, "stdlib_module_names"),
         reason="sys.stdlib_module_names needs Python 3.10+",

@@ -7,6 +7,7 @@ import pytest
 from repro.core.assoc_sync import StaInfo
 from repro.core.switching import StopMsg, SwitchRecord, _Pending
 from repro.invariants import InvariantChecker, InvariantViolation
+from repro.scenarios.presets import shard_corridor_config
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 
@@ -167,35 +168,68 @@ class TestTraceFedInvariants:
         assert checker.drain_new() == []
 
 
+def two_shard_testbed(**kwargs):
+    """The same parked client, in region 1 of a 2-shard / 8-AP corridor."""
+    return Testbed(
+        shard_corridor_config(
+            num_shards=2, num_aps=8, seed=3, client_speeds_mph=[0.0],
+            client_start_x_m=52.0, **kwargs,
+        )
+    )
+
+
+def region_of(testbed):
+    """The last region: the only one, or region 1 of two, where the
+    client sits — so a forged breach lands where the single-region
+    ``tb.controller`` / ``tb.standby`` shortcuts cannot reach."""
+    return testbed.shards[-1]
+
+
+def holder_and_other(testbed):
+    """The client's serving AP and ap0: the same region's under the
+    classic topology, the *other* region's under two shards."""
+    region = region_of(testbed)
+    holder = region.aps[region.controller.serving_ap("client0")]
+    other = testbed.wgtt_aps["ap0"]
+    assert other is not holder
+    return holder, other
+
+
 class TestProbeInvariants:
+    """Every probe is made to fire — here on the classic topology, and
+    once more on two shards by the subclass below."""
+
+    build = staticmethod(static_testbed)
+
     def test_single_active_controller(self):
         from repro.core.config import WgttConfig
 
-        testbed = static_testbed(wgtt=WgttConfig(ha_enabled=True))
+        testbed = self.build(wgtt=WgttConfig(ha_enabled=True))
+        standby = region_of(testbed).standby
         checker = testbed.install_invariant_checker()
         testbed.run_seconds(0.2)
         assert checker.counts["single-active-controller"] == 0
         # Force dual-active: the standby claims the active role while
         # the primary is still alive.
-        testbed.standby.role = "active"
+        standby.role = "active"
         testbed.run_seconds(0.3)
         # Flagged once per episode, not once per probe.
         assert checker.counts["single-active-controller"] == 1
-        testbed.standby.role = "standby"
+        # The subject names the pair.
+        assert checker.violations[0].subject == ",".join(
+            c.controller_id for c in region_of(testbed).controllers()
+        )
+        standby.role = "standby"
         testbed.run_seconds(0.1)
-        testbed.standby.role = "active"
+        standby.role = "active"
         testbed.run_seconds(0.2)
         assert checker.counts["single-active-controller"] == 2
 
     def test_single_serving_ap_overlap_flagged_after_slack(self):
-        testbed = static_testbed()
+        testbed = self.build()
         checker = testbed.install_invariant_checker()
         testbed.run_seconds(0.2)
-        holder = serving_ap(testbed)
-        other = next(
-            ap for ap_id, ap in sorted(testbed.wgtt_aps.items())
-            if ap is not holder
-        )
+        _, other = holder_and_other(testbed)
         other._serving.add("client0")
         # Within the reconvergence slack: observed but not yet flagged.
         testbed.run_seconds(0.1)
@@ -210,14 +244,10 @@ class TestProbeInvariants:
         assert "client0" not in checker._overlap_since
 
     def test_overlap_excused_while_handshake_in_flight(self):
-        testbed = static_testbed()
+        testbed = self.build()
         checker = testbed.install_invariant_checker()
         testbed.run_seconds(0.2)
-        holder = serving_ap(testbed)
-        other = next(
-            ap for ap_id, ap in sorted(testbed.wgtt_aps.items())
-            if ap is not holder
-        )
+        holder, other = holder_and_other(testbed)
         other._serving.add("client0")
         # Park a pending handshake slot for the client: duty is
         # legitimately in motion, the checker must stay quiet.
@@ -225,7 +255,7 @@ class TestProbeInvariants:
             client="client0", from_ap=holder.ap_id, to_ap=other.ap_id,
             started_us=testbed.sim.now,
         )
-        coordinator = testbed.controller.coordinator
+        coordinator = region_of(testbed).controller.coordinator
         coordinator._pending["client0"] = _Pending(
             record=record, switch_id=9_999
         )
@@ -235,11 +265,11 @@ class TestProbeInvariants:
         other._serving.discard("client0")
 
     def test_switch_span_terminates(self):
-        testbed = static_testbed()
+        testbed = self.build()
         checker = testbed.install_invariant_checker()
-        coordinator = testbed.controller.coordinator
+        coordinator = region_of(testbed).controller.coordinator
         record = SwitchRecord(
-            client="ghost", from_ap="ap0", to_ap="ap1", started_us=0
+            client="ghost", from_ap="ap6", to_ap="ap7", started_us=0
         )
         coordinator._pending["ghost"] = _Pending(record=record, switch_id=77)
         bound_s = checker._switch_age_bound_us() / SECOND
@@ -253,19 +283,20 @@ class TestProbeInvariants:
         del coordinator._pending["ghost"]
 
     def test_liveness_agreement(self):
-        testbed = static_testbed()
+        testbed = self.build()
         checker = testbed.install_invariant_checker()
         testbed.run_seconds(0.2)
-        active = testbed.active_controller()
-        # The controller swears ap3 is dead; ap3 is demonstrably alive
+        active = region_of(testbed).active_controller()
+        # The controller swears ap7 is dead; ap7 is demonstrably alive
         # and reachable — a stuck failure detector.
-        active.dead_aps = lambda: {"ap3"}
+        active.dead_aps = lambda: {"ap7"}
         slack_s = checker._liveness_slack_us() / SECOND
         testbed.run_seconds(slack_s * 2 + 0.1)
         assert checker.counts["liveness-agreement"] == 1
+        assert checker.violations[0].subject == "ap7"
 
     def test_max_violations_caps_list_not_counters(self):
-        testbed = static_testbed()
+        testbed = self.build()
         checker = InvariantChecker(testbed, max_violations=2)
         checker.start()
         tracer = testbed.sim.obs.trace
@@ -275,6 +306,58 @@ class TestProbeInvariants:
         assert len(checker.violations) == 2
         assert checker.counts["monotonic-serving-gen"] == 4
         assert checker.total_violations() == 4
+
+
+class TestProbeInvariantsTwoShards(TestProbeInvariants):
+    """The same forgeries in region 1 of a 2-shard corridor, and what
+    only a corridor can get wrong."""
+
+    build = staticmethod(two_shard_testbed)
+
+    def test_overlap_excused_while_shard_handoff_in_flight(self):
+        testbed = self.build()
+        checker = testbed.install_invariant_checker()
+        testbed.run_seconds(0.2)
+        testbed.wgtt_aps["ap0"]._serving.add("client0")
+        # Only membership is read: duty is moving between regions.
+        testbed.shard_manager._pending["client0"] = None
+        testbed.run_seconds(0.5)
+        assert checker.counts["single-serving-ap"] == 0
+        del testbed.shard_manager._pending["client0"]
+        testbed.run_seconds(0.5)
+        assert checker.counts["single-serving-ap"] == 1
+
+    def _two_shards_probed_by_hand(self):
+        """No sim time passes after the forgery, so neither the
+        manager's scan loop nor the controllers get to react to it."""
+        testbed = self.build()
+        checker = testbed.install_invariant_checker()
+        testbed.run_seconds(0.2)
+        assert checker.counts["single-owner-shard"] == 0
+        return testbed, checker
+
+    def test_single_owner_shard_client_tracked_by_two_regions(self):
+        testbed, checker = self._two_shards_probed_by_hand()
+        here, there = (shard.controller for shard in testbed.shards)
+        here._clients["client0"] = there._clients["client0"]
+        checker._probe()
+        checker._probe()
+        # Flagged once per episode, not once per probe.
+        assert checker.counts["single-owner-shard"] == 1
+        assert "2 shard controllers" in checker.violations[0].message
+        del here._clients["client0"]
+        checker._probe()
+        here._clients["client0"] = there._clients["client0"]
+        checker._probe()
+        assert checker.counts["single-owner-shard"] == 2
+
+    def test_single_owner_shard_tracked_off_the_owner_map(self):
+        testbed, checker = self._two_shards_probed_by_hand()
+        assert testbed.shard_manager.owner_of("client0") == 1
+        testbed.shard_manager._owner["client0"] = 0
+        checker._probe()
+        assert checker.counts["single-owner-shard"] == 1
+        assert "names shard 0" in checker.violations[0].message
 
 
 class TestSloGuardIntegration:

@@ -11,15 +11,20 @@ Covers the PR-10 surface:
 * inter-shard handoffs migrate a client with zero invariant
   violations and zero duplicate deliveries;
 * sharded runs are seed-deterministic;
-* the preset registry resolves declarative specs.
+* the preset registry resolves declarative specs;
+* docs/scaling.md's "What composes with sharding" table, row by row.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.core.config import WgttConfig
+from repro.faults.plan import ApCrash, ControllerCrash, FaultPlan
 from repro.ha.checkpoint import (
     client_state_from_bytes,
     client_state_to_bytes,
@@ -37,6 +42,7 @@ from repro.scenarios.presets import (
 from repro.mobility.spatial import ApGridIndex
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.shard.config import ShardConfig
+from repro.soak import ChurnDriver, ClientSession, WorkloadPlan
 
 
 def _sharded_config(
@@ -166,17 +172,9 @@ class TestRegionPlanning:
         for left, right in zip(regions, regions[1:]):
             assert left.ap_xs[-1] < right.ap_xs[0]
 
-    def test_sharding_rejects_wgtt_ha(self):
-        from repro.core.config import WgttConfig
-
-        config = shard_corridor_config(num_shards=2)
-        config.wgtt = WgttConfig(ha_enabled=True)
-        with pytest.raises(ValueError, match="per-shard HA"):
-            ScenarioBuilder.plan_regions(config)
-
     def test_per_shard_standby_ids(self):
         config = shard_corridor_config(
-            num_shards=2, shard=ShardConfig(num_shards=2, ha_enabled=True)
+            num_shards=2, wgtt=WgttConfig(ha_enabled=True)
         )
         regions = ScenarioBuilder.plan_regions(config)
         assert [r.standby_id for r in regions] == [
@@ -324,9 +322,7 @@ class TestInterShardHandoff:
         assert serving in manager.shards[1].aps
 
     def test_per_shard_ha_topology(self):
-        tb, report, _ = self._run(
-            shard=ShardConfig(num_shards=2, ha_enabled=True)
-        )
+        tb, report, _ = self._run(wgtt=WgttConfig(ha_enabled=True))
         assert report["ok"], report["violations"]
         assert tb.shard_manager.stats["handoffs_completed"] >= 1
         for shard in tb.shard_manager.shards:
@@ -338,6 +334,139 @@ class TestInterShardHandoff:
         config.instant_association = False
         with pytest.raises(ValueError, match="instant_association"):
             Testbed(config)
+
+
+# ----------------------------------------------------------------------
+# what composes with sharding (docs/scaling.md holds the same table)
+# ----------------------------------------------------------------------
+
+
+def _controller_and_ap_faults() -> FaultPlan:
+    """Region 0 loses its primary before the client leaves it; region 1
+    loses an AP for a while."""
+    return FaultPlan(
+        [
+            ControllerCrash(at_us=100_000, controller_id="controller-s0"),
+            ApCrash(at_us=200_000, ap_id="ap6", down_us=200_000),
+        ]
+    )
+
+
+def _audit(name: str):
+    def build():
+        from repro.obs import recorders
+
+        getattr(recorders, name)(Testbed(_sharded_config()))
+
+    return build
+
+
+#: Row label (the docs table's first column) -> config overrides for a
+#: row that works.
+WORKS = {
+    "wgtt.ha_enabled": lambda: dict(wgtt=WgttConfig(ha_enabled=True)),
+    "fault_plan": lambda: dict(
+        wgtt=WgttConfig(ha_enabled=True),
+        fault_plan=_controller_and_ap_faults(),
+    ),
+    "install_invariant_checker()": dict,
+    "channel_plan": lambda: dict(channel_plan=[1, 6, 11]),
+    "ChurnDriver": dict,
+}
+
+#: Row label -> (what to construct, the error it must raise by saying).
+REFUSED = {
+    "instant_association=False": (
+        lambda: Testbed(_sharded_config(instant_association=False)),
+        "instant_association",
+    ),
+    'scheme="baseline"': (
+        lambda: Testbed(_sharded_config(scheme="baseline")),
+        "wgtt scheme",
+    ),
+    "FailoverAudit": (_audit("FailoverAudit"), "one WGTT region only"),
+    "HaAudit": (_audit("HaAudit"), "one WGTT region with ha_enabled only"),
+}
+
+
+class TestComposition:
+    def test_the_docs_table_is_these_rows(self):
+        text = (
+            Path(__file__).resolve().parents[1] / "docs" / "scaling.md"
+        ).read_text()
+        section = text.split("## What composes with sharding")[1]
+        rows = dict(
+            re.findall(
+                r"^\| `(.+?)` \| (works|`ValueError`) \|",
+                section.split("\n## ")[0],
+                flags=re.M,
+            )
+        )
+        assert {k for k, v in rows.items() if v == "works"} == set(WORKS)
+        assert {k for k, v in rows.items() if v != "works"} == set(REFUSED)
+
+    @pytest.mark.parametrize("row", sorted(WORKS))
+    def test_works(self, row):
+        """One second from just short of the boundary: a handoff
+        completes and the checker has nothing to say."""
+        tb = Testbed(_sharded_config(client_start_x_m=32.0, **WORKS[row]()))
+        checker = tb.install_invariant_checker()
+        tb.add_downlink_udp_flow(0, rate_bps=4e6)[0].start()
+        tb.add_uplink_udp_flow(0, rate_bps=1e6)[0].start()
+        if row == "ChurnDriver":
+            rider = ClientSession(
+                client_id="rider", arrive_us=0, dwell_us=600_000,
+                speed_mph=15.0, direction=1, start_x=50.0, flows=(),
+            )
+            churn = ChurnDriver(tb, WorkloadPlan(sessions=[rider]))
+            churn.arm()
+        tb.run_seconds(1.0)
+        report = checker.finish()
+        assert report["ok"], report["violations"]
+        assert tb.shard_manager.stats["handoffs_completed"] >= 1
+        assert sorted(report["counts"]) == [
+            "bounded-retry-storm",
+            "liveness-agreement",
+            "no-duplicate-delivery",
+            "single-active-controller",
+            "single-owner-shard",
+            "single-serving-ap",
+            "switch-span-terminates",
+        ]
+        if row == "wgtt.ha_enabled":
+            assert [s.standby.controller_id for s in tb.shards] == [
+                "standby-s0", "standby-s1",
+            ]
+        elif row == "fault_plan":
+            assert tb.shards[0].standby.promoted
+            assert tb.obs.metrics.snapshot()["faults_executed"] == 3
+        elif row == "channel_plan":
+            serving = tb.wgtt_aps[tb.serving_ap_of(0)]
+            assert serving.ap_id in tb.shards[1].aps
+            assert tb.clients[0].device.channel == serving.device.channel
+        elif row == "ChurnDriver":
+            assert churn.stats["arrivals"] == churn.stats["departures"] == 1
+            assert churn.stats["dereg_deferred"] == 0
+            assert [len(s.controller._clients) for s in tb.shards] == [0, 1]
+
+    @pytest.mark.parametrize("row", sorted(REFUSED))
+    def test_refused_at_construction(self, row):
+        build, message = REFUSED[row]
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_fault_plan_ids_are_checked_when_armed(self):
+        """A misspelt id fails Testbed(config), not the run at the
+        instant the fault fires."""
+        plan = FaultPlan(
+            [ControllerCrash(at_us=1_000_000, controller_id="controller-s9")]
+        )
+        with pytest.raises(KeyError, match="unknown controller 'controller-s9'"):
+            Testbed(_sharded_config(fault_plan=plan))
+        with pytest.raises(KeyError, match="unknown AP 'ap8'"):
+            Testbed(_sharded_config()).install_fault_plan(
+                FaultPlan([ApCrash(at_us=1_000_000, ap_id="ap8")])
+            )
 
 
 class TestShardDeterminism:
@@ -369,7 +498,7 @@ class TestPresetRegistry:
 
     def test_shard_corridor_is_declarative(self):
         config = preset("shard-corridor", seed=9)
-        assert config.sharding_enabled
+        assert config.shard is not None
         assert config.seed == 9
         assert config.shard.num_shards == 2
         # Nothing built yet: a spec, not a testbed.

@@ -10,10 +10,13 @@ from repro.core.controller import WgttController
 from repro.core.cyclic_queue import CyclicQueue
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
+from repro.scenarios.presets import shard_corridor_config
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim import RngRegistry, Simulator
 from repro.sim.engine import MS, SECOND
 from repro.soak import (
+    ChurnDriver,
+    ClientSession,
     SloBudgets,
     SoakConfig,
     SoakViolationError,
@@ -194,6 +197,60 @@ class TestClientChurn:
         for i in range(ap._departed.cap + 50):
             ap._client_departed("controller", f"ghost{i}")
         assert len(ap._departed) == ap._departed.cap
+
+
+class TestChurnDeparture:
+    """Departures go through ``Testbed.depart_client``, whose answer —
+    did a live control plane hear it — decides whether one is parked."""
+
+    def test_every_region_hears_a_departure(self):
+        config = shard_corridor_config(
+            num_shards=2, num_aps=8, seed=3, client_tracks=[]
+        )
+        tb = Testbed(config)
+        checker = tb.install_invariant_checker()
+        plan = WorkloadPlan.generate(
+            RngRegistry(3).spawn("soak-workload"),
+            6 * SECOND,
+            config.road_length_m(),
+            WorkloadConfig(
+                arrival_rate_per_s=4, mean_dwell_s=1, max_concurrent=8
+            ),
+        )
+        churn = ChurnDriver(tb, plan)
+        churn.arm()
+        tb.run_seconds(6.0)
+        churn.finalize()
+        stats = churn.stats
+        assert stats["departures"] >= 5
+        assert stats["dereg_deferred"] == 0
+        assert churn.pending_dereg_count() == 0
+        tracked = sum(len(shard.controller._clients) for shard in tb.shards)
+        assert tracked == stats["arrivals"] - stats["departures"]
+        report = checker.finish()
+        assert report["ok"], report["violations"]
+
+    def test_controller_down_parks_the_departure_until_it_is_back(self):
+        tb = Testbed(TestbedConfig(seed=3, client_tracks=[]))
+        session = ClientSession(
+            client_id="rider", arrive_us=0, dwell_us=SECOND,
+            speed_mph=15.0, direction=1, start_x=0.0, flows=(),
+        )
+        churn = ChurnDriver(tb, WorkloadPlan(sessions=[session]))
+        churn.arm()
+        tb.run_seconds(0.9)
+        assert "rider" in tb.controller._clients
+        tb.controller.crash()
+        tb.run_seconds(0.2)
+        assert churn.stats["departures"] == churn.stats["dereg_deferred"] == 1
+        assert churn.pending_dereg_count() == 1
+        tb.run_seconds(0.5)  # one retry against the dead controller
+        assert churn.pending_dereg_count() == 1
+        tb.controller.restart()
+        tb.run_seconds(0.6)
+        assert churn.stats["dereg_retried"] == 1
+        assert churn.pending_dereg_count() == 0
+        assert "rider" not in tb.controller._clients
 
 
 # ----------------------------------------------------------------------
