@@ -138,10 +138,11 @@ class WgttAccessPoint:
         #: False while crashed (fault injection): no radio, no backhaul,
         #: volatile state gone.
         self.alive = True
-        #: Fault-injection switch: measured CSI is silently discarded
-        #: (models a wedged CSI extraction path on otherwise-healthy
-        #: hardware — the controller must survive the staleness).
-        self.csi_suppressed = False
+        #: Fault-injection switch, a count of open blackout windows:
+        #: while non-zero, measured CSI is silently discarded (models a
+        #: wedged CSI extraction path on otherwise-healthy hardware —
+        #: the controller must survive the staleness).
+        self.csi_suppressed = 0
         self._heartbeat_seq = 0
         #: Controller-liveness watch (HA mode).  Armed lazily on the
         #: first "ctrl-heartbeat" — a controller that never heartbeats

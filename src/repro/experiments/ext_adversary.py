@@ -35,18 +35,27 @@ from typing import Dict, List, Optional
 from repro.core.config import WgttConfig
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import run_grid
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import (
+    FaultPlan,
+    GrayFailure,
+    MsgCorruption,
+    MsgDuplication,
+    OneWayPartition,
+    StaleReplay,
+)
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
 
 #: Adversary window arrival rates (per second of sim time) at
 #: ``intensity=1`` — every class lands multiple windows per run.
-DUPLICATION_RATE_PER_S = 0.5
-REPLAY_RATE_PER_S = 0.4
-CORRUPTION_RATE_PER_S = 0.3
-ONEWAY_RATE_PER_S = 0.4
-GRAY_RATE_PER_S = 0.3
+RATES_PER_S = {
+    MsgDuplication: 0.5,
+    StaleReplay: 0.4,
+    MsgCorruption: 0.3,
+    OneWayPartition: 0.4,
+    GrayFailure: 0.3,
+}
 
 #: Schedules per scheme in the full gate (>= 20 total with two schemes).
 FULL_SCHEDULES_PER_SCHEME = 10
@@ -73,12 +82,8 @@ def adversary_plan(
         plan_rng,
         ap_ids,
         duration_us,
-        duplication_rate_per_s=DUPLICATION_RATE_PER_S * intensity,
-        duplication_copies=2,
-        replay_rate_per_s=REPLAY_RATE_PER_S * intensity,
-        corruption_rate_per_s=CORRUPTION_RATE_PER_S * intensity,
-        oneway_rate_per_s=ONEWAY_RATE_PER_S * intensity,
-        gray_rate_per_s=GRAY_RATE_PER_S * intensity,
+        {kind: rate * intensity for kind, rate in RATES_PER_S.items()},
+        overrides={MsgDuplication: {"copies": 2}},
     )
 
 

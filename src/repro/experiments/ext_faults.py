@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.common import mean, seeds_for
 from repro.experiments.runner import run_grid
-from repro.faults.plan import ApCrash, FaultPlan
+from repro.faults.plan import ApCrash, FaultPlan, Partition
 from repro.obs.recorders import FailoverAudit
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
@@ -62,12 +62,14 @@ def _plan_for(
         plan_rng,
         ap_ids,
         duration_us,
-        crash_rate_per_s=crash_rate_per_s,
-        crash_down_us=CRASH_DOWN_US,
-        partition_rate_per_s=(
-            PARTITION_RATE_PER_S if partition_duration_s > 0 else 0.0
-        ),
-        partition_duration_us=int(partition_duration_s * SECOND),
+        {
+            ApCrash: crash_rate_per_s,
+            Partition: PARTITION_RATE_PER_S if partition_duration_s > 0 else 0.0,
+        },
+        overrides={
+            ApCrash: {"down_us": CRASH_DOWN_US},
+            Partition: {"duration_us": int(partition_duration_s * SECOND)},
+        },
     )
 
 

@@ -25,6 +25,7 @@ byte-identical protocol behaviour.
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
+    FAULT_CLASSES,
     ApCrash,
     ControllerCrash,
     ControllerRestart,
@@ -40,6 +41,7 @@ from repro.faults.plan import (
 )
 
 __all__ = [
+    "FAULT_CLASSES",
     "ApCrash",
     "ControllerCrash",
     "ControllerRestart",

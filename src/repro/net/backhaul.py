@@ -13,7 +13,7 @@ delivery path (:meth:`EthernetBackhaul.send_control`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, KeysView, Optional, Tuple
 
 import numpy as np
 
@@ -67,9 +67,9 @@ class BackhaulStats:
     #: kept apart from the random-loss ``dropped`` counter.
     fault_dropped: int = 0
     # -- adversary accounting (all zero unless an adversary is armed) --
-    #: Extra copies injected by :class:`~repro.faults.plan.MsgDuplication`.
+    #: Extra copies injected by ``dup`` windows.
     duplicated: int = 0
-    #: Old messages re-delivered by a :class:`StaleReplay` window.
+    #: Old messages re-delivered when a ``replay`` window closed.
     replayed: int = 0
     #: Messages corrupted (checksum fail) and dropped, with accounting.
     corrupt_dropped: int = 0
@@ -86,50 +86,10 @@ class BackhaulStats:
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
 
 
-class _Adversary:
-    """Message-level adversary state, created lazily on first use.
-
-    Fault-free runs never instantiate this: the one
-    ``self._adversary is None`` load in :meth:`EthernetBackhaul.send`
-    is the whole cost, mirroring the ``_fault_blocked`` empty fast
-    path — which is what keeps adversary-off runs bit-identical.
-    """
-
-    __slots__ = (
-        "duplication",
-        "corruption",
-        "oneway",
-        "captures",
-        "degraded",
-        "next_handle",
-    )
-
-    def __init__(self) -> None:
-        #: handle -> (kinds|None, probability, copies, rng)
-        self.duplication: Dict[int, tuple] = {}
-        #: handle -> (kinds|None, probability, rng)
-        self.corruption: Dict[int, tuple] = {}
-        #: handle -> (src, dst): directed drop.
-        self.oneway: Dict[int, Tuple[str, str]] = {}
-        #: handle -> (kinds|None, cap, buffer) for stale replay.
-        self.captures: Dict[int, tuple] = {}
-        #: node_id -> (extra_latency_us, loss_rate, rng): gray failure.
-        self.degraded: Dict[str, tuple] = {}
-        self.next_handle = 1
-
-    def empty(self) -> bool:
-        return not (
-            self.duplication
-            or self.corruption
-            or self.oneway
-            or self.captures
-            or self.degraded
-        )
-
-    def handle(self) -> int:
-        value = self.next_handle
-        self.next_handle += 1
-        return value
+#: The fault-window kinds :meth:`EthernetBackhaul.open_fault` accepts,
+#: in the order ``send()`` consults them.  The names are the rng
+#: families of the plan events that describe them.
+FAULT_KINDS = ("partitions", "oneway", "gray", "corrupt", "jitter", "replay", "dup")
 
 
 class EthernetBackhaul:
@@ -176,20 +136,11 @@ class EthernetBackhaul:
         #: Endpoints whose NIC is dark (crashed AP): anything they send
         #: or should receive vanishes silently.
         self._down_nodes: set = set()
-        #: Active partitions: id -> (side_a, side_b); a message crossing
-        #: from one side to the other is dropped.
-        self._partitions: Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
-        self._next_partition_id = 1
-        #: Per-directed-link extra-delay jitter: (src, dst) -> (max_us,
-        #: rng).  Varying extra delays reorder messages naturally.
-        self._link_jitter: Dict[
-            Tuple[str, str], Tuple[int, np.random.Generator]
-        ] = {}
-        #: Message-level adversary (duplication / replay / corruption /
-        #: one-way partitions / gray failure).  ``None`` until the
-        #: first adversary window opens; dropped back to ``None`` when
-        #: the last one closes, so idle runs pay one attribute load.
-        self._adversary: Optional[_Adversary] = None
+        #: Open fault windows: kind -> handle -> (window, rng, captured).
+        #: ``None`` until the first window opens and again once the
+        #: last one closes, so idle runs pay one attribute load.
+        self._faults: Optional[Dict[str, Dict[int, tuple]]] = None
+        self._next_fault_handle = 1
         #: Latched True the first time an adversary window is armed —
         #: metric collectors key on this so adversary counters only
         #: appear in runs that actually used the adversary.
@@ -225,7 +176,7 @@ class EthernetBackhaul:
         self._handlers[node_id] = handler
 
     # ------------------------------------------------------------------
-    # fault injection (crash / partition / jitter)
+    # fault injection: dark endpoints, and one table of fault windows
     # ------------------------------------------------------------------
 
     def set_node_down(self, node_id: str, down: bool = True) -> None:
@@ -240,176 +191,60 @@ class EthernetBackhaul:
     def is_node_down(self, node_id: str) -> bool:
         return node_id in self._down_nodes
 
-    def partition(
-        self, side_a: Iterable[str], side_b: Iterable[str]
-    ) -> int:
-        """Install a partition between two endpoint sets; messages that
-        would cross it are dropped.  Returns a handle for :meth:`heal`."""
-        a, b = frozenset(side_a), frozenset(side_b)
-        if a & b:
-            raise ValueError("partition sides must be disjoint")
-        partition_id = self._next_partition_id
-        self._next_partition_id += 1
-        self._partitions[partition_id] = (a, b)
-        return partition_id
+    def nodes(self) -> KeysView[str]:
+        """Ids of every attached node."""
+        return self._handlers.keys()
 
-    def heal(self, partition_id: Optional[int] = None) -> None:
-        """Remove one partition (or all of them when id is None)."""
-        if partition_id is None:
-            self._partitions.clear()
-        else:
-            self._partitions.pop(partition_id, None)
-
-    def partitioned(self, src_id: str, dst_id: str) -> bool:
-        """True when an active partition separates the two endpoints."""
-        for side_a, side_b in self._partitions.values():
-            if (src_id in side_a and dst_id in side_b) or (
-                src_id in side_b and dst_id in side_a
-            ):
-                return True
-        return False
-
-    def set_link_jitter(
+    def open_fault(
         self,
-        src_id: str,
-        dst_id: str,
-        jitter_us: int,
-        rng: np.random.Generator,
-    ) -> None:
-        """Add uniform extra delay in ``[0, jitter_us]`` to every message
-        on the directed link — enough variance reorders deliveries."""
-        if jitter_us < 0:
-            raise ValueError("jitter must be non-negative")
-        self._link_jitter[(src_id, dst_id)] = (int(jitter_us), rng)
-
-    def clear_link_jitter(
-        self, src_id: Optional[str] = None, dst_id: Optional[str] = None
-    ) -> None:
-        """Remove jitter from one directed link, or from all links."""
-        if src_id is None and dst_id is None:
-            self._link_jitter.clear()
-        else:
-            self._link_jitter.pop((src_id, dst_id), None)
-
-    # ------------------------------------------------------------------
-    # message-level adversary (duplication / replay / corruption /
-    # one-way partition / gray failure)
-    # ------------------------------------------------------------------
-
-    def _ensure_adversary(self) -> _Adversary:
-        if self._adversary is None:
-            self._adversary = _Adversary()
+        kind: str,
+        window: Any,
+        rng: Optional[np.random.Generator] = None,
+    ) -> int:
+        """Open a fault window of one of :data:`FAULT_KINDS`; returns
+        the handle :meth:`close_fault` takes.  ``window`` is the plan
+        event that describes it — :mod:`repro.faults.plan` says what
+        each kind does and validates its fields, which ``send()`` reads
+        while the window is open — and ``rng`` the stream that its
+        per-message draws come from (gray, corrupt, jitter, dup)."""
+        if kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {kind!r}")
+        if window.adversary:
             self.adversary_armed = True
-        return self._adversary
-
-    def _maybe_drop_adversary(self) -> None:
-        if self._adversary is not None and self._adversary.empty():
-            self._adversary = None
-
-    def set_duplication(
-        self,
-        kinds: Optional[FrozenSet[str]],
-        probability: float,
-        copies: int,
-        rng: np.random.Generator,
-    ) -> int:
-        """Duplicate matching messages (prob. per message, ``copies``
-        extra deliveries each).  Returns a handle for clearing."""
-        if not 0.0 < probability <= 1.0:
-            raise ValueError("probability must be in (0, 1]")
-        if copies <= 0:
-            raise ValueError("copies must be positive")
-        adversary = self._ensure_adversary()
-        handle = adversary.handle()
-        adversary.duplication[handle] = (kinds, probability, copies, rng)
+        if self._faults is None:
+            self._faults = {name: {} for name in FAULT_KINDS}
+        handle = self._next_fault_handle
+        self._next_fault_handle += 1
+        self._faults[kind][handle] = (window, rng, [])
         return handle
 
-    def clear_duplication(self, handle: int) -> None:
-        if self._adversary is not None:
-            self._adversary.duplication.pop(handle, None)
-            self._maybe_drop_adversary()
+    def close_fault(self, handle: int) -> Optional[int]:
+        """Close one window by its handle (unknown: a no-op).  Closing
+        a ``replay`` window re-delivers what it recorded and returns
+        how many messages that was; every other kind returns None."""
+        faults = self._faults
+        if faults is None:
+            return None
+        for kind, windows in faults.items():
+            entry = windows.pop(handle, None)
+            if entry is not None:
+                if not any(faults.values()):
+                    self._faults = None
+                return self._replay(entry[2]) if kind == "replay" else None
+        return None
 
-    def set_corruption(
-        self,
-        kinds: Optional[FrozenSet[str]],
-        probability: float,
-        rng: np.random.Generator,
-    ) -> int:
-        """Corrupt matching messages with ``probability``; corrupted
-        messages fail their checksum and are dropped with accounting."""
-        if not 0.0 < probability <= 1.0:
-            raise ValueError("probability must be in (0, 1]")
-        adversary = self._ensure_adversary()
-        handle = adversary.handle()
-        adversary.corruption[handle] = (kinds, probability, rng)
-        return handle
-
-    def clear_corruption(self, handle: int) -> None:
-        if self._adversary is not None:
-            self._adversary.corruption.pop(handle, None)
-            self._maybe_drop_adversary()
-
-    def partition_oneway(self, src_id: str, dst_id: str) -> int:
-        """Drop everything on the *directed* link ``src -> dst`` while
-        the reverse direction keeps flowing."""
-        if src_id == dst_id:
-            raise ValueError("src and dst must differ")
-        adversary = self._ensure_adversary()
-        handle = adversary.handle()
-        adversary.oneway[handle] = (src_id, dst_id)
-        return handle
-
-    def heal_oneway(self, handle: int) -> None:
-        if self._adversary is not None:
-            self._adversary.oneway.pop(handle, None)
-            self._maybe_drop_adversary()
-
-    def oneway_blocked(self, src_id: str, dst_id: str) -> bool:
-        """True when a one-way partition drops ``src -> dst`` traffic."""
-        adversary = self._adversary
-        if adversary is None or not adversary.oneway:
-            return False
-        return any(
-            src == src_id and dst == dst_id
-            for src, dst in adversary.oneway.values()
-        )
-
-    def start_replay_capture(
-        self, kinds: Optional[FrozenSet[str]], count: int
-    ) -> int:
-        """Start recording matching *delivered* messages (up to
-        ``count``) for later re-delivery via :meth:`replay_captured`."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        adversary = self._ensure_adversary()
-        handle = adversary.handle()
-        adversary.captures[handle] = (kinds, int(count), [])
-        return handle
-
-    def replay_captured(self, handle: int) -> int:
-        """Close a capture window and re-deliver everything it recorded
-        (in capture order, after the normal path latency).  Replays are
-        adversary deliveries: they skip loss, jitter, capture and
-        duplication processing, but still respect crashed nodes and
-        partitions.  Returns how many messages were re-injected."""
-        if self._adversary is None:
-            return 0
-        entry = self._adversary.captures.pop(handle, None)
-        self._maybe_drop_adversary()
-        if entry is None:
-            return 0
-        _kinds, _cap, buffer = entry
+    def _replay(self, captured: list) -> int:
+        """Re-deliver a closed capture window's messages in capture
+        order, after the normal path latency.  Replays are adversary
+        deliveries: they skip loss, jitter, capture and duplication
+        processing, but still respect crashed nodes and partitions."""
         tracer = self._sim.obs.trace
         replayed = 0
-        for offset, record in enumerate(buffer):
+        for offset, record in enumerate(captured):
             src_id, dst_id, kind, payload, size_bytes, control = record
-            if self._fault_blocked(src_id, dst_id) or self.oneway_blocked(
-                src_id, dst_id
-            ):
+            if self._blocked(src_id, dst_id) is not None:
                 continue
-            handler = self._handlers.get(dst_id)
-            if handler is None:
-                continue
+            handler = self._handlers[dst_id]
             self.stats.replayed += 1
             replayed += 1
             if tracer.active:
@@ -431,47 +266,65 @@ class EthernetBackhaul:
             )
         return replayed
 
-    def set_node_degraded(
-        self,
-        node_id: str,
-        extra_latency_us: int,
-        loss_rate: float,
-        rng: np.random.Generator,
-    ) -> None:
-        """Gray-fail a node: non-reliable messages to or from it pick
-        up ``extra_latency_us`` and an extra Bernoulli ``loss_rate``,
-        while heartbeats (the reliable class) keep flowing — the
-        liveness table stays green while service rots."""
-        if extra_latency_us < 0:
-            raise ValueError("extra_latency_us must be non-negative")
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError("loss_rate must be in [0, 1]")
-        adversary = self._ensure_adversary()
-        adversary.degraded[node_id] = (int(extra_latency_us), loss_rate, rng)
-
-    def clear_node_degraded(self, node_id: str) -> None:
-        if self._adversary is not None:
-            self._adversary.degraded.pop(node_id, None)
-            self._maybe_drop_adversary()
-
-    def is_node_degraded(self, node_id: str) -> bool:
-        adversary = self._adversary
-        return adversary is not None and node_id in adversary.degraded
+    def _blocked(self, src_id: str, dst_id: str) -> Optional[str]:
+        """What cuts ``src -> dst`` outright, as the drop it causes:
+        ``"fault"`` (a dark endpoint or a partition), ``"oneway"``, or
+        ``None``."""
+        down = self._down_nodes
+        if down and (src_id in down or dst_id in down):
+            return "fault"
+        faults = self._faults
+        if faults is None:
+            return None
+        for window, _, _ in faults["partitions"].values():
+            side_a, side_b = window.side_a, window.side_b
+            if (src_id in side_a and dst_id in side_b) or (
+                src_id in side_b and dst_id in side_a
+            ):
+                return "fault"
+        for window, _, _ in faults["oneway"].values():
+            if window.src == src_id and window.dst == dst_id:
+                return "oneway"
+        return None
 
     def unreachable(self, src_id: str, dst_id: str) -> bool:
         """True when *anything* currently blocks ``src -> dst``: a dark
         endpoint, a symmetric partition, or a one-way partition.  The
         invariant checker uses this to excuse liveness-table lag."""
-        return self._fault_blocked(src_id, dst_id) or self.oneway_blocked(
-            src_id, dst_id
-        )
+        return self._blocked(src_id, dst_id) is not None
 
-    def _fault_blocked(self, src_id: str, dst_id: str) -> bool:
-        if not self._down_nodes and not self._partitions:
-            return False  # fault-free fast path
-        if src_id in self._down_nodes or dst_id in self._down_nodes:
-            return True
-        return self.partitioned(src_id, dst_id)
+    def _judge(
+        self, src_id: str, dst_id: str, kind: str
+    ) -> Tuple[Optional[str], int]:
+        """The injected faults' verdict on one message: which of them
+        drops it (``None``: none does) and the latency a gray endpoint
+        adds.  Cuts, then gray, then corruption: the order fixes which
+        window streams draw for a message that an earlier one drops."""
+        drop = self._blocked(src_id, dst_id)
+        faults = self._faults
+        if drop is not None or faults is None:
+            return drop, 0
+        extra_us = 0
+        if faults["gray"] and kind not in RELIABLE_KINDS:
+            # One window judges a message: the sender's, else the
+            # receiver's (the earliest opened, if windows overlap).
+            for node_id in (src_id, dst_id):
+                hit = next(
+                    (e for e in faults["gray"].values() if e[0].ap_id == node_id),
+                    None,
+                )
+                if hit is not None:
+                    window, rng, _ = hit
+                    if window.loss_rate > 0.0 and rng.random() < window.loss_rate:
+                        return "gray", 0
+                    extra_us = window.extra_latency_us
+                    break
+        for window, rng, _ in faults["corrupt"].values():
+            if window.kinds is not None and kind not in window.kinds:
+                continue
+            if rng.random() < window.probability:
+                return "corrupt", 0
+        return None, extra_us
 
     def _loss_draw(self) -> float:
         if self._loss_rng is None:
@@ -497,83 +350,21 @@ class EthernetBackhaul:
         self.stats.record(kind, size_bytes, control)
         tracer = self._sim.obs.trace
         if tracer.active:
+            # What every record about this message carries.
+            track, detail = f"port/{src_id}", kind in _DETAIL_KINDS
+            tags = dict(src=src_id, dst=dst_id, msg=kind)
             tracer.emit(
-                "backhaul",
-                "tx",
-                track=f"port/{src_id}",
-                detail=kind in _DETAIL_KINDS,
-                src=src_id,
-                dst=dst_id,
-                msg=kind,
-                bytes=size_bytes,
-                control=control,
+                "backhaul", "tx", track=track, detail=detail, **tags,
+                bytes=size_bytes, control=control,
             )
-        if self._fault_blocked(src_id, dst_id):
-            self.stats.fault_dropped += 1
-            if tracer.active:
-                tracer.emit(
-                    "backhaul",
-                    "fault-drop",
-                    track=f"port/{src_id}",
-                    detail=kind in _DETAIL_KINDS,
-                    src=src_id,
-                    dst=dst_id,
-                    msg=kind,
-                )
-            return
-        adversary = self._adversary
+        # -- the one drop verdict -------------------------------------
+        # Injected faults first (a dark endpoint, then the open windows
+        # in FAULT_KINDS order), then the Bernoulli loss knob.
+        drop: Optional[str] = None
         gray_extra_us = 0
-        if adversary is not None:
-            if adversary.oneway and self.oneway_blocked(src_id, dst_id):
-                self.stats.oneway_dropped += 1
-                if tracer.active:
-                    tracer.emit(
-                        "backhaul",
-                        "oneway-drop",
-                        track=f"port/{src_id}",
-                        detail=kind in _DETAIL_KINDS,
-                        src=src_id,
-                        dst=dst_id,
-                        msg=kind,
-                    )
-                return
-            if adversary.degraded and kind not in RELIABLE_KINDS:
-                entry = adversary.degraded.get(src_id)
-                if entry is None:
-                    entry = adversary.degraded.get(dst_id)
-                if entry is not None:
-                    extra_us, gray_loss, gray_rng = entry
-                    if gray_loss > 0.0 and gray_rng.random() < gray_loss:
-                        self.stats.gray_dropped += 1
-                        if tracer.active:
-                            tracer.emit(
-                                "backhaul",
-                                "gray-drop",
-                                track=f"port/{src_id}",
-                                detail=kind in _DETAIL_KINDS,
-                                src=src_id,
-                                dst=dst_id,
-                                msg=kind,
-                            )
-                        return
-                    gray_extra_us = extra_us
-            if adversary.corruption:
-                for c_kinds, c_prob, c_rng in adversary.corruption.values():
-                    if c_kinds is not None and kind not in c_kinds:
-                        continue
-                    if c_rng.random() < c_prob:
-                        self.stats.corrupt_dropped += 1
-                        if tracer.active:
-                            tracer.emit(
-                                "backhaul",
-                                "corrupt-drop",
-                                track=f"port/{src_id}",
-                                detail=kind in _DETAIL_KINDS,
-                                src=src_id,
-                                dst=dst_id,
-                                msg=kind,
-                            )
-                        return
+        faults = self._faults
+        if faults is not None or self._down_nodes:
+            drop, gray_extra_us = self._judge(src_id, dst_id, kind)
         # Liveness and HA traffic rides a reliable transport in a real
         # deployment (the paper's sta-sync uses per-peer TCP); exempting
         # those kinds from the scalar Bernoulli loss knob also keeps the
@@ -581,19 +372,34 @@ class EthernetBackhaul:
         # whether or not liveness/HA is running.  Injected faults
         # (crash, partition) do drop them — that is what the liveness
         # trackers on both sides detect.
-        if self.loss_rate > 0.0 and kind not in RELIABLE_KINDS:
-            if self._loss_draw() < self.loss_rate:
+        if (
+            drop is None
+            and self.loss_rate > 0.0
+            and kind not in RELIABLE_KINDS
+            and self._loss_draw() < self.loss_rate
+        ):
+            drop = "loss"
+        if drop is not None:
+            if drop == "loss":
                 self.dropped += 1
-                if tracer.active:
-                    tracer.emit(
-                        "backhaul",
-                        "loss-drop",
-                        track=f"port/{src_id}",
-                        src=src_id,
-                        dst=dst_id,
-                        msg=kind,
-                    )
-                return
+            else:
+                counter = f"{drop}_dropped"
+                setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            if tracer.active:
+                tracer.emit(
+                    "backhaul",
+                    # Spelt out so repro.analysis (TRC001-003) reads
+                    # the names off the emit site.
+                    "fault-drop" if drop == "fault"
+                    else "oneway-drop" if drop == "oneway"
+                    else "gray-drop" if drop == "gray"
+                    else "corrupt-drop" if drop == "corrupt"
+                    else "loss-drop",
+                    track=track,
+                    detail=detail and drop != "loss",
+                    **tags,
+                )
+            return
         serialization_us = int(size_bytes * 8 / self.bandwidth_bps * 1e6)
         if control:
             delay = self.control_latency_us + serialization_us
@@ -602,50 +408,40 @@ class EthernetBackhaul:
             start = max(self._sim.now, self._port_busy_until.get(src_id, 0))
             self._port_busy_until[src_id] = start + serialization_us
             delay = (start - self._sim.now) + serialization_us + self.latency_us
-        jitter = self._link_jitter.get((src_id, dst_id))
-        if jitter is not None:
-            max_us, rng = jitter
-            if max_us > 0:
-                delay += int(rng.integers(0, max_us + 1))
-        delay += gray_extra_us
         handler = self._handlers[dst_id]
-        if adversary is not None:
-            if adversary.captures:
-                for r_kinds, r_cap, r_buffer in adversary.captures.values():
-                    if r_kinds is not None and kind not in r_kinds:
-                        continue
-                    if len(r_buffer) < r_cap:
-                        r_buffer.append(
-                            (src_id, dst_id, kind, payload, size_bytes, control)
+        if faults is not None:
+            for window, rng, _ in faults["jitter"].values():
+                if window.src == src_id and window.dst == dst_id:
+                    # Varying extra delays reorder messages naturally.
+                    delay += int(rng.integers(0, window.jitter_us + 1))
+            delay += gray_extra_us
+            for window, _, captured in faults["replay"].values():
+                if window.kinds is not None and kind not in window.kinds:
+                    continue
+                if len(captured) < window.count:
+                    captured.append(
+                        (src_id, dst_id, kind, payload, size_bytes, control)
+                    )
+            for window, rng, _ in faults["dup"].values():
+                if window.kinds is not None and kind not in window.kinds:
+                    continue
+                if rng.random() >= window.probability:
+                    continue
+                for _ in range(window.copies):
+                    self.stats.duplicated += 1
+                    if tracer.active:
+                        tracer.emit(
+                            "backhaul", "dup-tx", track=track, detail=detail, **tags
                         )
-            if adversary.duplication:
-                for entry in adversary.duplication.values():
-                    d_kinds, d_prob, d_copies, d_rng = entry
-                    if d_kinds is not None and kind not in d_kinds:
-                        continue
-                    if d_rng.random() >= d_prob:
-                        continue
-                    for _ in range(d_copies):
-                        self.stats.duplicated += 1
-                        if tracer.active:
-                            tracer.emit(
-                                "backhaul",
-                                "dup-tx",
-                                track=f"port/{src_id}",
-                                detail=kind in _DETAIL_KINDS,
-                                src=src_id,
-                                dst=dst_id,
-                                msg=kind,
-                            )
-                        # Copies land shortly after the original with a
-                        # varying skew, so they interleave with other
-                        # in-flight traffic instead of arriving as a
-                        # harmless back-to-back pair.
-                        dup_delay = delay + 1 + int(d_rng.integers(0, 64))
-                        self._sim.schedule(
-                            dup_delay,
-                            lambda h=handler: h(src_id, kind, payload),
-                        )
+                    # Copies land shortly after the original with a
+                    # varying skew, so they interleave with other
+                    # in-flight traffic instead of arriving as a
+                    # harmless back-to-back pair.
+                    dup_delay = delay + 1 + int(rng.integers(0, 64))
+                    self._sim.schedule(
+                        dup_delay,
+                        lambda h=handler: h(src_id, kind, payload),
+                    )
         self._sim.schedule(delay, lambda: handler(src_id, kind, payload))
 
     def send_control(

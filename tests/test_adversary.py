@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.faults import (
+    FAULT_CLASSES,
+    ApCrash,
     FaultPlan,
     GrayFailure,
     MsgCorruption,
@@ -20,6 +22,11 @@ from repro.sim.rng import RngRegistry
 
 def rng(seed=7):
     return np.random.default_rng(seed)
+
+
+def window(kind, **fields):
+    """A plan event as the backhaul's description of an open window."""
+    return kind(at_us=0, duration_us=1, **fields)
 
 
 class TestAdversaryEventValidation:
@@ -61,9 +68,10 @@ class TestAdversaryEventValidation:
             GrayFailure(at_us=0, duration_us=100, ap_id="ap0", loss_rate=1.1)
 
     def test_overlapping_oneway_windows_rejected(self):
-        """Two windows on the same directed link must not overlap: the
-        injector heals by directed link, so the earlier heal would
-        silently reopen the later window."""
+        """Two windows on the same directed link must not overlap.
+        Each heals by its own handle, so the overlap would be harmless;
+        it is refused because ``FaultPlan.random`` has always skipped
+        such draws, and a plan it cannot draw should not validate."""
         a = OneWayPartition(at_us=0, duration_us=1_000, src="a", dst="b")
         b = OneWayPartition(at_us=500, duration_us=1_000, src="a", dst="b")
         with pytest.raises(ValueError):
@@ -75,7 +83,7 @@ class TestAdversaryEventValidation:
         a = OneWayPartition(at_us=0, duration_us=1_000, src="a", dst="b")
         b = OneWayPartition(at_us=500, duration_us=1_000, src="b", dst="a")
         plan = FaultPlan(events=[a, b])
-        assert len(plan.one_way_partitions()) == 2
+        assert len(plan.of(OneWayPartition)) == 2
 
     def test_back_to_back_oneway_windows_allowed(self):
         a = OneWayPartition(at_us=0, duration_us=1_000, src="a", dst="b")
@@ -105,7 +113,7 @@ class TestAdversaryEventValidation:
             GrayFailure(at_us=50, duration_us=100, ap_id="ap2"),
         ])
         assert len(plan.adversary_events()) == 2
-        assert len(plan.gray_failures()) == 1
+        assert len(plan.of(GrayFailure)) == 1
 
 
 class TestBackhaulDuplication:
@@ -114,7 +122,9 @@ class TestBackhaulDuplication:
         backhaul = EthernetBackhaul(sim)
         got = []
         backhaul.register("dst", lambda s, k, p: got.append(p))
-        backhaul.set_duplication(None, probability=1.0, copies=2, rng=rng())
+        backhaul.open_fault(
+            "dup", window(MsgDuplication, probability=1.0, copies=2), rng()
+        )
         backhaul.send("src", "dst", "ack", "m1")
         sim.run()
         assert got == ["m1", "m1", "m1"]  # original + 2 copies
@@ -125,8 +135,10 @@ class TestBackhaulDuplication:
         backhaul = EthernetBackhaul(sim)
         got = []
         backhaul.register("dst", lambda s, k, p: got.append((k, p)))
-        backhaul.set_duplication(
-            frozenset({"stop"}), probability=1.0, copies=1, rng=rng()
+        backhaul.open_fault(
+            "dup",
+            window(MsgDuplication, probability=1.0, kinds={"stop"}),
+            rng(),
         )
         backhaul.send("src", "dst", "stop", "s")
         backhaul.send("src", "dst", "data", "d")
@@ -139,10 +151,10 @@ class TestBackhaulDuplication:
         backhaul = EthernetBackhaul(sim)
         got = []
         backhaul.register("dst", lambda s, k, p: got.append(p))
-        handle = backhaul.set_duplication(
-            None, probability=1.0, copies=1, rng=rng()
+        handle = backhaul.open_fault(
+            "dup", window(MsgDuplication, probability=1.0), rng()
         )
-        backhaul.clear_duplication(handle)
+        backhaul.close_fault(handle)
         backhaul.send("src", "dst", "ack", "m")
         sim.run()
         assert got == ["m"]
@@ -155,12 +167,12 @@ class TestBackhaulDuplication:
         sim = Simulator()
         backhaul = EthernetBackhaul(sim)
         assert not backhaul.adversary_armed
-        handle = backhaul.set_duplication(
-            None, probability=0.5, copies=1, rng=rng()
+        handle = backhaul.open_fault(
+            "dup", window(MsgDuplication, probability=0.5), rng()
         )
         assert backhaul.adversary_armed
-        backhaul.clear_duplication(handle)
-        assert backhaul._adversary is None  # state dropped (fast path)
+        backhaul.close_fault(handle)
+        assert backhaul._faults is None  # state dropped (fast path)
         assert backhaul.adversary_armed  # flag survives
 
 
@@ -170,12 +182,12 @@ class TestBackhaulReplay:
         backhaul = EthernetBackhaul(sim)
         got = []
         backhaul.register("dst", lambda s, k, p: got.append(p))
-        handle = backhaul.start_replay_capture(None, count=8)
+        handle = backhaul.open_fault("replay", window(StaleReplay, count=8))
         for i in range(3):
             backhaul.send("src", "dst", "ack", i)
         sim.run()
         assert got == [0, 1, 2]
-        replayed = backhaul.replay_captured(handle)
+        replayed = backhaul.close_fault(handle)
         sim.run()
         assert replayed == 3
         assert got == [0, 1, 2, 0, 1, 2]  # replays keep capture order
@@ -185,11 +197,11 @@ class TestBackhaulReplay:
         sim = Simulator()
         backhaul = EthernetBackhaul(sim)
         backhaul.register("dst", lambda s, k, p: None)
-        handle = backhaul.start_replay_capture(None, count=2)
+        handle = backhaul.open_fault("replay", window(StaleReplay, count=2))
         for i in range(10):
             backhaul.send("src", "dst", "ack", i)
         sim.run()
-        assert backhaul.replay_captured(handle) == 2
+        assert backhaul.close_fault(handle) == 2
 
     def test_replay_respects_down_nodes(self):
         """Replays are adversary deliveries but not magic: a crashed or
@@ -198,18 +210,18 @@ class TestBackhaulReplay:
         backhaul = EthernetBackhaul(sim)
         got = []
         backhaul.register("dst", lambda s, k, p: got.append(p))
-        handle = backhaul.start_replay_capture(None, count=8)
+        handle = backhaul.open_fault("replay", window(StaleReplay, count=8))
         backhaul.send("src", "dst", "ack", "m")
         sim.run()
         backhaul.set_node_down("dst", True)
-        assert backhaul.replay_captured(handle) == 0
+        assert backhaul.close_fault(handle) == 0
         sim.run()
         assert got == ["m"]
 
     def test_replay_unknown_handle_is_noop(self):
         sim = Simulator()
         backhaul = EthernetBackhaul(sim)
-        assert backhaul.replay_captured(12345) == 0
+        assert backhaul.close_fault(12345) is None
 
 
 class TestBackhaulCorruption:
@@ -218,7 +230,9 @@ class TestBackhaulCorruption:
         backhaul = EthernetBackhaul(sim)
         got = []
         backhaul.register("dst", lambda s, k, p: got.append(p))
-        backhaul.set_corruption(None, probability=1.0, rng=rng())
+        backhaul.open_fault(
+            "corrupt", window(MsgCorruption, probability=1.0), rng()
+        )
         backhaul.send("src", "dst", "start", "m")
         sim.run()
         assert got == []
@@ -229,8 +243,10 @@ class TestBackhaulCorruption:
         backhaul = EthernetBackhaul(sim)
         got = []
         backhaul.register("dst", lambda s, k, p: got.append(p))
-        backhaul.set_corruption(
-            frozenset({"stop"}), probability=1.0, rng=rng()
+        backhaul.open_fault(
+            "corrupt",
+            window(MsgCorruption, probability=1.0, kinds={"stop"}),
+            rng(),
         )
         backhaul.send("src", "dst", "data", "survives")
         sim.run()
@@ -245,7 +261,9 @@ class TestBackhaulOneWay:
         got = []
         backhaul.register("a", lambda s, k, p: got.append(("a", p)))
         backhaul.register("b", lambda s, k, p: got.append(("b", p)))
-        handle = backhaul.partition_oneway("a", "b")
+        handle = backhaul.open_fault(
+            "oneway", window(OneWayPartition, src="a", dst="b")
+        )
         backhaul.send("a", "b", "ack", "forward")
         backhaul.send("b", "a", "ack", "reverse")
         sim.run()
@@ -253,15 +271,10 @@ class TestBackhaulOneWay:
         assert backhaul.stats.oneway_dropped == 1
         assert backhaul.unreachable("a", "b")
         assert not backhaul.unreachable("b", "a")
-        backhaul.heal_oneway(handle)
+        backhaul.close_fault(handle)
         backhaul.send("a", "b", "ack", "healed")
         sim.run()
         assert ("b", "healed") in got
-
-    def test_oneway_rejects_self_loop(self):
-        backhaul = EthernetBackhaul(Simulator())
-        with pytest.raises(ValueError):
-            backhaul.partition_oneway("a", "a")
 
 
 class TestBackhaulGrayFailure:
@@ -273,8 +286,10 @@ class TestBackhaulGrayFailure:
         backhaul = EthernetBackhaul(sim)
         got = []
         backhaul.register("dst", lambda s, k, p: got.append(p))
-        backhaul.set_node_degraded(
-            "dst", extra_latency_us=0, loss_rate=1.0, rng=rng()
+        backhaul.open_fault(
+            "gray",
+            window(GrayFailure, ap_id="dst", extra_latency_us=0, loss_rate=1.0),
+            rng(),
         )
         for kind in sorted(RELIABLE_KINDS):
             backhaul.send("src", "dst", kind, kind)
@@ -291,15 +306,22 @@ class TestBackhaulGrayFailure:
         backhaul.send("src", "dst", "data", "before")
         sim.run()
         baseline = arrivals[0]
-        backhaul.set_node_degraded(
-            "dst", extra_latency_us=5_000, loss_rate=0.0, rng=rng()
+        handle = backhaul.open_fault(
+            "gray",
+            window(
+                GrayFailure, ap_id="dst", extra_latency_us=5_000, loss_rate=0.0
+            ),
+            rng(),
         )
         t0 = sim.now
         backhaul.send("src", "dst", "data", "after")
         sim.run()
         assert arrivals[1] - t0 == baseline + 5_000
-        backhaul.clear_node_degraded("dst")
-        assert not backhaul.is_node_degraded("dst")
+        backhaul.close_fault(handle)
+        t1 = sim.now
+        backhaul.send("src", "dst", "data", "healed")
+        sim.run()
+        assert arrivals[2] - t1 == baseline
 
 
 class TestInjectorExecution:
@@ -337,7 +359,7 @@ class TestInjectorExecution:
             assert action in actions, f"missing injector action {action}"
         # Every window closed: the backhaul dropped its adversary state
         # back to the fault-free fast path.
-        assert testbed.backhaul._adversary is None
+        assert testbed.backhaul._faults is None
         assert testbed.backhaul.adversary_armed
         assert testbed.fault_injector.gray_windows == 1
 
@@ -371,11 +393,7 @@ class TestAdversaryPlanDeterminism:
             RngRegistry(seed).spawn("adversary-plan"),
             self.APS,
             4_000_000,
-            duplication_rate_per_s=1.0,
-            replay_rate_per_s=1.0,
-            corruption_rate_per_s=1.0,
-            oneway_rate_per_s=1.0,
-            gray_rate_per_s=1.0,
+            {kind: 1.0 for kind in FAULT_CLASSES if kind.adversary},
         )
 
     def test_same_seed_same_plan(self):
@@ -392,7 +410,7 @@ class TestAdversaryPlanDeterminism:
                 RngRegistry(seed).spawn("adversary-plan"),
                 self.APS,
                 2_000_000,
-                oneway_rate_per_s=20.0,  # force collisions in the draw
+                {OneWayPartition: 20.0},  # force collisions in the draw
             )
             # Re-validating a reconstructed copy must not raise.
             FaultPlan(events=list(plan.events))
@@ -419,4 +437,4 @@ class TestAdversaryPlanDeterminism:
         assert spiced.adversary_events()
         # The chaos families draw from their own named streams, so
         # layering the adversary never perturbs them.
-        assert base.crashes() == spiced.crashes()
+        assert base.of(ApCrash) == spiced.of(ApCrash)

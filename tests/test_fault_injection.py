@@ -177,15 +177,15 @@ class TestFaultPlan:
             rng = RngRegistry(42).spawn("faultplan")
             return FaultPlan.random(
                 rng, ["ap0", "ap1", "ap2"], 10 * SECOND,
-                crash_rate_per_s=0.5, partition_rate_per_s=0.3,
-                jitter_rate_per_s=0.3, csi_blackout_rate_per_s=0.3,
+                {ApCrash: 0.5, Partition: 0.3, LinkJitter: 0.3,
+                 CsiBlackout: 0.3},
             )
 
         assert draw().describe() == draw().describe()
 
     def test_random_plan_rate_zero_is_empty(self):
         rng = RngRegistry(1)
-        plan = FaultPlan.random(rng, ["ap0"], SECOND)
+        plan = FaultPlan.random(rng, ["ap0"], SECOND, {ApCrash: 0.0})
         assert len(plan) == 0
 
 
@@ -305,13 +305,16 @@ class TestPartition:
         got = []
         backhaul.register("a", lambda *m: got.append(("a", m)))
         backhaul.register("b", lambda *m: got.append(("b", m)))
-        pid = backhaul.partition({"a"}, {"b"})
+        pid = backhaul.open_fault(
+            "partitions",
+            Partition(at_us=0, duration_us=1, side_a={"a"}, side_b={"b"}),
+        )
         backhaul.send("a", "b", "data", 1)
         backhaul.send("b", "a", "data", 2)
         sim.run()
         assert got == []
         assert backhaul.stats.fault_dropped == 2
-        backhaul.heal(pid)
+        backhaul.close_fault(pid)
         backhaul.send("a", "b", "data", 3)
         sim.run()
         assert len(got) == 1
@@ -370,13 +373,19 @@ class TestLinkJitter:
         got = []
         backhaul.register("dst", lambda s, k, p: got.append(p))
         rng = RngRegistry(7).stream("test-jitter")
-        backhaul.set_link_jitter("src", "dst", 5_000, rng)
+        handle = backhaul.open_fault(
+            "jitter",
+            LinkJitter(
+                at_us=0, duration_us=1, src="src", dst="dst", jitter_us=5_000
+            ),
+            rng,
+        )
         for i in range(50):
             backhaul.send_control("src", "dst", "data", i)
         sim.run()
         assert sorted(got) == list(range(50))
         assert got != list(range(50))  # at least one reorder
-        backhaul.clear_link_jitter("src", "dst")
+        backhaul.close_fault(handle)
         got.clear()
         for i in range(10):
             backhaul.send_control("src", "dst", "data", i)
@@ -389,8 +398,8 @@ class TestDeterministicChaos:
         rng = RngRegistry(seed).spawn("faultplan")
         plan = FaultPlan.random(
             rng, [f"ap{i}" for i in range(8)], 4 * SECOND,
-            crash_rate_per_s=0.5, crash_down_us=SECOND,
-            partition_rate_per_s=0.3, partition_duration_us=200_000,
+            {ApCrash: 0.5, Partition: 0.3},
+            overrides={ApCrash: {"down_us": SECOND}},
         )
         testbed = chaos_testbed(plan=plan, seed=seed)
         sender, _ = testbed.add_downlink_tcp_flow(0)

@@ -10,7 +10,7 @@ from repro.core.assoc_sync import StaInfo
 from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, GrayFailure
+from repro.faults.plan import FaultPlan, GrayFailure, MsgDuplication
 from repro.ha.standby import StandbyController
 from repro.mac.medium import WirelessMedium
 from repro.mobility.road import Position
@@ -177,7 +177,11 @@ class TestLazyExportPerOwner:
         quiet = registry.snapshot()
         assert not any("adversary" in key for key in quiet)
         assert "switches_stale_acks" not in quiet
-        backhaul.set_duplication(None, 0.5, 1, seeded_generator(1))
+        backhaul.open_fault(
+            "dup",
+            MsgDuplication(at_us=0, duration_us=1, probability=0.5),
+            seeded_generator(1),
+        )
         armed = registry.snapshot()
         assert armed["backhaul_adversary_duplicated"] == 0
         assert armed["switches_stale_acks"] == 0

@@ -24,7 +24,15 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import WgttConfig
-from repro.faults.plan import ApCrash, ControllerCrash, FaultPlan
+from repro.faults.plan import (
+    ApCrash,
+    ControllerCrash,
+    FaultPlan,
+    GrayFailure,
+    LinkJitter,
+    OneWayPartition,
+    Partition,
+)
 from repro.ha.checkpoint import (
     client_state_from_bytes,
     client_state_to_bytes,
@@ -43,6 +51,7 @@ from repro.mobility.spatial import ApGridIndex
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.shard.config import ShardConfig
 from repro.soak import ChurnDriver, ClientSession, WorkloadPlan
+from repro.sim.rng import RngRegistry
 
 
 def _sharded_config(
@@ -467,6 +476,37 @@ class TestComposition:
             Testbed(_sharded_config()).install_fault_plan(
                 FaultPlan([ApCrash(at_us=1_000_000, ap_id="ap8")])
             )
+
+    def test_every_id_a_fault_names_is_checked(self):
+        """Not only crash targets.  A corridor has no node called
+        "controller" (the ``random()`` / ``soak()`` default); a window
+        opened on a node nobody is used to count into
+        ``faults_executed`` and inject nothing."""
+        window = dict(at_us=100_000, duration_us=100_000)
+        tb = Testbed(_sharded_config())
+        for event, unknown in [
+            (GrayFailure(ap_id="ap999", **window), "AP 'ap999'"),
+            (LinkJitter(src="controller", dst="ap0", jitter_us=1_000, **window),
+             "backhaul node 'controller'"),
+            (OneWayPartition(src="ap0", dst="controller", **window),
+             "backhaul node 'controller'"),
+            (Partition(side_a={"ap0"}, side_b={"controller"}, **window),
+             "backhaul node 'controller'"),
+        ]:
+            with pytest.raises(KeyError, match=f"unknown {unknown}"):
+                tb.install_fault_plan(FaultPlan([event]))
+
+        def drawn(**where):
+            return FaultPlan.random(
+                RngRegistry(3), ["ap0", "ap1"], 10_000_000, {LinkJitter: 1.0},
+                **where,
+            )
+
+        with pytest.raises(KeyError, match="backhaul node 'controller'"):
+            tb.install_fault_plan(drawn())
+        tb.run_seconds(0.3)
+        assert tb.fault_injector.events == []  # nothing had been scheduled
+        tb.install_fault_plan(drawn(controller_id="controller-s0"))
 
 
 class TestShardDeterminism:
