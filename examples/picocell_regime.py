@@ -21,7 +21,7 @@ def sparkline(values, lo=0.0, hi=30.0) -> str:
 
 
 def main() -> None:
-    result = fig02.run(seed=3, speed_mph=25.0)
+    result = fig02.run(seed=3, quick=False)
     series = result["esnr_series"]
     window = slice(800, 960)  # a 160 ms detail view, like Fig 2's inset
     print("ESNR during a 25 mph drive-by (160 ms detail, 1 ms samples)\n")

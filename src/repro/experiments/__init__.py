@@ -1,58 +1,9 @@
-"""Experiment drivers: one module per paper table/figure.
+"""Experiment drivers: one module per paper table/figure (``fig02`` …
+``tab05``; Figure 15 lives in ``fig14``), the ablations, and the
+``ext_*`` extensions and gates.
 
-==========  =====================================================
-Module      Reproduces
-==========  =====================================================
-fig02       ESNR dynamics / best-AP flip rate (Figure 2)
-fig04       stock 802.11r handover failure (Figure 4)
-tab01       switching-protocol execution time (Table 1)
-fig10       ESNR coverage heatmap (Figure 10)
-fig13       throughput vs speed, both schemes (Figure 13)
-fig14       TCP timeseries + association timeline (Figure 14)
-fig15       UDP timeseries + association timeline (Figure 15)
-fig16       link bit-rate CDF (Figure 16)
-tab02       switching accuracy (Table 2)
-fig17       per-client throughput, 1-3 clients (Figure 17)
-fig18       multi-client uplink loss (Figure 18)
-fig20       driving-pattern cases (Figures 19/20)
-fig21       selection-window sweep (Figure 21)
-tab03       block-ACK collision rate (Table 3)
-fig22       time-hysteresis sweep (Figure 22)
-fig23       dense vs sparse segments (Figure 23)
-tab04       video rebuffer ratio (Table 4)
-fig24       conferencing fps CDF (Figure 24)
-tab05       web page load time (Table 5)
-==========  =====================================================
-
-Each module exposes ``run(...) -> dict``; benches print and sanity-
-check the returned rows.
+Each module exposes ``run(seed=3, quick=True, jobs=1) -> dict``, the
+paper's claims about that result as ``shape(result)``, and ends with
+its :func:`repro.experiments.registry.register` row; the registry
+discovers the modules, ``python -m repro list`` prints them.
 """
-
-from repro.experiments import (  # noqa: F401
-    fig02,
-    fig04,
-    fig10,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-    fig20,
-    fig21,
-    fig22,
-    fig23,
-    fig24,
-    tab01,
-    tab02,
-    tab03,
-    tab04,
-    tab05,
-)
-from repro.experiments.common import format_table
-
-__all__ = [
-    "fig02", "fig04", "fig10", "fig13", "fig14", "fig15", "fig16",
-    "fig17", "fig18", "fig20", "fig21", "fig22", "fig23", "fig24",
-    "tab01", "tab02", "tab03", "tab04", "tab05", "format_table",
-]

@@ -21,18 +21,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
+from repro.apps.bulk import Drive
 from repro.core.config import WgttConfig
 from repro.experiments.common import mean, seeds_for
-from repro.scenarios.testbed import Testbed, TestbedConfig
-from repro.experiments.registry import register_experiment
+from repro.experiments.registry import Claim, register
+from repro.experiments.runner import sweep
+from repro.scenarios.testbed import TestbedConfig
 
 
-def run_variant(
-    seed: int,
-    variant: str,
-    speed_mph: float = 15.0,
-    duration_s: float = 10.0,
-) -> Dict:
+def cell(seed: int, variant: str, duration_s: float) -> Dict:
     wgtt = WgttConfig()
     channel_plan: Optional[List[int]] = None
     if variant == "paper":
@@ -52,14 +49,13 @@ def run_variant(
     config = TestbedConfig(
         seed=seed,
         scheme="wgtt",
-        client_speeds_mph=[speed_mph],
+        client_speeds_mph=[15.0],
         wgtt=wgtt,
         channel_plan=channel_plan,
     )
-    testbed = Testbed(config)
-    sender, receiver = testbed.add_downlink_tcp_flow(0)
-    sender.start()
-    testbed.run_seconds(duration_s)
+    drive = Drive(config, "tcp")
+    drive.run(duration_s)
+    testbed = drive.testbed
     mpdu_retx = sum(
         ap.device.session("client0").scoreboard.retransmissions
         for ap in testbed.wgtt_aps.values()
@@ -70,9 +66,9 @@ def run_variant(
     )
     return {
         "variant": variant,
-        "throughput_mbps": sender.throughput_mbps(testbed.sim.now),
-        "switches": len(testbed.controller.coordinator.history),
-        "tcp_timeouts": sender.timeouts,
+        "throughput_mbps": drive.throughput_mbps(),
+        "switches": drive.switch_count(),
+        "tcp_timeouts": len(drive.tcp_timeout_log()),
         "mpdu_retransmissions": mpdu_retx,
         "ba_forward_applied": ba_applied,
         "dedup_duplicates": testbed.controller.dedup.duplicates,
@@ -89,26 +85,60 @@ VARIANTS = (
 )
 
 
-@register_experiment("ablations", "WGTT design-choice ablations")
-def run(quick: bool = True, variants: tuple = VARIANTS) -> Dict:
-    seeds = seeds_for(quick)
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
     duration = 8.0 if quick else 10.0
-    rows: List[Dict] = []
-    for variant in variants:
-        cells = [run_variant(seed, variant, duration_s=duration) for seed in seeds]
-        rows.append(
-            {
-                "variant": variant,
-                "throughput_mbps": mean(c["throughput_mbps"] for c in cells),
-                "switches": mean(c["switches"] for c in cells),
-                "tcp_timeouts": mean(c["tcp_timeouts"] for c in cells),
-                "mpdu_retransmissions": mean(
-                    c["mpdu_retransmissions"] for c in cells
-                ),
-                "ba_forward_applied": mean(
-                    c["ba_forward_applied"] for c in cells
-                ),
-                "dedup_duplicates": mean(c["dedup_duplicates"] for c in cells),
-            }
-        )
+    cells = sweep(
+        cell,
+        [(variant, duration) for variant in VARIANTS],
+        seeds_for(seed, quick),
+        jobs,
+    )
+    columns = (
+        "throughput_mbps", "switches", "tcp_timeouts", "mpdu_retransmissions",
+        "ba_forward_applied", "dedup_duplicates",
+    )
+    rows: List[Dict] = [
+        {
+            "variant": variant,
+            **{column: mean(c[column] for c in values) for column in columns},
+        }
+        for (variant, _), values in cells.items()
+    ]
     return {"rows": rows}
+
+
+def shape(result: Dict) -> List[Claim]:
+    """Throughput deltas for the subtler mechanisms are noisy at this
+    scale, so the claims target each *mechanism's observable*."""
+    rows = {row["variant"]: row for row in result["rows"]}
+    paper, multi = rows["paper"], rows["multi-channel"]
+    best = max(row["throughput_mbps"] for row in rows.values())
+    return [
+        Claim("every variant still switches (> 3 switches)",
+              all(row["switches"] > 3 for row in rows.values())),
+        Claim("every variant still moves data (> 0.5 Mbit/s)",
+              all(row["throughput_mbps"] > 0.5 for row in rows.values())),
+        # The full design's uplink diversity produces duplicate copies
+        # for the controller to remove; on disjoint channels overhearing
+        # (and with it the de-dup work) collapses.
+        Claim("the full design de-duplicates more than 20 uplink copies",
+              paper["dedup_duplicates"] > 20),
+        Claim("multi-channel removes under 0.2x the duplicates (overhearing collapses)",
+              multi["dedup_duplicates"] < 0.2 * paper["dedup_duplicates"]),
+        # §7's argument for staying on one channel.
+        Claim("multi-channel costs more than 20 % of TCP throughput",
+              multi["throughput_mbps"] < 0.8 * paper["throughput_mbps"]),
+        Claim("BA forwarding repairs exchanges in the full design",
+              paper["ba_forward_applied"] >= 1),
+        Claim("no forwarded BA is applied with BA forwarding off",
+              rows["no-ba-forwarding"]["ba_forward_applied"] == 0),
+        Claim("the paper configuration is within 20 % of the best variant",
+              paper["throughput_mbps"] > 0.8 * best),
+    ]
+
+
+register(
+    "ablations", "WGTT design-choice ablations", run, shape=shape,
+    paper="multi-channel loses overhearing diversity (§7); fan-out, BA "
+    "forwarding and the median metric each support the full design",
+)

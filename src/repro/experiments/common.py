@@ -1,23 +1,27 @@
 """Shared helpers for the per-figure experiment drivers.
 
-Every driver exposes ``run(seed=..., quick=...) -> dict`` returning the
-rows/series its figure or table reports. ``quick`` trims seeds and
-durations so the benchmark suite stays tractable; the shapes the paper
-reports survive the trimming.
+Every driver exposes ``run(seed=3, quick=True, jobs=1) -> dict``
+returning the rows/series its figure or table reports. ``quick`` trims
+seeds and durations so the whole suite stays tractable; the shapes the
+paper reports survive the trimming.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+import hashlib
+import json
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+SCHEMES = ("wgtt", "baseline")
+PROTOCOLS = ("tcp", "udp")
+
+#: Seeds a sweep averages over, as offsets from ``--seed``: the default
+#: seed 3 draws the historical 3, 7, 11, 19, 23 (quick: the first two).
+SEED_OFFSETS = (0, 4, 8, 16, 20)
 
 
-#: Seeds used when averaging runs.
-FULL_SEEDS = (3, 7, 11, 19, 23)
-QUICK_SEEDS = (3, 7)
-
-
-def seeds_for(quick: bool) -> tuple:
-    return QUICK_SEEDS if quick else FULL_SEEDS
+def seeds_for(seed: int, quick: bool) -> Tuple[int, ...]:
+    return tuple(seed + offset for offset in SEED_OFFSETS[: 2 if quick else 5])
 
 
 def mean(values: Iterable[float]) -> float:
@@ -25,8 +29,36 @@ def mean(values: Iterable[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def throughput_rows(cells: Dict, column: str, values: Sequence) -> List[Dict]:
+    """One row per swept value from ``cells[value, protocol, scheme]``
+    (per-seed Mbit/s): the seed mean of each protocol under each scheme
+    and WGTT's gain over the baseline."""
+    rows: List[Dict] = []
+    for value in values:
+        row: Dict = {column: value}
+        for protocol in PROTOCOLS:
+            for scheme in SCHEMES:
+                row[f"{protocol}_{scheme}_mbps"] = mean(
+                    cells[value, protocol, scheme]
+                )
+            baseline = row[f"{protocol}_baseline_mbps"]
+            row[f"{protocol}_gain"] = (
+                row[f"{protocol}_wgtt_mbps"] / baseline
+                if baseline > 0
+                else float("inf")
+            )
+        rows.append(row)
+    return rows
+
+
+def outcome_digest(outcome: Dict) -> str:
+    """Canonical digest of everything a deterministic rerun must repeat."""
+    payload = json.dumps(outcome, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def format_table(rows: List[Dict], columns: List[str]) -> str:
-    """Plain-text table used by the benches to print paper-style rows."""
+    """Plain-text table the CLI prints a driver's rows as."""
     widths = {
         c: max(len(c), *(len(_fmt(r.get(c))) for r in rows)) if rows else len(c)
         for c in columns

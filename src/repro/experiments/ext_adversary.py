@@ -28,13 +28,12 @@ determinism check; the full sweep fuzzes ``>= 20`` schedules.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.config import WgttConfig
-from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_grid
+from repro.experiments.common import outcome_digest
+from repro.experiments.registry import register
+from repro.experiments.runner import sweep
 from repro.faults.plan import (
     FaultPlan,
     GrayFailure,
@@ -87,17 +86,12 @@ def adversary_plan(
     )
 
 
-def run_schedule(
-    seed: int,
-    ha: bool = False,
-    duration_s: float = 6.0,
-    intensity: float = 1.0,
-) -> Dict:
+def cell(seed: int, ha: bool, duration_s: float) -> Dict:
     """One adversary schedule over one testbed, invariants armed."""
     duration_us = int(duration_s * SECOND)
     base = TestbedConfig()
     ap_ids = [f"ap{i}" for i in range(base.num_aps)]
-    plan = adversary_plan(seed, ap_ids, duration_us, intensity)
+    plan = adversary_plan(seed, ap_ids, duration_us)
     config = TestbedConfig(
         seed=seed,
         scheme="wgtt",
@@ -149,30 +143,21 @@ def run_schedule(
     return outcome
 
 
-def outcome_digest(outcome: Dict) -> str:
-    """Canonical digest of everything a deterministic rerun must repeat."""
-    payload = json.dumps(outcome, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-@register_experiment(
-    "ext_adversary",
-    "protocol fuzz: message-level adversary schedules vs runtime invariants",
-    smoke="run_smoke",
-)
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
+def run(seed: int = 1, quick: bool = True, jobs: int = 1) -> Dict:
+    """Schedules ``seed``, ``seed + 1``, … over both schemes."""
     per_scheme = (
         FULL_SCHEDULES_PER_SCHEME
         if not quick
         else max(3, FULL_SCHEDULES_PER_SCHEME // 2)
     )
     duration_s = 6.0 if quick else 8.0
-    grid = [
-        (seed, ha, duration_s)
-        for ha in (False, True)
-        for seed in range(1, per_scheme + 1)
-    ]
-    outcomes = list(run_grid(run_schedule, grid, jobs=jobs))
+    swept = sweep(
+        cell,
+        [(ha, duration_s) for ha in (False, True)],
+        range(seed, seed + per_scheme),
+        jobs,
+    )
+    outcomes = [outcome for cells in swept.values() for outcome in cells]
     failed = [o for o in outcomes if not o["ok"]]
     return {
         "schedules": len(outcomes),
@@ -195,16 +180,15 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
 # ----------------------------------------------------------------------
 
 
-def run_smoke(seed: int = 3, duration_s: float = 5.0) -> Dict:
+def smoke(seed: int = 3) -> Dict:
     """Small fuzz gate: N schedules per scheme; schedule #1 runs twice
     and must produce the identical outcome digest."""
+    duration_s = 5.0
     outcomes: List[Dict] = []
     for ha in (False, True):
         for offset in range(SMOKE_SCHEDULES_PER_SCHEME):
-            outcomes.append(
-                run_schedule(seed + offset, ha=ha, duration_s=duration_s)
-            )
-    rerun = run_schedule(seed, ha=False, duration_s=duration_s)
+            outcomes.append(cell(seed + offset, ha, duration_s))
+    rerun = cell(seed, False, duration_s)
     first = next(
         o for o in outcomes if o["scheme"] == "wgtt" and o["seed"] == seed
     )
@@ -224,3 +208,9 @@ def run_smoke(seed: int = 3, duration_s: float = 5.0) -> Dict:
         "rows": outcomes,
     }
 
+
+register(
+    "ext_adversary",
+    "protocol fuzz: message-level adversary schedules vs runtime invariants",
+    run, smoke=smoke,
+)

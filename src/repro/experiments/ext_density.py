@@ -11,63 +11,77 @@ add beacon overhead and switching churn without new capacity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.apps.bulk import Drive
 from repro.experiments.common import mean, seeds_for
-from repro.experiments.runner import run_grid
-from repro.scenarios.testbed import Testbed, TestbedConfig
-from repro.experiments.registry import register_experiment
+from repro.experiments.registry import Claim, register
+from repro.experiments.runner import sweep
+from repro.scenarios.testbed import TestbedConfig
 
 #: Spacings to sweep; the paper's testbed is 7.5 m.
 SPACINGS_M = (5.0, 7.5, 10.0, 15.0)
 ROAD_SPAN_M = 52.5  # the default testbed's AP0..AP7 extent
+DURATION_S = 8.0
 
 
-def run_spacing(
-    seed: int, spacing_m: float, speed_mph: float = 15.0,
-    duration_s: float = 8.0,
-) -> Dict:
+def cell(seed: int, spacing_m: float) -> Dict:
     num_aps = max(2, int(round(ROAD_SPAN_M / spacing_m)) + 1)
     config = TestbedConfig(
         seed=seed,
         scheme="wgtt",
         num_aps=num_aps,
         ap_spacing_m=spacing_m,
-        client_speeds_mph=[speed_mph],
+        client_speeds_mph=[15.0],
     )
-    testbed = Testbed(config)
-    sender, _receiver = testbed.add_downlink_tcp_flow(0)
-    sender.start()
-    testbed.run_seconds(duration_s)
+    drive = Drive(config, "tcp")
+    drive.run(DURATION_S)
     return {
         "spacing_m": spacing_m,
         "num_aps": num_aps,
-        "throughput_mbps": sender.throughput_mbps(testbed.sim.now),
-        "switches_per_s": len(testbed.controller.coordinator.history)
-        / duration_s,
+        "throughput_mbps": drive.throughput_mbps(),
+        "switches_per_s": drive.switch_count() / DURATION_S,
     }
 
 
-@register_experiment("ext_density", "throughput vs AP deployment density")
-def run(
-    quick: bool = True, speed_mph: float = 15.0, jobs: Optional[int] = None
-) -> Dict:
-    seeds = seeds_for(quick)
-    grid = [
-        (seed, spacing, speed_mph)
-        for spacing in SPACINGS_M
-        for seed in seeds
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
+    cells = sweep(
+        cell,
+        [(spacing,) for spacing in SPACINGS_M],
+        seeds_for(seed, quick),
+        jobs,
+    )
+    rows: List[Dict] = [
+        {
+            "spacing_m": spacing,
+            "num_aps": values[0]["num_aps"],
+            "throughput_mbps": mean(c["throughput_mbps"] for c in values),
+            "switches_per_s": mean(c["switches_per_s"] for c in values),
+        }
+        for (spacing,), values in cells.items()
     ]
-    results = iter(run_grid(run_spacing, grid, jobs=jobs))
-    rows: List[Dict] = []
-    for spacing in SPACINGS_M:
-        cells = [next(results) for _ in seeds]
-        rows.append(
-            {
-                "spacing_m": spacing,
-                "num_aps": cells[0]["num_aps"],
-                "throughput_mbps": mean(c["throughput_mbps"] for c in cells),
-                "switches_per_s": mean(c["switches_per_s"] for c in cells),
-            }
-        )
     return {"rows": rows}
+
+
+def shape(result: Dict) -> List[Claim]:
+    by_spacing = {row["spacing_m"]: row for row in result["rows"]}
+    return [
+        Claim("the paper's 7.5 m spacing gives more than 1.2x the throughput of 15 m",
+              by_spacing[7.5]["throughput_mbps"]
+              > 1.2 * by_spacing[15.0]["throughput_mbps"]),
+        Claim("5 m spacing gives at least 0.8x the throughput of 7.5 m",
+              by_spacing[5.0]["throughput_mbps"]
+              > 0.8 * by_spacing[7.5]["throughput_mbps"]),
+        # A few per second; with 5 m spacing the richer overlap can
+        # actually *lower* churn — the median leader persists across
+        # more of the drive.
+        Claim("switching keeps working at every density (0.5-20 switches/s)",
+              all(0.5 < row["switches_per_s"] < 20.0 for row in result["rows"])),
+    ]
+
+
+register(
+    "ext_density", "throughput vs AP deployment density", run, shape=shape,
+    paper="densification pays: tighter spacing -> higher throughput "
+    "(not an evaluation figure; quantifies the paper's premise)",
+)

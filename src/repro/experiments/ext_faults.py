@@ -16,7 +16,7 @@ reports
   ``failover_deadline_us`` (default 100 ms) plus clients never
   recovered.
 
-``run_smoke()`` is the CI gate (``repro experiment ext_faults
+``smoke()`` is the CI gate (``repro experiment ext_faults
 --smoke``): one mid-drive crash of the serving AP, asserting recovery
 within the deadline and TCP forward progress afterwards.
 """
@@ -25,14 +25,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.apps.bulk import Drive
 from repro.experiments.common import mean, seeds_for
-from repro.experiments.runner import run_grid
+from repro.experiments.registry import register
+from repro.experiments.runner import sweep
 from repro.faults.plan import ApCrash, FaultPlan, Partition
 from repro.obs.recorders import FailoverAudit
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
-from repro.experiments.registry import register_experiment
 
 #: AP crash arrival rates to sweep (per second of sim time).
 CRASH_RATES_PER_S = (0.1, 0.3)
@@ -73,11 +74,11 @@ def _plan_for(
     )
 
 
-def run_cell(
+def cell(
     seed: int,
     crash_rate_per_s: float,
     partition_duration_s: float,
-    duration_s: float = 8.0,
+    duration_s: float,
 ) -> Dict:
     """One chaos run plus its fault-free twin, same seed."""
     duration_us = int(duration_s * SECOND)
@@ -88,16 +89,14 @@ def run_cell(
 
     def one_run(fault_plan: Optional[FaultPlan]) -> Dict:
         config = TestbedConfig(seed=seed, scheme="wgtt", fault_plan=fault_plan)
-        testbed = Testbed(config)
-        sender, _receiver = testbed.add_downlink_tcp_flow(0)
-        sender.start()
-        testbed.run_seconds(duration_s)
+        drive = Drive(config, "tcp")
+        drive.run(duration_s)
         out = {
-            "throughput_mbps": sender.throughput_mbps(testbed.sim.now),
-            "switches": len(testbed.controller.coordinator.history),
+            "throughput_mbps": drive.throughput_mbps(),
+            "switches": drive.switch_count(),
         }
         if fault_plan is not None:
-            audit = FailoverAudit(testbed)
+            audit = FailoverAudit(drive.testbed)
             out["audit"] = audit.summary()
             out["failover_ms"] = audit.failover_latencies_ms()
         return out
@@ -121,25 +120,22 @@ def run_cell(
     }
 
 
-@register_experiment(
-    "ext_faults",
-    "chaos sweep: crash rate x partition duration",
-    smoke="run_smoke",
-)
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
-    seeds = seeds_for(quick)
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
     duration_s = 8.0 if quick else 12.0
-    grid = [
-        (seed, crash_rate, partition_s, duration_s)
-        for crash_rate in CRASH_RATES_PER_S
-        for partition_s in PARTITION_DURATIONS_S
-        for seed in seeds
-    ]
-    results = iter(run_grid(run_cell, grid, jobs=jobs))
+    swept = sweep(
+        cell,
+        [
+            (crash_rate, partition_s, duration_s)
+            for crash_rate in CRASH_RATES_PER_S
+            for partition_s in PARTITION_DURATIONS_S
+        ],
+        seeds_for(seed, quick),
+        jobs,
+    )
     rows: List[Dict] = []
     for crash_rate in CRASH_RATES_PER_S:
         for partition_s in PARTITION_DURATIONS_S:
-            cells = [next(results) for _ in seeds]
+            cells = swept[crash_rate, partition_s, duration_s]
             latencies = [v for c in cells for v in c["failover_ms"]]
             rows.append(
                 {
@@ -169,7 +165,7 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
 # ----------------------------------------------------------------------
 
 
-def run_smoke(seed: int = 3) -> Dict:
+def smoke(seed: int = 3) -> Dict:
     """Crash the serving AP mid-drive; fail unless the client recovers
     within the configured deadline *and* TCP makes forward progress."""
     config = TestbedConfig(seed=seed, scheme="wgtt")
@@ -215,3 +211,8 @@ def run_smoke(seed: int = 3) -> Dict:
         "summary": summary,
     }
 
+
+register(
+    "ext_faults", "chaos sweep: crash rate x partition duration", run,
+    smoke=smoke,
+)

@@ -17,7 +17,7 @@ in the sweep, and each cell reports
   cyclic-queue ``overflow_drops`` (must stay zero — the backlog the
   standby's takeover resumes from is intact).
 
-``run_smoke()`` is the CI gate (``repro experiment ext_ha --smoke``):
+``smoke()`` is the CI gate (``repro experiment ext_ha --smoke``):
 one controller kill at t = 2 s, asserting promotion, full client
 recovery within 250 ms of the kill, zero cyclic-queue overflow loss,
 post-failover delivery progress, and accounted duplicates.
@@ -25,16 +25,16 @@ post-failover delivery progress, and accounted duplicates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.config import WgttConfig
 from repro.experiments.common import mean, seeds_for
-from repro.experiments.runner import run_grid
+from repro.experiments.registry import register
+from repro.experiments.runner import sweep
 from repro.faults.plan import ControllerCrash, FaultPlan
 from repro.obs.recorders import FailoverAudit, HaAudit
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS, SECOND
-from repro.experiments.registry import register_experiment
 
 #: Checkpoint shipping intervals to sweep (ms).
 CHECKPOINT_INTERVALS_MS = (25, 100, 400)
@@ -51,14 +51,9 @@ def _ha_config(checkpoint_interval_ms: int) -> WgttConfig:
     )
 
 
-def run_cell(
-    seed: int,
-    checkpoint_interval_ms: int,
-    duration_s: float = 5.0,
-    kill_at_us: int = KILL_AT_US,
-) -> Dict:
+def cell(seed: int, checkpoint_interval_ms: int, duration_s: float) -> Dict:
     """One controller-kill run at one checkpoint interval."""
-    plan = FaultPlan([ControllerCrash(at_us=kill_at_us, down_us=None)])
+    plan = FaultPlan([ControllerCrash(at_us=KILL_AT_US, down_us=None)])
     config = TestbedConfig(
         seed=seed,
         scheme="wgtt",
@@ -92,19 +87,16 @@ def run_cell(
     }
 
 
-@register_experiment("ext_ha", "controller-kill sweep under warm-standby HA", smoke="run_smoke")
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
-    seeds = seeds_for(quick)
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
     duration_s = 5.0 if quick else 8.0
-    grid = [
-        (seed, interval_ms, duration_s)
-        for interval_ms in CHECKPOINT_INTERVALS_MS
-        for seed in seeds
-    ]
-    results = iter(run_grid(run_cell, grid, jobs=jobs))
+    swept = sweep(
+        cell,
+        [(interval_ms, duration_s) for interval_ms in CHECKPOINT_INTERVALS_MS],
+        seeds_for(seed, quick),
+        jobs,
+    )
     rows: List[Dict] = []
-    for interval_ms in CHECKPOINT_INTERVALS_MS:
-        cells = [next(results) for _ in seeds]
+    for (interval_ms, _), cells in swept.items():
         recoveries = [
             c["recovery_latency_ms"]
             for c in cells
@@ -139,7 +131,7 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
 # ----------------------------------------------------------------------
 
 
-def run_smoke(seed: int = 3) -> Dict:
+def smoke(seed: int = 3) -> Dict:
     """Kill the controller at t = 2 s; fail unless the standby promotes
     and every client recovers within the 250 ms budget with zero
     cyclic-queue overflow loss and accounted duplicates."""
@@ -199,3 +191,7 @@ def run_smoke(seed: int = 3) -> Dict:
         "failover_summary": failover_summary,
     }
 
+
+register(
+    "ext_ha", "controller-kill sweep under warm-standby HA", run, smoke=smoke
+)

@@ -27,13 +27,12 @@ and ``--smoke`` fails unless that cost stays flat.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.config import WgttConfig
-from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_grid
+from repro.experiments.common import outcome_digest
+from repro.experiments.registry import register
+from repro.experiments.runner import sweep
 from repro.mobility.road import Position, Road
 from repro.mobility.spatial import ApGridIndex
 from repro.mobility.vehicle import VehicleTrack
@@ -63,7 +62,7 @@ def _fleet_tracks(config: TestbedConfig, fleet: int) -> List[VehicleTrack]:
     ]
 
 
-def run_schedule(
+def cell(
     seed: int,
     num_shards: int = 2,
     fleet: int = 1,
@@ -137,12 +136,6 @@ def run_schedule(
     return outcome
 
 
-def outcome_digest(outcome: Dict) -> str:
-    """Canonical digest of everything a deterministic rerun must repeat."""
-    payload = json.dumps(outcome, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # candidate-set cost bench: grid index vs linear scan, 8 -> 400 APs
 # ----------------------------------------------------------------------
@@ -196,36 +189,22 @@ def candidate_set_bench(
     }
 
 
-@register_experiment(
-    "ext_shard",
-    "sharded control plane: inter-shard handoffs vs runtime invariants",
-    smoke="run_smoke",
-)
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
+#: (shards, fleet, APs) per cell; the full sweep adds the larger corridors.
+QUICK_TOPOLOGIES = ((2, 1, 8), (2, 4, 8), (3, 2, 12))
+FULL_TOPOLOGIES = (*QUICK_TOPOLOGIES, (4, 4, 24), (6, 8, 48))
+
+
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
     """Sweep shard count x fleet size; every cell must pass the gate."""
-    if quick:
-        grid = [
-            (seed, shards, fleet, 8.0, aps)
-            for seed in (3,)
-            for shards, fleet, aps in (
-                (2, 1, 8),
-                (2, 4, 8),
-                (3, 2, 12),
-            )
-        ]
-    else:
-        grid = [
-            (seed, shards, fleet, 10.0, aps)
-            for seed in (3, 4)
-            for shards, fleet, aps in (
-                (2, 1, 8),
-                (2, 4, 8),
-                (3, 2, 12),
-                (4, 4, 24),
-                (6, 8, 48),
-            )
-        ]
-    outcomes = list(run_grid(run_schedule, grid, jobs=jobs))
+    topologies = QUICK_TOPOLOGIES if quick else FULL_TOPOLOGIES
+    duration_s = 8.0 if quick else 10.0
+    swept = sweep(
+        cell,
+        [(shards, fleet, duration_s, aps) for shards, fleet, aps in topologies],
+        (seed,) if quick else (seed, seed + 1),
+        jobs,
+    )
+    outcomes = [outcome for cells in swept.values() for outcome in cells]
     failed = [o for o in outcomes if not o["ok"]]
     return {
         "cells": len(outcomes),
@@ -249,23 +228,12 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
 # ----------------------------------------------------------------------
 
 
-def run_smoke(seed: int = 3, duration_s: float = 8.0) -> Dict:
+def smoke(seed: int = 3) -> Dict:
     """Small gate: two topologies (flat shards, a standby per region), schedule
     #1 run twice and required to produce the identical outcome digest."""
-    first = run_schedule(
-        seed, num_shards=2, fleet=2, duration_s=duration_s, num_aps=8
-    )
-    ha_run = run_schedule(
-        seed + 1,
-        num_shards=2,
-        fleet=1,
-        duration_s=duration_s,
-        num_aps=8,
-        ha=True,
-    )
-    rerun = run_schedule(
-        seed, num_shards=2, fleet=2, duration_s=duration_s, num_aps=8
-    )
+    first = cell(seed, num_shards=2, fleet=2)
+    ha_run = cell(seed + 1, num_shards=2, fleet=1, ha=True)
+    rerun = cell(seed, num_shards=2, fleet=2)
     outcomes = [first, ha_run]
     deterministic = outcome_digest(rerun) == outcome_digest(first)
     candidate_set = candidate_set_bench(num_aps_list=(8, 200), probes=64)
@@ -289,3 +257,9 @@ def run_smoke(seed: int = 3, duration_s: float = 8.0) -> Dict:
         "rows": outcomes,
     }
 
+
+register(
+    "ext_shard",
+    "sharded control plane: inter-shard handoffs vs runtime invariants",
+    run, smoke=smoke,
+)

@@ -11,7 +11,7 @@ them.  This experiment drives :mod:`repro.soak` at two scales:
   cumulative arrivals/departures, delivery ratio, violation count, and
   the determinism fingerprint.  The full run crosses 1000 cumulative
   arrivals, the ISSUE's acceptance bar.
-* ``run_smoke()`` — the CI gate: a ~60 s soak at ~50-rider churn
+* ``smoke()`` — the CI gate: a ~60 s soak at ~50-rider churn
   scale executed TWICE with the same seed, asserting byte-identical
   fingerprints, zero SLO/invariant violations in both runs, and that
   churn actually happened (arrivals and departures both nonzero).
@@ -23,9 +23,9 @@ the sim-hour endurance run).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.registry import register_experiment
+from repro.experiments.registry import register
 from repro.soak.harness import SoakConfig, SoakResult, run_soak
 from repro.soak.workload import WorkloadConfig
 
@@ -77,21 +77,15 @@ def _result_row(result: SoakResult) -> Dict:
     }
 
 
-@register_experiment(
-    "ext_soak",
-    "SLO-guarded endurance soak: churn x faults x admission",
-    smoke="run_smoke",
-)
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
+def run(seed: int = 1, quick: bool = True, jobs: int = 1) -> Dict:
     """Endurance run (full: one sim-hour, >=1000 cumulative arrivals).
 
-    ``jobs`` is accepted for registry-signature uniformity; a soak is
-    one long serial simulation and never fans out.
+    A soak is one long serial simulation: there is nothing for ``jobs``
+    to fan out.
     """
-    del jobs
     duration_s = QUICK_DURATION_S if quick else FULL_DURATION_S
     config = SoakConfig(
-        seed=1,
+        seed=seed,
         duration_s=duration_s,
         workload=WorkloadConfig(arrival_rate_per_s=FULL_ARRIVAL_RATE_PER_S),
         fault_intensity=1.0,
@@ -110,7 +104,7 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict:
 # ----------------------------------------------------------------------
 
 
-def run_smoke(seed: int = 3) -> Dict:
+def smoke(seed: int = 3) -> Dict:
     """Run the smoke-scale soak twice with one seed; fail unless the
     runs are fingerprint-identical, violation-free, and actually
     churned (nonzero arrivals and departures)."""
@@ -131,3 +125,8 @@ def run_smoke(seed: int = 3) -> Dict:
         "summary": first.summary(),
     }
 
+
+register(
+    "ext_soak", "SLO-guarded endurance soak: churn x faults x admission", run,
+    smoke=smoke,
+)

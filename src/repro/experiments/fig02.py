@@ -13,14 +13,14 @@ from typing import Dict, List
 from repro.phy.esnr import effective_snr_db
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS, SECOND
-from repro.experiments.registry import register_experiment
+from repro.experiments.registry import Claim, register
 
 
-@register_experiment("fig02", "ESNR dynamics / best-AP flip rate")
-def run(seed: int = 3, speed_mph: float = 25.0, quick: bool = False) -> Dict:
-    """Returns the per-AP ESNR series and best-AP flip statistics."""
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
+    """Returns the per-AP ESNR series and best-AP flip statistics
+    (one offline trace: nothing for ``jobs`` to fan out)."""
     config = TestbedConfig(
-        seed=seed, scheme="wgtt", num_aps=3, client_speeds_mph=[speed_mph]
+        seed=seed, scheme="wgtt", num_aps=3, client_speeds_mph=[25.0]
     )
     testbed = Testbed(config)
     client = testbed.clients[0]
@@ -62,3 +62,25 @@ def run(seed: int = 3, speed_mph: float = 25.0, quick: bool = False) -> Dict:
         "contested_fraction": sum(contested) / len(contested),
         "contested_flips_per_second": contested_flips / (contested_ms / 1000.0),
     }
+
+
+def shape(result: Dict) -> List[Claim]:
+    # Millisecond-scale flipping, far beyond any second-scale roaming
+    # scheme's reaction time.
+    return [
+        Claim("the best AP flips more than 20 times a second",
+              result["flips_per_second"] > 20),
+        Claim("mean dwell on one best AP is under 50 ms",
+              result["mean_best_dwell_ms"] < 50),
+        Claim("flips are faster still where the top two APs are close",
+              result["contested_flips_per_second"] > result["flips_per_second"]),
+        Claim("every AP's ESNR swings by more than 5 dB (fading is alive)",
+              all(max(s) - min(s) > 5.0 for s in result["esnr_series"].values())),
+    ]
+
+
+register(
+    "fig02", "ESNR dynamics / best-AP flip rate", run, shape=shape,
+    paper="best AP changes every few ms in the overlap zones; "
+    "ESNR swings are fast (coherence ~2-3 ms)",
+)

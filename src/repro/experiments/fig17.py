@@ -9,61 +9,65 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.common import mean, seeds_for
+from repro.apps.bulk import Drive
+from repro.experiments.common import (
+    PROTOCOLS,
+    SCHEMES,
+    seeds_for,
+    throughput_rows,
+)
+from repro.experiments.registry import Claim, register
+from repro.experiments.runner import sweep
 from repro.scenarios.presets import multi_client_config
-from repro.scenarios.testbed import Testbed
-from repro.experiments.registry import register_experiment
+
+COUNTS = (1, 2, 3)
 
 
-def run_cell(
-    seed: int,
-    scheme: str,
-    protocol: str,
-    num_clients: int,
-    duration_s: float = 8.0,
-    udp_rate_bps: float = 20e6,
-) -> float:
+def cell(seed: int, num_clients: int, protocol: str, scheme: str) -> float:
     config = multi_client_config(
         num_clients, speed_mph=15.0, seed=seed, scheme=scheme
     )
-    testbed = Testbed(config)
-    flows = []
-    for i in range(num_clients):
-        if protocol == "tcp":
-            sender, receiver = testbed.add_downlink_tcp_flow(i)
-            sender.start()
-            flows.append(("tcp", sender, receiver))
-        else:
-            source, sink = testbed.add_downlink_udp_flow(
-                i, rate_bps=udp_rate_bps
-            )
-            source.start()
-            flows.append(("udp", source, sink))
-    testbed.run_seconds(duration_s)
-    per_client = []
-    for kind, a, b in flows:
-        if kind == "tcp":
-            per_client.append(a.throughput_mbps(testbed.sim.now))
-        else:
-            per_client.append(b.bytes_received() * 8 / duration_s / 1e6)
-    return mean(per_client)
+    drive = Drive(config, protocol, udp_rate_bps=20e6)
+    drive.run(8.0)
+    return drive.throughput_mbps()
 
 
-@register_experiment("fig17", "per-client throughput, 1-3 clients")
-def run(quick: bool = True) -> Dict:
-    seeds = seeds_for(quick)
-    counts = (1, 2, 3)
-    rows: List[Dict] = []
-    for count in counts:
-        row: Dict = {"clients": count}
-        for protocol in ("tcp", "udp"):
-            for scheme in ("wgtt", "baseline"):
-                row[f"{protocol}_{scheme}_mbps"] = mean(
-                    run_cell(seed, scheme, protocol, count) for seed in seeds
-                )
-            base = row[f"{protocol}_baseline_mbps"]
-            row[f"{protocol}_gain"] = (
-                row[f"{protocol}_wgtt_mbps"] / base if base > 0 else float("inf")
-            )
-        rows.append(row)
-    return {"rows": rows}
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
+    cells = sweep(
+        cell,
+        [
+            (count, protocol, scheme)
+            for count in COUNTS
+            for protocol in PROTOCOLS
+            for scheme in SCHEMES
+        ],
+        seeds_for(seed, quick),
+        jobs,
+    )
+    return {"rows": throughput_rows(cells, "clients", COUNTS)}
+
+
+def shape(result: Dict) -> List[Claim]:
+    rows = result["rows"]
+    return [
+        Claim("TCP: WGTT ahead of the baseline at every client count",
+              all(r["tcp_wgtt_mbps"] > r["tcp_baseline_mbps"] for r in rows)),
+        Claim("UDP: WGTT ahead of the baseline at every client count",
+              all(r["udp_wgtt_mbps"] > r["udp_baseline_mbps"] for r in rows)),
+        Claim("per-client WGTT TCP throughput falls as clients share the channel",
+              rows[0]["tcp_wgtt_mbps"] > rows[-1]["tcp_wgtt_mbps"]),
+        Claim("WGTT's TCP gain stays above 1.3x at three clients",
+              rows[-1]["tcp_gain"] > 1.3),
+        # The paper's growth came from extra vehicles disturbing the
+        # baseline's multipath; our fading ignores the other clients
+        # (EXPERIMENTS.md; ROADMAP 1(d)).
+        Claim("the TCP gain grows with the number of clients",
+              rows[-1]["tcp_gain"] > rows[0]["tcp_gain"], expected=False),
+    ]
+
+
+register(
+    "fig17", "per-client throughput, 1-3 clients", run, shape=shape,
+    paper="WGTT ahead at every client count; advantage holds/grows "
+    "with contention (paper: 2.5x -> 2.6x TCP)",
+)

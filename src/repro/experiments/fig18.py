@@ -10,27 +10,25 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.experiments.common import SCHEMES, mean
+from repro.experiments.registry import Claim, register
+from repro.experiments.runner import sweep
 from repro.obs.recorders import UplinkLossMeter
 from repro.scenarios.presets import multi_client_config
 from repro.scenarios.testbed import Testbed
 from repro.sim.engine import SECOND, Timer
-from repro.experiments.registry import register_experiment
+
+NUM_CLIENTS = 3
 
 
-def run_scheme(
-    seed: int,
-    scheme: str,
-    num_clients: int = 3,
-    duration_s: float = 9.0,
-    rate_bps: float = 2e6,
-) -> Dict:
+def cell(seed: int, scheme: str, duration_s: float) -> Dict:
     config = multi_client_config(
-        num_clients, speed_mph=15.0, seed=seed, scheme=scheme
+        NUM_CLIENTS, speed_mph=15.0, seed=seed, scheme=scheme
     )
     testbed = Testbed(config)
     meters: List[UplinkLossMeter] = []
-    for i in range(num_clients):
-        source, sink = testbed.add_uplink_udp_flow(i, rate_bps=rate_bps)
+    for i in range(NUM_CLIENTS):
+        source, sink = testbed.add_uplink_udp_flow(i, rate_bps=2e6)
         source.start()
         meter = UplinkLossMeter(testbed.sim, source, sink, bin_us=SECOND // 2)
         meters.append(meter)
@@ -73,10 +71,35 @@ def run_scheme(
     }
 
 
-@register_experiment("fig18", "multi-client uplink loss")
-def run(seed: int = 3, quick: bool = False) -> Dict:
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
     duration = 6.0 if quick else 9.0
-    return {
-        "wgtt": run_scheme(seed, "wgtt", duration_s=duration),
-        "baseline": run_scheme(seed, "baseline", duration_s=duration),
-    }
+    cells = sweep(cell, [(scheme, duration) for scheme in SCHEMES], (seed,), jobs)
+    return {scheme: cells[scheme, duration][0] for scheme in SCHEMES}
+
+
+def shape(result: Dict) -> List[Claim]:
+    wgtt, base = result["wgtt"], result["baseline"]
+    wgtt_mean, base_mean = mean(wgtt["mean_loss"]), mean(base["mean_loss"])
+    return [
+        Claim("WGTT's mean uplink loss is under half the baseline's",
+              wgtt_mean < 0.5 * base_mean),
+        Claim("WGTT's mean uplink loss is under 0.35", wgtt_mean < 0.35),
+        Claim("the baseline hits total-blackout bins (loss >= 0.9)",
+              max(base["max_loss"]) >= 0.9),
+        Claim("WGTT's worst bin is no worse than the baseline's",
+              max(wgtt["max_loss"]) < max(base["max_loss"]) + 1e-9),
+        Claim("the controller removed duplicate uplink copies",
+              wgtt["controller_duplicate_ratio"] > 0.0),
+        # Our calibrated narrow beams leave genuinely weak uplink
+        # valleys between cells (EXPERIMENTS.md): the ordering and the
+        # gap are reproduced, the paper's level is not.
+        Claim("WGTT's uplink loss stays under 0.02 for every client",
+              max(wgtt["mean_loss"]) < 0.02, expected=False),
+    ]
+
+
+register(
+    "fig18", "multi-client uplink loss", run, shape=shape, full=True,
+    paper="WGTT per-client loss stays near zero (<0.02 in the paper); "
+    "the single-path baseline spikes to 1.0 around handovers",
+)

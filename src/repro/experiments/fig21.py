@@ -11,35 +11,34 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.experiments.registry import Claim, register
 from repro.metrics.capacity import selector_capacity_loss_mbps
 from repro.phy.esnr import effective_snr_db
 from repro.phy.per import best_rate_bps
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS, SECOND
-from repro.experiments.registry import register_experiment
 
 FULL_WINDOWS_MS = (2, 5, 10, 20, 50, 100, 200, 400)
 QUICK_WINDOWS_MS = (2, 10, 100)
 
 
-def record_traces(
-    seed: int,
-    speed_mph: float = 15.0,
-    duration_s: float = 8.0,
-    reading_period_us: int = 4 * MS,
-    measurement_noise_db: float = 2.0,
-) -> Tuple[Dict, Dict]:
+#: Mean gap between CSI readings, and each reading's estimation error.
+READING_PERIOD_US = 4 * MS
+MEASUREMENT_NOISE_DB = 2.0
+
+
+def record_traces(seed: int, duration_s: float) -> Tuple[Dict, Dict]:
     """Collect (esnr readings, achievable-rate ground truth) per AP.
 
     Readings are sampled at the cadence real uplink traffic would
     produce CSI (~every 2 ms under load). Each *reading* carries the
     estimation error a single-frame CSI measurement has in practice
-    (``measurement_noise_db``); the ground-truth rate trace does not.
+    (``MEASUREMENT_NOISE_DB``); the ground-truth rate trace does not.
     This noise is what makes very small windows lose: a one-sample
     median is at the mercy of measurement error, which is the
     "accurateness vs agility" trade-off §5.3.1 describes.
     """
-    config = TestbedConfig(seed=seed, scheme="wgtt", client_speeds_mph=[speed_mph])
+    config = TestbedConfig(seed=seed, scheme="wgtt", client_speeds_mph=[15.0])
     testbed = Testbed(config)
     noise_rng = testbed.rng.stream("fig21/measurement-noise")
     client_id = testbed.clients[0].client_id
@@ -61,23 +60,21 @@ def record_traces(
             snr = link.subcarrier_snr_db(t, tx_id=ap_id)
             rate_trace[ap_id].append((t, best_rate_bps(snr)))
             if t >= next_reading_us:
-                noisy = effective_snr_db(snr) + measurement_noise_db * float(
+                noisy = effective_snr_db(snr) + MEASUREMENT_NOISE_DB * float(
                     noise_rng.standard_normal()
                 )
                 esnr_trace[ap_id].append((t, noisy))
         if t >= next_reading_us:
-            gap = noise_rng.exponential(reading_period_us)
+            gap = noise_rng.exponential(READING_PERIOD_US)
             next_reading_us = t + max(int(gap), 1)
     return esnr_trace, rate_trace
 
 
-@register_experiment("fig21", "selection-window sweep")
-def run(seed: int = 3, quick: bool = False, speed_mph: float = 15.0) -> Dict:
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
+    """One recorded drive replayed at every W (the replays share its
+    traces, so there is nothing for ``jobs`` to fan out)."""
     windows = QUICK_WINDOWS_MS if quick else FULL_WINDOWS_MS
-    duration = 4.0 if quick else 8.0
-    esnr_trace, rate_trace = record_traces(
-        seed, speed_mph=speed_mph, duration_s=duration
-    )
+    esnr_trace, rate_trace = record_traces(seed, 4.0 if quick else 8.0)
     rows = []
     for window_ms in windows:
         loss = selector_capacity_loss_mbps(
@@ -86,3 +83,27 @@ def run(seed: int = 3, quick: bool = False, speed_mph: float = 15.0) -> Dict:
         rows.append({"window_ms": window_ms, "capacity_loss_mbps": loss})
     best = min(rows, key=lambda r: r["capacity_loss_mbps"])
     return {"rows": rows, "best_window_ms": best["window_ms"]}
+
+
+def shape(result: Dict) -> List[Claim]:
+    losses = {r["window_ms"]: r["capacity_loss_mbps"] for r in result["rows"]}
+    least = min(losses.values())
+    # Second-scale windows — what legacy roaming effectively uses — are
+    # clearly worse. (Our simulated channel's geometry dominance
+    # flattens the left side of the paper's U; see EXPERIMENTS.md.)
+    return [
+        Claim("the best window is a small one (<= 50 ms)",
+              result["best_window_ms"] <= 50),
+        Claim("W = 400 ms loses more than 1.4x what W = 10 ms does",
+              losses[400] > 1.4 * losses[10]),
+        Claim("W = 200 ms is not the optimum", losses[200] > least),
+        Claim("the paper's W = 10 ms is within 15 % of our optimum",
+              losses[10] <= 1.15 * least),
+    ]
+
+
+register(
+    "fig21", "selection-window sweep", run, shape=shape, full=True,
+    paper="minimum near W = 10 ms; loss grows for windows that are much "
+    "larger (stale medians) and for tiny noisy windows",
+)

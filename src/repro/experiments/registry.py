@@ -1,175 +1,89 @@
-"""Experiment registry: decorator-based driver registration.
+"""Experiment registry: one :func:`register` row per driver.
 
-The CLI used to carry a hand-maintained ``EXPERIMENTS`` dict that had
-to be edited in lockstep with every new driver module.  Now each driver
-registers itself::
+Every driver module ends with its row::
 
-    @register_experiment("fig13", "throughput vs speed, both schemes")
-    def run(quick=True, protocols=("tcp", "udp"), jobs=None):
-        ...
+    register(
+        "fig13", "throughput vs speed, both schemes", run,
+        shape=shape, paper="WGTT roughly flat … gain 2.4-4.7x TCP",
+    )
 
-and the CLI discovers ids from the registry (:func:`discover` imports
-every ``repro.experiments`` submodule once so decorators have run).
-Drivers keep their historical ``run`` signatures; the registry adapts
-them to the uniform call ``experiment.run(cfg, jobs=..., smoke=...)``
-by matching keyword names against each driver's signature — the same
-adaptation the CLI previously inlined.
+and the CLI, ``benchmarks/test_shapes.py`` and ``repro fidelity`` read
+ids, entry points and the paper's claims from here (:func:`discover`
+imports every ``repro.experiments`` submodule once so the rows exist).
+Every ``run`` has the one signature ``run(seed, quick, jobs) -> dict``;
+a gate's ``smoke`` is ``smoke(seed) -> dict``.
+
+``shape(result)`` states what the paper reports as a list of
+:class:`Claim`; :func:`verdict` folds them into pass / qualified / fail.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional
 
 __all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "Experiment",
-    "register_experiment",
-    "discover",
-    "get",
-    "experiment_ids",
-    "descriptions",
+    "Claim", "Experiment", "verdict", "register",
+    "discover", "get", "experiment_ids", "descriptions",
 ]
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Uniform run parameters handed to every driver."""
+class Claim:
+    """One thing the paper reports, judged on a driver's result."""
 
-    # Not a pytest test class despite living near test-adjacent code.
-    __test__ = False
-
-    seed: int = 3
-    #: Quick sweep (CI-sized) vs the full paper sweep.
-    quick: bool = True
-
-
-@dataclass
-class ExperimentResult:
-    """Uniform wrapper around whatever a driver returns."""
-
-    __test__ = False
-
-    experiment_id: str
-    #: The driver's raw return value (dict of rows/series, usually).
-    data: Any
-    #: Config the run used.
-    config: ExperimentConfig = field(default_factory=ExperimentConfig)
-    #: True when this was the smoke variant.
-    smoke: bool = False
-
-    def rows(self) -> Optional[List[dict]]:
-        """The tabular rows, when the driver produced any."""
-        if isinstance(self.data, dict):
-            rows = self.data.get("rows")
-            if isinstance(rows, list):
-                return rows
-        return None
+    text: str
+    holds: bool
+    #: ``False`` marks a trend the paper reports and we are known not to
+    #: reproduce (EXPERIMENTS.md "Known gaps").
+    expected: bool = True
 
 
+def verdict(claims: Iterable[Claim]) -> str:
+    """``pass``, ``qualified`` (only known gaps miss) or ``fail``.
+
+    A known gap that unexpectedly *holds* is a ``fail`` too, like a
+    strict xfail: the list of gaps has to be kept true.
+    """
+    claims = list(claims)
+    if any(claim.holds != claim.expected for claim in claims):
+        return "fail"
+    return "pass" if all(claim.expected for claim in claims) else "qualified"
+
+
+@dataclass(frozen=True)
 class Experiment:
-    """One registered driver: id, description, adapted entry points."""
+    """One registered driver."""
 
-    def __init__(
-        self,
-        experiment_id: str,
-        description: str,
-        fn: Callable[..., Any],
-        smoke: Optional[str] = None,
-    ):
-        self.experiment_id = experiment_id
-        self.description = description
-        self._fn = fn
-        self._module = fn.__module__
-        #: Name of a module-level smoke function (resolved lazily: the
-        #: attribute is usually defined *after* the decorated run).
-        self._smoke_name = smoke
-
-    def _adapt(self, fn: Callable[..., Any], cfg: ExperimentConfig, jobs: int):
-        kwargs: Dict[str, Any] = {}
-        parameters = inspect.signature(fn).parameters
-        if "seed" in parameters:
-            kwargs["seed"] = cfg.seed
-        if "quick" in parameters:
-            kwargs["quick"] = cfg.quick
-        if "jobs" in parameters:
-            kwargs["jobs"] = jobs
-        return fn(**kwargs)
-
-    def _smoke_fn(self) -> Optional[Callable[..., Any]]:
-        if self._smoke_name is None:
-            return None
-        import importlib
-
-        module = importlib.import_module(self._module)
-        return getattr(module, self._smoke_name)
-
-    def run(
-        self,
-        cfg: Optional[ExperimentConfig] = None,
-        *,
-        jobs: int = 1,
-        smoke: bool = False,
-    ) -> ExperimentResult:
-        """Execute the driver under the uniform interface."""
-        cfg = cfg if cfg is not None else ExperimentConfig()
-        from repro.experiments.runner import available_jobs, set_default_jobs
-
-        if jobs == 0:
-            jobs = available_jobs()
-        set_default_jobs(jobs)
-        fn = self._fn
-        if smoke:
-            smoke_fn = self._smoke_fn()
-            if smoke_fn is None:
-                raise ValueError(
-                    f"experiment {self.experiment_id!r} has no smoke variant"
-                )
-            fn = smoke_fn
-        data = self._adapt(fn, cfg, jobs)
-        return ExperimentResult(
-            experiment_id=self.experiment_id,
-            data=data,
-            config=cfg,
-            smoke=smoke,
-        )
-
-    @property
-    def has_smoke(self) -> bool:
-        return self._smoke_name is not None
+    id: str
+    description: str
+    #: ``run(seed, quick, jobs) -> dict``
+    run: Callable[..., Dict]
+    #: The CI gate variant, ``smoke(seed) -> dict`` with an ``ok`` key.
+    smoke: Optional[Callable[..., Dict]] = None
+    #: The paper's claims about ``run``'s result.
+    shape: Optional[Callable[[Dict], List[Claim]]] = None
+    #: What the paper reports, in one sentence.
+    paper: str = ""
+    #: The claims are made on the ``--full`` sweep, not the quick one.
+    full: bool = False
 
 
 _REGISTRY: Dict[str, Experiment] = {}
 _DISCOVERED = False
 
 
-def register_experiment(
-    experiment_id: str,
-    description: str,
-    smoke: Optional[str] = None,
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Class the decorated function as experiment ``experiment_id``.
-
-    Returns the function unchanged, so legacy ``module.run(...)`` calls
-    keep working.  ``smoke`` names a module-level smoke-variant function
-    (looked up lazily — it may be defined below the decorated run).
-    """
-
-    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        existing = _REGISTRY.get(experiment_id)
-        if existing is not None and existing._fn is not fn:
-            raise ValueError(
-                f"experiment id {experiment_id!r} registered twice "
-                f"({existing._module} and {fn.__module__})"
-            )
-        _REGISTRY[experiment_id] = Experiment(
-            experiment_id, description, fn, smoke=smoke
+def register(
+    experiment_id: str, description: str, run: Callable[..., Dict], **row
+) -> None:
+    """File ``run`` as experiment ``experiment_id`` (see :class:`Experiment`)."""
+    existing = _REGISTRY.get(experiment_id)
+    if existing is not None and existing.run is not run:
+        raise ValueError(
+            f"experiment id {experiment_id!r} registered twice "
+            f"({existing.run.__module__} and {run.__module__})"
         )
-        return fn
-
-    return decorate
+    _REGISTRY[experiment_id] = Experiment(experiment_id, description, run, **row)
 
 
 #: Submodules of repro.experiments that are infrastructure, not drivers.

@@ -6,46 +6,27 @@ independent simulation cell at every point of a small parameter grid
 state — each builds its own :class:`Simulator` and RNG registry from the
 seed — so they parallelize embarrassingly.
 
-:func:`run_grid` is the one fan-out primitive the drivers use.  Its
-contract is *determinism first*:
+:func:`sweep` is the one fan-out the drivers use, over the primitive
+:func:`run_grid`.  Its contract is *determinism first*:
 
 * the grid is materialized up front and every cell is keyed by its
   position, not by completion time;
 * results come back in grid order regardless of worker scheduling, so
   ``jobs=N`` output is byte-identical to ``jobs=1`` for the same seeds
-  (the parity test in ``tests/test_perf_equivalence.py`` asserts this);
-* ``jobs<=1`` short-circuits to a plain in-process loop — no executor,
-  no pickling, nothing to go wrong on constrained CI boxes.
+  (the parity tests in ``tests/test_perf_equivalence.py`` assert this);
+* ``jobs=1`` short-circuits to a plain in-process loop — no executor,
+  no pickling, nothing to go wrong on constrained CI boxes; ``jobs=0``
+  asks for every core.
 
 The cell function must be a module-level callable and its grid points
 picklable (the drivers pass primitives and tuples only), because workers
 are separate processes.
-
-The module-level default lets ``repro experiment --jobs N`` configure
-parallelism once without threading a ``jobs`` kwarg through every
-driver's signature; drivers still accept an explicit ``jobs=`` override.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
-
-#: Process-wide default used when a driver is called without ``jobs=``.
-_DEFAULT_JOBS = 1
-
-
-def set_default_jobs(jobs: int) -> None:
-    """Set the process-wide default worker count (the CLI's ``--jobs``)."""
-    global _DEFAULT_JOBS
-    _DEFAULT_JOBS = max(1, int(jobs))
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """An explicit ``jobs`` argument, or the process-wide default."""
-    if jobs is None:
-        return _DEFAULT_JOBS
-    return max(1, int(jobs))
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 
 def available_jobs() -> int:
@@ -53,14 +34,10 @@ def available_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def run_grid(
-    cell: Callable,
-    grid: Iterable[Tuple],
-    jobs: Optional[int] = None,
-) -> List:
+def run_grid(cell: Callable, grid: Iterable[Tuple], jobs: int = 1) -> List:
     """Evaluate ``cell(*point)`` for every grid point, in grid order.
 
-    Serial when ``jobs<=1`` (or for a single point); otherwise fans out
+    Serial when ``jobs=1`` (or for a single point); otherwise fans out
     over a :class:`~concurrent.futures.ProcessPoolExecutor` and collects
     results in submission order, which makes the output independent of
     worker scheduling — the determinism contract above.
@@ -73,9 +50,9 @@ def run_grid(
     way.
     """
     points: Sequence[Tuple] = list(grid)
-    jobs = resolve_jobs(jobs)
-    workers = min(jobs, len(points), available_jobs())
-    if workers <= 1 or len(points) <= 1:
+    cores = available_jobs()
+    workers = min(jobs or cores, len(points), cores)
+    if workers <= 1:
         return [cell(*point) for point in points]
 
     from concurrent.futures import ProcessPoolExecutor
@@ -83,3 +60,25 @@ def run_grid(
         futures = [pool.submit(cell, *point) for point in points]
         # In submission (= grid) order, NOT completion order.
         return [future.result() for future in futures]
+
+
+def sweep(
+    cell: Callable,
+    keys: Iterable[Tuple],
+    seeds: Sequence[int],
+    jobs: int = 1,
+) -> Dict[Tuple, List]:
+    """``{key: [cell(seed, *key) for seed in seeds]}`` over one flat grid.
+
+    The whole (key × seed) product goes to :func:`run_grid` at once so
+    every worker stays busy; the slices handed back follow the order of
+    ``keys`` and ``seeds``, so the result never depends on ``jobs``.
+    """
+    keys = list(keys)
+    results = run_grid(
+        cell, [(seed, *key) for key in keys for seed in seeds], jobs
+    )
+    return {
+        key: results[i * len(seeds) : (i + 1) * len(seeds)]
+        for i, key in enumerate(keys)
+    }

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.experiments.registry import Claim, register
+from repro.experiments.runner import sweep
 from repro.mac.frames import BlockAckFrame
 from repro.scenarios.testbed import Testbed, TestbedConfig
-from repro.experiments.registry import register_experiment
 
 
-def run_rate(seed: int, rate_mbps: float, duration_s: float = 8.0) -> Dict:
+def cell(seed: int, rate_mbps: float) -> Dict:
     # The paper's measurement isolates ACK collisions from channel
     # loss: a client with an excellent link (parked near a boresight)
     # blasting uplink UDP.
@@ -47,7 +48,7 @@ def run_rate(seed: int, rate_mbps: float, duration_s: float = 8.0) -> Dict:
 
     source, _sink = testbed.add_uplink_udp_flow(0, rate_bps=rate_mbps * 1e6)
     source.start()
-    testbed.run_seconds(duration_s)
+    testbed.run_seconds(8.0)
 
     ba_intervals.sort()
     collisions = sum(
@@ -71,8 +72,27 @@ def run_rate(seed: int, rate_mbps: float, duration_s: float = 8.0) -> Dict:
     }
 
 
-@register_experiment("tab03", "block-ACK collision rate")
-def run(seed: int = 3, quick: bool = False) -> Dict:
+def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
     rates = [70, 90] if quick else [70, 80, 90]
-    rows: List[Dict] = [run_rate(seed, rate) for rate in rates]
-    return {"rows": rows}
+    cells = sweep(cell, [(rate,) for rate in rates], (seed,), jobs)
+    return {"rows": [values[0] for values in cells.values()]}
+
+
+def shape(result: Dict) -> List[Claim]:
+    rows = result["rows"]
+    return [
+        # Direct observation: response-slot sensing + jitter works.
+        Claim("under 1 % of client-bound block ACKs overlap on the air",
+              all(row["ba_collision_rate_pct"] < 1.0 for row in rows)),
+        Claim("more than 500 block ACKs were observed at every load",
+              all(row["ba_responses"] > 500 for row in rows)),
+        Claim("the load was really offered (> 5 000 MPDUs sent)",
+              all(row["mpdus_sent"] > 5_000 for row in rows)),
+    ]
+
+
+register(
+    "tab03", "block-ACK collision rate", run, shape=shape, full=True,
+    paper="collision-attributable loss is negligible "
+    "(paper: 0.001-0.004% of frames)",
+)

@@ -88,14 +88,14 @@ class TestConfigFlags:
 class TestAblationDriver:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            ablations.run_variant(3, "no-such-thing", duration_s=0.1)
+            ablations.cell(3, "no-such-thing", 0.1)
 
     def test_variant_runs_and_reports(self):
-        result = ablations.run_variant(3, "paper", duration_s=1.0)
+        result = ablations.cell(3, "paper", 1.0)
         assert set(result) >= {
             "variant", "throughput_mbps", "switches", "tcp_timeouts",
         }
 
     def test_multichannel_variant_retunes_aps(self):
-        result = ablations.run_variant(3, "multi-channel", duration_s=1.0)
+        result = ablations.cell(3, "multi-channel", 1.0)
         assert result["variant"] == "multi-channel"

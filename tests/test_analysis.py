@@ -682,15 +682,14 @@ class TestCliAndSelfCheck:
 def _live_flags():
     """module.Class.field -> default, from the *imported* dataclasses."""
     from repro.core.config import WgttConfig
-    from repro.experiments.registry import ExperimentConfig
     from repro.obs.context import ObsConfig
     from repro.scenarios.testbed import TestbedConfig
     from repro.shard.config import ShardConfig
     from repro.soak.harness import SoakConfig
 
     flags = {}
-    for cls in (WgttConfig, ExperimentConfig, ObsConfig, TestbedConfig,
-                ShardConfig, SoakConfig):
+    for cls in (WgttConfig, ObsConfig, TestbedConfig, ShardConfig,
+                SoakConfig):
         for field in dataclasses.fields(cls):
             if field.type in ("bool", bool) and isinstance(
                 field.default, bool

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -58,6 +59,33 @@ def test_experiment_json_output(capsys):
     assert code == 0
     parsed = json.loads(capsys.readouterr().out)
     assert "overlaps_m" in parsed
+
+
+def test_experiment_prints_the_claims_verdict_on_stderr(capsys):
+    assert main(["experiment", "tab01", "--json"]) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out)  # stdout stays the driver's result
+    assert captured.err.startswith("tab01 (quick): pass")
+    # tab02's claims are made on the full sweep: a quick run is not judged.
+    assert main(["experiment", "tab02"]) == 0
+    assert "not judged" in capsys.readouterr().err
+
+
+def test_experiment_exits_1_on_a_failed_claim(capsys, monkeypatch):
+    from repro.experiments.registry import Claim
+
+    row = dataclasses.replace(
+        experiment_registry.get("tab01"),
+        shape=lambda result: [Claim("never true", False)],
+    )
+    monkeypatch.setitem(experiment_registry._REGISTRY, "tab01", row)
+    assert main(["experiment", "tab01"]) == 1
+    assert "FAIL never true" in capsys.readouterr().err
+
+
+def test_smoke_of_a_driver_without_one_is_a_usage_error(capsys):
+    assert main(["experiment", "fig13", "--smoke"]) == 2
+    assert "'fig13' has no smoke variant" in capsys.readouterr().err
 
 
 def test_unknown_experiment_rejected():

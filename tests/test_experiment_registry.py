@@ -1,14 +1,12 @@
-"""Tests for the experiment registry (decorator registration, the
-uniform run() interface)."""
+"""Tests for the experiment registry (one ``register`` row per driver,
+the one ``run(seed, quick, jobs)`` signature, claims and verdicts)."""
+
+import inspect
 
 import pytest
 
 from repro.experiments import registry
-from repro.experiments.registry import (
-    ExperimentConfig,
-    ExperimentResult,
-    register_experiment,
-)
+from repro.experiments.registry import register
 
 EXPECTED_IDS = {
     "ablations",
@@ -58,50 +56,59 @@ class TestDiscovery:
             return None
 
         with pytest.raises(ValueError, match="registered twice"):
-            register_experiment("fig13", "imposter")(other_fn)
+            register("fig13", "imposter", other_fn)
 
     def test_reregistering_same_fn_is_idempotent(self):
         experiment = registry.get("fig13")
-        register_experiment("fig13", "same fn again")(experiment._fn)
+        register("fig13", "same fn again", experiment.run)
         assert registry.get("fig13").description == "same fn again"
-        # restore the original description for later assertions
-        register_experiment("fig13", experiment.description)(experiment._fn)
+        # restore the original row for later assertions
+        registry._REGISTRY["fig13"] = experiment
 
 
 class TestUniformRun:
-    def test_run_returns_result_wrapper(self):
-        experiment = registry.get("tab01")
-        cfg = ExperimentConfig(seed=3, quick=True)
-        result = experiment.run(cfg)
-        assert isinstance(result, ExperimentResult)
-        assert result.experiment_id == "tab01"
-        assert result.config is cfg
-        assert result.smoke is False
-        assert result.data
+    def test_every_run_has_the_one_signature(self):
+        for experiment in registry.discover().values():
+            parameters = inspect.signature(experiment.run).parameters
+            assert list(parameters) == ["seed", "quick", "jobs"], experiment.id
+            assert parameters["quick"].default is True, experiment.id
+            assert parameters["jobs"].default == 1, experiment.id
+            assert isinstance(parameters["seed"].default, int), experiment.id
 
-    def test_default_config(self):
-        result = registry.get("tab01").run()
-        assert result.config == ExperimentConfig()
+    def test_a_sweeps_seed_reaches_its_cells(self, monkeypatch):
+        """``--seed`` used to stop at 12 drivers' ``run``; now the cell
+        is a function of it and the sweep hands it the derived seeds."""
+        from repro.experiments import fig22
 
-    def test_rows_helper(self):
-        assert ExperimentResult("x", {"rows": [{"a": 1}]}).rows() == [{"a": 1}]
-        assert ExperimentResult("x", {"other": 1}).rows() is None
-        assert ExperimentResult("x", [1, 2]).rows() is None
+        assert fig22.cell(5, 40, 0.5) != fig22.cell(3, 40, 0.5)
+        seen = []
+        monkeypatch.setattr(
+            fig22, "sweep",
+            lambda cell, keys, seeds, jobs: seen.append(tuple(seeds)) or {},
+        )
+        fig22.run(seed=5, quick=True)
+        fig22.run(seed=3, quick=False)
+        assert seen == [(5, 9), (3, 7, 11, 19, 23)]
 
     def test_smoke_variant_where_provided(self):
-        assert registry.get("ext_faults").has_smoke
-        assert registry.get("ext_ha").has_smoke
-        assert registry.get("ext_soak").has_smoke
-        assert not registry.get("fig13").has_smoke
-        with pytest.raises(ValueError, match="no smoke variant"):
-            registry.get("fig13").run(smoke=True)
-        result = registry.get("ext_faults").run(smoke=True)
-        assert result.smoke is True
-        assert result.data
+        for gate in ("ext_faults", "ext_ha", "ext_soak"):
+            assert registry.get(gate).smoke is not None
+        assert registry.get("fig13").smoke is None
+        result = registry.get("ext_faults").smoke(seed=3)
+        assert result["ok"] is True
 
     def test_legacy_module_run_still_callable(self):
-        # The decorator returns the function unchanged.
+        # The row holds the module's own function, nothing wraps it.
         from repro.experiments import tab01
 
-        assert tab01.run is registry.get("tab01")._fn
+        assert registry.get("tab01").run is tab01.run
 
+
+class TestClaims:
+    def test_every_figure_driver_states_the_papers_claims(self):
+        shaped = {e.id for e in registry.discover().values() if e.shape}
+        assert shaped == {
+            i for i in EXPECTED_IDS if i == "ext_density" or not i.startswith("ext_")
+        }
+        for experiment in registry.discover().values():
+            assert bool(experiment.paper) == (experiment.shape is not None)

@@ -2,13 +2,19 @@
 the expensive sweeps are exercised by the benchmark suite)."""
 
 
-from repro.experiments import fig02, fig10, format_table
-from repro.experiments.common import mean, seeds_for
+import dataclasses
+
+from repro.experiments import fig02, fig10
+from repro.experiments.common import format_table, mean, seeds_for
 
 
 class TestCommonHelpers:
     def test_seeds_for(self):
-        assert len(seeds_for(quick=True)) < len(seeds_for(quick=False))
+        # The default seed keeps the historical draws; any other seed
+        # shifts them all.
+        assert seeds_for(3, quick=True) == (3, 7)
+        assert seeds_for(3, quick=False) == (3, 7, 11, 19, 23)
+        assert seeds_for(101, quick=True) == (101, 105)
 
     def test_mean(self):
         assert mean([1.0, 3.0]) == 2.0
@@ -53,7 +59,7 @@ class TestExtFaultsDriver:
         must fail over to a live AP inside the recovery deadline."""
         from repro.experiments import ext_faults
 
-        result = ext_faults.run_smoke(seed=3)
+        result = ext_faults.smoke(seed=3)
         assert result["ok"] is True
         assert result["tcp_forward_progress"] is True
         assert result["summary"]["deadline_violations"] == 0
@@ -64,16 +70,18 @@ class TestExtFaultsDriver:
 
     def test_smoke_cli_exit_code(self, capsys, monkeypatch):
         from repro import cli
-        from repro.experiments import ext_faults
+        from repro.experiments import registry
 
         argv = ["experiment", "ext_faults", "--smoke", "--seed", "3"]
         assert cli.main(argv) == 0
         assert '"ok": true' in capsys.readouterr().out
         # The gate's verdict is the exit code: a driver result that
         # says ok: False exits 1.
-        monkeypatch.setattr(
-            ext_faults, "run_smoke", lambda seed=3: {"ok": False, "seed": seed}
+        row = dataclasses.replace(
+            registry.get("ext_faults"),
+            smoke=lambda seed=3: {"ok": False, "seed": seed},
         )
+        monkeypatch.setitem(registry._REGISTRY, "ext_faults", row)
         assert cli.main(argv) == 1
 
 

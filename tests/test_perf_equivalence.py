@@ -272,6 +272,24 @@ def test_run_grid_parallel_matches_serial(monkeypatch):
     assert serial == parallel  # byte-identical, in grid order
 
 
+def test_a_once_serial_driver_fans_out_to_the_same_result(monkeypatch):
+    # tab01 ran its rates in a plain loop and dropped ``--jobs``; through
+    # the one sweep it must give the same rows either way.
+    from repro.experiments import runner, tab01
+
+    monkeypatch.setattr(runner, "available_jobs", lambda: 4)
+    assert tab01.run(seed=3, jobs=2) == tab01.run(seed=3, jobs=1)
+
+
+def test_sweep_groups_by_key_in_seed_order(monkeypatch):
+    from repro.experiments import runner
+
+    monkeypatch.setattr(runner, "available_jobs", lambda: 4)
+    swept = runner.sweep(_parity_cell, [(1.0,), (2.5,)], (3, 7, 11), jobs=2)
+    assert list(swept) == [(1.0,), (2.5,)]
+    assert swept[2.5,] == [_parity_cell(seed, 2.5) for seed in (3, 7, 11)]
+
+
 def test_run_grid_preserves_grid_order(monkeypatch):
     from repro.experiments import runner
 

@@ -511,10 +511,11 @@ class TestComposition:
 
 class TestShardDeterminism:
     def test_same_seed_same_outcome_digest(self):
-        from repro.experiments.ext_shard import outcome_digest, run_schedule
+        from repro.experiments.common import outcome_digest
+        from repro.experiments.ext_shard import cell
 
-        first = run_schedule(3, num_shards=2, fleet=1, duration_s=4.0)
-        again = run_schedule(3, num_shards=2, fleet=1, duration_s=4.0)
+        first = cell(3, num_shards=2, fleet=1, duration_s=4.0)
+        again = cell(3, num_shards=2, fleet=1, duration_s=4.0)
         assert outcome_digest(first) == outcome_digest(again)
         assert first["handoffs_completed"] >= 1
 
