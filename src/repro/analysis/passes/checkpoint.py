@@ -1,29 +1,32 @@
-"""Checkpoint-coverage: controller volatile state vs ``repro.ha.checkpoint``.
+"""Checkpoint-coverage: controller volatile state vs its own ``snapshot``.
 
-The HA guarantee (PR 3) is that ``checkpoint_controller`` captures
+The HA guarantee is that ``WgttController.snapshot`` captures
 **all** of the controller's volatile protocol state — a promoted
 standby restores it and continues bit-identically.  That "all" decays
 one field at a time: PR 7 added the admission pacer, PR 8 added the
 departed-client replay guard, and nothing but reviewer memory connects
-a new ``self._foo`` in ``controller.py`` to the serializer in
-``ha/checkpoint.py``.  This pass closes the loop statically:
+a new ``self._foo`` to the serializer beside it.  This pass closes the
+loop statically, in ``repro/core/controller.py`` alone:
 
 * an attribute is **volatile** when any method outside ``__init__``
   assigns it (``self.x = ...``, ``self.x[...] = ...``, ``self.x += 1``)
   or calls a mutating container method on it (``.add``, ``.append``,
   ``.pop``, ``.update``, ...);
-* it is **covered** when ``checkpoint_controller`` reads
-  ``controller.<attr>``;
+* it is **covered** when ``WgttController.snapshot`` reads
+  ``self.<attr>``;
 * deliberately non-checkpointed state carries an inline
   ``# volatile-ok: reason`` on one of its assignment lines (the reason
   is mandatory — an allowlist entry is a design decision, not a shrug).
+
+Classes serialized through ``to_state()`` (``ClientState``) are held to
+the same rule for every attribute they assign.
 
 ========  ============================================================
 rule      fires when
 ========  ============================================================
 CKP001    volatile attribute neither checkpointed nor ``volatile-ok``
-CKP002    checkpoint code reads an attribute the controller class
-          never assigns (serializer drifted ahead of the state)
+CKP002    ``snapshot`` / ``restore`` reads an attribute the controller
+          class never assigns (serializer drifted ahead of the state)
 CKP003    a ``# volatile-ok`` with no reason
 ========  ============================================================
 """
@@ -78,6 +81,15 @@ def _self_attr_of_target(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _self_reads(function: ast.AST) -> Dict[str, int]:
+    """``self.<attr>`` references in ``function`` → first line."""
+    reads: Dict[str, int] = {}
+    for sub in ast.walk(function):
+        if isinstance(sub, ast.Attribute) and _self_attr_of_target(sub):
+            reads.setdefault(sub.attr, sub.lineno)
+    return reads
+
+
 class CheckpointCoveragePass(AnalysisPass):
     name = "checkpoint-coverage"
     rules = {
@@ -86,44 +98,23 @@ class CheckpointCoveragePass(AnalysisPass):
         "CKP003": "volatile-ok allowlist entry without a reason",
     }
 
-    def __init__(
-        self,
-        state_file_suffix: str = "repro/core/controller.py",
-        state_class: str = "WgttController",
-        checkpoint_file_suffix: str = "repro/ha/checkpoint.py",
-        serialize_function: str = "checkpoint_controller",
-        restore_function: str = "restore_controller",
-        state_param: str = "controller",
-    ):
-        self.state_file_suffix = state_file_suffix
-        self.state_class = state_class
-        self.checkpoint_file_suffix = checkpoint_file_suffix
-        self.serialize_function = serialize_function
-        self.restore_function = restore_function
-        self.state_param = state_param
+    STATE_FILE = "repro/core/controller.py"
+    STATE_CLASS = "WgttController"
 
-    # -- state-class harvesting ---------------------------------------
-
-    def _find_class(self, file: SourceFile) -> Optional[ast.ClassDef]:
-        assert file.tree is not None
-        for node in ast.walk(file.tree):
-            if isinstance(node, ast.ClassDef) and node.name == self.state_class:
-                return node
-        return None
-
+    @staticmethod
     def _harvest_state(
-        self, file: SourceFile, class_node: ast.ClassDef
-    ) -> Tuple[Set[str], Dict[str, int], Set[str]]:
+        class_node: ast.ClassDef,
+    ) -> Tuple[Set[str], Dict[str, int], Dict[str, ast.FunctionDef]]:
         """(all assigned attrs, volatile attr → first mutation line,
-        method/property names)."""
+        method name → method)."""
         assigned: Set[str] = set()
         volatile: Dict[str, int] = {}
-        methods: Set[str] = set()
+        methods: Dict[str, ast.FunctionDef] = {}
 
         for method in class_node.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(method, ast.FunctionDef):
                 continue
-            methods.add(method.name)
+            methods[method.name] = method
             in_init = method.name == "__init__"
             for node in ast.walk(method):
                 attrs_here: List[str] = []
@@ -152,8 +143,9 @@ class CheckpointCoveragePass(AnalysisPass):
                             volatile.setdefault(attr, node.lineno)
         return assigned, volatile, methods
 
+    @staticmethod
     def _harvest_allowlist(
-        self, file: SourceFile
+        file: SourceFile,
     ) -> Tuple[Dict[str, str], List[Finding]]:
         """``# volatile-ok`` markers: attr → reason, plus CKP003s."""
         allowlist: Dict[str, str] = {}
@@ -184,155 +176,82 @@ class CheckpointCoveragePass(AnalysisPass):
                 allowlist[attr_match.group(1)] = reason
         return allowlist, findings
 
-    # -- checkpoint-side harvesting -----------------------------------
-
-    def _harvest_reads(
-        self, file: SourceFile
-    ) -> Tuple[Set[str], Dict[str, int]]:
-        """Attrs read as ``<param>.<attr>`` in the serialize function
-        (coverage), and in either function (existence, with lines)."""
-        assert file.tree is not None
-        covered: Set[str] = set()
-        referenced: Dict[str, int] = {}
-        for node in ast.walk(file.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name not in (self.serialize_function, self.restore_function):
-                continue
-            for sub in ast.walk(node):
-                if (
-                    isinstance(sub, ast.Attribute)
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == self.state_param
-                ):
-                    referenced.setdefault(sub.attr, sub.lineno)
-                    if node.name == self.serialize_function:
-                        covered.add(sub.attr)
-        return covered, referenced
-
-    # -- the cross-check ----------------------------------------------
-
     def run(self, project: Project) -> List[Finding]:
-        state_file = project.by_suffix(self.state_file_suffix)
-        checkpoint_file = project.by_suffix(self.checkpoint_file_suffix)
-        if (
-            state_file is None
-            or checkpoint_file is None
-            or state_file.tree is None
-            or checkpoint_file.tree is None
-        ):
-            # Partial scan: nothing to cross-check.
-            return []
-        class_node = self._find_class(state_file)
-        if class_node is None:
-            return []
+        file = project.by_suffix(self.STATE_FILE)
+        if file is None or file.tree is None:
+            return []  # partial scan: nothing to check
+        allowlist, findings = self._harvest_allowlist(file)
+        path = file.display_path
 
-        assigned, volatile, methods = self._harvest_state(
-            state_file, class_node
-        )
-        allowlist, findings = self._harvest_allowlist(state_file)
-        covered, referenced = self._harvest_reads(checkpoint_file)
-
-        for attr in sorted(volatile):
-            if attr in covered or attr in allowlist:
-                continue
-            findings.append(
-                Finding(
-                    path=state_file.display_path,
-                    line=volatile[attr],
-                    col=0,
-                    rule="CKP001",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"{self.state_class}.{attr} is mutated outside "
-                        "__init__ but checkpoint_controller never reads "
-                        "it — this state is lost across failover"
-                    ),
-                    hint=(
-                        "serialize it in repro/ha/checkpoint.py (and "
-                        "restore it), or mark the assignment "
-                        "`# volatile-ok: <why loss is acceptable>`"
-                    ),
-                )
+        def ckp001(line: int, message: str, hint: str) -> Finding:
+            return Finding(
+                path=path,
+                line=line,
+                col=0,
+                rule="CKP001",
+                severity=Severity.ERROR,
+                message=message,
+                hint=f"{hint}, or mark the assignment `# volatile-ok: <why>`",
             )
-        for attr in sorted(referenced):
-            if attr in assigned or attr in methods:
-                continue
-            findings.append(
-                Finding(
-                    path=checkpoint_file.display_path,
-                    line=referenced[attr],
-                    col=0,
-                    rule="CKP002",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"checkpoint code reads {self.state_param}.{attr}, "
-                        f"which {self.state_class} never assigns — the "
-                        "serializer drifted ahead of the state class"
-                    ),
-                    hint="remove or rename the stale read",
-                )
-            )
-        findings.extend(
-            self._check_to_state_classes(state_file, allowlist)
-        )
-        return findings
 
-    def _check_to_state_classes(
-        self, file: SourceFile, allowlist: Dict[str, str]
-    ) -> List[Finding]:
-        """Companion check for classes serialized via ``to_state()``
-        (``ClientState``, ``SwitchRecord``-style): every attribute the
-        class assigns on itself must be read inside ``to_state`` —
-        otherwise a restored instance silently loses it."""
-        assert file.tree is not None
-        findings: List[Finding] = []
         for node in ast.walk(file.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            to_state = next(
-                (
-                    method
-                    for method in node.body
-                    if isinstance(method, ast.FunctionDef)
-                    and method.name == "to_state"
-                ),
-                None,
-            )
-            if to_state is None:
-                continue
-            assigned, volatile, _methods = self._harvest_state(file, node)
-            serialized = {
-                sub.attr
-                for sub in ast.walk(to_state)
-                if isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"
-            }
-            # Everything __init__ sets on a to_state class is protocol
-            # state (these classes exist to be checkpointed), so the
-            # audit covers all assigned attrs, not just post-__init__
-            # mutations.
-            for attr in sorted(assigned):
-                if attr in serialized or attr in allowlist:
-                    continue
-                line = volatile.get(attr, node.lineno)
-                findings.append(
-                    Finding(
-                        path=file.display_path,
-                        line=line,
-                        col=0,
-                        rule="CKP001",
-                        severity=Severity.ERROR,
-                        message=(
+            assigned, volatile, methods = self._harvest_state(node)
+            if node.name == self.STATE_CLASS:
+                snapshot = methods.get("snapshot")
+                covered = _self_reads(snapshot) if snapshot else {}
+                for attr in sorted(volatile):
+                    if attr in covered or attr in allowlist:
+                        continue
+                    findings.append(
+                        ckp001(
+                            volatile[attr],
+                            f"{node.name}.{attr} is mutated outside "
+                            f"__init__ but {node.name}.snapshot never "
+                            "reads it — this state is lost across failover",
+                            "read it in snapshot() and refill it in "
+                            "restore()",
+                        )
+                    )
+                referenced: Dict[str, int] = {}
+                for name in ("snapshot", "restore"):
+                    if name in methods:
+                        referenced.update(_self_reads(methods[name]))
+                for attr in sorted(referenced):
+                    if attr in assigned or attr in methods:
+                        continue
+                    findings.append(
+                        Finding(
+                            path=path,
+                            line=referenced[attr],
+                            col=0,
+                            rule="CKP002",
+                            severity=Severity.ERROR,
+                            message=(
+                                f"{node.name}.snapshot/restore reads "
+                                f"self.{attr}, which {node.name} never "
+                                "assigns — the serializer drifted ahead "
+                                "of the state"
+                            ),
+                            hint="remove or rename the stale read",
+                        )
+                    )
+            elif "to_state" in methods:
+                # Everything a to_state class assigns is protocol state
+                # (these classes exist to be checkpointed), so the audit
+                # covers every assigned attr, not just later mutations.
+                serialized = _self_reads(methods["to_state"])
+                for attr in sorted(assigned):
+                    if attr in serialized or attr in allowlist:
+                        continue
+                    findings.append(
+                        ckp001(
+                            volatile.get(attr, node.lineno),
                             f"{node.name}.{attr} is never read by "
                             f"{node.name}.to_state — this field is lost "
-                            "across checkpoint/restore"
-                        ),
-                        hint=(
-                            "serialize it in to_state/from_state, or "
-                            "mark the assignment `# volatile-ok: <why>`"
-                        ),
+                            "across checkpoint/restore",
+                            "serialize it in to_state/from_state",
+                        )
                     )
-                )
         return findings

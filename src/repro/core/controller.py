@@ -15,6 +15,7 @@ One commodity Linux box on the Ethernet backhaul runs everything:
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.channel.csi import CsiReport
@@ -35,8 +36,13 @@ from repro.core.switching import (
     SwitchCoordinator,
     SwitchRecord,
 )
+from repro.ha.checkpoint import (
+    CHECKPOINT_VERSION,
+    CLIENT_STATE_VERSION,
+    ControllerCheckpoint,
+)
 from repro.net.backhaul import EthernetBackhaul
-from repro.net.packet import Packet
+from repro.net.packet import Packet, src_bits
 from repro.net.tunnel import tunnel_wire_size
 from repro.obs.metrics import metric_key
 from repro.sim.engine import Simulator, Timer
@@ -61,12 +67,19 @@ class ClientState:
         #: Set while the client has no live AP to fail over to (its
         #: serving AP is dead and no live AP has heard it recently).
         self.degraded_since: Optional[int] = None
-        #: True while a deferred failover retry is scheduled.
-        self.failover_retry_pending = False
         #: True while the serving AP signals cyclic-queue backpressure:
         #: ``accept_downlink`` paces (drops, explicitly counted) until
         #: the AP clears the signal.
         self.paced = False
+        #: The periodic AP-selection timer.
+        self.selection_timer: Optional[Timer] = None  # volatile-ok: a Timer is not data; the controller snapshot carries its deadline
+        #: The deferred emergency-failover retry, set while one is armed.
+        self.retry_timer: Optional[Timer] = None
+
+    def stop_timers(self) -> None:
+        for timer in (self.selection_timer, self.retry_timer):
+            if timer is not None:
+                timer.stop()
 
     # -- checkpoint support -------------------------------------------
 
@@ -77,7 +90,7 @@ class ClientState:
             "last_switch_us": self.last_switch_us,
             "last_selection_check_us": self.last_selection_check_us,
             "degraded_since": self.degraded_since,
-            "failover_retry_pending": self.failover_retry_pending,
+            "failover_retry_pending": self.retry_timer is not None,
             "paced": self.paced,
         }
 
@@ -88,9 +101,22 @@ class ClientState:
         )
         out.last_selection_check_us = state["last_selection_check_us"]
         out.degraded_since = state["degraded_since"]
-        out.failover_retry_pending = state["failover_retry_pending"]
         out.paced = state["paced"]
         return out
+
+
+def _series(entries) -> List[List[Any]]:
+    """``(time_us, value)`` pairs as JSON-native ``[int, float]`` lists."""
+    return [[int(t), float(v)] for t, v in entries]
+
+
+def _heard(heard: Dict[str, Tuple[int, float]]) -> Dict[str, List[Any]]:
+    """One client's last-heard table, JSON-native."""
+    return {ap_id: [int(t), float(v)] for ap_id, (t, v) in heard.items()}
+
+
+def _deadline(timer: Optional[Timer]) -> Optional[int]:
+    return None if timer is None else timer.deadline_us
 
 
 class WgttController:
@@ -142,11 +168,6 @@ class WgttController:
         self.directory = AssociationDirectory()
         self._index_alloc = IndexAllocator(self._config.cyclic_queue_size)
         self._clients: Dict[str, ClientState] = {}
-        #: Per-client periodic selection timers (tracked so crash stops
-        #: them and checkpoint/restore re-arms them in phase).
-        self._selection_timers: Dict[str, Timer] = {}
-        #: Per-client deferred emergency-failover retry timers.
-        self._retry_timers: Dict[str, Timer] = {}
         self._ap_ids: Set[str] = set()
         #: False while crashed (fault injection): timers stopped, the
         #: backhaul endpoint dark, volatile protocol state lost.
@@ -319,6 +340,12 @@ class WgttController:
     def client_state(self, client_id: str) -> Optional[ClientState]:
         return self._clients.get(client_id)
 
+    def tracks(self, client_id: str) -> bool:
+        return client_id in self._clients
+
+    def tracked_clients(self) -> List[str]:
+        return sorted(self._clients)
+
     def serving_ap(self, client_id: str) -> Optional[str]:
         state = self._clients.get(client_id)
         return state.serving_ap if state else None
@@ -343,34 +370,40 @@ class WgttController:
         self.directory.admit(info)
         if info.client not in self._clients:
             serving = self._pending_claims.pop(info.client, info.first_ap)
-            self._clients[info.client] = ClientState(
+            client = self._clients[info.client] = ClientState(
                 info.client, serving, self._sim.now
             )
             self._publish_serving(info.client, serving)
-            self._start_selection_loop(info.client)
+            self._start_selection_loop(client)
 
     def deregister_client(self, client_id: str) -> None:
         """Client departure: free every per-client resource.
 
         Closes the unbounded-growth holes a transit system would
-        otherwise accumulate over millions of one-ride commuters — the
-        :class:`IndexAllocator` cursor, the selection windows, the
-        last-heard cache, the selection/retry timers — and tells every
-        AP to drop the client's cyclic queue and serving duty.
+        otherwise accumulate over millions of one-ride commuters (see
+        :meth:`forget`), remembers the departure against replayed
+        sta-syncs, and tells every AP to drop the client's cyclic queue
+        and serving duty.
         """
-        state = self._clients.pop(client_id, None)
-        if state is None:
+        if client_id not in self._clients:
             return
         self.stats["clients_departed"] += 1
         self._departed_at.depart(client_id, self._sim.now)
-        timer = self._selection_timers.pop(client_id, None)
-        if timer is not None:
-            timer.stop()
-        retry = self._retry_timers.pop(client_id, None)
-        if retry is not None:
-            retry.stop()
+        self.forget(client_id)
         if self.coordinator.busy(client_id):
             self.coordinator.abort(client_id, reason="client departed")
+        for ap in sorted(self._ap_ids):
+            self._backhaul.send_control(
+                self.controller_id, ap, "client-departed", client_id
+            )
+
+    def forget(self, client_id: str) -> None:
+        """Free every per-client store and timer, tracked or not: a
+        region also holds CSI its APs overheard from a neighbour
+        region's client."""
+        client = self._clients.pop(client_id, None)
+        if client is not None:
+            client.stop_timers()
         self.directory.remove(client_id)
         self.selector.forget_client(client_id)
         self._index_alloc.forget_client(client_id)
@@ -378,13 +411,9 @@ class WgttController:
         self._pending_claims.pop(client_id, None)
         if self._pacer is not None:
             self._pacer.forget_client(client_id)
-        for ap in sorted(self._ap_ids):
-            self._backhaul.send_control(
-                self.controller_id, ap, "client-departed", client_id
-            )
 
     def _start_selection_loop(
-        self, client_id: str, first_deadline_us: Optional[int] = None
+        self, client: ClientState, first_deadline_us: Optional[int] = None
     ) -> None:
         """Periodic AP-selection evaluation for one client.
 
@@ -395,13 +424,13 @@ class WgttController:
         phase with the original's.
         """
         period = self._config.selection_period_us
+        client_id = client.client_id
 
         def tick():
             self._maybe_switch(client_id)
             timer.start(period)
 
-        timer = Timer(self._sim, tick)
-        self._selection_timers[client_id] = timer
+        timer = client.selection_timer = Timer(self._sim, tick)
         if first_deadline_us is None:
             timer.start(period)
         else:
@@ -836,32 +865,243 @@ class WgttController:
     ) -> None:
         state = self._clients.get(client_id)
         if state is None or (
-            state.failover_retry_pending and deadline_us is None
+            state.retry_timer is not None and deadline_us is None
         ):
             return
-        state.failover_retry_pending = True
-        timer = Timer(
+        timer = state.retry_timer = Timer(
             self._sim, lambda: self._failover_retry_fired(client_id)
         )
-        self._retry_timers[client_id] = timer
         if deadline_us is None:
             timer.start(self._config.selection_period_us)
         else:
             timer.start_at(deadline_us)
 
     def _failover_retry_fired(self, client_id: str) -> None:
-        self._retry_timers.pop(client_id, None)
-        if not self.alive:
-            return
         current = self._clients.get(client_id)
         if current is None:
             return
-        current.failover_retry_pending = False
+        current.retry_timer = None
+        if not self.alive:
+            return
         if (
             current.serving_ap in self._dead_aps
             and not self.coordinator.busy(client_id)
         ):
             self._emergency_failover(client_id, current.serving_ap)
+
+    # ------------------------------------------------------------------
+    # state: checkpoint, restore, per-client handoff slice
+    # ------------------------------------------------------------------
+
+    def snapshot(self) -> ControllerCheckpoint:
+        """Every volatile protocol store, as one checkpoint (read-only).
+
+        The selection windows, the serving map, the 12-bit index
+        cursors, every in-flight switch handshake and timer (as absolute
+        deadlines), the dedup key window, the AP liveness table, and the
+        departed-client replay guard.  Everything is copied into
+        JSON-native shapes (lists, not tuples), so the in-memory
+        checkpoint equals its own serialize/parse round trip.
+        """
+        clients = self._clients
+        state = {
+            "clients": {
+                client_id: client.to_state()
+                for client_id, client in clients.items()
+            },
+            "selection_deadlines": {
+                client_id: client.selection_timer.deadline_us
+                for client_id, client in clients.items()
+                if client.selection_timer is not None
+            },
+            "retry_deadlines": {
+                client_id: client.retry_timer.deadline_us
+                for client_id, client in clients.items()
+                if client.retry_timer is not None
+            },
+            "selector": {
+                client_id: {
+                    ap_id: _series(entries)
+                    for ap_id, entries in per_client.items()
+                }
+                for client_id, per_client in self.selector.snapshot().items()
+            },
+            "coordinator": self.coordinator.snapshot(),
+            "liveness": self.liveness.snapshot(),
+            "dedup": self.dedup.snapshot(),
+            "directory": {
+                client_id: asdict(self.directory.get(client_id))
+                for client_id in sorted(self.directory.clients())
+            },
+            "index_cursors": self._index_alloc.snapshot(),
+            "ap_ids": sorted(self._ap_ids),
+            "dead_aps": sorted(self._dead_aps),
+            "last_heard": {
+                client_id: _heard(heard)
+                for client_id, heard in self._last_heard.items()
+            },
+            "pending_claims": dict(self._pending_claims),
+            "departed_at": self._departed_at.snapshot(),
+        }
+        return ControllerCheckpoint(
+            version=CHECKPOINT_VERSION,
+            taken_at_us=self._sim.now,
+            controller_id=self.controller_id,
+            state=state,
+        )
+
+    def restore(self, checkpoint: ControllerCheckpoint) -> None:
+        """Replace this controller's state with ``checkpoint``'s.
+
+        State-only — no backhaul messages.  Timers re-arm at their
+        checkpointed absolute deadlines (clamped to now) in a fixed
+        order — selection by client, the liveness check, pending switch
+        retransmissions, failover retries by client — so
+        same-microsecond ties resolve identically on every restore of
+        the same checkpoint.
+        """
+        if checkpoint.version != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"checkpoint version {checkpoint.version} != "
+                f"supported {CHECKPOINT_VERSION}"
+            )
+        state = checkpoint.state
+        self._forget_state()
+        self._ap_ids = set(state["ap_ids"])
+        self._dead_aps = set(state["dead_aps"])
+        self.selector.restore(state["selector"])
+        self.dedup.restore(state["dedup"])
+        self._index_alloc.restore(state["index_cursors"])
+        for client_id in sorted(state["directory"]):
+            self.directory.admit(StaInfo(**state["directory"][client_id]))
+        self._clients = {
+            client_id: ClientState.from_state(client_state)
+            for client_id, client_state in state["clients"].items()
+        }
+        self._last_heard = {
+            client_id: {
+                ap_id: (int(t), float(v)) for ap_id, (t, v) in heard.items()
+            }
+            for client_id, heard in state["last_heard"].items()
+        }
+        self._pending_claims = dict(state["pending_claims"])
+        self._departed_at.restore(state["departed_at"])
+        selection = state["selection_deadlines"]
+        for client_id in sorted(selection):
+            client = self._clients.get(client_id)
+            if client is not None and selection[client_id] is not None:
+                self._start_selection_loop(client, int(selection[client_id]))
+        self.liveness.restore(state["liveness"])
+        self.coordinator.restore(state["coordinator"])
+        retries = state["retry_deadlines"]
+        for client_id in sorted(retries):
+            if retries[client_id] is not None:
+                self._schedule_failover_retry(
+                    client_id, deadline_us=int(retries[client_id])
+                )
+
+    def _forget_state(self) -> None:
+        """Stop every timer the protocol state owns and empty every
+        store :meth:`snapshot` reads, the AP list aside: what a crash
+        loses and :meth:`restore` refills.  Durable observability — the
+        switch history and abort counts, the dedup counters, the
+        liveness events — survives, as an external metrics pipeline
+        would."""
+        for client_id in sorted(self._clients):
+            self._clients[client_id].stop_timers()
+        self.coordinator.crash()
+        self.liveness.crash()
+        self.selector.restore({})
+        self.dedup.crash()
+        self.directory = AssociationDirectory()
+        self._index_alloc.restore({})
+        self._clients = {}
+        self._dead_aps = set()
+        self._last_heard = {}
+        self._pending_claims = {}
+        self._departed_at.clear()
+
+    def client_slice(self, client_id: str) -> dict:
+        """One tracked client's share of :meth:`snapshot`, JSON-native,
+        for an inter-shard handoff (KeyError if untracked).
+
+        Read-only, and must run *before* :meth:`deregister_client` on
+        the sending side, which drops the very state captured here.
+        The in-flight switch (if any) rides along for audit only: its
+        APs belong to the sending shard.
+        """
+        client = self._clients[client_id]
+        sta = None
+        if self.directory.is_associated(client_id):
+            sta = asdict(self.directory.get(client_id))
+        return {
+            "version": CLIENT_STATE_VERSION,
+            "client": client_id,
+            "extracted_at_us": self._sim.now,
+            "from_controller": self.controller_id,
+            "state": client.to_state(),
+            "sta": sta,
+            "selector": {
+                ap_id: _series(entries)
+                for ap_id, entries in self.selector.client_snapshot(
+                    client_id
+                ).items()
+            },
+            "dedup_keys": self.dedup.keys_for_src(src_bits(client_id)),
+            "index_cursor": self._index_alloc.peek(client_id),
+            "last_heard": _heard(self._last_heard.get(client_id, {})),
+            "selection_deadline_us": _deadline(client.selection_timer),
+            "retry_deadline_us": _deadline(client.retry_timer),
+            "pending_switch": self.coordinator.snapshot()["pending"].get(
+                client_id
+            ),
+        }
+
+    def merge_client(
+        self, client_slice: dict, serving_ap: Optional[str] = None
+    ) -> bool:
+        """Graft a :meth:`client_slice` from another controller.
+
+        Returns False (a no-op) if this controller already tracks the
+        client — handoff retransmissions make duplicate arrivals
+        routine.  ``serving_ap`` overrides the transferred serving AP
+        with one this controller's region owns.  CSI windows and
+        last-heard entries this controller overheard on its own win
+        over the transferred copies (see :meth:`ApSelector.restore_client`).
+        The retry deadline and pending switch are *not* re-armed: both
+        reference the sending shard's APs.
+        """
+        if client_slice["version"] != CLIENT_STATE_VERSION:
+            raise ValueError(
+                f"client state version {client_slice['version']} != "
+                f"supported {CLIENT_STATE_VERSION}"
+            )
+        client_id = client_slice["client"]
+        if client_id in self._clients:
+            return False
+        client = ClientState.from_state(client_slice["state"])
+        if serving_ap is not None:
+            client.serving_ap = serving_ap
+        if client_slice["sta"] is not None:
+            self.directory.admit(StaInfo(**client_slice["sta"]))
+        self.selector.restore_client(client_id, client_slice["selector"])
+        self.dedup.merge_keys(client_slice["dedup_keys"])
+        self._index_alloc.set_cursor(client_id, client_slice["index_cursor"])
+        heard = self._last_heard.setdefault(client_id, {})
+        for ap_id in sorted(client_slice["last_heard"]):
+            t, v = client_slice["last_heard"][ap_id]
+            heard.setdefault(ap_id, (int(t), float(v)))
+        if not heard:
+            del self._last_heard[client_id]
+        # A client handed back after departing elsewhere is live again.
+        self._departed_at.pop(client_id, None)
+        self._clients[client_id] = client
+        self._publish_serving(client_id, client.serving_ap)
+        deadline = client_slice["selection_deadline_us"]
+        self._start_selection_loop(
+            client, None if deadline is None else int(deadline)
+        )
+        return True
 
     # ------------------------------------------------------------------
     # controller crash / restart / HA plumbing
@@ -872,11 +1112,10 @@ class WgttController:
 
         Every timer stops (a dead box retransmits nothing), the backhaul
         endpoint goes dark, and all **volatile** protocol state is lost —
-        exactly what a process kill destroys: selection windows, client
-        table, index cursors, in-flight handshakes, the dedup window, the
-        liveness table.  Durable observability (``stats``,
-        ``serving_timeline``, switch ``history``) survives, as a real
-        deployment's external metrics pipeline would.
+        exactly what :meth:`restore` replaces, so a crashed controller
+        snapshots like a freshly built one.  Durable observability
+        (``stats``, ``serving_timeline``, switch ``history``) survives,
+        as a real deployment's external metrics pipeline would.
         """
         if not self.alive:
             return
@@ -887,26 +1126,10 @@ class WgttController:
             tracer.emit(
                 "controller", "ctrl-crash", track="ha", node=self.controller_id
             )
-        for timer in self._selection_timers.values():
-            timer.stop()
-        self._selection_timers.clear()
-        for timer in self._retry_timers.values():
-            timer.stop()
-        self._retry_timers.clear()
         self._ctrl_heartbeat_timer.stop()
         if self._pacer is not None:
             self._pacer.halt()
-        self.coordinator.crash()
-        self.liveness.crash()
-        self.selector.restore({})
-        self.dedup.crash()
-        self.directory = AssociationDirectory()
-        self._index_alloc = IndexAllocator(self._config.cyclic_queue_size)
-        self._clients.clear()
-        self._dead_aps.clear()
-        self._last_heard.clear()
-        self._pending_claims.clear()
-        self._departed_at.clear()
+        self._forget_state()
         self._backhaul.set_node_down(self.controller_id, True)
 
     def restart(self) -> None:

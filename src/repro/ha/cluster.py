@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
-from repro.ha.checkpoint import checkpoint_controller
 from repro.ha.standby import StandbyController
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
@@ -114,7 +113,7 @@ class HaCluster:
             # promoted standby to a repaired primary is future work).
             return
         if self.primary.alive:
-            data = checkpoint_controller(self.primary).to_bytes()
+            data = self.primary.snapshot().to_bytes()
             self.checkpoints_shipped += 1
             self.checkpoint_bytes += len(data)
             self._backhaul.send(

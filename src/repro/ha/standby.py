@@ -16,7 +16,8 @@ When the primary goes silent past the miss limit, the standby
 **promotes** itself:
 
 1. restore the latest checkpoint (state-only);
-2. overlay warm-feed serving updates received after the checkpoint;
+2. overlay warm-feed serving updates received after the checkpoint,
+   and register the warm-fed associations it lacks;
 3. grant the AP liveness table a grace period (``reset_clock``) so a
    healthy array is not mass-declared dead from stale beat times;
 4. broadcast ``ctrl-takeover`` so every AP re-homes, flushes its hold
@@ -33,7 +34,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
-from repro.ha.checkpoint import ControllerCheckpoint, restore_controller
+from repro.ha.checkpoint import ControllerCheckpoint
 from repro.net.backhaul import EthernetBackhaul
 from repro.sim.engine import Simulator, Timer
 from repro.sim.rng import RngRegistry
@@ -175,28 +176,18 @@ class StandbyController(WgttController):
             if tracer.active
             else None
         )
+        # The warm feed's association records: restore replaces them.
+        warm_directory = self.directory
         if checkpoint is not None:
-            restore_controller(self, checkpoint)
+            self.restore(checkpoint)
             # The checkpoint is up to one shipping interval stale: the
             # dead primary kept allocating cyclic indices past the
             # checkpointed cursors.  Skid every cursor forward so none
             # is re-used (readers skip the gap); the APs' edge-reports
             # true the cursors up exactly as they re-home.
             self._index_alloc.skid(self._config.ha_index_skid)
-        else:
-            # Never received a checkpoint: bootstrap from the warm feed
-            # alone.  Claims seed the serving map before registration so
-            # register_association lands each client on the AP actually
-            # serving it, not its first AP.
-            for client_id in sorted(self._warm_serving):
-                self._pending_claims.setdefault(
-                    client_id, self._warm_serving[client_id][1]
-                )
-            for client_id in sorted(self.directory.clients()):
-                self._register_from_directory(client_id)
-
-        # Overlay serving updates mirrored after the checkpoint was cut.
-        if checkpoint is not None:
+            # Overlay serving updates mirrored after the checkpoint was
+            # cut.
             for client_id in sorted(self._warm_serving):
                 received_at, ap_id = self._warm_serving[client_id]
                 if received_at <= checkpoint.taken_at_us:
@@ -208,6 +199,23 @@ class StandbyController(WgttController):
                     and state.serving_ap != ap_id
                 ):
                     state.serving_ap = ap_id
+        # Register what the warm feed admitted and the checkpoint lacks:
+        # every record without a checkpoint, else the clients that
+        # associated after it was cut.  Claims seed the serving map
+        # first so register_association lands each client on the AP
+        # actually serving it, not its first AP.  Records of clients
+        # the checkpoint saw depart stay out.
+        for client_id in sorted(self._warm_serving):
+            if client_id not in self._clients:
+                self._pending_claims.setdefault(
+                    client_id, self._warm_serving[client_id][1]
+                )
+        for client_id in sorted(warm_directory.clients()):
+            info = warm_directory.get(client_id)
+            if client_id not in self._clients and not (
+                self._departed_at.is_replay(info)
+            ):
+                self.register_association(info)
         self._warm_serving.clear()
         self._warm_serving_gen.clear()
         if restore_span is not None:
@@ -240,8 +248,3 @@ class StandbyController(WgttController):
         self.on_promote()
         if span is not None:
             tracer.end(span, clients=len(self._clients))
-
-    def _register_from_directory(self, client_id: str) -> None:
-        """register_association for a directory record already admitted
-        pre-promotion (the admit inside is then a no-op)."""
-        self.register_association(self.directory.get(client_id))

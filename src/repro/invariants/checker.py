@@ -582,7 +582,7 @@ class ShardInvariantChecker(InvariantChecker):
         manager = self._testbed.shard_manager
         tracked: Dict[str, List[int]] = {}
         for shard, ctrl in self._live_regions():
-            for client in ctrl._clients:
+            for client in ctrl.tracked_clients():
                 tracked.setdefault(client, []).append(shard.region.shard)
         violating: Set[str] = set()
         for client in sorted(tracked):

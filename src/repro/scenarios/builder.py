@@ -149,7 +149,6 @@ class ScenarioBuilder:
         self.build_substrate(tb)
         self.build_ap_bank(tb)
         self.build_control_plane(tb)
-        self.build_ha(tb)
         self.build_clients(tb)
         self.build_faults(tb)
         return tb
@@ -215,8 +214,9 @@ class ScenarioBuilder:
     def build_control_plane(self, tb: "Testbed") -> None:
         """One :class:`~repro.shard.manager.Shard` per WGTT region
         (controller, protocol APs, warm standby) — under a manager when
-        the corridor has several — or the baseline WLC; and the
-        downlink ingress that goes with it."""
+        the corridor has several — or the baseline WLC; the downlink
+        ingress that goes with it; and the multi-channel retune hook on
+        every controller."""
         config = self.config
         tb.wlc = None
         tb.wgtt_aps = {}
@@ -245,6 +245,10 @@ class ScenarioBuilder:
             register(pair.collect_metrics)
             for ap in shard.aps.values():
                 register(ap.collect_metrics)
+        if config.channel_plan is not None:
+            for shard in tb.shards:
+                for ctrl in shard.controllers():
+                    ctrl.on_serving_update = tb._retune_client
 
     def _build_baseline(self, tb: "Testbed") -> None:
         tb.wlc = BaselineWlc(tb.sim, tb.backhaul)
@@ -257,14 +261,6 @@ class ScenarioBuilder:
             ap.device.channel = self.config.ap_channel(index)
             tb.baseline_aps[ap_id] = ap
             tb.wlc.add_ap(ap_id)
-
-    def build_ha(self, tb: "Testbed") -> None:
-        """The multi-channel retune hook (the warm standby itself is
-        built with its region, in :meth:`build_control_plane`)."""
-        if self.config.channel_plan is not None:
-            for shard in tb.shards:
-                for ctrl in shard.controllers():
-                    ctrl.on_serving_update = tb._retune_client
 
     def build_clients(self, tb: "Testbed") -> None:
         """Client nodes (radio, host stack, keepalives), churn

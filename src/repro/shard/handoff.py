@@ -3,10 +3,10 @@
 When a client crosses a shard boundary, the sending shard's controller
 serializes the client's slice of controller state (selection windows,
 serving entry, index cursor, dedup keys — see
-:func:`repro.ha.checkpoint.extract_client_state`) and ships it to the
-receiving shard's controller as a ``"shard-handoff"`` backhaul data
-message; the receiver replies with ``"shard-handoff-ack"`` on the
-control path.
+:meth:`repro.core.controller.WgttController.client_slice`) and ships
+it to the receiving shard's controller as a ``"shard-handoff"``
+backhaul data message; the receiver replies with
+``"shard-handoff-ack"`` on the control path.
 
 Neither kind is in :data:`repro.net.backhaul.RELIABLE_KINDS`: handoff
 messages are deliberately subject to loss and the message-level
@@ -39,7 +39,7 @@ class HandoffMsg:
     handoff_id: int
     from_shard: int
     to_shard: int
-    #: Canonical bytes from ``client_state_to_bytes``.
+    #: Canonical bytes (:func:`repro.ha.checkpoint.canonical_json`).
     state: bytes
 
     @property

@@ -16,8 +16,8 @@ one region never needs:
   unowned uplinks *before* de-duplication, keeping upstream delivery
   single-copy;
 * **inter-shard handoff** — a boundary-crossing client's controller
-  state moves between shards via the per-client checkpoint slice
-  (:func:`repro.ha.checkpoint.extract_client_state`), shipped as a
+  state moves between shards as the controller's per-client slice
+  (:meth:`WgttController.client_slice` / ``merge_client``), shipped as a
   lossy ``"shard-handoff"`` backhaul message with ack +
   retransmission (see :mod:`repro.shard.handoff`);
 * **routing** — server downlink ingress and serving-map queries go to
@@ -35,6 +35,7 @@ which would register the client with every shard at once.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -42,12 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.core.access_point import WgttAccessPoint
 from repro.core.assoc_sync import StaInfo
 from repro.core.controller import WgttController
-from repro.ha.checkpoint import (
-    client_state_from_bytes,
-    client_state_to_bytes,
-    extract_client_state,
-    merge_client_state,
-)
+from repro.ha.checkpoint import canonical_json
 from repro.obs.metrics import metric_key
 from repro.shard.handoff import (
     HANDOFF_ACK_KIND,
@@ -207,13 +203,13 @@ class Shard:
         no live controller was there to take it: the APs were told
         nothing, so the caller has to come back."""
         for ctrl in self.controllers():
-            if client_id in ctrl._clients:
+            if ctrl.tracks(client_id):
                 ctrl.deregister_client(client_id)
             else:
                 # Neighbour shards accumulate CSI prewarm state for
-                # clients they never owned; free it.
-                ctrl.selector.forget_client(client_id)
-                ctrl._last_heard.pop(client_id, None)
+                # clients they never owned, a standby the warm-fed
+                # association record; free it.
+                ctrl.forget(client_id)
         active = self.active_controller()
         return active is not None and active.alive
 
@@ -318,7 +314,7 @@ class ShardManager:
         """
         return (
             self._owner.get(client_id) == shard_idx
-            and client_id in controller._clients
+            and controller.tracks(client_id)
         )
 
     def owner_of(self, client_id: str) -> Optional[int]:
@@ -373,7 +369,7 @@ class ShardManager:
         node = self._nodes.get(client_id)
         if ctrl is None or node is None:
             return  # control plane down; the scan loop retries
-        if client_id in ctrl._clients:
+        if ctrl.tracks(client_id):
             return
         shard.associate(client_id, node.track.position_at(self._sim.now))
 
@@ -391,7 +387,7 @@ class ShardManager:
                 continue
             owner = self._owner[client_id]
             ctrl = self.shards[owner].active_controller()
-            if ctrl is not None and client_id not in ctrl._clients:
+            if ctrl is not None and not ctrl.tracks(client_id):
                 # Unfinished business (abandoned handoff with the
                 # control plane down, say): re-associate from scratch.
                 self._fresh_associate(client_id, owner)
@@ -415,10 +411,9 @@ class ShardManager:
         ctrl_to = self.shards[to_idx].active_controller()
         if ctrl_from is None or ctrl_to is None:
             return  # either control plane down; retry next scan
-        if client_id not in ctrl_from._clients:
+        if not ctrl_from.tracks(client_id):
             return
-        state = extract_client_state(ctrl_from, client_id)
-        data = client_state_to_bytes(state)
+        data = canonical_json(ctrl_from.client_slice(client_id))
         # Deregistration aborts any in-flight switch and tells the old
         # shard's APs to drop the client — state was captured first.
         ctrl_from.deregister_client(client_id)
@@ -558,7 +553,7 @@ class ShardManager:
         target = shard.nearest_ap(node.track.position_at(self._sim.now))
         if not shard.aps[target].alive:
             return  # nothing live to serve from; let the sender retry
-        state = client_state_from_bytes(msg.state)
+        client_slice = json.loads(msg.state.decode("utf-8"))
         info = StaInfo(
             client=client_id,
             associated_at_us=self._sim.now,
@@ -566,7 +561,7 @@ class ShardManager:
         )
         # Merge first: the transferred sta record (the original
         # association time) wins over ``info`` where both would land.
-        merged = merge_client_state(controller, state, serving_ap=target)
+        merged = controller.merge_client(client_slice, serving_ap=target)
         shard.admit(info)
         if merged:
             shard.aps[target].start_serving(client_id)
@@ -642,7 +637,9 @@ class ShardManager:
         out["ap_index_scanned"] = index.scanned
         for k, shard in enumerate(self.shards):
             ctrl = shard.active_controller() or shard.controller
-            out[metric_key("shard_clients", shard=k)] = len(ctrl._clients)
+            out[metric_key("shard_clients", shard=k)] = len(
+                ctrl.tracked_clients()
+            )
             out[metric_key("shard_switches", shard=k)] = len(
                 ctrl.coordinator.history
             )

@@ -364,38 +364,37 @@ class TestTraceKindRules:
 # CKP001..CKP003 — checkpoint coverage
 # ----------------------------------------------------------------------
 
-_CONTROLLER_TMPL = (
-    "class WgttController:\n"
-    "    def __init__(self):\n"
-    "        self._clients = {{}}\n"
-    "        self.mood = 0{marker}\n"
-    "    def tick(self):\n"
-    "        self._clients['x'] = 1\n"
-    "        self.mood += 1\n"
+_SNAPSHOT_SRC = (
+    "    def snapshot(self):\n"
+    "        return {'clients': dict(self._clients)}\n"
+    "    def restore(self, state):\n"
+    "        self._clients = dict(state['clients'])\n"
 )
 
-_CHECKPOINT_SRC = (
-    "def checkpoint_controller(controller):\n"
-    "    return {'clients': dict(controller._clients)}\n"
-    "def restore_controller(controller, state):\n"
-    "    controller._clients = dict(state['clients'])\n"
-)
+
+def _controller_src(marker=""):
+    return (
+        "class WgttController:\n"
+        "    def __init__(self):\n"
+        "        self._clients = {}\n"
+        f"        self.mood = 0{marker}\n"
+        "    def tick(self):\n"
+        "        self._clients['x'] = 1\n"
+        "        self.mood += 1\n"
+    ) + _SNAPSHOT_SRC
 
 
 class TestCheckpointRules:
-    def run_ckp(self, tmp_path, controller_src, checkpoint_src=_CHECKPOINT_SRC):
+    def run_ckp(self, tmp_path, controller_src):
         return run_fixture(
             tmp_path,
-            {
-                "repro/core/controller.py": controller_src,
-                "repro/ha/checkpoint.py": checkpoint_src,
-            },
+            {"repro/core/controller.py": controller_src},
             [CheckpointCoveragePass()],
         )
 
     def test_ckp001_uncovered_volatile_attr(self, tmp_path):
         findings = self.run_ckp(
-            tmp_path, _CONTROLLER_TMPL.format(marker="")
+            tmp_path, _controller_src()
         )
         assert rules_of(findings) == ["CKP001"]
         assert "mood" in findings[0].message
@@ -403,8 +402,8 @@ class TestCheckpointRules:
     def test_volatile_ok_with_reason_is_clean(self, tmp_path):
         findings = self.run_ckp(
             tmp_path,
-            _CONTROLLER_TMPL.format(
-                marker="  # volatile-ok: derived, rebuilt on first tick"
+            _controller_src(
+                "  # volatile-ok: derived, rebuilt on first tick"
             ),
         )
         assert findings == []
@@ -413,7 +412,7 @@ class TestCheckpointRules:
         # A reasonless marker still allowlists the attr (no double
         # report) but is itself an error — the gate stays red.
         findings = self.run_ckp(
-            tmp_path, _CONTROLLER_TMPL.format(marker="  # volatile-ok")
+            tmp_path, _controller_src("  # volatile-ok")
         )
         assert rules_of(findings) == ["CKP003"]
 
@@ -424,14 +423,12 @@ class TestCheckpointRules:
             "    def __init__(self):\n"
             "        self._clients = {}\n"
             "    def tick(self):\n"
-            "        self._clients['x'] = 1\n",
-            checkpoint_src=(
-                "def checkpoint_controller(controller):\n"
-                "    return {'clients': dict(controller._clients),\n"
-                "            'ghost': controller._renamed_away}\n"
-                "def restore_controller(controller, state):\n"
-                "    controller._clients = dict(state['clients'])\n"
-            ),
+            "        self._clients['x'] = 1\n"
+            "    def snapshot(self):\n"
+            "        return {'clients': dict(self._clients),\n"
+            "                'ghost': self._renamed_away}\n"
+            "    def restore(self, state):\n"
+            "        self._clients = dict(state['clients'])\n",
         )
         assert rules_of(findings) == ["CKP002"]
         assert "_renamed_away" in findings[0].message
@@ -444,7 +441,8 @@ class TestCheckpointRules:
             "        self._clients = {}\n"
             "    def tick(self):\n"
             "        self._clients['x'] = 1\n"
-            "class ClientState:\n"
+            + _SNAPSHOT_SRC
+            + "class ClientState:\n"
             "    def __init__(self, client_id):\n"
             "        self.client_id = client_id\n"
             "        self.forgotten = 0\n"

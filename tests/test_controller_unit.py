@@ -132,10 +132,10 @@ class TestFailoverRetry:
         sim.run(until_us=50_000)
         controller._ap_down("ap0")  # serving AP dies, nobody heard client0
         assert controller.stats["failover_no_candidate"] == 1
-        state = controller._clients["client0"]
-        assert state.failover_retry_pending
+        state = controller.client_state("client0")
+        assert state.retry_timer.armed
         assert state.degraded_since is not None
-        assert "client0" in controller._retry_timers
+        assert state.to_state()["failover_retry_pending"]
 
     def test_retry_keeps_rescheduling_until_exhaustion_never_happens(self):
         """Retries never give up silently: each barren attempt counts a
@@ -146,7 +146,7 @@ class TestFailoverRetry:
         period = controller._config.selection_period_us
         sim.run(until_us=sim.now + 4 * period + 1_000)
         assert controller.stats["failover_no_candidate"] >= 3
-        assert controller._clients["client0"].failover_retry_pending
+        assert controller.client_state("client0").retry_timer.armed
 
     def test_retry_recovers_when_a_live_ap_hears_the_client(self):
         sim, controller, sent = make_controller()
@@ -175,27 +175,30 @@ class TestFailoverRetry:
             p.target_ap for _, kind, p in sent if kind == "stop"
         } | {ap for ap, kind, _ in sent if kind == "failover"}
         assert "ap1" not in handshake_targets
-        assert controller._clients["client0"].failover_retry_pending
+        assert controller.client_state("client0").retry_timer.armed
 
     def test_retry_noop_after_client_departs(self):
         sim, controller, sent = make_controller()
         sim.run(until_us=50_000)
         controller._ap_down("ap0")
         barren = controller.stats["failover_no_candidate"]
+        retry = controller.client_state("client0").retry_timer
         controller.deregister_client("client0")
+        assert not retry.armed
         period = controller._config.selection_period_us
         sim.run(until_us=sim.now + 3 * period + 1_000)  # must not raise
         assert controller.stats["failover_no_candidate"] == barren
-        assert not controller._retry_timers
 
     def test_retry_noop_after_controller_crash(self):
         sim, controller, sent = make_controller()
         sim.run(until_us=50_000)
         controller._ap_down("ap0")
+        retry = controller.client_state("client0").retry_timer
         controller.crash()
+        assert not retry.armed
         period = controller._config.selection_period_us
         sim.run(until_us=sim.now + 3 * period + 1_000)  # must not raise
-        assert not controller._retry_timers
+        assert not controller.tracked_clients()
 
 
 class TestClientDeparture:
@@ -208,10 +211,11 @@ class TestClientDeparture:
         feed(controller, sim, "ap0", 15.0)
         controller.accept_downlink(Packet("server", "client0", 1000))
         assert controller._index_alloc.tracked_clients() == 1
+        selection = controller.client_state("client0").selection_timer
         controller.deregister_client("client0")
-        assert "client0" not in controller._clients
+        assert not controller.tracks("client0")
         assert controller._index_alloc.tracked_clients() == 0
-        assert "client0" not in controller._selection_timers
+        assert not selection.armed
         assert "client0" not in controller._last_heard
         assert not controller.directory.is_associated("client0")
         assert controller.stats["clients_departed"] == 1
@@ -236,5 +240,4 @@ class TestClientDeparture:
         controller.deregister_client("client0")
         feed(controller, sim, "ap1", 25.0)
         sim.run(until_us=sim.now + 60_000)
-        assert "client0" not in controller._clients
-        assert "client0" not in controller._selection_timers
+        assert not controller.tracks("client0")

@@ -11,12 +11,8 @@ from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
 from repro.core.cyclic_queue import CyclicQueue, IndexAllocator
 from repro.faults.plan import ControllerCrash, FaultPlan
-from repro.ha import (
-    CHECKPOINT_VERSION,
-    ControllerCheckpoint,
-    checkpoint_controller,
-    restore_controller,
-)
+from repro.mobility.vehicle import VehicleTrack
+from repro.ha import CHECKPOINT_VERSION, ControllerCheckpoint
 from repro.obs.recorders import FailoverAudit, HaAudit
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
@@ -112,7 +108,7 @@ class TestCheckpointRoundTrip:
         """from_bytes(to_bytes(cp)) == cp over randomized rich states."""
         sim, controller, _ = make_controller()
         enrich(sim, controller, np.random.default_rng(seed))
-        cp = checkpoint_controller(controller)
+        cp = controller.snapshot()
         clone = ControllerCheckpoint.from_bytes(cp.to_bytes())
         assert clone == cp
         assert clone.digest() == cp.digest()
@@ -121,7 +117,7 @@ class TestCheckpointRoundTrip:
     def test_checkpoint_captures_every_store(self):
         sim, controller, _ = make_controller()
         enrich(sim, controller, np.random.default_rng(42))
-        state = checkpoint_controller(controller).state
+        state = controller.snapshot().state
         for key in (
             "clients",
             "selection_deadlines",
@@ -147,14 +143,14 @@ class TestCheckpointRoundTrip:
         yields byte-identical state at the same instant."""
         sim, controller, _ = make_controller()
         enrich(sim, controller, np.random.default_rng(7))
-        cp1 = checkpoint_controller(controller)
-        restore_controller(controller, cp1)
-        cp2 = checkpoint_controller(controller)
+        cp1 = controller.snapshot()
+        controller.restore(cp1)
+        cp2 = controller.snapshot()
         assert cp1.to_bytes() == cp2.to_bytes()
 
     def test_version_mismatch_refused(self):
         sim, controller, _ = make_controller()
-        cp = checkpoint_controller(controller)
+        cp = controller.snapshot()
         bad = ControllerCheckpoint(
             version=CHECKPOINT_VERSION + 1,
             taken_at_us=cp.taken_at_us,
@@ -162,7 +158,7 @@ class TestCheckpointRoundTrip:
             state=cp.state,
         )
         with pytest.raises(ValueError):
-            restore_controller(controller, bad)
+            controller.restore(bad)
 
 
 # ----------------------------------------------------------------------
@@ -177,9 +173,9 @@ def _continuation_trace(restore_at_us):
     source.start()
     testbed.run_until(restore_at_us)
     if restore_at_us:
-        cp = checkpoint_controller(testbed.controller)
+        cp = testbed.controller.snapshot()
         clone = ControllerCheckpoint.from_bytes(cp.to_bytes())
-        restore_controller(testbed.controller, clone)
+        testbed.controller.restore(clone)
     testbed.run_until(1_600_000)
     return (
         list(testbed.controller.serving_timeline),
@@ -304,6 +300,53 @@ class TestWarmStandbyFailover:
         assert later["ha_promotions"] == 1
         # The standby's own counters surface once it is the publisher.
         assert later["controller_stat{name=promotions}"] == 1
+
+    def test_client_admitted_after_last_checkpoint_survives(self):
+        """Regression: promotion replaced the warm-fed directory with
+        the checkpoint's, so a client that associated after the last
+        ship was never tracked and every downlink to it was dropped."""
+        testbed = Testbed(
+            TestbedConfig(
+                seed=5,
+                scheme="wgtt",
+                num_aps=4,
+                wgtt=WgttConfig(ha_enabled=True),
+            )
+        )
+        testbed.run_until(1030 * MS)
+        track = VehicleTrack(
+            testbed.road,
+            start_x=0.0,
+            speed_mph=15.0,
+            start_time_us=testbed.sim.now,
+        )
+        testbed.add_client(track, client_id="client1")
+        source, sink = testbed.add_downlink_udp_flow(1, rate_bps=1e6)
+        source.start()
+        testbed.run_until(1060 * MS)
+        testbed.controller.crash()  # before the 1.1 s checkpoint ship
+        testbed.run_until(2200 * MS)
+        standby = testbed.standby
+        assert standby.promoted
+        assert "client1" not in standby.last_checkpoint.state["clients"]
+        assert standby.tracks("client1")
+        assert standby.stats["downlink_unassociated"] == 0
+        assert len(sink.arrivals) > 50
+
+    def test_client_departed_before_checkpoint_stays_out(self):
+        """The warm-fed record of a client the checkpoint saw leave
+        (here: deregistered on the primary alone, as a handoff out of
+        the region does) is not resurrected at promotion."""
+        testbed = _ha_testbed(seed=5)
+        testbed.run_until(500 * MS)
+        testbed.controller.deregister_client("client0")
+        assert testbed.standby.directory.is_associated("client0")
+        testbed.run_until(1030 * MS)
+        testbed.controller.crash()
+        testbed.run_until(1500 * MS)
+        assert testbed.standby.promoted
+        assert not testbed.standby.tracks("client0")
+        assert testbed.standby.stats["stale_sta_syncs"] == 0
 
     def test_checkpoint_cadence_follows_config(self):
         fast = _ha_testbed(checkpoint_interval_ms=25)

@@ -17,6 +17,7 @@ Covers the PR-10 surface:
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from pathlib import Path
@@ -33,12 +34,7 @@ from repro.faults.plan import (
     OneWayPartition,
     Partition,
 )
-from repro.ha.checkpoint import (
-    client_state_from_bytes,
-    client_state_to_bytes,
-    extract_client_state,
-    merge_client_state,
-)
+from repro.ha.checkpoint import canonical_json
 from repro.mobility.road import Position, Road
 from repro.mobility.vehicle import VehicleTrack
 from repro.scenarios.builder import ScenarioBuilder
@@ -225,7 +221,6 @@ class TestBuilderEquivalence:
         builder.build_substrate(tb)
         builder.build_ap_bank(tb)
         builder.build_control_plane(tb)
-        builder.build_ha(tb)
         builder.build_clients(tb)
         builder.build_faults(tb)
         assert len(tb.wgtt_aps) == 8
@@ -268,32 +263,30 @@ class TestClientStateRoundtrip:
     def test_bytes_round_trip_is_lossless(self):
         tb = self._testbed()
         source = tb.shard_manager.shards[0].controller
-        state = extract_client_state(source, "client0")
+        state = source.client_slice("client0")
         assert state["client"] == "client0"
-        assert state["state"]["serving_ap"] in source._ap_ids
-        assert client_state_from_bytes(client_state_to_bytes(state)) == state
+        assert state["state"]["serving_ap"] in source.ap_ids()
+        assert json.loads(canonical_json(state)) == state
 
     def test_merge_installs_client_on_target(self):
         tb = self._testbed()
         manager = tb.shard_manager
         source = manager.shards[0].controller
         target = manager.shards[1].controller
-        state = extract_client_state(source, "client0")
+        state = source.client_slice("client0")
         source.deregister_client("client0")
-        assert merge_client_state(target, state, serving_ap="ap4")
-        assert "client0" in target._clients
+        assert target.merge_client(state, serving_ap="ap4")
+        assert target.tracks("client0")
         assert target.serving_ap("client0") == "ap4"
         # Selection history crossed the boundary with the client.
         assert target.selector.client_snapshot("client0")
         # Merging again is a no-op (duplicate handoff message).
-        assert not merge_client_state(target, state, serving_ap="ap4")
+        assert not target.merge_client(state, serving_ap="ap4")
 
     def test_extract_requires_tracked_client(self):
         tb = self._testbed()
         with pytest.raises(KeyError):
-            extract_client_state(
-                tb.shard_manager.shards[0].controller, "nobody"
-            )
+            tb.shard_manager.shards[0].controller.client_slice("nobody")
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +318,8 @@ class TestInterShardHandoff:
         manager = tb.shard_manager
         owner = manager.owner_of("client0")
         assert owner == 1  # crossed the single boundary
-        assert "client0" in manager.shards[1].controller._clients
-        assert "client0" not in manager.shards[0].controller._clients
+        assert manager.shards[1].controller.tracks("client0")
+        assert not manager.shards[0].controller.tracks("client0")
         serving = tb.serving_ap_of(0)
         assert serving in manager.shards[1].aps
 
@@ -456,7 +449,7 @@ class TestComposition:
         elif row == "ChurnDriver":
             assert churn.stats["arrivals"] == churn.stats["departures"] == 1
             assert churn.stats["dereg_deferred"] == 0
-            assert [len(s.controller._clients) for s in tb.shards] == [0, 1]
+            assert [len(s.controller.tracked_clients()) for s in tb.shards] == [0, 1]
 
     @pytest.mark.parametrize("row", sorted(REFUSED))
     def test_refused_at_construction(self, row):
