@@ -26,11 +26,12 @@ def main() -> None:
                                  client_start_x_m=24.0)
     testbed = Testbed(config)
 
-    video_sender, video_receiver = testbed.add_downlink_tcp_flow(0)
-    player = VideoPlayer(testbed.sim, video_receiver)
     # A streaming server paces delivery (~2x the media rate) rather
     # than blasting at link speed; that leaves airtime for the others.
-    video_sender._bulk = False
+    video_sender, video_receiver = testbed.add_downlink_tcp_flow(
+        0, bulk=False
+    )
+    player = VideoPlayer(testbed.sim, video_receiver)
     from repro.sim.engine import Timer
     from repro.transport.tcp import MSS
 

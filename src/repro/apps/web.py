@@ -47,9 +47,8 @@ class PageLoad:
                 break
             flow_id = f"web-{client_index}-{i}-{self.started_us}"
             sender, receiver = testbed.add_downlink_tcp_flow(
-                client_index, flow_id=flow_id
+                client_index, flow_id=flow_id, bulk=False
             )
-            sender._bulk = False
             sender.supply(share)
             state = {"sender": sender, "receiver": receiver, "share": share}
             self._flows.append(state)

@@ -93,6 +93,11 @@ class BaselineWlc:
     def route_for(self, client_id: str) -> Optional[str]:
         return self._route.get(client_id)
 
+    def record_association(self, client_id: str, ap_id: str) -> None:
+        """Route ``client_id``'s downlink through ``ap_id`` from now on
+        (an AP's ``assoc-update``, or instant association)."""
+        self._route[client_id] = ap_id
+
     def accept_downlink(self, packet: Packet) -> None:
         ap_id = self._route.get(packet.dst)
         if ap_id is None:
@@ -111,8 +116,7 @@ class BaselineWlc:
         if kind == "uplink":
             self.on_uplink(payload)
         elif kind == "assoc-update":
-            client_id, ap_id = payload
-            self._route[client_id] = ap_id
+            self.record_association(*payload)
 
 
 class Baseline80211rAp:
@@ -363,12 +367,16 @@ class RoamingClientAgent:
         self._handover_in_progress = False
 
     def _on_mgmt(self, frame: MgmtFrame) -> None:
-        if frame.subtype != "assoc-resp":
-            return
-        self.current_ap = frame.ta
+        if frame.subtype == "assoc-resp":
+            self.record_association(frame.ta)
+
+    def record_association(self, ap_id: str) -> None:
+        """The client is now associated to ``ap_id`` (an over-the-air
+        ``assoc-resp``, or instant association)."""
+        self.current_ap = ap_id
         self._last_switch_us = self._sim.now
         self._handover_in_progress = False
-        self.association_log.append((self._sim.now, frame.ta))
+        self.association_log.append((self._sim.now, ap_id))
 
 
 def stock_80211r_config() -> RoamingConfig:

@@ -20,7 +20,7 @@ AP-side WGTT behaviour:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -211,6 +211,10 @@ class WgttAccessPoint:
     def is_serving(self, client_id: str) -> bool:
         return client_id in self._serving
 
+    def serving_clients(self) -> List[str]:
+        """Clients this AP currently transmits to, sorted."""
+        return sorted(self._serving)
+
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
@@ -223,6 +227,10 @@ class WgttAccessPoint:
         """Forwards parked while the controller is silent."""
         return len(self._hold_buffer)
 
+    def overflow_drops(self) -> int:
+        """Cyclic-queue slots destroyed while undelivered."""
+        return sum(queue.overflow_drops for queue in self._cyclic.values())
+
     def collect_metrics(self) -> Dict[str, object]:
         """Everything this AP publishes to the metrics snapshot."""
         ap_id = self.ap_id
@@ -233,9 +241,7 @@ class WgttAccessPoint:
             if value or name not in lazy
         }
         queues = self._cyclic.values()
-        out[metric_key("ap_overflow_drops", ap=ap_id)] = sum(
-            queue.overflow_drops for queue in queues
-        )
+        out[metric_key("ap_overflow_drops", ap=ap_id)] = self.overflow_drops()
         out[metric_key("ap_cyclic_queues", ap=ap_id)] = (
             self.cyclic_queue_count()
         )

@@ -28,7 +28,7 @@ Beyond the paper, the coordinator is hardened for a production array:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import WgttConfig
 from repro.net.backhaul import EthernetBackhaul
@@ -172,6 +172,14 @@ class SwitchCoordinator:
     def pending_record(self, client_id: str) -> Optional[SwitchRecord]:
         pending = self._pending.get(client_id)
         return pending.record if pending else None
+
+    def pending_switches(self) -> List[Tuple[str, int, SwitchRecord]]:
+        """(client, switch id, record) of every handshake in flight,
+        sorted by client."""
+        return [
+            (client_id, pending.switch_id, pending.record)
+            for client_id, pending in sorted(self._pending.items())
+        ]
 
     def initiate(self, client_id: str, from_ap: str, to_ap: str) -> None:
         """Kick off stop/start/ack for one client."""

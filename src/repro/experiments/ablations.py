@@ -59,7 +59,7 @@ def cell(seed: int, variant: str, duration_s: float) -> Dict:
     mpdu_retx = sum(
         ap.device.session("client0").scoreboard.retransmissions
         for ap in testbed.wgtt_aps.values()
-        if "client0" in ap.device._sessions
+        if ap.device.has_session("client0")
     )
     ba_applied = sum(
         ap.stats["ba_forward_applied"] for ap in testbed.wgtt_aps.values()

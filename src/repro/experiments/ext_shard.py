@@ -147,7 +147,7 @@ def candidate_set_bench(
     """Per-query candidate-set cost of nearest-AP lookup vs AP count.
 
     Builds the *production* :class:`ApGridIndex` (same mount positions
-    the scenario builder registers) for each deployment size and probes
+    the testbed registers) for each deployment size and probes
     it at ``probes`` evenly spaced road positions.  ``scanned`` counts
     candidates whose distance was actually computed — the legacy linear
     ``min()`` computes all N per query by construction.  Everything here

@@ -408,7 +408,7 @@ class InvariantChecker:
             ap = testbed.wgtt_aps[ap_id]
             if not ap.alive:
                 continue
-            for client in ap._serving:
+            for client in ap.serving_clients():
                 serving.setdefault(client, []).append(ap_id)
         overlapping = set()
         for client, holders in serving.items():
@@ -459,22 +459,21 @@ class InvariantChecker:
         bound = self._switch_age_bound_us()
         live: Set[str] = set()
         for _, active in regions:
-            coordinator = active.coordinator
-            for client_id in sorted(coordinator._pending):
-                pending = coordinator._pending[client_id]
-                subject = f"{client_id}/{pending.switch_id}"
+            pending = active.coordinator.pending_switches()
+            for client_id, switch_id, record in pending:
+                subject = f"{client_id}/{switch_id}"
                 live.add(subject)
                 # Charge the handshake only for time under a live
                 # controller: halt() freezes retransmission clocks, and
                 # a restore resumes them at the new epoch.
-                started = max(pending.record.started_us, active.epoch_us)
+                started = max(record.started_us, active.epoch_us)
                 age = now - started
                 if age > bound:
                     self._violate_once(
                         "switch-span-terminates",
                         subject,
                         (
-                            f"switch {pending.switch_id} for {client_id} "
+                            f"switch {switch_id} for {client_id} "
                             f"pending {age}us, past the {bound}us "
                             f"retransmission envelope"
                         ),

@@ -194,6 +194,11 @@ class WifiDevice(MacEntity):
     # public API
     # ------------------------------------------------------------------
 
+    def has_session(self, peer: str) -> bool:
+        """Whether ``peer`` was ever given a transmit session (unlike
+        :meth:`session`, asking creates none)."""
+        return peer in self._sessions
+
     def session(self, peer: str) -> TxSession:
         existing = self._sessions.get(peer)
         if existing is None:

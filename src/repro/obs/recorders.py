@@ -338,9 +338,7 @@ class HaAudit:
     def overflow_drops(self) -> int:
         """Cyclic-queue slots destroyed while undelivered, array-wide."""
         return sum(
-            queue.overflow_drops
-            for ap in self._testbed.wgtt_aps.values()
-            for queue in ap._cyclic.values()
+            ap.overflow_drops() for ap in self._testbed.wgtt_aps.values()
         )
 
     def summary(self) -> dict:

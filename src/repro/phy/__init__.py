@@ -1,12 +1,7 @@
 """802.11n PHY models: MCS table, BER curves, Effective SNR, PER."""
 
 from repro.phy.ber import db_to_linear, linear_to_db
-from repro.phy.esnr import (
-    effective_snr_db,
-    effective_snr_db_exact,
-    effective_snr_linear,
-    effective_snr_linear_exact,
-)
+from repro.phy.esnr import effective_snr_db, effective_snr_db_exact
 from repro.phy.mcs import (
     BASIC_RATE,
     CONTROL_RATE,
@@ -25,8 +20,6 @@ __all__ = [
     "linear_to_db",
     "effective_snr_db",
     "effective_snr_db_exact",
-    "effective_snr_linear",
-    "effective_snr_linear_exact",
     "BASIC_RATE",
     "CONTROL_RATE",
     "MCS_TABLE",

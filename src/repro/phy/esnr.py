@@ -43,18 +43,6 @@ DEFAULT_MODULATION = "64qam"
 ESNR_CAP_DB = 45.0
 
 
-def effective_snr_linear(
-    subcarrier_snr_db: np.ndarray,
-    modulation: str = DEFAULT_MODULATION,
-    _reduce=np.add.reduce,
-) -> float:
-    """Effective SNR as a linear power ratio (LUT fast path)."""
-    lut = lut_for(modulation)
-    ber = lut.ber_of_db_batch(subcarrier_snr_db)
-    mean = float(_reduce(ber)) / ber.shape[0]
-    return 10.0 ** (lut.snr_db_for_ber(mean) / 10.0)
-
-
 def effective_snr_db(
     subcarrier_snr_db: np.ndarray,
     modulation: str = DEFAULT_MODULATION,
@@ -93,25 +81,16 @@ def mean_ber(
 # ----------------------------------------------------------------------
 
 
-def effective_snr_linear_exact(
+def effective_snr_db_exact(
     subcarrier_snr_db: np.ndarray, modulation: str = DEFAULT_MODULATION
 ) -> float:
-    """Closed-form effective SNR as a linear power ratio (scipy path)."""
+    """Closed-form effective SNR in dB, capped at :data:`ESNR_CAP_DB`."""
     ber = BER_BY_MODULATION[modulation]
     inverse = SNR_FOR_BER_BY_MODULATION[modulation]
     snr_linear = db_to_linear(np.asarray(subcarrier_snr_db, dtype=float))
     mean = float(np.mean(ber(snr_linear)))
     mean = min(max(mean, BER_FLOOR), BER_CEILING)
-    return float(inverse(mean))
-
-
-def effective_snr_db_exact(
-    subcarrier_snr_db: np.ndarray, modulation: str = DEFAULT_MODULATION
-) -> float:
-    """Closed-form effective SNR in dB, capped at :data:`ESNR_CAP_DB`."""
-    esnr_db = float(
-        linear_to_db(effective_snr_linear_exact(subcarrier_snr_db, modulation))
-    )
+    esnr_db = float(linear_to_db(float(inverse(mean))))
     return min(esnr_db, ESNR_CAP_DB)
 
 

@@ -3,7 +3,7 @@
 The closed-form BER expressions in :mod:`repro.phy.ber` go through
 ``scipy.special.erfc`` / ``erfcinv``.  That is numerically exact but it
 is also the single hottest function chain in the whole simulator: every
-decodable frame at every receiver evaluates ``effective_snr_linear``
+decodable frame at every receiver evaluates ``effective_snr_db``
 (56 subcarriers -> mean BER -> inverse) at least once, and every MPDU
 in an A-MPDU evaluates a coded-BER point on top of that.
 
@@ -90,21 +90,6 @@ _LOG_BER_GRID = np.arange(
 )
 _INV_LOG_BER_STEP = 1.0 / LOG_BER_STEP
 _N_LOG_BER = len(_LOG_BER_GRID)
-
-# ``np.interp``'s Python wrapper (asarray + iscomplexobj + dispatch)
-# costs about as much as the compiled search itself on 56-point inputs.
-# Bind the compiled core directly — for real-valued float64 input it is
-# the exact routine the wrapper calls, so results are bit-identical —
-# and fall back to the public entry point if numpy's layout changes.
-try:  # numpy >= 2.0
-    from numpy._core.multiarray import interp as _interp
-except ImportError:  # pragma: no cover - older numpy layouts
-    try:
-        from numpy.core.multiarray import interp as _interp
-    except ImportError:
-        _interp = np.interp
-
-interp = _interp  # re-exported for the other repro.phy fast paths
 
 
 class ModulationLut:

@@ -1,4 +1,4 @@
-"""Scenario builders: the 8-AP roadside testbed and layout presets."""
+"""Scenarios: the 8-AP roadside testbed and layout presets."""
 
 from repro.scenarios.presets import (
     MIXED_DENSITY_AP_XS,

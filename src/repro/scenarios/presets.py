@@ -6,10 +6,9 @@ multi-client driving patterns (Figure 19) the evaluation uses.
 
 Every preset is *declarative*: it returns a plain
 :class:`~repro.scenarios.testbed.TestbedConfig` spec — nothing is
-built until the spec is handed to ``Testbed(config)`` (equivalently
-``ScenarioBuilder(config).build()``).  The :data:`PRESETS` registry
-maps CLI-friendly names to these factories; ``python -m repro drive
---preset <name>`` resolves through it.
+built until the spec is handed to ``Testbed(config)``.  The
+:data:`PRESETS` registry maps CLI-friendly names to these factories;
+``python -m repro drive --preset <name>`` resolves through it.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from repro.baselines.enhanced_80211r import (
     RoamingClientAgent,
     RoamingConfig,
 )
-from repro.channel.antenna import OmniAntenna
+from repro.channel.antenna import OmniAntenna, ParabolicAntenna
 from repro.channel.link import ChannelMap, RadioPort
 from repro.channel.pathloss import LogDistancePathLoss
 from repro.core.access_point import WgttAccessPoint
@@ -30,13 +30,16 @@ from repro.faults.plan import FaultPlan
 from repro.mac.medium import WirelessMedium
 from repro.mac.wifi_device import WifiDevice
 from repro.mobility.road import Position, Road
+from repro.mobility.spatial import ApGridIndex
 from repro.mobility.vehicle import VehicleTrack
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import IpIdAllocator, Packet
 from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.metrics import metric_key
+from repro.phy import per as phy_per
 from repro.phy.esnr import effective_snr_db
 from repro.shard.config import ShardConfig
+from repro.shard.manager import Shard, ShardManager, plan_regions
 from repro.sim.engine import SECOND, Simulator
 from repro.sim.rng import RngRegistry
 from repro.transport.flows import Host
@@ -46,8 +49,7 @@ from repro.transport.udp import UdpSink, UdpSource
 if TYPE_CHECKING:
     from repro.ha.cluster import HaCluster
     from repro.ha.standby import StandbyController
-    from repro.mobility.spatial import ApGridIndex
-    from repro.shard.manager import Shard, ShardManager
+    from repro.invariants import InvariantChecker
 
 #: Default AP x-positions: 7.5 m spacing as measured in §2.
 DEFAULT_AP_SPACING_M = 7.5
@@ -254,68 +256,161 @@ class ClientNode:
 class Testbed:
     """A fully wired simulation instance.
 
-    Construction is delegated to
-    :class:`~repro.scenarios.builder.ScenarioBuilder`, whose stages
-    (substrate, AP bank, control plane, HA, clients, faults) run in
-    the legacy constructor order — a default config builds the exact
-    same simulation the monolithic ``__init__`` did.
+    The constructor builds it in five stages — substrate, AP bank,
+    control plane, clients, faults — and that order is a contract: RNG
+    streams are created, backhaul nodes registered and timers armed in
+    it, so reordering the stages changes every run's bytes
+    (``tests/test_controller_state.py`` pins them).  Each stage
+    registers what it built with the metrics registry
+    (``component.collect_metrics``): the component decides which
+    numbers it publishes, the stage that creates it wires it in.
     """
 
     # Not a pytest test class despite the name.
     __test__ = False
 
-    # Populated by the ScenarioBuilder stages (declared here so the
-    # class remains the single place the testbed's surface is listed).
-    config: TestbedConfig
-    obs: ObsContext
-    sim: Simulator
-    rng: RngRegistry
-    road: Road
-    channel: ChannelMap
-    medium: WirelessMedium
-    backhaul: EthernetBackhaul
-    server_host: Host
-    _server_ip_ids: IpIdAllocator
-    ap_ids: List[str]
-    ap_positions: Dict[str, Position]
-    #: Uniform-grid spatial index every nearest-AP query runs on.
-    ap_index: "ApGridIndex"
-    #: One control plane per WGTT region, corridor order: controller,
-    #: its APs, warm standby when ``wgtt.ha_enabled``.  One entry for the
-    #: paper's deployment, none for the baseline scheme.  Whatever walks
-    #: the control plane reads this; ``controller`` / ``standby`` /
-    #: ``ha`` below are the single region's, for the many drivers that
-    #: only ever meet one.
-    shards: List["Shard"]
-    #: What only a corridor of several regions needs: owner map,
-    #: boundary scan, inter-shard handoff (``config.shard`` set).
-    shard_manager: Optional["ShardManager"]
-    wlc: Optional[BaselineWlc]
-    #: Every WGTT AP across all regions (``Shard.aps`` is the local view).
-    wgtt_aps: Dict[str, WgttAccessPoint]
-    baseline_aps: Dict[str, Baseline80211rAp]
-    #: Server-side downlink ingress, resolved once at build time: the
-    #: shard manager, else the region's HA pair or controller, else the
-    #: baseline WLC.
-    _ingress: Callable[[Packet], None]
-    clients: List[ClientNode]
-    _next_client_index: int
-    #: Retired ids live here until their deferred radio teardown
-    #: fires (see :meth:`retire_client`).
-    _retiring: Dict[str, ClientNode]
-    clients_retired: int
-    fault_injector: Optional[FaultInjector]
-    #: Installed by :meth:`install_invariant_checker`; None keeps
-    #: the trace stream dormant and the run byte-identical.
-    invariant_checker: Optional[object]
-
     def __init__(self, config: TestbedConfig):
-        from repro.scenarios.builder import ScenarioBuilder
+        if config.scheme not in ("wgtt", "baseline"):
+            raise ValueError(f"unknown scheme {config.scheme!r}")
+        self.config = config
+        regions = plan_regions(config)
 
-        ScenarioBuilder(config).construct_into(self)
+        # -- substrate: engine, RNG, road, channel, medium, backhaul,
+        # server.
+        self.obs = ObsContext(config.obs)
+        self.sim = Simulator(obs=self.obs)
+        self.rng = RngRegistry(config.seed)
+        self.road = Road(length_m=config.road_length_m())
+        self.channel = ChannelMap(
+            self.sim,
+            self.rng,
+            pathloss=config.pathloss,
+            coherence_factor=config.coherence_factor,
+            rician_k_db=config.rician_k_db,
+        )
+        self.medium = WirelessMedium(self.sim, self.channel)
+        self.backhaul = EthernetBackhaul(self.sim)
+        self.server_host = Host("server")
+        self._server_ip_ids = IpIdAllocator()
+        register = self.obs.metrics.register_collector
+        register(self.backhaul.collect_metrics)
+        register(self.medium.collect_metrics)
+        register(self.sim.collect_metrics)
+        register(phy_per.collect_metrics)
+
+        # -- AP bank: radio port + antenna per AP, corridor order (the
+        # regions tile it, so ``ap{i}`` is the i-th x-position).
+        self.ap_ids: List[str] = []
+        self.ap_positions: Dict[str, Position] = {}
+        #: Uniform-grid spatial index every nearest-AP query runs on.
+        self.ap_index = ApGridIndex()
+        for index, x in enumerate(config.ap_xs()):
+            ap_id = f"ap{index}"
+            mount = Position(x, -config.ap_setback_m, config.ap_height_m)
+            antenna = ParabolicAntenna(
+                mount=mount,
+                boresight=Position(x, 0.0, 1.5),
+                beamwidth_deg=config.ap_beamwidth_deg,
+            )
+            self.channel.register_port(
+                RadioPort(
+                    ap_id,
+                    antenna,
+                    config.ap_tx_power_dbm,
+                    lambda t, m=mount: m,
+                    fixed_position=mount,
+                )
+            )
+            self.ap_ids.append(ap_id)
+            self.ap_positions[ap_id] = mount
+            self.ap_index.add(ap_id, mount)
+
+        # -- control plane.
+        #: One control plane per WGTT region, corridor order: controller,
+        #: its APs, warm standby when ``wgtt.ha_enabled``.  One entry for
+        #: the paper's deployment, none for the baseline scheme.  Whatever
+        #: walks the control plane reads this; ``controller`` /
+        #: ``standby`` / ``ha`` are the single region's, for the many
+        #: drivers that only ever meet one.
+        self.shards: List[Shard] = []
+        #: What only a corridor of several regions needs: owner map,
+        #: boundary scan, inter-shard handoff (``config.shard`` set).
+        self.shard_manager: Optional[ShardManager] = None
+        #: Every WGTT AP across all regions (``Shard.aps`` is the local
+        #: view); each ``Shard`` adds its own as it builds them.
+        self.wgtt_aps: Dict[str, WgttAccessPoint] = {}
+        self.wlc: Optional[BaselineWlc] = None
+        self.baseline_aps: Dict[str, Baseline80211rAp] = {}
+        #: Server-side downlink ingress: the shard manager, else the
+        #: region's HA pair or controller, else the baseline WLC.
+        self._ingress: Callable[[Packet], None]
+        if config.scheme != "wgtt":
+            self.wlc = BaselineWlc(self.sim, self.backhaul)
+            self.wlc.on_uplink = self.deliver_uplink
+            self._ingress = self.wlc.accept_downlink
+            for index, ap_id in enumerate(self.ap_ids):
+                ap = Baseline80211rAp(
+                    self.sim, self.medium, self.backhaul, self.rng, ap_id
+                )
+                ap.device.channel = config.ap_channel(index)
+                self.baseline_aps[ap_id] = ap
+                self.wlc.add_ap(ap_id)
+        elif config.shard is not None:
+            manager = self.shard_manager = ShardManager(self, regions)
+            self.shards = manager.shards
+            self._ingress = manager.accept_downlink
+            register(manager.collect_metrics)
+        else:
+            (region,) = regions
+            shard = Shard(self, region)
+            self.shards = [shard]
+            # The pair routes to and publishes whichever one is active.
+            pair = shard.ha or shard.controller
+            self._ingress = pair.accept_downlink
+            register(pair.collect_metrics)
+            for ap in shard.aps.values():
+                register(ap.collect_metrics)
+        if config.channel_plan is not None:
+            for shard in self.shards:
+                for ctrl in shard.controllers():
+                    ctrl.on_serving_update = self._retune_client
+
+        # -- clients: radio, host stack, keepalives; churn bookkeeping;
+        # instant association.
+        tracks = config.client_tracks
+        if tracks is None:
+            tracks = [
+                VehicleTrack(
+                    self.road,
+                    start_x=config.client_start_x_m,
+                    speed_mph=speed,
+                )
+                for speed in config.client_speeds_mph
+            ]
+        self.clients = [
+            ClientNode(self, index, track)
+            for index, track in enumerate(tracks)
+        ]
+        self._next_client_index = len(self.clients)
+        #: Retired ids live here until their deferred radio teardown
+        #: fires (see :meth:`retire_client`).
+        self._retiring: Dict[str, ClientNode] = {}
+        self.clients_retired = 0
+        register(self.collect_metrics)
+        if config.instant_association:
+            for client in self.clients:
+                self._associate_instantly(client)
+
+        # -- faults: armed only when a plan is set.
+        self.fault_injector: Optional[FaultInjector] = None
+        #: Installed by :meth:`install_invariant_checker`; None keeps
+        #: the trace stream dormant and the run byte-identical.
+        self.invariant_checker: Optional["InvariantChecker"] = None
+        if config.fault_plan is not None:
+            self.install_fault_plan(config.fault_plan)
 
     @property
-    def _sole_region(self) -> Optional["Shard"]:
+    def _sole_region(self) -> Optional[Shard]:
         return self.shards[0] if len(self.shards) == 1 else None
 
     @property
@@ -347,8 +442,8 @@ class Testbed:
     def collect_metrics(self) -> Dict[str, object]:
         """The testbed's own share of the metrics snapshot: per-client
         node counters.  Every other key is published by the component
-        that owns it and registered by the builder stage that creates
-        it."""
+        that owns it and registered by the construction stage that
+        creates it."""
         out: Dict[str, object] = {}
         for client in self.clients:
             cid = client.client_id
@@ -375,11 +470,8 @@ class Testbed:
         else:  # the baseline scheme
             first_ap = self.ap_index.nearest(position)
             assert first_ap is not None  # the AP bank is never empty
-            agent = client.agent
-            agent.current_ap = first_ap
-            agent._last_switch_us = self.sim.now
-            agent.association_log.append((self.sim.now, first_ap))
-            self.wlc._route[client.client_id] = first_ap
+            client.agent.record_association(first_ap)
+            self.wlc.record_association(client.client_id, first_ap)
 
     # ------------------------------------------------------------------
     # fault injection
@@ -420,14 +512,6 @@ class Testbed:
         self.obs.metrics.register_collector(checker.collect_metrics)
         self.invariant_checker = checker
         return checker
-
-    def crash_ap(self, ap_id: str) -> None:
-        """Immediately crash one AP (manual chaos helper)."""
-        self.wgtt_aps[ap_id].crash()
-
-    def restart_ap(self, ap_id: str) -> None:
-        """Immediately restart a crashed AP."""
-        self.wgtt_aps[ap_id].restart()
 
     def active_controller(self) -> Optional[WgttController]:
         """The controller currently owning the single region's control
@@ -528,7 +612,9 @@ class Testbed:
     # traffic plumbing
     # ------------------------------------------------------------------
 
-    def _deliver_uplink(self, packet: Packet) -> None:
+    def deliver_uplink(self, packet: Packet) -> None:
+        """Server-side egress of the control plane: hand a
+        de-duplicated uplink packet to the server after its latency."""
         if packet.meta.get("keepalive"):
             return  # NULL frames carry no payload for the server
         tracer = self.sim.obs.trace
@@ -558,16 +644,23 @@ class Testbed:
             self.config.wgtt.server_latency_us, lambda: ingress(packet)
         )
 
-    def client(self, index: int) -> ClientNode:
-        return self.clients[index]
-
     def add_downlink_tcp_flow(
-        self, client_index: int = 0, flow_id: Optional[str] = None
+        self,
+        client_index: int = 0,
+        flow_id: Optional[str] = None,
+        bulk: bool = True,
     ) -> Tuple[TcpSender, TcpReceiver]:
+        """Server-to-client TCP; ``bulk=False`` makes the sender
+        app-limited (it sends what :meth:`TcpSender.supply` offers)."""
         client = self.clients[client_index]
         flow_id = flow_id or f"tcp-dl-{client.client_id}"
         sender = TcpSender(
-            self.sim, "server", client.client_id, self.send_downlink, flow_id
+            self.sim,
+            "server",
+            client.client_id,
+            self.send_downlink,
+            flow_id,
+            bulk=bulk,
         )
         receiver = TcpReceiver(
             self.sim, client.client_id, "server", client.send_uplink, flow_id

@@ -1,7 +1,7 @@
 """Region control planes, and what a corridor of several adds.
 
 A WGTT testbed is a list of :class:`Shard` — one per contiguous
-AP-cluster region (:class:`~repro.scenarios.builder.RegionSpec`), each
+AP-cluster region (a :class:`RegionSpec`, from :func:`plan_regions`), each
 with its own :class:`~repro.core.controller.WgttController`, its APs
 and (``WgttConfig.ha_enabled``) a warm standby.  The paper's deployment
 is one of them; everything that walks the control plane (instant
@@ -38,7 +38,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.access_point import WgttAccessPoint
 from repro.core.assoc_sync import StaInfo
@@ -56,12 +57,82 @@ from repro.sim.engine import Timer
 
 if TYPE_CHECKING:
     from repro.mobility.road import Position
-    from repro.scenarios.builder import RegionSpec
-    from repro.scenarios.testbed import ClientNode, Testbed
+    from repro.scenarios.testbed import ClientNode, Testbed, TestbedConfig
 
 #: Receiving-side memory of completed handoff ids (duplicate arrivals
 #: are re-acked, never re-merged); bounded FIFO.
 COMPLETED_HANDOFF_CAP = 4096
+
+
+@dataclass(frozen=True)
+class RegionSpec:
+    """One contiguous corridor stretch owned by one controller.
+
+    Regions tile the corridor: region k's APs carry the global ids
+    ``ap{first_ap_index} .. ap{first_ap_index + len(ap_xs) - 1}``, so a
+    single region spanning every AP is the paper's deployment.
+    """
+
+    #: Shard index (0 for the single-controller deployment).
+    shard: int
+    #: Global index of this region's first AP (id numbering offset).
+    first_ap_index: int
+    #: AP x-positions inside this region, corridor order.
+    ap_xs: Tuple[float, ...]
+    #: Backhaul id of the controller owning this region.
+    controller_id: str = "controller"
+    #: Backhaul id of the region's warm standby (None = no HA).
+    standby_id: Optional[str] = None
+
+    @property
+    def ap_ids(self) -> Tuple[str, ...]:
+        return tuple(
+            f"ap{self.first_ap_index + i}" for i in range(len(self.ap_xs))
+        )
+
+
+def plan_regions(config: "TestbedConfig") -> List[RegionSpec]:
+    """Partition the corridor into regions.
+
+    ``config.shard`` unset: one region covering every AP under the
+    classic ``"controller"`` id.  Set: ``ShardConfig.num_shards``
+    contiguous chunks, as even as possible (earlier shards take the
+    remainder), each with its own controller id.  Either way a region
+    gets a warm standby iff ``wgtt.ha_enabled``.
+    """
+    xs = config.ap_xs()
+    shard_cfg = config.shard
+    wgtt = config.scheme == "wgtt"
+    if shard_cfg is not None and not wgtt:
+        raise ValueError("sharding requires the wgtt scheme")
+    count = 1 if shard_cfg is None else shard_cfg.num_shards
+    if count < 1:
+        raise ValueError("num_shards must be >= 1")
+    if count > len(xs):
+        raise ValueError("more shards than APs")
+    ha = wgtt and config.wgtt.ha_enabled
+    base, extra = divmod(len(xs), count)
+    regions: List[RegionSpec] = []
+    start = 0
+    for k in range(count):
+        size = base + (1 if k < extra else 0)
+        if shard_cfg is None:
+            controller_id = "controller"
+            standby_id = config.wgtt.standby_id
+        else:
+            controller_id = shard_cfg.controller_id(k)
+            standby_id = shard_cfg.standby_id(k)
+        regions.append(
+            RegionSpec(
+                shard=k,
+                first_ap_index=start,
+                ap_xs=tuple(xs[start : start + size]),
+                controller_id=controller_id,
+                standby_id=standby_id if ha else None,
+            )
+        )
+        start += size
+    return regions
 
 
 class Shard:
@@ -74,7 +145,7 @@ class Shard:
     def __init__(
         self,
         testbed: "Testbed",
-        region: "RegionSpec",
+        region: RegionSpec,
         manager: Optional["ShardManager"] = None,
     ):
         self.region = region
@@ -88,7 +159,7 @@ class Shard:
             config.wgtt,
             controller_id=region.controller_id,
         )
-        self.controller.on_uplink = testbed._deliver_uplink
+        self.controller.on_uplink = testbed.deliver_uplink
         #: This shard's APs only (testbed.wgtt_aps is the global union).
         self.aps: Dict[str, WgttAccessPoint] = {}
         for offset, ap_id in enumerate(region.ap_ids):
@@ -122,7 +193,7 @@ class Shard:
                 controller_id=region.standby_id,
                 primary_id=region.controller_id,
             )
-            self.standby.on_uplink = testbed._deliver_uplink
+            self.standby.on_uplink = testbed.deliver_uplink
             for ap_id in region.ap_ids:
                 self.standby.add_ap(ap_id)
             self.ha = HaCluster(
@@ -260,7 +331,7 @@ class _PendingHandoff:
 class ShardManager:
     """Owns the shards, the client→shard map, and the handoff protocol."""
 
-    def __init__(self, testbed: "Testbed", regions: List["RegionSpec"]):
+    def __init__(self, testbed: "Testbed", regions: List[RegionSpec]):
         if not testbed.config.instant_association:
             raise ValueError("sharding requires instant_association")
         self._testbed = testbed

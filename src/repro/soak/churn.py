@@ -72,6 +72,11 @@ class ChurnDriver:
         }
         self._armed = False
 
+    @property
+    def max_concurrent(self) -> int:
+        """The rider cap arrivals are admitted under."""
+        return self._plan.config.max_concurrent
+
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
@@ -96,7 +101,7 @@ class ChurnDriver:
         from repro.mobility.vehicle import VehicleTrack
 
         testbed = self._testbed
-        if len(self._active) >= self._plan.config.max_concurrent:
+        if len(self._active) >= self.max_concurrent:
             self.stats["rejected"] += 1
             return
         track = VehicleTrack(

@@ -159,14 +159,12 @@ class SoakHarness:
         stream: Optional[MetricsStream] = None
         if cfg.telemetry_path is not None:
             stream = MetricsStream(cfg.telemetry_path)
-        budgets = cfg.budgets
-        budgets.max_concurrent = cfg.workload.max_concurrent
         guard = SloGuard(
             testbed,
             churn,
             interval_us=int(cfg.sample_interval_s * SECOND),
             checkpoint_every=cfg.checkpoint_every,
-            budgets=budgets,
+            budgets=cfg.budgets,
             stream=stream,
             fail_fast=cfg.fail_fast,
             invariants=checker,

@@ -79,12 +79,11 @@ class SoakViolationError(AssertionError):
 class SloBudgets:
     """Hard caps the guard enforces.
 
-    ``max_concurrent`` scales the per-client structures; the rest are
-    absolute.  Budgets marked end-of-run are only evaluated at
-    :meth:`SloGuard.finish`.
+    The per-client structure caps scale with the rider cap the guard
+    reads off its churn driver; the rest are absolute.  Budgets marked
+    end-of-run are only evaluated at :meth:`SloGuard.finish`.
     """
 
-    max_concurrent: int = 64
     #: Slack on per-client structure caps (in-flight arrivals/retires).
     client_slack: int = 8
     #: Engine event-heap ceiling (events).
@@ -118,6 +117,12 @@ class SloGuard:
             raise ValueError("interval_us must be positive")
         self._testbed = testbed
         self._churn = churn
+        #: Riders that may be on the road at once: the churn driver's
+        #: admission cap, or the fixed population when there is none.
+        self._max_riders = (
+            churn.max_concurrent if churn is not None
+            else len(testbed.clients)
+        )
         #: Optional runtime protocol-invariant checker; when present,
         #: its breaches surface as ``kind="invariant"`` violations on
         #: the sample cadence (and at :meth:`finish`).
@@ -202,7 +207,7 @@ class SloGuard:
         """Hard cap per probe (absent probes are unbounded-by-policy)."""
         budgets = self.budgets
         testbed = self._testbed
-        per_client = budgets.max_concurrent + budgets.client_slack
+        per_client = self._max_riders + budgets.client_slack
         num_aps = len(testbed.ap_ids)
         wgtt = testbed.config.wgtt
         limits: Dict[str, float] = {

@@ -1,10 +1,14 @@
-"""The controller's state layout, pinned.
+"""The controller's state layout, and the testbeds built around it, pinned.
 
 Checkpoint and handoff payload sizes set backhaul serialization delay,
 so their bytes are protocol: a fixed HA drive's shipped checkpoints and
-a fixed corridor's shipped handoff slice hash to committed values.  And
-a crash forgets exactly what a restore replaces: a crashed controller
-snapshots like a freshly built one, durable observability aside.
+a fixed corridor's shipped handoff slice hash to committed values.  The
+two topologies neither drive reaches — one region without a standby,
+and the baseline scheme — have their construction pinned the same way:
+any drift in RNG stream order, backhaul registration or timer arming
+moves a short drive's arrival stream and metrics snapshot.  And a crash
+forgets exactly what a restore replaces: a crashed controller snapshots
+like a freshly built one, durable observability aside.
 """
 
 import hashlib
@@ -14,6 +18,7 @@ import numpy as np
 from repro.core.config import WgttConfig
 from repro.mobility.road import Road
 from repro.mobility.vehicle import VehicleTrack
+from repro.phy.per import reset_phy_memo_stats, reset_phy_memos
 from repro.scenarios.presets import shard_corridor_config
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.shard.handoff import HANDOFF_KIND
@@ -27,6 +32,15 @@ HA_CHECKPOINTS_SHA256 = (
 #: sha256 of the handoff slice shipped in the corridor drive below.
 HANDOFF_SLICE_SHA256 = (
     "13e50290a1b241bd90c9dceed46cd03fd59b67b9c6c33864de0d51b69b428ab3"
+)
+#: sha256 of :func:`_drive_digest` for one region without a standby.
+CLASSIC_DRIVE_SHA256 = (
+    "f82c9200678ba9b3806b9885fd62acd0939a3aaeafd5850470b7c681a4b740bf"
+)
+#: sha256 of :func:`_drive_digest` for the baseline scheme (it roams
+#: twice, so the over-the-air association path is in the stream).
+BASELINE_DRIVE_SHA256 = (
+    "592c0bf181ce9b18e3d9e02fb8932d549ed622f9e4f79840d51a412fe400878f"
 )
 
 
@@ -81,6 +95,38 @@ class TestWireBytesPinned:
         testbed.run_seconds(5.0)
         assert len(shipped) == 1
         assert _sha256(shipped) == HANDOFF_SLICE_SHA256
+
+
+def _drive_digest(scheme):
+    """A 3 s, 20 mph drive with a downlink and an uplink UDP flow,
+    collapsed to its arrival streams and metrics snapshot (the PHY
+    cache counters describe the caches, not the run, and are left out)."""
+    reset_phy_memos()
+    reset_phy_memo_stats()
+    testbed = Testbed(
+        TestbedConfig(seed=5, scheme=scheme, client_speeds_mph=[20.0])
+    )
+    down, down_sink = testbed.add_downlink_udp_flow(0, rate_bps=8e6)
+    up, up_sink = testbed.add_uplink_udp_flow(0, rate_bps=1e6)
+    down.start()
+    up.start()
+    testbed.run_seconds(3.0)
+    metrics = {
+        key: value
+        for key, value in testbed.obs.metrics.snapshot().items()
+        if not key.startswith("phy_memo{")
+    }
+    return _sha256(
+        [repr((down_sink.arrivals, up_sink.arrivals, metrics)).encode()]
+    )
+
+
+class TestConstructionPinned:
+    def test_classic_region_without_standby(self):
+        assert _drive_digest("wgtt") == CLASSIC_DRIVE_SHA256
+
+    def test_baseline_scheme(self):
+        assert _drive_digest("baseline") == BASELINE_DRIVE_SHA256
 
 
 #: Snapshot parts a crash keeps: observability, not protocol state.

@@ -196,7 +196,7 @@ class TestApCrash:
         testbed.run_seconds(0.5)
         heartbeats_before = ap.stats["heartbeats_sent"]
         assert heartbeats_before > 0
-        testbed.crash_ap("ap0")
+        testbed.wgtt_aps["ap0"].crash()
         assert not ap.alive
         assert not ap.device.powered
         assert testbed.backhaul.is_node_down("ap0")
@@ -206,10 +206,10 @@ class TestApCrash:
     def test_restart_resyncs_associations(self):
         testbed = chaos_testbed()
         testbed.run_seconds(0.2)
-        testbed.crash_ap("ap0")
+        testbed.wgtt_aps["ap0"].crash()
         assert not testbed.wgtt_aps["ap0"].directory.clients()
         testbed.run_seconds(0.2)
-        testbed.restart_ap("ap0")
+        testbed.wgtt_aps["ap0"].restart()
         testbed.run_seconds(0.2)
         ap = testbed.wgtt_aps["ap0"]
         assert ap.alive and ap.device.powered
@@ -220,7 +220,7 @@ class TestApCrash:
     def test_liveness_declares_crashed_ap_dead(self):
         testbed = chaos_testbed()
         testbed.run_seconds(0.5)
-        testbed.crash_ap("ap5")  # not the serving AP at t=0.5s
+        testbed.wgtt_aps["ap5"].crash()  # not the serving AP at t=0.5s
         testbed.run_seconds(0.5)
         controller = testbed.controller
         assert "ap5" in controller.dead_aps()
@@ -235,7 +235,7 @@ class TestApCrash:
         down_events = [e for e in controller.liveness.events if e[1] == "down"]
         assert down_events[0][0] - int(0.5 * SECOND) <= bound
         # recovery on restart
-        testbed.restart_ap("ap5")
+        testbed.wgtt_aps["ap5"].restart()
         testbed.run_seconds(0.2)
         assert "ap5" not in testbed.controller.dead_aps()
         assert controller.stats["aps_recovered"] == 1

@@ -1,11 +1,10 @@
-"""Sharded control plane, scenario builder, and spatial index tests.
+"""Sharded control plane, region planning, and spatial index tests.
 
 Covers the PR-10 surface:
 
 * ``ApGridIndex`` returns exactly what the legacy linear ``min()``
   returned (random layouts, ties, predicates);
-* ``ScenarioBuilder``/``RegionSpec`` construct the identical testbed
-  ``Testbed(config)`` does, stage by stage;
+* ``plan_regions`` tiles the corridor into ``RegionSpec``s;
 * per-client checkpoint state survives an extract → bytes → merge
   round trip;
 * inter-shard handoffs migrate a client with zero invariant
@@ -37,7 +36,6 @@ from repro.faults.plan import (
 from repro.ha.checkpoint import canonical_json
 from repro.mobility.road import Position, Road
 from repro.mobility.vehicle import VehicleTrack
-from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.presets import (
     preset,
     preset_names,
@@ -46,6 +44,7 @@ from repro.scenarios.presets import (
 from repro.mobility.spatial import ApGridIndex
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.shard.config import ShardConfig
+from repro.shard.manager import plan_regions
 from repro.soak import ChurnDriver, ClientSession, WorkloadPlan
 from repro.sim.rng import RngRegistry
 
@@ -151,13 +150,13 @@ class TestApGridIndex:
 
 
 # ----------------------------------------------------------------------
-# scenario builder / region planning
+# region planning
 # ----------------------------------------------------------------------
 
 
 class TestRegionPlanning:
     def test_single_region_when_sharding_off(self):
-        regions = ScenarioBuilder.plan_regions(TestbedConfig())
+        regions = plan_regions(TestbedConfig())
         assert len(regions) == 1
         assert list(regions[0].ap_ids) == [f"ap{i}" for i in range(8)]
         assert regions[0].controller_id == "controller"
@@ -165,7 +164,7 @@ class TestRegionPlanning:
 
     def test_contiguous_even_partition(self):
         config = shard_corridor_config(num_shards=3, num_aps=8)
-        regions = ScenarioBuilder.plan_regions(config)
+        regions = plan_regions(config)
         sizes = [len(r.ap_xs) for r in regions]
         assert sizes == [3, 3, 2]  # even as possible, larger first
         flat = [ap for r in regions for ap in r.ap_ids]
@@ -181,56 +180,10 @@ class TestRegionPlanning:
         config = shard_corridor_config(
             num_shards=2, wgtt=WgttConfig(ha_enabled=True)
         )
-        regions = ScenarioBuilder.plan_regions(config)
+        regions = plan_regions(config)
         assert [r.standby_id for r in regions] == [
             "standby-s0", "standby-s1",
         ]
-
-
-def _drive_fingerprint(make_testbed):
-    """Short drive collapsed to the exact arrival stream: any
-    construction drift (RNG draw order, timer registration, AP wiring)
-    perturbs packet timing and shows up here byte for byte."""
-    from repro.phy.per import reset_phy_memos
-
-    reset_phy_memos()
-    testbed = make_testbed(TestbedConfig(seed=5, client_speeds_mph=[20.0]))
-    source, sink = testbed.add_downlink_udp_flow(0, rate_bps=40e6)
-    source.start()
-    testbed.run_seconds(1.5)
-    return (
-        tuple(sink.arrivals),
-        len(testbed.controller.coordinator.history),
-        testbed.serving_ap_of(0),
-    )
-
-
-class TestBuilderEquivalence:
-    def test_builder_matches_direct_constructor(self):
-        direct = _drive_fingerprint(Testbed)
-        staged = _drive_fingerprint(
-            lambda config: ScenarioBuilder(config).build()
-        )
-        assert staged == direct
-
-    def test_stage_decomposition_is_invokable(self):
-        """Each build stage is an explicit, separately callable step."""
-        builder = ScenarioBuilder(TestbedConfig())
-        tb = Testbed.__new__(Testbed)
-        tb.config = builder.config
-        builder.build_substrate(tb)
-        builder.build_ap_bank(tb)
-        builder.build_control_plane(tb)
-        builder.build_clients(tb)
-        builder.build_faults(tb)
-        assert len(tb.wgtt_aps) == 8
-        assert tb.controller is not None
-        assert len(tb.ap_index) == 8
-        # Each stage registered what it built: the staged shell
-        # publishes the same key set a one-shot Testbed does.
-        assert set(tb.obs.metrics.snapshot()) == set(
-            Testbed(TestbedConfig()).obs.metrics.snapshot()
-        )
 
 
 class TestApXsMemoization:

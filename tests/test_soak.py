@@ -1,6 +1,7 @@
 """Soak subsystem: workload determinism, churn lifecycle, admission
 pacing, backpressure hysteresis, and the SLO guard's invariants."""
 
+import copy
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from repro.soak import (
     ClientSession,
     SloBudgets,
     SoakConfig,
+    SoakHarness,
     SoakViolationError,
     WorkloadConfig,
     WorkloadPlan,
@@ -466,6 +468,15 @@ class TestSoakHarness:
         assert a.fingerprint == b.fingerprint
         assert a.churn_stats == b.churn_stats
         assert a.ok and b.ok
+
+    def test_run_leaves_its_config_untouched(self):
+        """The guard reads the rider cap off the churn driver; the
+        harness writes nothing back into the caller's config."""
+        config = _short_config(duration_s=2.0)
+        config.workload.max_concurrent = 8
+        before = copy.deepcopy(config)
+        SoakHarness(config).run()
+        assert config == before
 
     def test_seed_changes_fingerprint(self):
         a = run_soak(_short_config())

@@ -32,8 +32,7 @@ def test_video_stalls_when_scheme_cannot_deliver():
     """Throttle the link far below the video rate: the player must
     report a high rebuffer ratio, not silently zero."""
     testbed = parked_testbed()
-    sender, receiver = testbed.add_downlink_tcp_flow(0)
-    sender._bulk = False
+    sender, receiver = testbed.add_downlink_tcp_flow(0, bulk=False)
     player = VideoPlayer(testbed.sim, receiver, bitrate_bps=3_000_000)
     sender.start()
     # Supply only ~1 s of media over 6 s of wall clock.
