@@ -12,12 +12,19 @@ channel measurements", SIGCOMM 2010), which WGTT builds on:
 All functions accept scalars or numpy arrays of *linear* SNR and are
 invertible, which is what lets a mean-BER across subcarriers be mapped
 back to a single AWGN-equivalent "effective" SNR.
+
+The curves go through ``scipy.special``, imported inside
+:func:`q_function` / :func:`q_inverse`: a simulation never calls them.
+It reads the curves from the tables :mod:`repro.phy.lut` loads from its
+committed data file; only the table generator
+(:func:`repro.phy.lut.compute_tables`), the ``*_exact`` oracles in
+:mod:`repro.phy.esnr` and the tests evaluate them, so scipy is a
+development dependency.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 #: BER is clipped into this range before inversion so that saturated
 #: (underflowed) measurements stay finite and ordered.
@@ -27,11 +34,15 @@ BER_CEILING = 0.5
 
 def q_function(x):
     """Gaussian tail probability Q(x)."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
 def q_inverse(p):
     """Inverse of :func:`q_function`."""
+    from scipy.special import erfcinv
+
     return np.sqrt(2.0) * erfcinv(2.0 * np.asarray(p, dtype=float))
 
 

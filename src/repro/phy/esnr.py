@@ -14,13 +14,13 @@ The result is "the SNR of the flat channel that would perform the same"
 reference modulation: it keeps the metric sensitive across the whole
 0–30 dB operating range of the picocell testbed.
 
-Hot path: the public entry points are served by the precomputed
-log-domain lookup tables in :mod:`repro.phy.lut` (dense SNR-dB grid +
-linear interpolation), so the per-frame path never calls
-``scipy.special``.  The closed-form scipy implementations survive as
-``*_exact`` — they are the reference the equivalence property tests
-(``tests/test_perf_equivalence.py``) hold the tables to, within
-0.05 dB across the 0–45 dB operating range.
+Hot path: the public entry points are served by the lookup tables
+:mod:`repro.phy.lut` loads from its committed data file (dense SNR-dB
+grid + linear interpolation), so a run never evaluates the closed form
+and never imports scipy.  The closed forms survive as ``*_exact``: they
+need scipy (a development dependency), and they are the reference the
+equivalence property tests (``tests/test_perf_equivalence.py``) hold
+the tables to, within 0.05 dB across the 0–45 dB operating range.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def mean_ber(
 
 
 # ----------------------------------------------------------------------
-# closed-form (scipy) reference implementations
+# closed-form reference implementations (test oracles; need scipy)
 # ----------------------------------------------------------------------
 
 
@@ -97,7 +97,7 @@ def effective_snr_db_exact(
 def mean_ber_exact(
     subcarrier_snr_db: np.ndarray, modulation: str, coding_gain_db: float = 0.0
 ) -> float:
-    """Closed-form mean coded BER across subcarriers (scipy path)."""
+    """Closed-form mean coded BER across subcarriers (test oracle)."""
     ber = BER_BY_MODULATION[modulation]
     snr_linear = db_to_linear(
         np.asarray(subcarrier_snr_db, dtype=float) + coding_gain_db

@@ -1,13 +1,17 @@
 """Lookup tables for the 802.11 BER curves and their inverses.
 
-The closed-form BER expressions in :mod:`repro.phy.ber` go through
-``scipy.special.erfc`` / ``erfcinv``.  That is numerically exact but it
-is also the single hottest function chain in the whole simulator: every
-decodable frame at every receiver evaluates ``effective_snr_db``
-(56 subcarriers -> mean BER -> inverse) at least once, and every MPDU
-in an A-MPDU evaluates a coded-BER point on top of that.
+The closed-form BER expressions in :mod:`repro.phy.ber` feed the single
+hottest function chain in the whole simulator: every decodable frame at
+every receiver evaluates ``effective_snr_db`` (56 subcarriers -> mean
+BER -> inverse) at least once, and every MPDU in an A-MPDU evaluates a
+coded-BER point on top of that.
 
-This module precomputes, once per process and per modulation:
+So the curves are sampled ahead of time, per modulation, and shipped as
+data: ``ber_tables.npz`` beside this module, written by
+:func:`compute_tables` (``python -m repro.phy.lut`` regenerates it; that
+needs scipy, a run does not).  A run only loads the file, so the bytes
+every ESNR and delivery draw sees are the file's, whichever scipy is
+installed.  Per modulation it holds:
 
 * a dense SNR-dB grid (``SNR_GRID_MIN_DB`` .. ``SNR_GRID_MAX_DB`` in
   ``SNR_GRID_STEP_DB`` steps) carrying the *linear* uncoded BER.  The
@@ -49,6 +53,7 @@ scalar and batched inversions agree exactly.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Dict
 
 import numpy as np
@@ -91,10 +96,55 @@ _LOG_BER_GRID = np.arange(
 _INV_LOG_BER_STEP = 1.0 / LOG_BER_STEP
 _N_LOG_BER = len(_LOG_BER_GRID)
 
+#: The committed tables (``python -m repro.phy.lut`` rewrites them).
+TABLES_PATH = Path(__file__).with_name("ber_tables.npz")
+
+#: Stored beside the tables; a file written for other grids is refused.
+_GRID_HEADER = np.array([
+    SNR_GRID_MIN_DB, SNR_GRID_MAX_DB, SNR_GRID_STEP_DB, SAMPLE_BER_FLOOR,
+    LOG_BER_FLOOR, LOG_BER_CEILING, LOG_BER_STEP,
+])
+
+
+def compute_tables() -> Dict[str, np.ndarray]:
+    """Sample every closed-form curve on the two grids: the arrays
+    ``ber_tables.npz`` holds (``<modulation>_ber``, after the
+    :data:`SAMPLE_BER_FLOOR` clamp, and ``<modulation>_inv_snr_db``),
+    the grid header, and ``written_with``: the numpy and scipy versions
+    and numpy's SIMD loop for ``power`` / ``log10``, whose last bit
+    differs between loops (the erfc tail amplifies it).  Needs scipy;
+    the simulator only loads the file."""
+    import scipy
+
+    try:
+        from numpy.lib.introspect import opt_func_info
+
+        loops = opt_func_info("^(power|log10)$", "^d")
+    except ImportError:  # numpy < 2.0 cannot say which loop runs
+        loops = {}
+    written_with = [f"numpy {np.__version__}", f"scipy {scipy.__version__}"] + [
+        f"{name} {loops[name][sig]['current']}" for name in sorted(loops) for sig in loops[name]
+    ]
+    tables = {"grid": _GRID_HEADER, "written_with": np.array(written_with)}
+    snr_linear = np.power(10.0, _SNR_GRID_DB / 10.0)
+    for modulation, forward in BER_BY_MODULATION.items():
+        with np.errstate(under="ignore"):
+            ber = np.asarray(forward(snr_linear), dtype=float)
+        tables[f"{modulation}_ber"] = np.maximum(ber, SAMPLE_BER_FLOOR)
+        inverse = SNR_FOR_BER_BY_MODULATION[modulation]
+        with np.errstate(under="ignore", divide="ignore"):
+            snr_for = inverse(np.power(10.0, _LOG_BER_GRID))
+        tables[f"{modulation}_inv_snr_db"] = np.asarray(linear_to_db(snr_for), dtype=float)
+    return tables
+
+
+def _refuse(why: str) -> ValueError:
+    return ValueError(f"{TABLES_PATH.name}: {why}; regenerate it with `python -m repro.phy.lut`")
+
 
 class ModulationLut:
     """Forward (SNR dB -> BER) and inverse (mean BER -> SNR dB) tables
-    for one modulation, both sampled from the closed-form curves."""
+    for one modulation, loaded from the committed file."""
 
     __slots__ = (
         "modulation",
@@ -107,21 +157,24 @@ class ModulationLut:
 
     def __init__(self, modulation: str):
         self.modulation = modulation
-        forward = BER_BY_MODULATION[modulation]
-        inverse = SNR_FOR_BER_BY_MODULATION[modulation]
-
-        snr_linear = np.power(10.0, _SNR_GRID_DB / 10.0)
-        with np.errstate(under="ignore"):
-            ber = np.asarray(forward(snr_linear), dtype=float)
+        with np.load(TABLES_PATH, allow_pickle=False) as tables:
+            if not np.array_equal(tables["grid"], _GRID_HEADER):
+                raise _refuse("its grid header is not SNR_GRID_* / SAMPLE_BER_FLOOR / LOG_BER_*")
+            ber = tables[f"{modulation}_ber"]
+            inv_snr_db = tables[f"{modulation}_inv_snr_db"]
+        if ber.shape != (_N_SNR,) or inv_snr_db.shape != (_N_LOG_BER,):
+            raise _refuse(f"the {modulation} tables are not {_N_SNR} / {_N_LOG_BER} long")
         # NB: tables stay writeable — numpy's C fast paths copy
         # read-only buffers on every call, which would cost more than
         # the interpolation itself.  Treat them as frozen.
-        self.ber = np.maximum(ber, SAMPLE_BER_FLOOR)
+        self.ber = np.require(ber, np.float64, ("C", "W"))
+        self.inv_snr_db = np.require(inv_snr_db, np.float64, ("C", "W"))
         # The batched gather relies on the top two forward entries being
         # equal (both at the sample floor): a clipped above-grid lookup
         # lands on the last bucket with frac == 1 and a zero slope, so
         # it returns the final entry exactly without a masking pass.
-        assert self.ber[-2] == self.ber[-1] == SAMPLE_BER_FLOOR
+        if not self.ber[-2] == self.ber[-1] == SAMPLE_BER_FLOOR:
+            raise _refuse(f"the top two {modulation} entries are not at the sample floor")
         #: Per-bucket slopes, precomputed so a lookup is a gather plus
         #: one multiply-add.  ``slope[i] == table[i+1] - table[i]``
         #: bitwise — the same subtraction the runtime lerp used to do.
@@ -130,10 +183,6 @@ class ModulationLut:
         #: can produce; inversion clamps here, mirroring the closed form
         #: (whose input can never exceed it either).
         self.max_ber = float(self.ber[0])
-
-        with np.errstate(under="ignore", divide="ignore"):
-            snr_for = inverse(np.power(10.0, _LOG_BER_GRID))
-        self.inv_snr_db = np.asarray(linear_to_db(snr_for), dtype=float)
         self.inv_slope = self.inv_snr_db[1:] - self.inv_snr_db[:-1]
 
     # ------------------------------------------------------------------
@@ -281,3 +330,8 @@ def mean_ber_lut(
 def ber_at_snr_db_lut(modulation: str, snr_db: float) -> float:
     """Uncoded BER at a single (scalar) SNR point in dB."""
     return lut_for(modulation).ber_of_db_scalar(snr_db)
+
+
+if __name__ == "__main__":
+    np.savez(TABLES_PATH, **compute_tables())
+    print(f"wrote {TABLES_PATH}")
