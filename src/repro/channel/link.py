@@ -128,10 +128,9 @@ class Link:
         # (repro.channel.link_batch) seeds.
         self._snr_key: Optional[Tuple[int, float]] = None
         self._snr_cache: Optional[np.ndarray] = None
-        # scalar memos keyed on (time_us, tx_power_dbm): geometry terms
-        # and the derived effective SNR, both re-asked several times per
-        # event (medium decode check, interference terms, CSI path).
-        # The mean-SNR memo holds a handful of entries rather than one:
+        # scalar memo keyed on (time_us, tx_power_dbm): the geometry
+        # terms, re-asked several times per event (medium decode check,
+        # interference terms, CSI path).  It holds a handful of entries rather than one:
         # the interference scan samples the *start* times of every
         # overlapping transmission, and those keys recur across the
         # completions in a busy window — a single slot thrashes.
@@ -140,8 +139,6 @@ class Link:
         self._static = (
             ap.fixed_position is not None and client.fixed_position is not None
         )
-        self._esnr_key: Optional[Tuple[int, float]] = None
-        self._esnr_db: float = 0.0
         self._coh_speed: Optional[float] = None
         self._coh_us: float = 0.0
 
@@ -154,7 +151,6 @@ class Link:
         :meth:`ChannelMap.invalidate_geometry` after each mutation.
         """
         self._mean_snr_cache.clear()
-        self._esnr_key = None
         self._snr_key = None
 
     # ------------------------------------------------------------------
@@ -265,28 +261,6 @@ class Link:
         self._cache_power = power
         self._snr_key = (time_us, tx_dbm)
         self._snr_cache = snapshot
-
-    def esnr_db(
-        self, time_us: int, downlink: bool = True, tx_id: Optional[str] = None
-    ) -> float:
-        """Effective SNR of the link at ``time_us``, memoized.
-
-        The memo key pairs the timestamp with the resolved transmit
-        power, so the two directions of the link cache independently;
-        it sits alongside the subcarrier-power cache and makes repeated
-        per-frame ESNR queries (controller metrics, figure drivers)
-        O(1) after the first evaluation.
-        """
-        from repro.phy.esnr import effective_snr_db
-
-        tx_dbm = self._tx_power_dbm(downlink, tx_id)
-        key = (time_us, tx_dbm)
-        if self._esnr_key == key:
-            return self._esnr_db
-        value = effective_snr_db(self.subcarrier_snr_db(time_us, downlink, tx_id))
-        self._esnr_key = key
-        self._esnr_db = value
-        return value
 
     def rssi_dbm(
         self, time_us: int, downlink: bool = True, tx_id: Optional[str] = None

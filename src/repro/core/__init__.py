@@ -7,7 +7,7 @@ from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
 from repro.core.cyclic_queue import CyclicQueue, IndexAllocator
 from repro.core.dedup import PacketDeduplicator
-from repro.core.liveness import ApLivenessTracker
+from repro.core.liveness import LivenessTracker
 from repro.core.selection import ApSelector
 from repro.core.switching import (
     AckMsg,
@@ -29,7 +29,7 @@ __all__ = [
     "CyclicQueue",
     "IndexAllocator",
     "PacketDeduplicator",
-    "ApLivenessTracker",
+    "LivenessTracker",
     "ApSelector",
     "AckMsg",
     "FailoverMsg",

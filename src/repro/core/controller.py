@@ -29,7 +29,7 @@ from repro.core.admission import AdmissionPacer
 from repro.core.config import WgttConfig
 from repro.core.cyclic_queue import IndexAllocator
 from repro.core.dedup import PacketDeduplicator
-from repro.core.liveness import ApLivenessTracker
+from repro.core.liveness import LivenessTracker
 from repro.core.selection import ApSelector
 from repro.core.switching import (
     OUTCOME_FAILED_OVER,
@@ -157,7 +157,7 @@ class WgttController:
         )
         self.coordinator.on_complete = self._switch_completed
         self.coordinator.on_abort = self._switch_aborted
-        self.liveness = ApLivenessTracker(
+        self.liveness = LivenessTracker(
             sim,
             self._config.heartbeat_interval_us,
             self._config.heartbeat_miss_limit,
@@ -177,10 +177,10 @@ class WgttController:
         #: HA peer (warm standby) backhaul id; when set, serving
         #: updates are mirrored to it (part of the standby's warm feed).
         self.ha_peer: Optional[str] = None
-        #: Fired after :meth:`restart` finishes (HA cluster hook).
+        #: Fired after :meth:`restart` finishes (the region's HA hook).
         self.on_restart: Callable[[], None] = lambda: None
         #: Whether a cold restart announces itself with "ctrl-hello"
-        #: (the HA cluster clears this on a demoted ex-primary).
+        #: (the region clears this on a demoted ex-primary).
         self.hello_on_restart = True
         self._ctrl_heartbeat_timer = Timer(
             self._sim, self._ctrl_heartbeat_tick
@@ -1136,7 +1136,7 @@ class WgttController:
         """Cold restart after :meth:`crash` — empty-state boot.
 
         The backhaul endpoint comes back and (unless this node was
-        demoted to standby by the HA cluster) the controller broadcasts
+        demoted to standby by its region) the controller broadcasts
         ``ctrl-hello`` so every AP replays its association table and
         claims the clients it is actually serving (§4.3 sta-sync, plus
         the serving-claim resync this repo adds).

@@ -1,4 +1,4 @@
-"""AP liveness tracking from backhaul heartbeats.
+"""Liveness tracking from backhaul heartbeats.
 
 The paper's controller trusts the AP array blindly: selection considers
 every AP that has ever reported CSI, and the stop/start/ack protocol
@@ -6,9 +6,10 @@ retransmits forever into a dead socket.  A transit deployment needs an
 explicit failure detector.  Every WGTT AP beats over the (prioritized)
 backhaul control path; the controller-side tracker here declares an AP
 **DEAD** after ``miss_limit`` consecutive silent heartbeat periods and
-**ALIVE** again on the next heartbeat or explicit hello.
+**ALIVE** again on the next heartbeat or explicit hello.  A warm standby
+watches its primary with the same tracker (:mod:`repro.ha.standby`).
 
-State machine per AP::
+State machine per node::
 
     UNKNOWN --first beat--> ALIVE --miss_limit silent periods--> DEAD
        ^                      ^                                   |
@@ -38,8 +39,8 @@ ALIVE = "alive"
 DEAD = "dead"
 
 
-class ApLivenessTracker:
-    """Heartbeat-driven failure detector for the AP array."""
+class LivenessTracker:
+    """Heartbeat-driven failure detector for a set of backhaul nodes."""
 
     def __init__(
         self,
@@ -93,6 +94,12 @@ class ApLivenessTracker:
         self._check_timer.stop()
         self._last_beat = {}
         self._dead = set()
+
+    def stop(self) -> None:
+        """Stop for good: the table and the check go, and every later
+        beat is ignored, so nothing re-arms the tracker."""
+        self.crash()
+        self.interval_us = 0
 
     def reset_clock(self, now_us: int) -> None:
         """Refresh every tracked AP's last-beat to ``now_us``.
@@ -167,4 +174,6 @@ class ApLivenessTracker:
                 self._dead.add(ap_id)
                 self.events.append((now, "down", ap_id))
                 self.on_down(ap_id)
+                if self.interval_us <= 0:
+                    return  # stopped inside on_down: stay stopped
         self._check_timer.start(self.interval_us)

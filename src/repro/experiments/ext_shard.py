@@ -108,7 +108,7 @@ def cell(
         "handoff_retries": manager.stats["handoff_retries"],
         "handoff_duplicates": manager.stats["handoff_duplicates"],
         "handoff_bytes": manager.stats["handoff_bytes"],
-        "downlink_lost": manager.stats["downlink_lost"],
+        "downlink_lost": sum(shard.lost_downlink for shard in manager.shards),
         "downlink_unowned": manager.stats["downlink_unowned"],
         "dedup_suppressed": sum(
             c.dedup.duplicates for c in controllers if c is not None

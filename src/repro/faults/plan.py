@@ -431,8 +431,8 @@ class CsiBlackout(_OnAp, _Window):
 class ControllerCrash(_Crash, _OnController):
     """The controller process dies at ``at_us`` (volatile state lost,
     backhaul endpoint dark) and — unless ``down_us`` is ``None`` —
-    restarts ``down_us`` later.  With an HA cluster armed the warm
-    standby detects the silence and promotes itself; without one the
+    restarts ``down_us`` later.  A warm standby in the region detects
+    the silence and promotes itself; without one the
     restarted controller resyncs cold via ``ctrl-hello``."""
 
     controller_id: str = "controller"

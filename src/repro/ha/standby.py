@@ -6,8 +6,8 @@ feed —
 
 * ``ha-checkpoint`` — the primary's periodic state snapshot (canonical
   bytes; the standby keeps the latest);
-* ``ctrl-heartbeat`` — the primary's liveness signal (the standby runs
-  the same miss-counting detector the APs do);
+* ``ctrl-heartbeat`` — the primary's liveness signal, watched by a
+  :class:`~repro.core.liveness.LivenessTracker` whose ``on_down`` promotes;
 * ``sta-sync`` broadcasts and mirrored ``serving-update``s — the
   between-checkpoints event feed, so promotion state is never staler
   than one backhaul latency for the serving map.
@@ -34,9 +34,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
+from repro.core.liveness import LivenessTracker
 from repro.ha.checkpoint import ControllerCheckpoint
 from repro.net.backhaul import EthernetBackhaul
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 
@@ -67,9 +68,15 @@ class StandbyController(WgttController):
         #: duplicated/replayed mirrors lose to it (same monotonic-
         #: generation rule the APs apply).
         self._warm_serving_gen: Dict[str, Tuple[int, int]] = {}
-        self._primary_last_beat: Optional[int] = None
-        self._primary_watch_timer = Timer(sim, self._primary_watch_tick)
-        #: Fired right after promotion completes (HA cluster hook).
+        #: Silence from the primary past the miss limit promotes; the
+        #: watch stops at promotion and is never re-armed.
+        self._primary_watch = LivenessTracker(
+            sim,
+            self._config.controller_heartbeat_interval_us,
+            self._config.controller_miss_limit,
+        )
+        self._primary_watch.on_down = lambda primary_id: self.promote()
+        #: Fired right after promotion completes (the region's hook).
         self.on_promote = lambda: None
         self.stats["checkpoints_received"] = 0
         self.stats["promotions"] = 0
@@ -77,7 +84,9 @@ class StandbyController(WgttController):
         # either role; the rest of the warm feed only while inert.
         either_role: Dict[str, Callable[[str, Any], None]] = {
             "ha-checkpoint": self._checkpoint_received,
-            "ctrl-heartbeat": self._primary_beat,
+            "ctrl-heartbeat": (
+                lambda src, payload: self._primary_watch.beat(self.primary_id)
+            ),
         }
         self.handlers.update(either_role)
         #: The dispatch table before promotion (``handlers`` after).
@@ -115,30 +124,6 @@ class StandbyController(WgttController):
         self.stats["checkpoints_received"] += 1
 
     # ------------------------------------------------------------------
-    # primary liveness
-    # ------------------------------------------------------------------
-
-    def _primary_beat(self, src: str, payload: object) -> None:
-        self._primary_last_beat = self._sim.now
-        if not self.promoted and not self._primary_watch_timer.armed:
-            interval = self._config.controller_heartbeat_interval_us
-            if interval > 0:
-                self._primary_watch_timer.start(interval)
-
-    def _primary_watch_tick(self) -> None:
-        if self.promoted:
-            return  # promoted: the watch is moot
-        interval = self._config.controller_heartbeat_interval_us
-        deadline = self._config.controller_miss_limit * interval
-        if (
-            self._primary_last_beat is not None
-            and self._sim.now - self._primary_last_beat > deadline
-        ):
-            self.promote()
-            return
-        self._primary_watch_timer.start(interval)
-
-    # ------------------------------------------------------------------
     # promotion
     # ------------------------------------------------------------------
 
@@ -155,7 +140,7 @@ class StandbyController(WgttController):
         self.epoch_us = self._sim.now
         self._serving_seq = 0
         self.stats["promotions"] += 1
-        self._primary_watch_timer.stop()
+        self._primary_watch.stop()
         tracer = self._sim.obs.trace
         span = (
             tracer.begin(

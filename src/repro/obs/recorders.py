@@ -274,19 +274,18 @@ class HaAudit:
 
     Joins the injector's ``ctrl-crash`` trace with the standby's
     promotion instant, the AP array's re-home/hold counters, and the
-    cluster's ingress accounting into the ext_ha headline numbers:
-    control-plane recovery latency, duplicate leakage, and explicit
-    (never silent) packet loss.
+    region's shipping and ingress accounting into the ext_ha headline
+    numbers: control-plane recovery latency, duplicate leakage, and
+    explicit (never silent) packet loss.
     """
 
     def __init__(self, testbed: "Testbed"):
-        if getattr(testbed, "ha", None) is None:
+        if getattr(testbed, "standby", None) is None:
             raise ValueError(
-                "HaAudit reads tb.ha: one WGTT region with ha_enabled only"
+                "HaAudit reads the region: one WGTT region with ha_enabled only"
             )
         self._testbed = testbed
-        self._cluster = testbed.ha
-        self._primary = testbed.controller
+        (self._region,) = testbed.shards
         self._standby = testbed.standby
 
     def controller_crash_times(self) -> List[int]:
@@ -306,7 +305,7 @@ class HaAudit:
     def clients_recovered(self) -> bool:
         """Every client is registered at the active controller with a
         live serving AP."""
-        active = self._cluster.active_controller()
+        active = self._region.active_controller()
         if active is None:
             return False
         for client in self._testbed.clients:
@@ -358,9 +357,9 @@ class HaAudit:
                 else None
             ),
             "clients_recovered": self.clients_recovered(),
-            "checkpoints_shipped": self._cluster.checkpoints_shipped,
-            "checkpoint_bytes": self._cluster.checkpoint_bytes,
-            "lost_downlink": self._cluster.lost_downlink,
+            "checkpoints_shipped": self._region.checkpoints_shipped,
+            "checkpoint_bytes": self._region.checkpoint_bytes,
+            "lost_downlink": self._region.lost_downlink,
             "aps_rehomed": sum(ap.stats["rehomed"] for ap in aps),
             "hold_buffered": sum(ap.stats["hold_buffered"] for ap in aps),
             "hold_dropped": sum(ap.stats["hold_dropped"] for ap in aps),

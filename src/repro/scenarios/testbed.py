@@ -47,7 +47,6 @@ from repro.transport.tcp import TcpReceiver, TcpSender
 from repro.transport.udp import UdpSink, UdpSource
 
 if TYPE_CHECKING:
-    from repro.ha.cluster import HaCluster
     from repro.ha.standby import StandbyController
     from repro.invariants import InvariantChecker
 
@@ -330,8 +329,8 @@ class Testbed:
         #: its APs, warm standby when ``wgtt.ha_enabled``.  One entry for
         #: the paper's deployment, none for the baseline scheme.  Whatever
         #: walks the control plane reads this; ``controller`` /
-        #: ``standby`` / ``ha`` are the single region's, for the many
-        #: drivers that only ever meet one.
+        #: ``standby`` are the single region's, for the many drivers
+        #: that only ever meet one.
         self.shards: List[Shard] = []
         #: What only a corridor of several regions needs: owner map,
         #: boundary scan, inter-shard handoff (``config.shard`` set).
@@ -342,7 +341,7 @@ class Testbed:
         self.wlc: Optional[BaselineWlc] = None
         self.baseline_aps: Dict[str, Baseline80211rAp] = {}
         #: Server-side downlink ingress: the shard manager, else the
-        #: region's HA pair or controller, else the baseline WLC.
+        #: region, else the baseline WLC.
         self._ingress: Callable[[Packet], None]
         if config.scheme != "wgtt":
             self.wlc = BaselineWlc(self.sim, self.backhaul)
@@ -364,10 +363,8 @@ class Testbed:
             (region,) = regions
             shard = Shard(self, region)
             self.shards = [shard]
-            # The pair routes to and publishes whichever one is active.
-            pair = shard.ha or shard.controller
-            self._ingress = pair.accept_downlink
-            register(pair.collect_metrics)
+            self._ingress = shard.accept_downlink
+            register(shard.collect_metrics)
             for ap in shard.aps.values():
                 register(ap.collect_metrics)
         if config.channel_plan is not None:
@@ -422,11 +419,6 @@ class Testbed:
     def standby(self) -> Optional["StandbyController"]:
         region = self._sole_region
         return region.standby if region is not None else None
-
-    @property
-    def ha(self) -> Optional["HaCluster"]:
-        region = self._sole_region
-        return region.ha if region is not None else None
 
     def _retune_client(self, client_id: str, ap_id: str) -> None:
         """Multi-channel ablation glue: a switch retunes the client."""

@@ -5,10 +5,12 @@ AP-cluster region (a :class:`RegionSpec`, from :func:`plan_regions`), each
 with its own :class:`~repro.core.controller.WgttController`, its APs
 and (``WgttConfig.ha_enabled``) a warm standby.  The paper's deployment
 is one of them; everything that walks the control plane (instant
-association, departure, fault injection, the invariant probes) goes
-through :attr:`Testbed.shards` whatever their number.  A corridor of
-several regions also gets a :class:`ShardManager`, which owns only what
-one region never needs:
+association, departure, downlink ingress, fault injection, the
+invariant probes) goes through :attr:`Testbed.shards` whatever their
+number; a region with a standby also ships its checkpoints and owns
+the promote/restart role hooks.  A corridor of several regions also
+gets a :class:`ShardManager`, which owns only what one region never
+needs:
 
 * **ownership** — every client belongs to exactly one shard; both
   controllers near a boundary decode the client's frames, so each
@@ -20,8 +22,8 @@ one region never needs:
   (:meth:`WgttController.client_slice` / ``merge_client``), shipped as a
   lossy ``"shard-handoff"`` backhaul message with ack +
   retransmission (see :mod:`repro.shard.handoff`);
-* **routing** — server downlink ingress and serving-map queries go to
-  the owning shard's active controller.
+* **routing** — server downlink ingress goes to the owning shard, and
+  serving-map queries to its active controller.
 
 Clients are placed by the testbed's spatial AP index
 (:class:`~repro.mobility.spatial.ApGridIndex`), restricted to the
@@ -45,6 +47,7 @@ from repro.core.access_point import WgttAccessPoint
 from repro.core.assoc_sync import StaInfo
 from repro.core.controller import WgttController
 from repro.ha.checkpoint import canonical_json
+from repro.net.packet import Packet
 from repro.obs.metrics import metric_key
 from repro.shard.handoff import (
     HANDOFF_ACK_KIND,
@@ -136,7 +139,7 @@ def plan_regions(config: "TestbedConfig") -> List[RegionSpec]:
 
 
 class Shard:
-    """One region's control plane: controller, APs, optional HA pair.
+    """One region's control plane: controller, APs, optional standby.
 
     The classic single-controller deployment is one of these built
     without a ``manager`` (no ownership gate, no handoff dispatch).
@@ -150,8 +153,10 @@ class Shard:
     ):
         self.region = region
         self._sim = testbed.sim
+        self._backhaul = testbed.backhaul
         self._ap_index = testbed.ap_index
         config = testbed.config
+        self._checkpoint_interval_us = config.wgtt.checkpoint_interval_us
         self.controller = WgttController(
             testbed.sim,
             testbed.backhaul,
@@ -179,13 +184,16 @@ class Shard:
             self.aps[ap_id] = ap
             testbed.wgtt_aps[ap_id] = ap
             self.controller.add_ap(ap_id)
+        #: Downlink packets that arrived while no controller was active.
+        self.lost_downlink = 0
+        self.checkpoints_shipped = 0
+        self.checkpoint_bytes = 0
+        self._ship_timer = Timer(testbed.sim, self._ship_tick)
         self.standby = None
-        self.ha = None
         if region.standby_id is not None:
-            from repro.ha.cluster import HaCluster
             from repro.ha.standby import StandbyController
 
-            self.standby = StandbyController(
+            standby = self.standby = StandbyController(
                 testbed.sim,
                 testbed.backhaul,
                 testbed.rng,
@@ -193,17 +201,17 @@ class Shard:
                 controller_id=region.standby_id,
                 primary_id=region.controller_id,
             )
-            self.standby.on_uplink = testbed.deliver_uplink
+            standby.on_uplink = testbed.deliver_uplink
             for ap_id in region.ap_ids:
-                self.standby.add_ap(ap_id)
-            self.ha = HaCluster(
-                testbed.sim,
-                testbed.backhaul,
-                self.controller,
-                self.standby,
-                config.wgtt,
-            )
-            self.ha.start()
+                standby.add_ap(ap_id)
+            self.controller.ha_peer = standby.controller_id
+            self.controller.on_restart = self._primary_restarted
+            standby.on_promote = self._standby_promoted
+            # Heartbeats first, then shipping: timer arming order is
+            # part of every run's bytes.
+            self.controller.start_ctrl_heartbeats()
+            if self._checkpoint_interval_us > 0:
+                self._ship_timer.start(self._checkpoint_interval_us)
         if manager is not None:
             self._install_shard_glue(manager)
 
@@ -292,9 +300,95 @@ class Shard:
         return out
 
     def active_controller(self) -> Optional[WgttController]:
-        if self.ha is not None:
-            return self.ha.active_controller()
-        return self.controller
+        """The controller owning the region's control plane: with a
+        standby, whichever of the pair is active (None mid-gap)."""
+        primary, standby = self.controller, self.standby
+        if standby is None:
+            return primary
+        if primary.alive and primary.role == "primary":
+            return primary
+        if standby.promoted and standby.alive:
+            return standby
+        return None
+
+    def accept_downlink(self, packet: Packet) -> None:
+        """Server ingress for the region: to the active controller, or
+        — the detection gap — counted in ``lost_downlink``, never
+        silently dropped."""
+        active = self.active_controller()
+        if active is None:
+            self.lost_downlink += 1
+            tracer = self._sim.obs.trace
+            if tracer.active:
+                tracer.emit(
+                    "ha",
+                    "downlink-lost",
+                    track="ha",
+                    detail=True,
+                    client=packet.dst,
+                )
+            return
+        active.accept_downlink(packet)
+
+    def collect_metrics(self) -> Dict[str, object]:
+        """The region's share of the metrics snapshot: the controller
+        keys of whoever owns the control plane (the primary while
+        nobody does — after a promotion the standby is doing the work,
+        so its numbers are the live ones), plus, with a standby, the
+        pair's shipping and ingress counters."""
+        out = (self.active_controller() or self.controller).collect_metrics()
+        if self.standby is not None:
+            out["ha_checkpoints_shipped"] = self.checkpoints_shipped
+            out["ha_checkpoint_bytes"] = self.checkpoint_bytes
+            out["ha_lost_downlink"] = self.lost_downlink
+            out["ha_promotions"] = self.standby.stats["promotions"]
+        return out
+
+    # ------------------------------------------------------------------
+    # the standby's glue
+    # ------------------------------------------------------------------
+
+    def _ship_tick(self) -> None:
+        primary, standby = self.controller, self.standby
+        if standby.promoted:
+            # Failed over: nothing to ship (reverse shipping from the
+            # promoted standby to a repaired primary is future work).
+            return
+        if primary.alive:
+            data = primary.snapshot().to_bytes()
+            self.checkpoints_shipped += 1
+            self.checkpoint_bytes += len(data)
+            self._backhaul.send(
+                primary.controller_id,
+                standby.controller_id,
+                "ha-checkpoint",
+                data,
+                size_bytes=len(data),
+            )
+            tracer = self._sim.obs.trace
+            if tracer.active:
+                tracer.emit(
+                    "ha",
+                    "checkpoint-ship",
+                    track="ha",
+                    detail=True,
+                    bytes=len(data),
+                )
+        self._ship_timer.start(self._checkpoint_interval_us)
+
+    def _standby_promoted(self) -> None:
+        """The instant the standby takes over, the (dead) primary is
+        pre-demoted: if it ever restarts it must not broadcast
+        ``ctrl-hello`` and steal the AP array back."""
+        self.controller.hello_on_restart = False
+
+    def _primary_restarted(self) -> None:
+        if self.standby.promoted:
+            # The standby owns the control plane now: the ex-primary
+            # comes back demoted and inert (hello_on_restart was
+            # cleared at promotion time, and the standby role keeps
+            # ingress routing away from it).
+            self.controller.role = "standby"
 
 
 class _PendingHandoff:
@@ -354,7 +448,6 @@ class ShardManager:
         self._completed: "OrderedDict[int, int]" = OrderedDict()
         self._next_handoff_id = 1
         self.stats = {
-            "downlink_lost": 0,
             "downlink_unowned": 0,
             "handoff_bytes": 0,
             "handoff_duplicates": 0,
@@ -674,16 +767,12 @@ class ShardManager:
     # routing (testbed entry points)
     # ------------------------------------------------------------------
 
-    def accept_downlink(self, packet) -> None:
+    def accept_downlink(self, packet: Packet) -> None:
         shard_idx = self._owner.get(packet.dst)
         if shard_idx is None:
             self.stats["downlink_unowned"] += 1
             return
-        ctrl = self.shards[shard_idx].active_controller()
-        if ctrl is None:
-            self.stats["downlink_lost"] += 1
-            return
-        ctrl.accept_downlink(packet)
+        self.shards[shard_idx].accept_downlink(packet)
 
     def serving_ap(self, client_id: str) -> Optional[str]:
         shard_idx = self._owner.get(client_id)
@@ -703,6 +792,7 @@ class ShardManager:
         }
         for name in sorted(self.stats):
             out[f"shard_{name}"] = self.stats[name]
+        out["shard_downlink_lost"] = sum(s.lost_downlink for s in self.shards)
         index = self._testbed.ap_index
         out["ap_index_queries"] = index.queries
         out["ap_index_scanned"] = index.scanned

@@ -6,7 +6,9 @@ a fixed corridor's shipped handoff slice hash to committed values.  The
 two topologies neither drive reaches — one region without a standby,
 and the baseline scheme — have their construction pinned the same way:
 any drift in RNG stream order, backhaul registration or timer arming
-moves a short drive's arrival stream and metrics snapshot.  And a crash
+moves a short drive's arrival stream and metrics snapshot.  So does a
+region whose primary is killed mid-drive: promotion, the APs' hold and
+re-home, edge reports and the lost-downlink count are all in its bytes.  And a crash
 forgets exactly what a restore replaces: a crashed controller snapshots
 like a freshly built one, durable observability aside.
 """
@@ -16,6 +18,7 @@ import hashlib
 import numpy as np
 
 from repro.core.config import WgttConfig
+from repro.faults.plan import ControllerCrash, FaultPlan
 from repro.mobility.road import Road
 from repro.mobility.vehicle import VehicleTrack
 from repro.phy.per import reset_phy_memo_stats, reset_phy_memos
@@ -36,6 +39,11 @@ HANDOFF_SLICE_SHA256 = (
 #: sha256 of :func:`_drive_digest` for one region without a standby.
 CLASSIC_DRIVE_SHA256 = (
     "f82c9200678ba9b3806b9885fd62acd0939a3aaeafd5850470b7c681a4b740bf"
+)
+#: sha256 of :func:`_drive_digest` for one region with a standby whose
+#: primary is killed at 1.5 s and never restarted.
+HA_KILL_DRIVE_SHA256 = (
+    "cd7df9ca6a3beabcc58227d34e1fea89477c3ff1c4dd114e2f2380dcc5f0528a"
 )
 #: sha256 of :func:`_drive_digest` for the baseline scheme (it roams
 #: twice, so the over-the-air association path is in the stream).
@@ -97,14 +105,17 @@ class TestWireBytesPinned:
         assert _sha256(shipped) == HANDOFF_SLICE_SHA256
 
 
-def _drive_digest(scheme):
+def _drive_digest(scheme, **config):
     """A 3 s, 20 mph drive with a downlink and an uplink UDP flow,
     collapsed to its arrival streams and metrics snapshot (the PHY
-    cache counters describe the caches, not the run, and are left out)."""
+    cache counters describe the caches, not the run, and are left out).
+    ``config`` overrides further :class:`TestbedConfig` fields."""
     reset_phy_memos()
     reset_phy_memo_stats()
     testbed = Testbed(
-        TestbedConfig(seed=5, scheme=scheme, client_speeds_mph=[20.0])
+        TestbedConfig(
+            seed=5, scheme=scheme, client_speeds_mph=[20.0], **config
+        )
     )
     down, down_sink = testbed.add_downlink_udp_flow(0, rate_bps=8e6)
     up, up_sink = testbed.add_uplink_udp_flow(0, rate_bps=1e6)
@@ -127,6 +138,14 @@ class TestConstructionPinned:
 
     def test_baseline_scheme(self):
         assert _drive_digest("baseline") == BASELINE_DRIVE_SHA256
+
+    def test_region_whose_primary_is_killed(self):
+        digest = _drive_digest(
+            "wgtt",
+            wgtt=WgttConfig(ha_enabled=True),
+            fault_plan=FaultPlan(events=[ControllerCrash(at_us=1500 * MS)]),
+        )
+        assert digest == HA_KILL_DRIVE_SHA256
 
 
 #: Snapshot parts a crash keeps: observability, not protocol state.

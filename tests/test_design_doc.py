@@ -1,8 +1,10 @@
 """DESIGN.md held to the tree: §2's inventory names every package under
-``src/repro``, and every protocol constant the document quotes is the
-number the code runs with."""
+``src/repro``, §4's package map lists every module and nothing else, and
+every protocol constant the document quotes is the number the code runs
+with."""
 
 import re
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,50 @@ def test_inventory_names_every_package():
     documented = inventory_packages()
     assert packages - documented == set(), "missing from DESIGN.md §2"
     assert documented - packages == set(), "DESIGN.md §2 names no package"
+
+
+def package_map():
+    """§4's map as ``{directory: [file patterns]}`` (``""`` is
+    ``src/repro`` itself); parenthesised notes are dropped.  An entry
+    starts at the map's indent with its directory, continuation lines
+    sit deeper."""
+    text = (ROOT / "DESIGN.md").read_text()
+    block = text.split("## 4. Package map")[1].split("```")[1]
+    listed = {}
+    directory = None
+    for line in block.splitlines():
+        tokens = re.sub(r"\([^)]*\)", "", line).split()
+        if not tokens or not line.startswith(" "):
+            continue  # blank, or the ``src/repro/`` root line
+        if not line.startswith("   "):
+            directory = tokens.pop(0) if tokens[0].endswith("/") else ""
+        listed.setdefault(directory, []).extend(tokens)
+    return listed
+
+
+def test_package_map_lists_every_module():
+    src = ROOT / "src" / "repro"
+    tree = {}
+    for path in src.rglob("*.py"):
+        if path.name != "__init__.py":
+            parent = path.parent.relative_to(src).as_posix()
+            directory = "" if parent == "." else f"{parent}/"
+            tree.setdefault(directory, set()).add(path.name)
+    listed = package_map()
+    assert set(tree) - set(listed) == set(), "directories missing from §4"
+    assert set(listed) - set(tree) == set(), "§4 names no such directory"
+    for directory, patterns in sorted(listed.items()):
+        files = tree[directory]
+        for pattern in patterns:
+            assert any(fnmatch(name, pattern) for name in files), (
+                f"DESIGN.md §4 lists {directory}{pattern}: not in the tree"
+            )
+        unlisted = {
+            name
+            for name in files
+            if not any(fnmatch(name, pattern) for pattern in patterns)
+        }
+        assert unlisted == set(), f"missing from DESIGN.md §4: {directory}"
 
 
 _WGTT = WgttConfig()

@@ -241,7 +241,7 @@ class TestWarmStandbyFailover:
         source.start()
         testbed.run_seconds(1.5)
         assert not testbed.standby.promoted
-        assert testbed.ha.checkpoints_shipped > 0
+        assert testbed.shards[0].checkpoints_shipped > 0
         assert testbed.active_controller() is testbed.controller
 
     def test_restarted_primary_stays_demoted(self):
@@ -353,7 +353,7 @@ class TestWarmStandbyFailover:
         slow = _ha_testbed(checkpoint_interval_ms=400)
         fast.run_seconds(1.2)
         slow.run_seconds(1.2)
-        assert fast.ha.checkpoints_shipped > slow.ha.checkpoints_shipped
+        assert fast.shards[0].checkpoints_shipped > slow.shards[0].checkpoints_shipped
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.liveness import ALIVE, ApLivenessTracker
+from repro.core.liveness import ALIVE, LivenessTracker
 from repro.sim import Simulator
 
 MS = 1_000
@@ -10,7 +10,7 @@ MS = 1_000
 
 def make_tracker(interval_ms=20, miss_limit=3):
     sim = Simulator()
-    tracker = ApLivenessTracker(sim, interval_ms * MS, miss_limit)
+    tracker = LivenessTracker(sim, interval_ms * MS, miss_limit)
     downs, ups = [], []
     tracker.on_down = lambda ap: downs.append((sim.now, ap))
     tracker.on_up = lambda ap: ups.append((sim.now, ap))
@@ -80,11 +80,11 @@ class TestStateMachine:
 class TestEdgeCases:
     def test_miss_limit_validated(self):
         with pytest.raises(ValueError):
-            ApLivenessTracker(Simulator(), 20 * MS, miss_limit=0)
+            LivenessTracker(Simulator(), 20 * MS, miss_limit=0)
 
     def test_zero_interval_disables_tracking(self):
         sim = Simulator()
-        tracker = ApLivenessTracker(sim, 0)
+        tracker = LivenessTracker(sim, 0)
         tracker.beat("ap0")
         sim.run(until_us=10_000 * MS)
         assert tracker.tracked_aps() == frozenset()
@@ -97,6 +97,19 @@ class TestEdgeCases:
         tracker.forget("ap0")
         sim.run(until_us=1_000 * MS)
         assert downs == []  # never declared dead after forget
+        assert tracker.tracked_aps() == frozenset()
+
+    def test_stop_inside_on_down_is_never_rearmed(self):
+        # The standby's primary watch: the first DEAD stops the tracker.
+        sim, tracker, downs, _ = make_tracker()
+        tracker.on_down = lambda ap: (downs.append(ap), tracker.stop())
+        beat_until(sim, tracker, "primary", 100 * MS, 20 * MS)
+        sim.run(until_us=300 * MS)
+        assert downs == ["primary"]
+        assert sim.pending_events() == 0  # the check did not re-arm
+        tracker.beat("primary")  # nor does a late beat
+        sim.run(until_us=1_000 * MS)
+        assert downs == ["primary"]
         assert tracker.tracked_aps() == frozenset()
 
     def test_deterministic_event_trace(self):
