@@ -6,29 +6,26 @@ reproduction's *actual* invariants instead of generic style:
 * :mod:`~repro.analysis.passes.determinism` — seed discipline, wall-
   clock bans, sorted iteration on export paths, no salted ``hash()``
   (DET001–DET006);
-* :mod:`~repro.analysis.passes.flags` — feature-flag defaults vs the
-  committed ``analysis/flags.toml`` manifest (CFG001–CFG003);
 * :mod:`~repro.analysis.passes.tracekinds` — trace emit sites vs the
   ``repro.obs.schema`` catalog, both directions (TRC001–TRC003);
 * :mod:`~repro.analysis.passes.checkpoint` — controller volatile state
-  vs ``repro.ha.checkpoint`` coverage (CKP001–CKP003);
+  vs ``WgttController.snapshot`` coverage (CKP001–CKP003);
 * :mod:`~repro.analysis.passes.metricnames` — canonical metric keys
   (MET001).
 
-Deliberate exceptions are inline, explained, and audited:
-``# noqa-repro: RULE — reason`` (SUP001 fires on a missing reason,
-SUP002 on a suppression nothing needs).  See docs/static-analysis.md.
+Every finding fails the run.  The feature-flag manifest
+(``analysis/flags.toml``) is held to the live config defaults by
+``tests/test_analysis.py``.  See docs/static-analysis.md.
 """
 
 from repro.analysis.engine import AnalysisPass, run_passes
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project import Project, load_project
 
 __all__ = [
     "AnalysisPass",
     "Finding",
     "Project",
-    "Severity",
     "load_project",
     "run_passes",
 ]

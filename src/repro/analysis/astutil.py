@@ -10,7 +10,6 @@ __all__ = [
     "str_literal",
     "fstring_literal_prefix",
     "walk_functions",
-    "end_line",
 ]
 
 
@@ -65,7 +64,3 @@ def walk_functions(
                 yield from visit(child, prefix)
 
     yield from visit(tree, "")
-
-
-def end_line(node: ast.AST) -> int:
-    return getattr(node, "end_lineno", None) or getattr(node, "lineno", 0)

@@ -8,7 +8,6 @@ Examples::
 
     python -m repro.analysis src/
     python -m repro.analysis --json src/ > findings.json
-    python -m repro.analysis --rule DET001 --rule DET002 src/repro/mac
     python -m repro.analysis --list-rules
 """
 
@@ -20,16 +19,11 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.engine import (
-    SUPPRESSION_RULES,
-    AnalysisPass,
-    run_passes,
-)
+from repro.analysis.engine import AnalysisPass, run_passes
 from repro.analysis.findings import render_json_payload, render_text
 from repro.analysis.passes import (
     CheckpointCoveragePass,
     DeterminismPass,
-    FlagManifestPass,
     MetricNamePass,
     TraceKindPass,
 )
@@ -38,11 +32,10 @@ from repro.analysis.project import load_project
 __all__ = ["build_passes", "main", "rule_catalog"]
 
 
-def build_passes(manifest: Optional[Path] = None) -> List[AnalysisPass]:
+def build_passes() -> List[AnalysisPass]:
     """The default pass set, in report-grouping order."""
     return [
         DeterminismPass(),
-        FlagManifestPass(manifest_path=manifest),
         TraceKindPass(),
         CheckpointCoveragePass(),
         MetricNamePass(),
@@ -55,7 +48,6 @@ def rule_catalog() -> Dict[str, str]:
     }
     for analysis_pass in build_passes():
         catalog.update(analysis_pass.rules)
-    catalog.update(SUPPRESSION_RULES)
     return catalog
 
 
@@ -63,9 +55,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "repo-specific static analysis: determinism lint, config-"
-            "gate audit, trace-kind cross-check, checkpoint coverage, "
-            "metrics-name lint"
+            "repo-specific static analysis: determinism lint, trace-kind "
+            "cross-check, checkpoint coverage, metrics-name lint"
         ),
     )
     parser.add_argument(
@@ -80,22 +71,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="emit the findings as a deterministic JSON document",
     )
     parser.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help=(
-            "run only the named rule(s); repeatable.  Disables the "
-            "SUP001/SUP002 suppression audit."
-        ),
-    )
-    parser.add_argument(
-        "--manifest",
-        type=Path,
-        default=None,
-        help="flags manifest path (default: analysis/flags.toml)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -107,17 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule}  {description}")
         return 0
 
-    known = rule_catalog()
-    if args.rule:
-        unknown = sorted(set(args.rule) - set(known))
-        if unknown:
-            print(
-                f"unknown rule(s): {', '.join(unknown)} "
-                "(see --list-rules)",
-                file=sys.stderr,
-            )
-            return 2
-
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -128,9 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     project = load_project(paths)
-    findings = run_passes(
-        project, build_passes(args.manifest), rule_filter=args.rule
-    )
+    findings = run_passes(project, build_passes())
 
     if args.json:
         print(
@@ -142,14 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     elif findings:
         print(render_text(findings))
-    if findings:
-        if not args.json:
-            print(
-                f"\n{len(findings)} finding(s).  Suppress a deliberate "
-                "exception with `# noqa-repro: RULE — reason`.",
-                file=sys.stderr,
-            )
-        return 1
-    if not args.json:
+        print(f"\n{len(findings)} finding(s).", file=sys.stderr)
+    else:
         print(f"OK: {len(project.files)} files clean")
-    return 0
+    return 1 if findings else 0

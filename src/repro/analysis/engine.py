@@ -1,27 +1,15 @@
-"""Pass orchestration: run passes, apply suppressions, audit them.
+"""Pass orchestration: run every pass, collect the findings.
 
 A pass is any object with a ``name``, a ``rules`` mapping (rule id →
 one-line description, the ``--list-rules`` catalog), and a
-``run(project) -> List[Finding]`` method.  The engine owns everything
-passes shouldn't re-implement: rule filtering, inline-suppression
-matching, and the two suppression-audit rules —
-
-* **SUP001** — a ``# noqa-repro`` with no reason.  Suppressions are
-  the documented exceptions to the determinism/protocol guarantees;
-  an undocumented exception is indistinguishable from a smuggled bug.
-* **SUP002** — a suppression that matched no finding.  Dead markers
-  make the next reader believe a rule fires where it doesn't, and
-  they silently widen if the code under them changes.
-
-Suppression audits only run when no ``--rule`` filter is active: with
-a filtered rule set, a marker for an unfiltered rule would look unused.
+``run(project) -> List[Finding]`` method.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project import Project, parse_error_findings
 
 __all__ = ["AnalysisPass", "run_passes"]
@@ -37,93 +25,11 @@ class AnalysisPass:
         raise NotImplementedError
 
 
-SUPPRESSION_RULES: Dict[str, str] = {
-    "SUP001": "inline suppression without a reason",
-    "SUP002": "inline suppression that matched no finding",
-}
-
-
-def _apply_suppressions(
-    project: Project, findings: List[Finding]
-) -> List[Finding]:
-    kept: List[Finding] = []
-    by_path = {file.display_path: file for file in project.files}
-    for finding in findings:
-        file = by_path.get(finding.path)
-        if file is None:
-            kept.append(finding)
-            continue
-        absorbed = False
-        for suppression in file.suppressions_covering(finding.span()):
-            if finding.rule in suppression.rules:
-                suppression.used = True
-                absorbed = True
-        if not absorbed:
-            kept.append(finding)
-    return kept
-
-
-def _audit_suppressions(project: Project) -> List[Finding]:
-    findings: List[Finding] = []
-    for file in project.files:
-        for suppression in file.suppressions:
-            if not suppression.reason:
-                findings.append(
-                    Finding(
-                        path=file.display_path,
-                        line=suppression.line,
-                        col=0,
-                        rule="SUP001",
-                        severity=Severity.ERROR,
-                        message=(
-                            "suppression without a reason: "
-                            "# noqa-repro must say why"
-                        ),
-                        hint=(
-                            "write `# noqa-repro: RULE — why this site "
-                            "is a deliberate exception`"
-                        ),
-                    )
-                )
-            if suppression.rules and not suppression.used:
-                findings.append(
-                    Finding(
-                        path=file.display_path,
-                        line=suppression.line,
-                        col=0,
-                        rule="SUP002",
-                        severity=Severity.WARNING,
-                        message=(
-                            "unused suppression for "
-                            f"{', '.join(suppression.rules)}: no finding "
-                            "fires here"
-                        ),
-                        hint="delete the stale # noqa-repro marker",
-                    )
-                )
-    return findings
-
-
 def run_passes(
-    project: Project,
-    passes: Sequence[AnalysisPass],
-    rule_filter: Optional[Sequence[str]] = None,
+    project: Project, passes: Sequence[AnalysisPass]
 ) -> List[Finding]:
-    """Run ``passes`` over ``project`` and return surviving findings.
-
-    ``rule_filter`` keeps only the named rule ids (passes whose whole
-    catalog is filtered out are skipped entirely); it also disables the
-    SUP001/SUP002 audit, which is only meaningful for full runs.
-    """
-    wanted = set(rule_filter) if rule_filter else None
-    raw: List[Finding] = list(parse_error_findings(project))
+    """Run ``passes`` over ``project``; every finding, sorted."""
+    findings: List[Finding] = list(parse_error_findings(project))
     for analysis_pass in passes:
-        if wanted is not None and not (wanted & set(analysis_pass.rules)):
-            continue
-        raw.extend(analysis_pass.run(project))
-    if wanted is not None:
-        raw = [f for f in raw if f.rule in wanted or f.rule == "SYN001"]
-    findings = _apply_suppressions(project, raw)
-    if wanted is None:
-        findings.extend(_audit_suppressions(project))
+        findings.extend(analysis_pass.run(project))
     return sorted(findings)

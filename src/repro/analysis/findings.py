@@ -1,30 +1,20 @@
 """The findings model every analysis pass reports through.
 
 A :class:`Finding` is one rule violation at one source location.  It
-carries everything CI and a human need to act on it: the rule id (for
-suppressions and ``--rule`` filtering), a severity, ``file:line:col``,
-a message stating the defect, and a fix hint stating the repo-approved
-way out.  Findings order deterministically (path, line, col, rule), so
-two runs over the same tree print byte-identical reports — the same
-discipline the simulator holds its own exports to.
+carries everything CI and a human need to act on it: the rule id,
+``file:line:col``, a message stating the defect, and a fix hint stating
+the repo-approved way out.  Every finding fails the run.  Findings
+order deterministically (path, line, col, rule), so two runs over the
+same tree print byte-identical reports — the same discipline the
+simulator holds its own exports to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List
 
-__all__ = ["Finding", "Severity", "render_text", "render_json_payload"]
-
-
-class Severity:
-    """Finding severities.  Both fail the CLI; the split exists so a
-    report reads in order of how urgently each entry breaks a guarantee
-    (an unseeded RNG draw is a determinism bug *now*; an unused
-    suppression is rot that hides the next one)."""
-
-    ERROR = "error"
-    WARNING = "warning"
+__all__ = ["Finding", "render_text", "render_json_payload"]
 
 
 @dataclass(frozen=True, order=True)
@@ -35,27 +25,8 @@ class Finding:
     line: int
     col: int
     rule: str
-    severity: str
     message: str
     hint: str = ""
-    #: Last source line of the offending node — suppressions anywhere
-    #: in [line, end_line] apply (multi-line calls put the comment on
-    #: whichever physical line reads best).
-    end_line: int = field(default=0, compare=False)
-
-    def span(self) -> range:
-        return range(self.line, max(self.end_line, self.line) + 1)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-            "hint": self.hint,
-        }
 
 
 def render_text(findings: List[Finding]) -> str:
@@ -64,7 +35,7 @@ def render_text(findings: List[Finding]) -> str:
     for finding in sorted(findings):
         lines.append(
             f"{finding.path}:{finding.line}:{finding.col} "
-            f"{finding.rule} {finding.severity}: {finding.message}"
+            f"{finding.rule}: {finding.message}"
         )
         if finding.hint:
             lines.append(f"    hint: {finding.hint}")
@@ -75,8 +46,6 @@ def render_json_payload(findings: List[Finding]) -> Dict[str, object]:
     """The ``--json`` document: deterministic, machine-ingestible."""
     ordered = sorted(findings)
     return {
-        "findings": [finding.to_dict() for finding in ordered],
+        "findings": [asdict(finding) for finding in ordered],
         "count": len(ordered),
-        "errors": sum(1 for f in ordered if f.severity == Severity.ERROR),
-        "warnings": sum(1 for f in ordered if f.severity == Severity.WARNING),
     }

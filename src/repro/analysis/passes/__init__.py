@@ -2,14 +2,12 @@
 
 from repro.analysis.passes.checkpoint import CheckpointCoveragePass
 from repro.analysis.passes.determinism import DeterminismPass
-from repro.analysis.passes.flags import FlagManifestPass
 from repro.analysis.passes.metricnames import MetricNamePass
 from repro.analysis.passes.tracekinds import TraceKindPass
 
 __all__ = [
     "CheckpointCoveragePass",
     "DeterminismPass",
-    "FlagManifestPass",
     "MetricNamePass",
     "TraceKindPass",
 ]

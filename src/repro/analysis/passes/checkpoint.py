@@ -38,7 +38,7 @@ import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.engine import AnalysisPass
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceFile
 
 __all__ = ["CheckpointCoveragePass"]
@@ -163,7 +163,6 @@ class CheckpointCoveragePass(AnalysisPass):
                         line=line_no,
                         col=0,
                         rule="CKP003",
-                        severity=Severity.ERROR,
                         message=(
                             "volatile-ok without a reason: deliberately "
                             "non-checkpointed state must say why the "
@@ -189,7 +188,6 @@ class CheckpointCoveragePass(AnalysisPass):
                 line=line,
                 col=0,
                 rule="CKP001",
-                severity=Severity.ERROR,
                 message=message,
                 hint=f"{hint}, or mark the assignment `# volatile-ok: <why>`",
             )
@@ -227,7 +225,6 @@ class CheckpointCoveragePass(AnalysisPass):
                             line=referenced[attr],
                             col=0,
                             rule="CKP002",
-                            severity=Severity.ERROR,
                             message=(
                                 f"{node.name}.snapshot/restore reads "
                                 f"self.{attr}, which {node.name} never "

@@ -40,13 +40,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.astutil import (
     dotted_name,
-    end_line,
     fstring_literal_prefix,
     str_literal,
     walk_functions,
 )
 from repro.analysis.engine import AnalysisPass
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceFile
 
 __all__ = ["DeterminismPass"]
@@ -176,7 +175,6 @@ class DeterminismPass(AnalysisPass):
                             line=node.lineno,
                             col=node.col_offset,
                             rule="DET006",
-                            severity=Severity.ERROR,
                             message=(
                                 "builtin hash() call: str/bytes hashes are "
                                 "salted per process, so a value derived from "
@@ -186,7 +184,6 @@ class DeterminismPass(AnalysisPass):
                                 "use a stable digest (zlib.crc32, hashlib; "
                                 "repro.net.packet.src_bits for node ids)"
                             ),
-                            end_line=end_line(node),
                         )
                     )
                 elif _NP_RANDOM_CALL.match(name) and not in_rng_module:
@@ -196,7 +193,6 @@ class DeterminismPass(AnalysisPass):
                             line=node.lineno,
                             col=node.col_offset,
                             rule="DET002",
-                            severity=Severity.ERROR,
                             message=(
                                 f"direct {name}() call: numpy generators "
                                 "may only be constructed in repro/sim/rng.py"
@@ -207,7 +203,6 @@ class DeterminismPass(AnalysisPass):
                                 "repro.sim.rng.seeded_generator for a "
                                 "fixed-seed stream"
                             ),
-                            end_line=end_line(node),
                         )
                     )
         return findings
@@ -218,7 +213,6 @@ class DeterminismPass(AnalysisPass):
             line=node.lineno,
             col=node.col_offset,
             rule="DET001",
-            severity=Severity.ERROR,
             message=(
                 f"banned entropy/clock source {what!r}: simulation code "
                 "must be a pure function of (seed, config)"
@@ -227,7 +221,6 @@ class DeterminismPass(AnalysisPass):
                 "draw randomness from RngRegistry.stream(); timestamps "
                 "come from the simulation clock (sim.now)"
             ),
-            end_line=end_line(node),
         )
 
     # -- DET003 / DET004 ----------------------------------------------
@@ -275,7 +268,6 @@ class DeterminismPass(AnalysisPass):
                     line=node.lineno,
                     col=node.col_offset,
                     rule="DET003",
-                    severity=Severity.ERROR,
                     message=(
                         f"rng .{func.attr}() label is not a string "
                         "literal (or an f-string with a literal prefix)"
@@ -285,7 +277,6 @@ class DeterminismPass(AnalysisPass):
                         "stream ownership stays greppable and collision-"
                         "checkable"
                     ),
-                    end_line=end_line(node),
                 )
             )
         return findings
@@ -307,7 +298,6 @@ class DeterminismPass(AnalysisPass):
                         line=line,
                         col=0,
                         rule="DET004",
-                        severity=Severity.ERROR,
                         message=(
                             f"duplicate rng {method} label {label!r} "
                             f"(first used at {first[0]}:{first[1]}): two "
@@ -403,7 +393,6 @@ class DeterminismPass(AnalysisPass):
             line=node.lineno,
             col=node.col_offset,
             rule="DET005",
-            severity=Severity.ERROR,
             message=(
                 f"{qualified} iterates {what} without sorted(): "
                 "export-path ordering would depend on hash seeds or "
@@ -413,5 +402,4 @@ class DeterminismPass(AnalysisPass):
                 "iterate sorted(keys) and index, or wrap the iterable "
                 "in sorted(...)"
             ),
-            end_line=node.lineno,
         )

@@ -22,9 +22,9 @@ import ast
 import re
 from typing import List
 
-from repro.analysis.astutil import end_line, str_literal
+from repro.analysis.astutil import str_literal
 from repro.analysis.engine import AnalysisPass
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project import Project
 
 __all__ = ["MetricNamePass"]
@@ -90,7 +90,6 @@ class MetricNamePass(AnalysisPass):
                                 line=node.lineno,
                                 col=node.col_offset,
                                 rule="MET001",
-                                severity=Severity.ERROR,
                                 message=(
                                     f"metric key literal {literal!r} is "
                                     f"not canonical: {problem}"
@@ -100,7 +99,6 @@ class MetricNamePass(AnalysisPass):
                                     "repro.obs.metrics.metric_key() "
                                     "instead of hand-formatting"
                                 ),
-                                end_line=end_line(node),
                             )
                         )
         return findings
@@ -125,13 +123,11 @@ class MetricNamePass(AnalysisPass):
                 line=node.lineno,
                 col=node.col_offset,
                 rule="MET001",
-                severity=Severity.ERROR,
                 message=(
                     f"metric name {name!r} is not a bare identifier "
                     "— labels belong in keyword arguments, not "
                     "hand-formatted into the name"
                 ),
                 hint='write e.g. metric_key("drops", ap=ap_id)',
-                end_line=end_line(node),
             )
         ]

@@ -20,9 +20,9 @@ TRC003    an emit site's sub or name is not a string literal
 ========  ============================================================
 
 TRC002 only fires when the scan included the known emitting packages
-(it is suppressed for partial scans, e.g. ``--rule TRC001 somefile``),
-so pointing the tool at one file never reports the whole catalog as
-dead.
+(it stays silent on a partial scan such as ``python -m repro.analysis
+somefile.py``), so pointing the tool at one file never reports the
+whole catalog as dead.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.astutil import dotted_name, end_line, str_literal
+from repro.analysis.astutil import dotted_name, str_literal
 from repro.analysis.engine import AnalysisPass
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project import Project
 
 __all__ = ["TraceKindPass", "harvest_emit_sites"]
@@ -107,13 +107,11 @@ def harvest_emit_sites(
                         line=node.lineno,
                         col=node.col_offset,
                         rule="TRC003",
-                        severity=Severity.ERROR,
                         message=(
                             "trace emit with a non-literal sub/name: "
                             "the schema cross-check cannot see it"
                         ),
                         hint="pass the subsystem and event name as string literals",
-                        end_line=end_line(node),
                     )
                 )
                 continue
@@ -162,7 +160,6 @@ class TraceKindPass(AnalysisPass):
                         line=line,
                         col=0,
                         rule="TRC001",
-                        severity=Severity.ERROR,
                         message=(
                             f"trace name {name!r} (sub {sub!r}) is not in "
                             "repro.obs.schema.TRACE_NAMES"
@@ -180,7 +177,6 @@ class TraceKindPass(AnalysisPass):
                         line=line,
                         col=0,
                         rule="TRC001",
-                        severity=Severity.ERROR,
                         message=(
                             f"trace name {name!r} emitted by sub {sub!r}, "
                             f"but the schema allows only {sorted(allowed)}"
@@ -205,7 +201,6 @@ class TraceKindPass(AnalysisPass):
                         line=1,
                         col=0,
                         rule="TRC002",
-                        severity=Severity.ERROR,
                         message=(
                             f"schema catalog name {name!r} is emitted "
                             "nowhere in the scanned tree"

@@ -1,81 +1,35 @@
-"""Source loading, AST parsing, and the inline-suppression protocol.
-
-Suppressions are the escape hatch every lint needs, made auditable:
-
-    self._loss_rng = wall_entropy()  # noqa-repro: DET001 — calibration-only path, never feeds the event loop
-
-The format is ``# noqa-repro: RULE[,RULE...] — reason``.  The reason is
-*mandatory*: a suppression with no reason is itself a finding (SUP001),
-and a suppression that matched no finding on its line is rot and also a
-finding (SUP002).  The em dash is the canonical separator; ``--`` and
-`` - `` are accepted so plain-ASCII editors aren't punished.
-"""
+"""Source loading and AST parsing: what every pass reads."""
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 
-__all__ = ["Suppression", "SourceFile", "Project", "load_project"]
-
-#: Matches a suppression marker: the introducer, then
-#: ``RULE[,RULE...] — reason`` (reason optional at parse time; its
-#: absence is the SUP001 finding).
-_SUPPRESS_RE = re.compile(
-    r"#\s*noqa-repro:\s*"
-    r"(?P<rules>[A-Z][A-Z0-9]*\d{3}(?:\s*,\s*[A-Z][A-Z0-9]*\d{3})*)"
-    r"(?:\s*(?:—|–|--|-)\s*(?P<reason>.*\S))?"
-)
-
-
-@dataclass
-class Suppression:
-    """One inline ``# noqa-repro`` comment."""
-
-    line: int
-    rules: Tuple[str, ...]
-    reason: str
-    #: Set when this suppression absorbed at least one finding.
-    used: bool = False
+__all__ = ["SourceFile", "Project", "load_project"]
 
 
 @dataclass
 class SourceFile:
-    """One parsed source file plus its suppression table."""
+    """One parsed source file."""
 
     path: Path
     #: Path as reported in findings (relative to the invocation root
     #: when possible, so reports are machine-portable).
     display_path: str
-    text: str
     lines: List[str]
     tree: Optional[ast.AST]
     parse_error: Optional[str]
-    suppressions: List[Suppression] = field(default_factory=list)
-
-    #: Dotted module name when the file sits under a ``src`` root or an
-    #: importable package tree; best-effort elsewhere.
-    module: str = ""
-
-    def suppressions_covering(self, span: Iterable[int]) -> List[Suppression]:
-        span_set = set(span)
-        return [s for s in self.suppressions if s.line in span_set]
 
 
 @dataclass
 class Project:
-    """Everything the passes see: the parsed files plus shared config."""
+    """Everything the passes see: the parsed files."""
 
     files: List[SourceFile]
-    #: Repository root the run was invoked from (manifest lookups).
-    root: Path
 
     def by_suffix(self, suffix: str) -> Optional[SourceFile]:
         """The unique file whose posix path ends with ``suffix``."""
@@ -85,67 +39,8 @@ class Project:
         return matches[0] if len(matches) == 1 else None
 
 
-def _module_name(path: Path) -> str:
-    """Dotted module for ``path``: the part after the nearest ``src``
-    ancestor, else after the outermost package directory."""
-    parts = list(path.with_suffix("").parts)
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    for index in range(len(parts) - 1, -1, -1):
-        if parts[index] == "src":
-            return ".".join(parts[index + 1 :])
-    # Fall back: walk up while __init__.py exists.
-    package_start = len(parts) - 1
-    probe = path.parent
-    while (probe / "__init__.py").exists() and package_start > 0:
-        package_start -= 1
-        probe = probe.parent
-    return ".".join(parts[package_start:])
-
-
-def _iter_comments(text: str, lines: List[str]) -> List[Tuple[int, str]]:
-    """(line, comment_text) for every real comment token.
-
-    Tokenizing (rather than regex over raw lines) keeps markers that
-    merely appear inside string literals or docstrings — e.g. this
-    engine's own documentation of the suppression format — from being
-    parsed as suppressions.  Files that fail to tokenize (they already
-    carry a SYN001 finding) fall back to a line scan.
-    """
-    comments: List[Tuple[int, str]] = []
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(text).readline):
-            if token.type == tokenize.COMMENT:
-                comments.append((token.start[0], token.string))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        for line_no, line in enumerate(lines, start=1):
-            if "#" in line:
-                comments.append((line_no, line[line.index("#") :]))
-    return comments
-
-
-def _parse_suppressions(text: str, lines: List[str]) -> List[Suppression]:
-    found: List[Suppression] = []
-    for line_no, comment in _iter_comments(text, lines):
-        if "noqa-repro" not in comment:
-            continue
-        match = _SUPPRESS_RE.search(comment)
-        if match is None:
-            # A malformed marker still *intends* to suppress; surface
-            # it as an unexplained suppression rather than ignoring it.
-            found.append(Suppression(line=line_no, rules=(), reason=""))
-            continue
-        rules = tuple(
-            rule.strip() for rule in match.group("rules").split(",")
-        )
-        reason = (match.group("reason") or "").strip()
-        found.append(Suppression(line=line_no, rules=rules, reason=reason))
-    return found
-
-
 def load_source_file(path: Path, display_path: str) -> SourceFile:
     text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
     tree: Optional[ast.AST] = None
     parse_error: Optional[str] = None
     try:
@@ -155,12 +50,9 @@ def load_source_file(path: Path, display_path: str) -> SourceFile:
     return SourceFile(
         path=path,
         display_path=display_path,
-        text=text,
-        lines=lines,
+        lines=text.splitlines(),
         tree=tree,
         parse_error=parse_error,
-        suppressions=_parse_suppressions(text, lines),
-        module=_module_name(path),
     )
 
 
@@ -187,7 +79,7 @@ def load_project(paths: Iterable[Path], root: Optional[Path] = None) -> Project:
         except ValueError:
             display = path.as_posix()
         files.append(load_source_file(path, display))
-    return Project(files=files, root=root)
+    return Project(files=files)
 
 
 def parse_error_findings(project: Project) -> List[Finding]:
@@ -202,7 +94,6 @@ def parse_error_findings(project: Project) -> List[Finding]:
                     line=1,
                     col=0,
                     rule="SYN001",
-                    severity=Severity.ERROR,
                     message=f"file does not parse: {file.parse_error}",
                     hint="fix the syntax error; analysis skipped this file",
                 )

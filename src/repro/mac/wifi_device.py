@@ -155,12 +155,6 @@ class WifiDevice(MacEntity):
         self.on_beacon: Optional[Callable[[BeaconFrame, float], None]] = None
         self.on_mgmt: Callable[[MgmtFrame], None] = lambda f: None
         self.on_refill_needed: Callable[[str, int], None] = lambda peer, room: None
-        self.on_mpdus_dropped: Callable[[str, List[Packet]], None] = (
-            lambda peer, pkts: None
-        )
-        self.on_ampdu_result: Callable[[str, int, int], None] = (
-            lambda peer, attempted, acked: None
-        )
         self.on_ba_processed: Callable[[BlockAckFrame], None] = lambda f: None
         #: Gate on incoming data by transmitter address: a roaming
         #: client drops (and never acknowledges) frames from a BSS it
@@ -441,7 +435,6 @@ class WifiDevice(MacEntity):
         session.scoreboard.process_timeout(frame.seqs())
         session.rate.feedback(frame.mcs, attempted=len(frame.mpdus), acked=0)
         session.consecutive_failures += 1
-        self.on_ampdu_result(session.peer, len(frame.mpdus), 0)
         self.dcf.notify_failure()
         self.stats["ba_timeouts"] += 1
         tracer = self._sim.obs.trace
@@ -603,11 +596,8 @@ class WifiDevice(MacEntity):
         acked_now = set(frame.acked) & attempted
         delivered, dropped = session.scoreboard.process_block_ack(set(frame.acked))
         session.rate.feedback(pending.mcs, len(attempted), len(acked_now))
-        self.on_ampdu_result(session.peer, len(attempted), len(acked_now))
         self.stats["mpdus_acked"] += len(delivered)
         self.stats["mpdus_dropped"] += len(dropped)
-        if dropped:
-            self.on_mpdus_dropped(session.peer, dropped)
         if acked_now:
             self.dcf.notify_success()
             session.consecutive_failures = 0

@@ -13,7 +13,7 @@ from repro.net.packet import (
     IpIdAllocator,
     Packet,
 )
-from repro.net.queues import ByteLimitedQueue, DropTailQueue, QueueStats
+from repro.net.queues import DropTailQueue, QueueStats
 from repro.net.tunnel import (
     DOWNLINK_TUNNEL_OVERHEAD,
     UPLINK_TUNNEL_OVERHEAD,
@@ -32,7 +32,6 @@ __all__ = [
     "UDP_HEADER_BYTES",
     "IpIdAllocator",
     "Packet",
-    "ByteLimitedQueue",
     "DropTailQueue",
     "QueueStats",
     "DOWNLINK_TUNNEL_OVERHEAD",

@@ -101,40 +101,3 @@ class DropTailQueue:
         self._items.clear()
         self.stats.flushed += len(items)
         return items
-
-    def remove_for_client(self, client_id: str) -> int:
-        """Filter out packets destined to one client (the paper's
-        driver-queue filtering when a stop(c) arrives)."""
-        kept = [p for p in self._items if p.dst != client_id]
-        removed = len(self._items) - len(kept)
-        self._items.clear()
-        self._items.extend(kept)
-        self.stats.flushed += removed
-        return removed
-
-    def bytes_queued(self) -> int:
-        return sum(p.size_bytes for p in self._items)
-
-
-class ByteLimitedQueue(DropTailQueue):
-    """FIFO bounded by bytes instead of packets (socket-buffer style)."""
-
-    def __init__(self, capacity_bytes: int, name: str = ""):
-        super().__init__(capacity=1, name=name)
-        if capacity_bytes <= 0:
-            raise ValueError("queue capacity must be positive")
-        self.capacity_bytes = int(capacity_bytes)
-
-    @property
-    def full(self) -> bool:  # type: ignore[override]
-        return self.bytes_queued() >= self.capacity_bytes
-
-    def enqueue(self, packet: Packet) -> bool:
-        if self.bytes_queued() + packet.size_bytes > self.capacity_bytes:
-            self.stats.dropped += 1
-            return False
-        self._items.append(packet)
-        self.stats.enqueued += 1
-        if len(self._items) > self.stats.high_watermark:
-            self.stats.high_watermark = len(self._items)
-        return True

@@ -17,10 +17,11 @@ reference modulation: it keeps the metric sensitive across the whole
 Hot path: the public entry points are served by the lookup tables
 :mod:`repro.phy.lut` loads from its committed data file (dense SNR-dB
 grid + linear interpolation), so a run never evaluates the closed form
-and never imports scipy.  The closed forms survive as ``*_exact``: they
-need scipy (a development dependency), and they are the reference the
-equivalence property tests (``tests/test_perf_equivalence.py``) hold
-the tables to, within 0.05 dB across the 0–45 dB operating range.
+and never imports scipy.  The closed form survives as
+:func:`effective_snr_db_exact`: it needs scipy (a development
+dependency), and it is the reference the equivalence property tests
+(``tests/test_perf_equivalence.py``) hold the tables to, within
+0.05 dB across the 0–45 dB operating range.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.phy.ber import (
     db_to_linear,
     linear_to_db,
 )
-from repro.phy.lut import lut_for, mean_ber_lut
+from repro.phy.lut import lut_for
 
 #: Reference modulation for the scalar ESNR summary metric.
 DEFAULT_MODULATION = "64qam"
@@ -64,20 +65,8 @@ def effective_snr_db(
     return esnr_db if esnr_db < ESNR_CAP_DB else ESNR_CAP_DB
 
 
-def mean_ber(
-    subcarrier_snr_db: np.ndarray, modulation: str, coding_gain_db: float = 0.0
-) -> float:
-    """Mean coded BER across subcarriers for a given modulation.
-
-    The convolutional code is credited as an SNR offset before the
-    uncoded BER curve — the usual coding-gain approximation.
-    (LUT fast path.)
-    """
-    return mean_ber_lut(subcarrier_snr_db, modulation, coding_gain_db)
-
-
 # ----------------------------------------------------------------------
-# closed-form reference implementations (test oracles; need scipy)
+# closed-form reference implementation (test oracle; needs scipy)
 # ----------------------------------------------------------------------
 
 
@@ -92,14 +81,3 @@ def effective_snr_db_exact(
     mean = min(max(mean, BER_FLOOR), BER_CEILING)
     esnr_db = float(linear_to_db(float(inverse(mean))))
     return min(esnr_db, ESNR_CAP_DB)
-
-
-def mean_ber_exact(
-    subcarrier_snr_db: np.ndarray, modulation: str, coding_gain_db: float = 0.0
-) -> float:
-    """Closed-form mean coded BER across subcarriers (test oracle)."""
-    ber = BER_BY_MODULATION[modulation]
-    snr_linear = db_to_linear(
-        np.asarray(subcarrier_snr_db, dtype=float) + coding_gain_db
-    )
-    return float(np.mean(ber(snr_linear)))

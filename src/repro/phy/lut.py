@@ -300,33 +300,6 @@ def lut_for(modulation: str) -> ModulationLut:
 # drop-in fast paths used by repro.phy.esnr / repro.phy.per
 # ----------------------------------------------------------------------
 
-def effective_snr_db_lut(subcarrier_snr_db, modulation: str) -> float:
-    """LUT-based Halperin effective SNR in dB (uncapped).
-
-    Same three steps as the closed form — per-subcarrier BER, mean,
-    inverse — with both non-linear maps served from the tables via the
-    shared uniform-grid gather, so one row of a batched evaluation
-    (:func:`repro.phy.per.effective_snr_db_batch`) reproduces this
-    scalar result bitwise.
-    """
-    lut = lut_for(modulation)
-    ber = lut.ber_of_db_batch(subcarrier_snr_db)
-    mean = float(np.add.reduce(ber)) / ber.shape[0]
-    return lut.snr_db_for_ber(mean)
-
-
-def mean_ber_lut(
-    subcarrier_snr_db, modulation: str, coding_gain_db: float = 0.0
-) -> float:
-    """LUT-based mean BER across subcarriers (with coding-gain offset)."""
-    lut = lut_for(modulation)
-    snr_db = np.asarray(subcarrier_snr_db, dtype=float)
-    if coding_gain_db:
-        snr_db = snr_db + coding_gain_db
-    ber = lut.ber_of_db_batch(snr_db)
-    return float(np.add.reduce(ber)) / ber.shape[0]
-
-
 def ber_at_snr_db_lut(modulation: str, snr_db: float) -> float:
     """Uncoded BER at a single (scalar) SNR point in dB."""
     return lut_for(modulation).ber_of_db_scalar(snr_db)

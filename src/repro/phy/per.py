@@ -252,7 +252,7 @@ def effective_snr_db_batch(
 ) -> np.ndarray:
     """Uncapped effective SNR (dB) of each row of a
     ``(n_links, n_subcarriers)`` stack — row-wise
-    :func:`repro.phy.lut.effective_snr_db_lut`."""
+    :func:`_effective_snr_db_memo`."""
     matrix = _as_matrix(subcarrier_snr_db)
     lut = lut_for(modulation)
     ber = lut.ber_of_db_batch(matrix)

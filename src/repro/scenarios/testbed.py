@@ -511,26 +511,14 @@ class Testbed:
         region = self._sole_region
         return region.active_controller() if region is not None else None
 
-    def depart_client(
-        self,
-        client_index: Optional[int] = None,
-        *,
-        client_id: Optional[str] = None,
-    ) -> bool:
+    def depart_client(self, client_id: str) -> bool:
         """Deregister a client everywhere (commuter leaves the bus).
 
-        Accepts either a positional index into :attr:`clients` (the
-        historical call shape, default 0) or an explicit ``client_id``
-        keyword — churn code holds ids, not list positions, because
+        Takes the client's id, not its position in :attr:`clients`:
         positions shift as other clients retire.  False when a control
         plane that should have heard it was down: the caller comes back
         (the soak's churn driver parks and retries).
         """
-        if client_id is None:
-            index = 0 if client_index is None else client_index
-            client_id = self.clients[index].client_id
-        elif client_index is not None:
-            raise ValueError("pass client_index or client_id, not both")
         if self.shard_manager is not None:
             return self.shard_manager.depart_client(client_id)
         heard = [shard.depart(client_id) for shard in self.shards]

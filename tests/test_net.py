@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import (
-    ByteLimitedQueue,
     DropTailQueue,
     EthernetBackhaul,
     IpIdAllocator,
@@ -100,15 +99,6 @@ class TestDropTailQueue:
         queue.enqueue(make_packet())
         assert queue.flush() == 1
 
-    def test_remove_for_client(self):
-        queue = DropTailQueue(8)
-        queue.enqueue(make_packet(dst="a", seq=1))
-        queue.enqueue(make_packet(dst="b", seq=2))
-        queue.enqueue(make_packet(dst="a", seq=3))
-        assert queue.remove_for_client("a") == 2
-        assert len(queue) == 1
-        assert queue.peek().dst == "b"
-
     def test_high_watermark(self):
         queue = DropTailQueue(8)
         for i in range(5):
@@ -119,20 +109,6 @@ class TestDropTailQueue:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             DropTailQueue(0)
-
-
-class TestByteLimitedQueue:
-    def test_enforces_byte_budget(self):
-        queue = ByteLimitedQueue(3000)
-        assert queue.enqueue(make_packet(size=1500))
-        assert queue.enqueue(make_packet(size=1500))
-        assert not queue.enqueue(make_packet(size=100))
-        assert queue.stats.dropped == 1
-
-    def test_small_packets_fill_remaining(self):
-        queue = ByteLimitedQueue(2000)
-        assert queue.enqueue(make_packet(size=1500))
-        assert queue.enqueue(make_packet(size=400))
 
 
 # ----------------------------------------------------------------------

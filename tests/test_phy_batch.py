@@ -29,13 +29,9 @@ from repro.channel.link_batch import warm_snapshots
 from repro.mobility import Position, Road, VehicleTrack
 from repro.phy.ber import BER_BY_MODULATION
 from repro.phy.esnr import effective_snr_db, effective_snr_db_exact
-from repro.phy.lut import (
-    SNR_GRID_MAX_DB,
-    SNR_GRID_MIN_DB,
-    effective_snr_db_lut,
-    lut_for,
-)
+from repro.phy.lut import SNR_GRID_MAX_DB, SNR_GRID_MIN_DB, lut_for
 from repro.phy.per import (
+    _effective_snr_db_memo,
     effective_snr_db_batch,
     phy_memo_stats,
     preamble_success_batch,
@@ -130,8 +126,9 @@ class TestStackedKernelsBitIdentity:
     def test_effective_snr_uncapped(self, n_rows, modulation):
         stack = _random_stack(np.random.default_rng(100 + n_rows), n_rows)
         batch = effective_snr_db_batch(stack, modulation)
+        reset_phy_memos()
         _assert_bits_equal(
-            batch, [effective_snr_db_lut(row, modulation) for row in stack]
+            batch, [_effective_snr_db_memo(row, modulation) for row in stack]
         )
 
     def test_one_dim_input_promotes(self):

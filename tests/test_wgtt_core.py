@@ -1,6 +1,7 @@
 """Integration tests for the WGTT controller + AP protocol suite,
 running on the full testbed."""
 
+import pytest
 
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS
@@ -44,6 +45,25 @@ class TestAssociation:
             if ap.directory.is_associated("client0")
         )
         assert admitted == len(testbed.wgtt_aps)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known issue (docs/protocol.md): two APs decode the "
+            "BSSID-addressed assoc-req, both admit and sta-sync, and "
+            "no AP is ever told to start serving"
+        ),
+    )
+    def test_over_the_air_association_hands_serving_to_an_ap(self):
+        testbed = make_wgtt(instant_association=False)
+        testbed.clients[0].device.send_mgmt(
+            "assoc-req", testbed.config.wgtt.bssid
+        )
+        source, sink = testbed.add_downlink_udp_flow(0, rate_bps=2e6)
+        source.start()
+        testbed.run_seconds(1.0)
+        assert any(ap.is_serving("client0") for ap in testbed.wgtt_aps.values())
+        assert sink.packets_received() >= 0.9 * source.packets_sent
 
     def test_unassociated_downlink_dropped(self):
         config = TestbedConfig(
