@@ -38,35 +38,36 @@ from repro.net.tunnel import tunnel_wire_size
 from repro.sim.engine import MS, SECOND, Simulator
 from repro.sim.rng import RngRegistry
 
+#: Switch trigger: current AP's smoothed RSSI below this.
+#: Calibrated to reproduce the sticky behaviour the paper measured:
+#: its Enhanced 802.11r client switched only ~0.3-1 times/s at
+#: 15 mph (Figs 14-15) — i.e. its effective trigger sat near the
+#: beacon-decode floor, where the smoothed RSSI *freezes* (no more
+#: beacon samples) and the client hangs on to a dead AP until the
+#: staleness timer clears it. That freeze-then-hang dynamic is the
+#: §2 critique in mechanism form.
+RSSI_THRESHOLD_DBM = -85.0
+#: Time hysteresis between switches (paper: one second).
+TIME_HYSTERESIS_US = 1 * SECOND
+#: RSSI smoothing: EWMA weight of the newest beacon.
+EWMA_ALPHA = 0.5
+#: Forget an AP not heard from for this long.
+STALE_AFTER_US = 2 * SECOND
+#: After a failed FT-over-DS exchange, wait this long before trying
+#: a direct over-the-air association with the target.
+FALLBACK_DELAY_US = 200 * MS
+#: Cooldown before re-attempting after a completely failed handover.
+RETRY_COOLDOWN_US = 300 * MS
+
 
 @dataclass
 class RoamingConfig:
     """Client-side roaming policy parameters."""
 
-    #: Switch trigger: current AP's smoothed RSSI below this.
-    #: Calibrated to reproduce the sticky behaviour the paper measured:
-    #: its Enhanced 802.11r client switched only ~0.3-1 times/s at
-    #: 15 mph (Figs 14-15) — i.e. its effective trigger sat near the
-    #: beacon-decode floor, where the smoothed RSSI *freezes* (no more
-    #: beacon samples) and the client hangs on to a dead AP until the
-    #: staleness timer clears it. That freeze-then-hang dynamic is the
-    #: §2 critique in mechanism form.
-    rssi_threshold_dbm: float = -85.0
-    #: Time hysteresis between switches (paper: one second).
-    time_hysteresis_us: int = 1 * SECOND
-    #: RSSI smoothing: EWMA weight of the newest beacon.
-    ewma_alpha: float = 0.5
     #: Beacon history required from the *current* AP before the client
     #: will decide to leave it. Enhanced 802.11r decides immediately
     #: (0); stock implementations wait for a 5 s history (§2).
     min_history_us: int = 0
-    #: Forget an AP not heard from for this long.
-    stale_after_us: int = 2 * SECOND
-    #: After a failed FT-over-DS exchange, wait this long before trying
-    #: a direct over-the-air association with the target.
-    fallback_delay_us: int = 200 * MS
-    #: Cooldown before re-attempting after a completely failed handover.
-    retry_cooldown_us: int = 300 * MS
 
 
 class BaselineWlc:
@@ -257,10 +258,10 @@ class RoamingClientAgent:
     def _on_beacon(self, frame: BeaconFrame, rssi_dbm: float) -> None:
         ap_id = frame.ta
         now = self._sim.now
-        alpha = self.config.ewma_alpha
         if ap_id in self._smoothed_rssi:
             self._smoothed_rssi[ap_id] = (
-                alpha * rssi_dbm + (1 - alpha) * self._smoothed_rssi[ap_id]
+                EWMA_ALPHA * rssi_dbm
+                + (1 - EWMA_ALPHA) * self._smoothed_rssi[ap_id]
             )
         else:
             self._smoothed_rssi[ap_id] = rssi_dbm
@@ -273,7 +274,7 @@ class RoamingClientAgent:
         stale = [
             ap
             for ap, last in self._last_heard_us.items()
-            if now - last > self.config.stale_after_us
+            if now - last > STALE_AFTER_US
         ]
         for ap in stale:
             self._smoothed_rssi.pop(ap, None)
@@ -300,11 +301,11 @@ class RoamingClientAgent:
             return
         if best_ap == self.current_ap:
             return
-        if now - self._last_switch_us < self.config.time_hysteresis_us:
+        if now - self._last_switch_us < TIME_HYSTERESIS_US:
             return
         current_rssi = self._smoothed_rssi.get(self.current_ap)
         if current_rssi is not None:
-            if current_rssi >= self.config.rssi_threshold_dbm:
+            if current_rssi >= RSSI_THRESHOLD_DBM:
                 return
             # Stock 802.11r refuses to decide without a long history.
             history = now - self._first_heard_us.get(self.current_ap, now)
@@ -314,7 +315,7 @@ class RoamingClientAgent:
             # No measurement of the current AP yet: only treat it as
             # lost after it has had ample time to beacon; otherwise
             # we'd roam spuriously right after associating.
-            if now - self._last_switch_us < self.config.stale_after_us:
+            if now - self._last_switch_us < STALE_AFTER_US:
                 return
         self._handover(best_ap, "reassoc-req")
 
@@ -340,7 +341,7 @@ class RoamingClientAgent:
                 return  # now waiting for the target's assoc-resp
             self.failed_handovers += 1
             self._sim.schedule(
-                self.config.fallback_delay_us,
+                FALLBACK_DELAY_US,
                 lambda: self._direct_associate(target_ap),
             )
 
@@ -357,9 +358,7 @@ class RoamingClientAgent:
                 return
             self.failed_handovers += 1
             # Give up for now; allow a fresh attempt after a cooldown.
-            self._sim.schedule(
-                self.config.retry_cooldown_us, self._clear_handover
-            )
+            self._sim.schedule(RETRY_COOLDOWN_US, self._clear_handover)
 
         self.device.send_mgmt("assoc-req", target_ap, on_result=on_result)
 

@@ -52,7 +52,7 @@ def coherence_time_us(doppler: float, factor: float = 0.25) -> float:
 
 
 class TappedRayleighChannel:
-    """A lazily-evolving multi-tap Rayleigh (optionally Rician) channel.
+    """A lazily-evolving multi-tap Rayleigh channel.
 
     Parameters
     ----------
@@ -62,9 +62,9 @@ class TappedRayleighChannel:
         Taps in the delay line; 6 gives visibly frequency-selective CSI.
     delay_spread_taps:
         Exponential PDP decay constant, in units of tap spacing.
-    rician_k_db:
-        Ratio of specular to scattered power. ``None`` (default) means
-        pure Rayleigh — the paper's street shows deep fast fades.
+
+    No line-of-sight component: the paper's street shows deep fast
+    fades.
     """
 
     def __init__(
@@ -72,7 +72,6 @@ class TappedRayleighChannel:
         rng: np.random.Generator,
         num_taps: int = 6,
         delay_spread_taps: float = 1.5,
-        rician_k_db: Optional[float] = None,
     ):
         if num_taps < 1:
             raise ValueError("need at least one tap")
@@ -80,14 +79,8 @@ class TappedRayleighChannel:
         self.num_taps = num_taps
         powers = np.exp(-np.arange(num_taps) / delay_spread_taps)
         self._tap_powers = powers / powers.sum()
-        if rician_k_db is None:
-            self._k_linear = 0.0
-        else:
-            self._k_linear = 10.0 ** (rician_k_db / 10.0)
-        # Scattered (Rayleigh) component per tap; LOS rides on tap 0.
-        self._scatter_scale = np.sqrt(
-            self._tap_powers / (2.0 * (1.0 + self._k_linear))
-        )
+        # Per-quadrature scale of each tap's complex Gaussian.
+        self._scatter_scale = np.sqrt(self._tap_powers / 2.0)
         self._taps = self._draw_stationary()
         self._last_time_us: Optional[int] = None
         # DFT matrix mapping taps -> subcarrier gains.  A scenario has
@@ -99,11 +92,7 @@ class TappedRayleighChannel:
     def _draw_stationary(self) -> np.ndarray:
         real = self._rng.standard_normal(self.num_taps)
         imag = self._rng.standard_normal(self.num_taps)
-        taps = (real + 1j * imag) * self._scatter_scale
-        if self._k_linear > 0.0:
-            los_power = self._tap_powers[0] * self._k_linear / (1.0 + self._k_linear)
-            taps[0] += math.sqrt(los_power)
-        return taps
+        return (real + 1j * imag) * self._scatter_scale
 
     def evolve_to(self, time_us: int, coherence_us: float) -> None:
         """Advance the AR(1) tap processes to ``time_us``.
@@ -124,18 +113,7 @@ class TappedRayleighChannel:
         # seeded runs are unchanged.
         draws = self._rng.standard_normal(2 * n)
         innovation = (draws[:n] + 1j * draws[n:]) * self._scatter_scale
-        if self._k_linear > 0.0:
-            los = math.sqrt(
-                self._tap_powers[0] * self._k_linear / (1.0 + self._k_linear)
-            )
-            scattered = self._taps.copy()
-            scattered[0] -= los
-            scattered = rho * scattered + math.sqrt(1.0 - rho * rho) * innovation
-            scattered[0] += los
-            self._taps = scattered
-        else:
-            # Pure Rayleigh (the default): no LOS bookkeeping, no copy.
-            self._taps = rho * self._taps + math.sqrt(1.0 - rho * rho) * innovation
+        self._taps = rho * self._taps + math.sqrt(1.0 - rho * rho) * innovation
         self._last_time_us = time_us
 
     def power_at(self, time_us: int, coherence_us: float) -> np.ndarray:

@@ -107,7 +107,6 @@ class Link:
         client: RadioPort,
         pathloss: Optional[LogDistancePathLoss] = None,
         coherence_factor: float = 0.25,
-        rician_k_db: Optional[float] = None,
     ):
         self._sim = sim
         self.ap = ap
@@ -115,8 +114,7 @@ class Link:
         self.pathloss = pathloss or LogDistancePathLoss()
         self._coherence_factor = coherence_factor
         self._fading = TappedRayleighChannel(
-            rng.stream(f"fading/{ap.node_id}/{client.node_id}"),
-            rician_k_db=rician_k_db,
+            rng.stream(f"fading/{ap.node_id}/{client.node_id}")
         )
         self._cache_time: Optional[int] = None
         self._cache_power: Optional[np.ndarray] = None
@@ -303,13 +301,11 @@ class ChannelMap:
         rng: RngRegistry,
         pathloss: Optional[LogDistancePathLoss] = None,
         coherence_factor: float = 0.25,
-        rician_k_db: Optional[float] = None,
     ):
         self._sim = sim
         self._rng = rng
         self._pathloss = pathloss or LogDistancePathLoss()
         self._coherence_factor = coherence_factor
-        self._rician_k_db = rician_k_db
         self._links: Dict[Tuple[str, str], Link] = {}
         self._ports: Dict[str, RadioPort] = {}
         #: per-endpoint index of instantiated links, maintained on link
@@ -353,7 +349,6 @@ class ChannelMap:
                 self._ports[key[1]],
                 pathloss=self._pathloss,
                 coherence_factor=self._coherence_factor,
-                rician_k_db=self._rician_k_db,
             )
             self._links[key] = existing
             self._links_by_port.setdefault(key[0], []).append(existing)

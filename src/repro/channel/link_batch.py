@@ -26,9 +26,8 @@ evolution is **bit-identical** to sequential per-link
 :meth:`~repro.channel.fading.TappedRayleighChannel.evolve_to` calls —
 ``tests/test_phy_batch.py`` asserts this property directly.
 
-Rician links (``k > 0``) and links that need no evolution fall back to
-the exact scalar code for the state update and join the batch only for
-the (state-independent) DFT/power/log stage.  Fewer than two entries
+Links that need no evolution join the batch only for the
+(state-independent) DFT/power/log stage.  Fewer than two entries
 have nothing to fuse and take the scalar path whole; the ledger
 workloads have completions on both sides of that line
 (docs/performance.md).
@@ -68,7 +67,7 @@ def warm_snapshots(
     results: List[Optional[np.ndarray]] = [None] * len(entries)
     # (slot, link, tx_dbm, mean_db, cached_power_or_None)
     pending: List[tuple] = []
-    evolve: List[tuple] = []  # Rayleigh links needing an AR(1) step
+    evolve: List[tuple] = []  # links needing an AR(1) step
     for slot, (link, tx_id) in enumerate(entries):
         tx_dbm = link._tx_power_dbm(True, tx_id)
         cached = link._snr_cache
@@ -84,11 +83,7 @@ def warm_snapshots(
             # First sample: the stationary draw is the state.
             ch._last_time_us = time_us
         elif time_us > ch._last_time_us:
-            if ch._k_linear > 0.0:
-                # Rician: LOS bookkeeping stays on the scalar path.
-                ch.evolve_to(time_us, link._coherence_us())
-            else:
-                evolve.append((link, ch))
+            evolve.append((link, ch))
         pending.append((slot, link, tx_dbm, mean_db, None))
 
     if evolve:
@@ -138,7 +133,7 @@ def warm_snapshots(
 
 
 def _fused_evolve(t: int, evolve: List[tuple]) -> None:
-    """One broadcast AR(1) step over all Rayleigh links needing one.
+    """One broadcast AR(1) step over all links needing one.
 
     Mirrors :meth:`TappedRayleighChannel.evolve_to` operation for
     operation; per-link draws come from each link's private stream.

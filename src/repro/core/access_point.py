@@ -37,7 +37,9 @@ from repro.core.ba_forwarding import (
     ForwardedBa,
 )
 from repro.core.config import WgttConfig
+from repro.core.controller import CONTROLLER_HEARTBEAT_INTERVAL_US
 from repro.core.cyclic_queue import CyclicQueue
+from repro.core.liveness import HEARTBEAT_MISS_LIMIT
 from repro.core.switching import AckMsg, FailoverMsg, StartMsg, StopMsg
 from repro.mac.frames import BlockAckFrame
 from repro.mac.medium import WirelessMedium
@@ -46,11 +48,42 @@ from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
 from repro.net.tunnel import tunnel_wire_size
 from repro.obs.metrics import metric_key
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import MS, Simulator, Timer
 from repro.sim.rng import RngRegistry
 
 #: Wire size of one heartbeat (ap id + sequence + uptime).
 HEARTBEAT_WIRE_BYTES = 32
+
+#: Kernel ioctl round trip + Click user-level handling when a stop
+#: arrives (§3.1.2 "Implementing the switch"). Calibrated so the
+#: full three-step protocol averages ~17 ms as Table 1 measures.
+STOP_PROCESSING_MEAN_US = 13 * MS
+STOP_PROCESSING_JITTER_US = 6 * MS
+
+#: Processing at the incoming AP between start(c, k) and its ack.
+START_PROCESSING_US = 3 * MS
+
+#: How long a stopped AP may keep draining its NIC hardware queue
+#: over the air (§3.1.2: "These packets take 6 ms to deliver").
+#: After this the leftover MPDUs are abandoned — a real NIC cannot
+#: replay seconds-old frames, and neither may the model (stale
+#: frames would alias in the 12-bit sequence space).
+NIC_DRAIN_US = 6 * MS
+
+#: BA-response jitter APs apply (µs); §5.3.2 observes the interval
+#: between the last MPDU and the BA varying by microseconds, which
+#: is what keeps everyone-answers block ACKs from colliding.
+BA_RESPONSE_JITTER_US = 16
+
+#: Bounded AP-side buffer for uplink/CSI traffic while the
+#: controller is unreachable (buffer-and-hold).  Oldest entries are
+#: dropped (and counted) when full.
+CTRL_HOLD_BUFFER_SLOTS = 512
+
+#: Pending-span fractions of the cyclic-queue size at which the
+#: serving AP raises / clears backpressure.
+BACKPRESSURE_HIGH_RATIO = 0.75
+BACKPRESSURE_LOW_RATIO = 0.50
 
 
 class WgttAccessPoint:
@@ -103,7 +136,7 @@ class WgttAccessPoint:
             role="ap",
             addresses={self._config.bssid},
             monitor=True,
-            response_jitter_us=self._config.ba_response_jitter_us,
+            response_jitter_us=BA_RESPONSE_JITTER_US,
         )
         self.device.ta_address = self._config.bssid
         self.device.on_refill_needed = self._refill
@@ -383,13 +416,10 @@ class WgttAccessPoint:
         if not self._ctrl_watch_timer.armed:
             # Lazy arm: a controller that never heartbeats (every
             # non-HA configuration) is never watched, never "down".
-            interval = self._config.controller_heartbeat_interval_us
-            if interval > 0:
-                self._ctrl_watch_timer.start(interval)
+            self._ctrl_watch_timer.start(CONTROLLER_HEARTBEAT_INTERVAL_US)
 
     def _ctrl_watch_tick(self) -> None:
-        interval = self._config.controller_heartbeat_interval_us
-        deadline = self._config.controller_miss_limit * interval
+        deadline = HEARTBEAT_MISS_LIMIT * CONTROLLER_HEARTBEAT_INTERVAL_US
         if (
             not self._holding
             and self._ctrl_last_beat is not None
@@ -406,7 +436,7 @@ class WgttAccessPoint:
                 tracer.emit(
                     "ap", "hold-enter", track=f"ap/{self.ap_id}", ap=self.ap_id
                 )
-        self._ctrl_watch_timer.start(interval)
+        self._ctrl_watch_timer.start(CONTROLLER_HEARTBEAT_INTERVAL_US)
 
     def _exit_hold(self) -> None:
         self._holding = False
@@ -549,7 +579,7 @@ class WgttAccessPoint:
         drop-oldest — the freshest CSI and the newest uplink datagrams
         are worth the most after recovery)."""
         if self._holding:
-            if len(self._hold_buffer) >= self._config.ctrl_hold_buffer_slots:
+            if len(self._hold_buffer) >= CTRL_HOLD_BUFFER_SLOTS:
                 self._hold_buffer.popleft()
                 self.stats["hold_dropped"] += 1
             self._hold_buffer.append((kind, payload, size_bytes))
@@ -681,8 +711,8 @@ class WgttAccessPoint:
         ):
             return
         span = queue.pending_span()
-        high = int(queue.size * self._config.backpressure_high_ratio)
-        low = int(queue.size * self._config.backpressure_low_ratio)
+        high = int(queue.size * BACKPRESSURE_HIGH_RATIO)
+        low = int(queue.size * BACKPRESSURE_LOW_RATIO)
         if client_id not in self._backpressured and span >= high:
             self._backpressured.add(client_id)
             self.stats["backpressure_signals"] += 1
@@ -814,7 +844,7 @@ class WgttAccessPoint:
                 client_id
             )
 
-        self._sim.schedule(self._config.nic_drain_us, end_drain)
+        self._sim.schedule(NIC_DRAIN_US, end_drain)
         if backlog:
             k = backlog[0].meta.get("wgtt_index", self.cyclic_queue(client_id).head)
         else:
@@ -837,9 +867,8 @@ class WgttAccessPoint:
 
     def _stop_processing_delay_us(self) -> int:
         """ioctl round trip + user-level Click handling (calibrated)."""
-        mean = self._config.stop_processing_mean_us
-        jitter = self._config.stop_processing_jitter_us
-        return max(500, int(self._rng.normal(mean, jitter / 2.0)))
+        sigma = STOP_PROCESSING_JITTER_US / 2.0
+        return max(500, int(self._rng.normal(STOP_PROCESSING_MEAN_US, sigma)))
 
     def _handle_start(self, src: str, message: StartMsg) -> None:
         client_id = message.client
@@ -924,7 +953,7 @@ class WgttAccessPoint:
                 tracer.end(span, k=k)
             self.start_serving(client_id, k)
 
-        self._sim.schedule(self._config.start_processing_us, activate)
+        self._sim.schedule(START_PROCESSING_US, activate)
 
     # ------------------------------------------------------------------
     # uplink: CSI, data forwarding, BA forwarding

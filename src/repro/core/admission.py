@@ -30,12 +30,15 @@ from typing import Callable, Deque, Dict, Optional
 from repro.core.config import WgttConfig
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import MS, Simulator, Timer
 
 #: Micro-units per token — integer token-bucket arithmetic with no
 #: float drift: at ``rate_pps`` packets/s the bucket gains exactly
 #: ``rate_pps`` micro-units per elapsed microsecond.
 MICRO = 1_000_000
+
+#: Round-robin release cadence while any pacing queue is backlogged.
+ADMISSION_RELEASE_INTERVAL_US = 1 * MS
 
 
 class _Bucket:
@@ -71,7 +74,6 @@ class AdmissionPacer:
         self._rate_pps = int(config.admission_rate_pps)
         self._burst = int(config.admission_burst)
         self._queue_slots = int(config.admission_queue_slots)
-        self._interval_us = int(config.admission_release_interval_us)
         if self._rate_pps <= 0 or self._burst <= 0:
             raise ValueError("admission rate and burst must be positive")
         self._release_fn = release_fn
@@ -110,7 +112,7 @@ class AdmissionPacer:
             self._rr.append(client_id)
             self._rr_members.add(client_id)
         if not self._release_timer.armed:
-            self._release_timer.start(self._interval_us)
+            self._release_timer.start(ADMISSION_RELEASE_INTERVAL_US)
 
     # ------------------------------------------------------------------
     # ingress
@@ -169,7 +171,7 @@ class AdmissionPacer:
                 self._rr.append(client_id)
                 self._rr_members.add(client_id)
         if self._rr:
-            self._release_timer.start(self._interval_us)
+            self._release_timer.start(ADMISSION_RELEASE_INTERVAL_US)
 
     # ------------------------------------------------------------------
     # lifecycle

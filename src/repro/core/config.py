@@ -1,9 +1,11 @@
 """WGTT system parameters, with the paper's defaults.
 
 Every number here is either stated in the paper or calibrated against a
-measurement the paper reports (noted inline). Experiments vary these —
-the window-size sweep (Figure 21) and hysteresis sweep (Figure 22) are
-literally parameter sweeps over this object.
+measurement the paper reports (noted inline), and every one but the
+shared BSSID is set by some run or test — the hysteresis sweep
+(Figure 22) is literally a parameter sweep over this object.  Protocol numbers no run varies (the
+selection window, the stop retransmit, the NIC drain, ...) are module
+constants beside the code that reads them.
 """
 
 from __future__ import annotations
@@ -20,83 +22,22 @@ class WgttConfig:
     #: Shared BSSID all WGTT APs present to clients (§4.3).
     bssid: str = "wgtt-bss"
 
-    #: ESNR comparison sliding window W (§3.1.1; §5.3.1 picks 10 ms).
-    selection_window_us: int = 10 * MS
-
     #: Minimum time between switches for one client (§5.3.3 sweeps
     #: 40/80/120 ms; smaller adapts faster — 40 ms is the best setting).
     time_hysteresis_us: int = 40 * MS
 
-    #: How often the controller re-evaluates AP selection per client.
-    selection_period_us: int = 2 * MS
+    #: Cyclic queue depth: m = 12 bits of index space (§3.1.2).
+    index_bits: int = 12
 
-    #: stop→ack retransmission timeout (§3.1.2: 30 ms).
-    switch_timeout_us: int = 30 * MS
-
-    #: Give up a switch after this many stop retransmissions.
-    switch_retry_limit: int = 5
-
-    #: Retransmission backoff cap: the n-th retry waits
-    #: ``min(switch_timeout_us << n, switch_backoff_max_us)``, so a
-    #: wedged handshake backs off instead of hammering a sick backhaul,
-    #: but never waits longer than this bound.
-    switch_backoff_max_us: int = 120 * MS
+    #: Extra ESNR margin (dB) a challenger AP must beat the incumbent
+    #: by; small, to suppress flapping on measurement noise.
+    switch_margin_db: float = 1.5
 
     # -- AP liveness / failover (robustness extension) ----------------
 
     #: AP → controller heartbeat period over the backhaul.  0 disables
     #: heartbeats (and with them dead-AP detection).
     heartbeat_interval_us: int = 20 * MS
-
-    #: Consecutive missed heartbeats before an AP is declared DEAD.
-    #: Detection lag is bounded by (miss_limit + 1) heartbeat periods.
-    heartbeat_miss_limit: int = 3
-
-    #: Recovery budget: a client whose serving AP dies mid-drive should
-    #: be transmitting again from a live AP within this long of the
-    #: crash.  With a 20 ms heartbeat and miss limit 3, detection takes
-    #: at most ~80 ms, leaving ~20 ms for the failover handshake.
-    failover_deadline_us: int = 100 * MS
-
-    #: Emergency-failover CSI lookback.  The 10 ms selection window has
-    #: usually expired by the time a crash is *detected* (~80 ms), so
-    #: the failover target is chosen from the controller's last-heard
-    #: ESNR cache instead, considering any live AP that heard the
-    #: client within this horizon.  Never used on the regular
-    #: selection path.
-    failover_lookback_us: int = 500 * MS
-
-    #: Cyclic queue depth: m = 12 bits of index space (§3.1.2).
-    index_bits: int = 12
-
-    #: Kernel ioctl round trip + Click user-level handling when a stop
-    #: arrives (§3.1.2 "Implementing the switch"). Calibrated so the
-    #: full three-step protocol averages ~17 ms as Table 1 measures.
-    stop_processing_mean_us: int = 13 * MS
-    stop_processing_jitter_us: int = 6 * MS
-
-    #: Processing at the incoming AP between start(c, k) and its ack.
-    start_processing_us: int = 3 * MS
-
-    #: How long a stopped AP may keep draining its NIC hardware queue
-    #: over the air (§3.1.2: "These packets take 6 ms to deliver").
-    #: After this the leftover MPDUs are abandoned — a real NIC cannot
-    #: replay seconds-old frames, and neither may the model (stale
-    #: frames would alias in the 12-bit sequence space).
-    nic_drain_us: int = 6 * MS
-
-    #: Extra ESNR margin (dB) a challenger AP must beat the incumbent
-    #: by; small, to suppress flapping on measurement noise.
-    switch_margin_db: float = 1.5
-
-    #: BA-response jitter APs apply (µs); §5.3.2 observes the interval
-    #: between the last MPDU and the BA varying by microseconds, which
-    #: is what keeps everyone-answers block ACKs from colliding.
-    ba_response_jitter_us: int = 16
-
-    #: One-way latency modelling the in-building content server (§5.1
-    #: caches content locally to exclude Internet latency).
-    server_latency_us: int = 1 * MS
 
     # -- controller high availability (HA extension) ------------------
 
@@ -109,35 +50,11 @@ class WgttConfig:
     #: Backhaul id of the warm-standby controller.
     standby_id: str = "controller-b"
 
-    #: Primary → array "ctrl-heartbeat" broadcast period.  Both the
-    #: standby (promotion trigger) and every AP (buffer-and-hold
-    #: trigger) watch this stream.
-    controller_heartbeat_interval_us: int = 20 * MS
-
-    #: Consecutive missed controller heartbeats before the standby
-    #: promotes itself / an AP enters buffer-and-hold.
-    controller_miss_limit: int = 3
-
     #: How often the primary ships a full state checkpoint to the
     #: standby.  Smaller intervals bound duplicate leakage and lost
     #: packets across a failover at the cost of backhaul bytes — the
     #: ``ext_ha`` sweep measures the trade.
     checkpoint_interval_us: int = 100 * MS
-
-    #: Bounded AP-side buffer for uplink/CSI traffic while the
-    #: controller is unreachable (buffer-and-hold).  Oldest entries are
-    #: dropped (and counted) when full.
-    ctrl_hold_buffer_slots: int = 512
-
-    #: Cyclic-queue indices the promoted standby skips ahead on every
-    #: restored cursor.  The checkpoint it restores from is up to
-    #: ``checkpoint_interval_us`` stale, so the dead primary may have
-    #: allocated indices past the checkpointed cursor; re-using them
-    #: would overwrite undelivered slots at the APs (counted in
-    #: ``overflow_drops``).  Skipping is free — cyclic-queue readers
-    #: skip gaps by design — and the ``edge-report`` resync the APs
-    #: send on re-home trues the cursor up exactly afterwards.
-    ha_index_skid: int = 256
 
     # -- cyclic-queue overload guardrails -----------------------------
 
@@ -150,11 +67,6 @@ class WgttConfig:
     #: :class:`~repro.core.cyclic_queue.CyclicQueue` is always on
     #: (counters never perturb behaviour).
     backpressure_enabled: bool = False
-
-    #: Pending-span fractions of the cyclic-queue size at which the
-    #: serving AP raises / clears backpressure.
-    backpressure_high_ratio: float = 0.75
-    backpressure_low_ratio: float = 0.50
 
     # -- admission control (soak extension) ---------------------------
 
@@ -179,9 +91,6 @@ class WgttConfig:
     #: Bounded per-client pacing queue (packets).  Drop-tail beyond
     #: this; drops are explicit (``admission_dropped``), never silent.
     admission_queue_slots: int = 256
-
-    #: Round-robin release cadence while any pacing queue is backlogged.
-    admission_release_interval_us: int = 1 * MS
 
     # -- ablation switches (all paper-default True/median) ------------
 

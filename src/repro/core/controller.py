@@ -45,8 +45,24 @@ from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet, src_bits
 from repro.net.tunnel import tunnel_wire_size
 from repro.obs.metrics import metric_key
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import MS, Simulator, Timer
 from repro.sim.rng import RngRegistry
+
+#: How often the controller re-evaluates AP selection per client.
+SELECTION_PERIOD_US = 2 * MS
+
+#: Emergency-failover CSI lookback.  The 10 ms selection window has
+#: usually expired by the time a crash is *detected* (~80 ms), so
+#: the failover target is chosen from the controller's last-heard
+#: ESNR cache instead, considering any live AP that heard the
+#: client within this horizon.  Never used on the regular
+#: selection path.
+FAILOVER_LOOKBACK_US = 500 * MS
+
+#: Primary → array "ctrl-heartbeat" broadcast period.  Both the
+#: standby (promotion trigger) and every AP (buffer-and-hold
+#: trigger) watch this stream.
+CONTROLLER_HEARTBEAT_INTERVAL_US = 20 * MS
 
 #: serving-claim is a cold-restart resync mechanism: claims arrive
 #: within a backhaul round trip of the controller's ctrl-hello.  A
@@ -148,20 +164,11 @@ class WgttController:
         self._backhaul = backhaul
         self._config = config or WgttConfig()
         self.controller_id = controller_id
-        self.selector = ApSelector(
-            self._config.selection_window_us,
-            metric=self._config.selection_metric,
-        )
-        self.coordinator = SwitchCoordinator(
-            sim, backhaul, self._config, controller_id
-        )
+        self.selector = ApSelector(metric=self._config.selection_metric)
+        self.coordinator = SwitchCoordinator(sim, backhaul, controller_id)
         self.coordinator.on_complete = self._switch_completed
         self.coordinator.on_abort = self._switch_aborted
-        self.liveness = LivenessTracker(
-            sim,
-            self._config.heartbeat_interval_us,
-            self._config.heartbeat_miss_limit,
-        )
+        self.liveness = LivenessTracker(sim, self._config.heartbeat_interval_us)
         self.liveness.on_down = self._ap_down
         self.liveness.on_up = self._ap_up
         self.dedup = PacketDeduplicator()
@@ -423,16 +430,15 @@ class WgttController:
         ``first_deadline_us`` so a restored controller's loop stays in
         phase with the original's.
         """
-        period = self._config.selection_period_us
         client_id = client.client_id
 
         def tick():
             self._maybe_switch(client_id)
-            timer.start(period)
+            timer.start(SELECTION_PERIOD_US)
 
         timer = client.selection_timer = Timer(self._sim, tick)
         if first_deadline_us is None:
-            timer.start(period)
+            timer.start(SELECTION_PERIOD_US)
         else:
             timer.start_at(first_deadline_us)
 
@@ -841,14 +847,14 @@ class WgttController:
 
         The regular selection window (10 ms) has usually expired by the
         time a crash is *detected* (~80 ms of heartbeat lag), so the
-        emergency path widens the horizon to ``failover_lookback_us``
+        emergency path widens the horizon to ``FAILOVER_LOOKBACK_US``
         and picks the live AP that most recently heard the client well.
         Strongest ESNR wins; ties break on ap_id for determinism.
         """
         heard = self._last_heard.get(client_id)
         if not heard:
             return None
-        horizon = now_us - self._config.failover_lookback_us
+        horizon = now_us - FAILOVER_LOOKBACK_US
         best: Optional[Tuple[float, str]] = None
         for ap_id in sorted(heard):
             if ap_id in self._dead_aps or ap_id not in self._ap_ids:
@@ -872,7 +878,7 @@ class WgttController:
             self._sim, lambda: self._failover_retry_fired(client_id)
         )
         if deadline_us is None:
-            timer.start(self._config.selection_period_us)
+            timer.start(SELECTION_PERIOD_US)
         else:
             timer.start_at(deadline_us)
 
@@ -1165,10 +1171,8 @@ class WgttController:
 
     def start_ctrl_heartbeats(self) -> None:
         """Begin periodic controller→AP heartbeats (HA mode only)."""
-        interval = self._config.controller_heartbeat_interval_us
-        if interval <= 0 or self._ctrl_heartbeat_timer.armed:
-            return
-        self._ctrl_heartbeat_timer.start(interval)
+        if not self._ctrl_heartbeat_timer.armed:
+            self._ctrl_heartbeat_timer.start(CONTROLLER_HEARTBEAT_INTERVAL_US)
 
     def _ctrl_heartbeat_tick(self) -> None:
         if not self.alive:
@@ -1182,9 +1186,7 @@ class WgttController:
             self._backhaul.send_control(
                 self.controller_id, self.ha_peer, "ctrl-heartbeat", None
             )
-        self._ctrl_heartbeat_timer.start(
-            self._config.controller_heartbeat_interval_us
-        )
+        self._ctrl_heartbeat_timer.start(CONTROLLER_HEARTBEAT_INTERVAL_US)
 
     # ------------------------------------------------------------------
     # statistics

@@ -38,6 +38,13 @@ from repro.sim.engine import Simulator, Timer
 ALIVE = "alive"
 DEAD = "dead"
 
+#: Consecutive missed heartbeats before an AP is declared DEAD.
+#: Detection lag is bounded by (miss_limit + 1) heartbeat periods.
+#: One policy for both heartbeat streams: consecutive missed controller
+#: heartbeats before the standby promotes itself / an AP enters
+#: buffer-and-hold.
+HEARTBEAT_MISS_LIMIT = 3
+
 
 class LivenessTracker:
     """Heartbeat-driven failure detector for a set of backhaul nodes."""
@@ -46,7 +53,7 @@ class LivenessTracker:
         self,
         sim: Simulator,
         interval_us: int,
-        miss_limit: int = 3,
+        miss_limit: int = HEARTBEAT_MISS_LIMIT,
     ):
         if miss_limit <= 0:
             raise ValueError("miss_limit must be positive")

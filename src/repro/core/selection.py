@@ -27,6 +27,11 @@ from collections import deque
 from math import fsum
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.sim.engine import MS
+
+#: ESNR comparison sliding window W (§3.1.1; §5.3.1 picks 10 ms).
+SELECTION_WINDOW_US = 10 * MS
+
 
 class _Window:
     """One link's sliding window, in arrival order and value order.
@@ -76,7 +81,9 @@ class ApSelector:
     ablation benches.
     """
 
-    def __init__(self, window_us: int = 10_000, metric: str = "median"):
+    def __init__(
+        self, window_us: int = SELECTION_WINDOW_US, metric: str = "median"
+    ):
         if window_us <= 0:
             raise ValueError("window must be positive")
         if metric not in ("median", "mean", "latest"):

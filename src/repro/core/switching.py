@@ -13,7 +13,7 @@ dataclasses; the AP-side behaviour lives in ``access_point``.
 Beyond the paper, the coordinator is hardened for a production array:
 
 * retransmissions are **capped** and back off exponentially up to a
-  bound (``switch_backoff_max_us``) instead of hammering a sick
+  bound (``SWITCH_BACKOFF_MAX_US``) instead of hammering a sick
   backhaul on a fixed 30 ms clock;
 * a pending switch can be **aborted** (e.g. its target AP just died
   mid-handshake) — the slot is freed immediately so selection or
@@ -30,9 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.config import WgttConfig
 from repro.net.backhaul import EthernetBackhaul
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import MS, Simulator, Timer
+
+#: stop→ack retransmission timeout (§3.1.2: 30 ms).
+SWITCH_TIMEOUT_US = 30 * MS
+
+#: Give up a switch after this many stop retransmissions.
+SWITCH_RETRY_LIMIT = 5
+
+#: Retransmission backoff cap: the n-th retry waits
+#: ``min(SWITCH_TIMEOUT_US << n, SWITCH_BACKOFF_MAX_US)``, so a
+#: wedged handshake backs off instead of hammering a sick backhaul,
+#: but never waits longer than this bound.
+SWITCH_BACKOFF_MAX_US = 120 * MS
 
 
 @dataclass(frozen=True)
@@ -142,12 +153,10 @@ class SwitchCoordinator:
         self,
         sim: Simulator,
         backhaul: EthernetBackhaul,
-        config: WgttConfig,
         controller_id: str = "controller",
     ):
         self._sim = sim
         self._backhaul = backhaul
-        self._config = config
         self._controller_id = controller_id
         self._pending: Dict[str, _Pending] = {}
         self._next_switch_id = 1
@@ -235,12 +244,10 @@ class SwitchCoordinator:
         backhaul and must recover at full speed.  Only *persistent*
         failure (a sick or partitioned backhaul, where retransmissions
         cannot help and only add load) backs off, doubling per round up
-        to ``switch_backoff_max_us``.
+        to ``SWITCH_BACKOFF_MAX_US``.
         """
-        base = self._config.switch_timeout_us
-        cap = max(base, self._config.switch_backoff_max_us)
-        shifted = base << min(max(0, retries - 1), 16)
-        return min(shifted, cap)
+        shifted = SWITCH_TIMEOUT_US << min(max(0, retries - 1), 16)
+        return min(shifted, SWITCH_BACKOFF_MAX_US)
 
     def _send_stop(self, pending: _Pending) -> None:
         message = StopMsg(
@@ -341,7 +348,7 @@ class SwitchCoordinator:
         record = pending.record
         record.retries += 1
         tracer = self._sim.obs.trace
-        if record.retries > self._config.switch_retry_limit:
+        if record.retries > SWITCH_RETRY_LIMIT:
             # Give up: release the slot so selection can try again.
             del self._pending[client_id]
             self.abandoned += 1

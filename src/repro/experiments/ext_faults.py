@@ -13,7 +13,7 @@ reports
 * **throughput retained** — chaos-run TCP throughput over the
   fault-free twin run of the same seed;
 * **deadline violations** — recoveries slower than
-  ``failover_deadline_us`` (default 100 ms) plus clients never
+  ``FAILOVER_DEADLINE_US`` (100 ms) plus clients never
   recovered.
 
 ``smoke()`` is the CI gate (``repro experiment ext_faults
@@ -30,7 +30,7 @@ from repro.experiments.common import mean, seeds_for
 from repro.experiments.registry import register
 from repro.experiments.runner import sweep
 from repro.faults.plan import ApCrash, FaultPlan, Partition
-from repro.obs.recorders import FailoverAudit
+from repro.obs.recorders import FAILOVER_DEADLINE_US, FailoverAudit
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
@@ -167,9 +167,8 @@ def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
 
 def smoke(seed: int = 3) -> Dict:
     """Crash the serving AP mid-drive; fail unless the client recovers
-    within the configured deadline *and* TCP makes forward progress."""
-    config = TestbedConfig(seed=seed, scheme="wgtt")
-    testbed = Testbed(config)
+    within the failover deadline *and* TCP makes forward progress."""
+    testbed = Testbed(TestbedConfig(seed=seed, scheme="wgtt"))
     sender, receiver = testbed.add_downlink_tcp_flow(0)
     sender.start()
 
@@ -181,7 +180,6 @@ def smoke(seed: int = 3) -> Dict:
         [ApCrash(at_us=crash_us, ap_id=victim, down_us=2 * SECOND)]
     )
     testbed.install_fault_plan(plan)
-    deadline_us = config.wgtt.failover_deadline_us
 
     # Segments delivered by the crash instant, then run out the drive.
     segments_at_crash = receiver.rcv_nxt
@@ -202,7 +200,7 @@ def smoke(seed: int = 3) -> Dict:
         "ok": ok,
         "victim": victim,
         "crash_us": crash_us,
-        "deadline_ms": deadline_us / 1_000.0,
+        "deadline_ms": FAILOVER_DEADLINE_US / 1_000.0,
         "failover_ms": audit.failover_latencies_ms(),
         "recovered_to": [
             new_ap for r in recoveries for (_, _, new_ap) in r.recoveries

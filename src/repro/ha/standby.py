@@ -33,12 +33,25 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.config import WgttConfig
-from repro.core.controller import WgttController
+from repro.core.controller import (
+    CONTROLLER_HEARTBEAT_INTERVAL_US,
+    WgttController,
+)
 from repro.core.liveness import LivenessTracker
 from repro.ha.checkpoint import ControllerCheckpoint
 from repro.net.backhaul import EthernetBackhaul
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+
+#: Cyclic-queue indices the promoted standby skips ahead on every
+#: restored cursor.  The checkpoint it restores from is up to
+#: ``checkpoint_interval_us`` stale, so the dead primary may have
+#: allocated indices past the checkpointed cursor; re-using them
+#: would overwrite undelivered slots at the APs (counted in
+#: ``overflow_drops``).  Skipping is free — cyclic-queue readers
+#: skip gaps by design — and the ``edge-report`` resync the APs
+#: send on re-home trues the cursor up exactly afterwards.
+HA_INDEX_SKID = 256
 
 
 class StandbyController(WgttController):
@@ -71,9 +84,7 @@ class StandbyController(WgttController):
         #: Silence from the primary past the miss limit promotes; the
         #: watch stops at promotion and is never re-armed.
         self._primary_watch = LivenessTracker(
-            sim,
-            self._config.controller_heartbeat_interval_us,
-            self._config.controller_miss_limit,
+            sim, CONTROLLER_HEARTBEAT_INTERVAL_US
         )
         self._primary_watch.on_down = lambda primary_id: self.promote()
         #: Fired right after promotion completes (the region's hook).
@@ -170,7 +181,7 @@ class StandbyController(WgttController):
             # checkpointed cursors.  Skid every cursor forward so none
             # is re-used (readers skip the gap); the APs' edge-reports
             # true the cursors up exactly as they re-home.
-            self._index_alloc.skid(self._config.ha_index_skid)
+            self._index_alloc.skid(HA_INDEX_SKID)
             # Overlay serving updates mirrored after the checkpoint was
             # cut.
             for client_id in sorted(self._warm_serving):

@@ -41,7 +41,7 @@ Checked invariants
     At most one controller of a region is alive in an active role
     ("primary" or promoted "active") at any probe instant.
 ``bounded-retry-storm``
-    No handshake retransmits more than ``switch_retry_limit`` times —
+    No handshake retransmits more than ``SWITCH_RETRY_LIMIT`` times —
     duplicated/replayed control traffic must not amplify into a storm.
 ``liveness-agreement``
     The controller's AP liveness verdict agrees with ground truth,
@@ -75,6 +75,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+from repro.core.liveness import HEARTBEAT_MISS_LIMIT
+from repro.core.switching import (
+    SWITCH_BACKOFF_MAX_US,
+    SWITCH_RETRY_LIMIT,
+    SWITCH_TIMEOUT_US,
+)
 from repro.obs.metrics import metric_key
 from repro.sim.engine import Timer
 
@@ -342,8 +348,7 @@ class InvariantChecker:
 
     def _check_retry_storm(self, event) -> None:
         retries = int(event.tags.get("retries", 0))
-        limit = self._wgtt_config().switch_retry_limit
-        if retries > limit:
+        if retries > SWITCH_RETRY_LIMIT:
             client = str(event.tags.get("client"))
             self._violate(
                 "bounded-retry-storm",
@@ -351,7 +356,7 @@ class InvariantChecker:
                 (
                     f"switch {event.tags.get('switch_id')} for {client} "
                     f"retransmitted {retries} times, past the "
-                    f"{limit}-retry cap"
+                    f"{SWITCH_RETRY_LIMIT}-retry cap"
                 ),
             )
 
@@ -525,22 +530,18 @@ class InvariantChecker:
     # derived bounds
     # ------------------------------------------------------------------
 
-    def _wgtt_config(self):
-        return self._testbed.config.wgtt
-
     def _switch_age_bound_us(self) -> int:
         """Worst-case pending lifetime from the retransmission schedule.
 
-        The coordinator times out after ``switch_timeout_us`` with
-        bounded exponential backoff capped at ``switch_backoff_max_us``
-        and abandons after ``switch_retry_limit`` retries — summing the
+        The coordinator times out after ``SWITCH_TIMEOUT_US`` with
+        bounded exponential backoff capped at ``SWITCH_BACKOFF_MAX_US``
+        and abandons after ``SWITCH_RETRY_LIMIT`` retries — summing the
         per-round caps (every round bounded by the backoff cap) plus
         two extra rounds of margin for in-flight backhaul latency and
         probe quantisation.
         """
-        cfg = self._wgtt_config()
-        per_round = max(cfg.switch_timeout_us, cfg.switch_backoff_max_us)
-        rounds = cfg.switch_retry_limit + 1
+        per_round = max(SWITCH_TIMEOUT_US, SWITCH_BACKOFF_MAX_US)
+        rounds = SWITCH_RETRY_LIMIT + 1
         return per_round * (rounds + 2)
 
     def _liveness_slack_us(self) -> int:
@@ -550,8 +551,8 @@ class InvariantChecker:
         periods; recovery by one period plus backhaul latency.  Allow
         one extra period for probe quantisation.
         """
-        cfg = self._wgtt_config()
-        return (cfg.heartbeat_miss_limit + 2) * cfg.heartbeat_interval_us
+        interval = self._testbed.config.wgtt.heartbeat_interval_us
+        return (HEARTBEAT_MISS_LIMIT + 2) * interval
 
 
 class ShardInvariantChecker(InvariantChecker):

@@ -195,26 +195,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="validate a JSONL trace export against the event schema",
     )
     parser.add_argument("path", help="trace .jsonl file")
-    parser.add_argument(
-        "--max-problems", type=int, default=20,
-        help="stop printing after this many problems",
-    )
-    parser.add_argument(
-        "--no-name-check",
-        action="store_true",
-        help="skip the TRACE_NAMES catalog check (foreign traces)",
-    )
     args = parser.parse_args(argv)
     with open(args.path) as handle:
-        count, problems = validate_lines(
-            handle, check_names=not args.no_name_check
-        )
+        count, problems = validate_lines(handle)
     if problems:
-        for problem in problems[: args.max_problems]:
+        for problem in problems:
             print(f"INVALID {problem}", file=sys.stderr)
-        extra = len(problems) - args.max_problems
-        if extra > 0:
-            print(f"INVALID ... and {extra} more", file=sys.stderr)
         return 1
     print(f"OK {count} records valid ({args.path})")
     return 0

@@ -40,7 +40,7 @@ from repro.phy import per as phy_per
 from repro.phy.esnr import effective_snr_db
 from repro.shard.config import ShardConfig
 from repro.shard.manager import Shard, ShardManager, plan_regions
-from repro.sim.engine import SECOND, Simulator
+from repro.sim.engine import MS, SECOND, Simulator
 from repro.sim.rng import RngRegistry
 from repro.transport.flows import Host
 from repro.transport.tcp import TcpReceiver, TcpSender
@@ -53,6 +53,10 @@ if TYPE_CHECKING:
 #: Default AP x-positions: 7.5 m spacing as measured in §2.
 DEFAULT_AP_SPACING_M = 7.5
 DEFAULT_FIRST_AP_X = 10.0
+
+#: One-way latency modelling the in-building content server (§5.1
+#: caches content locally to exclude Internet latency).
+SERVER_LATENCY_US = 1 * MS
 
 
 @dataclass
@@ -90,7 +94,6 @@ class TestbedConfig:
     roaming: RoamingConfig = field(default_factory=RoamingConfig)
     pathloss: LogDistancePathLoss = field(default_factory=LogDistancePathLoss)
     coherence_factor: float = 0.25
-    rician_k_db: Optional[float] = None
     #: Associate clients instantly at t=0 (experiments assume an
     #: already-admitted commuter device); False exercises the real
     #: over-the-air association path.
@@ -116,7 +119,7 @@ class TestbedConfig:
     obs: Optional[ObsConfig] = None
     #: Set to partition the corridor into AP-cluster shards, each owned
     #: by its own controller, with inter-shard client handoff
-    #: (``repro.shard``): shard count and handoff-protocol tunables.
+    #: (``repro.shard``): shard count and boundary hysteresis.
     #: None (the default) is the paper's deployment, one region under
     #: one controller.
     shard: Optional[ShardConfig] = None
@@ -285,7 +288,6 @@ class Testbed:
             self.rng,
             pathloss=config.pathloss,
             coherence_factor=config.coherence_factor,
-            rician_k_db=config.rician_k_db,
         )
         self.medium = WirelessMedium(self.sim, self.channel)
         self.backhaul = EthernetBackhaul(self.sim)
@@ -612,17 +614,14 @@ class Testbed:
                 protocol=packet.protocol,
             )
         self.sim.schedule(
-            self.config.wgtt.server_latency_us,
-            lambda: self.server_host.deliver(packet),
+            SERVER_LATENCY_US, lambda: self.server_host.deliver(packet)
         )
 
     def send_downlink(self, packet: Packet) -> None:
         """Server-side ingress: tag IP-ID, add server latency, route."""
         packet.ip_id = self._server_ip_ids.allocate(packet.src)
         ingress = self._ingress
-        self.sim.schedule(
-            self.config.wgtt.server_latency_us, lambda: ingress(packet)
-        )
+        self.sim.schedule(SERVER_LATENCY_US, lambda: ingress(packet))
 
     def add_downlink_tcp_flow(
         self,

@@ -22,22 +22,6 @@ class ShardConfig:
     #: split as evenly as possible, earlier shards taking the remainder.
     num_shards: int = 2
 
-    #: Cadence of the shard manager's boundary scan — how often client
-    #: positions are checked against shard boundaries to trigger
-    #: inter-shard handoffs.
-    scan_interval_us: int = 20_000
-
-    #: Ack timeout for one ``shard-handoff`` state transfer.  Handoff
-    #: messages ride the lossy backhaul data path (they are *not* in
-    #: ``RELIABLE_KINDS``), so the sending shard retransmits the same
-    #: handoff id until acked.
-    handoff_timeout_us: int = 30_000
-
-    #: Retransmissions before a handoff is abandoned; the client is
-    #: then freshly re-associated in the destination shard (state lost,
-    #: counted — never silently wedged).
-    handoff_retry_limit: int = 5
-
     #: How far past a shard boundary a client must travel before a
     #: handoff fires.  Suppresses ping-pong for clients dawdling on the
     #: boundary line.

@@ -66,6 +66,22 @@ if TYPE_CHECKING:
 #: are re-acked, never re-merged); bounded FIFO.
 COMPLETED_HANDOFF_CAP = 4096
 
+#: Cadence of the shard manager's boundary scan — how often client
+#: positions are checked against shard boundaries to trigger
+#: inter-shard handoffs.
+SCAN_INTERVAL_US = 20_000
+
+#: Ack timeout for one ``shard-handoff`` state transfer.  Handoff
+#: messages ride the lossy backhaul data path (they are *not* in
+#: ``RELIABLE_KINDS``), so the sending shard retransmits the same
+#: handoff id until acked.
+HANDOFF_TIMEOUT_US = 30_000
+
+#: Retransmissions before a handoff is abandoned; the client is
+#: then freshly re-associated in the destination shard (state lost,
+#: counted — never silently wedged).
+HANDOFF_RETRY_LIMIT = 5
+
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -457,8 +473,7 @@ class ShardManager:
             "handoffs_initiated": 0,
         }
         self._scan_timer = Timer(self._sim, self._scan_tick)
-        if self.config.scan_interval_us > 0:
-            self._scan_timer.start(self.config.scan_interval_us)
+        self._scan_timer.start(SCAN_INTERVAL_US)
 
     # ------------------------------------------------------------------
     # ownership
@@ -566,7 +581,7 @@ class ShardManager:
             target = self._target_shard(node.track.position_at(now).x, owner)
             if target != owner:
                 self._initiate_handoff(client_id, owner, target)
-        self._scan_timer.start(self.config.scan_interval_us)
+        self._scan_timer.start(SCAN_INTERVAL_US)
 
     def _initiate_handoff(
         self, client_id: str, from_idx: int, to_idx: int
@@ -632,7 +647,7 @@ class ShardManager:
             self.stats["handoff_bytes"] += msg.wire_size_bytes
         # Armed even when a controller is down: the timeout retries
         # against whichever controller is active by then.
-        pending.timer.start(self.config.handoff_timeout_us)
+        pending.timer.start(HANDOFF_TIMEOUT_US)
 
     def _handoff_timeout(self, client_id: str) -> None:
         pending = self._pending.get(client_id)
@@ -640,7 +655,7 @@ class ShardManager:
             return
         pending.retries += 1
         tracer = self._sim.obs.trace
-        if pending.retries > self.config.handoff_retry_limit:
+        if pending.retries > HANDOFF_RETRY_LIMIT:
             del self._pending[client_id]
             self.stats["handoffs_abandoned"] += 1
             if tracer.active:

@@ -55,9 +55,8 @@ class SoakConfig:
     backpressure_enabled: bool = True
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     budgets: SloBudgets = field(default_factory=SloBudgets)
-    #: Guard sampling cadence and checkpoint thinning.
+    #: Guard sampling cadence.
     sample_interval_s: float = 1.0
-    checkpoint_every: int = 5
     #: JSONL telemetry path; None keeps the run file-free.
     telemetry_path: Optional[str] = None
     #: Raise on the first violation instead of collecting.
@@ -163,7 +162,6 @@ class SoakHarness:
             testbed,
             churn,
             interval_us=int(cfg.sample_interval_s * SECOND),
-            checkpoint_every=cfg.checkpoint_every,
             budgets=cfg.budgets,
             stream=stream,
             fail_fast=cfg.fail_fast,

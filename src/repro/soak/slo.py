@@ -10,7 +10,7 @@ the same seed sample at identical instants), and on every sample:
   channel map's port table, the medium's device table, the engine's
   event heap, the PHY memo LRUs, the admission pacer's backlog — and
   raises a violation the moment one exceeds its hard cap;
-* every ``checkpoint_every`` samples, folds the snapshot into a
+* every :data:`CHECKPOINT_EVERY` samples, folds the snapshot into a
   SHA-256 **fingerprint checkpoint** (written as a ``checkpoint``
   line).  Two same-seed runs must produce identical checkpoint chains —
   any divergence pinpoints *when* determinism drifted, not just that
@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
+from repro.core.access_point import CTRL_HOLD_BUFFER_SLOTS
 from repro.obs.metrics import MetricsStream
 from repro.phy.per import phy_memo_stats
 from repro.sim.engine import SECOND, Timer
@@ -42,6 +43,19 @@ if TYPE_CHECKING:
     from repro.invariants import InvariantChecker
     from repro.scenarios.testbed import Testbed
     from repro.soak.churn import ChurnDriver
+
+
+#: Checkpoint thinning: one fingerprint checkpoint per this many
+#: samples.
+CHECKPOINT_EVERY = 5
+#: Slack on per-client structure caps (in-flight arrivals/retires).
+CLIENT_SLACK = 8
+#: End-of-run mean one-way delay ceiling (µs) over delivered pkts.
+MAX_MEAN_DELAY_US = 1 * SECOND
+#: Plateau test: max(final third) must not exceed
+#: max(earlier samples) * tolerance + slack for any bounded gauge.
+PLATEAU_TOLERANCE = 1.25
+PLATEAU_SLACK = 16
 
 
 @dataclass(frozen=True)
@@ -77,25 +91,17 @@ class SoakViolationError(AssertionError):
 
 @dataclass
 class SloBudgets:
-    """Hard caps the guard enforces.
+    """The hard caps a run may set; the fixed ones are module constants.
 
     The per-client structure caps scale with the rider cap the guard
-    reads off its churn driver; the rest are absolute.  Budgets marked
-    end-of-run are only evaluated at :meth:`SloGuard.finish`.
+    reads off its churn driver (plus :data:`CLIENT_SLACK`).  Budgets
+    marked end-of-run are only evaluated at :meth:`SloGuard.finish`.
     """
 
-    #: Slack on per-client structure caps (in-flight arrivals/retires).
-    client_slack: int = 8
     #: Engine event-heap ceiling (events).
     max_pending_events: int = 250_000
     #: End-of-run delivered/offered floor over all finished flows.
     min_delivery_ratio: float = 0.30
-    #: End-of-run mean one-way delay ceiling (µs) over delivered pkts.
-    max_mean_delay_us: float = 1 * SECOND
-    #: Plateau test: max(final third) must not exceed
-    #: max(earlier samples) * tolerance + slack for any bounded gauge.
-    plateau_tolerance: float = 1.25
-    plateau_slack: int = 16
 
 
 class SloGuard:
@@ -107,7 +113,6 @@ class SloGuard:
         churn: Optional["ChurnDriver"] = None,
         *,
         interval_us: int = 1 * SECOND,
-        checkpoint_every: int = 5,
         budgets: Optional[SloBudgets] = None,
         stream: Optional[MetricsStream] = None,
         fail_fast: bool = False,
@@ -128,7 +133,6 @@ class SloGuard:
         #: the sample cadence (and at :meth:`finish`).
         self._invariants = invariants
         self._interval_us = interval_us
-        self._checkpoint_every = max(1, checkpoint_every)
         self.budgets = budgets if budgets is not None else SloBudgets()
         self._stream = stream
         self._fail_fast = fail_fast
@@ -207,7 +211,7 @@ class SloGuard:
         """Hard cap per probe (absent probes are unbounded-by-policy)."""
         budgets = self.budgets
         testbed = self._testbed
-        per_client = self._max_riders + budgets.client_slack
+        per_client = self._max_riders + CLIENT_SLACK
         num_aps = len(testbed.ap_ids)
         wgtt = testbed.config.wgtt
         limits: Dict[str, float] = {
@@ -220,7 +224,7 @@ class SloGuard:
             "selector_series": per_client * max(1, num_aps),
             "dedup_window": 0,  # replaced below with the real capacity
             "ap_cyclic_queues_max": per_client,
-            "ap_hold_buffer_max": wgtt.ctrl_hold_buffer_slots,
+            "ap_hold_buffer_max": CTRL_HOLD_BUFFER_SLOTS,
             "admission_backlog": per_client * wgtt.admission_queue_slots,
             "admission_clients": per_client,
             "churn_pending_dereg": per_client,
@@ -267,7 +271,7 @@ class SloGuard:
                     )
                 )
         fresh.extend(self._drain_invariants())
-        if self.samples % self._checkpoint_every == 0:
+        if self.samples % CHECKPOINT_EVERY == 0:
             run = {k: v for k, v in snapshot.items() if not k.startswith("phy_memo{")}
             bounded = {k: v for k, v in probes.items() if k != "phy_memo_max"}
             payload = json.dumps(
@@ -336,7 +340,6 @@ class SloGuard:
 
     def _check_plateau(self) -> List[SloViolation]:
         """No leak-prone gauge may still be growing late in the run."""
-        budgets = self.budgets
         out: List[SloViolation] = []
         for name in self.PLATEAU_PROBES:
             series = self._series.get(name, [])
@@ -345,9 +348,7 @@ class SloGuard:
             split = (2 * len(series)) // 3
             early_peak = max(series[:split])
             late_peak = max(series[split:])
-            allowed = early_peak * budgets.plateau_tolerance + (
-                budgets.plateau_slack
-            )
+            allowed = early_peak * PLATEAU_TOLERANCE + PLATEAU_SLACK
             if late_peak > allowed:
                 out.append(
                     SloViolation(
@@ -389,17 +390,17 @@ class SloGuard:
                 )
             )
         delay = self._churn.mean_delay_us()
-        if delay is not None and delay > self.budgets.max_mean_delay_us:
+        if delay is not None and delay > MAX_MEAN_DELAY_US:
             out.append(
                 SloViolation(
                     t_us=now,
                     kind="budget",
                     probe="mean_delay_us",
                     value=delay,
-                    limit=self.budgets.max_mean_delay_us,
+                    limit=MAX_MEAN_DELAY_US,
                     message=(
                         f"mean delay {delay:.0f}us above ceiling "
-                        f"{self.budgets.max_mean_delay_us:.0f}us"
+                        f"{MAX_MEAN_DELAY_US:.0f}us"
                     ),
                 )
             )

@@ -27,6 +27,21 @@ from repro.mobility.road import MPH_TO_MPS
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
 
+#: Vehicle speed is drawn uniformly from these choices (mph).
+SPEED_CHOICES_MPH: Tuple[float, ...] = (10.0, 15.0, 25.0, 35.0)
+#: Probability a rider enters at x=0 heading +x (near lane) versus
+#: entering at the far end heading back.
+FORWARD_FRACTION = 0.75
+#: Flows per session: 1 + Poisson(EXTRA_FLOWS_MEAN).
+EXTRA_FLOWS_MEAN = 0.5
+#: Probability a flow is downlink (the transit-rider asymmetry).
+DOWNLINK_FRACTION = 0.8
+#: Bounded-Pareto flow sizes: most sessions small, a heavy tail of
+#: large transfers, hard-capped so one draw cannot dominate a run.
+SIZE_ALPHA = 1.3
+#: Flow start offsets are uniform within this span of the session.
+START_SPREAD_US = 2 * SECOND
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -78,25 +93,12 @@ class WorkloadConfig:
     #: Rider population cap enforced by the churn driver — arrivals
     #: beyond it are rejected (counted), modelling a full bus stop.
     max_concurrent: int = 64
-    #: Vehicle speed is drawn uniformly from these choices (mph).
-    speed_choices_mph: Tuple[float, ...] = (10.0, 15.0, 25.0, 35.0)
-    #: Probability a rider enters at x=0 heading +x (near lane) versus
-    #: entering at the far end heading back.
-    forward_fraction: float = 0.75
-    #: Flows per session: 1 + Poisson(extra_flows_mean).
-    extra_flows_mean: float = 0.5
-    #: Probability a flow is downlink (the transit-rider asymmetry).
-    downlink_fraction: float = 0.8
-    #: Bounded-Pareto flow sizes: most sessions small, a heavy tail of
-    #: large transfers, hard-capped so one draw cannot dominate a run.
-    size_alpha: float = 1.3
+    #: Bounds of the bounded-Pareto flow size (``SIZE_ALPHA``).
     size_min_bytes: int = 64 * 1024
     size_max_bytes: int = 64 * 1024 * 1024
     #: Per-flow offered rate, drawn uniformly in this closed range.
     rate_min_bps: float = 1e6
     rate_max_bps: float = 8e6
-    #: Flow start offsets are uniform within this span of the session.
-    start_spread_us: int = 2 * SECOND
 
 
 def _bounded_pareto(u: float, alpha: float, xmin: float, xmax: float) -> float:
@@ -153,10 +155,10 @@ class WorkloadPlan:
 
         sessions: List[ClientSession] = []
         for i, arrive_us in enumerate(arrive_times):
-            speed = cfg.speed_choices_mph[
-                int(mobility_gen.integers(0, len(cfg.speed_choices_mph)))
+            speed = SPEED_CHOICES_MPH[
+                int(mobility_gen.integers(0, len(SPEED_CHOICES_MPH)))
             ]
-            forward = mobility_gen.random() < cfg.forward_fraction
+            forward = mobility_gen.random() < FORWARD_FRACTION
             direction = 1 if forward else -1
             start_x = 0.0 if forward else road_length_m
             # Dwell: an exponential "ride time" clipped to the physical
@@ -170,18 +172,18 @@ class WorkloadPlan:
             )
             dwell_us = max(cfg.min_dwell_us, dwell_us)
 
-            n_flows = 1 + int(flows_gen.poisson(cfg.extra_flows_mean))
+            n_flows = 1 + int(flows_gen.poisson(EXTRA_FLOWS_MEAN))
             flows: List[FlowSpec] = []
             for j in range(n_flows):
                 kind = (
                     "udp-dl"
-                    if flows_gen.random() < cfg.downlink_fraction
+                    if flows_gen.random() < DOWNLINK_FRACTION
                     else "udp-ul"
                 )
                 size = int(
                     _bounded_pareto(
                         float(sizes_gen.random()),
-                        cfg.size_alpha,
+                        SIZE_ALPHA,
                         float(cfg.size_min_bytes),
                         float(cfg.size_max_bytes),
                     )
@@ -189,7 +191,7 @@ class WorkloadPlan:
                 rate = float(
                     rates_gen.uniform(cfg.rate_min_bps, cfg.rate_max_bps)
                 )
-                offset = int(flows_gen.integers(0, cfg.start_spread_us))
+                offset = int(flows_gen.integers(0, START_SPREAD_US))
                 flows.append(
                     FlowSpec(
                         kind=kind,

@@ -4,7 +4,7 @@ using a minimal hand-built testbed (one AP, one parked client)."""
 
 import pytest
 
-from repro.core.access_point import WgttAccessPoint
+from repro.core.access_point import NIC_DRAIN_US, WgttAccessPoint
 from repro.core.switching import FailoverMsg, StartMsg, StopMsg
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.net.packet import Packet
@@ -94,8 +94,7 @@ class TestStopStart:
         ap0._handle_stop("controller", StopMsg(client="client0", target_ap="ap1", switch_id=1))
         session = ap0.device.session("client0")
         assert session.mode == "drain"
-        drain = testbed.config.wgtt.nic_drain_us
-        testbed.run_seconds((drain + 5 * MS) / SECOND)
+        testbed.run_seconds((NIC_DRAIN_US + 5 * MS) / SECOND)
         assert session.mode == "off"
         assert session.scoreboard.in_flight() == 0
 

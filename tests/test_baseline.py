@@ -6,13 +6,12 @@ from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 
 
-def make_baseline(seed=3, speed=0.0, start_x=9.0, **roaming_kw):
+def make_baseline(seed=3, speed=0.0, start_x=9.0):
     config = TestbedConfig(
         seed=seed,
         scheme="baseline",
         client_speeds_mph=[speed],
         client_start_x_m=start_x,
-        roaming=RoamingConfig(**roaming_kw) if roaming_kw else RoamingConfig(),
     )
     return Testbed(config)
 

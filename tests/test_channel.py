@@ -153,21 +153,6 @@ def test_fading_evolution_ignores_time_reversal():
     assert np.array_equal(snapshot, ch.subcarrier_gains())
 
 
-def test_rician_k_reduces_fade_depth():
-    rng = RngRegistry(6)
-    def spread(k_db, label):
-        depths = []
-        for i in range(60):
-            ch = TappedRayleighChannel(
-                rng.stream(f"{label}{i}"), rician_k_db=k_db
-            )
-            p = ch.subcarrier_power()
-            depths.append(10 * np.log10(p.max() / max(p.min(), 1e-12)))
-        return np.mean(depths)
-
-    assert spread(10.0, "rice") < spread(None, "ray")
-
-
 def test_invalid_tap_count_rejected():
     with pytest.raises(ValueError):
         TappedRayleighChannel(RngRegistry(1).stream("x"), num_taps=0)

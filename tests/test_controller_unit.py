@@ -5,7 +5,7 @@ selector readings (no radio in the loop)."""
 from repro.channel.csi import CsiReport
 from repro.core.assoc_sync import StaInfo
 from repro.core.config import WgttConfig
-from repro.core.controller import WgttController
+from repro.core.controller import SELECTION_PERIOD_US, WgttController
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
 from repro.sim import RngRegistry, Simulator
@@ -143,8 +143,7 @@ class TestFailoverRetry:
         sim, controller, sent = make_controller()
         sim.run(until_us=50_000)
         controller._ap_down("ap0")
-        period = controller._config.selection_period_us
-        sim.run(until_us=sim.now + 4 * period + 1_000)
+        sim.run(until_us=sim.now + 4 * SELECTION_PERIOD_US + 1_000)
         assert controller.stats["failover_no_candidate"] >= 3
         assert controller.client_state("client0").retry_timer.armed
 
@@ -154,8 +153,7 @@ class TestFailoverRetry:
         controller._ap_down("ap0")
         assert controller.stats["failovers_initiated"] == 0
         feed(controller, sim, "ap1", 20.0)
-        period = controller._config.selection_period_us
-        sim.run(until_us=sim.now + 2 * period + 1_000)
+        sim.run(until_us=sim.now + 2 * SELECTION_PERIOD_US + 1_000)
         assert controller.stats["failovers_initiated"] == 1
         failover_targets = [ap for ap, kind, _ in sent if kind == "failover"]
         assert "ap1" in failover_targets
@@ -169,8 +167,7 @@ class TestFailoverRetry:
         controller._ap_down("ap0")
         feed(controller, sim, "ap1", 20.0)  # ap1 becomes the candidate
         controller._ap_down("ap1")  # ... and dies before the retry fires
-        period = controller._config.selection_period_us
-        sim.run(until_us=sim.now + 3 * period + 1_000)
+        sim.run(until_us=sim.now + 3 * SELECTION_PERIOD_US + 1_000)
         handshake_targets = {
             p.target_ap for _, kind, p in sent if kind == "stop"
         } | {ap for ap, kind, _ in sent if kind == "failover"}
@@ -185,8 +182,7 @@ class TestFailoverRetry:
         retry = controller.client_state("client0").retry_timer
         controller.deregister_client("client0")
         assert not retry.armed
-        period = controller._config.selection_period_us
-        sim.run(until_us=sim.now + 3 * period + 1_000)  # must not raise
+        sim.run(until_us=sim.now + 3 * SELECTION_PERIOD_US + 1_000)  # must not raise
         assert controller.stats["failover_no_candidate"] == barren
 
     def test_retry_noop_after_controller_crash(self):
@@ -196,8 +192,7 @@ class TestFailoverRetry:
         retry = controller.client_state("client0").retry_timer
         controller.crash()
         assert not retry.armed
-        period = controller._config.selection_period_us
-        sim.run(until_us=sim.now + 3 * period + 1_000)  # must not raise
+        sim.run(until_us=sim.now + 3 * SELECTION_PERIOD_US + 1_000)  # must not raise
         assert not controller.tracked_clients()
 
 

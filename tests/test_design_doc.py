@@ -9,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines.enhanced_80211r import RoamingConfig, stock_80211r_config
+from repro.baselines import enhanced_80211r
+from repro.baselines.enhanced_80211r import stock_80211r_config
+from repro.core.access_point import NIC_DRAIN_US
 from repro.core.config import WgttConfig
+from repro.core.controller import SELECTION_PERIOD_US
+from repro.core.selection import SELECTION_WINDOW_US
+from repro.core.switching import SWITCH_TIMEOUT_US
 from repro.mac.frames import MAX_AMPDU_AIRTIME_US, MAX_AMPDU_SUBFRAMES
 from repro.mac.wifi_device import BEACON_INTERVAL_US
 from repro.scenarios.testbed import TestbedConfig
@@ -84,19 +89,20 @@ _WGTT = WgttConfig()
 #: name -> (pattern capturing the number DESIGN.md quotes, the tree's
 #: value in the unit the document uses).  Every match must agree.
 QUOTED_CONSTANTS = {
-    "selection window W": (r"W = (\d+) ms", _WGTT.selection_window_us / MS),
+    "selection window W": (r"W = (\d+) ms", SELECTION_WINDOW_US / MS),
+    "selection period": (
+        r"Periodic controller selection \((\d+) ms\)", SELECTION_PERIOD_US / MS
+    ),
     "WGTT time hysteresis": (
         r"(\d+) ms time hysteresis", _WGTT.time_hysteresis_us / MS
     ),
-    "switch retransmit": (
-        r"(\d+) ms retransmit", _WGTT.switch_timeout_us / MS
-    ),
+    "switch retransmit": (r"(\d+) ms retransmit", SWITCH_TIMEOUT_US / MS),
     "index width": (r"(\d+)-bit (?:packet )?index", _WGTT.index_bits),
-    "NIC drain": (r"(\d+) ms NIC", _WGTT.nic_drain_us / MS),
+    "NIC drain": (r"(\d+) ms NIC", NIC_DRAIN_US / MS),
     "baseline beacons": (r"(\d+) ms beacons", BEACON_INTERVAL_US / MS),
     "baseline hysteresis": (
         r"(\d+) s (?:time )?hysteresis",
-        RoamingConfig().time_hysteresis_us / SECOND,
+        enhanced_80211r.TIME_HYSTERESIS_US / SECOND,
     ),
     "stock 802.11r history": (
         r"\((\d+) s RSSI history\)",

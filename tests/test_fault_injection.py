@@ -4,8 +4,10 @@ liveness-driven emergency failover, and determinism of it all."""
 
 import pytest
 
+from repro.core.liveness import HEARTBEAT_MISS_LIMIT
+from repro.core.switching import SWITCH_TIMEOUT_US
 from repro.faults import ApCrash, CsiBlackout, FaultPlan, LinkJitter, Partition
-from repro.obs.recorders import FailoverAudit
+from repro.obs.recorders import FAILOVER_DEADLINE_US, FailoverAudit
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
@@ -98,8 +100,7 @@ class TestLossyBackhaul:
         retried = [r for r in completed if r.retries > 0]
         assert retried, "10% loss should have forced at least one retry"
         # retried switches took at least one extra timeout round
-        timeout = testbed.config.wgtt.switch_timeout_us
-        assert all(r.duration_us >= timeout for r in retried)
+        assert all(r.duration_us >= SWITCH_TIMEOUT_US for r in retried)
         # and data still flowed (10% of tunneled datagrams are lost on
         # the wire too, so throughput is necessarily modest)
         assert sender.snd_una > 150
@@ -227,9 +228,9 @@ class TestApCrash:
         assert controller.stats["aps_declared_dead"] == 1
         # detection within the documented bound (plus the one-way
         # backhaul control latency the last heartbeat rode on)
-        config = testbed.config.wgtt
+        interval = testbed.config.wgtt.heartbeat_interval_us
         bound = (
-            (config.heartbeat_miss_limit + 1) * config.heartbeat_interval_us
+            (HEARTBEAT_MISS_LIMIT + 1) * interval
             + testbed.backhaul.control_latency_us
         )
         down_events = [e for e in controller.liveness.events if e[1] == "down"]
@@ -266,9 +267,7 @@ class TestEmergencyFailover:
         assert summary["unrecovered"] == 0
         assert summary["deadline_violations"] == 0
         assert summary["max_failover_ms"] is not None
-        assert summary["max_failover_ms"] <= (
-            testbed.config.wgtt.failover_deadline_us / 1_000.0
-        )
+        assert summary["max_failover_ms"] <= FAILOVER_DEADLINE_US / 1_000.0
         # the new serving AP is live and different
         new_ap = testbed.serving_ap_of(0)
         assert new_ap != victim

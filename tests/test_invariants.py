@@ -5,7 +5,12 @@ hello, replayed sta-sync resurrection, split-brain serving duty)."""
 import pytest
 
 from repro.core.assoc_sync import StaInfo
-from repro.core.switching import StopMsg, SwitchRecord, _Pending
+from repro.core.switching import (
+    SWITCH_RETRY_LIMIT,
+    StopMsg,
+    SwitchRecord,
+    _Pending,
+)
 from repro.invariants import InvariantChecker, InvariantViolation
 from repro.scenarios.presets import shard_corridor_config
 from repro.scenarios.testbed import Testbed, TestbedConfig
@@ -148,13 +153,13 @@ class TestTraceFedInvariants:
         assert checker.counts["no-duplicate-delivery"] == 0
 
     def test_retry_storm_bound(self):
-        testbed, checker, tracer = self.setup_checker()
-        limit = testbed.config.wgtt.switch_retry_limit
+        _, checker, tracer = self.setup_checker()
         tracer.emit("controller", "switch-retry", track="test",
-                    client="ghost", switch_id=7, retries=limit)
+                    client="ghost", switch_id=7, retries=SWITCH_RETRY_LIMIT)
         assert checker.counts["bounded-retry-storm"] == 0
         tracer.emit("controller", "switch-retry", track="test",
-                    client="ghost", switch_id=7, retries=limit + 1)
+                    client="ghost", switch_id=7,
+                    retries=SWITCH_RETRY_LIMIT + 1)
         assert checker.counts["bounded-retry-storm"] == 1
 
     def test_drain_new_returns_each_breach_once(self):

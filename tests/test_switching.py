@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.core.config import WgttConfig
 from repro.core.switching import (
     OUTCOME_ABORTED,
     OUTCOME_COMPLETED,
     OUTCOME_FAILED_OVER,
+    SWITCH_BACKOFF_MAX_US,
+    SWITCH_RETRY_LIMIT,
+    SWITCH_TIMEOUT_US,
     AckMsg,
     StartMsg,
     SwitchCoordinator,
@@ -23,8 +25,7 @@ def make_coordinator(drop_stops=0):
     """
     sim = Simulator()
     backhaul = EthernetBackhaul(sim)
-    config = WgttConfig()
-    coordinator = SwitchCoordinator(sim, backhaul, config)
+    coordinator = SwitchCoordinator(sim, backhaul)
     state = {"stops": 0, "starts": 0, "dropped": drop_stops}
 
     def ap1_handler(src, kind, payload):
@@ -56,11 +57,11 @@ def make_coordinator(drop_stops=0):
     backhaul.register("ap1", ap1_handler)
     backhaul.register("ap2", ap2_handler)
     backhaul.register("controller", controller_handler)
-    return sim, coordinator, state, config
+    return sim, coordinator, state
 
 
 def test_three_step_switch_completes():
-    sim, coordinator, state, _ = make_coordinator()
+    sim, coordinator, state = make_coordinator()
     coordinator.initiate("client0", "ap1", "ap2")
     assert coordinator.busy("client0")
     sim.run()
@@ -73,40 +74,40 @@ def test_three_step_switch_completes():
 
 
 def test_lost_stop_retransmitted_after_30ms():
-    sim, coordinator, state, config = make_coordinator(drop_stops=1)
+    sim, coordinator, state = make_coordinator(drop_stops=1)
     coordinator.initiate("client0", "ap1", "ap2")
     sim.run()
     assert state["stops"] == 2
     record = coordinator.history[0]
     assert record.retries == 1
-    assert record.duration_us >= config.switch_timeout_us
+    assert record.duration_us >= SWITCH_TIMEOUT_US
 
 
 def test_gives_up_after_retry_limit():
-    sim, coordinator, state, config = make_coordinator(drop_stops=100)
+    sim, coordinator, state = make_coordinator(drop_stops=100)
     coordinator.initiate("client0", "ap1", "ap2")
     sim.run()
     assert coordinator.abandoned == 1
     assert not coordinator.busy("client0")
-    assert state["stops"] == config.switch_retry_limit + 1
+    assert state["stops"] == SWITCH_RETRY_LIMIT + 1
     assert coordinator.history[0].completed_us is None
 
 
 def test_no_concurrent_switch_for_same_client():
-    sim, coordinator, _, _ = make_coordinator()
+    sim, coordinator, _ = make_coordinator()
     coordinator.initiate("client0", "ap1", "ap2")
     with pytest.raises(RuntimeError):
         coordinator.initiate("client0", "ap2", "ap1")
 
 
 def test_switch_to_self_rejected():
-    _, coordinator, _, _ = make_coordinator()
+    _, coordinator, _ = make_coordinator()
     with pytest.raises(ValueError):
         coordinator.initiate("client0", "ap1", "ap1")
 
 
 def test_stale_ack_ignored():
-    sim, coordinator, _, _ = make_coordinator()
+    sim, coordinator, _ = make_coordinator()
     coordinator.initiate("client0", "ap1", "ap2")
     stale = AckMsg(client="client0", ap="ap2", switch_id=999)
     coordinator.on_ack(stale)
@@ -116,7 +117,7 @@ def test_stale_ack_ignored():
 
 
 def test_different_clients_switch_concurrently():
-    sim, coordinator, _, _ = make_coordinator()
+    sim, coordinator, _ = make_coordinator()
     coordinator.initiate("client0", "ap1", "ap2")
     coordinator.initiate("client1", "ap1", "ap2")
     assert coordinator.busy("client0") and coordinator.busy("client1")
@@ -125,7 +126,7 @@ def test_different_clients_switch_concurrently():
 
 
 def test_on_complete_callback():
-    sim, coordinator, _, _ = make_coordinator()
+    sim, coordinator, _ = make_coordinator()
     done = []
     coordinator.on_complete = lambda record: done.append(record.to_ap)
     coordinator.initiate("client0", "ap1", "ap2")
@@ -139,7 +140,7 @@ def test_on_complete_callback():
 
 
 def test_completed_switch_records_outcome():
-    sim, coordinator, _, _ = make_coordinator()
+    sim, coordinator, _ = make_coordinator()
     coordinator.initiate("client0", "ap1", "ap2")
     sim.run()
     assert coordinator.history[0].outcome == OUTCOME_COMPLETED
@@ -148,12 +149,12 @@ def test_completed_switch_records_outcome():
 
 def test_retry_cap_enforced_with_outcome():
     """Retries are capped and exhaustion is a first-class outcome."""
-    sim, coordinator, state, config = make_coordinator(drop_stops=100)
+    sim, coordinator, state = make_coordinator(drop_stops=100)
     aborted = []
     coordinator.on_abort = lambda record: aborted.append(record)
     coordinator.initiate("client0", "ap1", "ap2")
     sim.run()
-    assert state["stops"] == config.switch_retry_limit + 1
+    assert state["stops"] == SWITCH_RETRY_LIMIT + 1
     assert coordinator.abandoned == 1
     record = coordinator.history[0]
     assert record.outcome == OUTCOME_ABORTED
@@ -164,19 +165,19 @@ def test_retry_cap_enforced_with_outcome():
 def test_backoff_bounds():
     """Retry delays stay within [timeout, backoff cap] and never
     regress: the n-th delay is monotonically non-decreasing."""
-    _, coordinator, _, config = make_coordinator()
+    _, coordinator, _ = make_coordinator()
     delays = [coordinator._retry_delay_us(n) for n in range(12)]
-    assert delays[0] == config.switch_timeout_us  # first retry: full speed
-    assert delays[1] == config.switch_timeout_us  # second too (common case)
-    assert all(d >= config.switch_timeout_us for d in delays)
-    assert all(d <= config.switch_backoff_max_us for d in delays)
+    assert delays[0] == SWITCH_TIMEOUT_US  # first retry: full speed
+    assert delays[1] == SWITCH_TIMEOUT_US  # second too (common case)
+    assert all(d >= SWITCH_TIMEOUT_US for d in delays)
+    assert all(d <= SWITCH_BACKOFF_MAX_US for d in delays)
     assert delays == sorted(delays)  # monotone
-    assert delays[-1] == config.switch_backoff_max_us  # cap reached
+    assert delays[-1] == SWITCH_BACKOFF_MAX_US  # cap reached
     assert any(b > a for a, b in zip(delays, delays[1:]))  # actually grows
 
 
 def test_abort_frees_slot_and_busy_clears():
-    sim, coordinator, state, _ = make_coordinator(drop_stops=100)
+    sim, coordinator, state = make_coordinator(drop_stops=100)
     coordinator.initiate("client0", "ap1", "ap2")
     assert coordinator.busy("client0")
     record = coordinator.abort("client0", reason="target died")
@@ -196,13 +197,13 @@ def test_abort_frees_slot_and_busy_clears():
 
 
 def test_abort_nonexistent_switch_returns_none():
-    _, coordinator, _, _ = make_coordinator()
+    _, coordinator, _ = make_coordinator()
     assert coordinator.abort("ghost") is None
     assert coordinator.aborted == 0
 
 
 def test_abort_for_ap_kills_switches_touching_dead_ap():
-    sim, coordinator, _, _ = make_coordinator(drop_stops=100)
+    sim, coordinator, _ = make_coordinator(drop_stops=100)
     coordinator.initiate("client0", "ap1", "ap2")  # ap2 is the target
     coordinator.initiate("client1", "ap2", "ap1")  # ap2 is the source
     coordinator.initiate("client2", "ap1", "ap3")  # untouched by ap2
@@ -218,8 +219,7 @@ def test_failover_handshake_completes():
     """controller -> new AP -> ack, no stop/start leg (old AP is dead)."""
     sim = Simulator()
     backhaul = EthernetBackhaul(sim)
-    config = WgttConfig()
-    coordinator = SwitchCoordinator(sim, backhaul, config)
+    coordinator = SwitchCoordinator(sim, backhaul)
     seen = {"failover": 0}
 
     def ap2_handler(src, kind, payload):
@@ -253,8 +253,7 @@ def test_failover_retries_failover_not_stop():
     """A lost failover message is retransmitted as failover."""
     sim = Simulator()
     backhaul = EthernetBackhaul(sim)
-    config = WgttConfig()
-    coordinator = SwitchCoordinator(sim, backhaul, config)
+    coordinator = SwitchCoordinator(sim, backhaul)
     seen = {"failover": 0, "stop": 0, "drop": 1}
 
     def ap2_handler(src, kind, payload):
@@ -298,7 +297,7 @@ def test_duplicate_ack_after_completion_is_noop():
     mutate the finished record, reopen the slot, or grow history — it
     only bumps the stale_acks counter.
     """
-    sim, coordinator, _, _ = make_coordinator()
+    sim, coordinator, _ = make_coordinator()
     coordinator.initiate("client0", "ap1", "ap2")
     sim.run()
     assert len(coordinator.history) == 1
@@ -324,7 +323,7 @@ def test_ack_after_abort_is_noop():
     slot) must not resurrect the aborted record or complete a
     handshake that no longer exists.
     """
-    sim, coordinator, _, _ = make_coordinator(drop_stops=100)
+    sim, coordinator, _ = make_coordinator(drop_stops=100)
     coordinator.initiate("client0", "ap1", "ap2")
     switch_id = coordinator._next_switch_id - 1
     aborted = coordinator.abort("client0", reason="failover needs the slot")
@@ -347,7 +346,7 @@ def test_ack_after_abort_is_noop():
 def test_superseded_round_ack_does_not_complete_new_round():
     """An ack carrying an older switch_id than the pending round is
     stale: the live handshake keeps waiting for its own ack."""
-    sim, coordinator, _, _ = make_coordinator(drop_stops=100)
+    sim, coordinator, _ = make_coordinator(drop_stops=100)
     coordinator.initiate("client0", "ap1", "ap2")
     first_id = coordinator._next_switch_id - 1
     coordinator.abort("client0", reason="superseded")
@@ -367,7 +366,7 @@ def test_stale_acks_survive_restore_but_not_checkpoint_bytes():
     the snapshot itself carries no stale_acks key (checkpoint bytes
     ride the backhaul and must not grow under ordinary retransmission
     races)."""
-    sim, coordinator, _, _ = make_coordinator()
+    sim, coordinator, _ = make_coordinator()
     coordinator.initiate("client0", "ap1", "ap2")
     sim.run()
     switch_id = coordinator._next_switch_id - 1
