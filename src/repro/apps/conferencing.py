@@ -67,24 +67,15 @@ class ConferencingSender:
         self._interval = SECOND // codec.target_fps
         self._timer = Timer(sim, self._emit_frame)
         self._adapt_timer = Timer(sim, self._adapt)
-        self._running = False
         #: Receiver-reported delivery fraction over the last second.
         self.reported_delivery = 1.0
 
     def start(self) -> None:
-        self._running = True
         self._timer.start(self._interval)
         if self.codec.adaptive:
             self._adapt_timer.start(SECOND)
 
-    def stop(self) -> None:
-        self._running = False
-        self._timer.stop()
-        self._adapt_timer.stop()
-
     def _emit_frame(self) -> None:
-        if not self._running:
-            return
         fragments = max(1, -(-self._frame_bytes // FRAGMENT_BYTES))
         for i in range(fragments):
             packet = Packet(

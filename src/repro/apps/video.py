@@ -119,4 +119,5 @@ class VideoPlayer:
 
     @property
     def playing(self) -> bool:
+        """Whether playback is running (inspection for tests)."""
         return self._playing

@@ -92,6 +92,7 @@ class BaselineWlc:
         self._ap_ids.append(ap_id)
 
     def route_for(self, client_id: str) -> Optional[str]:
+        """The AP the WLC sends ``client_id``'s downlink to (inspection for tests)."""
         return self._route.get(client_id)
 
     def record_association(self, client_id: str, ap_id: str) -> None:
@@ -282,6 +283,7 @@ class RoamingClientAgent:
             self._last_heard_us.pop(ap, None)
 
     def rssi_of(self, ap_id: str) -> Optional[float]:
+        """The smoothed RSSI roaming decides on (inspection for tests)."""
         return self._smoothed_rssi.get(ap_id)
 
     # -- the roaming decision ----------------------------------------------

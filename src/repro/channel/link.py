@@ -155,11 +155,6 @@ class Link:
     # large-scale terms
     # ------------------------------------------------------------------
 
-    def distance_m(self, time_us: int) -> float:
-        return self.ap.position_at(time_us).distance_to(
-            self.client.position_at(time_us)
-        )
-
     def _tx_power_dbm(self, downlink: bool, tx_id: Optional[str]) -> float:
         if tx_id is not None:
             if tx_id == self.ap.node_id:

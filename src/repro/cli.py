@@ -283,6 +283,8 @@ def _claims_report(experiment: Experiment, claims: List[Claim]) -> str:
 
 
 def cmd_fidelity(args) -> int:
+    """Regenerate the verdict table (``FIDELITY.json``): every driver
+    with claims, at each pinned seed, at the scale its claims are made."""
     rows: List[Dict] = []
     for experiment_id in experiment_registry.experiment_ids():
         experiment = experiment_registry.get(experiment_id)
@@ -339,6 +341,7 @@ def _summarize(value, depth=0):
 
 
 def _json_default(value):
+    """JSON for the numpy values and sets a driver result may hold."""
     try:
         import numpy as np
 

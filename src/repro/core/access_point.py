@@ -241,9 +241,6 @@ class WgttAccessPoint:
             self._cyclic[client_id] = queue
         return queue
 
-    def is_serving(self, client_id: str) -> bool:
-        return client_id in self._serving
-
     def serving_clients(self) -> List[str]:
         """Clients this AP currently transmits to, sorted."""
         return sorted(self._serving)
@@ -398,13 +395,6 @@ class WgttAccessPoint:
     # ------------------------------------------------------------------
     # controller liveness: watch, hold, re-home (HA mode)
     # ------------------------------------------------------------------
-
-    def controller_id(self) -> str:
-        """Who this AP currently reports to (re-homing changes it)."""
-        return self._controller_id
-
-    def holding(self) -> bool:
-        return self._holding
 
     def _ctrl_beat(self, src: str, payload: object) -> None:
         """A controller heartbeat: (re)arm the watch, clear any hold."""

@@ -31,11 +31,7 @@ from repro.core.cyclic_queue import IndexAllocator
 from repro.core.dedup import PacketDeduplicator
 from repro.core.liveness import LivenessTracker
 from repro.core.selection import ApSelector
-from repro.core.switching import (
-    OUTCOME_FAILED_OVER,
-    SwitchCoordinator,
-    SwitchRecord,
-)
+from repro.core.switching import SwitchCoordinator, SwitchRecord
 from repro.ha.checkpoint import (
     CHECKPOINT_VERSION,
     CLIENT_STATE_VERSION,
@@ -339,6 +335,7 @@ class WgttController:
         self._ap_ids.add(ap_id)
 
     def ap_ids(self) -> Set[str]:
+        """The APs this controller manages (inspection for tests)."""
         return set(self._ap_ids)
 
     def dead_aps(self) -> Set[str]:
@@ -1194,21 +1191,3 @@ class WgttController:
 
     def switch_durations_ms(self) -> List[float]:
         return [d / 1000.0 for d in self.coordinator.completed_durations_us()]
-
-    def failover_records(self) -> List[SwitchRecord]:
-        """Completed emergency failovers, in completion order."""
-        return [
-            r
-            for r in self.coordinator.history
-            if r.outcome == OUTCOME_FAILED_OVER
-        ]
-
-    def failover_latencies_ms(self) -> List[float]:
-        """Handshake time of each completed failover (controller-side:
-        initiation → ack; detection lag is accounted separately by the
-        chaos audit, which joins against the injected crash times)."""
-        return [
-            r.duration_us / 1000.0
-            for r in self.failover_records()
-            if r.duration_us is not None
-        ]

@@ -34,10 +34,6 @@ from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.sim.engine import Simulator, Timer
 
-#: Liveness states (UNKNOWN is implicit: absent from the tracker).
-ALIVE = "alive"
-DEAD = "dead"
-
 #: Consecutive missed heartbeats before an AP is declared DEAD.
 #: Detection lag is bounded by (miss_limit + 1) heartbeat periods.
 #: One policy for both heartbeat streams: consecutive missed controller
@@ -148,19 +144,9 @@ class LivenessTracker:
     # queries
     # ------------------------------------------------------------------
 
-    def state(self, ap_id: str) -> str:
-        if ap_id in self._dead:
-            return DEAD
-        return ALIVE  # tracked-and-beating or UNKNOWN (never beaten)
-
-    def is_dead(self, ap_id: str) -> bool:
-        return ap_id in self._dead
-
     def dead_aps(self) -> FrozenSet[str]:
+        """APs currently declared DEAD (one that never beat is not)."""
         return frozenset(self._dead)
-
-    def tracked_aps(self) -> FrozenSet[str]:
-        return frozenset(self._last_beat)
 
     # ------------------------------------------------------------------
     # internals

@@ -127,7 +127,10 @@ class ApSelector:
     def median_esnr(
         self, client_id: str, ap_id: str, now_us: int
     ) -> Optional[float]:
-        """Window statistic of one link (O(1) median), or None if silent."""
+        """Window statistic of one link (O(1) median), or None if silent.
+
+        No run reads one link's statistic; tests hold the incremental
+        best-AP path to it (``tests/test_perf_equivalence.py``)."""
         window = self._window(client_id, ap_id, now_us)
         if window is None:
             return None

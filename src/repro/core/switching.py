@@ -178,10 +178,6 @@ class SwitchCoordinator:
     def busy(self, client_id: str) -> bool:
         return client_id in self._pending
 
-    def pending_record(self, client_id: str) -> Optional[SwitchRecord]:
-        pending = self._pending.get(client_id)
-        return pending.record if pending else None
-
     def pending_switches(self) -> List[Tuple[str, int, SwitchRecord]]:
         """(client, switch id, record) of every handshake in flight,
         sorted by client."""
@@ -424,7 +420,7 @@ class SwitchCoordinator:
         """
         # Sorted keys: stop() order is inert today, but restore is the
         # bit-identical-continuation path — never let dict insertion
-        # history pick an order here (repro.analysis DET005).
+        # history pick an order here (DET005, tests/lint.py).
         for switch_id in sorted(self._pending):
             self._pending[switch_id].timer.stop()
         self._pending = {}

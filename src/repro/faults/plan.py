@@ -694,13 +694,6 @@ class FaultPlan:
     # construction helpers
     # ------------------------------------------------------------------
 
-    def add(self, event: FaultEvent) -> "FaultPlan":
-        """Insert ``event`` keeping the schedule sorted; returns self."""
-        self.events.append(event)
-        self.events.sort(key=_sort_key)
-        self._validate()
-        return self
-
     @classmethod
     def random(
         cls,

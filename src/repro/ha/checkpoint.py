@@ -30,7 +30,8 @@ from typing import Any, Dict
 #: Bump when the checkpoint layout changes; restore refuses mismatches.
 #: v2: added "departed_at" (the departed-client replay guard — without
 #: it a promoted standby would re-admit replayed sta-syncs for clients
-#: that left before the failover; found by repro.analysis CKP001).
+#: that left before the failover; found by the CKP001 check,
+#: tests/lint.py).
 CHECKPOINT_VERSION = 2
 
 #: Layout version of the *per-client* state slice that rides an
@@ -80,7 +81,3 @@ class ControllerCheckpoint:
     def digest(self) -> str:
         """Content digest of the canonical bytes."""
         return hashlib.sha256(self.to_bytes()).hexdigest()
-
-    @property
-    def wire_size_bytes(self) -> int:
-        return len(self.to_bytes())

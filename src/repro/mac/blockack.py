@@ -50,9 +50,12 @@ class BlockAckScoreboard:
 
     @property
     def next_seq(self) -> int:
+        """The next fresh sequence number (inspection for tests)."""
         return self._next_seq
 
     def in_flight(self) -> int:
+        """MPDUs sent or queued for retransmission, not yet acked
+        (inspection for tests)."""
         return len(self._outstanding) + len(self._retransmit)
 
     @property
@@ -218,6 +221,7 @@ class ReorderBuffer:
 
     @property
     def next_expected(self) -> int:
+        """The window start (inspection for tests)."""
         return self._next_expected
 
     def receive(self, seq: int, packet: Packet) -> List[Packet]:

@@ -46,6 +46,7 @@ class Dcf:
 
     @property
     def contention_window(self) -> int:
+        """The current CW (inspection for tests)."""
         return self._cw
 
     def request_access(self, on_grant: Callable[[], None]) -> None:

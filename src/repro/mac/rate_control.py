@@ -71,10 +71,12 @@ class MinstrelRateController:
         return MCS_TABLE[index].data_rate_bps * float(self._probability[index])
 
     def probability(self, index: int) -> float:
+        """The EWMA delivery estimate of one MCS (inspection for tests)."""
         return float(self._probability[index])
 
     @property
     def current_mcs(self) -> Mcs:
+        """The MCS last selected (inspection for tests)."""
         return MCS_TABLE[self._current_index]
 
     # ------------------------------------------------------------------

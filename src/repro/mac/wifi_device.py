@@ -246,6 +246,7 @@ class WifiDevice(MacEntity):
         self.powered = True
 
     def queue_len(self, peer: str) -> int:
+        """MPDUs queued for ``peer`` (the baseline's stranded backlog)."""
         return len(self.session(peer).queue)
 
     def queue_room(self, peer: str) -> int:

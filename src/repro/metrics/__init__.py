@@ -3,14 +3,7 @@
 from repro.metrics.accuracy import SwitchingAccuracyMeter
 from repro.metrics.capacity import CapacityLossMeter, selector_capacity_loss_mbps
 from repro.obs.recorders import RateUsageLog, UplinkLossMeter
-from repro.metrics.stats import (
-    cdf_points,
-    mean,
-    median,
-    percentile,
-    std,
-    summarize,
-)
+from repro.metrics.stats import cdf_points, percentile, summarize
 from repro.metrics.textplot import cdf_strip, series_panel, sparkline, timeline
 
 __all__ = [
@@ -20,10 +13,7 @@ __all__ = [
     "RateUsageLog",
     "UplinkLossMeter",
     "cdf_points",
-    "mean",
-    "median",
     "percentile",
-    "std",
     "summarize",
     "cdf_strip",
     "series_panel",

@@ -40,9 +40,6 @@ class SwitchingAccuracyMeter:
         self.samples.append((self._testbed.sim.now, serving, best))
         self._timer.start(self._period)
 
-    def stop(self) -> None:
-        self._timer.stop()
-
     def accuracy(self) -> float:
         """Fraction of samples where serving == oracle-best."""
         if not self.samples:

@@ -50,9 +50,6 @@ class CapacityLossMeter:
         self.samples.append((now, best_rate, serving_rate))
         self._timer.start(self._period)
 
-    def stop(self) -> None:
-        self._timer.stop()
-
     def mean_loss_mbps(self) -> float:
         """Average capacity loss over the sampled run, in Mbit/s."""
         if not self.samples:

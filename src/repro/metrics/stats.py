@@ -23,24 +23,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
-def mean(values: Sequence[float]) -> float:
-    if not values:
-        return 0.0
-    return float(np.mean(np.asarray(values, dtype=float)))
-
-
-def std(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(np.asarray(values, dtype=float), ddof=1))
-
-
-def median(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("median of empty sequence")
-    return float(np.median(np.asarray(values, dtype=float)))
-
-
 def summarize(values: Sequence[float]) -> dict:
     """Mean / std / min / median / max in one dict (for table rows)."""
     if not values:

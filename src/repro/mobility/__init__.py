@@ -1,12 +1,7 @@
 """Road geometry and vehicular client mobility."""
 
 from repro.mobility.road import MPH_TO_MPS, Position, Road, mph
-from repro.mobility.vehicle import (
-    VehicleTrack,
-    following_tracks,
-    opposing_tracks,
-    parallel_tracks,
-)
+from repro.mobility.vehicle import VehicleTrack
 
 __all__ = [
     "MPH_TO_MPS",
@@ -14,7 +9,4 @@ __all__ = [
     "Road",
     "mph",
     "VehicleTrack",
-    "following_tracks",
-    "opposing_tracks",
-    "parallel_tracks",
 ]

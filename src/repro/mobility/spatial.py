@@ -50,9 +50,6 @@ class ApGridIndex:
         #: Cumulative candidates whose distance was actually computed.
         self.scanned = 0
 
-    def __len__(self) -> int:
-        return self._count
-
     def _key(self, x: float) -> int:
         return math.floor(x / self.bucket_m)
 

@@ -75,41 +75,3 @@ class VehicleTrack:
             raise ValueError("static client has no transit duration")
         return int(self.road.length_m / self.speed_mps * SECOND)
 
-
-def following_tracks(
-    road: Road, speed_mph: float, count: int, spacing_m: float = 3.0
-) -> list:
-    """Clients driving in a line, ``spacing_m`` apart (paper Fig 19a)."""
-    return [
-        VehicleTrack(road, start_x=-i * spacing_m, speed_mph=speed_mph, direction=1)
-        for i in range(count)
-    ]
-
-
-def parallel_tracks(road: Road, speed_mph: float) -> list:
-    """Two clients abreast in adjacent lanes (paper Fig 19b).
-
-    Both travel in +x so they stay side by side; the second uses the far
-    lane's lateral offset via direction=-1 geometry, so we construct it
-    explicitly on the far lane but still moving in +x.
-    """
-    near = VehicleTrack(road, start_x=0.0, speed_mph=speed_mph, direction=1)
-    far = VehicleTrack(road, start_x=0.0, speed_mph=speed_mph, direction=1)
-    # Same heading, far lane: override the lane lookup via a shifted road.
-    far_road = Road(
-        length_m=road.length_m,
-        near_lane_y=road.far_lane_y,
-        far_lane_y=road.near_lane_y,
-        speed_limit_mph=road.speed_limit_mph,
-    )
-    far.road = far_road
-    return [near, far]
-
-
-def opposing_tracks(road: Road, speed_mph: float) -> list:
-    """Two clients passing in opposite directions (paper Fig 19c)."""
-    towards = VehicleTrack(road, start_x=0.0, speed_mph=speed_mph, direction=1)
-    away = VehicleTrack(
-        road, start_x=road.length_m, speed_mph=speed_mph, direction=-1
-    )
-    return [towards, away]

@@ -17,8 +17,6 @@ from repro.net.queues import DropTailQueue, QueueStats
 from repro.net.tunnel import (
     DOWNLINK_TUNNEL_OVERHEAD,
     UPLINK_TUNNEL_OVERHEAD,
-    decapsulate,
-    encapsulate_downlink,
     tunnel_wire_size,
 )
 
@@ -36,7 +34,5 @@ __all__ = [
     "QueueStats",
     "DOWNLINK_TUNNEL_OVERHEAD",
     "UPLINK_TUNNEL_OVERHEAD",
-    "decapsulate",
-    "encapsulate_downlink",
     "tunnel_wire_size",
 ]

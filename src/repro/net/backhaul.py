@@ -188,9 +188,6 @@ class EthernetBackhaul:
         else:
             self._down_nodes.discard(node_id)
 
-    def is_node_down(self, node_id: str) -> bool:
-        return node_id in self._down_nodes
-
     def nodes(self) -> KeysView[str]:
         """Ids of every attached node."""
         return self._handlers.keys()
@@ -388,8 +385,8 @@ class EthernetBackhaul:
             if tracer.active:
                 tracer.emit(
                     "backhaul",
-                    # Spelt out so repro.analysis (TRC001-003) reads
-                    # the names off the emit site.
+                    # Spelt out so the TRC001-003 checks (tests/lint.py)
+                    # read the names off the emit site.
                     "fault-drop" if drop == "fault"
                     else "oneway-drop" if drop == "oneway"
                     else "gray-drop" if drop == "gray"

@@ -57,9 +57,6 @@ class Packet:
         the source address this is the controller's de-duplication key.
     created_us:
         Simulation time the packet was created (for latency metrics).
-    tunnel_dst:
-        When IP-in-IP encapsulated, the AP/controller hop the outer
-        header addresses; ``None`` on the inner/plain datagram.
     """
 
     __slots__ = (
@@ -72,7 +69,6 @@ class Packet:
         "seq",
         "ip_id",
         "created_us",
-        "tunnel_dst",
         "meta",
     )
 
@@ -98,7 +94,6 @@ class Packet:
         self.seq = int(seq)
         self.ip_id = int(ip_id) & 0xFFFF
         self.created_us = int(created_us)
-        self.tunnel_dst: Optional[str] = None
         self.meta: dict = {}
 
     def dedup_key(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterator, Optional
+from typing import Deque, Optional
 
 from repro.net.packet import Packet
 
@@ -27,15 +27,6 @@ class QueueStats:
     dropped: int = 0
     flushed: int = 0
     high_watermark: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "enqueued": self.enqueued,
-            "dequeued": self.dequeued,
-            "dropped": self.dropped,
-            "flushed": self.flushed,
-            "high_watermark": self.high_watermark,
-        }
 
 
 class DropTailQueue:
@@ -55,9 +46,6 @@ class DropTailQueue:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __iter__(self) -> Iterator[Packet]:
-        return iter(self._items)
 
     @property
     def full(self) -> bool:

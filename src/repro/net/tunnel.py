@@ -18,24 +18,12 @@ DOWNLINK_TUNNEL_OVERHEAD = 20
 UPLINK_TUNNEL_OVERHEAD = 20 + 8 + 14
 
 
-def encapsulate_downlink(packet: Packet, ap_id: str) -> Packet:
-    """Address a downlink datagram to an AP without touching it.
+def tunnel_wire_size(packet: Packet, downlink: bool = True) -> int:
+    """Bytes on the backhaul wire for a tunneled datagram.
 
     The same inner packet object is shared across all APs it is fanned
-    out to; only the (tiny) tunnel header differs, and we account for
-    it in the wire-size arithmetic rather than by copying.
+    out to; only the (tiny) tunnel header differs, and it is accounted
+    for here rather than by copying or annotating the packet.
     """
-    packet.tunnel_dst = ap_id
-    return packet
-
-
-def tunnel_wire_size(packet: Packet, downlink: bool = True) -> int:
-    """Bytes on the backhaul wire for a tunneled datagram."""
     overhead = DOWNLINK_TUNNEL_OVERHEAD if downlink else UPLINK_TUNNEL_OVERHEAD
     return packet.size_bytes + overhead
-
-
-def decapsulate(packet: Packet) -> Packet:
-    """Strip the tunnel annotation, restoring the plain datagram."""
-    packet.tunnel_dst = None
-    return packet

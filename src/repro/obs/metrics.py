@@ -99,9 +99,3 @@ class MetricsStream:
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
-
-    def __enter__(self) -> "MetricsStream":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

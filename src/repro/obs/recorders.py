@@ -107,9 +107,6 @@ class UplinkLossMeter:
             loss = max(0.0, 1.0 - delta_received / delta_sent)
         self.series.append((self._sim.now, loss))
 
-    def loss_rates(self) -> List[float]:
-        return [loss for _, loss in self.series]
-
 
 @dataclass
 class CrashRecovery:

@@ -39,12 +39,12 @@ EVENT_KINDS = ("event", "span")
 
 #: Every event/span name any subsystem emits, with the subsystems
 #: allowed to emit it.  This is the other half of the emit-site
-#: contract: the ``repro.analysis`` trace-kind pass (TRC001/TRC002)
-#: statically cross-checks the emit sites in ``src/`` against this
-#: catalog in both directions, so an event name cannot exist only at
-#: its emit site (invisible to consumers) or only here (a contract
-#: nothing fulfills).  Keep it sorted; add the name in the same change
-#: that adds the emit site.
+#: contract: the TRC001/TRC002 checks in ``tests/lint.py`` (run by
+#: ``tests/test_analysis.py``) statically cross-check the emit sites
+#: in ``src/`` against this catalog in both directions, so an event
+#: name cannot exist only at its emit site (invisible to consumers) or
+#: only here (a contract nothing fulfills).  Keep it sorted; add the
+#: name in the same change that adds the emit site.
 TRACE_NAMES: Dict[str, Tuple[str, ...]] = {
     "air-tx": ("medium",),
     "ampdu-tx": ("mac",),

@@ -69,6 +69,7 @@ class TraceEvent:
 
     @property
     def duration_us(self) -> Optional[int]:
+        """A finished span's length; None for an event or an open span."""
         if self.end_ts is None:
             return None
         return self.end_ts - self.ts

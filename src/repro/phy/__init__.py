@@ -9,11 +9,7 @@ from repro.phy.mcs import (
     Mcs,
     mcs_by_index,
 )
-from repro.phy.per import (
-    best_rate_bps,
-    expected_throughput_bps,
-    mpdu_success_probability,
-)
+from repro.phy.per import best_rate_bps
 
 __all__ = [
     "db_to_linear",
@@ -26,6 +22,4 @@ __all__ = [
     "Mcs",
     "mcs_by_index",
     "best_rate_bps",
-    "expected_throughput_bps",
-    "mpdu_success_probability",
 ]

@@ -33,17 +33,31 @@ BER_CEILING = 0.5
 
 
 def q_function(x):
-    """Gaussian tail probability Q(x)."""
+    """Gaussian tail probability Q(x).
+
+    A test oracle and the table generator's input, never called by a
+    run: ``tests/test_phy.py::test_q_function_known_values`` checks it
+    against known values and the BER curves below build on it."""
     from scipy.special import erfc
 
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
 def q_inverse(p):
-    """Inverse of :func:`q_function`."""
+    """Inverse of :func:`q_function`.
+
+    A test oracle and the table generator's input, never called by a
+    run: ``tests/test_phy.py::test_q_inverse_roundtrip`` checks it."""
     from scipy.special import erfcinv
 
     return np.sqrt(2.0) * erfcinv(2.0 * np.asarray(p, dtype=float))
+
+
+# The closed forms below are oracles: lut.compute_tables() samples them
+# into ber_tables.npz, tests/test_phy_tables.py holds the file to that,
+# tests/test_phy.py checks their ordering, monotonicity and inverse
+# round trips, and tests/test_perf_equivalence.py compares the tables'
+# mean BER against them.  A run only reads the tables.
 
 
 def ber_bpsk(snr_linear):

@@ -73,7 +73,12 @@ def effective_snr_db(
 def effective_snr_db_exact(
     subcarrier_snr_db: np.ndarray, modulation: str = DEFAULT_MODULATION
 ) -> float:
-    """Closed-form effective SNR in dB, capped at :data:`ESNR_CAP_DB`."""
+    """Closed-form effective SNR in dB, capped at :data:`ESNR_CAP_DB`.
+
+    The oracle for the table-driven :func:`effective_snr_db`, never
+    called by a run: ``tests/test_perf_equivalence.py::TestLutEquivalence``
+    and ``tests/test_phy_batch.py::TestBatchAgainstExactOracles`` hold
+    the fast paths to it within a stated tolerance."""
     ber = BER_BY_MODULATION[modulation]
     inverse = SNR_FOR_BER_BY_MODULATION[modulation]
     snr_linear = db_to_linear(np.asarray(subcarrier_snr_db, dtype=float))

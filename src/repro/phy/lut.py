@@ -113,7 +113,10 @@ def compute_tables() -> Dict[str, np.ndarray]:
     the grid header, and ``written_with``: the numpy and scipy versions
     and numpy's SIMD loop for ``power`` / ``log10``, whose last bit
     differs between loops (the erfc tail amplifies it).  Needs scipy;
-    the simulator only loads the file."""
+    the simulator only loads the file.  A dev tool: ``python -m
+    repro.phy.lut`` writes ``ber_tables.npz`` with it, and
+    ``tests/test_phy_tables.py::test_the_file_is_what_compute_tables_writes``
+    holds the committed file to it."""
     import scipy
 
     try:

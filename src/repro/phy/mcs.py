@@ -24,10 +24,6 @@ class Mcs:
     coding_rate: float
     data_rate_bps: int
 
-    @property
-    def name(self) -> str:
-        return f"MCS{self.index}"
-
     def airtime_us(self, payload_bits: int) -> float:
         """Payload transmission time, excluding preamble."""
         return payload_bits / self.data_rate_bps * 1e6

@@ -306,22 +306,6 @@ def prewarm_receivers(rows: Sequence[np.ndarray]) -> None:
         _preamble_memo_lru.put(id(row), (row, float(preamble[i])))
 
 
-def mpdu_success_probability(
-    subcarrier_snr_db: np.ndarray, mcs: Mcs, length_bytes: int
-) -> float:
-    """Probability one MPDU of ``length_bytes`` delivers at ``mcs``.
-
-    Includes the preamble detection term, so it is a complete
-    per-transmission delivery probability. Within one A-MPDU the
-    preamble is shared; :mod:`repro.mac` draws the preamble once per
-    aggregate and this per-MPDU term for each subframe, using
-    :func:`mpdu_payload_success_probability`.
-    """
-    return preamble_success_probability(
-        subcarrier_snr_db
-    ) * mpdu_payload_success_probability(subcarrier_snr_db, mcs, length_bytes)
-
-
 def mpdu_payload_success_probability(
     subcarrier_snr_db: np.ndarray, mcs: Mcs, length_bytes: int
 ) -> float:
@@ -334,21 +318,15 @@ def mpdu_payload_success_probability(
     return math.exp(bits * math.log1p(-min(ber, 0.999999)))
 
 
-def expected_throughput_bps(
-    subcarrier_snr_db: np.ndarray, mcs: Mcs, length_bytes: int = 1500
-) -> float:
-    """Delivery-probability-weighted PHY rate; the link 'capacity' metric.
-
-    Used by the capacity-loss analyses (Figures 4 and 21): the best AP
-    at an instant is the one maximizing this quantity over the MCS set.
-    """
-    return mcs.data_rate_bps * mpdu_success_probability(
-        subcarrier_snr_db, mcs, length_bytes
-    )
-
-
 def best_rate_bps(subcarrier_snr_db: np.ndarray, length_bytes: int = 1500) -> float:
-    """max over the MCS table of :func:`expected_throughput_bps`."""
+    """Delivery-probability-weighted PHY rate of the best MCS; the link
+    'capacity' metric.
+
+    The capacity-loss analyses (Figures 4 and 21) take the best AP at
+    an instant to be the one maximizing this quantity: the preamble
+    term times, maximized over the MCS table, the data rate times
+    :func:`mpdu_payload_success_probability`.
+    """
     from repro.phy.mcs import MCS_TABLE
 
     preamble = preamble_success_probability(subcarrier_snr_db)

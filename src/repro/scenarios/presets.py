@@ -141,6 +141,7 @@ PRESETS: Dict[str, Callable[..., TestbedConfig]] = {
 
 
 def preset_names() -> List[str]:
+    """The registry's names, sorted (inspection for tests)."""
     return sorted(PRESETS)
 
 

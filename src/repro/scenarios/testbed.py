@@ -10,7 +10,7 @@ attachment and run helpers — every experiment driver goes through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.enhanced_80211r import (
@@ -274,6 +274,20 @@ class Testbed:
     def __init__(self, config: TestbedConfig):
         if config.scheme not in ("wgtt", "baseline"):
             raise ValueError(f"unknown scheme {config.scheme!r}")
+        if config.scheme == "baseline":
+            # Like ``shard`` and ``fault_plan``: a WGTT-only setting is
+            # refused, never silently ignored.
+            default = WgttConfig()
+            changed = [
+                f.name
+                for f in fields(default)
+                if getattr(config.wgtt, f.name) != getattr(default, f.name)
+            ]
+            if changed:
+                raise ValueError(
+                    "the baseline scheme takes no WGTT settings; "
+                    f"non-default wgtt fields: {', '.join(changed)}"
+                )
         self.config = config
         regions = plan_regions(config)
 

@@ -790,6 +790,8 @@ class ShardManager:
         self.shards[shard_idx].accept_downlink(packet)
 
     def serving_ap(self, client_id: str) -> Optional[str]:
+        """The owner region's serving AP for ``client_id``
+        (``Testbed.serving_ap_of`` on a corridor)."""
         shard_idx = self._owner.get(client_id)
         if shard_idx is None:
             return None

@@ -170,10 +170,6 @@ class Simulator:
         self._cancelled_in_queue = 0
         self.compactions += 1
 
-    def call_soon(self, callback: Callable[[], None]) -> EventHandle:
-        """Run ``callback`` at the current time, after pending same-time events."""
-        return self.schedule(0, callback)
-
     def peek_next_time(self) -> Optional[int]:
         """Timestamp of the next live event, or None if the queue is drained."""
         while self._queue:

@@ -49,9 +49,10 @@ def seeded_generator(seed: int) -> np.random.Generator:
 
     The blessed constructor for the few call sites that own a seed
     constant rather than a registry (e.g. the backhaul's default loss
-    stream).  Routing them through here keeps ``repro.analysis``'s
-    DET002 guarantee airtight: every ``np.random`` generator in the
-    tree is constructed in this module, so auditing determinism means
-    auditing this file's callers — nothing else can mint entropy.
+    stream).  Routing them through here keeps the DET002 check's
+    guarantee (``tests/lint.py``) airtight: every ``np.random``
+    generator in the tree is constructed in this module, so auditing
+    determinism means auditing this file's callers — nothing else can
+    mint entropy.
     """
     return np.random.default_rng(int(seed))

@@ -75,10 +75,6 @@ class ClientSession:
     start_x: float
     flows: Tuple[FlowSpec, ...]
 
-    @property
-    def depart_us(self) -> int:
-        return self.arrive_us + self.dwell_us
-
 
 @dataclass
 class WorkloadConfig:
@@ -113,9 +109,6 @@ class WorkloadPlan:
 
     sessions: List[ClientSession] = field(default_factory=list)
     config: WorkloadConfig = field(default_factory=WorkloadConfig)
-
-    def __len__(self) -> int:
-        return len(self.sessions)
 
     def __iter__(self):
         return iter(self.sessions)

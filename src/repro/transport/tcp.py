@@ -244,6 +244,7 @@ class TcpSender:
 
     @property
     def srtt_us(self) -> Optional[float]:
+        """The smoothed RTT, None before the first sample (inspection for tests)."""
         return self._srtt_us
 
 
@@ -301,6 +302,7 @@ class TcpReceiver:
         self._send_fn(ack)
 
     def delivered_bytes(self) -> int:
+        """Bytes delivered in order (inspection for tests)."""
         return self.rcv_nxt * MSS
 
     def goodput_series_mbps(

@@ -9,7 +9,7 @@ received-sequence-number plots (Figure 4), throughput timeseries
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.net.packet import Packet
 from repro.sim.engine import SECOND, Simulator, Timer
@@ -116,14 +116,6 @@ class UdpSink:
         )
         return received * 8 / (window / SECOND)
 
-    def loss_rate(self, expected: Optional[int] = None) -> float:
-        """Fraction of offered datagrams that never arrived."""
-        if expected is None:
-            expected = (max(self._seen) + 1) if self._seen else 0
-        if expected == 0:
-            return 0.0
-        return 1.0 - min(len(self._seen), expected) / expected
-
     def throughput_series_mbps(
         self, duration_us: int, bin_us: int = SECOND
     ) -> List[float]:
@@ -134,8 +126,3 @@ class UdpSink:
             if 0 <= index < len(bins):
                 bins[index] += size * 8
         return [b / (bin_us / SECOND) / 1e6 for b in bins]
-
-    def mean_delay_us(self) -> float:
-        if not self.arrivals:
-            return 0.0
-        return sum(d for _, _, _, d in self.arrivals) / len(self.arrivals)

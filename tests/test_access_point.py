@@ -43,7 +43,7 @@ class TestStopStart:
         assert isinstance(message, StartMsg)
         assert message.index == expected_k
         assert message.from_ap == "ap0"
-        assert not ap0.is_serving("client0")
+        assert "client0" not in ap0.serving_clients()
 
     def test_stop_with_empty_queue_reports_cyclic_head(self):
         testbed = make()
@@ -79,7 +79,7 @@ class TestStopStart:
         )
         testbed.run_seconds(0.1)
         assert len(acks) == 1 and acks[0].switch_id == 9
-        assert ap1.is_serving("client0")
+        assert "client0" in ap1.serving_clients()
         session = ap1.device.session("client0")
         # sequence space continues from k (45..) — slots 40-44 dropped
         assert session.scoreboard.window_start >= 45

@@ -1,12 +1,14 @@
-"""The static-analysis engine: per-rule fixtures + repo self-checks.
+"""The repository's static checks (``tests/lint.py``): per-rule fixtures
+and tree-wide self-checks.
 
 Three layers:
 
 * **fixture tests** — for every rule, a minimal snippet where it fires
   (positive) and a minimal snippet where it must stay silent
   (negative);
-* **repo self-check** — ``python -m repro.analysis src/`` must exit 0:
-  the tree this suite ships in is clean under its own lints;
+* **self-checks** — ``src/repro`` must be clean under every rule, and
+  under the structural checks below (no reach-ins to another module's
+  private fields, declared dependencies);
 * **flags manifest** — the committed ``analysis/flags.toml`` must match
   the defaults of every ``bool`` field of every ``*Config`` dataclass
   the imported ``repro`` package defines.  This test is the only check
@@ -16,32 +18,30 @@ Three layers:
 import ast
 import dataclasses
 import importlib
-import json
 import pkgutil
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main, rule_catalog
-from repro.analysis.engine import run_passes
-from repro.analysis.passes import (
-    CheckpointCoveragePass,
-    DeterminismPass,
-    MetricNamePass,
-    TraceKindPass,
+from tests.lint import (
+    RULES,
+    checkpoint_coverage,
+    determinism,
+    lint,
+    load,
+    metric_names,
+    trace_kinds,
 )
-from repro.analysis.project import load_project
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_fixture(tmp_path, sources, passes, rel="pkg/mod.py"):
-    """Write ``sources`` under ``tmp_path`` and run ``passes``.
+def run_fixture(tmp_path, sources, check, rel="pkg/mod.py"):
+    """Write ``sources`` under ``tmp_path`` and run ``check`` over them.
 
     ``sources`` is either one source string (written to ``rel``) or a
-    dict of relative-path -> source.  Returns the finding list.
+    dict of relative-path -> source.  Returns the sorted findings.
     """
     if isinstance(sources, str):
         sources = {rel: sources}
@@ -49,12 +49,15 @@ def run_fixture(tmp_path, sources, passes, rel="pkg/mod.py"):
         target = tmp_path / relative
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
-    project = load_project([tmp_path], root=tmp_path)
-    return run_passes(project, passes)
+    return sorted(check(load(tmp_path)))
 
 
 def rules_of(findings):
     return [finding.rule for finding in findings]
+
+
+def catalog_check(catalog):
+    return lambda sources: trace_kinds(sources, catalog=catalog)
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +73,7 @@ class TestDeterminismRules:
             "import time\n"
             "def f():\n"
             "    return time.time()\n",
-            [DeterminismPass()],
+            determinism,
         )
         assert rules_of(findings) == ["DET001", "DET001", "DET001"]
 
@@ -80,7 +83,7 @@ class TestDeterminismRules:
             "from repro.sim.rng import RngRegistry\n"
             "def f(sim):\n"
             "    return sim.now\n",
-            [DeterminismPass()],
+            determinism,
         )
         assert findings == []
 
@@ -89,7 +92,7 @@ class TestDeterminismRules:
             tmp_path,
             "import numpy as np\n"
             "gen = np.random.default_rng(7)\n",
-            [DeterminismPass()],
+            determinism,
         )
         assert rules_of(findings) == ["DET002"]
 
@@ -102,7 +105,7 @@ class TestDeterminismRules:
                     "gen = np.random.default_rng(7)\n"
                 )
             },
-            [DeterminismPass()],
+            determinism,
         )
         assert findings == []
 
@@ -111,7 +114,7 @@ class TestDeterminismRules:
             tmp_path,
             "def f(rng, label):\n"
             "    return rng.stream(label)\n",
-            [DeterminismPass()],
+            determinism,
         )
         assert rules_of(findings) == ["DET003"]
 
@@ -122,7 +125,7 @@ class TestDeterminismRules:
             '    a = rng.stream("mac/backoff")\n'
             '    b = rng.stream(f"fading/{ap}")\n'
             "    return a, b\n",
-            [DeterminismPass()],
+            determinism,
         )
         assert findings == []
 
@@ -133,7 +136,7 @@ class TestDeterminismRules:
             '    return rng.stream("shared/label")\n'
             "def g(rng):\n"
             '    return rng.stream("shared/label")\n',
-            [DeterminismPass()],
+            determinism,
         )
         assert rules_of(findings) == ["DET004"]
 
@@ -146,7 +149,7 @@ class TestDeterminismRules:
             "    b = zlib.crc32(src.encode())  # a stable digest is fine\n"
             "    c = table.hash(src)  # so is somebody's method\n"
             "    return a, b, c\n",
-            [DeterminismPass()],
+            determinism,
         )
         assert rules_of(findings) == ["DET006"]
         assert findings[0].line == 3
@@ -156,7 +159,7 @@ class TestDeterminismRules:
             tmp_path,
             "def snapshot(d):\n"
             "    return [t.deadline for t in d.values()]\n",
-            [DeterminismPass()],
+            determinism,
         )
         assert rules_of(findings) == ["DET005"]
 
@@ -171,7 +174,7 @@ class TestDeterminismRules:
             "    return total, [d[k] for k in sorted(d)]\n"
             "def plain_hot_path(d):\n"
             "    return [v for v in d.values()]\n",
-            [DeterminismPass()],
+            determinism,
         )
         assert findings == []
 
@@ -195,7 +198,7 @@ class TestTraceKindRules:
                     '    tracer.emit("backhaul", "tx")\n'
                 )
             },
-            [TraceKindPass(catalog=_CATALOG)],
+            catalog_check(_CATALOG),
         )
         assert rules_of(findings) == ["TRC001"]
 
@@ -209,7 +212,7 @@ class TestTraceKindRules:
                     '    tracer.emit("backhaul", "tx")\n'
                 )
             },
-            [TraceKindPass(catalog=_CATALOG)],
+            catalog_check(_CATALOG),
         )
         assert rules_of(findings) == ["TRC001"]
 
@@ -222,7 +225,7 @@ class TestTraceKindRules:
                     '    tracer.emit("controller", "switch")\n'
                 )
             },
-            [TraceKindPass(catalog=_CATALOG)],
+            catalog_check(_CATALOG),
         )
         # "tx" is cataloged but never emitted; the full-scan marker
         # file is present so the dead entry is reported.
@@ -237,7 +240,7 @@ class TestTraceKindRules:
                     '    tracer.emit("controller", "switch")\n'
                 )
             },
-            [TraceKindPass(catalog=_CATALOG)],
+            catalog_check(_CATALOG),
         )
         assert findings == []
 
@@ -252,7 +255,7 @@ class TestTraceKindRules:
                     '    tracer.emit("backhaul", "tx")\n'
                 )
             },
-            [TraceKindPass(catalog=_CATALOG)],
+            catalog_check(_CATALOG),
         )
         assert rules_of(findings) == ["TRC003"]
 
@@ -266,8 +269,7 @@ class TestTraceKindRules:
                     '"switch" if fast else "tx")\n'
                 )
             },
-            [TraceKindPass(catalog={"switch": ("controller",),
-                                    "tx": ("controller",)})],
+            catalog_check({"switch": ("controller",), "tx": ("controller",)}),
         )
         assert findings == []
 
@@ -301,7 +303,7 @@ class TestCheckpointRules:
         return run_fixture(
             tmp_path,
             {"repro/core/controller.py": controller_src},
-            [CheckpointCoveragePass()],
+            checkpoint_coverage,
         )
 
     def test_ckp001_uncovered_volatile_attr(self, tmp_path):
@@ -375,7 +377,7 @@ class TestMetricNameRules:
         findings = run_fixture(
             tmp_path,
             'def f():\n    return metric_key("drops{ap=a3}")\n',
-            [MetricNamePass()],
+            metric_names,
         )
         assert "MET001" in rules_of(findings)
 
@@ -384,7 +386,7 @@ class TestMetricNameRules:
             tmp_path,
             # Unsorted labels: metric_key() would emit ap before zone.
             'KEY = "drops{zone=z1,ap=a3}"\n',
-            [MetricNamePass()],
+            metric_names,
         )
         assert rules_of(findings) == ["MET001"]
 
@@ -393,74 +395,44 @@ class TestMetricNameRules:
             tmp_path,
             'KEY = "drops{ap=a3,zone=z1}"\n'
             'def f():\n    return metric_key("drops", ap="a3")\n',
-            [MetricNamePass()],
+            metric_names,
         )
         assert findings == []
 
 
 # ----------------------------------------------------------------------
-# SYN001 — the engine's own rule
-# ----------------------------------------------------------------------
-
-
-class TestEngineRules:
-    def test_syn001_parse_error(self, tmp_path):
-        findings = run_fixture(
-            tmp_path, "def broken(:\n", [DeterminismPass()]
-        )
-        assert rules_of(findings) == ["SYN001"]
-
-
-# ----------------------------------------------------------------------
-# CLI + repo self-check
+# The tree under every rule, and the structural self-checks
 # ----------------------------------------------------------------------
 
 
 class TestCliAndSelfCheck:
     def test_repo_is_clean_under_its_own_lints(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--json", "src/"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        findings = lint(load(REPO_ROOT / "src", root=REPO_ROOT))
+        assert findings == [], "\n".join(map(str, findings))
+
+    def test_findings_name_file_and_line(self, tmp_path):
+        findings = run_fixture(
+            tmp_path, "import zlib\nimport random\n", lint, rel="pkg/bad.py"
         )
-        assert result.returncode == 0, result.stdout + result.stderr
-        payload = json.loads(result.stdout)
-        assert payload["findings"] == []
+        assert [str(f).split(": ")[0] for f in findings] == ["pkg/bad.py:2 DET001"]
 
-    def test_cli_reports_fixture_findings(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\n")
-        assert main([str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "DET001" in out
-
-    def test_cli_json_is_deterministic(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\nimport time\n")
-        assert main(["--json", str(bad)]) == 1
-        first = capsys.readouterr().out
-        assert main(["--json", str(bad)]) == 1
-        second = capsys.readouterr().out
-        assert first == second
-        assert len(json.loads(first)["findings"]) == 2
-
-    def test_cli_rejects_missing_path(self, tmp_path):
-        assert main([str(tmp_path / "missing.py")]) == 2
+    def test_findings_are_deterministic(self, tmp_path):
+        source = "import random\nimport time\n"
+        first = run_fixture(tmp_path, source, lint)
+        assert len(first) == 2
+        assert run_fixture(tmp_path, source, lint) == first
 
     def test_rule_catalog_covers_every_pass(self):
-        assert sorted(rule_catalog()) == [
+        assert sorted(RULES) == [
             *(f"CKP00{n}" for n in (1, 2, 3)),
             *(f"DET00{n}" for n in range(1, 7)),
             "MET001",
-            "SYN001",
             *(f"TRC00{n}" for n in (1, 2, 3)),
         ]
 
     def test_docs_document_every_rule(self):
         doc = (REPO_ROOT / "docs" / "static-analysis.md").read_text()
-        for rule in rule_catalog():
+        for rule in RULES:
             assert rule in doc, f"docs/static-analysis.md must cover {rule}"
 
     #: Files allowed to touch another module's private fields, and why.

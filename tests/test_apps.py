@@ -81,7 +81,6 @@ class TestConferencing:
         receiver = ConferencingReceiver(sim, "conf", sender)
         sender.start()
         sim.run(until_us=seconds * SECOND)
-        sender.stop()
         return sender, receiver
 
     def test_clean_path_delivers_target_fps(self):

@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 from repro.phy.esnr import effective_snr_db
 from repro.phy.mcs import MCS_TABLE
 from repro.phy.per import (
-    expected_throughput_bps,
-    mpdu_success_probability,
+    best_rate_bps,
+    mpdu_payload_success_probability,
     preamble_success_probability,
 )
+
+def delivery_probability(snrs, mcs, length_bytes):
+    """Preamble term times payload term: one MPDU's delivery odds."""
+    return preamble_success_probability(snrs) * mpdu_payload_success_probability(
+        snrs, mcs, length_bytes
+    )
+
 
 snr_vectors = st.lists(
     st.floats(min_value=-15.0, max_value=40.0, allow_nan=False),
@@ -42,7 +49,7 @@ def test_esnr_monotone_under_uniform_boost(snrs, boost):
 @settings(max_examples=60)
 def test_per_probabilities_valid_for_all_mcs(snrs):
     for mcs in MCS_TABLE:
-        p = mpdu_success_probability(snrs, mcs, 1500)
+        p = delivery_probability(snrs, mcs, 1500)
         assert 0.0 <= p <= 1.0
 
 
@@ -51,7 +58,7 @@ def test_per_probabilities_valid_for_all_mcs(snrs):
 def test_per_ordering_lower_mcs_never_worse(snrs):
     """At any channel, a more robust MCS delivers at least as reliably
     as a denser one."""
-    probs = [mpdu_success_probability(snrs, mcs, 1500) for mcs in MCS_TABLE]
+    probs = [delivery_probability(snrs, mcs, 1500) for mcs in MCS_TABLE]
     for robust, dense in zip(probs, probs[1:]):
         assert robust >= dense - 1e-9
 
@@ -61,7 +68,7 @@ def test_per_ordering_lower_mcs_never_worse(snrs):
 def test_preamble_at_least_as_robust_as_any_payload(snrs):
     preamble = preamble_success_probability(snrs)
     best_payload = max(
-        mpdu_success_probability(snrs, mcs, 1500) for mcs in MCS_TABLE
+        delivery_probability(snrs, mcs, 1500) for mcs in MCS_TABLE
     )
     assert preamble >= best_payload - 1e-6
 
@@ -70,5 +77,7 @@ def test_preamble_at_least_as_robust_as_any_payload(snrs):
 @settings(max_examples=60)
 def test_expected_throughput_bounded_by_phy_rate(snrs, length):
     for mcs in MCS_TABLE:
-        tput = expected_throughput_bps(snrs, mcs, length)
+        tput = mcs.data_rate_bps * delivery_probability(snrs, mcs, length)
         assert 0.0 <= tput <= mcs.data_rate_bps + 1e-6
+    top_rate = max(mcs.data_rate_bps for mcs in MCS_TABLE)
+    assert 0.0 <= best_rate_bps(snrs, length) <= top_rate + 1e-6

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.liveness import ALIVE, LivenessTracker
+from repro.core.liveness import LivenessTracker
 from repro.sim import Simulator
 
 MS = 1_000
@@ -30,23 +30,22 @@ class TestStateMachine:
         sim, tracker, downs, _ = make_tracker()
         # no beats at all: the check timer never even starts
         sim.run(until_us=10_000 * MS)
-        assert tracker.state("ap0") == ALIVE  # UNKNOWN reads as alive
-        assert not tracker.is_dead("ap0")
+        assert tracker.dead_aps() == frozenset()  # UNKNOWN reads as alive
         assert downs == []
-        assert tracker.tracked_aps() == frozenset()
+        assert tracker.snapshot()["last_beat"] == {}
 
     def test_beating_ap_stays_alive(self):
         sim, tracker, downs, _ = make_tracker()
         beat_until(sim, tracker, "ap0", 500 * MS, 20 * MS)
         sim.run(until_us=500 * MS)
-        assert tracker.state("ap0") == ALIVE
+        assert tracker.dead_aps() == frozenset()
         assert downs == []
 
     def test_silent_ap_declared_dead_within_bound(self):
         sim, tracker, downs, _ = make_tracker(interval_ms=20, miss_limit=3)
         beat_until(sim, tracker, "ap0", 200 * MS, 20 * MS)  # last beat 200ms
         sim.run(until_us=1_000 * MS)
-        assert tracker.is_dead("ap0")
+        assert "ap0" in tracker.dead_aps()
         assert len(downs) == 1
         down_at, ap = downs[0]
         assert ap == "ap0"
@@ -57,10 +56,10 @@ class TestStateMachine:
         sim, tracker, downs, ups = make_tracker()
         beat_until(sim, tracker, "ap0", 100 * MS, 20 * MS)
         sim.run(until_us=400 * MS)
-        assert tracker.is_dead("ap0")
+        assert "ap0" in tracker.dead_aps()
         sim.schedule(0, lambda: tracker.mark_alive("ap0"))
         sim.run(until_us=401 * MS)
-        assert tracker.state("ap0") == ALIVE
+        assert tracker.dead_aps() == frozenset()
         assert len(ups) == 1
         # exactly one down and one up: no duplicate edges
         assert len(downs) == 1
@@ -71,8 +70,6 @@ class TestStateMachine:
         beat_until(sim, tracker, "ap0", 100 * MS, 20 * MS)  # dies
         beat_until(sim, tracker, "ap1", 900 * MS, 20 * MS)  # keeps beating
         sim.run(until_us=900 * MS)
-        assert tracker.is_dead("ap0")
-        assert not tracker.is_dead("ap1")
         assert tracker.dead_aps() == frozenset({"ap0"})
         assert [ap for _, ap in downs] == ["ap0"]
 
@@ -87,8 +84,8 @@ class TestEdgeCases:
         tracker = LivenessTracker(sim, 0)
         tracker.beat("ap0")
         sim.run(until_us=10_000 * MS)
-        assert tracker.tracked_aps() == frozenset()
-        assert not tracker.is_dead("ap0")
+        assert tracker.snapshot()["last_beat"] == {}
+        assert tracker.dead_aps() == frozenset()
 
     def test_forget_stops_tracking(self):
         sim, tracker, downs, _ = make_tracker()
@@ -97,7 +94,7 @@ class TestEdgeCases:
         tracker.forget("ap0")
         sim.run(until_us=1_000 * MS)
         assert downs == []  # never declared dead after forget
-        assert tracker.tracked_aps() == frozenset()
+        assert tracker.snapshot()["last_beat"] == {}
 
     def test_stop_inside_on_down_is_never_rearmed(self):
         # The standby's primary watch: the first DEAD stops the tracker.
@@ -110,7 +107,7 @@ class TestEdgeCases:
         tracker.beat("primary")  # nor does a late beat
         sim.run(until_us=1_000 * MS)
         assert downs == ["primary"]
-        assert tracker.tracked_aps() == frozenset()
+        assert tracker.snapshot()["last_beat"] == {}
 
     def test_deterministic_event_trace(self):
         def run_once():

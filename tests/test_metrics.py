@@ -5,14 +5,7 @@ import math
 import pytest
 
 from repro.metrics.capacity import selector_capacity_loss_mbps
-from repro.metrics.stats import (
-    cdf_points,
-    mean,
-    median,
-    percentile,
-    std,
-    summarize,
-)
+from repro.metrics.stats import cdf_points, percentile, summarize
 
 
 class TestStats:
@@ -31,10 +24,10 @@ class TestStats:
             percentile([], 50)
 
     def test_mean_std_median(self):
-        assert mean([1, 2, 3]) == pytest.approx(2.0)
-        assert std([2, 4]) == pytest.approx(math.sqrt(2))
-        assert std([5]) == 0.0
-        assert median([5, 1, 9]) == 5
+        assert summarize([1, 2, 3])["mean"] == pytest.approx(2.0)
+        assert summarize([2, 4])["std"] == pytest.approx(math.sqrt(2))
+        assert summarize([5])["std"] == 0.0
+        assert summarize([5, 1, 9])["median"] == 5
 
     def test_summarize(self):
         summary = summarize([1.0, 2.0, 3.0])
@@ -106,6 +99,5 @@ class TestMetersOnTestbed:
         source, _ = testbed.add_downlink_udp_flow(0, rate_bps=10e6)
         source.start()
         testbed.run_seconds(3.0)
-        meter.stop()
         assert meter.mean_best_mbps() > 20.0
         assert meter.mean_loss_mbps() < meter.mean_best_mbps() * 0.4

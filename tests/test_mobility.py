@@ -4,16 +4,8 @@ import math
 
 import pytest
 
-from repro.mobility import (
-    MPH_TO_MPS,
-    Position,
-    Road,
-    VehicleTrack,
-    following_tracks,
-    mph,
-    opposing_tracks,
-    parallel_tracks,
-)
+from repro.mobility import MPH_TO_MPS, Position, Road, VehicleTrack, mph
+from repro.scenarios.presets import following_config, opposing_config, parallel_config
 from repro.sim.engine import SECOND
 
 
@@ -109,24 +101,24 @@ class TestVehicleTrack:
 
 
 def test_following_tracks_spacing():
-    tracks = following_tracks(Road(), speed_mph=15.0, count=3, spacing_m=3.0)
+    config = following_config(speed_mph=15.0, count=3, spacing_m=3.0)
+    tracks = config.client_tracks
+    start = config.client_start_x_m
     xs = [t.position_at(0).x for t in tracks]
-    assert xs == [0.0, -3.0, -6.0]
+    assert xs == [start, start - 3.0, start - 6.0]
     later = [t.position_at(SECOND).x for t in tracks]
     assert later[0] - later[1] == pytest.approx(3.0)
 
 
 def test_parallel_tracks_stay_abreast_in_different_lanes():
-    road = Road()
-    a, b = parallel_tracks(road, speed_mph=15.0)
+    a, b = parallel_config(speed_mph=15.0).client_tracks
     pa, pb = a.position_at(SECOND), b.position_at(SECOND)
     assert pa.x == pytest.approx(pb.x)
     assert pa.y != pb.y
 
 
 def test_opposing_tracks_close_on_each_other():
-    road = Road(length_m=60.0)
-    a, b = opposing_tracks(road, speed_mph=15.0)
+    a, b = opposing_config(speed_mph=15.0).client_tracks
     gap_start = abs(a.position_at(0).x - b.position_at(0).x)
     gap_later = abs(a.position_at(SECOND).x - b.position_at(SECOND).x)
     assert gap_later < gap_start

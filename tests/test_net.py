@@ -7,8 +7,6 @@ from repro.net import (
     EthernetBackhaul,
     IpIdAllocator,
     Packet,
-    decapsulate,
-    encapsulate_downlink,
     tunnel_wire_size,
 )
 from repro.sim import Simulator
@@ -116,14 +114,6 @@ class TestDropTailQueue:
 # ----------------------------------------------------------------------
 
 class TestTunnel:
-    def test_encapsulation_marks_hop_not_addresses(self):
-        packet = make_packet()
-        encapsulate_downlink(packet, "ap3")
-        assert packet.tunnel_dst == "ap3"
-        assert packet.dst == "client0"  # inner addresses untouched
-        decapsulate(packet)
-        assert packet.tunnel_dst is None
-
     def test_wire_size_overheads(self):
         packet = make_packet(size=1000)
         assert tunnel_wire_size(packet, downlink=True) == 1020

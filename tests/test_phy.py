@@ -27,10 +27,17 @@ from repro.phy.mcs import (
 from repro.phy.per import (
     best_rate_bps,
     coded_ber,
-    expected_throughput_bps,
-    mpdu_success_probability,
+    mpdu_payload_success_probability,
     preamble_success_probability,
 )
+
+
+def delivery_probability(snr, mcs, length_bytes):
+    """One MPDU's complete delivery probability: the preamble term times
+    the payload term, the product :func:`best_rate_bps` maximizes."""
+    return preamble_success_probability(snr) * mpdu_payload_success_probability(
+        snr, mcs, length_bytes
+    )
 
 
 def test_q_function_known_values():
@@ -137,8 +144,8 @@ class TestEffectiveSnr:
 class TestPer:
     def test_success_monotone_in_snr(self):
         mcs = mcs_by_index(4)
-        p_low = mpdu_success_probability(np.full(56, 8.0), mcs, 1500)
-        p_high = mpdu_success_probability(np.full(56, 25.0), mcs, 1500)
+        p_low = delivery_probability(np.full(56, 8.0), mcs, 1500)
+        p_high = delivery_probability(np.full(56, 25.0), mcs, 1500)
         assert p_low < p_high
         assert 0.0 <= p_low <= 1.0
         assert 0.0 <= p_high <= 1.0
@@ -146,14 +153,14 @@ class TestPer:
     def test_longer_frames_fail_more(self):
         mcs = mcs_by_index(4)
         snr = np.full(56, 14.0)
-        assert mpdu_success_probability(
+        assert delivery_probability(
             snr, mcs, 200
-        ) > mpdu_success_probability(snr, mcs, 1500)
+        ) > delivery_probability(snr, mcs, 1500)
 
     def test_higher_mcs_needs_more_snr(self):
         snr = np.full(56, 10.0)
-        p0 = mpdu_success_probability(snr, mcs_by_index(0), 1500)
-        p7 = mpdu_success_probability(snr, mcs_by_index(7), 1500)
+        p0 = delivery_probability(snr, mcs_by_index(0), 1500)
+        p7 = delivery_probability(snr, mcs_by_index(7), 1500)
         assert p0 > 0.95
         assert p7 < 0.05
 
@@ -171,9 +178,10 @@ class TestPer:
         # At 12 dB flat SNR the best expected throughput should come
         # from a mid-table MCS, not the extremes.
         snr = np.full(56, 12.0)
-        rates = [expected_throughput_bps(snr, m) for m in MCS_TABLE]
+        rates = [m.data_rate_bps * delivery_probability(snr, m, 1500) for m in MCS_TABLE]
         best = int(np.argmax(rates))
         assert 1 <= best <= 5
+        assert best_rate_bps(snr) == pytest.approx(rates[best])
 
     def test_best_rate_saturates_at_top_mcs(self):
         assert best_rate_bps(np.full(56, 35.0)) == pytest.approx(

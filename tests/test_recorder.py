@@ -25,7 +25,7 @@ class TestUplinkLossMeter:
         source.packets_sent = 200
         sink._received = 190
         meter.sample()
-        rates = meter.loss_rates()
+        rates = [loss for _, loss in meter.series]
         assert abs(rates[0] - 0.1) < 1e-9
         assert rates[1] == 0.0
 
@@ -33,7 +33,7 @@ class TestUplinkLossMeter:
         sim = Simulator()
         meter = UplinkLossMeter(sim, FakeCounter(), FakeCounter())
         meter.sample()
-        assert meter.loss_rates() == [0.0]
+        assert [loss for _, loss in meter.series] == [0.0]
 
     def test_receiver_ahead_clamps_to_zero(self):
         sim = Simulator()
@@ -46,7 +46,7 @@ class TestUplinkLossMeter:
         sink._received = 15
         source.packets_sent = 10
         meter.sample()
-        assert meter.loss_rates()[1] == 0.0
+        assert [loss for _, loss in meter.series][1] == 0.0
 
 
 class TestRateUsageLog:

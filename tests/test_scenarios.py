@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import WgttConfig
 from repro.scenarios import (
     MIXED_DENSITY_AP_XS,
     TestbedConfig,
@@ -36,6 +37,26 @@ class TestTestbedConfig:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             Testbed(TestbedConfig(scheme="5g"))
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("ha_enabled", True),
+            ("admission_enabled", True),
+            ("backpressure_enabled", True),
+            ("fanout_enabled", False),
+            ("ba_forwarding_enabled", False),
+            ("selection_metric", "mean"),
+        ],
+    )
+    def test_baseline_refuses_wgtt_only_knobs(self, knob, value):
+        """The baseline has no controller to read them: a non-default
+        ``wgtt`` is refused, naming the field, like ``shard`` and
+        ``fault_plan`` are."""
+        config = TestbedConfig(scheme="baseline", wgtt=WgttConfig(**{knob: value}))
+        with pytest.raises(ValueError, match=f"non-default wgtt fields: {knob}$"):
+            Testbed(config)
+        Testbed(TestbedConfig(scheme="wgtt", wgtt=WgttConfig(**{knob: value})))
 
 
 class TestTestbedBuild:

@@ -30,6 +30,7 @@ from repro.faults.plan import (
     FaultPlan,
     GrayFailure,
     LinkJitter,
+    MsgCorruption,
     OneWayPartition,
     Partition,
 )
@@ -44,7 +45,7 @@ from repro.scenarios.presets import (
 from repro.mobility.spatial import ApGridIndex
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.shard.config import ShardConfig
-from repro.shard.manager import plan_regions
+from repro.shard.manager import HANDOFF_RETRY_LIMIT, HANDOFF_TIMEOUT_US, plan_regions
 from repro.soak import ChurnDriver, ClientSession, WorkloadPlan
 from repro.sim.rng import RngRegistry
 
@@ -248,14 +249,34 @@ class TestClientStateRoundtrip:
 
 
 class TestInterShardHandoff:
-    def _run(self, **overrides):
+    #: The client crosses the boundary at the 3.1 s scan tick (seed 3,
+    #: 25 mph); the handoff is merged and acked within a millisecond.
+    HANDOFF_AT_US = 3_100_000
+
+    def _run(self, fault_plan=None, **overrides):
         tb = Testbed(_sharded_config(**overrides))
         checker = tb.install_invariant_checker()
+        if fault_plan is not None:
+            tb.install_fault_plan(fault_plan)
         tb.add_downlink_udp_flow(0, rate_bps=4e6)[0].start()
         source, sink = tb.add_uplink_udp_flow(0, rate_bps=1e6)
         source.start()
         tb.run_seconds(5.0)
         return tb, checker.finish(), sink
+
+    def _lose(self, kinds, duration_us):
+        """Every ``kinds`` message on the backhaul is lost from just
+        before the handoff for ``duration_us``."""
+        return FaultPlan(
+            [
+                MsgCorruption(
+                    at_us=self.HANDOFF_AT_US - 10_000,
+                    duration_us=duration_us,
+                    kinds=frozenset(kinds),
+                    probability=1.0,
+                )
+            ]
+        )
 
     def test_handoff_completes_with_zero_violations(self):
         tb, report, sink = self._run()
@@ -265,6 +286,49 @@ class TestInterShardHandoff:
         assert report["ok"], report["violations"]
         assert report["counts"]["no-duplicate-delivery"] == 0
         assert len(sink.arrivals) > 0
+
+    def test_lost_ack_is_retried_and_the_retransmission_re_acked(self):
+        """The first ack is lost inside one timeout: the sender resends
+        the same handoff id once, the receiver's completed-id cache acks
+        it without merging again, and the client stays on shard 1."""
+        tb, report, sink = self._run(
+            self._lose({"shard-handoff-ack"}, HANDOFF_TIMEOUT_US - 10_000)
+        )
+        stats = tb.shard_manager.stats
+        assert stats["handoffs_initiated"] == 1
+        assert stats["handoff_retries"] == 1
+        assert stats["handoff_duplicates"] == 1  # re-acked, not re-merged
+        assert stats["handoffs_completed"] == 1
+        assert stats["handoffs_abandoned"] == 0
+        assert not tb.shard_manager.handoff_in_flight("client0")
+        assert report["ok"], report["violations"]
+        assert tb.shard_manager.owner_of("client0") == 1
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [{"shard-handoff-ack"}, {"shard-handoff", "shard-handoff-ack"}],
+        ids=["acks-lost", "transfer-and-acks-lost"],
+    )
+    def test_handoff_past_the_retry_limit_is_abandoned_and_heals(self, kinds):
+        """No ack gets through for longer than every retransmission: the
+        handoff is abandoned and the client is associated afresh on the
+        target shard (a no-op when the transfer itself was merged), and
+        delivers again there."""
+        window_us = (HANDOFF_RETRY_LIMIT + 2) * HANDOFF_TIMEOUT_US
+        tb, report, sink = self._run(self._lose(kinds, window_us))
+        manager = tb.shard_manager
+        assert manager.stats["handoff_retries"] == HANDOFF_RETRY_LIMIT
+        assert manager.stats["handoffs_abandoned"] == 1
+        assert manager.stats["handoffs_completed"] == (
+            0 if "shard-handoff" in kinds else 1
+        )
+        assert not manager.handoff_in_flight("client0")
+        assert report["ok"], report["violations"]
+        assert manager.owner_of("client0") == 1
+        assert manager.shards[1].controller.tracks("client0")
+        assert not manager.shards[0].controller.tracks("client0")
+        healed_at = self.HANDOFF_AT_US + window_us
+        assert any(t > healed_at for t, *_ in sink.arrivals)
 
     def test_client_state_lives_exactly_on_owner(self):
         tb, report, _ = self._run()

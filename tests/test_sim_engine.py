@@ -95,12 +95,12 @@ def test_events_scheduled_during_run_execute():
     assert sim.now == 15
 
 
-def test_call_soon_runs_after_pending_same_time_events():
+def test_zero_delay_event_runs_after_pending_same_time_events():
     sim = Simulator()
     fired = []
 
     def outer():
-        sim.call_soon(lambda: fired.append("soon"))
+        sim.schedule(0, lambda: fired.append("soon"))
         fired.append("outer")
 
     sim.schedule(10, outer)

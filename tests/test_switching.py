@@ -240,7 +240,8 @@ def test_failover_handshake_completes():
     )
     coordinator.initiate_failover("client0", "ap1", "ap2")
     assert coordinator.busy("client0")
-    assert coordinator.pending_record("client0").failover is True
+    ((_, _, record),) = coordinator.pending_switches()
+    assert record.failover is True
     sim.run()
     assert seen["failover"] == 1
     record = coordinator.history[0]
@@ -357,7 +358,8 @@ def test_superseded_round_ack_does_not_complete_new_round():
 
     assert coordinator.stale_acks == 1
     assert coordinator.busy("client0")  # the new round is untouched
-    assert coordinator.pending_record("client0").to_ap == "ap3"
+    ((client, _, record),) = coordinator.pending_switches()
+    assert (client, record.to_ap) == ("client0", "ap3")
 
 
 def test_stale_acks_survive_restore_but_not_checkpoint_bytes():

@@ -24,7 +24,7 @@ class TestAssociation:
         assert testbed.controller.serving_ap("client0") == "ap0"
         for ap in testbed.wgtt_aps.values():
             assert ap.directory.is_associated("client0")
-        assert testbed.wgtt_aps["ap0"].is_serving("client0")
+        assert "client0" in testbed.wgtt_aps["ap0"].serving_clients()
 
     def test_over_the_air_association(self):
         config = TestbedConfig(
@@ -62,7 +62,7 @@ class TestAssociation:
         source, sink = testbed.add_downlink_udp_flow(0, rate_bps=2e6)
         source.start()
         testbed.run_seconds(1.0)
-        assert any(ap.is_serving("client0") for ap in testbed.wgtt_aps.values())
+        assert any("client0" in ap.serving_clients() for ap in testbed.wgtt_aps.values())
         assert sink.packets_received() >= 0.9 * source.packets_sent
 
     def test_unassociated_downlink_dropped(self):
