@@ -39,7 +39,7 @@ from repro.core.ba_forwarding import (
 from repro.core.config import WgttConfig
 from repro.core.controller import CONTROLLER_HEARTBEAT_INTERVAL_US
 from repro.core.cyclic_queue import CyclicQueue
-from repro.core.liveness import HEARTBEAT_MISS_LIMIT
+from repro.core.liveness import LivenessTracker
 from repro.core.switching import AckMsg, FailoverMsg, StartMsg, StopMsg
 from repro.mac.frames import BlockAckFrame
 from repro.mac.medium import WirelessMedium
@@ -79,6 +79,9 @@ BA_RESPONSE_JITTER_US = 16
 #: controller is unreachable (buffer-and-hold).  Oldest entries are
 #: dropped (and counted) when full.
 CTRL_HOLD_BUFFER_SLOTS = 512
+
+#: The one entry of an AP's controller watch, whichever controller beats.
+CTRL_WATCH_KEY = "controller"
 
 #: Pending-span fractions of the cyclic-queue size at which the
 #: serving AP raises / clears backpressure.
@@ -177,15 +180,17 @@ class WgttAccessPoint:
         #: the controller must survive the staleness).
         self.csi_suppressed = 0
         self._heartbeat_seq = 0
-        #: Controller-liveness watch (HA mode).  Armed lazily on the
-        #: first "ctrl-heartbeat" — a controller that never heartbeats
-        #: (the non-HA configurations) costs nothing and is never
-        #: declared down.
-        self._ctrl_last_beat: Optional[int] = None
-        self._ctrl_watch_timer = Timer(self._sim, self._ctrl_watch_tick)
-        #: True while the controller is silent: uplink/CSI forwards are
-        #: buffered (bounded, drop-oldest) instead of poured into a
-        #: dead socket, and flushed on re-home.
+        #: Controller-liveness watch (HA mode), armed lazily by the
+        #: first "ctrl-heartbeat": a controller that never heartbeats
+        #: (non-HA) costs nothing and is never declared down.
+        self._ctrl_watch = LivenessTracker(
+            self._sim, CONTROLLER_HEARTBEAT_INTERVAL_US
+        )
+        self._ctrl_watch.on_down = self._enter_hold
+        self._ctrl_watch.on_up = self._exit_hold
+        #: True while the watch holds the controller DEAD: uplink/CSI
+        #: forwards are buffered (bounded, drop-oldest) instead of
+        #: poured into a dead socket, and flushed on re-home.
         self._holding = False
         self._hold_buffer: Deque[Tuple[str, object, int]] = deque()
         #: Clients whose cyclic-queue span currently exceeds the high
@@ -350,8 +355,7 @@ class WgttAccessPoint:
         if tracer.active:
             tracer.emit("ap", "ap-crash", track=f"ap/{self.ap_id}", ap=self.ap_id)
         self._heartbeat_timer.stop()
-        self._ctrl_watch_timer.stop()
-        self._ctrl_last_beat = None
+        self._ctrl_watch.crash()
         self._holding = False
         self._hold_buffer.clear()
         self._backpressured.clear()
@@ -397,38 +401,33 @@ class WgttAccessPoint:
     # ------------------------------------------------------------------
 
     def _ctrl_beat(self, src: str, payload: object) -> None:
-        """A controller heartbeat: (re)arm the watch, clear any hold."""
+        """Refresh (and lazily arm) the watch.  While holding, only the
+        current controller's beat counts: it came back before a takeover."""
         self.stats["ctrl_heartbeats_seen"] += 1
-        self._ctrl_last_beat = self._sim.now
-        if self._holding and src == self._controller_id:
-            # The primary came back before any takeover: resume.
-            self._exit_hold()
-        if not self._ctrl_watch_timer.armed:
-            # Lazy arm: a controller that never heartbeats (every
-            # non-HA configuration) is never watched, never "down".
-            self._ctrl_watch_timer.start(CONTROLLER_HEARTBEAT_INTERVAL_US)
+        if not self._holding or src == self._controller_id:
+            self._ctrl_watch.beat(CTRL_WATCH_KEY)
 
-    def _ctrl_watch_tick(self) -> None:
-        deadline = HEARTBEAT_MISS_LIMIT * CONTROLLER_HEARTBEAT_INTERVAL_US
-        if (
-            not self._holding
-            and self._ctrl_last_beat is not None
-            and self._sim.now - self._ctrl_last_beat > deadline
-        ):
-            # Controller silent too long: buffer-and-hold.  Uplink and
-            # CSI forwards queue locally (bounded) instead of pouring
-            # into a dead socket; a takeover or a returning heartbeat
-            # releases them.
-            self._holding = True
-            self.stats["ctrl_down_detected"] += 1
-            tracer = self._sim.obs.trace
-            if tracer.active:
-                tracer.emit(
-                    "ap", "hold-enter", track=f"ap/{self.ap_id}", ap=self.ap_id
-                )
-        self._ctrl_watch_timer.start(CONTROLLER_HEARTBEAT_INTERVAL_US)
+    def _ctrl_refresh(self) -> None:
+        """A takeover or hello: refresh the watch and end any hold, but
+        never start a watch (a controller may never heartbeat)."""
+        if self._holding:
+            self._ctrl_watch.beat(CTRL_WATCH_KEY)
+        else:
+            self._ctrl_watch.reset_clock(self._sim.now)
 
-    def _exit_hold(self) -> None:
+    def _enter_hold(self, _key: str) -> None:
+        """Controller silent too long: buffer-and-hold.  Uplink and CSI
+        forwards queue locally (bounded) instead of pouring into a dead
+        socket; a takeover or a returning heartbeat releases them."""
+        self._holding = True
+        self.stats["ctrl_down_detected"] += 1
+        tracer = self._sim.obs.trace
+        if tracer.active:
+            tracer.emit(
+                "ap", "hold-enter", track=f"ap/{self.ap_id}", ap=self.ap_id
+            )
+
+    def _exit_hold(self, _key: str) -> None:
         self._holding = False
         flushed = 0
         while self._hold_buffer:
@@ -496,9 +495,7 @@ class WgttAccessPoint:
                     ap=self.ap_id,
                     controller=new_controller_id,
                 )
-        self._ctrl_last_beat = self._sim.now
-        if self._holding:
-            self._exit_hold()
+        self._ctrl_refresh()
         # Beat immediately so the new controller's liveness tracker
         # hears this AP without waiting out a full heartbeat period.
         self._send_heartbeat()
@@ -529,9 +526,7 @@ class WgttAccessPoint:
         they can never arrive before the registration they refer to.
         """
         self._controller_id = src
-        self._ctrl_last_beat = self._sim.now
-        if self._holding:
-            self._exit_hold()
+        self._ctrl_refresh()
         for client_id in sorted(self.directory.clients()):
             self._backhaul.send(
                 self.ap_id,

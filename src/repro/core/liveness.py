@@ -6,8 +6,9 @@ retransmits forever into a dead socket.  A transit deployment needs an
 explicit failure detector.  Every WGTT AP beats over the (prioritized)
 backhaul control path; the controller-side tracker here declares an AP
 **DEAD** after ``miss_limit`` consecutive silent heartbeat periods and
-**ALIVE** again on the next heartbeat or explicit hello.  A warm standby
-watches its primary with the same tracker (:mod:`repro.ha.standby`).
+**ALIVE** again on the next heartbeat or explicit hello.  Three users:
+the controller watches its APs, a warm standby its primary
+(:mod:`repro.ha.standby`), and every AP its controller (buffer-and-hold).
 
 State machine per node::
 
@@ -34,11 +35,9 @@ from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.sim.engine import Simulator, Timer
 
-#: Consecutive missed heartbeats before an AP is declared DEAD.
-#: Detection lag is bounded by (miss_limit + 1) heartbeat periods.
-#: One policy for both heartbeat streams: consecutive missed controller
-#: heartbeats before the standby promotes itself / an AP enters
-#: buffer-and-hold.
+#: Consecutive missed heartbeats before a node is declared DEAD, for
+#: every watch above.  Detection lag is bounded by (miss_limit + 1)
+#: heartbeat periods.
 HEARTBEAT_MISS_LIMIT = 3
 
 

@@ -28,10 +28,10 @@ Beyond the paper, the coordinator is hardened for a production array:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.backhaul import EthernetBackhaul
-from repro.sim.engine import MS, Simulator, Timer
+from repro.sim.engine import MS, Retransmitter, Simulator
 
 #: stop→ack retransmission timeout (§3.1.2: 30 ms).
 SWITCH_TIMEOUT_US = 30 * MS
@@ -44,6 +44,17 @@ SWITCH_RETRY_LIMIT = 5
 #: wedged handshake backs off instead of hammering a sick backhaul,
 #: but never waits longer than this bound.
 SWITCH_BACKOFF_MAX_US = 120 * MS
+
+
+def switch_retry_delay_us(retries: int) -> int:
+    """The switch's retransmit schedule: 30, 30, 60, 120, 120 ... ms.
+
+    One lost control packet, the common case, recovers on the paper's
+    30 ms clock; only persistent failure (a sick or partitioned
+    backhaul, where resending only adds load) doubles up to the cap.
+    """
+    shifted = SWITCH_TIMEOUT_US << min(max(0, retries - 1), 16)
+    return min(shifted, SWITCH_BACKOFF_MAX_US)
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,6 @@ class SwitchRecord:
 class _Pending:
     record: SwitchRecord
     switch_id: int
-    timer: Timer = None  # set right after construction
     #: Open tracer span id for this handshake (None when tracing is off
     #: or the pending entry was rebuilt from a checkpoint).
     span: Optional[int] = None
@@ -158,7 +168,10 @@ class SwitchCoordinator:
         self._sim = sim
         self._backhaul = backhaul
         self._controller_id = controller_id
-        self._pending: Dict[str, _Pending] = {}
+        #: client -> the handshake in flight (a ``_Pending``).
+        self._pending = Retransmitter(
+            sim, switch_retry_delay_us, SWITCH_RETRY_LIMIT, self._send, self._give_up
+        )
         self._next_switch_id = 1
         self.history: List[SwitchRecord] = []
         self.abandoned = 0
@@ -188,8 +201,7 @@ class SwitchCoordinator:
 
     def initiate(self, client_id: str, from_ap: str, to_ap: str) -> None:
         """Kick off stop/start/ack for one client."""
-        pending = self._new_pending(client_id, from_ap, to_ap, failover=False)
-        self._send_stop(pending)
+        self._begin(client_id, from_ap, to_ap, failover=False)
 
     def initiate_failover(
         self, client_id: str, dead_ap: str, to_ap: str
@@ -197,12 +209,11 @@ class SwitchCoordinator:
         """Emergency path: ``dead_ap`` cannot execute a stop, so the
         controller messages the new AP directly and the fan-out backlog
         already sitting in its cyclic queue restarts the flow."""
-        pending = self._new_pending(client_id, dead_ap, to_ap, failover=True)
-        self._send_failover(pending)
+        self._begin(client_id, dead_ap, to_ap, failover=True)
 
-    def _new_pending(
+    def _begin(
         self, client_id: str, from_ap: str, to_ap: str, failover: bool
-    ) -> _Pending:
+    ) -> None:
         if client_id in self._pending:
             raise RuntimeError(f"switch already pending for {client_id!r}")
         if from_ap == to_ap:
@@ -217,7 +228,6 @@ class SwitchCoordinator:
             failover=failover,
         )
         pending = _Pending(record=record, switch_id=switch_id)
-        pending.timer = Timer(self._sim, lambda: self._timeout(client_id))
         tracer = self._sim.obs.trace
         if tracer.active:
             pending.span = tracer.begin(
@@ -229,43 +239,33 @@ class SwitchCoordinator:
                 to_ap=to_ap,
                 switch_id=switch_id,
             )
-        self._pending[client_id] = pending
-        return pending
+        self._pending.start(client_id, pending)
 
-    def _retry_delay_us(self, retries: int) -> int:
-        """Bounded exponential backoff: 30, 30, 60, 120 ms ... capped.
-
-        The first two rounds keep the paper's fixed 30 ms clock — a
-        single lost control packet is the common case on a healthy
-        backhaul and must recover at full speed.  Only *persistent*
-        failure (a sick or partitioned backhaul, where retransmissions
-        cannot help and only add load) backs off, doubling per round up
-        to ``SWITCH_BACKOFF_MAX_US``.
-        """
-        shifted = SWITCH_TIMEOUT_US << min(max(0, retries - 1), 16)
-        return min(shifted, SWITCH_BACKOFF_MAX_US)
-
-    def _send_stop(self, pending: _Pending) -> None:
-        message = StopMsg(
-            client=pending.record.client,
-            target_ap=pending.record.to_ap,
-            switch_id=pending.switch_id,
-        )
-        self._backhaul.send_control(
-            self._controller_id, pending.record.from_ap, "stop", message
-        )
-        pending.timer.start(self._retry_delay_us(pending.record.retries))
-
-    def _send_failover(self, pending: _Pending) -> None:
-        message = FailoverMsg(
-            client=pending.record.client,
-            dead_ap=pending.record.from_ap,
-            switch_id=pending.switch_id,
-        )
-        self._backhaul.send_control(
-            self._controller_id, pending.record.to_ap, "failover", message
-        )
-        pending.timer.start(self._retry_delay_us(pending.record.retries))
+    def _send(self, pending: _Pending, retries: int) -> None:
+        """stop(c) to the outgoing AP, or failover(c) to the new one;
+        ``retries`` > 0 is a retransmission."""
+        record = pending.record
+        if retries:
+            record.retries = retries
+            tracer = self._sim.obs.trace
+            if tracer.active:
+                tracer.emit(
+                    "controller",
+                    "switch-retry",
+                    track=f"switch/{record.client}",
+                    client=record.client,
+                    switch_id=pending.switch_id,
+                    retries=retries,
+                    failover=record.failover,
+                )
+        message: object
+        if record.failover:
+            dst, kind = record.to_ap, "failover"
+            message = FailoverMsg(record.client, record.from_ap, pending.switch_id)
+        else:
+            dst, kind = record.from_ap, "stop"
+            message = StopMsg(record.client, record.to_ap, pending.switch_id)
+        self._backhaul.send_control(self._controller_id, dst, kind, message)
 
     def on_ack(self, message: AckMsg) -> None:
         pending = self._pending.get(message.client)
@@ -286,19 +286,11 @@ class SwitchCoordinator:
                     switch_id=message.switch_id,
                 )
             return
-        pending.timer.stop()
-        del self._pending[message.client]
+        self._pending.pop(message.client)
         record = pending.record
         record.completed_us = self._sim.now
-        record.outcome = (
-            OUTCOME_FAILED_OVER if record.failover else OUTCOME_COMPLETED
-        )
-        if pending.span is not None:
-            self._sim.obs.trace.end(
-                pending.span, outcome=record.outcome, retries=record.retries
-            )
-        self.history.append(record)
-        self.on_complete(record)
+        outcome = OUTCOME_FAILED_OVER if record.failover else OUTCOME_COMPLETED
+        self._close(pending, outcome, self.on_complete, retries=record.retries)
 
     def abort(
         self, client_id: str, reason: str = "aborted"
@@ -310,70 +302,45 @@ class SwitchCoordinator:
         aborted record (also appended to ``history``), or None if no
         switch was pending.
         """
-        pending = self._pending.pop(client_id, None)
+        pending = self._pending.pop(client_id)
         if pending is None:
             return None
-        pending.timer.stop()
-        record = pending.record
-        record.outcome = OUTCOME_ABORTED
-        record.abort_reason = reason
+        pending.record.abort_reason = reason
         self.aborted += 1
-        if pending.span is not None:
-            self._sim.obs.trace.end(
-                pending.span, outcome=record.outcome, reason=reason
-            )
-        self.history.append(record)
-        self.on_abort(record)
-        return record
+        return self._close(pending, OUTCOME_ABORTED, self.on_abort, reason=reason)
 
     def abort_for_ap(self, ap_id: str) -> List[SwitchRecord]:
         """Abort every pending switch that involves a (now dead) AP."""
-        aborted: List[SwitchRecord] = []
-        for client_id in list(self._pending):
-            record = self._pending[client_id].record
-            if ap_id in (record.from_ap, record.to_ap):
-                aborted.append(
-                    self.abort(client_id, reason=f"{ap_id} died mid-handshake")
-                )
-        return aborted
+        return [
+            self.abort(client_id, reason=f"{ap_id} died mid-handshake")
+            for client_id, pending in self._pending.items()
+            if ap_id in (pending.record.from_ap, pending.record.to_ap)
+        ]
 
-    def _timeout(self, client_id: str) -> None:
-        pending = self._pending.get(client_id)
-        if pending is None:
-            return
+    def _give_up(self, pending: _Pending, retries: int) -> None:
+        """Retry cap exhausted: the slot is already free, so selection
+        can try again."""
+        reason = "retry limit exhausted"
+        pending.record.retries = retries
+        pending.record.abort_reason = reason
+        self.abandoned += 1
+        self._close(pending, OUTCOME_ABORTED, self.on_abort, reason=reason, retries=retries)
+
+    def _close(
+        self,
+        pending: _Pending,
+        outcome: str,
+        on_done: Callable[[SwitchRecord], None],
+        **span_fields: object,
+    ) -> SwitchRecord:
+        """Finish a handshake whose slot is already free."""
         record = pending.record
-        record.retries += 1
-        tracer = self._sim.obs.trace
-        if record.retries > SWITCH_RETRY_LIMIT:
-            # Give up: release the slot so selection can try again.
-            del self._pending[client_id]
-            self.abandoned += 1
-            record.outcome = OUTCOME_ABORTED
-            record.abort_reason = "retry limit exhausted"
-            if pending.span is not None:
-                tracer.end(
-                    pending.span,
-                    outcome=record.outcome,
-                    reason=record.abort_reason,
-                    retries=record.retries,
-                )
-            self.history.append(record)
-            self.on_abort(record)
-            return
-        if tracer.active:
-            tracer.emit(
-                "controller",
-                "switch-retry",
-                track=f"switch/{client_id}",
-                client=client_id,
-                switch_id=pending.switch_id,
-                retries=record.retries,
-                failover=record.failover,
-            )
-        if record.failover:
-            self._send_failover(pending)
-        else:
-            self._send_stop(pending)
+        record.outcome = outcome
+        if pending.span is not None:
+            self._sim.obs.trace.end(pending.span, outcome=outcome, **span_fields)
+        self.history.append(record)
+        on_done(record)
+        return record
 
     # -- crash / checkpoint support --------------------------------------
 
@@ -383,9 +350,7 @@ class SwitchCoordinator:
         switch_id space restarts.  ``history`` and the abandoned /
         aborted / stale-ack counts are durable observability and stay.
         """
-        for pending in self._pending.values():
-            pending.timer.stop()
-        self._pending = {}
+        self._pending.clear()
         self._next_switch_id = 1
 
     def snapshot(self) -> dict:
@@ -402,7 +367,7 @@ class SwitchCoordinator:
                 client_id: {
                     "record": pending.record.to_state(),
                     "switch_id": pending.switch_id,
-                    "deadline_us": pending.timer.deadline_us,
+                    "deadline_us": self._pending.deadline_us(client_id),
                 }
                 for client_id, pending in self._pending.items()
             },
@@ -418,34 +383,23 @@ class SwitchCoordinator:
         have — the bit-identical-continuation property test holds the
         coordinator to this.
         """
-        # Sorted keys: stop() order is inert today, but restore is the
-        # bit-identical-continuation path — never let dict insertion
-        # history pick an order here (DET005, tests/lint.py).
-        for switch_id in sorted(self._pending):
-            self._pending[switch_id].timer.stop()
-        self._pending = {}
+        self._pending.clear()
         self._next_switch_id = int(state["next_switch_id"])
         self.abandoned = int(state["abandoned"])
         self.aborted = int(state["aborted"])
-        # Durable counter: keep the in-memory value unless the snapshot
-        # carries one (it normally doesn't — see snapshot()).
-        self.stale_acks = int(state.get("stale_acks", self.stale_acks))
         self.history = [
             SwitchRecord.from_state(record) for record in state["history"]
         ]
         for client_id in sorted(state["pending"]):
             entry = state["pending"][client_id]
             record = SwitchRecord.from_state(entry["record"])
-            pending = _Pending(
-                record=record, switch_id=int(entry["switch_id"])
-            )
-            pending.timer = Timer(
-                self._sim, lambda c=client_id: self._timeout(c)
-            )
-            self._pending[client_id] = pending
             deadline = entry["deadline_us"]
-            if deadline is not None:
-                pending.timer.start_at(int(deadline))
+            self._pending.add(
+                client_id,
+                _Pending(record=record, switch_id=int(entry["switch_id"])),
+                retries=record.retries,
+                at_us=None if deadline is None else int(deadline),
+            )
 
     # -- statistics ------------------------------------------------------
 

@@ -41,8 +41,8 @@ DEFAULT_LOSS_SEED = 0xB10C1055
 #: are deliberately NOT in this set: a client-state transfer between
 #: shard controllers is subject to loss and the message-level adversary
 #: exactly like the switch handshake it resembles, and the shard
-#: manager carries its own ack + retransmission + abandon schedule
-#: (see repro.shard.handoff) instead of leaning on transport magic.
+#: manager acks, retransmits and abandons them itself (Retransmitter,
+#: repro.sim.engine) instead of leaning on transport magic.
 RELIABLE_KINDS: FrozenSet[str] = frozenset(
     {"heartbeat", "ctrl-heartbeat", "ha-checkpoint", "ctrl-takeover"}
 )

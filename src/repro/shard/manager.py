@@ -20,8 +20,8 @@ needs:
 * **inter-shard handoff** — a boundary-crossing client's controller
   state moves between shards as the controller's per-client slice
   (:meth:`WgttController.client_slice` / ``merge_client``), shipped as a
-  lossy ``"shard-handoff"`` backhaul message with ack +
-  retransmission (see :mod:`repro.shard.handoff`);
+  lossy ``"shard-handoff"`` message (:mod:`repro.shard.handoff`), acked,
+  and retransmitted by :class:`~repro.sim.engine.Retransmitter`;
 * **routing** — server downlink ingress goes to the owning shard, and
   serving-map queries to its active controller.
 
@@ -56,7 +56,7 @@ from repro.shard.handoff import (
     HandoffAck,
     HandoffMsg,
 )
-from repro.sim.engine import Timer
+from repro.sim.engine import Retransmitter, Timer
 
 if TYPE_CHECKING:
     from repro.mobility.road import Position
@@ -407,37 +407,6 @@ class Shard:
             self.controller.role = "standby"
 
 
-class _PendingHandoff:
-    """Sending-side record of one un-acked transfer."""
-
-    __slots__ = (
-        "client",
-        "handoff_id",
-        "from_shard",
-        "to_shard",
-        "data",
-        "retries",
-        "timer",
-    )
-
-    def __init__(
-        self,
-        client: str,
-        handoff_id: int,
-        from_shard: int,
-        to_shard: int,
-        data: bytes,
-        timer: Timer,
-    ):
-        self.client = client
-        self.handoff_id = handoff_id
-        self.from_shard = from_shard
-        self.to_shard = to_shard
-        self.data = data
-        self.retries = 0
-        self.timer = timer
-
-
 class ShardManager:
     """Owns the shards, the client→shard map, and the handoff protocol."""
 
@@ -459,8 +428,14 @@ class ShardManager:
         self._owner: Dict[str, int] = {}
         #: client -> live ClientNode (position source for placement).
         self._nodes: Dict[str, "ClientNode"] = {}
-        #: client -> in-flight transfer awaiting ack.
-        self._pending: Dict[str, _PendingHandoff] = {}
+        #: client -> in-flight transfer awaiting ack (its ``HandoffMsg``).
+        self._pending = Retransmitter(
+            self._sim,
+            lambda _retries: HANDOFF_TIMEOUT_US,
+            HANDOFF_RETRY_LIMIT,
+            self._send_handoff,
+            self._abandon_handoff,
+        )
         self._completed: "OrderedDict[int, int]" = OrderedDict()
         self._next_handoff_id = 1
         self.stats = {
@@ -532,9 +507,7 @@ class ShardManager:
         """Every region forgets the client (the owner deregisters it,
         the rest free what they overheard).  False while any region's
         control plane is down to miss it — calling again is harmless."""
-        pending = self._pending.pop(client_id, None)
-        if pending is not None:
-            pending.timer.stop()
+        self._pending.pop(client_id)
         self._owner.pop(client_id, None)
         self._nodes.pop(client_id, None)
         heard = [shard.depart(client_id) for shard in self.shards]
@@ -599,18 +572,7 @@ class ShardManager:
         self._owner[client_id] = to_idx
         handoff_id = self._next_handoff_id
         self._next_handoff_id += 1
-        pending = _PendingHandoff(
-            client_id,
-            handoff_id,
-            from_idx,
-            to_idx,
-            data,
-            Timer(
-                self._sim,
-                lambda _c=client_id: self._handoff_timeout(_c),
-            ),
-        )
-        self._pending[client_id] = pending
+        msg = HandoffMsg(client_id, handoff_id, from_idx, to_idx, data)
         self.stats["handoffs_initiated"] += 1
         tracer = self._sim.obs.trace
         if tracer.active:
@@ -624,19 +586,28 @@ class ShardManager:
                 to_shard=to_idx,
                 bytes=len(data),
             )
-        self._send_handoff(pending)
+        # Armed even when a controller is down: the timeout retries
+        # against whichever controller is active by then.
+        self._pending.start(client_id, msg)
 
-    def _send_handoff(self, pending: _PendingHandoff) -> None:
-        src = self.shards[pending.from_shard].active_controller()
-        dst = self.shards[pending.to_shard].active_controller()
+    def _send_handoff(self, msg: HandoffMsg, retries: int) -> None:
+        """Ship ``msg`` between the two regions' active controllers;
+        ``retries`` > 0 is a retransmission."""
+        if retries:
+            self.stats["handoff_retries"] += 1
+            tracer = self._sim.obs.trace
+            if tracer.active:
+                tracer.emit(
+                    "shard",
+                    "shard-handoff-retry",
+                    track="shard",
+                    client=msg.client,
+                    handoff_id=msg.handoff_id,
+                    retries=retries,
+                )
+        src = self.shards[msg.from_shard].active_controller()
+        dst = self.shards[msg.to_shard].active_controller()
         if src is not None and dst is not None:
-            msg = HandoffMsg(
-                client=pending.client,
-                handoff_id=pending.handoff_id,
-                from_shard=pending.from_shard,
-                to_shard=pending.to_shard,
-                state=pending.data,
-            )
             self._backhaul.send(
                 src.controller_id,
                 dst.controller_id,
@@ -645,43 +616,22 @@ class ShardManager:
                 size_bytes=msg.wire_size_bytes,
             )
             self.stats["handoff_bytes"] += msg.wire_size_bytes
-        # Armed even when a controller is down: the timeout retries
-        # against whichever controller is active by then.
-        pending.timer.start(HANDOFF_TIMEOUT_US)
 
-    def _handoff_timeout(self, client_id: str) -> None:
-        pending = self._pending.get(client_id)
-        if pending is None:
-            return
-        pending.retries += 1
+    def _abandon_handoff(self, msg: HandoffMsg, retries: int) -> None:
+        self.stats["handoffs_abandoned"] += 1
         tracer = self._sim.obs.trace
-        if pending.retries > HANDOFF_RETRY_LIMIT:
-            del self._pending[client_id]
-            self.stats["handoffs_abandoned"] += 1
-            if tracer.active:
-                tracer.emit(
-                    "shard",
-                    "shard-handoff-abandon",
-                    track="shard",
-                    client=client_id,
-                    handoff_id=pending.handoff_id,
-                    to_shard=pending.to_shard,
-                )
-            # Self-heal: give up on the transferred history and start
-            # the client fresh on the shard that now owns it.
-            self._fresh_associate(client_id, pending.to_shard)
-            return
-        self.stats["handoff_retries"] += 1
         if tracer.active:
             tracer.emit(
                 "shard",
-                "shard-handoff-retry",
+                "shard-handoff-abandon",
                 track="shard",
-                client=client_id,
-                handoff_id=pending.handoff_id,
-                retries=pending.retries,
+                client=msg.client,
+                handoff_id=msg.handoff_id,
+                to_shard=msg.to_shard,
             )
-        self._send_handoff(pending)
+        # Self-heal: give up on the transferred history and start
+        # the client fresh on the shard that now owns it.
+        self._fresh_associate(msg.client, msg.to_shard)
 
     # ------------------------------------------------------------------
     # receiving side (the two kinds added to controller.handlers)
@@ -765,8 +715,7 @@ class ShardManager:
         pending = self._pending.get(ack.client)
         if pending is None or pending.handoff_id != ack.handoff_id:
             return
-        pending.timer.stop()
-        del self._pending[ack.client]
+        self._pending.pop(ack.client)
         tracer = self._sim.obs.trace
         if tracer.active:
             tracer.emit(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.obs.context import ObsContext
 
@@ -278,3 +278,101 @@ class Timer:
     def _fire(self) -> None:
         self._handle = None
         self._callback()
+
+
+class _Request:
+    """One pending request: the owner's item, its retries, its timer."""
+
+    __slots__ = ("item", "retries", "timer")
+
+    def __init__(self, item: Any, retries: int, timer: Timer):
+        self.item, self.retries, self.timer = item, retries, timer
+
+
+class Retransmitter:
+    """Request/ack retransmission, one pending request per key.
+
+    :meth:`start` holds a request, sends it with ``send(item, 0)`` and
+    arms its timer, in that order (the engine breaks time ties by
+    sequence number).  Each timeout counts a retry: up to ``limit`` of
+    them run ``send(item, retries)`` and re-arm the timer
+    ``schedule(retries)`` from now; the next one drops the request and
+    runs ``give_up(item, retries)``.  An ack or a cancel is :meth:`pop`.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        schedule: Callable[[int], int],
+        limit: int,
+        send: Callable[[Any, int], None],
+        give_up: Callable[[Any, int], None],
+    ):
+        self._sim = sim
+        self._schedule = schedule
+        self._limit = limit
+        self._send = send
+        self._give_up = give_up
+        self._pending: Dict[Hashable, _Request] = {}
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._pending
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    def get(self, key: Hashable) -> Any:
+        request = self._pending.get(key)
+        return None if request is None else request.item
+
+    def items(self) -> List[Tuple[Hashable, Any]]:
+        """(key, item) pairs in insertion order."""
+        return [(key, request.item) for key, request in self._pending.items()]
+
+    def deadline_us(self, key: Hashable) -> Optional[int]:
+        return self._pending[key].timer.deadline_us
+
+    def start(self, key: Hashable, item: Any) -> None:
+        """Send ``item`` as a new request under ``key`` and arm its timer."""
+        request = self.add(key, item)
+        self._send(item, 0)
+        request.timer.start(self._schedule(0))
+
+    def add(
+        self,
+        key: Hashable,
+        item: Any,
+        retries: int = 0,
+        at_us: Optional[int] = None,
+    ) -> _Request:
+        """Hold ``item`` under ``key`` without sending it.  Checkpoint
+        restore passes the retries so far and ``at_us``, the instant the
+        original timer would fire; without it the request is unarmed."""
+        request = _Request(item, retries, Timer(self._sim, lambda: self._fire(key)))
+        self._pending[key] = request
+        if at_us is not None:
+            request.timer.start_at(at_us)
+        return request
+
+    def pop(self, key: Hashable) -> Any:
+        """Disarm and forget ``key``; its item, or None."""
+        request = self._pending.pop(key, None)
+        if request is None:
+            return None
+        request.timer.stop()
+        return request.item
+
+    def clear(self) -> None:
+        for request in self._pending.values():
+            request.timer.stop()
+        self._pending = {}
+
+    def _fire(self, key: Hashable) -> None:
+        request = self._pending[key]
+        request.retries += 1
+        if request.retries > self._limit:
+            del self._pending[key]
+            self._give_up(request.item, request.retries)
+            return
+        self._send(request.item, request.retries)
+        request.timer.start(self._schedule(request.retries))

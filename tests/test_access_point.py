@@ -5,6 +5,8 @@ using a minimal hand-built testbed (one AP, one parked client)."""
 import pytest
 
 from repro.core.access_point import NIC_DRAIN_US, WgttAccessPoint
+from repro.core.controller import CONTROLLER_HEARTBEAT_INTERVAL_US
+from repro.core.liveness import HEARTBEAT_MISS_LIMIT
 from repro.core.switching import FailoverMsg, StartMsg, StopMsg
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.net.packet import Packet
@@ -196,3 +198,101 @@ class TestServingView:
         testbed.run_seconds(0.1)
         for ap in testbed.wgtt_aps.values():
             assert ap._serving_view.get("client0") == "ap0"
+
+
+class TestControllerWatch:
+    """Buffer-and-hold: the AP's watch on its controller's heartbeats.
+
+    The 2-AP rig runs no controller heartbeats, so every beat, takeover
+    and hello here is delivered by hand through ``_on_backhaul``."""
+
+    #: Silence past this and the AP must be holding.
+    DETECT_US = (HEARTBEAT_MISS_LIMIT + 1) * CONTROLLER_HEARTBEAT_INTERVAL_US
+
+    @staticmethod
+    def rig():
+        """ap0 plus a log of every "probe" forward that reaches a
+        controller node, as (controller id, payload)."""
+        testbed = make()
+        ap = testbed.wgtt_aps["ap0"]
+        received = []
+        original = testbed.backhaul._handlers["controller"]
+
+        def spy(node):
+            def handler(src, kind, payload):
+                if kind == "probe":
+                    received.append((node, payload))
+                elif node == "controller":
+                    original(src, kind, payload)
+
+            return handler
+
+        testbed.backhaul._handlers["controller"] = spy("controller")
+        testbed.backhaul.register("standby", spy("standby"))
+        return testbed, ap, received
+
+    def hold(self, testbed, ap):
+        """First heartbeat, then silence until the AP holds."""
+        ap._on_backhaul("controller", "ctrl-heartbeat", None)
+        start = testbed.sim.now
+        testbed.sim.run(
+            until_us=start + HEARTBEAT_MISS_LIMIT * CONTROLLER_HEARTBEAT_INTERVAL_US
+        )
+        assert ap.stats["ctrl_down_detected"] == 0
+        testbed.sim.run(until_us=start + self.DETECT_US)
+        assert ap.stats["ctrl_down_detected"] == 1
+
+    def test_silence_after_a_heartbeat_holds_and_buffers(self):
+        testbed, ap, received = self.rig()
+        self.hold(testbed, ap)
+        buffered = ap.stats["hold_buffered"]
+        for i in range(3):
+            ap._forward_to_controller("probe", i, 64)
+        testbed.run_seconds(0.05)
+        assert received == []
+        assert ap.stats["hold_buffered"] == buffered + 3
+        assert ap.stats["ctrl_down_detected"] == 1  # one episode, one count
+
+    def test_another_controllers_heartbeat_does_not_end_hold(self):
+        testbed, ap, received = self.rig()
+        self.hold(testbed, ap)
+        ap._on_backhaul("standby", "ctrl-heartbeat", None)
+        ap._forward_to_controller("probe", 0, 64)
+        testbed.run_seconds(0.05)
+        assert received == []
+        assert ap.stats["hold_flushed"] == 0
+
+    def test_current_controllers_heartbeat_flushes_in_order(self):
+        testbed, ap, received = self.rig()
+        self.hold(testbed, ap)
+        flushed = ap.stats["hold_flushed"]
+        for i in range(3):
+            ap._forward_to_controller("probe", i, 64)
+        ap._on_backhaul("controller", "ctrl-heartbeat", None)
+        testbed.run_seconds(0.05)
+        assert received == [("controller", 0), ("controller", 1), ("controller", 2)]
+        assert ap.stats["hold_flushed"] == flushed + 3
+        # Out of hold: the next forward goes straight out.
+        ap._forward_to_controller("probe", 3, 64)
+        testbed.run_seconds(0.01)
+        assert received[-1] == ("controller", 3)
+
+    def test_newer_takeover_rehomes_and_flushes_to_the_new_controller(self):
+        testbed, ap, received = self.rig()
+        self.hold(testbed, ap)
+        for i in range(2):
+            ap._forward_to_controller("probe", i, 64)
+        ap._on_backhaul("standby", "ctrl-takeover", 5)
+        testbed.run_seconds(0.05)
+        assert ap.stats["rehomed"] == 1
+        assert received == [("standby", 0), ("standby", 1)]
+
+    def test_hello_without_a_heartbeat_starts_no_watch(self):
+        testbed, ap, received = self.rig()
+        ap._on_backhaul("controller", "ctrl-hello", 5)
+        testbed.run_seconds(1.0)
+        assert ap.stats["ctrl_down_detected"] == 0
+        ap._forward_to_controller("probe", 0, 64)
+        testbed.run_seconds(0.01)
+        assert received == [("controller", 0)]
+        assert ap.stats["hold_buffered"] == 0

@@ -261,12 +261,12 @@ class TestProbeInvariants:
             started_us=testbed.sim.now,
         )
         coordinator = region_of(testbed).controller.coordinator
-        coordinator._pending["client0"] = _Pending(
-            record=record, switch_id=9_999
+        coordinator._pending.add(
+            "client0", _Pending(record=record, switch_id=9_999)
         )
         testbed.run_seconds(0.5)
         assert checker.counts["single-serving-ap"] == 0
-        del coordinator._pending["client0"]
+        coordinator._pending.pop("client0")
         other._serving.discard("client0")
 
     def test_switch_span_terminates(self):
@@ -276,7 +276,7 @@ class TestProbeInvariants:
         record = SwitchRecord(
             client="ghost", from_ap="ap6", to_ap="ap7", started_us=0
         )
-        coordinator._pending["ghost"] = _Pending(record=record, switch_id=77)
+        coordinator._pending.add("ghost", _Pending(record=record, switch_id=77))
         bound_s = checker._switch_age_bound_us() / SECOND
         testbed.run_seconds(bound_s / 2)
         assert checker.counts["switch-span-terminates"] == 0
@@ -285,7 +285,7 @@ class TestProbeInvariants:
         # Stuck-handshake episodes are one violation, not one per probe.
         testbed.run_seconds(0.2)
         assert checker.counts["switch-span-terminates"] == 1
-        del coordinator._pending["ghost"]
+        coordinator._pending.pop("ghost")
 
     def test_liveness_agreement(self):
         testbed = self.build()
@@ -325,10 +325,10 @@ class TestProbeInvariantsTwoShards(TestProbeInvariants):
         testbed.run_seconds(0.2)
         testbed.wgtt_aps["ap0"]._serving.add("client0")
         # Only membership is read: duty is moving between regions.
-        testbed.shard_manager._pending["client0"] = None
+        testbed.shard_manager._pending.add("client0", None)
         testbed.run_seconds(0.5)
         assert checker.counts["single-serving-ap"] == 0
-        del testbed.shard_manager._pending["client0"]
+        testbed.shard_manager._pending.pop("client0")
         testbed.run_seconds(0.5)
         assert checker.counts["single-serving-ap"] == 1
 

@@ -109,6 +109,47 @@ class TestEdgeCases:
         assert downs == ["primary"]
         assert tracker.snapshot()["last_beat"] == {}
 
+    def test_reset_clock_refreshes_alive_nodes(self):
+        sim, tracker, downs, _ = make_tracker()
+        tracker.beat("ap0")
+        sim.run(until_us=50 * MS)
+        tracker.reset_clock(sim.now)
+        # Unrefreshed, ap0 would be DEAD at the 80 ms check; refreshed
+        # at 50 ms it lasts until the first check past 110 ms.
+        sim.run(until_us=300 * MS)
+        assert downs == [(120 * MS, "ap0")]
+
+    def test_reset_clock_leaves_dead_nodes_dead(self):
+        sim, tracker, downs, ups = make_tracker()
+        tracker.beat("ap0")
+        sim.run(until_us=100 * MS)
+        assert downs == [(80 * MS, "ap0")]
+        tracker.reset_clock(sim.now)
+        assert tracker.dead_aps() == frozenset({"ap0"})
+        assert tracker.snapshot()["last_beat"] == {"ap0": 0}
+        sim.run(until_us=300 * MS)
+        assert ups == [] and len(downs) == 1
+
+    def test_reset_clock_never_arms_a_tracker_that_never_beat(self):
+        sim, tracker, downs, _ = make_tracker()
+        tracker.reset_clock(sim.now)
+        assert sim.pending_events() == 0
+        sim.run(until_us=1_000 * MS)
+        assert downs == []
+        assert tracker.snapshot()["last_beat"] == {}
+
+    def test_beat_after_crash_rearms(self):
+        sim, tracker, downs, _ = make_tracker()
+        tracker.beat("ap0")
+        sim.run(until_us=50 * MS)
+        tracker.crash()
+        assert sim.pending_events() == 0
+        sim.run(until_us=500 * MS)
+        assert downs == []
+        tracker.beat("ap0")  # 500 ms: armed again, judged afresh
+        sim.run(until_us=1_000 * MS)
+        assert downs == [(580 * MS, "ap0")]
+
     def test_deterministic_event_trace(self):
         def run_once():
             sim, tracker, _, _ = make_tracker()

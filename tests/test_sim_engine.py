@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import MS, SECOND, Simulator, Timer
+from repro.sim.engine import Retransmitter
 
 
 def test_time_starts_at_zero():
@@ -193,3 +194,117 @@ class TestTimer:
         timer.start(100)
         sim.run()
         assert fired == [100, 200, 300]
+
+
+class TestRetransmitter:
+    @staticmethod
+    def make(limit=3):
+        """A helper on a 10, 20, 40, 40 ... ms schedule that logs every
+        callback as (time, item, retries)."""
+        sim = Simulator()
+        sends, give_ups = [], []
+        retx = Retransmitter(
+            sim,
+            lambda retries: (10, 20, 40)[min(retries, 2)] * MS,
+            limit,
+            lambda item, n: sends.append((sim.now, item, n)),
+            lambda item, n: give_ups.append((sim.now, item, n)),
+        )
+        return sim, retx, sends, give_ups
+
+    def test_resends_on_the_schedule_then_gives_up_once(self):
+        sim, retx, sends, give_ups = self.make(limit=3)
+        retx.start("k", "req")
+        assert sends == [(0, "req", 0)]  # sent before the timer is armed
+        sim.run()
+        assert sends == [
+            (0, "req", 0),
+            (10 * MS, "req", 1),
+            (30 * MS, "req", 2),
+            (70 * MS, "req", 3),
+        ]
+        assert give_ups == [(110 * MS, "req", 4)]
+        assert "k" not in retx and len(retx) == 0
+        assert retx.pop("k") is None  # a late ack after give-up: no-op
+
+    def test_send_precedes_the_timer(self):
+        # A send that schedules an event at the timer's own instant
+        # runs first: the engine breaks the tie by sequence number.
+        sim = Simulator()
+        order = []
+        retx = Retransmitter(
+            sim,
+            lambda retries: 10 * MS,
+            0,
+            lambda item, n: sim.schedule(10 * MS, lambda: order.append("send")),
+            lambda item, n: order.append("give-up"),
+        )
+        retx.start("k", "req")
+        sim.run()
+        assert order == ["send", "give-up"]
+
+    def test_ack_disarms(self):
+        sim, retx, sends, give_ups = self.make()
+        retx.start("k", "req")
+        sim.run(until_us=5 * MS)
+        assert retx.deadline_us("k") == 10 * MS
+        assert retx.pop("k") == "req"
+        assert sim.pending_events() == 0
+        sim.run(until_us=SECOND)
+        assert sends == [(0, "req", 0)] and give_ups == []
+        assert retx.pop("k") is None  # a duplicate ack: no-op
+
+    def test_cancel_between_retries(self):
+        sim, retx, sends, give_ups = self.make()
+        retx.start("k", "req")
+        sim.run(until_us=15 * MS)
+        assert [r[2] for r in sends] == [0, 1]
+        retx.pop("k")
+        sim.run(until_us=SECOND)
+        assert [r[2] for r in sends] == [0, 1] and give_ups == []
+
+    def test_keys_are_independent(self):
+        sim, retx, sends, _ = self.make()
+        retx.start("a", 1)
+        sim.run(until_us=5 * MS)
+        retx.start("b", 2)
+        assert retx.items() == [("a", 1), ("b", 2)]
+        assert retx.get("b") == 2 and retx.get("c") is None
+        retx.pop("a")
+        sim.run(until_us=16 * MS)
+        assert sends == [(0, 1, 0), (5 * MS, 2, 0), (15 * MS, 2, 1)]
+
+    def test_add_at_an_absolute_deadline_resumes_the_count(self):
+        # The restore path: a request rebuilt with its retries so far,
+        # re-armed at the instant the original would have fired, and
+        # not sent again on the way.
+        sim, retx, sends, give_ups = self.make(limit=3)
+        sim.run(until_us=50 * MS)
+        retx.add("k", "req", retries=2, at_us=80 * MS)
+        assert retx.deadline_us("k") == 80 * MS
+        sim.run()
+        assert sends == [(80 * MS, "req", 3)]
+        assert give_ups == [(120 * MS, "req", 4)]
+
+    def test_add_without_a_deadline_holds_unarmed(self):
+        sim, retx, sends, give_ups = self.make()
+        retx.add("k", "req", retries=1)
+        assert retx.deadline_us("k") is None and "k" in retx
+        sim.run(until_us=SECOND)
+        assert sends == [] and give_ups == []
+
+    def test_add_at_a_past_instant_fires_now(self):
+        sim, retx, sends, _ = self.make()
+        sim.run(until_us=50 * MS)
+        retx.add("k", "req", at_us=20 * MS)
+        sim.run(until_us=50 * MS)
+        assert sends == [(50 * MS, "req", 1)]
+
+    def test_clear_disarms_everything(self):
+        sim, retx, sends, give_ups = self.make()
+        for key in ("b", "a"):
+            retx.start(key, key)
+        retx.clear()
+        assert len(retx) == 0 and sim.pending_events() == 0
+        sim.run(until_us=SECOND)
+        assert [r[2] for r in sends] == [0, 0] and give_ups == []

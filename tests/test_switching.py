@@ -12,6 +12,7 @@ from repro.core.switching import (
     AckMsg,
     StartMsg,
     SwitchCoordinator,
+    switch_retry_delay_us,
 )
 from repro.net.backhaul import EthernetBackhaul
 from repro.sim import Simulator
@@ -165,8 +166,7 @@ def test_retry_cap_enforced_with_outcome():
 def test_backoff_bounds():
     """Retry delays stay within [timeout, backoff cap] and never
     regress: the n-th delay is monotonically non-decreasing."""
-    _, coordinator, _ = make_coordinator()
-    delays = [coordinator._retry_delay_us(n) for n in range(12)]
+    delays = [switch_retry_delay_us(n) for n in range(12)]
     assert delays[0] == SWITCH_TIMEOUT_US  # first retry: full speed
     assert delays[1] == SWITCH_TIMEOUT_US  # second too (common case)
     assert all(d >= SWITCH_TIMEOUT_US for d in delays)
