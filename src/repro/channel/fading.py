@@ -18,7 +18,6 @@ single exact AR(1) step per tap, so idle links cost nothing.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -31,6 +30,29 @@ NUM_SUBCARRIERS = 56
 FFT_SIZE = 64
 #: Sample period of a 20 MHz channel (50 ns) — tap spacing.
 TAP_SPACING_S = 50e-9
+#: Taps in the delay line; 6 gives visibly frequency-selective CSI.
+NUM_TAPS = 6
+#: Exponential power-delay-profile decay constant, in tap spacings.
+DELAY_SPREAD_TAPS = 1.5
+#: Coherence time as a fraction of the Doppler period: 0.25 puts it at
+#: ~2.8 ms for 15 mph at 2.4 GHz, within the 2–3 ms band the paper
+#: cites from Tse & Viswanath.
+COHERENCE_FACTOR = 0.25
+
+# What follows depends only on the constants above, so every channel
+# (O(APs x clients) of them) shares one copy; all users treat these
+# arrays as frozen.
+_tap_profile = np.exp(-np.arange(NUM_TAPS) / DELAY_SPREAD_TAPS)
+#: Per-quadrature scale of each tap's complex Gaussian (the tap powers
+#: sum to one).
+SCATTER_SCALE = np.sqrt(_tap_profile / _tap_profile.sum() / 2.0)
+#: The 56 occupied HT20 subcarrier indices (-28..28, no DC).
+_SUBCARRIERS = np.array([k for k in range(-28, 29) if k != 0])
+#: Taps -> subcarrier-gains DFT matrix, ``(56, NUM_TAPS)``.
+DFT = np.exp(
+    -2j * np.pi * (_SUBCARRIERS[:, None] * np.arange(NUM_TAPS)[None, :])
+    / FFT_SIZE
+)
 
 
 def doppler_hz(speed_mps: float, wavelength_m: float, floor_hz: float = 2.0) -> float:
@@ -42,57 +64,27 @@ def doppler_hz(speed_mps: float, wavelength_m: float, floor_hz: float = 2.0) -> 
     return max(speed_mps / wavelength_m, floor_hz)
 
 
-def coherence_time_us(doppler: float, factor: float = 0.25) -> float:
-    """Coherence time in microseconds for a given Doppler frequency.
-
-    ``factor = 0.25`` puts coherence at ~2.8 ms for 15 mph at 2.4 GHz,
-    within the 2–3 ms band the paper cites from Tse & Viswanath.
-    """
-    return factor / doppler * SECOND
+def coherence_time_us(doppler: float) -> float:
+    """Coherence time in microseconds for a given Doppler frequency."""
+    return COHERENCE_FACTOR / doppler * SECOND
 
 
 class TappedRayleighChannel:
-    """A lazily-evolving multi-tap Rayleigh channel.
+    """A lazily-evolving Rayleigh channel of :data:`NUM_TAPS` taps.
 
-    Parameters
-    ----------
-    rng:
-        Private random stream for this link.
-    num_taps:
-        Taps in the delay line; 6 gives visibly frequency-selective CSI.
-    delay_spread_taps:
-        Exponential PDP decay constant, in units of tap spacing.
-
-    No line-of-sight component: the paper's street shows deep fast
-    fades.
+    ``rng`` is the link's private random stream.  No line-of-sight
+    component: the paper's street shows deep fast fades.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        num_taps: int = 6,
-        delay_spread_taps: float = 1.5,
-    ):
-        if num_taps < 1:
-            raise ValueError("need at least one tap")
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self.num_taps = num_taps
-        powers = np.exp(-np.arange(num_taps) / delay_spread_taps)
-        self._tap_powers = powers / powers.sum()
-        # Per-quadrature scale of each tap's complex Gaussian.
-        self._scatter_scale = np.sqrt(self._tap_powers / 2.0)
         self._taps = self._draw_stationary()
         self._last_time_us: Optional[int] = None
-        # DFT matrix mapping taps -> subcarrier gains.  A scenario has
-        # O(APs x clients) links, each with its own channel instance,
-        # but the matrix depends only on the tap count — share one copy
-        # per tap count across the whole process.
-        self._dft = _dft_matrix(num_taps)
 
     def _draw_stationary(self) -> np.ndarray:
-        real = self._rng.standard_normal(self.num_taps)
-        imag = self._rng.standard_normal(self.num_taps)
-        return (real + 1j * imag) * self._scatter_scale
+        real = self._rng.standard_normal(NUM_TAPS)
+        imag = self._rng.standard_normal(NUM_TAPS)
+        return (real + 1j * imag) * SCATTER_SCALE
 
     def evolve_to(self, time_us: int, coherence_us: float) -> None:
         """Advance the AR(1) tap processes to ``time_us``.
@@ -107,12 +99,12 @@ class TappedRayleighChannel:
         if dt <= 0:
             return
         rho = math.exp(-dt / coherence_us)
-        n = self.num_taps
+        n = NUM_TAPS
         # One RNG call for both quadratures: standard_normal(2n) yields
         # the same stream of values as two standard_normal(n) calls, so
         # seeded runs are unchanged.
         draws = self._rng.standard_normal(2 * n)
-        innovation = (draws[:n] + 1j * draws[n:]) * self._scatter_scale
+        innovation = (draws[:n] + 1j * draws[n:]) * SCATTER_SCALE
         self._taps = rho * self._taps + math.sqrt(1.0 - rho * rho) * innovation
         self._last_time_us = time_us
 
@@ -124,7 +116,7 @@ class TappedRayleighChannel:
         conjugate-multiply temporary — this is the per-frame path.
         """
         self.evolve_to(time_us, coherence_us)
-        return subcarrier_power_from_taps(self._dft, self._taps)
+        return subcarrier_power_from_taps(self._taps)
 
     def peek_power_at(self, time_us: int, coherence_us: float) -> np.ndarray:
         """Subcarrier power at ``time_us`` *without* perturbing the
@@ -142,14 +134,14 @@ class TappedRayleighChannel:
 
     def subcarrier_gains(self) -> np.ndarray:
         """Complex gain on each of the 56 subcarriers (unit mean power)."""
-        return np.add.reduce(self._dft * self._taps, axis=-1)
+        return np.add.reduce(DFT * self._taps, axis=-1)
 
     def subcarrier_power(self) -> np.ndarray:
         """|h_k|^2 per subcarrier — multiplies the mean link SNR."""
-        return subcarrier_power_from_taps(self._dft, self._taps)
+        return subcarrier_power_from_taps(self._taps)
 
 
-def subcarrier_power_from_taps(dft: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def subcarrier_power_from_taps(taps: np.ndarray) -> np.ndarray:
     """|DFT · taps|² via broadcast-multiply + ``add.reduce``.
 
     This formulation — *not* ``dft @ taps`` — is shared by the scalar
@@ -162,25 +154,7 @@ def subcarrier_power_from_taps(dft: np.ndarray, taps: np.ndarray) -> np.ndarray:
     shared ordering is what makes batched fading evolution bit-identical
     to sequential :meth:`TappedRayleighChannel.evolve_to` calls.
     """
-    gains = np.add.reduce(dft * taps, axis=-1)
+    gains = np.add.reduce(DFT * taps, axis=-1)
     re = gains.real
     im = gains.imag
     return re * re + im * im
-
-
-def _ht20_subcarrier_indices() -> np.ndarray:
-    """The 56 occupied subcarrier indices of an HT20 channel (-28..28, no DC)."""
-    indices = [k for k in range(-28, 29) if k != 0]
-    return np.array(indices)
-
-
-@lru_cache(maxsize=None)
-def _dft_matrix(num_taps: int) -> np.ndarray:
-    """Shared taps -> subcarrier-gains DFT matrix for ``num_taps`` taps.
-
-    Built once per process and shared by every
-    :class:`TappedRayleighChannel`; treated as frozen by all users.
-    """
-    subcarrier_indices = _ht20_subcarrier_indices()
-    k = subcarrier_indices[:, None] * np.arange(num_taps)[None, :]
-    return np.exp(-2j * np.pi * k / FFT_SIZE)

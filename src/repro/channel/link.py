@@ -39,6 +39,8 @@ NOISE_FLOOR_DBM = -94.0
 #: Added to the power bound: the exact budget sums the same terms in
 #: another order and reads its angles from ``acos``, not ``atan``.
 BOUND_SLACK_DB = 1e-9
+#: The one large-scale loss model every link uses.
+PATHLOSS = LogDistancePathLoss()
 
 
 @dataclass
@@ -78,8 +80,7 @@ class RadioPort:
 
 
 def _mean_snr_db(
-    tx_dbm: float, ap: RadioPort, client: RadioPort,
-    pathloss: LogDistancePathLoss, time_us: int,
+    tx_dbm: float, ap: RadioPort, client: RadioPort, time_us: int
 ) -> float:
     """The fading-free link budget, ``ap`` / ``client`` in id order.
     One expression for :class:`Link` and the link-free
@@ -91,7 +92,7 @@ def _mean_snr_db(
         tx_dbm
         + ap.antenna.gain_dbi(client_pos)
         + client.antenna.gain_dbi(ap_pos)
-        - pathloss.loss_db(ap_pos.distance_to(client_pos))
+        - PATHLOSS.loss_db(ap_pos.distance_to(client_pos))
         - NOISE_FLOOR_DBM
     )
 
@@ -105,14 +106,10 @@ class Link:
         rng: RngRegistry,
         ap: RadioPort,
         client: RadioPort,
-        pathloss: Optional[LogDistancePathLoss] = None,
-        coherence_factor: float = 0.25,
     ):
         self._sim = sim
         self.ap = ap
         self.client = client
-        self.pathloss = pathloss or LogDistancePathLoss()
-        self._coherence_factor = coherence_factor
         self._fading = TappedRayleighChannel(
             rng.stream(f"fading/{ap.node_id}/{client.node_id}")
         )
@@ -155,44 +152,38 @@ class Link:
     # large-scale terms
     # ------------------------------------------------------------------
 
-    def _tx_power_dbm(self, downlink: bool, tx_id: Optional[str]) -> float:
-        if tx_id is not None:
-            if tx_id == self.ap.node_id:
-                return self.ap.tx_power_dbm
-            if tx_id == self.client.node_id:
-                return self.client.tx_power_dbm
-            raise ValueError(f"{tx_id!r} is not an endpoint of this link")
-        return self.ap.tx_power_dbm if downlink else self.client.tx_power_dbm
+    def _tx_power_dbm(self, tx_id: Optional[str]) -> float:
+        if tx_id is None or tx_id == self.ap.node_id:
+            return self.ap.tx_power_dbm
+        if tx_id == self.client.node_id:
+            return self.client.tx_power_dbm
+        raise ValueError(f"{tx_id!r} is not an endpoint of this link")
 
-    def mean_snr_db(
-        self, time_us: int, downlink: bool = True, tx_id: Optional[str] = None
-    ) -> float:
+    def mean_snr_db(self, time_us: int, tx_id: Optional[str] = None) -> float:
         """Average (fading-free) SNR of the link at ``time_us``.
 
-        The transmitter is named by ``tx_id`` (either endpoint), or by
-        the ``downlink`` flag for the common AP→client / client→AP case.
+        ``tx_id`` names the transmitter (either endpoint); ``None`` is
+        the ``ap`` end.
 
         The geometry terms (positions, antenna gains, path loss) are
         memoized per ``(time_us, tx_power)`` — the medium asks for this
         several times per frame (decode check, interference, RSSI).
         """
-        tx_dbm = self._tx_power_dbm(downlink, tx_id)
+        tx_dbm = self._tx_power_dbm(tx_id)
         key = (None if self._static else time_us, tx_dbm)
         cache = self._mean_snr_cache
         cached = cache.get(key)
         if cached is not None:
             return cached
-        value = _mean_snr_db(tx_dbm, self.ap, self.client, self.pathloss, time_us)
+        value = _mean_snr_db(tx_dbm, self.ap, self.client, time_us)
         if len(cache) >= 32:
             cache.clear()
         cache[key] = value
         return value
 
-    def mean_rx_power_dbm(
-        self, time_us: int, downlink: bool = True, tx_id: Optional[str] = None
-    ) -> float:
+    def mean_rx_power_dbm(self, time_us: int, tx_id: Optional[str] = None) -> float:
         """Average received power — the RSSI legacy roaming decides on."""
-        return self.mean_snr_db(time_us, downlink, tx_id) + NOISE_FLOOR_DBM
+        return self.mean_snr_db(time_us, tx_id) + NOISE_FLOOR_DBM
 
     # ------------------------------------------------------------------
     # small-scale terms
@@ -203,9 +194,9 @@ class Link:
         # Speeds are constant for most of a run; memoize the Doppler /
         # coherence math on the speed value itself.
         if speed != self._coh_speed:
-            doppler = doppler_hz(speed, self.pathloss.wavelength_m)
+            doppler = doppler_hz(speed, PATHLOSS.wavelength_m)
             self._coh_speed = speed
-            self._coh_us = coherence_time_us(doppler, self._coherence_factor)
+            self._coh_us = coherence_time_us(doppler)
         return self._coh_us
 
     def _subcarrier_power(self, time_us: int) -> np.ndarray:
@@ -216,7 +207,7 @@ class Link:
         return self._cache_power
 
     def subcarrier_snr_db(
-        self, time_us: int, downlink: bool = True, tx_id: Optional[str] = None
+        self, time_us: int, tx_id: Optional[str] = None
     ) -> np.ndarray:
         """Per-subcarrier SNR (dB): the CSI-equivalent channel snapshot.
 
@@ -225,12 +216,12 @@ class Link:
         identity memos in :mod:`repro.phy.per` key on.  Treated as
         immutable by every consumer.
         """
-        tx_dbm = self._tx_power_dbm(downlink, tx_id)
+        tx_dbm = self._tx_power_dbm(tx_id)
         key = (time_us, tx_dbm)
         cached = self._snr_cache
         if cached is not None and self._snr_key == key:
             return cached
-        mean_db = self.mean_snr_db(time_us, downlink, tx_id)
+        mean_db = self.mean_snr_db(time_us, tx_id)
         snapshot = mean_db + linear_to_db(self._subcarrier_power(time_us))
         self._snr_key = key
         self._snr_cache = snapshot
@@ -255,18 +246,16 @@ class Link:
         self._snr_key = (time_us, tx_dbm)
         self._snr_cache = snapshot
 
-    def rssi_dbm(
-        self, time_us: int, downlink: bool = True, tx_id: Optional[str] = None
-    ) -> float:
+    def rssi_dbm(self, time_us: int, tx_id: Optional[str] = None) -> float:
         """Instantaneous wideband received power including fading."""
         power = self._subcarrier_power(time_us)
         fading_db = float(
             linear_to_db(float(np.add.reduce(power)) / power.shape[0])
         )
-        return self.mean_rx_power_dbm(time_us, downlink, tx_id) + fading_db
+        return self.mean_rx_power_dbm(time_us, tx_id) + fading_db
 
     def probe_subcarrier_snr_db(
-        self, time_us: int, downlink: bool = True, tx_id: Optional[str] = None
+        self, time_us: int, tx_id: Optional[str] = None
     ) -> np.ndarray:
         """Side-effect-free channel probe for oracle metrics.
 
@@ -278,7 +267,7 @@ class Link:
             power = self._cache_power
         else:
             power = self._fading.peek_power_at(time_us, self._coherence_us())
-        mean_db = self.mean_snr_db(time_us, downlink, tx_id)
+        mean_db = self.mean_snr_db(time_us, tx_id)
         return mean_db + linear_to_db(power)
 
 
@@ -290,17 +279,9 @@ class ChannelMap:
     sees CSI reports, like the real system).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rng: RngRegistry,
-        pathloss: Optional[LogDistancePathLoss] = None,
-        coherence_factor: float = 0.25,
-    ):
+    def __init__(self, sim: Simulator, rng: RngRegistry):
         self._sim = sim
         self._rng = rng
-        self._pathloss = pathloss or LogDistancePathLoss()
-        self._coherence_factor = coherence_factor
         self._links: Dict[Tuple[str, str], Link] = {}
         self._ports: Dict[str, RadioPort] = {}
         #: per-endpoint index of instantiated links, maintained on link
@@ -342,8 +323,6 @@ class ChannelMap:
                 self._rng,
                 self._ports[key[0]],
                 self._ports[key[1]],
-                pathloss=self._pathloss,
-                coherence_factor=self._coherence_factor,
             )
             self._links[key] = existing
             self._links_by_port.setdefault(key[0], []).append(existing)
@@ -365,7 +344,7 @@ class ChannelMap:
         tx, rx = self._ports[tx_id], self._ports[rx_id]
         a, b = (tx, rx) if tx_id <= rx_id else (rx, tx)
         value = (
-            _mean_snr_db(tx.tx_power_dbm, a, b, self._pathloss, time_us)
+            _mean_snr_db(tx.tx_power_dbm, a, b, time_us)
             + NOISE_FLOOR_DBM
         )
         if tx.fixed_position is not None and rx.fixed_position is not None:
@@ -385,7 +364,7 @@ class ChannelMap:
             tx.tx_power_dbm
             + tx.antenna.gain_bound_dbi(min_dx, max_cross)
             + rx_antenna.gain_bound_dbi(min_dx, max_cross)
-            - self._pathloss.loss_db(min_dx)
+            - PATHLOSS.loss_db(min_dx)
             + BOUND_SLACK_DB
         )
 

@@ -7,14 +7,15 @@ per-link ``log10`` — even though the heavy math is identical in shape
 across the set.
 
 :func:`warm_snapshots` takes the links that share a timestamp and runs
-one fused numpy pipeline over the whole stack:
+one pass over them, in slot order, on one ``(n_links, NUM_TAPS)`` tap
+matrix:
 
-1. per-link AR(1) coefficients (``rho``, ``sqrt(1 - rho²)``) and one
-   ``standard_normal(2·taps)`` draw from each link's *private* stream —
-   the draws must stay per-link so seeded runs are unchanged, and
-   because every stream is private, drawing them back-to-back instead
-   of interleaved with the math cannot change any stream's values;
-2. one broadcast AR(1) update over the ``(n_links, taps)`` stack;
+1. one ``standard_normal(2·taps)`` draw from each evolving link's
+   *private* stream — the draws must stay per-link so seeded runs are
+   unchanged, and because every stream is private, drawing them
+   back-to-back instead of interleaved with the math cannot change any
+   stream's values;
+2. one broadcast AR(1) update over the rows that need a step;
 3. one ``(n_links, 56, taps)`` multiply + ``add.reduce`` DFT
    (:func:`repro.channel.fading.subcarrier_power_from_taps` — the same
    formulation the scalar path uses, see its docstring for why matmul
@@ -23,14 +24,15 @@ one fused numpy pipeline over the whole stack:
 
 Every elementwise kernel is shared with the scalar path, so a fused
 evolution is **bit-identical** to sequential per-link
-:meth:`~repro.channel.fading.TappedRayleighChannel.evolve_to` calls —
+:meth:`~repro.channel.link.Link.subcarrier_snr_db` calls —
 ``tests/test_phy_batch.py`` asserts this property directly.
 
-Links that need no evolution join the batch only for the
-(state-independent) DFT/power/log stage.  Fewer than two entries
-have nothing to fuse and take the scalar path whole; the ledger
-workloads have completions on both sides of that line
-(docs/performance.md).
+A link whose snapshot is already cached is served from the cache; one
+whose fading power is cached for the other transmitter (two frames on
+one link completing in the same microsecond) takes the scalar path,
+which reuses that power.  Fewer than two entries have nothing to fuse
+and take the scalar path whole; the ledger workloads have completions
+on both sides of that line (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.channel.fading import _dft_matrix, subcarrier_power_from_taps
+from repro.channel.fading import NUM_TAPS, SCATTER_SCALE, subcarrier_power_from_taps
 from repro.channel.link import Link
 from repro.phy.ber import linear_to_db
 
@@ -65,106 +67,62 @@ def warm_snapshots(
         ]
 
     results: List[Optional[np.ndarray]] = [None] * len(entries)
-    # (slot, link, tx_dbm, mean_db, cached_power_or_None)
-    pending: List[tuple] = []
-    evolve: List[tuple] = []  # links needing an AR(1) step
+    fresh: List[tuple] = []  # (slot, link, tx_dbm, mean_db)
     for slot, (link, tx_id) in enumerate(entries):
-        tx_dbm = link._tx_power_dbm(True, tx_id)
+        tx_dbm = link._tx_power_dbm(tx_id)
         cached = link._snr_cache
         if cached is not None and link._snr_key == (time_us, tx_dbm):
             results[slot] = cached
-            continue
-        mean_db = link.mean_snr_db(time_us, tx_id=tx_id)
-        if link._cache_time == time_us:
-            pending.append((slot, link, tx_dbm, mean_db, link._cache_power))
-            continue
+        elif link._cache_time == time_us:
+            # Power cached for the other transmitter: the scalar path
+            # reuses it (rare: two frames on one link in one µs).
+            results[slot] = link.subcarrier_snr_db(time_us, tx_id=tx_id)
+        else:
+            fresh.append(
+                (slot, link, tx_dbm, link.mean_snr_db(time_us, tx_id=tx_id))
+            )
+    if not fresh:
+        return results  # type: ignore[return-value]
+
+    # Preallocated buffers filled row by row — np.stack costs more than
+    # the whole AR(1) update at these batch sizes.
+    taps = np.empty((len(fresh), NUM_TAPS), dtype=complex)
+    steps: List[int] = []  # rows needing an AR(1) step
+    stepped = []  # their channels
+    rhos: List[float] = []
+    for row, (_slot, link, _tx_dbm, _mean_db) in enumerate(fresh):
         ch = link._fading
+        taps[row] = ch._taps
         if ch._last_time_us is None:
             # First sample: the stationary draw is the state.
             ch._last_time_us = time_us
         elif time_us > ch._last_time_us:
-            evolve.append((link, ch))
-        pending.append((slot, link, tx_dbm, mean_db, None))
+            steps.append(row)
+            stepped.append(ch)
+            rhos.append(math.exp(-(time_us - ch._last_time_us) / link._coherence_us()))
+    if steps:
+        # TappedRayleighChannel.evolve_to, operation for operation, with
+        # each draw from its link's own stream.
+        draws = np.empty((len(steps), 2 * NUM_TAPS))
+        stds = np.empty((len(steps), 1))
+        for i, ch in enumerate(stepped):
+            ch._rng.standard_normal(2 * NUM_TAPS, out=draws[i])
+            stds[i, 0] = math.sqrt(1.0 - rhos[i] * rhos[i])
+        innovation = (draws[:, :NUM_TAPS] + 1j * draws[:, NUM_TAPS:]) * SCATTER_SCALE
+        # Usually every row steps; a basic slice then spares the gather.
+        rows = steps if len(steps) < len(fresh) else slice(None)
+        taps[rows] = np.array(rhos)[:, None] * taps[rows] + stds * innovation
+        for row, ch in zip(steps, stepped):
+            # A row view: the scalar path never mutates taps in place
+            # (every update rebinds), so sharing the matrix is safe.
+            ch._taps = taps[row]
+            ch._last_time_us = time_us
 
-    if evolve:
-        _fused_evolve(time_us, evolve)
-    if not pending:
-        return results  # type: ignore[return-value]
-
-    # One DFT/power/log pipeline per tap count (all 6 in practice).
-    by_taps: dict = {}
-    for item in pending:
-        ch = item[1]._fading
-        by_taps.setdefault(ch.num_taps, []).append(item)
-    for num_taps, group in by_taps.items():
-        dft = _dft_matrix(num_taps)
-        powers: List[np.ndarray] = []
-        fresh = [item for item in group if item[4] is None]
-        if fresh:
-            taps_stack = np.empty(
-                (len(fresh), 1, num_taps), dtype=complex
-            )
-            for j, item in enumerate(fresh):
-                taps_stack[j, 0] = item[1]._fading._taps
-            power_matrix = subcarrier_power_from_taps(dft, taps_stack)
-        fresh_i = 0
-        for item in group:
-            if item[4] is None:
-                powers.append(power_matrix[fresh_i])
-                fresh_i += 1
-            else:
-                powers.append(item[4])
-        stacked = (
-            power_matrix if fresh_i == len(group) else np.stack(powers)
-        )
-        fading_db = linear_to_db(stacked)
-        mean_col = np.array(
-            [item[3] for item in group], dtype=float
-        )[:, None]
-        snap_matrix = mean_col + fading_db
-        for i, (slot, link, tx_dbm, _mean, cached_power) in enumerate(
-            group
-        ):
-            power = powers[i]
-            snapshot = snap_matrix[i]
-            link._seed_snapshot(time_us, tx_dbm, power, snapshot)
-            results[slot] = snapshot
+    power = subcarrier_power_from_taps(taps[:, None, :])
+    means = np.array([item[3] for item in fresh], dtype=float)[:, None]
+    snapshots = means + linear_to_db(power)
+    for row, (slot, link, tx_dbm, _mean_db) in enumerate(fresh):
+        snapshot = snapshots[row]  # one object: the PHY memos key on it
+        link._seed_snapshot(time_us, tx_dbm, power[row], snapshot)
+        results[slot] = snapshot
     return results  # type: ignore[return-value]
-
-
-def _fused_evolve(t: int, evolve: List[tuple]) -> None:
-    """One broadcast AR(1) step over all links needing one.
-
-    Mirrors :meth:`TappedRayleighChannel.evolve_to` operation for
-    operation; per-link draws come from each link's private stream.
-    """
-    by_taps: dict = {}
-    for link, ch in evolve:
-        by_taps.setdefault(ch.num_taps, []).append((link, ch))
-    for num_taps, group in by_taps.items():
-        n = num_taps
-        count = len(group)
-        # Preallocated buffers filled row by row — np.stack costs
-        # more than the whole AR(1) update at these batch sizes.
-        rhos = np.empty((count, 1))
-        stds = np.empty((count, 1))
-        draws = np.empty((count, 2 * n))
-        scales = np.empty((count, n))
-        taps_stack = np.empty((count, n), dtype=complex)
-        for i, (link, ch) in enumerate(group):
-            dt = t - ch._last_time_us
-            rho = math.exp(-dt / link._coherence_us())
-            rhos[i, 0] = rho
-            stds[i, 0] = math.sqrt(1.0 - rho * rho)
-            # Same stream, same bits as ``standard_normal(2n)``.
-            ch._rng.standard_normal(2 * n, out=draws[i])
-            scales[i] = ch._scatter_scale
-            taps_stack[i] = ch._taps
-        innovation = (draws[:, :n] + 1j * draws[:, n:]) * scales
-        new_taps = rhos * taps_stack + stds * innovation
-        for i, (_link, ch) in enumerate(group):
-            # Row views: the scalar path never mutates taps in
-            # place (every update rebinds), so sharing the backing
-            # matrix is safe.
-            ch._taps = new_taps[i]
-            ch._last_time_us = t

@@ -36,7 +36,7 @@ from repro.core.ba_forwarding import (
     BaSeenCache,
     ForwardedBa,
 )
-from repro.core.config import WgttConfig
+from repro.core.config import BSSID, WgttConfig
 from repro.core.controller import CONTROLLER_HEARTBEAT_INTERVAL_US
 from repro.core.cyclic_queue import CyclicQueue
 from repro.core.liveness import LivenessTracker
@@ -137,11 +137,11 @@ class WgttAccessPoint:
             rng,
             ap_id,
             role="ap",
-            addresses={self._config.bssid},
+            addresses={BSSID},
             monitor=True,
             response_jitter_us=BA_RESPONSE_JITTER_US,
         )
-        self.device.ta_address = self._config.bssid
+        self.device.ta_address = BSSID
         self.device.on_refill_needed = self._refill
         self.device.on_overheard_block_ack = self._overheard_ba
         self.device.on_ba_processed = self._local_ba_processed

@@ -1,9 +1,9 @@
 """WGTT system parameters, with the paper's defaults.
 
 Every number here is either stated in the paper or calibrated against a
-measurement the paper reports (noted inline), and every one but the
-shared BSSID is set by some run or test — the hysteresis sweep
-(Figure 22) is literally a parameter sweep over this object.  Protocol numbers no run varies (the
+measurement the paper reports (noted inline), and every one is set by
+some run or test — the hysteresis sweep (Figure 22) is literally a
+parameter sweep over this object.  Protocol numbers no run varies (the
 selection window, the stop retransmit, the NIC drain, ...) are module
 constants beside the code that reads them.
 """
@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 from repro.sim.engine import MS
 
+#: Shared BSSID all WGTT APs present to clients (§4.3).
+BSSID = "wgtt-bss"
+
 
 @dataclass
 class WgttConfig:
     """Tunables of the WGTT controller/AP protocol suite."""
-
-    #: Shared BSSID all WGTT APs present to clients (§4.3).
-    bssid: str = "wgtt-bss"
 
     #: Minimum time between switches for one client (§5.3.3 sweeps
     #: 40/80/120 ms; smaller adapts faster — 40 ms is the best setting).

@@ -37,7 +37,7 @@ from repro.mobility.road import Position, Road
 from repro.mobility.spatial import ApGridIndex
 from repro.mobility.vehicle import VehicleTrack
 from repro.scenarios.presets import shard_corridor_config
-from repro.scenarios.testbed import Testbed, TestbedConfig
+from repro.scenarios.testbed import AP_HEIGHT_M, AP_SETBACK_M, Testbed, TestbedConfig
 
 #: Nearest-AP probes per deployment size (evenly spaced along the road).
 BENCH_PROBES = 256
@@ -160,7 +160,7 @@ def candidate_set_bench(
         for i, x in enumerate(config.ap_xs()):
             index.add(
                 f"ap{i}",
-                Position(x, -config.ap_setback_m, config.ap_height_m),
+                Position(x, -AP_SETBACK_M, AP_HEIGHT_M),
             )
         length = config.road_length_m()
         for k in range(probes):

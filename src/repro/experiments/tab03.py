@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.core.config import BSSID
 from repro.experiments.registry import Claim, register
 from repro.experiments.runner import sweep
 from repro.mac.frames import BlockAckFrame
@@ -57,7 +58,7 @@ def cell(seed: int, rate_mbps: float) -> Dict:
         if s2 < e1
     )
     device = testbed.clients[0].device
-    session = device.session(config.wgtt.bssid)
+    session = device.session(BSSID)
     sent = device.stats["mpdus_sent"]
     ampdus = max(device.stats["ampdus_sent"], 1)
     return {

@@ -276,20 +276,17 @@ class WirelessMedium:
         self._prune(now)
         return tx
 
-    def transmit_response(
-        self, frame: Frame, delay_us: int = SIFS_US,
-        abort_if_busy: bool = True,
-    ) -> None:
+    def transmit_response(self, frame: Frame, delay_us: int = SIFS_US) -> None:
         """Send a SIFS-separated response (BA/ACK) without DCF contention.
 
-        When ``abort_if_busy`` the responder performs a last-instant
-        sense and silently drops its response if another station beat it
-        to the air — this is how near-simultaneous block ACKs from
-        multiple WGTT APs usually avoid colliding (paper §5.3.2).
+        The responder performs a last-instant sense and silently drops
+        its response if another station beat it to the air — this is how
+        near-simultaneous block ACKs from multiple WGTT APs usually avoid
+        colliding (paper §5.3.2).
         """
 
         def fire():
-            if abort_if_busy and not self.is_idle(frame.tx_device):
+            if not self.is_idle(frame.tx_device):
                 return
             self.transmit(frame)
 

@@ -55,8 +55,8 @@ def effective_snr_db(
     kernel (:class:`repro.phy.lut.ModulationLut`), the same kernel the
     stacked evaluator (:func:`repro.phy.per.effective_snr_db_batch`)
     runs on whole link stacks — one row of a batch reproduces this
-    result bitwise below the cap.  This is the single most frequently
-    called function in the simulator.
+    result bitwise below the cap.  A run's hot path calls the memoised
+    twins in :mod:`repro.phy.per`, which compute the same value.
     """
     lut = lut_for(modulation)
     ber = lut.ber_of_db_batch(subcarrier_snr_db)

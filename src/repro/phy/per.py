@@ -260,14 +260,12 @@ def effective_snr_db_batch(
     return lut.snr_db_for_ber_batch(mean)
 
 
-def preamble_success_batch(
-    subcarrier_snr_db,
-) -> Tuple[np.ndarray, np.ndarray]:
+def preamble_success_batch(subcarrier_snr_db) -> np.ndarray:
     """Row-wise :func:`preamble_success_probability`.
 
-    Returns ``(p_preamble, bpsk_esnr_db)``; the BPSK effective SNR is
-    evaluated for every row (the scalar path skips it below the
-    wideband floor, but computing it never changes a value).
+    The BPSK effective SNR is evaluated for every row (the scalar path
+    skips it below the wideband floor, but computing it never changes a
+    value).
     """
     matrix = _as_matrix(subcarrier_snr_db)
     linear = np.power(10.0, matrix * 0.1)
@@ -283,7 +281,7 @@ def preamble_success_batch(
         else:
             # scalar ``**`` finishing — same op the scalar path runs
             out[i] = (1.0 - float(bers[i])) ** _PREAMBLE_BITS
-    return out, esnr
+    return out
 
 
 def prewarm_receivers(rows: Sequence[np.ndarray]) -> None:
@@ -301,7 +299,7 @@ def prewarm_receivers(rows: Sequence[np.ndarray]) -> None:
     matrix = np.empty((len(rows), rows[0].shape[0]))
     for i, row in enumerate(rows):
         matrix[i] = row
-    preamble, _bpsk_esnr = preamble_success_batch(matrix)
+    preamble = preamble_success_batch(matrix)
     for i, row in enumerate(rows):
         _preamble_memo_lru.put(id(row), (row, float(preamble[i])))
 

@@ -21,9 +21,8 @@ from repro.baselines.enhanced_80211r import (
 )
 from repro.channel.antenna import OmniAntenna, ParabolicAntenna
 from repro.channel.link import ChannelMap, RadioPort
-from repro.channel.pathloss import LogDistancePathLoss
 from repro.core.access_point import WgttAccessPoint
-from repro.core.config import WgttConfig
+from repro.core.config import BSSID, WgttConfig
 from repro.core.controller import WgttController
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -53,6 +52,17 @@ if TYPE_CHECKING:
 #: Default AP x-positions: 7.5 m spacing as measured in §2.
 DEFAULT_AP_SPACING_M = 7.5
 DEFAULT_FIRST_AP_X = 10.0
+#: AP mounts: behind third-floor windows, set back from the road.
+AP_SETBACK_M = 12.0
+AP_HEIGHT_M = 10.0
+#: Effective beamwidth of the deployed antenna. The Laird panel is
+#: nominally 21°, but the paper's *measured* cell size (5.2 m at a
+#: 7.5 m AP spacing, §2) implies a much narrower effective beam —
+#: the third-floor window aperture clips the lobe. 10° reproduces
+#: the measured footprint and the between-cell ESNR dips of Fig 2.
+AP_BEAMWIDTH_DEG = 10.0
+AP_TX_POWER_DBM = 20.0
+CLIENT_TX_POWER_DBM = 15.0
 
 #: One-way latency modelling the in-building content server (§5.1
 #: caches content locally to exclude Internet latency).
@@ -74,16 +84,6 @@ class TestbedConfig:
     ap_positions_m: Optional[List[float]] = None
     ap_spacing_m: float = DEFAULT_AP_SPACING_M
     first_ap_x_m: float = DEFAULT_FIRST_AP_X
-    ap_setback_m: float = 12.0
-    ap_height_m: float = 10.0
-    #: Effective beamwidth of the deployed antenna. The Laird panel is
-    #: nominally 21°, but the paper's *measured* cell size (5.2 m at a
-    #: 7.5 m AP spacing, §2) implies a much narrower effective beam —
-    #: the third-floor window aperture clips the lobe. 10° reproduces
-    #: the measured footprint and the between-cell ESNR dips of Fig 2.
-    ap_beamwidth_deg: float = 10.0
-    ap_tx_power_dbm: float = 20.0
-    client_tx_power_dbm: float = 15.0
     #: One entry per client. Ignored when ``client_tracks`` is given.
     client_speeds_mph: List[float] = field(default_factory=lambda: [15.0])
     #: Clients start just inside the first AP's coverage flank, the way
@@ -92,8 +92,6 @@ class TestbedConfig:
     client_tracks: Optional[List[VehicleTrack]] = None
     wgtt: WgttConfig = field(default_factory=WgttConfig)
     roaming: RoamingConfig = field(default_factory=RoamingConfig)
-    pathloss: LogDistancePathLoss = field(default_factory=LogDistancePathLoss)
-    coherence_factor: float = 0.25
     #: Associate clients instantly at t=0 (experiments assume an
     #: already-admitted commuter device); False exercises the real
     #: over-the-air association path.
@@ -183,7 +181,7 @@ class ClientNode:
             RadioPort(
                 self.client_id,
                 OmniAntenna(),
-                config.client_tx_power_dbm,
+                CLIENT_TX_POWER_DBM,
                 track.position_at,
                 lambda: track.speed_mps,
             )
@@ -251,7 +249,7 @@ class ClientNode:
                 self.uplink_dropped += 1
                 return
         else:
-            peer = self.testbed.config.wgtt.bssid
+            peer = BSSID
         self.device.enqueue(packet, peer)
 
 
@@ -297,12 +295,7 @@ class Testbed:
         self.sim = Simulator(obs=self.obs)
         self.rng = RngRegistry(config.seed)
         self.road = Road(length_m=config.road_length_m())
-        self.channel = ChannelMap(
-            self.sim,
-            self.rng,
-            pathloss=config.pathloss,
-            coherence_factor=config.coherence_factor,
-        )
+        self.channel = ChannelMap(self.sim, self.rng)
         self.medium = WirelessMedium(self.sim, self.channel)
         self.backhaul = EthernetBackhaul(self.sim)
         self.server_host = Host("server")
@@ -321,17 +314,17 @@ class Testbed:
         self.ap_index = ApGridIndex()
         for index, x in enumerate(config.ap_xs()):
             ap_id = f"ap{index}"
-            mount = Position(x, -config.ap_setback_m, config.ap_height_m)
+            mount = Position(x, -AP_SETBACK_M, AP_HEIGHT_M)
             antenna = ParabolicAntenna(
                 mount=mount,
                 boresight=Position(x, 0.0, 1.5),
-                beamwidth_deg=config.ap_beamwidth_deg,
+                beamwidth_deg=AP_BEAMWIDTH_DEG,
             )
             self.channel.register_port(
                 RadioPort(
                     ap_id,
                     antenna,
-                    config.ap_tx_power_dbm,
+                    AP_TX_POWER_DBM,
                     lambda t, m=mount: m,
                     fixed_position=mount,
                 )

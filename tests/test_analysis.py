@@ -1,7 +1,7 @@
 """The repository's static checks (``tests/lint.py``): per-rule fixtures
 and tree-wide self-checks.
 
-Three layers:
+Four layers:
 
 * **fixture tests** — for every rule, a minimal snippet where it fires
   (positive) and a minimal snippet where it must stay silent
@@ -12,7 +12,9 @@ Three layers:
 * **flags manifest** — the committed ``analysis/flags.toml`` must match
   the defaults of every ``bool`` field of every ``*Config`` dataclass
   the imported ``repro`` package defines.  This test is the only check
-  of the manifest.
+  of the manifest;
+* **setter census** — every field of those dataclasses is set by some
+  code in ``src/``, ``tests/``, ``examples/`` or ``benchmarks/``.
 """
 
 import ast
@@ -575,29 +577,35 @@ class TestCliAndSelfCheck:
 # ----------------------------------------------------------------------
 
 
-def _live_flags():
-    """module.Class.field -> default, for every bool field of every
-    ``*Config`` dataclass in the imported ``repro`` package tree."""
+def _config_classes():
+    """Every ``*Config`` dataclass in the imported ``repro`` package
+    tree, once each, in name order."""
     import repro
 
-    flags = {}
+    classes = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if info.name.endswith(".__main__"):
             continue  # repro/__main__.py calls sys.exit on import
         module = importlib.import_module(info.name)
         for name, cls in vars(module).items():
-            if not (
+            if (
                 name.endswith("Config")
                 and isinstance(cls, type)
                 and dataclasses.is_dataclass(cls)
             ):
-                continue
-            for field in dataclasses.fields(cls):
-                if field.type in ("bool", bool) and isinstance(
-                    field.default, bool
-                ):
-                    key = f"{cls.__module__}.{cls.__qualname__}.{field.name}"
-                    flags[key] = field.default
+                classes[f"{cls.__module__}.{cls.__qualname__}"] = cls
+    return [classes[key] for key in sorted(classes)]
+
+
+def _live_flags():
+    """module.Class.field -> default, for every bool field of every
+    ``*Config`` dataclass in the imported ``repro`` package tree."""
+    flags = {}
+    for cls in _config_classes():
+        for field in dataclasses.fields(cls):
+            if field.type in ("bool", bool) and isinstance(field.default, bool):
+                key = f"{cls.__module__}.{cls.__qualname__}.{field.name}"
+                flags[key] = field.default
     return flags
 
 
@@ -634,6 +642,71 @@ class TestFlagsManifestRegression:
         drift = manifest_drift(manifest, _live_flags())
         assert not drift, "\n".join(
             ["analysis/flags.toml disagrees with the code:", *drift]
+        )
+
+
+#: Config fields that no code sets, each with why it stays a field.
+UNSET_FIELDS_ALLOWED = {
+    "TestbedConfig.first_ap_x_m": "read, not set, by the ledger",
+}
+
+
+def _forwards(name, value):
+    """``value`` hands on the field's own value (``config.name``,
+    ``self._name``) rather than choosing one."""
+    return isinstance(value, ast.Attribute) and value.attr in (name, "_" + name)
+
+
+def _set_names(roots):
+    """Every name some code under ``roots`` sets: keyword arguments and
+    assignments to ``x.name`` (not ``self.name``, the assigning object's
+    own attribute), less those that only forward the same name's
+    value."""
+    names = set()
+    for root in roots:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg:
+                    if not _forwards(node.arg, node.value):
+                        names.add(node.arg)
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = (
+                        node.targets
+                        if isinstance(node, ast.Assign)
+                        else [node.target]
+                    )
+                    for target in targets:
+                        for part in ast.walk(target):
+                            if (
+                                isinstance(part, ast.Attribute)
+                                and isinstance(part.ctx, ast.Store)
+                                and not (
+                                    isinstance(part.value, ast.Name)
+                                    and part.value.id == "self"
+                                )
+                                and not _forwards(part.attr, node.value)
+                            ):
+                                names.add(part.attr)
+    return names
+
+
+class TestConfigSetterCensus:
+    def test_every_config_field_is_set_somewhere(self):
+        """A ``*Config`` field that no run, sweep, example or test sets
+        is a constant in disguise: it belongs beside its reader as an
+        UPPER_SNAKE module constant.  Forwarding a field's own value
+        (``pathloss=config.pathloss``) is plumbing, not a setting."""
+        set_names = _set_names(("src", "tests", "examples", "benchmarks"))
+        unset = sorted(
+            f"{cls.__qualname__}.{field.name}"
+            for cls in _config_classes()
+            for field in dataclasses.fields(cls)
+            if field.name not in set_names
+        )
+        assert unset == sorted(UNSET_FIELDS_ALLOWED), (
+            "config fields no code sets (make each a module constant "
+            "beside its reader, or list why it stays): "
+            + ", ".join(sorted(set(unset) - set(UNSET_FIELDS_ALLOWED)))
         )
 
 

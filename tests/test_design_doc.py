@@ -18,7 +18,7 @@ from repro.core.selection import SELECTION_WINDOW_US
 from repro.core.switching import SWITCH_TIMEOUT_US
 from repro.mac.frames import MAX_AMPDU_AIRTIME_US, MAX_AMPDU_SUBFRAMES
 from repro.mac.wifi_device import BEACON_INTERVAL_US
-from repro.scenarios.testbed import TestbedConfig
+from repro.scenarios.testbed import AP_BEAMWIDTH_DEG
 from repro.sim.engine import MS, SECOND
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,7 +109,7 @@ QUOTED_CONSTANTS = {
         stock_80211r_config().min_history_us / SECOND,
     ),
     "effective beamwidth": (
-        r"Effective beamwidth (\d+)°", TestbedConfig().ap_beamwidth_deg
+        r"Effective beamwidth (\d+)°", AP_BEAMWIDTH_DEG
     ),
     "A-MPDU subframes": (
         r"`MAX_AMPDU_SUBFRAMES` = (\d+)", MAX_AMPDU_SUBFRAMES

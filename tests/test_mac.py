@@ -236,7 +236,7 @@ class TestAggregation:
         strict=True,
         reason="known issue (docs/scaling.md, 'Interferers are not pruned'): "
         "retransmits are taken before the airtime loop, so the cap never "
-        "binds them; the fix changes behaviour and waits for ROADMAP 5",
+        "binds them; the fix changes behaviour and waits for ROADMAP item 1(b)",
     )
     def test_airtime_budget_binds_retransmissions_after_a_rate_drop(self):
         """An aggregate built at MCS 7 times out whole and is retried at

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.channel import ChannelMap, OmniAntenna, ParabolicAntenna, RadioPort
 from repro.channel.antenna import Antenna
-from repro.channel.link import NOISE_FLOOR_DBM
+from repro.channel.link import NOISE_FLOOR_DBM, PATHLOSS
 from repro.mac import WifiDevice, WirelessMedium
 from repro.mac.frames import BeaconFrame
 from repro.mobility import Position, Road, VehicleTrack
@@ -61,7 +61,7 @@ def reference_power_dbm(channel: ChannelMap, tx_id: str, rx_id: str, t: int) -> 
         channel.port(tx_id).tx_power_dbm
         + ap.antenna.gain_dbi(client_pos)
         + client.antenna.gain_dbi(ap_pos)
-        - channel._pathloss.loss_db(ap_pos.distance_to(client_pos))
+        - PATHLOSS.loss_db(ap_pos.distance_to(client_pos))
         - NOISE_FLOOR_DBM
     )
     return mean_snr_db + NOISE_FLOOR_DBM

@@ -141,7 +141,7 @@ class TestStackedKernelsBitIdentity:
     def test_preamble_success(self, n_rows):
         reset_phy_memos()
         stack = _random_stack(np.random.default_rng(23 + n_rows), n_rows)
-        p, _esnr = preamble_success_batch(stack)
+        p = preamble_success_batch(stack)
         _assert_bits_equal(
             p, [preamble_success_probability(row) for row in stack]
         )
@@ -263,3 +263,50 @@ def test_fused_warm_with_partially_warm_links():
             2_000, tx_id=f"ap{i}"
         )
         assert fused[i].tobytes() == want.tobytes()
+
+
+def test_fused_warm_reuses_power_cached_for_the_other_direction():
+    """A link whose fading power is already cached at this instant for
+    the *other* transmitter (two frames on one link completing in the
+    same microsecond) must reuse that power, not evolve again, and
+    match the scalar path bit for bit beside cold and fully cached
+    links."""
+    fused_map = _make_channel_map(79, 5)
+    scalar_map = _make_channel_map(79, 5)
+    # ap0, ap1: uplink snapshot cached at 3000, so only the power fits
+    # an AP-sent frame.  ap2: the AP-sent snapshot itself is cached.
+    # ap3: last sampled earlier, so it evolves.  ap4: last sampled
+    # later, so it joins the DFT without an AR(1) step.
+    for cmap in (fused_map, scalar_map):
+        for i in range(5):
+            cmap.link(f"ap{i}", "client0").subcarrier_snr_db(
+                5_000 if i == 4 else 1_000, tx_id=f"ap{i}"
+            )
+        for i in (0, 1):
+            cmap.link(f"ap{i}", "client0").subcarrier_snr_db(
+                3_000, tx_id="client0"
+            )
+        cmap.link("ap2", "client0").subcarrier_snr_db(3_000, tx_id="ap2")
+    entries = [
+        (fused_map.link(f"ap{i}", "client0"), f"ap{i}") for i in range(5)
+    ]
+    fused = warm_snapshots(3_000, entries)
+    for i in range(5):
+        link = scalar_map.link(f"ap{i}", "client0")
+        want = link.subcarrier_snr_db(3_000, tx_id=f"ap{i}")
+        assert fused[i].tobytes() == want.tobytes()
+        assert (
+            fused_map.link(f"ap{i}", "client0").subcarrier_snr_db(
+                3_000, tx_id=f"ap{i}"
+            )
+            is fused[i]
+        )
+    # Both maps drew the same randomness: the next step agrees too.
+    for i in range(5):
+        got = fused_map.link(f"ap{i}", "client0").subcarrier_snr_db(
+            4_000, tx_id="client0"
+        )
+        want = scalar_map.link(f"ap{i}", "client0").subcarrier_snr_db(
+            4_000, tx_id="client0"
+        )
+        assert got.tobytes() == want.tobytes()

@@ -3,6 +3,7 @@ running on the full testbed."""
 
 import pytest
 
+from repro.core.config import BSSID
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS
 
@@ -36,7 +37,7 @@ class TestAssociation:
         )
         testbed = Testbed(config)
         client = testbed.clients[0]
-        client.device.send_mgmt("assoc-req", config.wgtt.bssid)
+        client.device.send_mgmt("assoc-req", BSSID)
         testbed.run_seconds(1.0)
         assert testbed.controller.serving_ap("client0") is not None
         admitted = sum(
@@ -56,9 +57,7 @@ class TestAssociation:
     )
     def test_over_the_air_association_hands_serving_to_an_ap(self):
         testbed = make_wgtt(instant_association=False)
-        testbed.clients[0].device.send_mgmt(
-            "assoc-req", testbed.config.wgtt.bssid
-        )
+        testbed.clients[0].device.send_mgmt("assoc-req", BSSID)
         source, sink = testbed.add_downlink_udp_flow(0, rate_bps=2e6)
         source.start()
         testbed.run_seconds(1.0)
@@ -147,7 +146,7 @@ class TestSwitching:
         # TCP made continuous forward progress through the switches
         assert sender.snd_una > 1000
         client = testbed.clients[0]
-        reorder = client.device.reorder_buffer(testbed.config.wgtt.bssid)
+        reorder = client.device.reorder_buffer(BSSID)
         serving = testbed.controller.serving_ap("client0")
         session = testbed.wgtt_aps[serving].device.session("client0")
         from repro.mac.frames import seq_distance
