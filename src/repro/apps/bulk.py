@@ -124,17 +124,16 @@ def run_bulk_download(
     protocol: str = "tcp",
     duration_s: Optional[float] = None,
     udp_rate_bps: float = 50e6,
-    client_index: int = 0,
     keep_testbed: bool = False,
 ) -> BulkResult:
-    """Drive one client past the array with a saturating downlink flow
-    (``duration_s`` defaults as :meth:`Drive.run` does)."""
-    drive = Drive(config, protocol, udp_rate_bps, clients=[client_index])
+    """Drive the first client past the array with a saturating downlink
+    flow (``duration_s`` defaults as :meth:`Drive.run` does)."""
+    drive = Drive(config, protocol, udp_rate_bps, clients=[0])
     drive.run(duration_s)
     return BulkResult(
         scheme=config.scheme,
         protocol=protocol,
-        speed_mph=drive.testbed.clients[client_index].track.speed_mph,
+        speed_mph=drive.testbed.clients[0].track.speed_mph,
         duration_s=drive.duration_s,
         throughput_mbps=drive.throughput_mbps(),
         goodput_series_mbps=drive.series_mbps(),

@@ -32,12 +32,10 @@ class VideoPlayer:
         sim: Simulator,
         receiver: TcpReceiver,
         bitrate_bps: float = HD_BITRATE_BPS,
-        prebuffer_us: int = PREBUFFER_US,
     ):
         self._sim = sim
         self._receiver = receiver
         self.bitrate_bps = bitrate_bps
-        self.prebuffer_us = prebuffer_us
         self._buffered_media_us = 0.0
         self._playing = False
         self._started_us = sim.now
@@ -70,7 +68,7 @@ class VideoPlayer:
                 self._playing = False
                 self._stall_started_us = self._sim.now
         else:
-            if self._buffered_media_us >= self.prebuffer_us:
+            if self._buffered_media_us >= PREBUFFER_US:
                 self._playing = True
                 stall = self._sim.now - self._stall_started_us
                 self.total_stall_us += stall
@@ -93,7 +91,7 @@ class VideoPlayer:
         """Stall time over the transit, net of a startup allowance.
 
         Filling the pre-buffer at the nominal bitrate takes
-        ``prebuffer_us``; a healthy link needs little more than that
+        :data:`PREBUFFER_US`; a healthy link needs little more than that
         before playback starts, so the startup allowance is the actual
         first-start delay capped at twice the pre-buffer. Everything
         else spent not playing — including a stream that *never*
@@ -101,7 +99,7 @@ class VideoPlayer:
         """
         if transit_duration_us <= 0:
             return 0.0
-        allowance_cap = 2 * self.prebuffer_us
+        allowance_cap = 2 * PREBUFFER_US
         if self.rebuffer_events:
             first_start_delay = self.rebuffer_events[0][1] - self._started_us
             startup_allowance = min(first_start_delay, allowance_cap)

@@ -31,7 +31,6 @@ class PageLoad:
         testbed: Testbed,
         client_index: int = 0,
         page_bytes: int = PAGE_BYTES,
-        connections: int = PARALLEL_CONNECTIONS,
     ):
         self._testbed = testbed
         self._sim = testbed.sim
@@ -40,8 +39,8 @@ class PageLoad:
         self.finished_us: Optional[int] = None
         self._flows: List[dict] = []
         total_segments = math.ceil(page_bytes / MSS)
-        per_connection = math.ceil(total_segments / connections)
-        for i in range(connections):
+        per_connection = math.ceil(total_segments / PARALLEL_CONNECTIONS)
+        for i in range(PARALLEL_CONNECTIONS):
             share = min(per_connection, total_segments - i * per_connection)
             if share <= 0:
                 break

@@ -58,6 +58,8 @@ STALE_AFTER_US = 2 * SECOND
 FALLBACK_DELAY_US = 200 * MS
 #: Cooldown before re-attempting after a completely failed handover.
 RETRY_COOLDOWN_US = 300 * MS
+#: The WLC's backhaul address.
+WLC_ID = "wlc"
 
 
 @dataclass
@@ -77,16 +79,14 @@ class BaselineWlc:
         self,
         sim: Simulator,
         backhaul: EthernetBackhaul,
-        wlc_id: str = "wlc",
     ):
         self._sim = sim
         self._backhaul = backhaul
-        self.wlc_id = wlc_id
         self._route: Dict[str, str] = {}
         self._ap_ids: List[str] = []
         self.on_uplink: Callable[[Packet], None] = lambda packet: None
         self.stats = {"downlink_routed": 0, "downlink_unrouted": 0}
-        backhaul.register(wlc_id, self._on_backhaul)
+        backhaul.register(WLC_ID, self._on_backhaul)
 
     def add_ap(self, ap_id: str) -> None:
         self._ap_ids.append(ap_id)
@@ -107,7 +107,7 @@ class BaselineWlc:
             return
         self.stats["downlink_routed"] += 1
         self._backhaul.send(
-            self.wlc_id,
+            WLC_ID,
             ap_id,
             "data",
             packet,
@@ -135,12 +135,10 @@ class Baseline80211rAp:
         backhaul: EthernetBackhaul,
         rng: RngRegistry,
         ap_id: str,
-        wlc_id: str = "wlc",
     ):
         self._sim = sim
         self._backhaul = backhaul
         self.ap_id = ap_id
-        self._wlc_id = wlc_id
         self.device = WifiDevice(sim, medium, rng, ap_id, role="ap")
         self.device.on_packet = self._uplink_received
         self.device.on_mgmt = self._mgmt_received
@@ -189,7 +187,7 @@ class Baseline80211rAp:
         self.stats["uplink_forwarded"] += 1
         self._backhaul.send(
             self.ap_id,
-            self._wlc_id,
+            WLC_ID,
             "uplink",
             packet,
             size_bytes=tunnel_wire_size(packet, downlink=False),
@@ -216,7 +214,7 @@ class Baseline80211rAp:
         # Pre-shared auth state (the "Enhanced" part): respond at once.
         self.device.send_mgmt("assoc-resp", client_id)
         self._backhaul.send_control(
-            self.ap_id, self._wlc_id, "assoc-update", (client_id, self.ap_id)
+            self.ap_id, WLC_ID, "assoc-update", (client_id, self.ap_id)
         )
 
 

@@ -38,6 +38,9 @@ DELAY_SPREAD_TAPS = 1.5
 #: ~2.8 ms for 15 mph at 2.4 GHz, within the 2–3 ms band the paper
 #: cites from Tse & Viswanath.
 COHERENCE_FACTOR = 0.25
+#: The Doppler of a static scene (Hz): people and traffic around a
+#: parked client keep its channel moving.
+DOPPLER_FLOOR_HZ = 2.0
 
 # What follows depends only on the constants above, so every channel
 # (O(APs x clients) of them) shares one copy; all users treat these
@@ -55,13 +58,13 @@ DFT = np.exp(
 )
 
 
-def doppler_hz(speed_mps: float, wavelength_m: float, floor_hz: float = 2.0) -> float:
+def doppler_hz(speed_mps: float, wavelength_m: float) -> float:
     """Maximum Doppler shift, floored for static scenes.
 
     Even a parked client sees a slowly varying channel (people, other
-    traffic), so the Doppler never falls below ``floor_hz``.
+    traffic), so the Doppler never falls below :data:`DOPPLER_FLOOR_HZ`.
     """
-    return max(speed_mps / wavelength_m, floor_hz)
+    return max(speed_mps / wavelength_m, DOPPLER_FLOOR_HZ)
 
 
 def coherence_time_us(doppler: float) -> float:

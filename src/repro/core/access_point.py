@@ -352,8 +352,7 @@ class WgttAccessPoint:
         self.alive = False
         self.stats["crashes"] += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit("ap", "ap-crash", track=f"ap/{self.ap_id}", ap=self.ap_id)
+        tracer.emit("ap", "ap-crash", track=f"ap/{self.ap_id}", ap=self.ap_id)
         self._heartbeat_timer.stop()
         self._ctrl_watch.crash()
         self._holding = False
@@ -385,8 +384,7 @@ class WgttAccessPoint:
         self.alive = True
         self.stats["restarts"] += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit("ap", "ap-restart", track=f"ap/{self.ap_id}", ap=self.ap_id)
+        tracer.emit("ap", "ap-restart", track=f"ap/{self.ap_id}", ap=self.ap_id)
         self._backhaul.set_node_down(self.ap_id, False)
         self.device.power_on()
         self.device.start_beaconing()
@@ -422,10 +420,9 @@ class WgttAccessPoint:
         self._holding = True
         self.stats["ctrl_down_detected"] += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "ap", "hold-enter", track=f"ap/{self.ap_id}", ap=self.ap_id
-            )
+        tracer.emit(
+            "ap", "hold-enter", track=f"ap/{self.ap_id}", ap=self.ap_id
+        )
 
     def _exit_hold(self, _key: str) -> None:
         self._holding = False
@@ -442,14 +439,13 @@ class WgttAccessPoint:
             self.stats["hold_flushed"] += 1
             flushed += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "ap",
-                "hold-exit",
-                track=f"ap/{self.ap_id}",
-                ap=self.ap_id,
-                flushed=flushed,
-            )
+        tracer.emit(
+            "ap",
+            "hold-exit",
+            track=f"ap/{self.ap_id}",
+            ap=self.ap_id,
+            flushed=flushed,
+        )
 
     def _ctrl_epoch_ok(self, epoch: int, counter: str) -> bool:
         """Admit a controller authority announcement once per epoch.
@@ -487,14 +483,13 @@ class WgttAccessPoint:
             self._controller_id = new_controller_id
             self.stats["rehomed"] += 1
             tracer = self._sim.obs.trace
-            if tracer.active:
-                tracer.emit(
-                    "ap",
-                    "rehome",
-                    track=f"ap/{self.ap_id}",
-                    ap=self.ap_id,
-                    controller=new_controller_id,
-                )
+            tracer.emit(
+                "ap",
+                "rehome",
+                track=f"ap/{self.ap_id}",
+                ap=self.ap_id,
+                controller=new_controller_id,
+            )
         self._ctrl_refresh()
         # Beat immediately so the new controller's liveness tracker
         # hears this AP without waiting out a full heartbeat period.
@@ -646,15 +641,14 @@ class WgttAccessPoint:
             self._release_radio(client_id)
             self.stats["serving_relinquished"] += 1
             tracer = self._sim.obs.trace
-            if tracer.active:
-                tracer.emit(
-                    "ap",
-                    "serving-relinquish",
-                    track=f"ap/{self.ap_id}",
-                    ap=self.ap_id,
-                    client=client_id,
-                    new_ap=ap_id,
-                )
+            tracer.emit(
+                "ap",
+                "serving-relinquish",
+                track=f"ap/{self.ap_id}",
+                ap=self.ap_id,
+                client=client_id,
+                new_ap=ap_id,
+            )
 
     # ------------------------------------------------------------------
     # downlink: fan-out intake and radio refill
@@ -797,17 +791,13 @@ class WgttAccessPoint:
         client_id = message.client
         self.stats["stops_handled"] += 1
         tracer = self._sim.obs.trace
-        span = (
-            tracer.begin(
-                "ap",
-                "stop-processing",
-                track=f"switch/{client_id}",
-                ap=self.ap_id,
-                client=client_id,
-                switch_id=message.switch_id,
-            )
-            if tracer.active
-            else None
+        span = tracer.begin(
+            "ap",
+            "stop-processing",
+            track=f"switch/{client_id}",
+            ap=self.ap_id,
+            client=client_id,
+            switch_id=message.switch_id,
         )
         self._serving.discard(client_id)
         # Any engaged backpressure is moot now: the controller clears
@@ -845,8 +835,7 @@ class WgttAccessPoint:
             self._backhaul.send_control(
                 self.ap_id, message.target_ap, "start", start
             )
-            if span is not None:
-                tracer.end(span, k=k, target_ap=message.target_ap)
+            tracer.end(span, k=k, target_ap=message.target_ap)
 
         self._sim.schedule(delay, send_start)
 
@@ -859,18 +848,14 @@ class WgttAccessPoint:
         client_id = message.client
         self.stats["starts_handled"] += 1
         tracer = self._sim.obs.trace
-        span = (
-            tracer.begin(
-                "ap",
-                "start-processing",
-                track=f"switch/{client_id}",
-                ap=self.ap_id,
-                client=client_id,
-                switch_id=message.switch_id,
-                k=message.index,
-            )
-            if tracer.active
-            else None
+        span = tracer.begin(
+            "ap",
+            "start-processing",
+            track=f"switch/{client_id}",
+            ap=self.ap_id,
+            client=client_id,
+            switch_id=message.switch_id,
+            k=message.index,
         )
         dropped = self.cyclic_queue(client_id).advance_to(message.index)
         self.stats["cyclic_dropped_on_advance"] += dropped
@@ -890,18 +875,14 @@ class WgttAccessPoint:
         self.stats["failovers_handled"] += 1
         queue = self.cyclic_queue(client_id)
         tracer = self._sim.obs.trace
-        span = (
-            tracer.begin(
-                "ap",
-                "failover-processing",
-                track=f"switch/{client_id}",
-                ap=self.ap_id,
-                client=client_id,
-                switch_id=message.switch_id,
-                dead_ap=message.dead_ap,
-            )
-            if tracer.active
-            else None
+        span = tracer.begin(
+            "ap",
+            "failover-processing",
+            track=f"switch/{client_id}",
+            ap=self.ap_id,
+            client=client_id,
+            switch_id=message.switch_id,
+            dead_ap=message.dead_ap,
         )
 
         def own_backlog_head() -> int:
@@ -926,16 +907,14 @@ class WgttAccessPoint:
                 # Departure landed inside the processing window: see
                 # the dispatch guard — never adopt a departed client.
                 self.stats["serving_after_departure"] += 1
-                if span is not None:
-                    tracer.end(span)
+                tracer.end(span)
                 return
             k = resume_index()
             ack = AckMsg(
                 client=client_id, ap=self.ap_id, switch_id=message.switch_id
             )
             self._backhaul.send_control(self.ap_id, self._controller_id, "ack", ack)
-            if span is not None:
-                tracer.end(span, k=k)
+            tracer.end(span, k=k)
             self.start_serving(client_id, k)
 
         self._sim.schedule(START_PROCESSING_US, activate)

@@ -456,15 +456,14 @@ class WgttController:
         gen = self._next_serving_gen()
         self.serving_timeline.append((self._sim.now, client_id, ap_id))
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "controller",
-                "serving-update",
-                track="serving",
-                client=client_id,
-                ap=ap_id,
-                gen=gen,
-            )
+        tracer.emit(
+            "controller",
+            "serving-update",
+            track="serving",
+            client=client_id,
+            ap=ap_id,
+            gen=gen,
+        )
         self.on_serving_update(client_id, ap_id)
         targets = sorted(self._ap_ids)
         if self.ha_peer is not None:
@@ -725,8 +724,7 @@ class WgttController:
         self._dead_aps.add(ap_id)
         self.stats["aps_declared_dead"] += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit("controller", "ap-dead", track="liveness", ap=ap_id)
+        tracer.emit("controller", "ap-dead", track="liveness", ap=ap_id)
         # Its CSI history must stop competing in selection immediately
         # (and its windows are freed — the unbounded-growth fix).
         self.selector.forget_ap(ap_id)
@@ -741,10 +739,9 @@ class WgttController:
             self._dead_aps.discard(ap_id)
             self.stats["aps_recovered"] += 1
             tracer = self._sim.obs.trace
-            if tracer.active:
-                tracer.emit(
-                    "controller", "ap-recovered", track="liveness", ap=ap_id
-                )
+            tracer.emit(
+                "controller", "ap-recovered", track="liveness", ap=ap_id
+            )
 
     def _ap_rejoined(self, ap_id: str, payload: object) -> None:
         """ap-hello: a (re)started AP announces itself.
@@ -811,29 +808,27 @@ class WgttController:
             # client's keepalives will reach somebody as it moves.
             self.stats["failover_no_candidate"] += 1
             tracer = self._sim.obs.trace
-            if tracer.active:
-                tracer.emit(
-                    "controller",
-                    "failover-no-candidate",
-                    track=f"switch/{client_id}",
-                    client=client_id,
-                    dead_ap=dead_ap,
-                )
+            tracer.emit(
+                "controller",
+                "failover-no-candidate",
+                track=f"switch/{client_id}",
+                client=client_id,
+                dead_ap=dead_ap,
+            )
             if state.degraded_since is None:
                 state.degraded_since = now
             self._schedule_failover_retry(client_id)
             return
         self.stats["failovers_initiated"] += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "controller",
-                "failover-initiated",
-                track=f"switch/{client_id}",
-                client=client_id,
-                dead_ap=dead_ap,
-                target=target,
-            )
+        tracer.emit(
+            "controller",
+            "failover-initiated",
+            track=f"switch/{client_id}",
+            client=client_id,
+            dead_ap=dead_ap,
+            target=target,
+        )
         state.last_switch_us = now
         self.coordinator.initiate_failover(client_id, dead_ap, target)
 
@@ -1125,10 +1120,9 @@ class WgttController:
         self.alive = False
         self.stats["controller_crashes"] += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "controller", "ctrl-crash", track="ha", node=self.controller_id
-            )
+        tracer.emit(
+            "controller", "ctrl-crash", track="ha", node=self.controller_id
+        )
         self._ctrl_heartbeat_timer.stop()
         if self._pacer is not None:
             self._pacer.halt()
@@ -1154,10 +1148,9 @@ class WgttController:
         self.epoch_us = self._sim.now
         self._serving_seq = 0
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "controller", "ctrl-restart", track="ha", node=self.controller_id
-            )
+        tracer.emit(
+            "controller", "ctrl-restart", track="ha", node=self.controller_id
+        )
         self._backhaul.set_node_down(self.controller_id, False)
         if self.hello_on_restart:
             for ap in sorted(self._ap_ids):

@@ -228,17 +228,15 @@ class SwitchCoordinator:
             failover=failover,
         )
         pending = _Pending(record=record, switch_id=switch_id)
-        tracer = self._sim.obs.trace
-        if tracer.active:
-            pending.span = tracer.begin(
-                "controller",
-                "failover" if failover else "switch",
-                track=f"switch/{client_id}",
-                client=client_id,
-                from_ap=from_ap,
-                to_ap=to_ap,
-                switch_id=switch_id,
-            )
+        pending.span = self._sim.obs.trace.begin(
+            "controller",
+            "failover" if failover else "switch",
+            track=f"switch/{client_id}",
+            client=client_id,
+            from_ap=from_ap,
+            to_ap=to_ap,
+            switch_id=switch_id,
+        )
         self._pending.start(client_id, pending)
 
     def _send(self, pending: _Pending, retries: int) -> None:
@@ -248,16 +246,15 @@ class SwitchCoordinator:
         if retries:
             record.retries = retries
             tracer = self._sim.obs.trace
-            if tracer.active:
-                tracer.emit(
-                    "controller",
-                    "switch-retry",
-                    track=f"switch/{record.client}",
-                    client=record.client,
-                    switch_id=pending.switch_id,
-                    retries=retries,
-                    failover=record.failover,
-                )
+            tracer.emit(
+                "controller",
+                "switch-retry",
+                track=f"switch/{record.client}",
+                client=record.client,
+                switch_id=pending.switch_id,
+                retries=retries,
+                failover=record.failover,
+            )
         message: object
         if record.failover:
             dst, kind = record.to_ap, "failover"
@@ -336,8 +333,7 @@ class SwitchCoordinator:
         """Finish a handshake whose slot is already free."""
         record = pending.record
         record.outcome = outcome
-        if pending.span is not None:
-            self._sim.obs.trace.end(pending.span, outcome=outcome, **span_fields)
+        self._sim.obs.trace.end(pending.span, outcome=outcome, **span_fields)
         self.history.append(record)
         on_done(record)
         return record

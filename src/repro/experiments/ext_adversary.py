@@ -46,8 +46,8 @@ from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
 
-#: Adversary window arrival rates (per second of sim time) at
-#: ``intensity=1`` — every class lands multiple windows per run.
+#: Adversary window arrival rates (per second of sim time) — every
+#: class lands multiple windows per run.
 RATES_PER_S = {
     MsgDuplication: 0.5,
     StaleReplay: 0.4,
@@ -66,7 +66,6 @@ def adversary_plan(
     seed: int,
     ap_ids: List[str],
     duration_us: int,
-    intensity: float = 1.0,
 ) -> FaultPlan:
     """One seeded, purely message-level adversary schedule.
 
@@ -81,7 +80,7 @@ def adversary_plan(
         plan_rng,
         ap_ids,
         duration_us,
-        {kind: rate * intensity for kind, rate in RATES_PER_S.items()},
+        RATES_PER_S,
         overrides={MsgDuplication: {"copies": 2}},
     )
 

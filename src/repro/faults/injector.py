@@ -101,10 +101,9 @@ class FaultInjector:
         """Record one executed fault action (events call this)."""
         self.events.append((self.sim.now, action, subject))
         tracer = self.sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "faults", "fault", track="faults", action=action, subject=subject
-            )
+        tracer.emit(
+            "faults", "fault", track="faults", action=action, subject=subject
+        )
 
     # ------------------------------------------------------------------
     # queries

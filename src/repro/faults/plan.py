@@ -758,7 +758,6 @@ class FaultPlan:
         *,
         intensity: float = 1.0,
         adversary_intensity: float = 0.0,
-        controller_id: str = "controller",
     ) -> "FaultPlan":
         """Continuous background chaos for endurance runs.
 
@@ -797,7 +796,6 @@ class FaultPlan:
                 LinkJitter: {"jitter_us": 2_000, "duration_us": 1_000_000},
                 CsiBlackout: {"duration_us": 1_000_000},
             },
-            controller_id=controller_id,
         )
 
     # ------------------------------------------------------------------

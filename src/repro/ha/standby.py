@@ -153,24 +153,16 @@ class StandbyController(WgttController):
         self.stats["promotions"] += 1
         self._primary_watch.stop()
         tracer = self._sim.obs.trace
-        span = (
-            tracer.begin(
-                "ha", "promotion", track="ha", node=self.controller_id
-            )
-            if tracer.active
-            else None
+        span = tracer.begin(
+            "ha", "promotion", track="ha", node=self.controller_id
         )
 
         checkpoint = self.last_checkpoint
-        restore_span = (
-            tracer.begin(
-                "ha",
-                "checkpoint-restore",
-                track="ha",
-                from_checkpoint=checkpoint is not None,
-            )
-            if tracer.active
-            else None
+        restore_span = tracer.begin(
+            "ha",
+            "checkpoint-restore",
+            track="ha",
+            from_checkpoint=checkpoint is not None,
         )
         # The warm feed's association records: restore replaces them.
         warm_directory = self.directory
@@ -214,8 +206,7 @@ class StandbyController(WgttController):
                 self.register_association(info)
         self._warm_serving.clear()
         self._warm_serving_gen.clear()
-        if restore_span is not None:
-            tracer.end(restore_span, clients=len(self._clients))
+        tracer.end(restore_span, clients=len(self._clients))
 
         # Innocent-until-silent: checkpointed beat times are up to a
         # checkpoint interval + an outage old; judging them against the
@@ -223,12 +214,8 @@ class StandbyController(WgttController):
         self.liveness.reset_clock(self._sim.now)
 
         # Announce, re-publish, heartbeat.
-        announce_span = (
-            tracer.begin(
-                "ha", "takeover-announce", track="ha", aps=len(self._ap_ids)
-            )
-            if tracer.active
-            else None
+        announce_span = tracer.begin(
+            "ha", "takeover-announce", track="ha", aps=len(self._ap_ids)
         )
         for ap_id in sorted(self._ap_ids):
             self._backhaul.send_control(
@@ -238,9 +225,7 @@ class StandbyController(WgttController):
             self._publish_serving(
                 client_id, self._clients[client_id].serving_ap
             )
-        if announce_span is not None:
-            tracer.end(announce_span)
+        tracer.end(announce_span)
         self.start_ctrl_heartbeats()
         self.on_promote()
-        if span is not None:
-            tracer.end(span, clients=len(self._clients))
+        tracer.end(span, clients=len(self._clients))

@@ -145,7 +145,6 @@ class InvariantChecker:
         testbed,
         *,
         interval_us: int = DEFAULT_INTERVAL_US,
-        reconverge_slack_us: int = DEFAULT_RECONVERGE_SLACK_US,
         max_violations: int = 256,
     ):
         if interval_us <= 0:
@@ -153,7 +152,6 @@ class InvariantChecker:
         self._testbed = testbed
         self._sim = testbed.sim
         self._interval_us = interval_us
-        self._reconverge_slack_us = reconverge_slack_us
         self._max_violations = max_violations
         #: ap -> the region whose controller answers for it.
         self._ap_region = {
@@ -261,15 +259,14 @@ class InvariantChecker:
         if len(self.violations) < self._max_violations:
             self.violations.append(violation)
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "invariants",
-                "invariant-violation",
-                track="invariants",
-                invariant=invariant,
-                subject=subject,
-                message=message,
-            )
+        tracer.emit(
+            "invariants",
+            "invariant-violation",
+            track="invariants",
+            invariant=invariant,
+            subject=subject,
+            message=message,
+        )
 
     def _violate_once(
         self, invariant: str, subject: str, message: str
@@ -423,7 +420,7 @@ class InvariantChecker:
                 continue
             overlapping.add(client)
             since = self._overlap_since.setdefault(client, now)
-            if now - since >= self._reconverge_slack_us:
+            if now - since >= DEFAULT_RECONVERGE_SLACK_US:
                 self._violate_once(
                     "single-serving-ap",
                     client,

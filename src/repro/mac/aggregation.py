@@ -28,8 +28,6 @@ def build_ampdu_mpdus(
     scoreboard: BlockAckScoreboard,
     service_queue: DropTailQueue,
     mcs: Mcs,
-    max_subframes: int = MAX_AMPDU_SUBFRAMES,
-    max_airtime_us: int = MAX_AMPDU_AIRTIME_US,
 ) -> List[Mpdu]:
     """Assemble the MPDU list for the next aggregate to one peer.
 
@@ -37,19 +35,19 @@ def build_ampdu_mpdus(
     queue while the block-ACK window, subframe budget, and airtime
     budget allow. Returns an empty list when nothing is eligible.
     """
-    mpdus: List[Mpdu] = list(scoreboard.take_retransmits(max_subframes))
+    mpdus: List[Mpdu] = list(scoreboard.take_retransmits(MAX_AMPDU_SUBFRAMES))
     airtime = float(HT_PREAMBLE_US)
     for mpdu in mpdus:
         airtime += mcs.airtime_us(8 * mpdu.wire_bytes)
 
     while (
-        len(mpdus) < max_subframes
+        len(mpdus) < MAX_AMPDU_SUBFRAMES
         and scoreboard.window_room() > 0
         and not service_queue.empty
     ):
         head = service_queue.peek()
         head_airtime = mcs.airtime_us(8 * (head.size_bytes + 34))
-        if mpdus and airtime + head_airtime > max_airtime_us:
+        if mpdus and airtime + head_airtime > MAX_AMPDU_AIRTIME_US:
             break
         packet = service_queue.dequeue()
         mpdu = scoreboard.issue(packet)

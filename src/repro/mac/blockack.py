@@ -26,6 +26,9 @@ from repro.mac.frames import (
 )
 from repro.net.packet import Packet
 
+#: Sequence distance either side of the reorder point that the
+#: received history keeps once it is trimmed.
+HISTORY_KEEP_WINDOW = 4 * BA_WINDOW
 
 class BlockAckScoreboard:
     """Sender-side transmit window for one peer."""
@@ -267,14 +270,14 @@ class ReorderBuffer:
         the aggregate we have ever received (current or earlier copy)."""
         return {s for s in seqs if s in self._received_history}
 
-    def forget_old_history(self, keep_window: int = 4 * BA_WINDOW) -> None:
+    def forget_old_history(self) -> None:
         """Bound the received-history set (called opportunistically)."""
-        if len(self._received_history) <= 8 * keep_window:
+        if len(self._received_history) <= 8 * HISTORY_KEEP_WINDOW:
             return
         cutoff = self._next_expected
         self._received_history = {
             s
             for s in self._received_history
-            if seq_distance(s, cutoff) <= keep_window
-            or seq_distance(cutoff, s) <= keep_window
+            if seq_distance(s, cutoff) <= HISTORY_KEEP_WINDOW
+            or seq_distance(cutoff, s) <= HISTORY_KEEP_WINDOW
         }

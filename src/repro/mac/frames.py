@@ -175,6 +175,6 @@ def seq_distance(from_seq: int, to_seq: int) -> int:
     return (to_seq - from_seq) % SEQ_MODULO
 
 
-def seq_in_window(seq: int, window_start: int, window_size: int = BA_WINDOW) -> bool:
-    """Whether ``seq`` falls inside [window_start, window_start+size)."""
-    return seq_distance(window_start, seq) < window_size
+def seq_in_window(seq: int, window_start: int) -> bool:
+    """Whether ``seq`` falls inside [window_start, window_start+BA_WINDOW)."""
+    return seq_distance(window_start, seq) < BA_WINDOW

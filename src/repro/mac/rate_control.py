@@ -28,13 +28,14 @@ EWMA_LEVEL = 0.75
 SAMPLE_FRACTION = 0.1
 #: Optimistic initial delivery probability for untried rates.
 INITIAL_PROBABILITY = 0.5
+#: The rate a new peer starts at, before any feedback.
+INITIAL_MCS_INDEX = 4
 
 
 class MinstrelRateController:
     """Per-peer transmit rate selection from block-ACK feedback."""
 
-    def __init__(self, sim: Simulator, rng: np.random.Generator,
-                 initial_mcs_index: int = 4):
+    def __init__(self, sim: Simulator, rng: np.random.Generator):
         self._sim = sim
         self._rng = rng
         self._probability = np.full(len(MCS_TABLE), INITIAL_PROBABILITY)
@@ -43,8 +44,8 @@ class MinstrelRateController:
         self._tried = np.zeros(len(MCS_TABLE), dtype=bool)
         self._last_update_us = 0
         self._frames_since_sample = 0
-        self._current_index = initial_mcs_index
-        self._tried[initial_mcs_index] = True
+        self._current_index = INITIAL_MCS_INDEX
+        self._tried[INITIAL_MCS_INDEX] = True
 
     def select_mcs(self) -> Mcs:
         """Rate for the next aggregate: best throughput, with sampling."""

@@ -439,15 +439,14 @@ class WifiDevice(MacEntity):
         self.dcf.notify_failure()
         self.stats["ba_timeouts"] += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "mac",
-                "ba-timeout",
-                track=f"mac/{self.node_id}",
-                node=self.node_id,
-                peer=session.peer,
-                mpdus=len(frame.mpdus),
-            )
+        tracer.emit(
+            "mac",
+            "ba-timeout",
+            track=f"mac/{self.node_id}",
+            node=self.node_id,
+            peer=session.peer,
+            mpdus=len(frame.mpdus),
+        )
         self._kick()
 
     def _mgmt_timeout(self) -> None:

@@ -16,16 +16,15 @@ from repro.sim.engine import MS, Timer
 
 
 class SwitchingAccuracyMeter:
-    """Periodically compares the serving AP against the ESNR oracle."""
+    """Periodically compares the first client's serving AP against the
+    ESNR oracle."""
 
     def __init__(
         self,
         testbed: Testbed,
-        client_index: int = 0,
         sample_period_us: int = 10 * MS,
     ):
         self._testbed = testbed
-        self._client_index = client_index
         self._period = sample_period_us
         #: (time_us, serving_ap, best_ap) samples.
         self.samples: List[Tuple[int, Optional[str], str]] = []
@@ -33,10 +32,8 @@ class SwitchingAccuracyMeter:
         self._timer.start(sample_period_us)
 
     def _sample(self) -> None:
-        serving = self._testbed.serving_ap_of(self._client_index)
-        best = self._testbed.best_ap_ground_truth(
-            self._client_index, self._testbed.sim.now
-        )
+        serving = self._testbed.serving_ap_of(0)
+        best = self._testbed.best_ap_ground_truth(0, self._testbed.sim.now)
         self.samples.append((self._testbed.sim.now, serving, best))
         self._timer.start(self._period)
 

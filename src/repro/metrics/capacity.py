@@ -18,16 +18,15 @@ from repro.sim.engine import MS, Timer
 
 
 class CapacityLossMeter:
-    """Samples best-vs-serving achievable rate during a live run."""
+    """Samples the first client's best-vs-serving achievable rate during
+    a live run."""
 
     def __init__(
         self,
         testbed: Testbed,
-        client_index: int = 0,
         sample_period_us: int = 20 * MS,
     ):
         self._testbed = testbed
-        self._client_index = client_index
         self._period = sample_period_us
         #: (time_us, best_rate_bps, serving_rate_bps)
         self.samples: List[Tuple[int, float, float]] = []
@@ -36,8 +35,8 @@ class CapacityLossMeter:
 
     def _sample(self) -> None:
         testbed, now = self._testbed, self._testbed.sim.now
-        client_id = testbed.clients[self._client_index].client_id
-        serving = testbed.serving_ap_of(self._client_index)
+        client_id = testbed.clients[0].client_id
+        serving = testbed.serving_ap_of(0)
         best_rate, serving_rate = 0.0, 0.0
         for ap_id in testbed.ap_ids:
             link = testbed.channel.link(ap_id, client_id)
@@ -67,17 +66,18 @@ def selector_capacity_loss_mbps(
     esnr_trace: Dict[str, Sequence[Tuple[int, float]]],
     rate_trace: Dict[str, Sequence[Tuple[int, float]]],
     window_us: int,
-    decision_period_us: int = 2 * MS,
-    hysteresis_us: int = 0,
 ) -> float:
     """Emulation-based window-size study (paper §5.3.1, Figure 21).
 
     Replays recorded per-AP ESNR readings through the median-window
-    selector at a given W and scores the chosen AP against the best
-    achievable rate at each decision instant. ``esnr_trace`` maps AP id
-    to (time_us, esnr_db) readings; ``rate_trace`` maps AP id to
-    (time_us, achievable_rate_bps) ground truth sampled densely.
+    selector at a given W, deciding every
+    :data:`~repro.core.controller.SELECTION_PERIOD_US` as the controller
+    does, and scores the chosen AP against the best achievable rate at
+    each decision instant. ``esnr_trace`` maps AP id to (time_us,
+    esnr_db) readings; ``rate_trace`` maps AP id to (time_us,
+    achievable_rate_bps) ground truth sampled densely.
     """
+    from repro.core.controller import SELECTION_PERIOD_US
     from repro.core.selection import ApSelector
 
     selector = ApSelector(window_us)
@@ -104,19 +104,16 @@ def selector_capacity_loss_mbps(
     start = events[0][0]
     end = events[-1][0]
     serving: Optional[str] = None
-    last_switch = -(10**12)
     loss_sum, count = 0.0, 0
     index = 0
-    for now in range(start, end, decision_period_us):
+    for now in range(start, end, SELECTION_PERIOD_US):
         while index < len(events) and events[index][0] <= now:
             _, ap_id, esnr = events[index]
             selector.record("c", ap_id, events[index][0], esnr)
             index += 1
-        if serving is None or hysteresis_us == 0 or now - last_switch >= hysteresis_us:
-            choice = selector.best_ap("c", now, incumbent=serving)
-            if choice is not None and choice != serving:
-                serving = choice
-                last_switch = now
+        choice = selector.best_ap("c", now, incumbent=serving)
+        if choice is not None:
+            serving = choice
         if serving is None:
             continue
         best = max(rate_at(ap_id, now) for ap_id in rate_trace)

@@ -10,6 +10,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
+#: Column width of a :func:`series_panel` label.
+LABEL_WIDTH = 10
+#: A :func:`timeline` slot before the first event.
+UNKNOWN_SLOT = "."
 
 
 def sparkline(
@@ -30,23 +34,18 @@ def sparkline(
     return "".join(out)
 
 
-def series_panel(
-    series: Dict[str, Sequence[float]],
-    width_label: int = 10,
-    hi: Optional[float] = None,
-) -> str:
-    """Several labelled sparklines on a shared scale."""
+def series_panel(series: Dict[str, Sequence[float]]) -> str:
+    """Several labelled sparklines on a shared scale (0 to the highest
+    peak)."""
     if not series:
         return ""
-    ceiling = hi
-    if ceiling is None:
-        ceiling = max((max(v) for v in series.values() if len(v)), default=1.0)
+    ceiling = max((max(v) for v in series.values() if len(v)), default=1.0)
     lines = []
     for label in series:
         values = series[label]
         peak = max(values) if len(values) else 0.0
         lines.append(
-            f"{label:<{width_label}} {sparkline(values, 0.0, ceiling)}"
+            f"{label:<{LABEL_WIDTH}} {sparkline(values, 0.0, ceiling)}"
             f"  (peak {peak:.1f})"
         )
     return "\n".join(lines)
@@ -56,7 +55,6 @@ def timeline(
     events: Sequence[Tuple[float, str]],
     duration: float,
     slots: int = 60,
-    unknown: str = ".",
 ) -> str:
     """Step-function timeline: which label was active in each slot.
 
@@ -74,10 +72,10 @@ def timeline(
         while index + 1 < len(ordered) and ordered[index + 1][0] <= t:
             index += 1
         if index < 0:
-            out.append(unknown)
+            out.append(UNKNOWN_SLOT)
         else:
             label = ordered[index][1]
-            out.append(label[-1] if label else unknown)
+            out.append(label[-1] if label else UNKNOWN_SLOT)
     return "".join(out)
 
 

@@ -104,7 +104,6 @@ class EthernetBackhaul:
         self,
         sim: Simulator,
         latency_us: int = DEFAULT_LATENCY_US,
-        control_latency_us: int = CONTROL_LATENCY_US,
         bandwidth_bps: int = DEFAULT_BANDWIDTH_BPS,
         loss_rate: float = 0.0,
         loss_rng=None,
@@ -124,7 +123,6 @@ class EthernetBackhaul:
             raise ValueError("loss_rate must be in [0, 1]")
         self._sim = sim
         self.latency_us = latency_us
-        self.control_latency_us = control_latency_us
         self.bandwidth_bps = bandwidth_bps
         self.loss_rate = loss_rate
         self._loss_rng = loss_rng
@@ -255,7 +253,7 @@ class EthernetBackhaul:
                     msg=kind,
                 )
             delay = (
-                self.control_latency_us if control else self.latency_us
+                CONTROL_LATENCY_US if control else self.latency_us
             ) + offset
             self._sim.schedule(
                 delay,
@@ -399,7 +397,7 @@ class EthernetBackhaul:
             return
         serialization_us = int(size_bytes * 8 / self.bandwidth_bps * 1e6)
         if control:
-            delay = self.control_latency_us + serialization_us
+            delay = CONTROL_LATENCY_US + serialization_us
         else:
             # FIFO per sender port: messages serialize one at a time.
             start = max(self._sim.now, self._port_busy_until.get(src_id, 0))
@@ -454,9 +452,9 @@ class EthernetBackhaul:
         kind: str,
         payload: object,
         size_bytes: int = 128,
-        control: bool = False,
     ) -> None:
-        """Deliver to every attached node except the sender."""
+        """Deliver to every attached node except the sender, on the
+        data path."""
         for node_id in list(self._handlers):
             if node_id != src_id:
-                self.send(src_id, node_id, kind, payload, size_bytes, control)
+                self.send(src_id, node_id, kind, payload, size_bytes)

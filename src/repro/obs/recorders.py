@@ -40,8 +40,8 @@ class RateUsageLog:
     """Collects transmit-rate usage across all APs of a testbed.
 
     A thin consumer of the obs event stream: subscribing to ``ampdu-tx``
-    flips the tracer active, so every AP device's guarded emit site
-    starts reporting (time, MCS, #MPDUs) — the data behind the link
+    flips the tracer active, so every AP device's emit site starts
+    reporting (time, MCS, #MPDUs) — the data behind the link
     bit-rate CDF (Figure 16).  Emission carries no randomness and
     mutates nothing, so an instrumented run is bit-identical to a bare
     one.

@@ -12,11 +12,14 @@ plumbing.  Two consumption paths share the same emit sites:
   :class:`~repro.obs.recorders.RateUsageLog` receive matching events as
   they happen, replacing the monkey-patched device hooks of old.
 
-The zero-overhead-when-off contract: every emit site is guarded by
-``if tracer.active:`` — a single attribute load — and ``active`` is
-False unless recording was requested or a sink subscribed.  Emission
-never draws randomness and never mutates protocol state, so a traced
-run takes the exact same event path as an untraced one.
+The zero-overhead-when-off contract: ``active`` is False unless
+recording was requested or a sink subscribed, and while it is False
+:meth:`Tracer.emit`, :meth:`Tracer.begin` and :meth:`Tracer.end` return
+at once (no ``seq``, no span id, no sink).  Per-packet emit sites
+(``detail=``) also guard the call with ``if tracer.active:`` — a
+single attribute load — so the hot path builds no tags either.
+Emission never draws randomness and never mutates protocol state, so
+a traced run takes the exact same event path as an untraced one.
 
 Timestamps are the integer microsecond simulation clock.  ``seq`` is a
 global emission counter that makes ordering among same-instant records
@@ -102,13 +105,15 @@ class TraceEvent:
 class Tracer:
     """Event/span recorder bound to one simulator clock.
 
-    ``active`` is a plain attribute (not a property) so hot paths pay a
-    single attribute load when tracing is off.  It flips True when
-    recording is enabled or any live sink subscribes.
+    ``active`` is a plain attribute (not a property) so per-packet
+    sites pay a single attribute load when tracing is off.  It flips
+    True when recording is enabled or any live sink subscribes; until
+    then emission is a no-op.
     """
 
     def __init__(self, recording: bool = False, detail: bool = False):
-        #: Guard read by every emit site.
+        #: Whether anything listens; read by the emitters and by the
+        #: per-packet emit sites' guards.
         self.active = recording
         #: Whether per-packet ("detail") records are kept.  Sinks always
         #: see matching detail events; the recording buffer only keeps
@@ -144,7 +149,7 @@ class Tracer:
         ``sink`` is called with every matching :class:`TraceEvent` as it
         is emitted (spans on completion).  ``names`` filters by event
         name; None receives everything.  Subscribing flips ``active``
-        on, so guarded emit sites start producing.
+        on, so emit sites start producing.
         """
         self._sinks.append((frozenset(names) if names is not None else None, sink))
         self.active = True
@@ -177,6 +182,8 @@ class Tracer:
         reach sinks but are only kept in the recording buffer when
         detail capture is on.
         """
+        if not self.active:
+            return
         ts, seq = self._stamp()
         event = TraceEvent(seq, ts, "event", sub, name, track, tags)
         if self._recording and (not detail or self.detail):
@@ -190,16 +197,22 @@ class Tracer:
         name: str,
         track: Optional[str] = None,
         **tags: object,
-    ) -> int:
-        """Open a span; returns an id for :meth:`end`."""
+    ) -> Optional[int]:
+        """Open a span; returns an id for :meth:`end` (None while
+        inactive)."""
+        if not self.active:
+            return None
         ts, seq = self._stamp()
         span_id = self._next_span_id
         self._next_span_id += 1
         self._open[span_id] = TraceEvent(seq, ts, "span", sub, name, track, tags)
         return span_id
 
-    def end(self, span_id: int, **tags: object) -> None:
-        """Close a span; extra tags merge into the record."""
+    def end(self, span_id: Optional[int], **tags: object) -> None:
+        """Close a span; extra tags merge into the record.  ``None``
+        (a span begun while inactive) closes nothing."""
+        if not self.active:
+            return
         span = self._open.pop(span_id, None)
         if span is None:
             return

@@ -67,10 +67,9 @@ class _IdentityLru:
     cannot recycle the id of an object the entry keeps alive.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_data")
+    __slots__ = ("hits", "misses", "evictions", "_data")
 
-    def __init__(self, capacity: int = PHY_MEMO_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -91,7 +90,7 @@ class _IdentityLru:
             data[key] = entry
             data.move_to_end(key)
             return
-        if len(data) >= self.capacity:
+        if len(data) >= PHY_MEMO_CAPACITY:
             data.popitem(last=False)
             self.evictions += 1
         data[key] = entry  # fresh keys insert at the recent end already
@@ -102,7 +101,7 @@ class _IdentityLru:
     def stats(self) -> Dict[str, int]:
         return {
             "size": len(self._data),
-            "capacity": self.capacity,
+            "capacity": PHY_MEMO_CAPACITY,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -178,17 +177,16 @@ def _effective_snr_db_memo(subcarrier_snr_db: np.ndarray, modulation: str) -> fl
     return esnr_db
 
 
-def effective_snr_db_memoized(
-    subcarrier_snr_db: np.ndarray, modulation: str = DEFAULT_MODULATION
-) -> float:
-    """Capped effective SNR served through the bounded identity memo.
+def effective_snr_db_memoized(subcarrier_snr_db: np.ndarray) -> float:
+    """Capped reference-modulation (:data:`DEFAULT_MODULATION`) effective
+    SNR served through the bounded identity memo.
 
     Bit-identical to :func:`repro.phy.esnr.effective_snr_db` (same
     kernels, same cap ternary); the CSI path uses this entry point so a
     snapshot whose reference-modulation ESNR is already in the memo
     resolves without recomputing the LUT collapse.
     """
-    esnr_db = _effective_snr_db_memo(subcarrier_snr_db, modulation)
+    esnr_db = _effective_snr_db_memo(subcarrier_snr_db, DEFAULT_MODULATION)
     return esnr_db if esnr_db < ESNR_CAP_DB else ESNR_CAP_DB
 
 

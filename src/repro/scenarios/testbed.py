@@ -489,15 +489,15 @@ class Testbed:
         )
         return self.fault_injector
 
-    def install_invariant_checker(self, **kwargs):
-        """Arm the runtime protocol-invariant checker (WGTT only).
+    def install_invariant_checker(self):
+        """Arm the runtime protocol-invariant checker (WGTT only): an
+        :class:`~repro.invariants.InvariantChecker` with its defaults (a
+        corridor of several regions gets the subclass that also watches
+        ownership).
 
-        Subscribing flips the tracer's ``active`` flag, so guarded
-        emit sites start producing — protocol behaviour is unchanged
-        (emission draws no randomness), but runs are no longer
-        trace-dormant.  Keyword arguments forward to
-        :class:`~repro.invariants.InvariantChecker` (a corridor of
-        several regions gets the subclass that also watches ownership).
+        Subscribing flips the tracer's ``active`` flag, so emit sites
+        start producing — protocol behaviour is unchanged (emission
+        draws no randomness), but runs are no longer trace-dormant.
         """
         if self.config.scheme != "wgtt":
             raise ValueError("the invariant checker targets the WGTT scheme")
@@ -508,7 +508,7 @@ class Testbed:
         checker = (
             InvariantChecker if self.shard_manager is None
             else ShardInvariantChecker
-        )(self, **kwargs)
+        )(self)
         checker.start()
         self.obs.metrics.register_collector(checker.collect_metrics)
         self.invariant_checker = checker
@@ -656,10 +656,10 @@ class Testbed:
         return sender, receiver
 
     def add_uplink_tcp_flow(
-        self, client_index: int = 0, flow_id: Optional[str] = None
+        self, client_index: int = 0
     ) -> Tuple[TcpSender, TcpReceiver]:
         client = self.clients[client_index]
-        flow_id = flow_id or f"tcp-ul-{client.client_id}"
+        flow_id = f"tcp-ul-{client.client_id}"
         sender = TcpSender(
             self.sim, client.client_id, "server", client.send_uplink, flow_id
         )

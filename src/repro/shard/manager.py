@@ -575,17 +575,16 @@ class ShardManager:
         msg = HandoffMsg(client_id, handoff_id, from_idx, to_idx, data)
         self.stats["handoffs_initiated"] += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "shard",
-                "shard-handoff-out",
-                track="shard",
-                client=client_id,
-                handoff_id=handoff_id,
-                from_shard=from_idx,
-                to_shard=to_idx,
-                bytes=len(data),
-            )
+        tracer.emit(
+            "shard",
+            "shard-handoff-out",
+            track="shard",
+            client=client_id,
+            handoff_id=handoff_id,
+            from_shard=from_idx,
+            to_shard=to_idx,
+            bytes=len(data),
+        )
         # Armed even when a controller is down: the timeout retries
         # against whichever controller is active by then.
         self._pending.start(client_id, msg)
@@ -596,15 +595,14 @@ class ShardManager:
         if retries:
             self.stats["handoff_retries"] += 1
             tracer = self._sim.obs.trace
-            if tracer.active:
-                tracer.emit(
-                    "shard",
-                    "shard-handoff-retry",
-                    track="shard",
-                    client=msg.client,
-                    handoff_id=msg.handoff_id,
-                    retries=retries,
-                )
+            tracer.emit(
+                "shard",
+                "shard-handoff-retry",
+                track="shard",
+                client=msg.client,
+                handoff_id=msg.handoff_id,
+                retries=retries,
+            )
         src = self.shards[msg.from_shard].active_controller()
         dst = self.shards[msg.to_shard].active_controller()
         if src is not None and dst is not None:
@@ -620,15 +618,14 @@ class ShardManager:
     def _abandon_handoff(self, msg: HandoffMsg, retries: int) -> None:
         self.stats["handoffs_abandoned"] += 1
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "shard",
-                "shard-handoff-abandon",
-                track="shard",
-                client=msg.client,
-                handoff_id=msg.handoff_id,
-                to_shard=msg.to_shard,
-            )
+        tracer.emit(
+            "shard",
+            "shard-handoff-abandon",
+            track="shard",
+            client=msg.client,
+            handoff_id=msg.handoff_id,
+            to_shard=msg.to_shard,
+        )
         # Self-heal: give up on the transferred history and start
         # the client fresh on the shard that now owns it.
         self._fresh_associate(msg.client, msg.to_shard)
@@ -696,17 +693,16 @@ class ShardManager:
             shard.aps[target].start_serving(client_id)
             self.stats["handoffs_completed"] += 1
             tracer = self._sim.obs.trace
-            if tracer.active:
-                tracer.emit(
-                    "shard",
-                    "shard-handoff-in",
-                    track="shard",
-                    client=client_id,
-                    handoff_id=msg.handoff_id,
-                    from_shard=msg.from_shard,
-                    to_shard=shard_idx,
-                    serving=target,
-                )
+            tracer.emit(
+                "shard",
+                "shard-handoff-in",
+                track="shard",
+                client=client_id,
+                handoff_id=msg.handoff_id,
+                from_shard=msg.from_shard,
+                to_shard=shard_idx,
+                serving=target,
+            )
         self._owner[client_id] = shard_idx
         self._record_completed(msg.handoff_id, shard_idx)
         self._send_ack(controller, src, msg)
@@ -717,15 +713,14 @@ class ShardManager:
             return
         self._pending.pop(ack.client)
         tracer = self._sim.obs.trace
-        if tracer.active:
-            tracer.emit(
-                "shard",
-                "shard-handoff-ack",
-                track="shard",
-                client=ack.client,
-                handoff_id=ack.handoff_id,
-                to_shard=ack.to_shard,
-            )
+        tracer.emit(
+            "shard",
+            "shard-handoff-ack",
+            track="shard",
+            client=ack.client,
+            handoff_id=ack.handoff_id,
+            to_shard=ack.to_shard,
+        )
 
     # ------------------------------------------------------------------
     # routing (testbed entry points)

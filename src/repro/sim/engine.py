@@ -73,26 +73,24 @@ class EventHandle:
 
 
 class Simulator:
-    """The shared discrete-event loop.
+    """The shared discrete-event loop; its clock starts at zero.
 
     Parameters
     ----------
-    start_time_us:
-        Initial clock value; almost always zero, but tests occasionally
-        start mid-stream to exercise wrap-around logic elsewhere.
     obs:
         Observability context (tracer + metrics).
         Every simulator carries one — a default, everything-off context
         is built when none is given, so subsystems can emit through
-        ``sim.obs.trace`` unconditionally behind its ``active`` guard.
+        ``sim.obs.trace`` unconditionally (it returns at once while
+        nothing listens).
     """
 
     #: Queues shorter than this are never compacted — rebuilding a tiny
     #: heap costs more than skipping its few dead entries.
     COMPACT_MIN_SIZE = 64
 
-    def __init__(self, start_time_us: int = 0, obs: Optional[ObsContext] = None):
-        self._now = int(start_time_us)
+    def __init__(self, obs: Optional[ObsContext] = None):
+        self._now = 0
         self._queue: List[Tuple[int, int, EventHandle]] = []
         self._sequence = itertools.count()
         self._running = False

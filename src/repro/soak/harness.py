@@ -110,6 +110,11 @@ class SoakHarness:
         from repro.core.config import WgttConfig
 
         cfg = self.config
+        # Refuse a bad cadence before anything is built or opened: the
+        # guard would refuse it only after the telemetry file exists.
+        interval_us = int(cfg.sample_interval_s * SECOND)
+        if interval_us <= 0:
+            raise ValueError("sample_interval_s must be positive")
         # Identity-keyed PHY memo entries and their hit/miss counters
         # survive across in-process runs and would make the second
         # same-seed run stream different telemetry — reset both for a
@@ -161,7 +166,7 @@ class SoakHarness:
         guard = SloGuard(
             testbed,
             churn,
-            interval_us=int(cfg.sample_interval_s * SECOND),
+            interval_us=interval_us,
             budgets=cfg.budgets,
             stream=stream,
             fail_fast=cfg.fail_fast,

@@ -14,7 +14,7 @@ from typing import Callable, List, Tuple
 from repro.net.packet import Packet
 from repro.sim.engine import SECOND, Simulator, Timer
 
-#: Default UDP payload matching iperf3's 1470-byte datagrams + headers.
+#: UDP datagram size: iperf3's 1470-byte payload + headers.
 UDP_PACKET_BYTES = 1498
 
 
@@ -29,7 +29,6 @@ class UdpSource:
         rate_bps: float,
         send_fn: Callable[[Packet], None],
         flow_id: str = "udp",
-        packet_bytes: int = UDP_PACKET_BYTES,
     ):
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
@@ -38,9 +37,8 @@ class UdpSource:
         self.dst = dst
         self.flow_id = flow_id
         self.rate_bps = rate_bps
-        self.packet_bytes = packet_bytes
         self._send_fn = send_fn
-        self._interval_us = max(1, int(packet_bytes * 8 / rate_bps * SECOND))
+        self._interval_us = max(1, int(UDP_PACKET_BYTES * 8 / rate_bps * SECOND))
         self._next_seq = 0
         self._timer = Timer(sim, self._emit)
         self._running = False
@@ -60,7 +58,7 @@ class UdpSource:
         packet = Packet(
             src=self.src,
             dst=self.dst,
-            size_bytes=self.packet_bytes,
+            size_bytes=UDP_PACKET_BYTES,
             protocol="udp",
             flow_id=self.flow_id,
             seq=self._next_seq,

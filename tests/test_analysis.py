@@ -1,7 +1,7 @@
 """The repository's static checks (``tests/lint.py``): per-rule fixtures
 and tree-wide self-checks.
 
-Four layers:
+Five layers:
 
 * **fixture tests** — for every rule, a minimal snippet where it fires
   (positive) and a minimal snippet where it must stay silent
@@ -14,12 +14,15 @@ Four layers:
   the imported ``repro`` package defines.  This test is the only check
   of the manifest;
 * **setter census** — every field of those dataclasses is set by some
-  code in ``src/``, ``tests/``, ``examples/`` or ``benchmarks/``.
+  code in ``src/``, ``tests/``, ``examples/`` or ``benchmarks/``;
+* **signature census** — every defaulted parameter of every function
+  and method the package defines is passed by some call there.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -577,16 +580,21 @@ class TestCliAndSelfCheck:
 # ----------------------------------------------------------------------
 
 
-def _config_classes():
-    """Every ``*Config`` dataclass in the imported ``repro`` package
-    tree, once each, in name order."""
+def _repro_modules():
+    """Every module of the imported ``repro`` package tree."""
     import repro
 
-    classes = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if info.name.endswith(".__main__"):
             continue  # repro/__main__.py calls sys.exit on import
-        module = importlib.import_module(info.name)
+        yield importlib.import_module(info.name)
+
+
+def _config_classes():
+    """Every ``*Config`` dataclass in the imported ``repro`` package
+    tree, once each, in name order."""
+    classes = {}
+    for module in _repro_modules():
         for name, cls in vars(module).items():
             if (
                 name.endswith("Config")
@@ -734,3 +742,146 @@ class TestFlagManifestRules:
         assert drift == [
             "flipped: m.C.flip defaults to True, the manifest says False"
         ]
+
+
+#: Defaulted parameters that no call passes, each with why it stays:
+#: function (``run`` for every registered driver) -> (parameters, why).
+UNPASSED_PARAMETERS_ALLOWED = {
+    "run": (
+        ("seed", "quick", "jobs"),
+        "every registered driver's signature contract; the CLI calls "
+        "each one as Experiment.run",
+    ),
+    "repro.phy.esnr.effective_snr_db": (
+        ("_reduce",),
+        "binds np.add.reduce as a local on the hot path; not a setting",
+    ),
+    "repro.channel.link.Link.rssi_dbm": (
+        ("tx_id",),
+        "the per-link oracle reads either end, like the Link's other "
+        "power methods",
+    ),
+    "repro.net.backhaul.EthernetBackhaul.__init__": (
+        ("loss_rng",),
+        "goes with loss_rate (ROADMAP 1(a))",
+    ),
+}
+
+
+def _signatures():
+    """label -> (callee name, function, leading bound parameter?) for
+    every function and method the ``repro`` package tree defines.  A
+    dataclass's generated ``__init__`` is the setter census's business
+    and is left out."""
+    found = {}
+    for module in _repro_modules():
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found[f"{module.__name__}.{obj.__qualname__}"] = (
+                    obj.__name__, obj, False
+                )
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    function = getattr(member, "__func__", member)
+                    if (
+                        not inspect.isfunction(function)
+                        or function.__qualname__ != f"{obj.__qualname__}.{attr}"
+                        or (attr == "__init__" and dataclasses.is_dataclass(obj))
+                    ):
+                        continue
+                    callee = obj.__name__ if attr == "__init__" else attr
+                    found[f"{module.__name__}.{function.__qualname__}"] = (
+                        callee, function, not isinstance(member, staticmethod)
+                    )
+    return found
+
+
+def _calls_by_name(roots):
+    """callee name -> every call under ``roots`` to ``name(...)`` or
+    ``x.name(...)``."""
+    calls = {}
+    for root in roots:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _hands_on_own(name, value):
+    """``value`` is the calling object's own ``self.name`` /
+    ``self._name``: plumbing, not a choice."""
+    return (
+        isinstance(value, ast.Attribute)
+        and isinstance(value.value, ast.Name)
+        and value.value.id == "self"
+        and value.attr in (name, "_" + name)
+    )
+
+
+def _passes(call, parameter, index, named):
+    """Whether ``call`` chooses ``parameter`` (the ``index``-th after any
+    bound ``self``/``cls``; ``named`` are all the parameter names)."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+        keyword.arg is None for keyword in call.keywords
+    ):
+        return True
+    if parameter.kind is parameter.VAR_KEYWORD:
+        return any(keyword.arg not in named for keyword in call.keywords)
+    if parameter.kind is not parameter.KEYWORD_ONLY and index < len(call.args):
+        return not _hands_on_own(parameter.name, call.args[index])
+    return any(
+        keyword.arg == parameter.name
+        and not _hands_on_own(parameter.name, keyword.value)
+        for keyword in call.keywords
+    )
+
+
+class TestSignatureSetterCensus:
+    def test_every_defaulted_parameter_is_passed_somewhere(self):
+        """A defaulted parameter that no run, sweep, example or test
+        passes is a constant in disguise, like an unset config field.
+        A call counts when its callee has the function's name (the
+        class's, for ``__init__``) and it passes the parameter by
+        keyword, by position or through a ``*``/``**`` splat; handing
+        on the caller's own ``self.name`` does not choose a value."""
+        from repro.experiments import registry
+
+        drivers = {experiment.run for experiment in registry.discover().values()}
+        calls = _calls_by_name(("src", "tests", "examples", "benchmarks"))
+        defaulted = 0
+        unpassed = set()
+        for label, (callee, function, bound) in _signatures().items():
+            parameters = list(inspect.signature(function).parameters.values())
+            parameters = parameters[1:] if bound else parameters
+            named = {parameter.name for parameter in parameters}
+            for index, parameter in enumerate(parameters):
+                if parameter.kind is parameter.VAR_KEYWORD:
+                    name = "**" + parameter.name
+                elif parameter.default is not parameter.empty:
+                    defaulted += 1
+                    name = parameter.name
+                else:
+                    continue
+                if not any(
+                    _passes(call, parameter, index, named)
+                    for call in calls.get(callee, ())
+                ):
+                    unpassed.add(("run" if function in drivers else label, name))
+        allowed = {
+            (label, name)
+            for label, (names, _why) in UNPASSED_PARAMETERS_ALLOWED.items()
+            for name in names
+        }
+        unlisted = [f"{label}({name})" for label, name in sorted(unpassed - allowed)]
+        stale = [f"{label}({name})" for label, name in sorted(allowed - unpassed)]
+        assert not unlisted and not stale, (
+            f"of {defaulted} defaulted parameters, no code passes "
+            f"{', '.join(unlisted) or 'none unlisted'} (make each a module "
+            "constant beside its reader, or list why it stays); listed but "
+            f"passed now: {', '.join(stale) or 'none'}"
+        )

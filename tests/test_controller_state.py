@@ -17,10 +17,12 @@ import hashlib
 
 import numpy as np
 
+from repro.apps.bulk import run_bulk_download
 from repro.core.config import WgttConfig
 from repro.faults.plan import ControllerCrash, FaultPlan
 from repro.mobility.road import Road
 from repro.mobility.vehicle import VehicleTrack
+from repro.obs.context import ObsConfig
 from repro.phy.per import reset_phy_memo_stats, reset_phy_memos
 from repro.scenarios.presets import shard_corridor_config
 from repro.scenarios.testbed import Testbed, TestbedConfig
@@ -49,6 +51,12 @@ HA_KILL_DRIVE_SHA256 = (
 #: twice, so the over-the-air association path is in the stream).
 BASELINE_DRIVE_SHA256 = (
     "592c0bf181ce9b18e3d9e02fb8932d549ed622f9e4f79840d51a412fe400878f"
+)
+#: sha256 of :func:`_traced_drive_digest`: the trace records of
+#: ``repro drive --seconds 3 --speed 25 --trace`` (seed 3): the bytes
+#: of its ``.jsonl`` file.
+TRACED_DRIVE_SHA256 = (
+    "6d0e6fd3639118242b9049f0875f20b7c25d71abffc0097dfdcd4564c1fa2cb5"
 )
 
 
@@ -146,6 +154,32 @@ class TestConstructionPinned:
             fault_plan=FaultPlan(events=[ControllerCrash(at_us=1500 * MS)]),
         )
         assert digest == HA_KILL_DRIVE_SHA256
+
+    def test_traced_drive(self):
+        assert _traced_drive_digest() == TRACED_DRIVE_SHA256
+
+
+def _traced_drive_digest():
+    """sha256 of the JSONL lines ``repro drive --seconds 3 --speed 25
+    --trace`` writes: the CLI's configuration, run in-process."""
+    reset_phy_memos()
+    reset_phy_memo_stats()
+    config = TestbedConfig(
+        seed=3,
+        scheme="wgtt",
+        client_speeds_mph=[25.0],
+        obs=ObsConfig(trace=True),
+    )
+    result = run_bulk_download(
+        config,
+        protocol="tcp",
+        duration_s=3.0,
+        udp_rate_bps=50e6,
+        keep_testbed=True,
+    )
+    tracer = result.testbed.sim.obs.trace
+    tracer.finish()
+    return _sha256(line.encode() + b"\n" for line in tracer.jsonl_lines())
 
 
 #: Snapshot parts a crash keeps: observability, not protocol state.

@@ -11,6 +11,7 @@ import pytest
 
 from repro.baselines import enhanced_80211r
 from repro.baselines.enhanced_80211r import stock_80211r_config
+from repro.channel.fading import DOPPLER_FLOOR_HZ
 from repro.core.access_point import NIC_DRAIN_US
 from repro.core.config import WgttConfig
 from repro.core.controller import SELECTION_PERIOD_US
@@ -116,7 +117,7 @@ QUOTED_CONSTANTS = {
     ),
     "A-MPDU airtime": (
         r"`MAX_AMPDU_AIRTIME_US` = (\d+) ms", MAX_AMPDU_AIRTIME_US / MS
-    ),
+    ),    "Doppler floor": (r"(\d+) Hz Doppler floor", DOPPLER_FLOOR_HZ),
 }
 
 

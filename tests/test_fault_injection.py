@@ -7,6 +7,7 @@ import pytest
 from repro.core.liveness import HEARTBEAT_MISS_LIMIT
 from repro.core.switching import OUTCOME_FAILED_OVER, SWITCH_TIMEOUT_US
 from repro.faults import ApCrash, CsiBlackout, FaultPlan, LinkJitter, Partition
+from repro.net.backhaul import CONTROL_LATENCY_US
 from repro.obs.recorders import FAILOVER_DEADLINE_US, FailoverAudit
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
@@ -231,7 +232,7 @@ class TestApCrash:
         interval = testbed.config.wgtt.heartbeat_interval_us
         bound = (
             (HEARTBEAT_MISS_LIMIT + 1) * interval
-            + testbed.backhaul.control_latency_us
+            + CONTROL_LATENCY_US
         )
         down_events = [e for e in controller.liveness.events if e[1] == "down"]
         assert down_events[0][0] - int(0.5 * SECOND) <= bound

@@ -23,10 +23,26 @@ class TestTracer:
     def test_off_by_default(self):
         sim = Simulator()
         assert sim.obs.trace.active is False
-        # Emit sites are guarded by .active; direct emission still works
-        # but records nothing when recording is off.
+        # Emission while inactive records nothing.
         sim.obs.trace.emit("test", "hello")
         assert sim.obs.trace.records == []
+
+    def test_inactive_emission_advances_nothing(self):
+        tracer = Simulator().obs.trace
+        tracer.emit("test", "hello")
+        span = tracer.begin("test", "work")
+        assert span is None
+        tracer.end(span, outcome="done")
+        seen = []
+        tracer.subscribe(seen.append)
+        tracer.emit("test", "first")
+        later = tracer.begin("test", "work")
+        tracer.end(later)
+        assert [(event.name, event.seq) for event in seen] == [
+            ("first", 0),
+            ("work", 1),
+        ]
+        assert later == 1
 
     def test_emit_records_with_sim_clock(self):
         sim = Simulator(obs=ObsContext(ObsConfig(trace=True)))

@@ -522,6 +522,12 @@ class TestSoakHarness:
                 )
             )
 
+    def test_bad_interval_is_refused_before_the_telemetry_file(self, tmp_path):
+        path = tmp_path / "soak.jsonl"
+        with pytest.raises(ValueError, match="positive"):
+            run_soak(_short_config(sample_interval_s=0, telemetry_path=str(path)))
+        assert not path.exists()
+
     def test_telemetry_stream_well_formed(self, tmp_path):
         path = tmp_path / "soak.jsonl"
         result = run_soak(_short_config(telemetry_path=str(path)))
