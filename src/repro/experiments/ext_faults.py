@@ -8,17 +8,18 @@ backhaul partitions cut AP subsets off the controller, and each cell
 reports
 
 * **failover latency** — crash instant → client re-served by a live AP
-  (heartbeat detection lag + emergency handshake), from the
-  :class:`~repro.obs.recorders.FailoverAudit` join;
+  (heartbeat detection lag + emergency handshake), from the invariant
+  checker's crash records (:class:`~repro.invariants.CrashRecord`);
 * **throughput retained** — chaos-run TCP throughput over the
   fault-free twin run of the same seed;
 * **deadline violations** — recoveries slower than
-  ``FAILOVER_DEADLINE_US`` (100 ms) plus clients never
+  :data:`FAILOVER_DEADLINE_US` (100 ms) plus clients never
   recovered.
 
 ``smoke()`` is the CI gate (``repro experiment ext_faults
 --smoke``): one mid-drive crash of the serving AP, asserting recovery
-within the deadline and TCP forward progress afterwards.
+within the deadline, TCP forward progress afterwards, and a clean
+invariant checker.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from repro.experiments.common import mean, seeds_for
 from repro.experiments.registry import register
 from repro.experiments.runner import sweep
 from repro.faults.plan import ApCrash, FaultPlan, Partition
-from repro.obs.recorders import FAILOVER_DEADLINE_US, FailoverAudit
+from repro.invariants import InvariantChecker
 from repro.scenarios.testbed import Testbed, TestbedConfig
-from repro.sim.engine import SECOND
+from repro.sim.engine import MS, SECOND
 from repro.sim.rng import RngRegistry
 
 #: AP crash arrival rates to sweep (per second of sim time).
@@ -43,6 +44,36 @@ PARTITION_DURATIONS_S = (0.0, 0.2)
 PARTITION_RATE_PER_S = 0.2
 #: How long a crashed AP stays down before restarting.
 CRASH_DOWN_US = 500_000
+#: Recovery budget: a client whose serving AP dies mid-drive should
+#: be transmitting again from a live AP within this long of the
+#: crash.  With a 20 ms heartbeat and miss limit 3, detection takes
+#: at most ~80 ms, leaving ~20 ms for the failover handshake.
+FAILOVER_DEADLINE_US = 100 * MS
+
+
+def failover_summary(checker: InvariantChecker) -> Dict:
+    """The AP crashes the checker recorded, judged against
+    :data:`FAILOVER_DEADLINE_US`: a recovery past it, and an affected
+    client never recovered, each count as one deadline violation."""
+    crashes = [r for r in checker.records if r.action == "crash"]
+    latencies = [latency for r in crashes for latency in r.latencies_us()]
+    unrecovered = sum(len(r.unrecovered()) for r in crashes)
+    late = sum(1 for latency in latencies if latency > FAILOVER_DEADLINE_US)
+    failover_ms = [latency / 1_000.0 for latency in latencies]
+    return {
+        "crashes": len(crashes),
+        "affected_client_crashes": sum(1 for r in crashes if r.affected),
+        "recovered": len(latencies),
+        "unrecovered": unrecovered,
+        "untracked": sum(len(r.untracked) for r in crashes),
+        "deadline_violations": late + unrecovered,
+        "deadline_ms": FAILOVER_DEADLINE_US / 1_000.0,
+        "failover_ms": failover_ms,
+        "mean_failover_ms": (
+            sum(failover_ms) / len(failover_ms) if failover_ms else None
+        ),
+        "max_failover_ms": max(failover_ms) if failover_ms else None,
+    }
 
 
 def _plan_for(
@@ -90,15 +121,19 @@ def cell(
     def one_run(fault_plan: Optional[FaultPlan]) -> Dict:
         config = TestbedConfig(seed=seed, scheme="wgtt", fault_plan=fault_plan)
         drive = Drive(config, "tcp")
+        checker = (
+            drive.testbed.install_invariant_checker()
+            if fault_plan is not None
+            else None
+        )
         drive.run(duration_s)
         out = {
             "throughput_mbps": drive.throughput_mbps(),
             "switches": drive.switch_count(),
         }
-        if fault_plan is not None:
-            audit = FailoverAudit(drive.testbed)
-            out["audit"] = audit.summary()
-            out["failover_ms"] = audit.failover_latencies_ms()
+        if checker is not None:
+            checker.finish()
+            out["audit"] = failover_summary(checker)
         return out
 
     baseline = one_run(None)
@@ -115,7 +150,7 @@ def cell(
         "crashes": chaos["audit"]["crashes"],
         "throughput_mbps": chaos["throughput_mbps"],
         "throughput_retained": retained,
-        "failover_ms": chaos["failover_ms"],
+        "failover_ms": chaos["audit"]["failover_ms"],
         "deadline_violations": chaos["audit"]["deadline_violations"],
     }
 
@@ -167,8 +202,10 @@ def run(seed: int = 3, quick: bool = True, jobs: int = 1) -> Dict:
 
 def smoke(seed: int = 3) -> Dict:
     """Crash the serving AP mid-drive; fail unless the client recovers
-    within the failover deadline *and* TCP makes forward progress."""
+    within the failover deadline, TCP makes forward progress, and the
+    invariant checker stays clean."""
     testbed = Testbed(TestbedConfig(seed=seed, scheme="wgtt"))
+    checker = testbed.install_invariant_checker()
     sender, receiver = testbed.add_downlink_tcp_flow(0)
     sender.start()
 
@@ -185,9 +222,8 @@ def smoke(seed: int = 3) -> Dict:
     segments_at_crash = receiver.rcv_nxt
     testbed.run_seconds(3.0)
 
-    audit = FailoverAudit(testbed)
-    summary = audit.summary()
-    recoveries = audit.crash_recoveries()
+    invariants = checker.finish()
+    summary = failover_summary(checker)
     progressed = receiver.rcv_nxt > segments_at_crash
     ok = (
         summary["crashes"] == 1
@@ -195,18 +231,20 @@ def smoke(seed: int = 3) -> Dict:
         and summary["unrecovered"] == 0
         and summary["deadline_violations"] == 0
         and progressed
+        and bool(invariants["ok"])
     )
     return {
         "ok": ok,
         "victim": victim,
         "crash_us": crash_us,
         "deadline_ms": FAILOVER_DEADLINE_US / 1_000.0,
-        "failover_ms": audit.failover_latencies_ms(),
+        "failover_ms": summary["failover_ms"],
         "recovered_to": [
-            new_ap for r in recoveries for (_, _, new_ap) in r.recoveries
+            ap for r in checker.records for (_, _, ap) in r.recovered
         ],
         "tcp_forward_progress": progressed,
         "summary": summary,
+        "invariants": invariants,
     }
 
 

@@ -6,9 +6,10 @@ HA subsystem (:mod:`repro.ha`) buys.  A mid-drive controller kill is
 injected while a UDP downlink flow runs, for each checkpoint interval
 in the sweep, and each cell reports
 
-* **recovery latency** — kill instant → every client registered at the
-  promoted standby with a live serving AP (detection lag + promotion +
-  re-publication), from :class:`~repro.obs.recorders.HaAudit`;
+* **recovery latency** — kill instant → every client the dead primary
+  tracked re-published by the promoted standby (detection lag +
+  promotion + re-publication), from the invariant checker's crash
+  record (:class:`~repro.invariants.CrashRecord`);
 * **duplicate leakage** — uplink copies the server saw twice across the
   failover (the shipped dedup window should keep this near zero), plus
   the post-restore duplicates the window *caught*;
@@ -17,22 +18,27 @@ in the sweep, and each cell reports
   cyclic-queue ``overflow_drops`` (must stay zero — the backlog the
   standby's takeover resumes from is intact).
 
+The counters (checkpoint shipping, ingress loss, re-homes, holds,
+overflow) come from the metrics snapshot, where their owners publish
+them.
+
 ``smoke()`` is the CI gate (``repro experiment ext_ha --smoke``):
 one controller kill at t = 2 s, asserting promotion, full client
 recovery within 250 ms of the kill, zero cyclic-queue overflow loss,
-post-failover delivery progress, and accounted duplicates.
+post-failover delivery progress, accounted duplicates, and a clean
+invariant checker.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core.config import WgttConfig
 from repro.experiments.common import mean, seeds_for
 from repro.experiments.registry import register
 from repro.experiments.runner import sweep
 from repro.faults.plan import ControllerCrash, FaultPlan
-from repro.obs.recorders import FailoverAudit, HaAudit
+from repro.invariants import InvariantChecker
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS, SECOND
 
@@ -51,6 +57,52 @@ def _ha_config(checkpoint_interval_ms: int) -> WgttConfig:
     )
 
 
+def _ms(us: Optional[int]) -> Optional[float]:
+    return us / 1_000.0 if us is not None else None
+
+
+def ha_summary(testbed: Testbed, checker: InvariantChecker) -> Dict:
+    """A controller-kill run's numbers: latencies from the checker's
+    record of the first controller crash, counters from the metrics
+    snapshot.  Recovery is the last tracked client's re-publication by
+    the promoted standby (the promotion itself when it tracked none)."""
+    kills = [r for r in checker.records if r.action == "ctrl-crash"]
+    promotion_us: Optional[int] = None
+    recovery_us: Optional[int] = None
+    if kills and kills[0].promotion_us is not None:
+        promotion_us = kills[0].promotion_us
+        if not kills[0].unrecovered():
+            recovery_us = max(kills[0].latencies_us(), default=promotion_us)
+    snapshot = testbed.obs.metrics.snapshot()
+
+    def ap_total(prefix: str, suffix: str) -> int:
+        return sum(
+            int(value)  # type: ignore[call-overload]
+            for key, value in snapshot.items()
+            if key.startswith(prefix) and key.endswith(suffix)
+        )
+
+    standby = testbed.standby
+    return {
+        "controller_crashes": len(kills),
+        "promoted": promotion_us is not None,
+        "promotion_latency_ms": _ms(promotion_us),
+        "recovery_latency_ms": _ms(recovery_us),
+        "clients_recovered": recovery_us is not None,
+        "checkpoints_shipped": snapshot["ha_checkpoints_shipped"],
+        "checkpoint_bytes": snapshot["ha_checkpoint_bytes"],
+        "lost_downlink": snapshot["ha_lost_downlink"],
+        "aps_rehomed": ap_total("ap_stat{", ",name=rehomed}"),
+        "hold_buffered": ap_total("ap_stat{", ",name=hold_buffered}"),
+        "hold_dropped": ap_total("ap_stat{", ",name=hold_dropped}"),
+        "hold_flushed": ap_total("ap_stat{", ",name=hold_flushed}"),
+        "overflow_drops": ap_total("ap_overflow_drops{", "}"),
+        "post_restore_duplicates": (
+            standby.dedup.duplicates if standby.promoted else 0
+        ),
+    }
+
+
 def cell(seed: int, checkpoint_interval_ms: int, duration_s: float) -> Dict:
     """One controller-kill run at one checkpoint interval."""
     plan = FaultPlan([ControllerCrash(at_us=KILL_AT_US, down_us=None)])
@@ -61,14 +113,15 @@ def cell(seed: int, checkpoint_interval_ms: int, duration_s: float) -> Dict:
         fault_plan=plan,
     )
     testbed = Testbed(config)
+    checker = testbed.install_invariant_checker()
     source, sink = testbed.add_downlink_udp_flow(0, rate_bps=4e6)
     source.start()
     uplink_sender, _ = testbed.add_uplink_tcp_flow(0)
     uplink_sender.start()
     testbed.run_seconds(duration_s)
 
-    audit = HaAudit(testbed)
-    summary = audit.summary()
+    checker.finish()
+    summary = ha_summary(testbed, checker)
     return {
         "seed": seed,
         "checkpoint_interval_ms": checkpoint_interval_ms,
@@ -143,21 +196,22 @@ def smoke(seed: int = 3) -> Dict:
         fault_plan=plan,
     )
     testbed = Testbed(config)
+    checker = testbed.install_invariant_checker()
     source, sink = testbed.add_downlink_udp_flow(0, rate_bps=4e6)
     source.start()
 
     # Run past the kill by exactly the recovery budget and check the
     # control plane is whole again.
     testbed.run_until(KILL_AT_US + SMOKE_RECOVERY_BUDGET_US)
-    ha_audit = HaAudit(testbed)
-    promoted_in_budget = testbed.standby.promoted
-    recovered_in_budget = ha_audit.clients_recovered()
+    at_budget = ha_summary(testbed, checker)
+    promoted_in_budget = at_budget["promoted"]
+    recovered_in_budget = at_budget["clients_recovered"]
     delivered_at_budget = len(sink.arrivals)
 
     # Then run out the drive to measure post-failover delivery.
     testbed.run_seconds(1.5)
-    summary = ha_audit.summary()
-    failover_summary = FailoverAudit(testbed).summary()
+    invariants = checker.finish()
+    summary = ha_summary(testbed, checker)
     progressed = len(sink.arrivals) > delivered_at_budget
 
     # Every ingress datagram is either delivered, explicitly lost at
@@ -173,6 +227,7 @@ def smoke(seed: int = 3) -> Dict:
         and overflow_ok
         and progressed
         and dup_accounted
+        and bool(invariants["ok"])
     )
     return {
         "ok": ok,
@@ -188,7 +243,7 @@ def smoke(seed: int = 3) -> Dict:
         "post_restore_duplicates": summary["post_restore_duplicates"],
         "post_failover_progress": progressed,
         "ha_summary": summary,
-        "failover_summary": failover_summary,
+        "invariants": invariants,
     }
 
 

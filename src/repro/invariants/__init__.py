@@ -6,13 +6,16 @@ sim-time cadence, asserting the correctness claims the switching
 protocol is supposed to uphold under any message-level adversary:
 single serving AP, monotonic serving generations, terminating switch
 handshakes, no duplicate server delivery, a single active controller,
-bounded retry storms, and liveness-table agreement.
+bounded retry storms, and liveness-table agreement.  It also keeps a
+:class:`CrashRecord` per AP or controller crash: who it left to
+recover, and when each client recovered.
 
 See :mod:`repro.invariants.checker` for the invariant definitions and
 ``docs/robustness.md`` for the operator-facing guide.
 """
 
 from repro.invariants.checker import (
+    CrashRecord,
     DEFAULT_INTERVAL_US,
     DEFAULT_RECONVERGE_SLACK_US,
     InvariantChecker,
@@ -21,6 +24,7 @@ from repro.invariants.checker import (
 )
 
 __all__ = [
+    "CrashRecord",
     "DEFAULT_INTERVAL_US",
     "DEFAULT_RECONVERGE_SLACK_US",
     "InvariantChecker",

@@ -67,13 +67,41 @@ and a departure whose teardown is racing the probe.  The trace-fed
 the *merged* server ingress stream, so a copy delivered by two
 different shards is caught exactly like one that escaped a single
 controller's dedup window.
+
+Crash recovery records
+----------------------
+
+Besides judging invariants the checker keeps one :class:`CrashRecord`
+per executed crash, in :attr:`InvariantChecker.records`, built from the
+``fault`` events (actions ``crash`` and ``ctrl-crash``, emitted just
+before the node dies), ``serving-update`` publications and the
+promoted standby's ``promoted_at_us``.  A record belongs to the region
+of the node that crashed.
+
+* **AP crash.**  The affected clients are the ones the region's active
+  controller has the AP serving at the crash instant.  Each recovers at
+  its first serving-update naming another AP of the region.  A client
+  the live active controller stops tracking first (it departed), or
+  that a serving-update puts in another region (a handoff), closes
+  without a verdict.
+* **Controller crash.**  The affected clients are every client the
+  crashed controller tracked.  Each recovers at its first
+  re-publication by the incarnation that took over (a serving-update
+  whose generation epoch is at or after the crash: the promoted
+  standby's, or the restarted controller's).  Later serving-updates
+  are mobility switches, not recovery.  With a standby, the record
+  also holds the crash → promotion latency.
+
+Records are observations, not invariants: the deadlines live in the
+gates that assert them (``ext_faults``, ``ext_ha``), and no record
+reaches :meth:`InvariantChecker.collect_metrics`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.liveness import HEARTBEAT_MISS_LIMIT
 from repro.core.switching import (
@@ -112,6 +140,38 @@ class InvariantViolation:
         }
 
 
+@dataclass
+class CrashRecord:
+    """One crash in one region and the recovery of each client it
+    left to recover (see "Crash recovery records" above)."""
+
+    t_us: int
+    #: The fault action: ``"crash"`` (an AP) or ``"ctrl-crash"``.
+    action: str
+    #: The AP or controller that crashed.
+    subject: str
+    #: The region (shard index) the crashed node belongs to.
+    region: int
+    #: Clients left to recover, as tracked at the crash instant.
+    affected: List[str]
+    #: (client, latency_us, ap) per recovered client, in recovery
+    #: order; latency counts from the crash instant.
+    recovered: List[Tuple[str, int, str]] = field(default_factory=list)
+    #: Clients that stopped being tracked first: no verdict.
+    untracked: List[str] = field(default_factory=list)
+    #: Crash → standby promotion (controller crash only).
+    promotion_us: Optional[int] = None
+
+    def unrecovered(self) -> List[str]:
+        """Affected clients with no recovery and no excuse (yet)."""
+        closed = {client for client, _, _ in self.recovered}
+        closed.update(self.untracked)
+        return [client for client in self.affected if client not in closed]
+
+    def latencies_us(self) -> List[int]:
+        return [latency for _, latency, _ in self.recovered]
+
+
 class InvariantChecker:
     """Trace-fed + probe-based runtime checker for one testbed.
 
@@ -135,6 +195,8 @@ class InvariantChecker:
 
     #: Trace event names the checker consumes.
     TRACE_NAMES: Tuple[str, ...] = (
+        "fault",
+        "promotion",
         "serving-update",
         "uplink-deliver",
         "switch-retry",
@@ -157,6 +219,12 @@ class InvariantChecker:
         self._ap_region = {
             ap_id: shard for shard in testbed.shards for ap_id in shard.aps
         }
+        #: controller id -> (its region, the controller).
+        self._controllers = {
+            ctrl.controller_id: (shard, ctrl)
+            for shard in testbed.shards
+            for ctrl in shard.controllers()
+        }
         self._timer = Timer(self._sim, self._probe_tick)
         self.started = False
         self.finished = False
@@ -177,6 +245,10 @@ class InvariantChecker:
         #: in the protocol is never misread as duplicate delivery).
         self._delivered: "OrderedDict[int, None]" = OrderedDict()
         self._delivered_cap = int(testbed.shards[0].controller.dedup.capacity)
+        #: One record per executed crash, in order.
+        self.records: List[CrashRecord] = []
+        #: The records some affected client is still open on.
+        self._open: List[CrashRecord] = []
 
         # -- probe episode state --------------------------------------
         #: client -> first probe time an inexcusable overlap was seen.
@@ -297,10 +369,16 @@ class InvariantChecker:
         name = event.name
         if name == "serving-update":
             self._check_serving_gen(event)
+            if self._open:
+                self._record_serving_update(event)
         elif name == "uplink-deliver":
             self._check_duplicate_delivery(event)
         elif name == "switch-retry":
             self._check_retry_storm(event)
+        elif name == "fault":
+            self._record_crash(event)
+        elif name == "promotion":
+            self._record_promotion(event)
 
     def _check_serving_gen(self, event) -> None:
         client = str(event.tags.get("client"))
@@ -358,6 +436,85 @@ class InvariantChecker:
             )
 
     # ------------------------------------------------------------------
+    # crash recovery records
+    # ------------------------------------------------------------------
+
+    def _record_crash(self, event) -> None:
+        """Open a record; the node is still up, its state intact."""
+        action = event.tags.get("action")
+        subject = str(event.tags.get("subject"))
+        if action == "crash":
+            shard = self._ap_region[subject]
+            active = shard.active_controller()
+            affected = (
+                [
+                    client
+                    for client in active.tracked_clients()
+                    if active.serving_ap(client) == subject
+                ]
+                if active is not None and active.alive
+                else []
+            )
+        elif action == "ctrl-crash":
+            shard, ctrl = self._controllers[subject]
+            affected = ctrl.tracked_clients()
+        else:
+            return
+        record = CrashRecord(
+            t_us=event.ts,
+            action=action,
+            subject=subject,
+            region=shard.region.shard,
+            affected=affected,
+        )
+        self.records.append(record)
+        if affected:
+            self._open.append(record)
+
+    def _record_promotion(self, event) -> None:
+        """The span starts at the standby's ``promoted_at_us``."""
+        shard, _ = self._controllers[str(event.tags.get("node"))]
+        for record in self.records:
+            if (
+                record.action == "ctrl-crash"
+                and record.region == shard.region.shard
+                and record.promotion_us is None
+            ):
+                record.promotion_us = event.ts - record.t_us
+
+    def _record_serving_update(self, event) -> None:
+        client = str(event.tags.get("client"))
+        ap_id = str(event.tags.get("ap"))
+        gen = event.tags.get("gen")
+        shard = self._ap_region.get(ap_id)
+        for record in self._open:
+            if client not in record.unrecovered():
+                continue
+            if shard is None or shard.region.shard != record.region:
+                record.untracked.append(client)  # handed to another region
+            elif record.action == "crash":
+                if ap_id != record.subject:
+                    record.recovered.append(
+                        (client, event.ts - record.t_us, ap_id)
+                    )
+            elif isinstance(gen, tuple) and gen[0] >= record.t_us:
+                record.recovered.append((client, event.ts - record.t_us, ap_id))
+        self._open = [record for record in self._open if record.unrecovered()]
+
+    def _close_departed(self, live) -> None:
+        """AP crash records: a client the region's live active
+        controller no longer tracks has left before recovering."""
+        actives = {shard.region.shard: active for shard, active in live}
+        for record in self._open:
+            active = actives.get(record.region)
+            if record.action != "crash" or active is None:
+                continue
+            for client in record.unrecovered():
+                if not active.tracks(client):
+                    record.untracked.append(client)
+        self._open = [record for record in self._open if record.unrecovered()]
+
+    # ------------------------------------------------------------------
     # periodic state probes
     # ------------------------------------------------------------------
 
@@ -370,6 +527,8 @@ class InvariantChecker:
         self._probe_single_active_controller()
         self._probe_single_serving()
         live = self._live_regions()
+        if self._open:
+            self._close_departed(live)
         self._probe_switch_spans(live)
         for shard, active in live:
             self._probe_liveness_agreement(shard, active)
@@ -566,10 +725,8 @@ class ShardInvariantChecker(InvariantChecker):
         "switch-span-terminates",
     )
 
-    TRACE_NAMES: Tuple[str, ...] = (
-        "uplink-deliver",
-        "switch-retry",
-    )
+    def _check_serving_gen(self, event) -> None:
+        """Generations restart on every handoff: nothing to compare."""
 
     def _probe(self) -> None:
         super()._probe()

@@ -23,7 +23,7 @@ from its seed.
 
 from repro.soak.churn import ChurnDriver
 from repro.soak.harness import SoakConfig, SoakHarness, SoakResult, run_soak
-from repro.soak.slo import SloBudgets, SloGuard, SloViolation, SoakViolationError
+from repro.soak.slo import SloBudgets, SloGuard, SoakViolationError
 from repro.soak.workload import (
     ClientSession,
     FlowSpec,
@@ -37,7 +37,6 @@ __all__ = [
     "FlowSpec",
     "SloBudgets",
     "SloGuard",
-    "SloViolation",
     "SoakConfig",
     "SoakHarness",
     "SoakResult",

@@ -43,8 +43,8 @@ class SoakConfig:
     #: plan (duplication/replay/corruption/one-way/gray windows); 0
     #: keeps soak plans byte-identical to the pre-adversary baseline.
     adversary_intensity: float = 0.0
-    #: Arm the runtime protocol-invariant checker; breaches surface as
-    #: ``kind="invariant"`` SLO violations.  Off by default: the
+    #: Arm the runtime protocol-invariant checker; its breaches join
+    #: the guard's violations.  Off by default: the
     #: subscription wakes the trace stream, so checked runs are not
     #: fingerprint-comparable with unchecked ones.
     invariants_enabled: bool = False

@@ -22,9 +22,12 @@ plateau** (no bounded gauge may still be growing in the final third of
 the run) and the **latency/loss budgets** over the churn driver's
 aggregated flow outcomes, then emits a structured report.
 
-``fail_fast=True`` raises :class:`SoakViolationError` at the offending
-sample; the default collects violations so a CI smoke can report all
-of them at once.
+Every breach is an :class:`~repro.invariants.InvariantViolation` whose
+``invariant`` is the guard's own kind (``bounded-memory``, ``plateau``,
+``budget``) and whose ``subject`` is the probe; an armed checker's
+breaches pass through as they are.  ``fail_fast=True`` raises
+:class:`SoakViolationError` at the offending sample; the default
+collects violations so a CI smoke can report all of them at once.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.core.access_point import CTRL_HOLD_BUFFER_SLOTS
+from repro.invariants import InvariantViolation
 from repro.obs.metrics import MetricsStream
 from repro.phy.per import phy_memo_stats
 from repro.sim.engine import SECOND, Timer
@@ -58,32 +62,10 @@ PLATEAU_TOLERANCE = 1.25
 PLATEAU_SLACK = 16
 
 
-@dataclass(frozen=True)
-class SloViolation:
-    """One guard assertion failure, machine-readable."""
-
-    t_us: int
-    kind: str  # "bounded-memory" | "plateau" | "budget" | "invariant"
-    probe: str
-    value: float
-    limit: float
-    message: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "t_us": self.t_us,
-            "kind": self.kind,
-            "probe": self.probe,
-            "value": self.value,
-            "limit": self.limit,
-            "message": self.message,
-        }
-
-
 class SoakViolationError(AssertionError):
     """Raised in fail-fast mode at the first violated invariant."""
 
-    def __init__(self, violations: List[SloViolation]):
+    def __init__(self, violations: List[InvariantViolation]):
         self.violations = violations
         lines = "; ".join(v.message for v in violations)
         super().__init__(f"soak SLO violated: {lines}")
@@ -129,8 +111,8 @@ class SloGuard:
             else len(testbed.clients)
         )
         #: Optional runtime protocol-invariant checker; when present,
-        #: its breaches surface as ``kind="invariant"`` violations on
-        #: the sample cadence (and at :meth:`finish`).
+        #: its breaches join the guard's on the sample cadence (and at
+        #: :meth:`finish`).
         self._invariants = invariants
         self._interval_us = interval_us
         self.budgets = budgets if budgets is not None else SloBudgets()
@@ -138,7 +120,7 @@ class SloGuard:
         self._fail_fast = fail_fast
         self._timer = Timer(testbed.sim, self._sample)
         self.samples = 0
-        self.violations: List[SloViolation] = []
+        self.violations: List[InvariantViolation] = []
         #: Probe history for the plateau check: probe -> [value, ...].
         self._series: Dict[str, List[float]] = {}
         self._checkpoints: List[str] = []
@@ -252,25 +234,24 @@ class SloGuard:
             self._stream.write(
                 sim.now, "sample", {"metrics": snapshot, "probes": probes}
             )
-        fresh: List[SloViolation] = []
+        fresh: List[InvariantViolation] = []
         limits = self._limits()
         for name, limit in limits.items():
             value = probes.get(name)
             if value is not None and value > limit:
                 fresh.append(
-                    SloViolation(
+                    InvariantViolation(
                         t_us=sim.now,
-                        kind="bounded-memory",
-                        probe=name,
-                        value=float(value),
-                        limit=float(limit),
+                        invariant="bounded-memory",
+                        subject=name,
                         message=(
                             f"{name}={value} exceeds bound {limit} "
                             f"at t={sim.now}us"
                         ),
                     )
                 )
-        fresh.extend(self._drain_invariants())
+        if self._invariants is not None:
+            fresh.extend(self._invariants.drain_new())
         if self.samples % CHECKPOINT_EVERY == 0:
             run = {k: v for k, v in snapshot.items() if not k.startswith("phy_memo{")}
             bounded = {k: v for k, v in probes.items() if k != "phy_memo_max"}
@@ -288,7 +269,7 @@ class SloGuard:
         self._record(fresh)
         self._timer.start(self._interval_us)
 
-    def _record(self, fresh: List[SloViolation]) -> None:
+    def _record(self, fresh: List[InvariantViolation]) -> None:
         if not fresh:
             return
         self.violations.extend(fresh)
@@ -299,22 +280,6 @@ class SloGuard:
                 )
         if self._fail_fast:
             raise SoakViolationError(fresh)
-
-    def _drain_invariants(self) -> List[SloViolation]:
-        """Convert the checker's fresh breaches to SLO violations."""
-        if self._invariants is None:
-            return []
-        return [
-            SloViolation(
-                t_us=breach.t_us,
-                kind="invariant",
-                probe=breach.invariant,
-                value=1.0,
-                limit=0.0,
-                message=breach.message,
-            )
-            for breach in self._invariants.drain_new()
-        ]
 
     # ------------------------------------------------------------------
     # end of run
@@ -338,9 +303,9 @@ class SloGuard:
         "churn_pending_dereg",
     )
 
-    def _check_plateau(self) -> List[SloViolation]:
+    def _check_plateau(self) -> List[InvariantViolation]:
         """No leak-prone gauge may still be growing late in the run."""
-        out: List[SloViolation] = []
+        out: List[InvariantViolation] = []
         for name in self.PLATEAU_PROBES:
             series = self._series.get(name, [])
             if len(series) < 6:
@@ -351,12 +316,10 @@ class SloGuard:
             allowed = early_peak * PLATEAU_TOLERANCE + PLATEAU_SLACK
             if late_peak > allowed:
                 out.append(
-                    SloViolation(
+                    InvariantViolation(
                         t_us=self._testbed.sim.now,
-                        kind="plateau",
-                        probe=name,
-                        value=late_peak,
-                        limit=allowed,
+                        invariant="plateau",
+                        subject=name,
                         message=(
                             f"{name} still growing: late peak "
                             f"{late_peak} > allowed {allowed:.1f} "
@@ -366,8 +329,8 @@ class SloGuard:
                 )
         return out
 
-    def _check_budgets(self) -> List[SloViolation]:
-        out: List[SloViolation] = []
+    def _check_budgets(self) -> List[InvariantViolation]:
+        out: List[InvariantViolation] = []
         if self._churn is None:
             return out
         now = self._testbed.sim.now
@@ -377,12 +340,10 @@ class SloGuard:
             and delivery < self.budgets.min_delivery_ratio
         ):
             out.append(
-                SloViolation(
+                InvariantViolation(
                     t_us=now,
-                    kind="budget",
-                    probe="delivery_ratio",
-                    value=delivery,
-                    limit=self.budgets.min_delivery_ratio,
+                    invariant="budget",
+                    subject="delivery_ratio",
                     message=(
                         f"delivery ratio {delivery:.3f} below floor "
                         f"{self.budgets.min_delivery_ratio}"
@@ -392,12 +353,10 @@ class SloGuard:
         delay = self._churn.mean_delay_us()
         if delay is not None and delay > MAX_MEAN_DELAY_US:
             out.append(
-                SloViolation(
+                InvariantViolation(
                     t_us=now,
-                    kind="budget",
-                    probe="mean_delay_us",
-                    value=delay,
-                    limit=MAX_MEAN_DELAY_US,
+                    invariant="budget",
+                    subject="mean_delay_us",
                     message=(
                         f"mean delay {delay:.0f}us above ceiling "
                         f"{MAX_MEAN_DELAY_US:.0f}us"
@@ -414,7 +373,7 @@ class SloGuard:
         self.stop()
         if self._invariants is not None:
             self._invariants.finish()  # one last probe before draining
-            self._record(self._drain_invariants())
+            self._record(self._invariants.drain_new())
         self._record(self._check_plateau())
         self._record(self._check_budgets())
         report: Dict[str, object] = {

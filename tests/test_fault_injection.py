@@ -7,8 +7,8 @@ import pytest
 from repro.core.liveness import HEARTBEAT_MISS_LIMIT
 from repro.core.switching import OUTCOME_FAILED_OVER, SWITCH_TIMEOUT_US
 from repro.faults import ApCrash, CsiBlackout, FaultPlan, LinkJitter, Partition
+from repro.experiments.ext_faults import FAILOVER_DEADLINE_US, failover_summary
 from repro.net.backhaul import CONTROL_LATENCY_US
-from repro.obs.recorders import FAILOVER_DEADLINE_US, FailoverAudit
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry
@@ -249,6 +249,7 @@ class TestEmergencyFailover:
         client must be re-served by a live AP within the deadline and
         TCP must keep making forward progress."""
         testbed = chaos_testbed()
+        checker = testbed.install_invariant_checker()
         sender, receiver = testbed.add_downlink_tcp_flow(0)
         sender.start()
         testbed.run_seconds(2.0)
@@ -261,8 +262,8 @@ class TestEmergencyFailover:
         segments_at_crash = receiver.rcv_nxt
         testbed.run_seconds(3.0)
 
-        audit = FailoverAudit(testbed)
-        summary = audit.summary()
+        assert checker.finish()["ok"]
+        summary = failover_summary(checker)
         assert summary["crashes"] == 1
         assert summary["recovered"] == 1
         assert summary["unrecovered"] == 0

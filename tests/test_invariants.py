@@ -384,10 +384,9 @@ class TestSloGuardIntegration:
         testbed.run_seconds(0.3)
         report = guard.finish()
         assert not report["ok"]
-        kinds = [v["kind"] for v in report["violations"]]
-        assert kinds == ["invariant"]
-        assert (report["violations"][0]["probe"]
-                == "monotonic-serving-gen")
+        kinds = [v["invariant"] for v in report["violations"]]
+        assert kinds == ["monotonic-serving-gen"]
+        assert report["violations"][0]["subject"] == "ghost"
 
     def test_soak_with_invariants_enabled_stays_clean(self):
         from repro.soak.harness import SoakConfig, run_soak
@@ -399,6 +398,63 @@ class TestSloGuardIntegration:
         assert result.ok
         assert result.final_metrics["invariant_violations_total"] == 0
         assert result.final_metrics["invariant_checks"] > 0
+
+
+class TestCrashRecords:
+    """The checker's per-crash recovery records (the gates' numbers)."""
+
+    def _crash(self, testbed, victim, then_s):
+        """Crash ``victim`` now; run ``then_s`` more."""
+        from repro.faults import ApCrash, FaultPlan
+
+        testbed.install_fault_plan(
+            FaultPlan([ApCrash(at_us=testbed.sim.now, ap_id=victim)])
+        )
+        testbed.run_seconds(then_s)
+
+    def test_the_served_client_recovers_on_another_ap(self):
+        testbed = static_testbed()
+        checker = testbed.install_invariant_checker()
+        testbed.run_seconds(0.5)
+        victim = testbed.serving_ap_of(0)
+        self._crash(testbed, victim, 0.5)
+        assert checker.finish()["ok"]
+        (record,) = checker.records
+        assert (record.action, record.subject, record.region) == (
+            "crash", victim, 0,
+        )
+        assert record.affected == ["client0"]
+        ((client, latency_us, new_ap),) = record.recovered
+        assert client == "client0" and new_ap != victim
+        assert 0 < latency_us < 500_000
+        assert record.unrecovered() == record.untracked == []
+
+    def test_a_departed_client_is_not_affected(self):
+        """A rider who left before the crash is nobody to recover (a
+        serving-timeline join counts them as unrecovered)."""
+        testbed = static_testbed()
+        checker = testbed.install_invariant_checker()
+        testbed.run_seconds(0.5)
+        last_ap = testbed.serving_ap_of(0)
+        assert testbed.depart_client("client0")
+        self._crash(testbed, last_ap, 0.5)
+        checker.finish()
+        (record,) = checker.records
+        assert record.subject == last_ap
+        assert record.affected == []
+
+    def test_a_client_departing_mid_recovery_closes_without_verdict(self):
+        testbed = static_testbed()
+        checker = testbed.install_invariant_checker()
+        testbed.run_seconds(0.5)
+        self._crash(testbed, testbed.serving_ap_of(0), 0.01)  # undetected
+        assert testbed.depart_client("client0")
+        testbed.run_seconds(0.5)
+        checker.finish()
+        (record,) = checker.records
+        assert record.affected == record.untracked == ["client0"]
+        assert record.recovered == []
+        assert record.unrecovered() == []
 
 
 class TestHandlerHardeningRegressions:

@@ -371,15 +371,6 @@ def _controller_and_ap_faults() -> FaultPlan:
     )
 
 
-def _audit(name: str):
-    def build():
-        from repro.obs import recorders
-
-        getattr(recorders, name)(Testbed(_sharded_config()))
-
-    return build
-
-
 #: Row label (the docs table's first column) -> config overrides for a
 #: row that works.
 WORKS = {
@@ -403,8 +394,6 @@ REFUSED = {
         lambda: Testbed(_sharded_config(scheme="baseline")),
         "wgtt scheme",
     ),
-    "FailoverAudit": (_audit("FailoverAudit"), "one WGTT region only"),
-    "HaAudit": (_audit("HaAudit"), "one WGTT region with ha_enabled only"),
 }
 
 
@@ -459,6 +448,17 @@ class TestComposition:
         elif row == "fault_plan":
             assert tb.shards[0].standby.promoted
             assert tb.obs.metrics.snapshot()["faults_executed"] == 3
+            # Each crash is recorded in its own region.
+            kill, ap_crash = checker.records
+            assert (kill.action, kill.subject, kill.region) == (
+                "ctrl-crash", "controller-s0", 0,
+            )
+            assert kill.promotion_us == 60_150
+            assert kill.recovered == [("client0", 60_150, "ap3")]
+            assert (ap_crash.action, ap_crash.subject, ap_crash.region) == (
+                "crash", "ap6", 1,
+            )
+            assert ap_crash.affected == []
         elif row == "channel_plan":
             serving = tb.wgtt_aps[tb.serving_ap_of(0)]
             assert serving.ap_id in tb.shards[1].aps

@@ -508,8 +508,8 @@ class TestSoakHarness:
         )
         assert not result.ok
         assert any(
-            v["probe"] == "engine_pending_events"
-            and v["kind"] == "bounded-memory"
+            v["subject"] == "engine_pending_events"
+            and v["invariant"] == "bounded-memory"
             for v in result.violations
         )
 
