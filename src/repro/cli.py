@@ -136,10 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable per-client fair pacing at the controller",
     )
     soak.add_argument(
-        "--no-backpressure", action="store_true",
-        help="disable the serving-AP watermark backpressure signal",
-    )
-    soak.add_argument(
         "--telemetry", metavar="PATH", default=None,
         help="stream guard samples/checkpoints/violations as JSONL",
     )
@@ -365,7 +361,6 @@ def cmd_soak(args) -> int:
         duration_s=args.seconds,
         fault_intensity=args.fault_intensity,
         admission_enabled=args.admission,
-        backpressure_enabled=not args.no_backpressure,
         workload=WorkloadConfig(
             arrival_rate_per_s=args.arrival_rate,
             max_concurrent=args.max_concurrent,

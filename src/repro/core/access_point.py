@@ -83,11 +83,6 @@ CTRL_HOLD_BUFFER_SLOTS = 512
 #: The one entry of an AP's controller watch, whichever controller beats.
 CTRL_WATCH_KEY = "controller"
 
-#: Pending-span fractions of the cyclic-queue size at which the
-#: serving AP raises / clears backpressure.
-BACKPRESSURE_HIGH_RATIO = 0.75
-BACKPRESSURE_LOW_RATIO = 0.50
-
 
 class WgttAccessPoint:
     """One roadside WGTT AP."""
@@ -193,9 +188,6 @@ class WgttAccessPoint:
         #: poured into a dead socket, and flushed on re-home.
         self._holding = False
         self._hold_buffer: Deque[Tuple[str, object, int]] = deque()
-        #: Clients whose cyclic-queue span currently exceeds the high
-        #: watermark (backpressure signalled, release pending).
-        self._backpressured: Set[str] = set()
         #: Recently departed clients.  "client-departed" rides the
         #: prioritized control path and can overtake "data" messages
         #: already queued behind the per-port data FIFO; a late fan-out
@@ -225,7 +217,6 @@ class WgttAccessPoint:
             "hold_flushed": 0,
             "rehomed": 0,
             "serving_claims_sent": 0,
-            "backpressure_signals": 0,
             "clients_departed": 0,
             "data_after_departure": 0,
             **dict.fromkeys(self.LAZY_STATS, 0),
@@ -357,7 +348,6 @@ class WgttAccessPoint:
         self._ctrl_watch.crash()
         self._holding = False
         self._hold_buffer.clear()
-        self._backpressured.clear()
         self._departed.clear()
         self._switch_handled.clear()
         self.device.power_off()
@@ -541,7 +531,6 @@ class WgttAccessPoint:
         self.stats["clients_departed"] += 1
         self._departed.depart(client_id, self._sim.now)
         self._serving.discard(client_id)
-        self._backpressured.discard(client_id)
         self._serving_view.pop(client_id, None)
         self._serving_gen_view.pop(client_id, None)
         self._switch_handled.pop(client_id, None)
@@ -637,7 +626,6 @@ class WgttAccessPoint:
             # the generation tag already proved this update is newer
             # than anything we acted on.
             self._serving.discard(client_id)
-            self._backpressured.discard(client_id)
             self._release_radio(client_id)
             self.stats["serving_relinquished"] += 1
             tracer = self._sim.obs.trace
@@ -656,8 +644,7 @@ class WgttAccessPoint:
 
     def _downlink_data(self, src: str, payload: tuple) -> None:
         client_id, index, packet = payload
-        queue = self.cyclic_queue(client_id)
-        queue.insert(index, packet)
+        self.cyclic_queue(client_id).insert(index, packet)
         tracer = self._sim.obs.trace
         if tracer.active:
             tracer.emit(
@@ -672,44 +659,6 @@ class WgttAccessPoint:
             )
         if client_id in self._serving:
             self._refill(client_id, self.device.queue_room(client_id))
-            self._check_backpressure(client_id, queue)
-
-    def _check_backpressure(self, client_id: str, queue: CyclicQueue) -> None:
-        """Hysteresis-banded overload signal for the serving AP's queue.
-
-        Only the serving AP's span is meaningful — at non-serving APs
-        the reader never moves, so the writer lapping it is the normal,
-        benign previous-lap overwrite the 12-bit design expects.  Above
-        the high watermark the controller is told to pace this client's
-        fan-out (explicit, counted drops at ingress); below the low
-        watermark the signal clears.
-        """
-        if (
-            not self._config.backpressure_enabled
-            or client_id not in self._serving
-        ):
-            return
-        span = queue.pending_span()
-        high = int(queue.size * BACKPRESSURE_HIGH_RATIO)
-        low = int(queue.size * BACKPRESSURE_LOW_RATIO)
-        if client_id not in self._backpressured and span >= high:
-            self._backpressured.add(client_id)
-            self.stats["backpressure_signals"] += 1
-            self._backhaul.send_control(
-                self.ap_id,
-                self._controller_id,
-                "backpressure",
-                (client_id, True),
-            )
-        elif client_id in self._backpressured and span <= low:
-            self._backpressured.discard(client_id)
-            self.stats["backpressure_signals"] += 1
-            self._backhaul.send_control(
-                self.ap_id,
-                self._controller_id,
-                "backpressure",
-                (client_id, False),
-            )
 
     def _refill(self, client_id: str, room: int = 0) -> None:
         """Top up the radio's service queue from the cyclic queue.
@@ -735,10 +684,6 @@ class WgttAccessPoint:
                 self.device.enqueue(packet, client_id)
         finally:
             self._refilling = False
-        if client_id in self._backpressured:
-            # Draining may have pulled the span back under the low
-            # watermark — release the controller promptly.
-            self._check_backpressure(client_id, queue)
 
     # ------------------------------------------------------------------
     # switching protocol, AP side
@@ -800,9 +745,6 @@ class WgttAccessPoint:
             switch_id=message.switch_id,
         )
         self._serving.discard(client_id)
-        # Any engaged backpressure is moot now: the controller clears
-        # the pacing flag itself when the switch completes.
-        self._backpressured.discard(client_id)
         # Drain mode: whatever is already on the scoreboard (the NIC
         # hardware queue, in the paper's terms) may still go out over
         # the inferior link — ~6 ms of airtime — but nothing new is

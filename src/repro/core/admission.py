@@ -1,25 +1,20 @@
-"""Per-client fair pacing at the controller's downlink ingress.
+"""Per-client token-bucket shaping at the controller's downlink ingress.
 
-PR 3's overload guardrail is a blunt instrument: while the serving AP
-holds a client's backpressure signal, ``accept_downlink`` *drops* every
-packet for that client.  That keeps the cyclic-queue index space from
-lapping undelivered data, but it wastes the backhaul-side buffering a
-real operator deployment would have — the controller box has RAM; the
-12-bit ring at the AP is the scarce resource.
-
-:class:`AdmissionPacer` upgrades the drop into shaping.  Each client
+The scarce resource on the downlink is the serving AP's 12-bit cyclic
+queue: fan-out faster than the radio drains laps the ring over
+undelivered slots (``overflow_drops``).  The controller box has RAM, so
+:class:`AdmissionPacer` holds the excess there instead.  Each client
 gets a token bucket (sustained ``admission_rate_pps``, burst
 ``admission_burst``) and a bounded drop-tail pacing queue.  Packets
-that conform are fanned out immediately; over-rate packets — and every
-packet for a backpressured client — park in the pacing queue and are
-released by a deterministic round-robin timer as tokens refill and the
-backpressure clears.  All arithmetic is integer (micro-tokens), all
+that conform are fanned out at once; over-rate packets park in the
+pacing queue and a deterministic round-robin timer releases them as
+tokens refill.  All arithmetic is integer (micro-tokens), all
 iteration order is insertion/deque order, so paced runs are exactly
 reproducible.
 
 Config-gated off by default (``admission_enabled``): when off the
-controller never constructs a pacer and the ingress path is byte-for-
-byte the PR 3 code.
+controller never constructs a pacer and every downlink packet goes
+straight to fan-out.
 """
 
 from __future__ import annotations
@@ -55,11 +50,9 @@ class _Bucket:
 class AdmissionPacer:
     """Deterministic token-bucket shaper over the downlink ingress.
 
-    ``release_fn(client_id, packet)`` performs the actual fan-out;
-    ``blocked_fn(client_id)`` reports whether release must hold (the
-    client's serving AP currently signals backpressure).  ``stats`` is
-    the controller's counter dict — the pacer owns the ``admission_*``
-    keys in it.
+    ``release_fn(client_id, packet)`` performs the actual fan-out.
+    ``stats`` is the controller's counter dict — the pacer owns the
+    ``admission_*`` keys in it.
     """
 
     def __init__(
@@ -67,7 +60,6 @@ class AdmissionPacer:
         sim: Simulator,
         config: WgttConfig,
         release_fn: Callable[[str, Packet], None],
-        blocked_fn: Callable[[str], bool],
         stats: Dict[str, int],
     ):
         self._sim = sim
@@ -77,7 +69,6 @@ class AdmissionPacer:
         if self._rate_pps <= 0 or self._burst <= 0:
             raise ValueError("admission rate and burst must be positive")
         self._release_fn = release_fn
-        self._blocked_fn = blocked_fn
         self._stats = stats
         self._buckets: Dict[str, _Bucket] = {}
         #: Round-robin release order over clients with a backlog.
@@ -127,12 +118,7 @@ class AdmissionPacer:
         """
         bucket = self._bucket(client_id)
         self._refill(bucket)
-        conforms = (
-            bucket.queue.empty
-            and bucket.tokens_micro >= MICRO
-            and not self._blocked_fn(client_id)
-        )
-        if conforms:
+        if bucket.queue.empty and bucket.tokens_micro >= MICRO:
             bucket.tokens_micro -= MICRO
             self._stats["admission_passthrough"] += 1
             return packet
@@ -155,11 +141,6 @@ class AdmissionPacer:
             bucket = self._buckets.get(client_id)
             if bucket is None or bucket.queue.empty:
                 continue  # departed or drained since enqueue
-            if self._blocked_fn(client_id):
-                # Backpressured: hold the whole queue, keep the slot.
-                self._rr.append(client_id)
-                self._rr_members.add(client_id)
-                continue
             self._refill(bucket)
             while bucket.tokens_micro >= MICRO and not bucket.queue.empty:
                 released = bucket.queue.dequeue()

@@ -56,30 +56,17 @@ class WgttConfig:
     #: ``ext_ha`` sweep measures the trade.
     checkpoint_interval_us: int = 100 * MS
 
-    # -- cyclic-queue overload guardrails -----------------------------
-
-    #: When True, the *serving* AP signals the controller when a
-    #: client's cyclic-queue pending span crosses the high watermark;
-    #: the controller then paces ``accept_downlink`` (drops are
-    #: explicit and counted) until the low watermark is reached.
-    #: Default False so fault-free runs stay bit-identical to the
-    #: pre-guardrail simulator; ``overflow_drops`` accounting in
-    #: :class:`~repro.core.cyclic_queue.CyclicQueue` is always on
-    #: (counters never perturb behaviour).
-    backpressure_enabled: bool = False
-
     # -- admission control (soak extension) ---------------------------
 
-    #: When True the controller runs per-client fair pacing on the
-    #: downlink ingress: each client gets a token bucket, over-rate
-    #: packets park in a bounded per-client pacing queue, and a
-    #: deterministic round-robin release timer drains the queues as
-    #: tokens refill.  This upgrades the PR 3 watermark backpressure
-    #: (which *drops* while paced) into shaping: while a client is
-    #: backpressured its pacing queue holds packets instead of the
-    #: controller discarding them.  Default False — the admission path
-    #: is never consulted and runs stay bit-identical to the
-    #: pre-admission simulator.
+    #: When True the controller shapes the downlink ingress per
+    #: client: each client gets a token bucket, over-rate packets park
+    #: in a bounded per-client pacing queue, and a deterministic
+    #: round-robin release timer drains the queues as tokens refill,
+    #: so the serving AP's cyclic queue is not lapped under overload
+    #: (``overflow_drops`` in
+    #: :class:`~repro.core.cyclic_queue.CyclicQueue`).  Default False
+    #: — the admission path is never consulted and runs stay
+    #: bit-identical to the pre-admission simulator.
     admission_enabled: bool = False
 
     #: Per-client sustained admission rate, packets per second.

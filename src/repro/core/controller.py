@@ -75,18 +75,10 @@ class ClientState:
         self.client_id = client_id
         self.serving_ap = serving_ap
         self.last_switch_us = now_us
-        self.last_selection_check_us = -(10**9)
-        #: Set while the client has no live AP to fail over to (its
-        #: serving AP is dead and no live AP has heard it recently).
-        self.degraded_since: Optional[int] = None
-        #: True while the serving AP signals cyclic-queue backpressure:
-        #: ``accept_downlink`` paces (drops, explicitly counted) until
-        #: the AP clears the signal.
-        self.paced = False
         #: The periodic AP-selection timer.
         self.selection_timer: Optional[Timer] = None  # volatile-ok: a Timer is not data; the controller snapshot carries its deadline
         #: The deferred emergency-failover retry, set while one is armed.
-        self.retry_timer: Optional[Timer] = None
+        self.retry_timer: Optional[Timer] = None  # volatile-ok: as selection_timer; "retry_deadlines" carries its deadline
 
     def stop_timers(self) -> None:
         for timer in (self.selection_timer, self.retry_timer):
@@ -100,21 +92,13 @@ class ClientState:
             "client_id": self.client_id,
             "serving_ap": self.serving_ap,
             "last_switch_us": self.last_switch_us,
-            "last_selection_check_us": self.last_selection_check_us,
-            "degraded_since": self.degraded_since,
-            "failover_retry_pending": self.retry_timer is not None,
-            "paced": self.paced,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "ClientState":
-        out = cls(
+        return cls(
             state["client_id"], state["serving_ap"], state["last_switch_us"]
         )
-        out.last_selection_check_us = state["last_selection_check_us"]
-        out.degraded_since = state["degraded_since"]
-        out.paced = state["paced"]
-        return out
 
 
 def _series(entries) -> List[List[Any]]:
@@ -239,7 +223,6 @@ class WgttController:
             "sta-sync": lambda src, info: self.register_association(info),
             "heartbeat": self._handle_heartbeat,
             "ap-hello": self._ap_rejoined,
-            "backpressure": self._handle_backpressure,
             "serving-claim": self._handle_serving_claim,
             "edge-report": self._handle_edge_report,
         }
@@ -259,9 +242,6 @@ class WgttController:
             "failovers_initiated": 0,
             "failover_no_candidate": 0,
             "csi_dropped_dead_ap": 0,
-            "downlink_paced": 0,
-            "backpressure_on": 0,
-            "backpressure_off": 0,
             "cursor_fast_forwards": 0,
             "controller_crashes": 0,
             "controller_restarts": 0,
@@ -284,7 +264,6 @@ class WgttController:
                 sim,
                 self._config,
                 self._release_downlink,
-                self._pacing_blocked,
                 self.stats,
             )
         backhaul.register(controller_id, self._on_backhaul)
@@ -308,11 +287,6 @@ class WgttController:
         out["switches_abandoned"] = self.coordinator.abandoned
         out["switches_aborted"] = self.coordinator.aborted
         out["liveness_events"] = len(self.liveness.events)
-        # Convenience top-level aliases the soak SLO guard (and humans
-        # reading ``drive --metrics``) watch without knowing the
-        # controller_stat{name=...} key scheme.
-        out["backpressure_on"] = stats["backpressure_on"]
-        out["backpressure_off"] = stats["backpressure_off"]
         # Bounded-memory gauges: each of these must plateau on a soak.
         out["controller_tracked_clients"] = len(self._clients)
         out["controller_index_cursors"] = self._index_alloc.tracked_clients()
@@ -492,32 +466,13 @@ class WgttController:
             self.stats["downlink_unassociated"] += 1
             return
         if self._pacer is not None:
-            # Admission control on: token-bucket shaping replaces the
-            # paced-drop below.  Over-rate and backpressured traffic
-            # parks in the pacing queue; the round-robin release timer
-            # re-enters via _release_downlink when it conforms.
+            # Admission control on: over-rate traffic parks in the
+            # pacing queue; the round-robin release timer re-enters via
+            # _release_downlink when it conforms.
             released = self._pacer.admit(client_id, packet)
             if released is None:
                 return
-            self._fanout(client_id, state, released)
-            return
-        if state.paced:
-            # The serving AP's cyclic queue is near its wrap point:
-            # admitting more fan-out would race the 12-bit index space
-            # into the undelivered backlog (silent overwrites).  Drop
-            # here instead — explicit, counted, and recoverable by the
-            # transport — until the AP clears the signal.
-            self.stats["downlink_paced"] += 1
-            tracer = self._sim.obs.trace
-            if tracer.active:
-                tracer.emit(
-                    "controller",
-                    "downlink-paced",
-                    track="downlink",
-                    detail=True,
-                    client=client_id,
-                )
-            return
+            packet = released
         self._fanout(client_id, state, packet)
 
     def _release_downlink(self, client_id: str, packet: Packet) -> None:
@@ -529,11 +484,6 @@ class WgttController:
             self.stats["downlink_unassociated"] += 1
             return
         self._fanout(client_id, state, packet)
-
-    def _pacing_blocked(self, client_id: str) -> bool:
-        """Pacer hold predicate: serving-AP backpressure engaged."""
-        state = self._clients.get(client_id)
-        return state is None or state.paced
 
     def _fanout(
         self, client_id: str, state: ClientState, packet: Packet
@@ -591,19 +541,6 @@ class WgttController:
             if self._index_alloc.fast_forward(client_id, int(edge)):
                 self.stats["cursor_fast_forwards"] += 1
 
-    def _handle_backpressure(self, src: str, payload: Any) -> None:
-        """Serving-AP overload signal: pace/resume one client's fan-out."""
-        client_id, engaged = payload
-        state = self._clients.get(client_id)
-        if state is None or src != state.serving_ap:
-            return  # stale signal from a former serving AP
-        if engaged and not state.paced:
-            state.paced = True
-            self.stats["backpressure_on"] += 1
-        elif not engaged and state.paced:
-            state.paced = False
-            self.stats["backpressure_off"] += 1
-
     def _handle_serving_claim(self, src: str, client_id: str) -> None:
         """Cold-restart resync: the AP actually serving ``client_id``
         corrects the restarted controller's first-AP guess."""
@@ -656,6 +593,16 @@ class WgttController:
             return
         if self.dedup.accept(packet):
             self.on_uplink(packet)
+            if self.ha_peer is not None and packet.protocol != "arp":
+                # Mirror the key to the warm standby, like serving
+                # updates: a promoted standby must recognise copies of
+                # datagrams delivered after the last checkpoint.
+                self._backhaul.send_control(
+                    self.controller_id,
+                    self.ha_peer,
+                    "dedup-key",
+                    packet.dedup_key(),
+                )
 
     # ------------------------------------------------------------------
     # selection / switching
@@ -693,11 +640,6 @@ class WgttController:
         state = self._clients.get(record.client)
         if state is not None:
             state.serving_ap = record.to_ap
-            state.degraded_since = None
-            # Pacing was the *old* serving AP's signal; the new one's
-            # queue state is unknown (and its backlog was just advanced
-            # past), so resume and let it re-signal if needed.
-            state.paced = False
         self._publish_serving(record.client, record.to_ap)
 
     def _switch_aborted(self, record: SwitchRecord) -> None:
@@ -804,8 +746,8 @@ class WgttController:
             target = self._last_heard_live_ap(client_id, now)
         if target is None:
             # Graceful degradation: no live AP has heard the client
-            # recently.  Mark it degraded and keep retrying — the
-            # client's keepalives will reach somebody as it moves.
+            # recently.  Keep retrying — the client's keepalives will
+            # reach somebody as it moves.
             self.stats["failover_no_candidate"] += 1
             tracer = self._sim.obs.trace
             tracer.emit(
@@ -815,8 +757,6 @@ class WgttController:
                 client=client_id,
                 dead_ap=dead_ap,
             )
-            if state.degraded_since is None:
-                state.degraded_since = now
             self._schedule_failover_retry(client_id)
             return
         self.stats["failovers_initiated"] += 1

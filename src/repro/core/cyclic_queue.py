@@ -73,10 +73,6 @@ class CyclicQueue:
             return self.size
         return span
 
-    def pending_span(self) -> int:
-        """Public alias for the head→edge span (backpressure input)."""
-        return self._pending_span()
-
     def insert(self, index: int, packet: Packet) -> None:
         """Store a packet at its controller-assigned index.
 
@@ -84,8 +80,8 @@ class CyclicQueue:
         wraps — but overwriting a slot the reader has *not yet served*
         (inside the head→edge span) destroys undelivered data.  That
         case is counted in ``overflow_drops`` so overload is explicit,
-        never silent; the backpressure guardrail exists to keep the
-        serving AP's span from ever getting there.
+        never silent; the controller's admission pacer, when enabled,
+        keeps the serving AP's span from getting there.
         """
         index %= self.size
         if index in self._slots:

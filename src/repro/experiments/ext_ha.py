@@ -215,7 +215,7 @@ def smoke(seed: int = 3) -> Dict:
     progressed = len(sink.arrivals) > delivered_at_budget
 
     # Every ingress datagram is either delivered, explicitly lost at
-    # ingress (no active controller / paced), or still in flight —
+    # ingress (no active controller), or still in flight —
     # cyclic-queue overwrites of undelivered slots must never eat one.
     overflow_ok = summary["overflow_drops"] == 0
     dup_accounted = sink.duplicates == 0

@@ -58,7 +58,6 @@ def _smoke_config(seed: int) -> SoakConfig:
         workload=workload,
         fault_intensity=1.0,
         admission_enabled=False,
-        backpressure_enabled=True,
     )
 
 
@@ -90,7 +89,6 @@ def run(seed: int = 1, quick: bool = True, jobs: int = 1) -> Dict:
         workload=WorkloadConfig(arrival_rate_per_s=FULL_ARRIVAL_RATE_PER_S),
         fault_intensity=1.0,
         admission_enabled=False,
-        backpressure_enabled=True,
     )
     result = run_soak(config)
     row = _result_row(result)

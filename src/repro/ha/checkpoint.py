@@ -32,11 +32,15 @@ from typing import Any, Dict
 #: it a promoted standby would re-admit replayed sta-syncs for clients
 #: that left before the failover; found by the CKP001 check,
 #: tests/lint.py).
-CHECKPOINT_VERSION = 2
+#: v3: a client's state lost "last_selection_check_us",
+#: "degraded_since", "failover_retry_pending" and "paced", which
+#: nothing read ("retry_deadlines" re-arms the failover retry).
+CHECKPOINT_VERSION = 3
 
 #: Layout version of the *per-client* state slice that rides an
 #: inter-shard handoff message; merge refuses mismatches.
-CLIENT_STATE_VERSION = 1
+#: v2: the same four client-state fields as checkpoint v3 went.
+CLIENT_STATE_VERSION = 2
 
 
 def canonical_json(value: Any) -> bytes:

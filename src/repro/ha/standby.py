@@ -8,16 +8,18 @@ feed —
   bytes; the standby keeps the latest);
 * ``ctrl-heartbeat`` — the primary's liveness signal, watched by a
   :class:`~repro.core.liveness.LivenessTracker` whose ``on_down`` promotes;
-* ``sta-sync`` broadcasts and mirrored ``serving-update``s — the
-  between-checkpoints event feed, so promotion state is never staler
-  than one backhaul latency for the serving map.
+* ``sta-sync`` broadcasts, mirrored ``serving-update``s and mirrored
+  ``dedup-key``s — the between-checkpoints event feed, so promotion
+  state is never staler than one backhaul latency for the serving map
+  and the uplink de-duplication window.
 
 When the primary goes silent past the miss limit, the standby
 **promotes** itself:
 
 1. restore the latest checkpoint (state-only);
 2. overlay warm-feed serving updates received after the checkpoint,
-   and register the warm-fed associations it lacks;
+   keep the warm-fed dedup keys, and register the warm-fed
+   associations it lacks;
 3. grant the AP liveness table a grace period (``reset_clock``) so a
    healthy array is not mass-declared dead from stale beat times;
 4. broadcast ``ctrl-takeover`` so every AP re-homes, flushes its hold
@@ -73,7 +75,6 @@ class StandbyController(WgttController):
         self.role = "standby"
         self.primary_id = primary_id
         self.promoted = False
-        self.promoted_at_us: Optional[int] = None
         self.last_checkpoint: Optional[ControllerCheckpoint] = None
         #: client -> (received_at_us, ap): mirrored serving updates.
         self._warm_serving: Dict[str, Tuple[int, str]] = {}
@@ -105,6 +106,7 @@ class StandbyController(WgttController):
             **either_role,
             "sta-sync": lambda src, info: self.directory.admit(info),
             "serving-update": self._warm_serving_update,
+            "dedup-key": lambda src, key: self.dedup.merge_keys([key]),
         }
 
     # ------------------------------------------------------------------
@@ -144,7 +146,6 @@ class StandbyController(WgttController):
             return
         self.promoted = True
         self.role = "active"
-        self.promoted_at_us = self._sim.now
         # Promotion starts a new controller epoch: serving generations
         # and the takeover announcement all carry it, so anything the
         # dead primary published (or an adversary replays of it) loses.
@@ -164,10 +165,15 @@ class StandbyController(WgttController):
             track="ha",
             from_checkpoint=checkpoint is not None,
         )
-        # The warm feed's association records: restore replaces them.
+        # The warm feed's association records and dedup keys: restore
+        # replaces them.
         warm_directory = self.directory
         if checkpoint is not None:
+            warm_keys = self.dedup.snapshot()["keys"]
             self.restore(checkpoint)
+            # Uplinks the primary delivered after the checkpoint was
+            # cut: their late copies must still count as duplicates.
+            self.dedup.merge_keys(warm_keys)
             # The checkpoint is up to one shipping interval stale: the
             # dead primary kept allocating cyclic indices past the
             # checkpointed cursors.  Skid every cursor forward so none

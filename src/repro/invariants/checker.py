@@ -75,7 +75,7 @@ Besides judging invariants the checker keeps one :class:`CrashRecord`
 per executed crash, in :attr:`InvariantChecker.records`, built from the
 ``fault`` events (actions ``crash`` and ``ctrl-crash``, emitted just
 before the node dies), ``serving-update`` publications and the
-promoted standby's ``promoted_at_us``.  A record belongs to the region
+promoted standby's ``promotion`` span.  A record belongs to the region
 of the node that crashed.
 
 * **AP crash.**  The affected clients are the ones the region's active
@@ -472,7 +472,7 @@ class InvariantChecker:
             self._open.append(record)
 
     def _record_promotion(self, event) -> None:
-        """The span starts at the standby's ``promoted_at_us``."""
+        """The ``promotion`` span starts when the standby promotes."""
         shard, _ = self._controllers[str(event.tags.get("node"))]
         for record in self.records:
             if (

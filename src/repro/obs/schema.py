@@ -61,7 +61,6 @@ TRACE_NAMES: Dict[str, Tuple[str, ...]] = {
     "ctrl-restart": ("controller",),
     "cyclic-insert": ("ap",),
     "downlink-lost": ("ha",),
-    "downlink-paced": ("controller",),
     "dup-tx": ("backhaul",),
     "failover": ("controller",),
     "failover-initiated": ("controller",),

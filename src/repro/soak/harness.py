@@ -50,9 +50,6 @@ class SoakConfig:
     invariants_enabled: bool = False
     #: Build the controller with per-client fair pacing enabled.
     admission_enabled: bool = False
-    #: Enable the serving-AP watermark backpressure signal (the soak
-    #: default; the library default stays off for bit-identity).
-    backpressure_enabled: bool = True
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     budgets: SloBudgets = field(default_factory=SloBudgets)
     #: Guard sampling cadence.
@@ -122,10 +119,7 @@ class SoakHarness:
         reset_phy_memos()
         reset_phy_memo_stats()
 
-        wgtt = WgttConfig(
-            backpressure_enabled=cfg.backpressure_enabled,
-            admission_enabled=cfg.admission_enabled,
-        )
+        wgtt = WgttConfig(admission_enabled=cfg.admission_enabled)
         testbed_config = TestbedConfig(
             seed=cfg.seed,
             scheme="wgtt",

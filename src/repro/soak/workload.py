@@ -9,7 +9,7 @@ and a handful of UDP flows whose byte sizes follow a bounded Pareto
 distribution.  Heavy-tailed sizes are the operational reality the
 MAC-rate-adaptation vehicular measurements report: most sessions move
 a few hundred kilobytes, a few move hundreds of megabytes, and the
-admission/backpressure machinery has to survive both.
+admission pacer has to survive both.
 
 Every draw comes from a named stream of the caller's
 :class:`~repro.sim.rng.RngRegistry`, so a plan is a deterministic

@@ -32,20 +32,20 @@ from tests.test_ha import enrich, make_controller
 
 #: sha256 of every checkpoint shipped in the HA drive below, joined.
 HA_CHECKPOINTS_SHA256 = (
-    "5715f0dcaf37314bb6b0942f73cfef5f4da81e2e18867deafce2a8e0488efa9b"
+    "0daace0690c32960b3f002b13a379c51845568629e8661f76aa087b2ca4a2fd4"
 )
 #: sha256 of the handoff slice shipped in the corridor drive below.
 HANDOFF_SLICE_SHA256 = (
-    "13e50290a1b241bd90c9dceed46cd03fd59b67b9c6c33864de0d51b69b428ab3"
+    "9253d190cb625d35c42cd607b1ae371a88bbce5b6d545381bd1c14592314768e"
 )
 #: sha256 of :func:`_drive_digest` for one region without a standby.
 CLASSIC_DRIVE_SHA256 = (
-    "f82c9200678ba9b3806b9885fd62acd0939a3aaeafd5850470b7c681a4b740bf"
+    "d83954ecd2b886f6c94af1864be087349e1d50fa45b839862f3f6ee534d6cb1a"
 )
 #: sha256 of :func:`_drive_digest` for one region with a standby whose
 #: primary is killed at 1.5 s and never restarted.
 HA_KILL_DRIVE_SHA256 = (
-    "cd7df9ca6a3beabcc58227d34e1fea89477c3ff1c4dd114e2f2380dcc5f0528a"
+    "5115752500afac8f5fe1ad9d1dfd53bba21dda282947fd7cb37d37df4a929ac1"
 )
 #: sha256 of :func:`_drive_digest` for the baseline scheme (it roams
 #: twice, so the over-the-air association path is in the stream).

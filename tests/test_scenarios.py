@@ -43,7 +43,6 @@ class TestTestbedConfig:
         [
             ("ha_enabled", True),
             ("admission_enabled", True),
-            ("backpressure_enabled", True),
             ("fanout_enabled", False),
             ("ba_forwarding_enabled", False),
             ("selection_metric", "mean"),

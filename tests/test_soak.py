@@ -1,5 +1,5 @@
 """Soak subsystem: workload determinism, churn lifecycle, admission
-pacing, backpressure hysteresis, and the SLO guard's invariants."""
+pacing under overload, and the SLO guard's invariants."""
 
 import copy
 import json
@@ -256,37 +256,42 @@ class TestChurnDeparture:
 
 
 # ----------------------------------------------------------------------
-# backpressure hysteresis (satellite: alternation, no stuck-on)
+# overload: the cyclic-queue budget and the pacer that keeps it
 # ----------------------------------------------------------------------
 
 
-class TestBackpressureHysteresis:
-    def test_alternates_under_overload_and_clears_after_drain(self):
-        tb = _wgtt_testbed(index_bits=8, backpressure_enabled=True)
-        src, _sink = tb.add_downlink_udp_flow(0, rate_bps=40e6)
-        src.start()
-        tb.run_seconds(3.0)
+def _overflow_drops(snapshot):
+    return sum(
+        value
+        for key, value in snapshot.items()
+        if key.startswith("ap_overflow_drops{")
+    )
+
+
+class TestOverload:
+    def test_pacer_binds_and_keeps_the_overflow_budget(self):
+        """A 60 Mbit/s UDP downlink overruns the 2 000 pps bucket: the
+        pacer parks, releases and drops, and the serving AP's 4 096-slot
+        cyclic queue overflows at most a quarter as often as in the
+        same run without admission (121 against 0 at seed 2)."""
+        drops = {}
+        for admission in (False, True):
+            tb = _wgtt_testbed(admission_enabled=admission)
+            tb.add_downlink_udp_flow(0, rate_bps=60e6)[0].start()
+            tb.run_seconds(2.0)
+            drops[admission] = _overflow_drops(tb.obs.metrics.snapshot())
         stats = tb.controller.stats
-        # Sustained overload oscillates: engage, pace, drain to the
-        # low watermark, release, re-engage — not a single latch.
-        assert stats["backpressure_on"] >= 2
-        assert stats["backpressure_off"] >= 1
-        assert stats["downlink_paced"] > 0
-        src.stop()
-        tb.run_seconds(1.0)
-        # No stuck-on after the offered load drains.
-        assert all(not s.paced for s in tb.controller._clients.values())
-        for ap in tb.wgtt_aps.values():
-            assert not ap._backpressured
+        assert stats["admission_dropped"] > 0
+        assert stats["admission_released"] > 0
+        assert drops[False] > 0
+        assert drops[True] <= drops[False] / 4
 
     def test_watermark_metrics_exported(self):
-        tb = _wgtt_testbed(index_bits=8, backpressure_enabled=True)
+        tb = _wgtt_testbed(index_bits=8)
         src, _sink = tb.add_downlink_udp_flow(0, rate_bps=40e6)
         src.start()
         tb.run_seconds(2.0)
         snapshot = tb.obs.metrics.snapshot()
-        assert snapshot["backpressure_on"] >= 1
-        assert "backpressure_off" in snapshot
         watermarks = [
             value
             for key, value in snapshot.items()
@@ -393,24 +398,6 @@ class TestAdmissionPacer:
         assert released[:2] in (
             ["client0", "client1"], ["client1", "client0"]
         )
-
-    def test_backpressured_client_holds_in_pacing_queue(self):
-        sim, controller, sent = _controller_rig(
-            admission_enabled=True, admission_burst=2,
-            admission_rate_pps=1000, admission_queue_slots=16,
-        )
-        _register(controller, sim)
-        controller._handle_backpressure("ap0", ("client0", True))
-        for _ in range(3):
-            controller.accept_downlink(Packet("server", "client0", 500))
-        # Blocked clients park instead of dropping (the PR 3 behaviour).
-        assert controller.stats["admission_enqueued"] == 3
-        assert controller.stats["downlink_paced"] == 0
-        sim.run(until_us=sim.now + 100 * MS)
-        assert controller.stats["admission_released"] == 0
-        controller._handle_backpressure("ap0", ("client0", False))
-        sim.run(until_us=sim.now + 100 * MS)
-        assert controller.stats["admission_released"] == 3
 
     def test_departure_flushes_bucket(self):
         sim, controller, _sent = _controller_rig(
