@@ -164,13 +164,13 @@ class Baseline80211rAp:
         if kind == "data":
             packet: Packet = payload
             self._buffer(packet.dst).enqueue(packet)
-            self._refill(packet.dst, self.device.queue_room(packet.dst))
+            self._refill(packet.dst)
         elif kind == "ft-forward":
             # A peer AP brokered an FT request: admit the client and
             # answer over the air with the (re)association response.
             self._complete_association(payload)
 
-    def _refill(self, client_id: str, room: int = 0) -> None:
+    def _refill(self, client_id: str) -> None:
         # Re-entrancy guard: enqueue kicks the device which asks for
         # refills again; the nested call must not double-fill.
         buffer = self._buffers.get(client_id)

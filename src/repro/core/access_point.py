@@ -145,6 +145,10 @@ class WgttAccessPoint:
         self.device.on_mgmt = self._mgmt_received
 
         self.directory = AssociationDirectory()
+        #: Clients this AP admitted over the air, until the controller's
+        #: first serving-update names their AP (several APs may decode
+        #: one assoc-req; only the named one starts serving).
+        self._awaiting_serving: Set[str] = set()
         self._cyclic: Dict[str, CyclicQueue] = {}
         self._serving: Set[str] = set()
         #: Controller-published map of which AP serves each client.
@@ -296,7 +300,7 @@ class WgttAccessPoint:
         self._serving.add(client_id)
         self.device.reset_tx_state(client_id, index)
         self.device.set_session_mode(client_id, "active")
-        self._refill(client_id, self.device.queue_room(client_id))
+        self._refill(client_id)
 
     def _release_radio(self, client_id: str) -> int:
         """Silence the radio toward a client this AP no longer serves:
@@ -357,6 +361,7 @@ class WgttAccessPoint:
         self._serving.clear()
         self._serving_view.clear()
         self._serving_gen_view.clear()
+        self._awaiting_serving.clear()
         self.directory = AssociationDirectory()
         self._ba_seen = BaSeenCache()
         self._backhaul.set_node_down(self.ap_id, True)
@@ -533,6 +538,7 @@ class WgttAccessPoint:
         self._serving.discard(client_id)
         self._serving_view.pop(client_id, None)
         self._serving_gen_view.pop(client_id, None)
+        self._awaiting_serving.discard(client_id)
         self._switch_handled.pop(client_id, None)
         self._cyclic.pop(client_id, None)
         if self.directory.is_associated(client_id):
@@ -617,6 +623,10 @@ class WgttAccessPoint:
             return
         self._serving_gen_view[client_id] = gen
         self._serving_view[client_id] = ap_id
+        if client_id in self._awaiting_serving:
+            self._awaiting_serving.discard(client_id)
+            if ap_id == self.ap_id:
+                self.start_serving(client_id)
         if ap_id != self.ap_id and client_id in self._serving:
             # The controller has authoritatively placed this client
             # elsewhere while we still hold serving duty.  That only
@@ -658,9 +668,9 @@ class WgttAccessPoint:
                 serving=client_id in self._serving,
             )
         if client_id in self._serving:
-            self._refill(client_id, self.device.queue_room(client_id))
+            self._refill(client_id)
 
-    def _refill(self, client_id: str, room: int = 0) -> None:
+    def _refill(self, client_id: str) -> None:
         """Top up the radio's service queue from the cyclic queue.
 
         Re-entrancy guard: enqueueing kicks the device, which asks for
@@ -960,6 +970,7 @@ class WgttAccessPoint:
             first_ap=self.ap_id,
         )
         self.directory.admit(info)
+        self._awaiting_serving.add(client_id)
         # Replicate sta_info to every AP and the controller (§4.3).
         self._backhaul.broadcast(
             self.ap_id, "sta-sync", info, size_bytes=STA_SYNC_WIRE_BYTES

@@ -76,9 +76,9 @@ class ClientState:
         self.serving_ap = serving_ap
         self.last_switch_us = now_us
         #: The periodic AP-selection timer.
-        self.selection_timer: Optional[Timer] = None  # volatile-ok: a Timer is not data; the controller snapshot carries its deadline
+        self.selection_timer: Optional[Timer] = None  # volatile-ok: a Timer is not data; the client record carries its deadline
         #: The deferred emergency-failover retry, set while one is armed.
-        self.retry_timer: Optional[Timer] = None  # volatile-ok: as selection_timer; "retry_deadlines" carries its deadline
+        self.retry_timer: Optional[Timer] = None  # volatile-ok: as selection_timer; the client record carries its deadline
 
     def stop_timers(self) -> None:
         for timer in (self.selection_timer, self.retry_timer):
@@ -99,16 +99,6 @@ class ClientState:
         return cls(
             state["client_id"], state["serving_ap"], state["last_switch_us"]
         )
-
-
-def _series(entries) -> List[List[Any]]:
-    """``(time_us, value)`` pairs as JSON-native ``[int, float]`` lists."""
-    return [[int(t), float(v)] for t, v in entries]
-
-
-def _heard(heard: Dict[str, Tuple[int, float]]) -> Dict[str, List[Any]]:
-    """One client's last-heard table, JSON-native."""
-    return {ap_id: [int(t), float(v)] for ap_id, (t, v) in heard.items()}
 
 
 def _deadline(timer: Optional[Timer]) -> Optional[int]:
@@ -832,52 +822,30 @@ class WgttController:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> ControllerCheckpoint:
-        """Every volatile protocol store, as one checkpoint (read-only).
-
-        The selection windows, the serving map, the 12-bit index
-        cursors, every in-flight switch handshake and timer (as absolute
-        deadlines), the dedup key window, the AP liveness table, and the
-        departed-client replay guard.  Everything is copied into
-        JSON-native shapes (lists, not tuples), so the in-memory
+        """Every volatile protocol store, as one checkpoint (read-only):
+        a :meth:`_client_record` for every client any per-client store
+        holds, plus the controller-wide stores — in-flight switch
+        handshakes, the dedup key window, the liveness table, the AP
+        sets, pending serving claims and the departed-client guard.
+        JSON-native throughout (lists, not tuples), so the in-memory
         checkpoint equals its own serialize/parse round trip.
         """
-        clients = self._clients
+        clients = set(self._clients).union(
+            self.directory.clients(),
+            self.selector.clients(),
+            self._index_alloc.clients(),
+            self._last_heard,
+        )
         state = {
             "clients": {
-                client_id: client.to_state()
-                for client_id, client in clients.items()
-            },
-            "selection_deadlines": {
-                client_id: client.selection_timer.deadline_us
-                for client_id, client in clients.items()
-                if client.selection_timer is not None
-            },
-            "retry_deadlines": {
-                client_id: client.retry_timer.deadline_us
-                for client_id, client in clients.items()
-                if client.retry_timer is not None
-            },
-            "selector": {
-                client_id: {
-                    ap_id: _series(entries)
-                    for ap_id, entries in per_client.items()
-                }
-                for client_id, per_client in self.selector.snapshot().items()
+                client_id: self._client_record(client_id)
+                for client_id in sorted(clients)
             },
             "coordinator": self.coordinator.snapshot(),
             "liveness": self.liveness.snapshot(),
             "dedup": self.dedup.snapshot(),
-            "directory": {
-                client_id: asdict(self.directory.get(client_id))
-                for client_id in sorted(self.directory.clients())
-            },
-            "index_cursors": self._index_alloc.snapshot(),
             "ap_ids": sorted(self._ap_ids),
             "dead_aps": sorted(self._dead_aps),
-            "last_heard": {
-                client_id: _heard(heard)
-                for client_id, heard in self._last_heard.items()
-            },
             "pending_claims": dict(self._pending_claims),
             "departed_at": self._departed_at.snapshot(),
         }
@@ -887,6 +855,61 @@ class WgttController:
             controller_id=self.controller_id,
             state=state,
         )
+
+    def _client_record(self, client_id: str) -> dict:
+        """One client's share of every per-client store, JSON-native
+        (``[int, float]`` pairs): the unit of both the checkpoint and
+        the handoff slice.  ``state`` is None for a client this
+        controller does not track (CSI overheard from a neighbour
+        region's client, say); the timer deadlines are absolute.
+        """
+        client = self._clients.get(client_id)
+        state: Optional[dict] = None
+        selection: Optional[int] = None
+        retry: Optional[int] = None
+        if client is not None:
+            state = client.to_state()
+            selection = _deadline(client.selection_timer)
+            retry = _deadline(client.retry_timer)
+        sta = None
+        if self.directory.is_associated(client_id):
+            sta = asdict(self.directory.get(client_id))
+        heard = self._last_heard.get(client_id, {})
+        windows = self.selector.client_snapshot(client_id)
+        return {
+            "state": state,
+            "sta": sta,
+            "selector": {
+                ap_id: [[int(t), float(v)] for t, v in entries]
+                for ap_id, entries in windows.items()
+            },
+            "index_cursor": self._index_alloc.peek(client_id),
+            "last_heard": {
+                ap_id: [int(t), float(v)] for ap_id, (t, v) in heard.items()
+            },
+            "selection_deadline_us": selection,
+            "retry_deadline_us": retry,
+        }
+
+    def _load_record(self, client_id: str, record: dict) -> None:
+        """Install one :meth:`_client_record`, state-only: no message,
+        no timer.  What a store already holds for the client wins (CSI
+        overheard here is fresher), but the record's index cursor
+        continues.  An untracked client's cursor at 0 is left out: it
+        allocates like none."""
+        if record["sta"] is not None:
+            self.directory.admit(StaInfo(**record["sta"]))
+        self.selector.restore_client(client_id, record["selector"])
+        if record["state"] is not None or record["index_cursor"]:
+            self._index_alloc.set_cursor(client_id, record["index_cursor"])
+        heard = self._last_heard.setdefault(client_id, {})
+        for ap_id in sorted(record["last_heard"]):
+            t, v = record["last_heard"][ap_id]
+            heard.setdefault(ap_id, (int(t), float(v)))
+        if not heard:
+            del self._last_heard[client_id]
+        if record["state"] is not None:
+            self._clients[client_id] = ClientState.from_state(record["state"])
 
     def restore(self, checkpoint: ControllerCheckpoint) -> None:
         """Replace this controller's state with ``checkpoint``'s.
@@ -907,52 +930,44 @@ class WgttController:
         self._forget_state()
         self._ap_ids = set(state["ap_ids"])
         self._dead_aps = set(state["dead_aps"])
-        self.selector.restore(state["selector"])
         self.dedup.restore(state["dedup"])
-        self._index_alloc.restore(state["index_cursors"])
-        for client_id in sorted(state["directory"]):
-            self.directory.admit(StaInfo(**state["directory"][client_id]))
-        self._clients = {
-            client_id: ClientState.from_state(client_state)
-            for client_id, client_state in state["clients"].items()
-        }
-        self._last_heard = {
-            client_id: {
-                ap_id: (int(t), float(v)) for ap_id, (t, v) in heard.items()
-            }
-            for client_id, heard in state["last_heard"].items()
-        }
+        records = state["clients"]
+        for client_id in sorted(records):
+            self._load_record(client_id, records[client_id])
         self._pending_claims = dict(state["pending_claims"])
         self._departed_at.restore(state["departed_at"])
-        selection = state["selection_deadlines"]
-        for client_id in sorted(selection):
-            client = self._clients.get(client_id)
-            if client is not None and selection[client_id] is not None:
-                self._start_selection_loop(client, int(selection[client_id]))
+        for client_id in sorted(self._clients):
+            deadline = records[client_id]["selection_deadline_us"]
+            if deadline is not None:
+                self._start_selection_loop(
+                    self._clients[client_id], int(deadline)
+                )
         self.liveness.restore(state["liveness"])
         self.coordinator.restore(state["coordinator"])
-        retries = state["retry_deadlines"]
-        for client_id in sorted(retries):
-            if retries[client_id] is not None:
+        for client_id in sorted(self._clients):
+            deadline = records[client_id]["retry_deadline_us"]
+            if deadline is not None:
                 self._schedule_failover_retry(
-                    client_id, deadline_us=int(retries[client_id])
+                    client_id, deadline_us=int(deadline)
                 )
 
     def _forget_state(self) -> None:
         """Stop every timer the protocol state owns and empty every
         store :meth:`snapshot` reads, the AP list aside: what a crash
-        loses and :meth:`restore` refills.  Durable observability — the
-        switch history and abort counts, the dedup counters, the
-        liveness events — survives, as an external metrics pipeline
-        would."""
+        loses and :meth:`restore` refills, the admission pacer's backlog
+        included.  Durable observability — the switch history and abort
+        counts, the dedup counters, the liveness events — survives, as
+        an external metrics pipeline would."""
+        if self._pacer is not None:
+            self._pacer.halt()
         for client_id in sorted(self._clients):
             self._clients[client_id].stop_timers()
         self.coordinator.crash()
         self.liveness.crash()
-        self.selector.restore({})
+        self.selector.clear()
         self.dedup.crash()
         self.directory = AssociationDirectory()
-        self._index_alloc.restore({})
+        self._index_alloc.clear()
         self._clients = {}
         self._dead_aps = set()
         self._last_heard = {}
@@ -960,36 +975,24 @@ class WgttController:
         self._departed_at.clear()
 
     def client_slice(self, client_id: str) -> dict:
-        """One tracked client's share of :meth:`snapshot`, JSON-native,
-        for an inter-shard handoff (KeyError if untracked).
+        """One tracked client's :meth:`_client_record`, for an
+        inter-shard handoff (KeyError if untracked), with its uplink
+        dedup keys and an envelope.
 
         Read-only, and must run *before* :meth:`deregister_client` on
         the sending side, which drops the very state captured here.
         The in-flight switch (if any) rides along for audit only: its
         APs belong to the sending shard.
         """
-        client = self._clients[client_id]
-        sta = None
-        if self.directory.is_associated(client_id):
-            sta = asdict(self.directory.get(client_id))
+        if client_id not in self._clients:
+            raise KeyError(client_id)
         return {
             "version": CLIENT_STATE_VERSION,
             "client": client_id,
             "extracted_at_us": self._sim.now,
             "from_controller": self.controller_id,
-            "state": client.to_state(),
-            "sta": sta,
-            "selector": {
-                ap_id: _series(entries)
-                for ap_id, entries in self.selector.client_snapshot(
-                    client_id
-                ).items()
-            },
+            **self._client_record(client_id),
             "dedup_keys": self.dedup.keys_for_src(src_bits(client_id)),
-            "index_cursor": self._index_alloc.peek(client_id),
-            "last_heard": _heard(self._last_heard.get(client_id, {})),
-            "selection_deadline_us": _deadline(client.selection_timer),
-            "retry_deadline_us": _deadline(client.retry_timer),
             "pending_switch": self.coordinator.snapshot()["pending"].get(
                 client_id
             ),
@@ -998,16 +1001,15 @@ class WgttController:
     def merge_client(
         self, client_slice: dict, serving_ap: Optional[str] = None
     ) -> bool:
-        """Graft a :meth:`client_slice` from another controller.
+        """Graft a :meth:`client_slice` from another controller: load
+        its record as a restore does, then publish the serving AP and
+        re-arm the selection loop (not the retry or the pending switch:
+        both reference the sending shard's APs).
 
         Returns False (a no-op) if this controller already tracks the
         client — handoff retransmissions make duplicate arrivals
         routine.  ``serving_ap`` overrides the transferred serving AP
-        with one this controller's region owns.  CSI windows and
-        last-heard entries this controller overheard on its own win
-        over the transferred copies (see :meth:`ApSelector.restore_client`).
-        The retry deadline and pending switch are *not* re-armed: both
-        reference the sending shard's APs.
+        with one this controller's region owns.
         """
         if client_slice["version"] != CLIENT_STATE_VERSION:
             raise ValueError(
@@ -1017,23 +1019,13 @@ class WgttController:
         client_id = client_slice["client"]
         if client_id in self._clients:
             return False
-        client = ClientState.from_state(client_slice["state"])
+        self._load_record(client_id, client_slice)
+        client = self._clients[client_id]
         if serving_ap is not None:
             client.serving_ap = serving_ap
-        if client_slice["sta"] is not None:
-            self.directory.admit(StaInfo(**client_slice["sta"]))
-        self.selector.restore_client(client_id, client_slice["selector"])
         self.dedup.merge_keys(client_slice["dedup_keys"])
-        self._index_alloc.set_cursor(client_id, client_slice["index_cursor"])
-        heard = self._last_heard.setdefault(client_id, {})
-        for ap_id in sorted(client_slice["last_heard"]):
-            t, v = client_slice["last_heard"][ap_id]
-            heard.setdefault(ap_id, (int(t), float(v)))
-        if not heard:
-            del self._last_heard[client_id]
         # A client handed back after departing elsewhere is live again.
         self._departed_at.pop(client_id, None)
-        self._clients[client_id] = client
         self._publish_serving(client_id, client.serving_ap)
         deadline = client_slice["selection_deadline_us"]
         self._start_selection_loop(
@@ -1064,8 +1056,6 @@ class WgttController:
             "controller", "ctrl-crash", track="ha", node=self.controller_id
         )
         self._ctrl_heartbeat_timer.stop()
-        if self._pacer is not None:
-            self._pacer.halt()
         self._forget_state()
         self._backhaul.set_node_down(self.controller_id, True)
 

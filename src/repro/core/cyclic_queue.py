@@ -212,6 +212,13 @@ class IndexAllocator:
         """Live cursor count — the memory-bound invariant tests assert."""
         return len(self._next)
 
+    def clients(self) -> List[str]:
+        """Clients holding a cursor."""
+        return list(self._next)
+
+    def clear(self) -> None:
+        self._next.clear()
+
     def skid(self, amount: int) -> None:
         """Advance every cursor by ``amount`` index positions.
 
@@ -248,23 +255,7 @@ class IndexAllocator:
         return False
 
     def set_cursor(self, client_id: str, value: int) -> None:
-        """Install one client's cursor verbatim.
-
-        Inter-shard handoff: the receiving shard's allocator continues
-        exactly where the sending shard's stopped, so the client's
-        cyclic-queue index stream stays gap-free across the transfer
-        (its new APs start empty and sync via edge-reports anyway —
-        continuity keeps the index space from aliasing).
-        """
+        """Install one client's cursor verbatim, from a restored or
+        handed-off client record: the client's index stream continues
+        where it stopped, so the index space never aliases."""
         self._next[client_id] = int(value) % self.size
-
-    # -- checkpoint support -------------------------------------------
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self._next)
-
-    def restore(self, cursors: Dict[str, int]) -> None:
-        self._next = {
-            client: int(value) % self.size
-            for client, value in cursors.items()
-        }

@@ -233,27 +233,22 @@ class ApSelector:
         for client_id in empty_clients:
             del self._readings[client_id]
 
+    def clients(self) -> List[str]:
+        """Clients holding at least one live series."""
+        return list(self._readings)
+
+    def clear(self) -> None:
+        self._readings.clear()
+
     # -- checkpoint support -------------------------------------------
-
-    def snapshot(self) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
-        """Arrival-ordered window entries per live (client, AP) series.
-
-        Only ``entries`` is captured; ``sorted_values`` is the same
-        multiset in value order and is rebuilt exactly on restore.
-        """
-        return {
-            client_id: {
-                ap_id: list(window.entries)
-                for ap_id, window in per_client.items()
-            }
-            for client_id, per_client in self._readings.items()
-        }
 
     def client_snapshot(
         self, client_id: str
     ) -> Dict[str, List[Tuple[int, float]]]:
-        """One client's window entries per AP (see :meth:`snapshot`) —
-        the per-client slice inter-shard handoff serializes."""
+        """One client's arrival-ordered window entries per AP — its
+        share of a controller checkpoint or handoff slice.  Only
+        ``entries`` is captured; ``sorted_values`` is the same multiset
+        in value order and is rebuilt exactly on restore."""
         per_client = self._readings.get(client_id)
         if not per_client:
             return {}
@@ -265,13 +260,14 @@ class ApSelector:
     def restore_client(
         self, client_id: str, state: Dict[str, List[Tuple[int, float]]]
     ) -> None:
-        """Merge one client's transferred windows into this selector.
+        """Merge one client's :meth:`client_snapshot` into this selector.
 
-        Used on the receiving side of an inter-shard handoff.  Series
-        this selector already holds for the client (CSI its own APs
-        overheard while the client approached the boundary) win over
-        the transferred copies — they are fresher by construction and
-        merging value-by-value would double-count readings.
+        Into an emptied selector this is lossless (a checkpoint
+        restore).  On the receiving side of an inter-shard handoff,
+        series this selector already holds for the client (CSI its own
+        APs overheard while the client approached the boundary) win
+        over the transferred copies — they are fresher by construction
+        and merging value-by-value would double-count readings.
         """
         per_client = self._readings.setdefault(client_id, {})
         for ap_id, entries in state.items():
@@ -283,25 +279,3 @@ class ApSelector:
             per_client[ap_id] = window
         if not per_client:
             del self._readings[client_id]
-
-    def restore(
-        self, state: Dict[str, Dict[str, List[Tuple[int, float]]]]
-    ) -> None:
-        """Rebuild every window from a snapshot (lossless: the rebuilt
-        ``sorted_values`` equals the incrementally maintained one —
-        both are the sorted multiset of the entries)."""
-        readings: Dict[str, Dict[str, _Window]] = {}
-        for client_id, per_client in state.items():
-            rebuilt: Dict[str, _Window] = {}
-            for ap_id, entries in per_client.items():
-                if not entries:
-                    continue
-                window = _Window()
-                window.entries = deque(
-                    (int(t), float(v)) for t, v in entries
-                )
-                window.sorted_values = sorted(v for _, v in window.entries)
-                rebuilt[ap_id] = window
-            if rebuilt:
-                readings[client_id] = rebuilt
-        self._readings = readings

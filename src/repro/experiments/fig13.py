@@ -85,7 +85,7 @@ def shape(result: Dict) -> List[Claim]:
         Claim("TCP gain above 2.5x at the fastest speed",
               fastest["tcp_gain"] > 2.5),
         # Our 5 mph baseline is far stronger than the paper's
-        # (EXPERIMENTS.md; ROADMAP 1(d) owns the question).
+        # (EXPERIMENTS.md; ROADMAP 2(b) owns the question).
         Claim("TCP gain >= 2.4x at 5 mph", by_speed[5.0]["tcp_gain"] >= 2.4,
               expected=False),
     ]

@@ -60,7 +60,7 @@ def shape(result: Dict) -> List[Claim]:
               rows[-1]["tcp_gain"] > 1.3),
         # The paper's growth came from extra vehicles disturbing the
         # baseline's multipath; our fading ignores the other clients
-        # (EXPERIMENTS.md; ROADMAP 1(d)).
+        # (EXPERIMENTS.md; ROADMAP 2(b)).
         Claim("the TCP gain grows with the number of clients",
               rows[-1]["tcp_gain"] > rows[0]["tcp_gain"], expected=False),
     ]

@@ -84,7 +84,7 @@ def shape(result: Dict) -> List[Claim]:
               all(row["baseline_s"] > row["wgtt_s"]
                   for row in rows if row["speed_mph"] >= 10.0)),
         # The same too-strong 5 mph baseline as Figure 13's gain
-        # (EXPERIMENTS.md; ROADMAP 1(d) owns the question).
+        # (EXPERIMENTS.md; ROADMAP 2(b) owns the question).
         Claim("the baseline loads the page slower at 5 mph too",
               all(row["baseline_s"] > row["wgtt_s"]
                   for row in rows if row["speed_mph"] < 10.0),

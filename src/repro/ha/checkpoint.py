@@ -1,14 +1,17 @@
 """The controller checkpoint envelope and its canonical wire form.
 
 What a checkpoint holds is the controller's business
-(:meth:`WgttController.snapshot` / :meth:`~WgttController.restore`,
-and the per-client slice an inter-shard handoff carries,
-:meth:`~WgttController.client_slice` /
-:meth:`~WgttController.merge_client`).  This module only versions the
-layouts and renders them canonically: sorted keys, no whitespace, so
-equal states have equal bytes and a content digest identifies one
-uniquely.  Payload sizes set backhaul serialization delay, so these
-bytes are part of the protocol.
+(:meth:`WgttController.snapshot` / :meth:`~WgttController.restore`):
+one per-client record for every client any per-client store holds,
+plus the controller-wide stores (switch coordinator, liveness table,
+dedup window, AP sets, pending claims, departed clients).  An
+inter-shard handoff slice (:meth:`~WgttController.client_slice` /
+:meth:`~WgttController.merge_client`) is one client's record with its
+dedup keys and in-flight switch, in an envelope.  This module only
+versions the two layouts and renders them canonically: sorted keys,
+no whitespace, so equal states have equal bytes and a content digest
+identifies one uniquely.  Payload sizes set backhaul serialization
+delay, so these bytes are part of the protocol.
 
 Two consumers of a whole checkpoint:
 
@@ -35,7 +38,10 @@ from typing import Any, Dict
 #: v3: a client's state lost "last_selection_check_us",
 #: "degraded_since", "failover_retry_pending" and "paced", which
 #: nothing read ("retry_deadlines" re-arms the failover retry).
-CHECKPOINT_VERSION = 3
+#: v4: one record per client, the handoff slice's layout, replaces the
+#: per-store columns "selection_deadlines", "retry_deadlines",
+#: "selector", "directory", "index_cursors" and "last_heard".
+CHECKPOINT_VERSION = 4
 
 #: Layout version of the *per-client* state slice that rides an
 #: inter-shard handoff message; merge refuses mismatches.

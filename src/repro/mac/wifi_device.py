@@ -154,7 +154,7 @@ class WifiDevice(MacEntity):
         #: Unset, the radio declines beacon snapshots (``wants_snapshot``).
         self.on_beacon: Optional[Callable[[BeaconFrame, float], None]] = None
         self.on_mgmt: Callable[[MgmtFrame], None] = lambda f: None
-        self.on_refill_needed: Callable[[str, int], None] = lambda peer, room: None
+        self.on_refill_needed: Callable[[str], None] = lambda peer: None
         self.on_ba_processed: Callable[[BlockAckFrame], None] = lambda f: None
         #: Gate on incoming data by transmitter address: a roaming
         #: client drops (and never acknowledges) frames from a BSS it
@@ -343,7 +343,7 @@ class WifiDevice(MacEntity):
             if session.enabled:
                 room = session.queue.capacity - len(session.queue)
                 if room > session.queue.capacity // 2:
-                    self.on_refill_needed(peer, room)
+                    self.on_refill_needed(peer)
 
     def _granted(self) -> None:
         if self._control_jobs:

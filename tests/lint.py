@@ -475,7 +475,9 @@ def trace_kinds(
 #
 # * an attribute is volatile when a method other than __init__ assigns
 #   it or calls a mutating container method on it;
-# * it is covered when WgttController.snapshot reads self.<attr>;
+# * it is covered when WgttController.snapshot reads self.<attr>, itself
+#   or through the methods it calls on self (the per-client record
+#   builder, say);
 # * deliberately non-checkpointed state carries ``# volatile-ok: reason``
 #   on one of its assignment lines.
 #
@@ -526,6 +528,26 @@ def _self_reads(function: ast.AST) -> Dict[str, int]:
     for node in ast.walk(function):
         if isinstance(node, ast.Attribute) and _self_attr(node):
             reads.setdefault(node.attr, node.lineno)
+    return reads
+
+
+def _reads_through_calls(
+    methods: Dict[str, ast.FunctionDef], roots: Sequence[str]
+) -> Dict[str, int]:
+    """:func:`_self_reads` of ``roots`` and of every method they call on
+    ``self``, transitively."""
+    reads: Dict[str, int] = {}
+    seen: Set[str] = set()
+    todo = [name for name in roots if name in methods]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for attr, line in _self_reads(methods[name]).items():
+            reads.setdefault(attr, line)
+            if attr in methods:
+                todo.append(attr)
     return reads
 
 
@@ -598,22 +620,20 @@ def checkpoint_coverage(sources: Sequence[Source]) -> List[Finding]:
             continue
         assigned, volatile, methods = _class_state(node)
         if node.name == STATE_CLASS:
-            covered = _self_reads(methods["snapshot"]) if "snapshot" in methods else {}
+            covered = _reads_through_calls(methods, ["snapshot"])
             for attr in sorted(volatile):
                 if attr not in covered and attr not in allowlist:
                     findings.append(
                         ckp001(
                             volatile[attr],
                             f"{node.name}.{attr} is mutated outside __init__ "
-                            f"but {node.name}.snapshot never reads it -- this "
+                            f"but {node.name}.snapshot never reads it, nor does "
+                            "a method it calls -- this "
                             "state is lost across failover; read it in "
                             "snapshot() and refill it in restore()",
                         )
                     )
-            referenced: Dict[str, int] = {}
-            for name in ("snapshot", "restore"):
-                if name in methods:
-                    referenced.update(_self_reads(methods[name]))
+            referenced = _reads_through_calls(methods, ["snapshot", "restore"])
             for attr in sorted(referenced):
                 if attr not in assigned and attr not in methods:
                     findings.append(

@@ -352,6 +352,30 @@ class TestCheckpointRules:
         assert rules_of(findings) == ["CKP002"]
         assert "_renamed_away" in findings[0].message
 
+    def test_coverage_follows_snapshot_into_its_helpers(self, tmp_path):
+        # A store the per-client record builder reads is covered; one
+        # neither reads is still flagged.
+        findings = self.run_ckp(
+            tmp_path,
+            "class WgttController:\n"
+            "    def __init__(self):\n"
+            "        self._clients = {}\n"
+            "        self._heard = {}\n"
+            "        self._forgotten = {}\n"
+            "    def tick(self):\n"
+            "        self._clients['x'] = 1\n"
+            "        self._heard['x'] = 1\n"
+            "        self._forgotten['x'] = 1\n"
+            "    def snapshot(self):\n"
+            "        return {c: self._record(c) for c in self._clients}\n"
+            "    def _record(self, client):\n"
+            "        return {'heard': self._heard.get(client)}\n"
+            "    def restore(self, state):\n"
+            "        self._clients = dict(state)\n",
+        )
+        assert rules_of(findings) == ["CKP001"]
+        assert "_forgotten" in findings[0].message
+
     def test_to_state_class_coverage(self, tmp_path):
         findings = self.run_ckp(
             tmp_path,

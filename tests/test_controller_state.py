@@ -20,6 +20,7 @@ import numpy as np
 from repro.apps.bulk import run_bulk_download
 from repro.core.config import WgttConfig
 from repro.faults.plan import ControllerCrash, FaultPlan
+from repro.ha import ControllerCheckpoint
 from repro.mobility.road import Road
 from repro.mobility.vehicle import VehicleTrack
 from repro.obs.context import ObsConfig
@@ -32,7 +33,7 @@ from tests.test_ha import enrich, make_controller
 
 #: sha256 of every checkpoint shipped in the HA drive below, joined.
 HA_CHECKPOINTS_SHA256 = (
-    "0daace0690c32960b3f002b13a379c51845568629e8661f76aa087b2ca4a2fd4"
+    "310dda764de567a62a2a1cf7c8b0df3eae6f5e3e4a781c9399e63f5d32850c61"
 )
 #: sha256 of the handoff slice shipped in the corridor drive below.
 HANDOFF_SLICE_SHA256 = (
@@ -45,7 +46,7 @@ CLASSIC_DRIVE_SHA256 = (
 #: sha256 of :func:`_drive_digest` for one region with a standby whose
 #: primary is killed at 1.5 s and never restarted.
 HA_KILL_DRIVE_SHA256 = (
-    "5115752500afac8f5fe1ad9d1dfd53bba21dda282947fd7cb37d37df4a929ac1"
+    "a97536e527c5537c2f9b9febe02889498c9e5b1b971705fa9a75946e0d18fe07"
 )
 #: sha256 of :func:`_drive_digest` for the baseline scheme (it roams
 #: twice, so the over-the-air association path is in the stream).
@@ -78,20 +79,25 @@ def _sha256(chunks):
     return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
+def _ha_drive():
+    """The HA drive: one region with a standby, a downlink and an
+    uplink UDP flow (started, not yet run)."""
+    testbed = Testbed(
+        TestbedConfig(
+            seed=3,
+            scheme="wgtt",
+            wgtt=WgttConfig(ha_enabled=True, checkpoint_interval_us=100 * MS),
+        )
+    )
+    testbed.add_downlink_udp_flow(0, rate_bps=2e6)[0].start()
+    testbed.add_uplink_udp_flow(0, rate_bps=1e6)[0].start()
+    return testbed
+
+
 class TestWireBytesPinned:
     def test_ha_checkpoint_bytes(self):
-        testbed = Testbed(
-            TestbedConfig(
-                seed=3,
-                scheme="wgtt",
-                wgtt=WgttConfig(
-                    ha_enabled=True, checkpoint_interval_us=100 * MS
-                ),
-            )
-        )
+        testbed = _ha_drive()
         shipped = _shipped(testbed, "ha-checkpoint")
-        testbed.add_downlink_udp_flow(0, rate_bps=2e6)[0].start()
-        testbed.add_uplink_udp_flow(0, rate_bps=1e6)[0].start()
         testbed.run_seconds(1.5)
         assert len(shipped) == 15
         assert _sha256(shipped) == HA_CHECKPOINTS_SHA256
@@ -213,3 +219,29 @@ class TestCrashForgetsWhatRestoreReplaces:
         for store, keys in _DURABLE.items():
             for key in keys:
                 assert after[store][key] == before[store][key]
+
+
+class TestOneClientRecord:
+    def test_restored_controller_cuts_the_same_slices(self):
+        """The checkpoint and the handoff slice carry one per-client
+        record: at three instants of the HA drive, a controller restored
+        from the primary's checkpoint cuts every tracked client's slice
+        exactly as the primary does, envelope aside."""
+        testbed = _ha_drive()
+        envelope = ("extracted_at_us", "from_controller")
+        for at_us in (400 * MS, 900 * MS, 1400 * MS):
+            testbed.run_until(at_us)
+            primary = testbed.controller
+            _, restored, _ = make_controller()
+            restored.restore(
+                ControllerCheckpoint.from_bytes(primary.snapshot().to_bytes())
+            )
+            assert primary.tracked_clients() == ["client0"]
+            assert restored.tracked_clients() == primary.tracked_clients()
+            for client_id in primary.tracked_clients():
+                want = primary.client_slice(client_id)
+                got = restored.client_slice(client_id)
+                assert want["dedup_keys"] and want["last_heard"]
+                for key in envelope:
+                    del want[key], got[key]
+                assert got == want

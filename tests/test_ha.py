@@ -118,25 +118,29 @@ class TestCheckpointRoundTrip:
         sim, controller, _ = make_controller()
         enrich(sim, controller, np.random.default_rng(42))
         state = controller.snapshot().state
-        for key in (
+        assert set(state) == {
             "clients",
-            "selection_deadlines",
-            "retry_deadlines",
-            "selector",
             "coordinator",
             "liveness",
             "dedup",
-            "directory",
-            "index_cursors",
             "ap_ids",
             "dead_aps",
-            "last_heard",
             "pending_claims",
-        ):
-            assert key in state
+            "departed_at",
+        }
         assert state["clients"]  # enrich registered clients
+        for record in state["clients"].values():
+            assert set(record) == {
+                "state",
+                "sta",
+                "selector",
+                "index_cursor",
+                "last_heard",
+                "selection_deadline_us",
+                "retry_deadline_us",
+            }
         assert state["dedup"]["keys"]  # uplinks populated the window
-        assert state["index_cursors"]["client0"] > 0
+        assert state["clients"]["client0"]["index_cursor"] > 0
 
     def test_restore_then_recheckpoint_is_identical(self):
         """Restore is lossless: checkpoint -> restore -> checkpoint
@@ -263,9 +267,9 @@ class TestWarmStandbyFailover:
             assert ap._controller_id == testbed.standby.controller_id
 
     def test_shipped_dedup_window_blocks_post_failover_duplicates(self):
-        """The ext_ha smoke run: the dedup window the checkpoint carried
-        over is live on the promoted standby, catches uplink copies, and
-        none of them reaches the server twice."""
+        """A one-client kill drive: the dedup window the checkpoint
+        carried over is live on the promoted standby, catches uplink
+        copies, and none of them reaches the server twice."""
         plan = FaultPlan([ControllerCrash(at_us=2 * SECOND, down_us=None)])
         testbed = _ha_testbed(plan)
         checker = testbed.install_invariant_checker()

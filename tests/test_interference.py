@@ -114,13 +114,13 @@ def test_two_contending_clients_share_airtime():
     clients[0].on_packet = lambda p, s: received.__setitem__(0, received[0] + 1)
     clients[1].on_packet = lambda p, s: received.__setitem__(1, received[1] + 1)
 
-    def refill(peer, room):
-        for _ in range(room):
+    def refill(peer):
+        for _ in range(ap.queue_room(peer)):
             ap.enqueue(Packet("server", peer, 1500), peer)
 
     ap.on_refill_needed = refill
-    refill("client0", 64)
-    refill("client1", 64)
+    refill("client0")
+    refill("client1")
     sim.run(until_us=2 * SECOND)
     total = received[0] + received[1]
     assert total > 1000

@@ -425,6 +425,23 @@ class TestAdmissionPacer:
         assert controller._pacer.backlog() == 0
         assert not controller._pacer._release_timer.armed
 
+    def test_restore_halts_pacer(self):
+        """Regression: restore kept the pacing backlog of the state it
+        replaced (only crash halted the pacer), and the release timer
+        then fanned it out under the restored state."""
+        sim, controller, _sent = _controller_rig(
+            admission_enabled=True, admission_burst=1,
+            admission_rate_pps=10, admission_queue_slots=8,
+        )
+        _register(controller, sim)
+        for _ in range(5):
+            controller.accept_downlink(Packet("server", "client0", 500))
+        assert controller._pacer.backlog() == 4
+        controller.restore(controller.snapshot())
+        assert controller._pacer.backlog() == 0
+        sim.run(until_us=sim.now + SECOND)
+        assert controller.stats["admission_released"] == 0
+
 
 # ----------------------------------------------------------------------
 # harness + guard, end to end (short runs)

@@ -47,21 +47,23 @@ class TestAssociation:
         )
         assert admitted == len(testbed.wgtt_aps)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "known issue (docs/protocol.md): two APs decode the "
-            "BSSID-addressed assoc-req, both admit and sta-sync, and "
-            "no AP is ever told to start serving"
-        ),
-    )
-    def test_over_the_air_association_hands_serving_to_an_ap(self):
-        testbed = make_wgtt(instant_association=False)
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_over_the_air_association_hands_serving_to_an_ap(self, seed):
+        """Regression: the controller recorded a serving AP but no AP
+        was ever told to serve, so nothing was delivered (two APs admit
+        the client at seed 3, one at seed 4).  The AP the controller
+        names in its first serving-update now starts serving."""
+        testbed = make_wgtt(seed=seed, instant_association=False)
         testbed.clients[0].device.send_mgmt("assoc-req", BSSID)
         source, sink = testbed.add_downlink_udp_flow(0, rate_bps=2e6)
         source.start()
         testbed.run_seconds(1.0)
-        assert any("client0" in ap.serving_clients() for ap in testbed.wgtt_aps.values())
+        serving = [
+            ap.ap_id
+            for ap in testbed.wgtt_aps.values()
+            if "client0" in ap.serving_clients()
+        ]
+        assert serving == [testbed.controller.serving_ap("client0")]
         assert sink.packets_received() >= 0.9 * source.packets_sent
 
     def test_unassociated_downlink_dropped(self):
