@@ -99,7 +99,6 @@ class WgttAccessPoint:
         "stale_starts",
         "stale_failovers",
         "stale_takeovers",
-        "stale_ctrl_hellos",
         "stale_serving_updates",
         "stale_sta_syncs",
         "serving_relinquished",
@@ -163,9 +162,9 @@ class WgttAccessPoint:
         #: retransmissions of the current handshake (equal id) re-run
         #: the handler, which is the protocol's own recovery path.
         self._switch_handled: Dict[str, int] = {}
-        #: Epoch of the newest controller authority acknowledged
-        #: (ctrl-takeover / ctrl-hello payload).  A replayed older
-        #: announcement must not re-home this AP to a dead controller.
+        #: Epoch of the newest controller authority acknowledged (the
+        #: ctrl-takeover payload).  A replayed older announcement must
+        #: not re-home this AP to a dead controller.
         self._ctrl_epoch = -1
         self._ba_seen = BaSeenCache()
         self._refilling = False
@@ -370,9 +369,10 @@ class WgttAccessPoint:
         """Fault injection: the AP comes back up cold.
 
         It re-announces itself to the controller ("ap-hello"), which
-        replays the association directory and serving map (§4.3 sta
-        sync), resumes beaconing, and starts heartbeating again.  It
-        serves nobody until the controller switches a client to it.
+        fails over the clients it still had this AP serving and replays
+        the association directory and serving map (§4.3 sta sync),
+        resumes beaconing, and starts heartbeating again.  It serves
+        nobody until the controller switches a client to it.
         """
         if self.alive:
             return
@@ -399,14 +399,6 @@ class WgttAccessPoint:
         self.stats["ctrl_heartbeats_seen"] += 1
         if not self._holding or src == self._controller_id:
             self._ctrl_watch.beat(CTRL_WATCH_KEY)
-
-    def _ctrl_refresh(self) -> None:
-        """A takeover or hello: refresh the watch and end any hold, but
-        never start a watch (a controller may never heartbeat)."""
-        if self._holding:
-            self._ctrl_watch.beat(CTRL_WATCH_KEY)
-        else:
-            self._ctrl_watch.reset_clock(self._sim.now)
 
     def _enter_hold(self, _key: str) -> None:
         """Controller silent too long: buffer-and-hold.  Uplink and CSI
@@ -472,10 +464,18 @@ class WgttAccessPoint:
         self._switch_handled.clear()
         return True
 
-    def _rehome(self, new_controller_id: str, epoch: int) -> None:
-        """ctrl-takeover: a promoted standby is the controller now."""
-        if new_controller_id != self._controller_id:
-            self._controller_id = new_controller_id
+    def _rehome(self, src: str, epoch: int) -> None:
+        """ctrl-takeover, from a restarted controller or a promoted
+        standby alike: re-home, end any hold, beat at once, then hand the
+        new incarnation what it rebuilds from — a claim per served client
+        on the control path (pending before any replayed registration
+        could put the client on its first AP), the cyclic write edges
+        (no cursor behind an undelivered slot) and the directory (§4.3).
+        A takeover never starts the watch: a controller without a
+        standby never heartbeats.
+        """
+        if src != self._controller_id:
+            self._controller_id = src
             self.stats["rehomed"] += 1
             tracer = self._sim.obs.trace
             tracer.emit(
@@ -483,15 +483,18 @@ class WgttAccessPoint:
                 "rehome",
                 track=f"ap/{self.ap_id}",
                 ap=self.ap_id,
-                controller=new_controller_id,
+                controller=src,
             )
-        self._ctrl_refresh()
-        # Beat immediately so the new controller's liveness tracker
-        # hears this AP without waiting out a full heartbeat period.
+        if self._holding:
+            self._ctrl_watch.beat(CTRL_WATCH_KEY)
+        else:
+            self._ctrl_watch.reset_clock(self._sim.now)
         self._send_heartbeat()
-        # Report per-client cyclic write edges so the promoted
-        # controller can true up its (checkpoint-stale) index cursors
-        # and never overwrite an undelivered slot.
+        for client_id in sorted(self._serving):
+            self._backhaul.send_control(
+                self.ap_id, src, "serving-claim", client_id, size_bytes=64
+            )
+            self.stats["serving_claims_sent"] += 1
         edges = {
             client_id: queue.write_edge
             for client_id, queue in sorted(self._cyclic.items())
@@ -499,24 +502,11 @@ class WgttAccessPoint:
         if edges:
             self._backhaul.send(
                 self.ap_id,
-                self._controller_id,
+                src,
                 "edge-report",
                 edges,
                 size_bytes=16 + 8 * len(edges),
             )
-
-    def _ctrl_resync(self, src: str, epoch: int) -> None:
-        """ctrl-hello: a cold-restarted controller has empty state.
-
-        Replay this AP's association directory (the sta-sync store the
-        paper replicates to every AP, §4.3) and *claim* the clients this
-        AP is actively serving, so the restarted controller's serving
-        map converges on reality instead of every client's first AP.
-        Claims ride the same FIFO data port as the sta-sync replay, so
-        they can never arrive before the registration they refer to.
-        """
-        self._controller_id = src
-        self._ctrl_refresh()
         for client_id in sorted(self.directory.clients()):
             self._backhaul.send(
                 self.ap_id,
@@ -525,11 +515,6 @@ class WgttAccessPoint:
                 self.directory.get(client_id),
                 size_bytes=STA_SYNC_WIRE_BYTES,
             )
-        for client_id in sorted(self._serving):
-            self._backhaul.send(
-                self.ap_id, src, "serving-claim", client_id, size_bytes=64
-            )
-            self.stats["serving_claims_sent"] += 1
 
     def _client_departed(self, src: str, client_id: str) -> None:
         """client-departed: free every per-client resource on this AP."""
@@ -1004,6 +989,5 @@ class WgttAccessPoint:
         "serving-update": (_handle_serving_update, None, None, None),
         "ctrl-heartbeat": (_ctrl_beat, None, None, None),
         "ctrl-takeover": (_rehome, None, None, "stale_takeovers"),
-        "ctrl-hello": (_ctrl_resync, None, None, "stale_ctrl_hellos"),
         "client-departed": (_client_departed, None, None, None),
     }

@@ -60,11 +60,11 @@ FAILOVER_LOOKBACK_US = 500 * MS
 #: trigger) watch this stream.
 CONTROLLER_HEARTBEAT_INTERVAL_US = 20 * MS
 
-#: serving-claim is a cold-restart resync mechanism: claims arrive
-#: within a backhaul round trip of the controller's ctrl-hello.  A
-#: claim landing long after the current epoch began can only be a
-#: replayed capture from an *earlier* resync — accepting it would flip
-#: a client onto whatever AP served it back then.
+#: serving-claim answers a takeover: claims arrive within a backhaul
+#: round trip of the controller's ctrl-takeover.  A claim landing long
+#: after the current epoch began can only be a replayed capture from
+#: an *earlier* takeover — accepting it would flip a client onto
+#: whatever AP served it back then.
 SERVING_CLAIM_WINDOW_US = 2_000_000
 
 
@@ -149,16 +149,12 @@ class WgttController:
         #: False while crashed (fault injection): timers stopped, the
         #: backhaul endpoint dark, volatile protocol state lost.
         self.alive = True  # volatile-ok: liveness is a property of the process, not the state — a restored controller is alive by construction
-        #: "primary" | "standby" | "active" (a promoted standby).
-        self.role = "primary"
+        #: "primary" | "standby" | "active" (a promoted standby) |
+        #: "inert" (a restarted half of an HA pair, see :meth:`restart`).
+        self.role = "primary"  # volatile-ok: the process's part in its HA pair, like alive; a checkpoint moves state between roles, never a role
         #: HA peer (warm standby) backhaul id; when set, serving
         #: updates are mirrored to it (part of the standby's warm feed).
         self.ha_peer: Optional[str] = None
-        #: Fired after :meth:`restart` finishes (the region's HA hook).
-        self.on_restart: Callable[[], None] = lambda: None
-        #: Whether a cold restart announces itself with "ctrl-hello"
-        #: (the region clears this on a demoted ex-primary).
-        self.hello_on_restart = True
         self._ctrl_heartbeat_timer = Timer(
             self._sim, self._ctrl_heartbeat_tick
         )
@@ -173,7 +169,7 @@ class WgttController:
         #: by far the best guess for where it is.
         self._last_heard: Dict[str, Dict[str, Tuple[int, float]]] = {}
         #: serving-claim(client) received before the client's sta-sync
-        #: (cold-restart resync): applied at registration time.
+        #: (the APs' answer to a takeover): applied at registration time.
         self._pending_claims: Dict[str, str] = {}
         #: Controller epoch: when this incarnation's authority began
         #: (construction, restart, or standby promotion).  Serving
@@ -506,8 +502,8 @@ class WgttController:
     # ------------------------------------------------------------------
 
     def _on_backhaul(self, src: str, kind: str, payload: Any) -> None:
-        if not self.alive:
-            return  # backhaul already drops these; defense in depth
+        if not self.alive or self.role == "inert":
+            return  # the backhaul drops a dead node's; an inert one's too
         try:
             handler = self.handlers[kind]
         except KeyError:
@@ -519,25 +515,27 @@ class WgttController:
         self.liveness.beat(src)
 
     def _handle_edge_report(self, src: str, payload: Any) -> None:
-        """Re-home cursor resync: an AP's per-client cyclic write edges.
+        """Takeover cursor resync: an AP's per-client cyclic write edges.
 
-        A promoted standby restored its :class:`IndexAllocator` from a
-        checkpoint up to one shipping interval stale; re-using indices
-        the dead primary already allocated would overwrite undelivered
-        cyclic-queue slots.  Each re-homing AP reports its write edges
-        and the cursors fast-forward (never backwards) to cover them.
+        A new incarnation's :class:`IndexAllocator` is behind the APs:
+        empty after a cold restart, restored from a checkpoint up to one
+        shipping interval stale after a promotion.  Re-using indices the
+        previous incarnation already allocated would overwrite
+        undelivered cyclic-queue slots, or land a lap behind the reader.
+        Each re-homing AP reports its write edges and the cursors
+        fast-forward (never backwards) to cover them.
         """
         for client_id, edge in sorted(payload.items()):
             if self._index_alloc.fast_forward(client_id, int(edge)):
                 self.stats["cursor_fast_forwards"] += 1
 
     def _handle_serving_claim(self, src: str, client_id: str) -> None:
-        """Cold-restart resync: the AP actually serving ``client_id``
-        corrects the restarted controller's first-AP guess."""
+        """Takeover resync: the AP actually serving ``client_id``
+        corrects the new incarnation's first-AP guess or stale map."""
         if self._sim.now - self.epoch_us > SERVING_CLAIM_WINDOW_US:
             # Claims only legitimately arrive within a backhaul round
-            # trip of our own ctrl-hello; this one is a stale replay
-            # from an earlier resync and would flip the client onto
+            # trip of our own ctrl-takeover; this one is a stale replay
+            # from an earlier takeover and would flip the client onto
             # whatever AP served it back then.
             self.stats["stale_serving_claims"] += 1
             tracer = self._sim.obs.trace
@@ -681,10 +679,13 @@ class WgttController:
         The controller replays the association directory (the paper's
         hostapd sta-sync, §4.3) and the current serving map so the AP
         can overhear, measure CSI, and accept fan-out for every
-        admitted client again."""
+        admitted client again.  The restart lost the AP's serving duty:
+        its clients are evacuated as a dead verdict would have done."""
         if ap_id not in self._ap_ids:
             self.add_ap(ap_id)
+        self._ap_down(ap_id)
         self.liveness.mark_alive(ap_id)
+        self._ap_up(ap_id)
         self.stats["ap_resyncs"] += 1
         for client_id in sorted(self.directory.clients()):
             self._backhaul.send(
@@ -1062,32 +1063,54 @@ class WgttController:
     def restart(self) -> None:
         """Cold restart after :meth:`crash` — empty-state boot.
 
-        The backhaul endpoint comes back and (unless this node was
-        demoted to standby by its region) the controller broadcasts
-        ``ctrl-hello`` so every AP replays its association table and
-        claims the clients it is actually serving (§4.3 sta-sync, plus
-        the serving-claim resync this repo adds).
+        Alone in its region, or as a promoted standby, the controller
+        takes over (:meth:`_take_over`).  Either half of an HA pair
+        otherwise comes back inert — it handles no message and sends
+        none, for good — so a standby promotes on its primary's silence
+        however short the crash, and a rebooted standby leaves the
+        primary be.
         """
         if self.alive:
             return
         self.alive = True
         self.stats["controller_restarts"] += 1
-        # New incarnation, new authority: every serving generation and
-        # every ctrl-hello issued from here on dominates the previous
-        # incarnation's, so replays of pre-crash traffic can never win.
-        self.epoch_us = self._sim.now
-        self._serving_seq = 0
         tracer = self._sim.obs.trace
         tracer.emit(
             "controller", "ctrl-restart", track="ha", node=self.controller_id
         )
         self._backhaul.set_node_down(self.controller_id, False)
-        if self.hello_on_restart:
-            for ap in sorted(self._ap_ids):
-                self._backhaul.send_control(
-                    self.controller_id, ap, "ctrl-hello", self.epoch_us
-                )
-        self.on_restart()
+        if self.ha_peer is not None or self.role == "standby":
+            self.role = "inert"
+            return
+        self._take_over()
+
+    def _take_over(self) -> None:
+        """The one way the controller role changes hands, after a cold
+        restart or a promotion: a new epoch, whose serving generations
+        dominate every earlier incarnation's; a grace period for the
+        liveness table; ``ctrl-takeover`` to every AP (each answers with
+        claims, cyclic write edges and a directory replay); the serving
+        map re-published; heartbeats from the active half of an HA pair.
+        """
+        now = self._sim.now
+        self.epoch_us = now
+        self._serving_seq = 0
+        self.liveness.reset_clock(now)
+        tracer = self._sim.obs.trace
+        span = tracer.begin(
+            "ha", "takeover-announce", track="ha", aps=len(self._ap_ids)
+        )
+        for ap_id in sorted(self._ap_ids):
+            self._backhaul.send_control(
+                self.controller_id, ap_id, "ctrl-takeover", self.epoch_us
+            )
+        for client_id in sorted(self._clients):
+            self._publish_serving(
+                client_id, self._clients[client_id].serving_ap
+            )
+        tracer.end(span)
+        if self.role == "active":
+            self.start_ctrl_heartbeats()
 
     def start_ctrl_heartbeats(self) -> None:
         """Begin periodic controller→AP heartbeats (HA mode only)."""

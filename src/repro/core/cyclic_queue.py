@@ -244,15 +244,19 @@ class IndexAllocator:
         cursor only if the edge is *ahead* within half the ring —
         behind-or-equal reports (from APs that missed recent fan-outs)
         and wrapped ancient values are ignored, so replayed or
-        reordered reports can never move a cursor backwards.
+        reordered reports can never move a cursor backwards.  A client
+        without one (a cold restart lost them) takes any edge: from 0 it
+        could land a lap behind the readers.
         """
         edge %= self.size
-        current = self._next.get(client_id, 0)
-        ahead = (edge - current) % self.size
-        if 0 < ahead < self.size // 2:
+        current = self._next.get(client_id)
+        if current is None:
+            moved = edge > 0
+        else:
+            moved = 0 < (edge - current) % self.size < self.size // 2
+        if moved:
             self._next[client_id] = edge
-            return True
-        return False
+        return moved
 
     def set_cursor(self, client_id: str, value: int) -> None:
         """Install one client's cursor verbatim, from a restored or

@@ -19,7 +19,9 @@ reports
 ``smoke()`` is the CI gate (``repro experiment ext_faults
 --smoke``): one mid-drive crash of the serving AP, asserting recovery
 within the deadline, TCP forward progress afterwards, and a clean
-invariant checker.
+invariant checker; then one cold restart of a controller without a
+standby, asserting the first downlink datagram after the restart
+within the same deadline and a clean checker.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.apps.bulk import Drive
 from repro.experiments.common import mean, seeds_for
 from repro.experiments.registry import register
 from repro.experiments.runner import sweep
-from repro.faults.plan import ApCrash, FaultPlan, Partition
+from repro.faults.plan import ApCrash, ControllerCrash, FaultPlan, Partition
 from repro.invariants import InvariantChecker
 from repro.scenarios.testbed import Testbed, TestbedConfig
 from repro.sim.engine import MS, SECOND
@@ -225,6 +227,7 @@ def smoke(seed: int = 3) -> Dict:
     invariants = checker.finish()
     summary = failover_summary(checker)
     progressed = receiver.rcv_nxt > segments_at_crash
+    restart = cold_restart(seed)
     ok = (
         summary["crashes"] == 1
         and summary["recovered"] >= 1
@@ -232,6 +235,7 @@ def smoke(seed: int = 3) -> Dict:
         and summary["deadline_violations"] == 0
         and progressed
         and bool(invariants["ok"])
+        and restart["ok"]
     )
     return {
         "ok": ok,
@@ -244,6 +248,28 @@ def smoke(seed: int = 3) -> Dict:
         ],
         "tcp_forward_progress": progressed,
         "summary": summary,
+        "invariants": invariants,
+        "cold_restart": restart,
+    }
+
+
+def cold_restart(seed: int) -> Dict:
+    """No standby: the controller dies at 1 s for 200 ms under a
+    2 Mbit/s UDP downlink.  Fails unless the first datagram after the
+    restart lands within the failover deadline, checker clean."""
+    restart_us = 1_200 * MS
+    plan = FaultPlan([ControllerCrash(at_us=SECOND, down_us=200 * MS)])
+    testbed = Testbed(TestbedConfig(seed=seed, fault_plan=plan))
+    checker = testbed.install_invariant_checker()
+    source, sink = testbed.add_downlink_udp_flow(0, rate_bps=2e6)
+    source.start()
+    testbed.run_until(3 * SECOND)
+    invariants = checker.finish()
+    after = [t - restart_us for t, _, _, _ in sink.arrivals if t >= restart_us]
+    return {
+        "ok": bool(after and after[0] <= FAILOVER_DEADLINE_US and invariants["ok"]),
+        "first_datagram_ms": after[0] / 1_000.0 if after else None,
+        "delivered_after_restart": len(after),
         "invariants": invariants,
     }
 

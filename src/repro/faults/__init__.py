@@ -28,7 +28,6 @@ from repro.faults.plan import (
     FAULT_CLASSES,
     ApCrash,
     ControllerCrash,
-    ControllerRestart,
     CsiBlackout,
     FaultPlan,
     GrayFailure,
@@ -44,7 +43,6 @@ __all__ = [
     "FAULT_CLASSES",
     "ApCrash",
     "ControllerCrash",
-    "ControllerRestart",
     "CsiBlackout",
     "FaultInjector",
     "FaultPlan",

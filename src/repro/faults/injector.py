@@ -36,7 +36,7 @@ class FaultInjector:
         if aps is None:
             aps = getattr(testbed, "aps", {})
         self.aps: Dict[str, object] = aps
-        #: Controllers addressable by ControllerCrash/ControllerRestart:
+        #: Controllers addressable by ControllerCrash:
         #: every region's primary and standby, by backhaul id.
         self.controllers: Dict[str, object] = {
             ctrl.controller_id: ctrl

@@ -53,7 +53,7 @@ def _require(ok: bool, message: str) -> None:
 ADVERSARY_KIND_GROUPS: Tuple[Optional[FrozenSet[str]], ...] = (
     None,
     frozenset({"stop", "start", "ack", "failover"}),
-    frozenset({"sta-sync", "serving-update", "ctrl-takeover", "ctrl-hello"}),
+    frozenset({"sta-sync", "serving-update", "ctrl-takeover"}),
     frozenset({"uplink", "data"}),
 )
 
@@ -82,17 +82,16 @@ class FaultEvent:
     adversary: ClassVar[bool] = False
     #: What the kind aims at (docs/robustness.md's "acts on" column).
     acts_on: ClassVar[str]
-    #: rng family, or ``None`` for a kind that is never drawn:
-    #: :meth:`FaultPlan.random` draws arrivals from ``faults/<stream>``
-    #: and targets from ``faults/<stream>/choice``; an open window draws
-    #: from ``faults/<stream>/<subject>@<at_us>``.  It is also the
-    #: backhaul's name for a window kind (``open_fault``).
-    stream: ClassVar[Optional[str]] = None
+    #: rng family: :meth:`FaultPlan.random` draws arrivals from
+    #: ``faults/<stream>`` and targets from ``faults/<stream>/choice``;
+    #: an open window draws from ``faults/<stream>/<subject>@<at_us>``.
+    #: It is also the backhaul's name for a window kind (``open_fault``).
+    stream: ClassVar[str]
     #: Field values of a *drawn* event, where they differ from the
     #: class defaults a hand-written one gets.
     drawn: ClassVar[Mapping[str, object]] = {}
     #: What the injector logs when the fault opens and when it closes.
-    actions: ClassVar[Tuple[str, Optional[str]]]
+    actions: ClassVar[Tuple[str, str]]
     #: Whether two windows of this kind on one subject may not overlap.
     exclusive: ClassVar[bool] = False
 
@@ -431,9 +430,11 @@ class CsiBlackout(_OnAp, _Window):
 class ControllerCrash(_Crash, _OnController):
     """The controller process dies at ``at_us`` (volatile state lost,
     backhaul endpoint dark) and — unless ``down_us`` is ``None`` —
-    restarts ``down_us`` later.  A warm standby in the region detects
-    the silence and promotes itself; without one the
-    restarted controller resyncs cold via ``ctrl-hello``."""
+    restarts ``down_us`` later.  Alone in its region, the restarted
+    controller takes over with a ``ctrl-takeover`` and rebuilds its
+    state from the APs' answers.  One half of an HA pair comes back
+    inert instead: a warm standby promotes on its primary's silence,
+    however short the crash."""
 
     controller_id: str = "controller"
     #: Downtime before restart; ``None`` means it never comes back
@@ -443,22 +444,6 @@ class ControllerCrash(_Crash, _OnController):
     stream = "ctrl-crashes"
     drawn = {"down_us": 1_000_000}
     actions = ("ctrl-crash", "ctrl-restart")
-
-
-@dataclass(frozen=True)
-class ControllerRestart(_OnController):
-    """Explicitly restart a (crashed) controller at ``at_us`` — for
-    plans that separate the crash and the repair."""
-
-    controller_id: str = "controller"
-
-    actions = ("ctrl-restart", None)
-
-    def describe(self) -> str:
-        return f"ctrl-restart {self.controller_id}"
-
-    def open(self, rig):
-        return _set_alive(self, rig, True, self.actions[0])
 
 
 @dataclass(frozen=True)
@@ -626,7 +611,6 @@ FAULT_CLASSES: Tuple[Type[FaultEvent], ...] = (
     LinkJitter,
     CsiBlackout,
     ControllerCrash,
-    ControllerRestart,
     MsgDuplication,
     StaleReplay,
     MsgCorruption,
@@ -733,8 +717,6 @@ class FaultPlan:
             rate_per_s = rates.get(kind, 0.0)
             if rate_per_s <= 0.0:
                 continue
-            if kind.stream is None:
-                raise ValueError(f"{kind.__name__} events are never drawn")
             arrivals = rng.stream(f"faults/{kind.stream}")
             targets = _Targets(
                 rng.stream(f"faults/{kind.stream}/choice"), ap_ids, controller_id

@@ -18,16 +18,15 @@ When the primary goes silent past the miss limit, the standby
 
 1. restore the latest checkpoint (state-only);
 2. overlay warm-feed serving updates received after the checkpoint,
-   keep the warm-fed dedup keys, and register the warm-fed
-   associations it lacks;
-3. grant the AP liveness table a grace period (``reset_clock``) so a
-   healthy array is not mass-declared dead from stale beat times;
-4. broadcast ``ctrl-takeover`` so every AP re-homes, flushes its hold
-   buffer, and heartbeats here;
-5. re-publish the serving map and start controller heartbeats.
+   keep the warm-fed dedup keys, and track the warm-fed associations
+   it lacks;
+3. take the region over exactly as a cold-restarted controller does
+   (:meth:`~repro.core.controller.WgttController._take_over`).
 
 From then on it *is* the controller — the full inherited WgttController
-machinery runs.
+machinery runs.  A restarted primary, or a standby restarted before
+promotion, comes back inert instead
+(:meth:`~repro.core.controller.WgttController.restart`).
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.core.config import WgttConfig
 from repro.core.controller import (
     CONTROLLER_HEARTBEAT_INTERVAL_US,
+    ClientState,
     WgttController,
 )
 from repro.core.liveness import LivenessTracker
@@ -88,8 +88,6 @@ class StandbyController(WgttController):
             sim, CONTROLLER_HEARTBEAT_INTERVAL_US
         )
         self._primary_watch.on_down = lambda primary_id: self.promote()
-        #: Fired right after promotion completes (the region's hook).
-        self.on_promote = lambda: None
         self.stats["checkpoints_received"] = 0
         self.stats["promotions"] = 0
         # The primary's checkpoints and heartbeats are consumed in
@@ -116,8 +114,8 @@ class StandbyController(WgttController):
     def _on_backhaul(self, src: str, kind: str, payload: object) -> None:
         if self.promoted:
             super()._on_backhaul(src, kind, payload)
-        elif self.alive and kind in self.warm_handlers:
-            # Inert: only the passive warm feed is consumed.
+        elif self.alive and self.role == "standby" and kind in self.warm_handlers:
+            # Before promotion only the passive warm feed is consumed.
             self.warm_handlers[kind](src, payload)
 
     def _warm_serving_update(self, src: str, payload: tuple) -> None:
@@ -141,16 +139,11 @@ class StandbyController(WgttController):
     # ------------------------------------------------------------------
 
     def promote(self) -> None:
-        """Become the controller (idempotent)."""
-        if self.promoted or not self.alive:
+        """Become the controller (idempotent; never from inert)."""
+        if self.role != "standby" or not self.alive:
             return
         self.promoted = True
         self.role = "active"
-        # Promotion starts a new controller epoch: serving generations
-        # and the takeover announcement all carry it, so anything the
-        # dead primary published (or an adversary replays of it) loses.
-        self.epoch_us = self._sim.now
-        self._serving_seq = 0
         self.stats["promotions"] += 1
         self._primary_watch.stop()
         tracer = self._sim.obs.trace
@@ -193,45 +186,25 @@ class StandbyController(WgttController):
                     and state.serving_ap != ap_id
                 ):
                     state.serving_ap = ap_id
-        # Register what the warm feed admitted and the checkpoint lacks:
-        # every record without a checkpoint, else the clients that
-        # associated after it was cut.  Claims seed the serving map
-        # first so register_association lands each client on the AP
-        # actually serving it, not its first AP.  Records of clients
-        # the checkpoint saw depart stay out.
-        for client_id in sorted(self._warm_serving):
-            if client_id not in self._clients:
-                self._pending_claims.setdefault(
-                    client_id, self._warm_serving[client_id][1]
-                )
+        # Track what the warm feed admitted and the checkpoint lacks
+        # (every record without a checkpoint, else the clients that
+        # associated after it was cut), state-only like the restore, on
+        # the AP mirrored as serving it, not its first AP.  Records of
+        # clients the checkpoint saw depart stay out.
+        now = self._sim.now
         for client_id in sorted(warm_directory.clients()):
             info = warm_directory.get(client_id)
-            if client_id not in self._clients and not (
-                self._departed_at.is_replay(info)
-            ):
-                self.register_association(info)
+            if client_id in self._clients or self._departed_at.is_replay(info):
+                continue
+            warm = self._warm_serving.get(client_id)
+            serving = info.first_ap if warm is None else warm[1]
+            self.directory.admit(info)
+            client = self._clients[client_id] = ClientState(
+                client_id, self._pending_claims.pop(client_id, serving), now
+            )
+            self._start_selection_loop(client)
         self._warm_serving.clear()
         self._warm_serving_gen.clear()
         tracer.end(restore_span, clients=len(self._clients))
-
-        # Innocent-until-silent: checkpointed beat times are up to a
-        # checkpoint interval + an outage old; judging them against the
-        # post-promotion clock would mass-declare the array dead.
-        self.liveness.reset_clock(self._sim.now)
-
-        # Announce, re-publish, heartbeat.
-        announce_span = tracer.begin(
-            "ha", "takeover-announce", track="ha", aps=len(self._ap_ids)
-        )
-        for ap_id in sorted(self._ap_ids):
-            self._backhaul.send_control(
-                self.controller_id, ap_id, "ctrl-takeover", self.epoch_us
-            )
-        for client_id in sorted(self._clients):
-            self._publish_serving(
-                client_id, self._clients[client_id].serving_ap
-            )
-        tracer.end(announce_span)
-        self.start_ctrl_heartbeats()
-        self.on_promote()
+        self._take_over()
         tracer.end(span, clients=len(self._clients))

@@ -7,10 +7,10 @@ and (``WgttConfig.ha_enabled``) a warm standby.  The paper's deployment
 is one of them; everything that walks the control plane (instant
 association, departure, downlink ingress, fault injection, the
 invariant probes) goes through :attr:`Testbed.shards` whatever their
-number; a region with a standby also ships its checkpoints and owns
-the promote/restart role hooks.  A corridor of several regions also
-gets a :class:`ShardManager`, which owns only what one region never
-needs:
+number; a region with a standby also ships its checkpoints and routes
+ingress to whichever half of the pair is active.  A corridor of several
+regions also gets a :class:`ShardManager`, which owns only what one
+region never needs:
 
 * **ownership** — every client belongs to exactly one shard; both
   controllers near a boundary decode the client's frames, so each
@@ -159,6 +159,8 @@ class Shard:
 
     The classic single-controller deployment is one of these built
     without a ``manager`` (no ownership gate, no handoff dispatch).
+    With a standby it is also the pair's glue (checkpoint shipping,
+    ingress to :meth:`active_controller`), but no role hook.
     """
 
     def __init__(
@@ -221,8 +223,6 @@ class Shard:
             for ap_id in region.ap_ids:
                 standby.add_ap(ap_id)
             self.controller.ha_peer = standby.controller_id
-            self.controller.on_restart = self._primary_restarted
-            standby.on_promote = self._standby_promoted
             # Heartbeats first, then shipping: timer arming order is
             # part of every run's bytes.
             self.controller.start_ctrl_heartbeats()
@@ -289,8 +289,8 @@ class Shard:
         if active is not None and active.alive:
             active.register_association(info)
         # else: controller down mid-arrival — the AP directories
-        # admitted above replay the association (sta-sync +
-        # serving-claim) during the ctrl-hello resync on restart.
+        # admitted above replay the association (serving-claim +
+        # sta-sync) when the next incarnation takes over.
         self.aps[first_ap].start_serving(client_id)
 
     def depart(self, client_id: str) -> bool:
@@ -370,7 +370,7 @@ class Shard:
             # Failed over: nothing to ship (reverse shipping from the
             # promoted standby to a repaired primary is future work).
             return
-        if primary.alive:
+        if self.active_controller() is primary:
             data = primary.snapshot().to_bytes()
             self.checkpoints_shipped += 1
             self.checkpoint_bytes += len(data)
@@ -391,20 +391,6 @@ class Shard:
                     bytes=len(data),
                 )
         self._ship_timer.start(self._checkpoint_interval_us)
-
-    def _standby_promoted(self) -> None:
-        """The instant the standby takes over, the (dead) primary is
-        pre-demoted: if it ever restarts it must not broadcast
-        ``ctrl-hello`` and steal the AP array back."""
-        self.controller.hello_on_restart = False
-
-    def _primary_restarted(self) -> None:
-        if self.standby.promoted:
-            # The standby owns the control plane now: the ex-primary
-            # comes back demoted and inert (hello_on_restart was
-            # cleared at promotion time, and the standby role keeps
-            # ingress routing away from it).
-            self.controller.role = "standby"
 
 
 class ShardManager:

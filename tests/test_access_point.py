@@ -134,7 +134,6 @@ GUARDED_PAYLOADS = {
         client="client0", dead_ap="ap0", switch_id=tag
     ),
     "ctrl-takeover": lambda tag: tag,
-    "ctrl-hello": lambda tag: tag,
 }
 
 
@@ -289,7 +288,7 @@ class TestControllerWatch:
 
     def test_hello_without_a_heartbeat_starts_no_watch(self):
         testbed, ap, received = self.rig()
-        ap._on_backhaul("controller", "ctrl-hello", 5)
+        ap._on_backhaul("controller", "ctrl-takeover", 5)
         testbed.run_seconds(1.0)
         assert ap.stats["ctrl_down_detected"] == 0
         ap._forward_to_controller("probe", 0, 64)

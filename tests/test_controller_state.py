@@ -46,7 +46,7 @@ CLASSIC_DRIVE_SHA256 = (
 #: sha256 of :func:`_drive_digest` for one region with a standby whose
 #: primary is killed at 1.5 s and never restarted.
 HA_KILL_DRIVE_SHA256 = (
-    "a97536e527c5537c2f9b9febe02889498c9e5b1b971705fa9a75946e0d18fe07"
+    "92177d5737e4a737c3d9cbe4f38406ef4cb70d44f6599c39172a03fe7e6f2f00"
 )
 #: sha256 of :func:`_drive_digest` for the baseline scheme (it roams
 #: twice, so the over-the-air association path is in the stream).

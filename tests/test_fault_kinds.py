@@ -20,7 +20,6 @@ from repro.experiments.ext_faults import (
 )
 from repro.faults import (
     FAULT_CLASSES,
-    ControllerCrash,
     CsiBlackout,
     FaultInjector,
     FaultPlan,
@@ -43,22 +42,13 @@ def test_every_kind_opens_and_closes_once_per_event(kind):
     testbed, each event logs its opening and its closing action once
     and leaves nothing behind."""
     rng = RngRegistry(5).spawn("every-kind")
-    if kind.stream is None:
-        # ControllerRestart: the repair half of a crash, never drawn.
-        with pytest.raises(ValueError, match="never drawn"):
-            FaultPlan.random(rng, APS, 2_000 * MS, {kind: 2.0})
-        plan = FaultPlan(
-            [ControllerCrash(at_us=200 * MS), kind(at_us=500 * MS)]
-        )
-        expected = {"ctrl-crash": 1, "ctrl-restart": 1}
-    else:
-        lasting = "down_us" if "down_us" in kind.drawn else "duration_us"
-        plan = FaultPlan.random(
-            rng, APS, 2_000 * MS, {kind: 4.0},
-            overrides={kind: {lasting: 20 * MS}},
-        )
-        assert len(plan) >= 2 and plan.of(kind) == plan.events
-        expected = dict.fromkeys(kind.actions, len(plan))
+    lasting = "down_us" if "down_us" in kind.drawn else "duration_us"
+    plan = FaultPlan.random(
+        rng, APS, 2_000 * MS, {kind: 4.0},
+        overrides={kind: {lasting: 20 * MS}},
+    )
+    assert len(plan) >= 2 and plan.of(kind) == plan.events
+    expected = dict.fromkeys(kind.actions, len(plan))
     testbed = Testbed(
         TestbedConfig(
             seed=5, wgtt=WgttConfig(ha_enabled=True), fault_plan=plan
@@ -67,9 +57,8 @@ def test_every_kind_opens_and_closes_once_per_event(kind):
     testbed.run_seconds(2.5)
     log = testbed.fault_injector.events
     assert Counter(action for _, action, _ in log) == expected
-    if kind.stream is not None:
-        opened = [(t, s) for t, action, s in log if action == kind.actions[0]]
-        assert opened == [(e.at_us, e.subject) for e in plan]
+    opened = [(t, s) for t, action, s in log if action == kind.actions[0]]
+    assert opened == [(e.at_us, e.subject) for e in plan]
     assert testbed.backhaul._faults is None
     for ap in testbed.wgtt_aps.values():
         assert ap.alive and ap.csi_suppressed == 0
@@ -147,7 +136,7 @@ PINNED = {
     "soak/seed101": "0bfda4a6332a4b9f2a8aef6817b473120b1b5f314e8f2a0244e1b927c9435ada",
     "soak/seed102": "bba2e6d542ba92ba434a094a3a5327854c7dfdbe8f217b0ccde031d58bd54e0f",
     "soak/seed103": "e7595b0ae72a6b375e4e5f733b3ea0f569c5625a596e2017d3635def3fdda37b",
-    "soak/seed104": "126162f34ee5119adc260adc0fae98e0a2e24e23a49250ab5937edac77c8caa4",
+    "soak/seed104": "a46408d81b07d39858b63eef91d8e33824ae84aca2c9ec6e01cfe4373d1280d7",
     "soak/seed10100": "f7f139f3285906655abfd0f4411ca2fe35586051d4f8177a30139a86de79947c",
     "soak/seed10101": "b4b9c2242c846deff09f2182aa8acd009bd5f0bd93fb17881d20d6050889cfd1",
     "soak/seed10102": "606010953d41396c7f9b6952d580f3a35f704122485582f20363cc9c439e2780",
@@ -157,8 +146,8 @@ PINNED = {
     "ext_faults/0.1/0.2": "8c9beeb1f6ac849e021071e42e42ccda1d7c56c7f2130a540403923128845277",
     "ext_faults/0.3/0.0": "a5baea0544c1c489ad452a0f5060b52db2445307585fe400ca1f5ef6c4a85b92",
     "ext_faults/0.3/0.2": "8c9beeb1f6ac849e021071e42e42ccda1d7c56c7f2130a540403923128845277",
-    "ext_adversary/5000000": "dd99689b1d3124a5c3fa48cb2cf30ba493fee83024b08e5175dda8418ba657b5",
-    "ext_adversary/6000000": "e00080e246b3b023d8a47364582000c0ac54b773290c90321a9f64440c787ac7",
+    "ext_adversary/5000000": "bfac7a9dc63db18c031d78206ea0e5bc943ccaaa7b5057b38555c28dcf656bf4",
+    "ext_adversary/6000000": "f75e612af73bdef1c66200cf5669ad0e1a362aea6762b728011193399b6dc37c",
 }
 
 
@@ -210,9 +199,6 @@ def test_fault_table_is_the_classes():
     for kind in FAULT_CLASSES:
         _, acts_on, family, drawn, _ = rows[kind.__name__]
         assert acts_on == kind.acts_on
-        if kind.stream is None:
-            assert family == drawn == "—"
-            continue
         # A dagger marks the kinds whose open window draws per message.
         dagger = " †" if getattr(kind, "draws", False) else ""
         assert family == f"`faults/{kind.stream}`{dagger}"

@@ -10,8 +10,9 @@ from repro.core.assoc_sync import StaInfo
 from repro.core.config import WgttConfig
 from repro.core.controller import WgttController
 from repro.core.cyclic_queue import CyclicQueue, IndexAllocator
-from repro.faults.plan import ControllerCrash, FaultPlan
+from repro.faults.plan import ApCrash, ControllerCrash, FaultPlan
 from repro.mobility.vehicle import VehicleTrack
+from repro.experiments.ext_faults import FAILOVER_DEADLINE_US
 from repro.experiments.ext_ha import ha_summary
 from repro.ha import CHECKPOINT_VERSION, ControllerCheckpoint
 from repro.net.backhaul import EthernetBackhaul
@@ -387,6 +388,98 @@ class TestWarmStandbyFailover:
 # ----------------------------------------------------------------------
 
 
+class TestOneTakeoverPath:
+    """Whoever takes the controller role over — a cold restart or a
+    promoted standby — announces one ctrl-takeover and gets one answer
+    from every AP; a restarted half of an HA pair stays out of the way.
+    Each run: seed 3, a 2 Mbit/s UDP downlink, a crash at 0.5 s, 1.5 s
+    in all."""
+
+    CRASH_US = 500 * MS
+
+    @staticmethod
+    def run(plan, ha=False, **config):
+        testbed = Testbed(
+            TestbedConfig(
+                seed=3,
+                wgtt=WgttConfig(ha_enabled=ha),
+                fault_plan=FaultPlan(plan),
+                **config,
+            )
+        )
+        checker = testbed.install_invariant_checker()
+        source, sink = testbed.add_downlink_udp_flow(0, rate_bps=2e6)
+        source.start()
+        testbed.run_until(1500 * MS)
+        return testbed, checker.finish(), sink
+
+    @staticmethod
+    def arrivals_from(sink, start_us):
+        return [t for t, _, _, _ in sink.arrivals if t >= start_us]
+
+    def test_cold_restart_delivers_within_the_failover_deadline(self):
+        """Regression: the restarted controller's cursors started at 0,
+        a lap behind every AP's write edge (531 ms of nothing here),
+        and a replayed sta-sync could register the client on its first
+        AP before the serving AP's claim landed, which made the serving
+        AP relinquish it."""
+        restart_us = self.CRASH_US + 200 * MS
+        testbed, report, sink = self.run(
+            [ControllerCrash(at_us=self.CRASH_US, down_us=200 * MS)]
+        )
+        after = self.arrivals_from(sink, restart_us)
+        assert after and after[0] - restart_us <= FAILOVER_DEADLINE_US
+        for ap in testbed.wgtt_aps.values():
+            assert ap.stats["serving_relinquished"] == 0
+        assert report["ok"]
+
+    def test_restarted_primary_comes_back_inert(self):
+        """Regression: a primary back 20 ms after its crash announced
+        itself and took the APs while its standby promoted on the
+        silence; nothing was delivered again."""
+        testbed, report, sink = self.run(
+            [ControllerCrash(at_us=self.CRASH_US, down_us=20 * MS)], ha=True
+        )
+        assert testbed.standby.promoted
+        assert testbed.controller.alive
+        assert testbed.active_controller() is testbed.standby
+        assert report["ok"]
+        assert len(self.arrivals_from(sink, self.CRASH_US + 20 * MS)) >= 100
+
+    def test_restarted_standby_comes_back_inert(self):
+        """Regression: a standby back 40 ms after its crash announced
+        itself and took the APs from the healthy primary."""
+        testbed, report, sink = self.run(
+            [
+                ControllerCrash(
+                    at_us=self.CRASH_US,
+                    down_us=40 * MS,
+                    controller_id="controller-b",
+                )
+            ],
+            ha=True,
+        )
+        assert not testbed.standby.promoted
+        assert {ap._controller_id for ap in testbed.wgtt_aps.values()} == {
+            "controller"
+        }
+        assert report["ok"]
+        assert len(self.arrivals_from(sink, self.CRASH_US + 40 * MS)) >= 100
+
+    def test_ap_back_before_declared_dead_hands_its_clients_over(self):
+        """Regression: ap0, serving a parked client, restarts 20 ms after
+        its crash, before liveness declares it dead.  The controller
+        kept the client on it with nothing serving it, and the checker
+        saw nothing wrong: no datagram arrived again."""
+        testbed, report, sink = self.run(
+            [ApCrash(at_us=self.CRASH_US, ap_id="ap0", down_us=20 * MS)],
+            client_speeds_mph=[0.0],
+            client_start_x_m=9.5,
+        )
+        assert len(self.arrivals_from(sink, self.CRASH_US)) >= 100
+        assert report["ok"]
+
+
 class TestOverflowAccounting:
     def test_lapping_the_reader_is_counted(self):
         queue = CyclicQueue(size=8)
@@ -439,6 +532,15 @@ class TestIndexAllocatorGuards:
         # A wrapped ancient edge (>= half ring ahead) is ignored too.
         assert not alloc.fast_forward("c0", 150 + 2048)
         assert alloc.peek("c0") == 150
+
+    def test_fast_forward_without_a_cursor_takes_any_edge(self):
+        """A cold restart lost every cursor: the APs' edges are where
+        the client's index stream stands, even past half the ring."""
+        alloc = IndexAllocator(size=4096)
+        assert not alloc.fast_forward("c0", 0)
+        assert alloc.tracked_clients() == 0
+        assert alloc.fast_forward("c0", 3000)
+        assert alloc.peek("c0") == 3000
 
     def test_forget_client_frees_cursor(self):
         alloc = IndexAllocator()
