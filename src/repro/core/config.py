@@ -47,9 +47,6 @@ class WgttConfig:
     #: bit-identical to the pre-HA simulator.
     ha_enabled: bool = False
 
-    #: Backhaul id of the warm-standby controller.
-    standby_id: str = "controller-b"
-
     #: How often the primary ships a full state checkpoint to the
     #: standby.  Smaller intervals bound duplicate leakage and lost
     #: packets across a failover at the cost of backhaul bytes — the

@@ -75,15 +75,13 @@ class ClientState:
         self.client_id = client_id
         self.serving_ap = serving_ap
         self.last_switch_us = now_us
-        #: The periodic AP-selection timer.
+        #: The periodic AP-selection timer; its tick also retries the
+        #: failover of a dead serving AP.
         self.selection_timer: Optional[Timer] = None  # volatile-ok: a Timer is not data; the client record carries its deadline
-        #: The deferred emergency-failover retry, set while one is armed.
-        self.retry_timer: Optional[Timer] = None  # volatile-ok: as selection_timer; the client record carries its deadline
 
-    def stop_timers(self) -> None:
-        for timer in (self.selection_timer, self.retry_timer):
-            if timer is not None:
-                timer.stop()
+    def stop_selection(self) -> None:
+        if self.selection_timer is not None:
+            self.selection_timer.stop()
 
     # -- checkpoint support -------------------------------------------
 
@@ -99,10 +97,6 @@ class ClientState:
         return cls(
             state["client_id"], state["serving_ap"], state["last_switch_us"]
         )
-
-
-def _deadline(timer: Optional[Timer]) -> Optional[int]:
-    return None if timer is None else timer.deadline_us
 
 
 class WgttController:
@@ -137,7 +131,6 @@ class WgttController:
         self.selector = ApSelector(metric=self._config.selection_metric)
         self.coordinator = SwitchCoordinator(sim, backhaul, controller_id)
         self.coordinator.on_complete = self._switch_completed
-        self.coordinator.on_abort = self._switch_aborted
         self.liveness = LivenessTracker(sim, self._config.heartbeat_interval_us)
         self.liveness.on_down = self._ap_down
         self.liveness.on_up = self._ap_up
@@ -367,7 +360,7 @@ class WgttController:
         region's client."""
         client = self._clients.pop(client_id, None)
         if client is not None:
-            client.stop_timers()
+            client.stop_selection()
         self.directory.remove(client_id)
         self.selector.forget_client(client_id)
         self._index_alloc.forget_client(client_id)
@@ -383,7 +376,8 @@ class WgttController:
 
         Running on a fixed period (rather than on CSI arrival) means
         every decision sees the complete window of reports, not just
-        whichever AP's report happened to arrive first.  Restore passes
+        whichever AP's report happened to arrive first.  The same tick
+        retries the failover of a dead serving AP.  Restore passes
         ``first_deadline_us`` so a restored controller's loop stays in
         phase with the original's.
         """
@@ -604,9 +598,10 @@ class WgttController:
         if self.coordinator.busy(client_id):
             return
         if state.serving_ap in self._dead_aps:
-            # The emergency-failover path owns this client until it
-            # lands on a live AP; regular hysteresis-gated selection
-            # stays out of the way.
+            # Until a failover lands the client on a live AP, this tick
+            # retries it and hysteresis-gated selection stays out of
+            # the way.
+            self._emergency_failover(client_id, state.serving_ap)
             return
         if now - state.last_switch_us < self._config.time_hysteresis_us:
             return
@@ -629,18 +624,6 @@ class WgttController:
         if state is not None:
             state.serving_ap = record.to_ap
         self._publish_serving(record.client, record.to_ap)
-
-    def _switch_aborted(self, record: SwitchRecord) -> None:
-        """A handshake died (retry cap, dead target, explicit abort).
-
-        If the client's serving AP is itself dead, the abort must not
-        strand it — schedule another failover attempt (the selector may
-        name a different live target by then)."""
-        state = self._clients.get(record.client)
-        if state is None:
-            return
-        if state.serving_ap in self._dead_aps:
-            self._schedule_failover_retry(record.client)
 
     # ------------------------------------------------------------------
     # AP liveness and emergency failover
@@ -680,12 +663,18 @@ class WgttController:
         hostapd sta-sync, §4.3) and the current serving map so the AP
         can overhear, measure CSI, and accept fan-out for every
         admitted client again.  The restart lost the AP's serving duty:
-        its clients are evacuated as a dead verdict would have done."""
+        its clients are evacuated as a dead verdict would have done,
+        and the AP takes back, over a failover to itself, each one no
+        live AP has heard."""
         if ap_id not in self._ap_ids:
             self.add_ap(ap_id)
         self._ap_down(ap_id)
         self.liveness.mark_alive(ap_id)
         self._ap_up(ap_id)
+        for client_id in sorted(self._clients):
+            stranded = self._clients[client_id].serving_ap == ap_id
+            if stranded and not self.coordinator.busy(client_id):
+                self._fail_over(client_id, ap_id, ap_id)
         self.stats["ap_resyncs"] += 1
         for client_id in sorted(self.directory.clients()):
             self._backhaul.send(
@@ -737,8 +726,8 @@ class WgttController:
             target = self._last_heard_live_ap(client_id, now)
         if target is None:
             # Graceful degradation: no live AP has heard the client
-            # recently.  Keep retrying — the client's keepalives will
-            # reach somebody as it moves.
+            # recently.  The selection tick retries — the client's
+            # keepalives will reach somebody as it moves.
             self.stats["failover_no_candidate"] += 1
             tracer = self._sim.obs.trace
             tracer.emit(
@@ -748,8 +737,11 @@ class WgttController:
                 client=client_id,
                 dead_ap=dead_ap,
             )
-            self._schedule_failover_retry(client_id)
             return
+        self._fail_over(client_id, dead_ap, target)
+
+    def _fail_over(self, client_id: str, dead_ap: str, target: str) -> None:
+        """Start the one-hop failover handshake of a tracked client."""
         self.stats["failovers_initiated"] += 1
         tracer = self._sim.obs.trace
         tracer.emit(
@@ -760,7 +752,7 @@ class WgttController:
             dead_ap=dead_ap,
             target=target,
         )
-        state.last_switch_us = now
+        self._clients[client_id].last_switch_us = self._sim.now
         self.coordinator.initiate_failover(client_id, dead_ap, target)
 
     def _last_heard_live_ap(
@@ -788,35 +780,6 @@ class WgttController:
             if best is None or esnr_db > best[0]:
                 best = (esnr_db, ap_id)
         return best[1] if best else None
-
-    def _schedule_failover_retry(
-        self, client_id: str, deadline_us: Optional[int] = None
-    ) -> None:
-        state = self._clients.get(client_id)
-        if state is None or (
-            state.retry_timer is not None and deadline_us is None
-        ):
-            return
-        timer = state.retry_timer = Timer(
-            self._sim, lambda: self._failover_retry_fired(client_id)
-        )
-        if deadline_us is None:
-            timer.start(SELECTION_PERIOD_US)
-        else:
-            timer.start_at(deadline_us)
-
-    def _failover_retry_fired(self, client_id: str) -> None:
-        current = self._clients.get(client_id)
-        if current is None:
-            return
-        current.retry_timer = None
-        if not self.alive:
-            return
-        if (
-            current.serving_ap in self._dead_aps
-            and not self.coordinator.busy(client_id)
-        ):
-            self._emergency_failover(client_id, current.serving_ap)
 
     # ------------------------------------------------------------------
     # state: checkpoint, restore, per-client handoff slice
@@ -862,16 +825,15 @@ class WgttController:
         (``[int, float]`` pairs): the unit of both the checkpoint and
         the handoff slice.  ``state`` is None for a client this
         controller does not track (CSI overheard from a neighbour
-        region's client, say); the timer deadlines are absolute.
+        region's client, say); the selection deadline is absolute.
         """
         client = self._clients.get(client_id)
         state: Optional[dict] = None
         selection: Optional[int] = None
-        retry: Optional[int] = None
         if client is not None:
             state = client.to_state()
-            selection = _deadline(client.selection_timer)
-            retry = _deadline(client.retry_timer)
+            timer = client.selection_timer
+            selection = None if timer is None else timer.deadline_us
         sta = None
         if self.directory.is_associated(client_id):
             sta = asdict(self.directory.get(client_id))
@@ -889,7 +851,6 @@ class WgttController:
                 ap_id: [int(t), float(v)] for ap_id, (t, v) in heard.items()
             },
             "selection_deadline_us": selection,
-            "retry_deadline_us": retry,
         }
 
     def _load_record(self, client_id: str, record: dict) -> None:
@@ -918,9 +879,8 @@ class WgttController:
         State-only — no backhaul messages.  Timers re-arm at their
         checkpointed absolute deadlines (clamped to now) in a fixed
         order — selection by client, the liveness check, pending switch
-        retransmissions, failover retries by client — so
-        same-microsecond ties resolve identically on every restore of
-        the same checkpoint.
+        retransmissions — so same-microsecond ties resolve identically
+        on every restore of the same checkpoint.
         """
         if checkpoint.version != CHECKPOINT_VERSION:
             raise ValueError(
@@ -945,12 +905,6 @@ class WgttController:
                 )
         self.liveness.restore(state["liveness"])
         self.coordinator.restore(state["coordinator"])
-        for client_id in sorted(self._clients):
-            deadline = records[client_id]["retry_deadline_us"]
-            if deadline is not None:
-                self._schedule_failover_retry(
-                    client_id, deadline_us=int(deadline)
-                )
 
     def _forget_state(self) -> None:
         """Stop every timer the protocol state owns and empty every
@@ -962,7 +916,7 @@ class WgttController:
         if self._pacer is not None:
             self._pacer.halt()
         for client_id in sorted(self._clients):
-            self._clients[client_id].stop_timers()
+            self._clients[client_id].stop_selection()
         self.coordinator.crash()
         self.liveness.crash()
         self.selector.clear()
@@ -1004,8 +958,8 @@ class WgttController:
     ) -> bool:
         """Graft a :meth:`client_slice` from another controller: load
         its record as a restore does, then publish the serving AP and
-        re-arm the selection loop (not the retry or the pending switch:
-        both reference the sending shard's APs).
+        re-arm the selection loop (not the pending switch: it references
+        the sending shard's APs).
 
         Returns False (a no-op) if this controller already tracks the
         client — handoff retransmissions make duplicate arrivals

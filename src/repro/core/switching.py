@@ -184,9 +184,6 @@ class SwitchCoordinator:
         self.stale_acks = 0
         #: Called with the completed SwitchRecord.
         self.on_complete: Callable[[SwitchRecord], None] = lambda record: None
-        #: Called with every aborted SwitchRecord (retry cap exhausted,
-        #: dead target, explicit abort).
-        self.on_abort: Callable[[SwitchRecord], None] = lambda record: None
 
     def busy(self, client_id: str) -> bool:
         return client_id in self._pending
@@ -208,7 +205,9 @@ class SwitchCoordinator:
     ) -> None:
         """Emergency path: ``dead_ap`` cannot execute a stop, so the
         controller messages the new AP directly and the fan-out backlog
-        already sitting in its cyclic queue restarts the flow."""
+        already sitting in its cyclic queue restarts the flow.  The new
+        AP may be ``dead_ap`` itself, restarted with nobody else to take
+        the client."""
         self._begin(client_id, dead_ap, to_ap, failover=True)
 
     def _begin(
@@ -216,7 +215,7 @@ class SwitchCoordinator:
     ) -> None:
         if client_id in self._pending:
             raise RuntimeError(f"switch already pending for {client_id!r}")
-        if from_ap == to_ap:
+        if from_ap == to_ap and not failover:
             raise ValueError("switch target equals current AP")
         switch_id = self._next_switch_id
         self._next_switch_id += 1
@@ -287,7 +286,8 @@ class SwitchCoordinator:
         record = pending.record
         record.completed_us = self._sim.now
         outcome = OUTCOME_FAILED_OVER if record.failover else OUTCOME_COMPLETED
-        self._close(pending, outcome, self.on_complete, retries=record.retries)
+        self._close(pending, outcome, retries=record.retries)
+        self.on_complete(record)
 
     def abort(
         self, client_id: str, reason: str = "aborted"
@@ -304,7 +304,7 @@ class SwitchCoordinator:
             return None
         pending.record.abort_reason = reason
         self.aborted += 1
-        return self._close(pending, OUTCOME_ABORTED, self.on_abort, reason=reason)
+        return self._close(pending, OUTCOME_ABORTED, reason=reason)
 
     def abort_for_ap(self, ap_id: str) -> List[SwitchRecord]:
         """Abort every pending switch that involves a (now dead) AP."""
@@ -321,21 +321,16 @@ class SwitchCoordinator:
         pending.record.retries = retries
         pending.record.abort_reason = reason
         self.abandoned += 1
-        self._close(pending, OUTCOME_ABORTED, self.on_abort, reason=reason, retries=retries)
+        self._close(pending, OUTCOME_ABORTED, reason=reason, retries=retries)
 
     def _close(
-        self,
-        pending: _Pending,
-        outcome: str,
-        on_done: Callable[[SwitchRecord], None],
-        **span_fields: object,
+        self, pending: _Pending, outcome: str, **span_fields: object
     ) -> SwitchRecord:
         """Finish a handshake whose slot is already free."""
         record = pending.record
         record.outcome = outcome
         self._sim.obs.trace.end(pending.span, outcome=outcome, **span_fields)
         self.history.append(record)
-        on_done(record)
         return record
 
     # -- crash / checkpoint support --------------------------------------

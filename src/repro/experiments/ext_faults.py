@@ -20,13 +20,15 @@ reports
 --smoke``): one mid-drive crash of the serving AP, asserting recovery
 within the deadline, TCP forward progress afterwards, and a clean
 invariant checker; then one cold restart of a controller without a
-standby, asserting the first downlink datagram after the restart
-within the same deadline and a clean checker.
+standby, and one restart of a lone AP before its dead verdict (it
+takes its client back over a failover to itself), each asserting the
+first downlink datagram after the restart within the same deadline
+and a clean checker.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.bulk import Drive
 from repro.experiments.common import mean, seeds_for
@@ -228,6 +230,7 @@ def smoke(seed: int = 3) -> Dict:
     summary = failover_summary(checker)
     progressed = receiver.rcv_nxt > segments_at_crash
     restart = cold_restart(seed)
+    lone_ap = lone_ap_restart(seed)
     ok = (
         summary["crashes"] == 1
         and summary["recovered"] >= 1
@@ -236,6 +239,7 @@ def smoke(seed: int = 3) -> Dict:
         and progressed
         and bool(invariants["ok"])
         and restart["ok"]
+        and lone_ap["ok"]
     )
     return {
         "ok": ok,
@@ -250,6 +254,7 @@ def smoke(seed: int = 3) -> Dict:
         "summary": summary,
         "invariants": invariants,
         "cold_restart": restart,
+        "lone_ap_restart": lone_ap,
     }
 
 
@@ -257,13 +262,37 @@ def cold_restart(seed: int) -> Dict:
     """No standby: the controller dies at 1 s for 200 ms under a
     2 Mbit/s UDP downlink.  Fails unless the first datagram after the
     restart lands within the failover deadline, checker clean."""
-    restart_us = 1_200 * MS
     plan = FaultPlan([ControllerCrash(at_us=SECOND, down_us=200 * MS)])
-    testbed = Testbed(TestbedConfig(seed=seed, fault_plan=plan))
+    return _restart_run(seed, plan, 1_200 * MS, 3 * SECOND)[0]
+
+
+def lone_ap_restart(seed: int) -> Dict:
+    """One AP, a client parked 10 m along that only it hears, and a
+    2 Mbit/s UDP downlink: the AP dies at 0.5 s for 20 ms, back before
+    its dead verdict.  Fails unless the first datagram after the
+    restart lands within the failover deadline, the crash record
+    closes, and the checker is clean."""
+    plan = FaultPlan([ApCrash(at_us=500 * MS, ap_id="ap0", down_us=20 * MS)])
+    result, checker = _restart_run(
+        seed, plan, 520 * MS, 1_500 * MS,
+        num_aps=1, client_speeds_mph=[0.0], client_start_x_m=10.0,
+    )
+    [record] = checker.records
+    result["crash_recovered"] = not record.unrecovered()
+    result["ok"] = result["ok"] and result["crash_recovered"]
+    return result
+
+
+def _restart_run(
+    seed: int, plan: FaultPlan, restart_us: int, until_us: int, **config
+) -> Tuple[Dict, InvariantChecker]:
+    """A 2 Mbit/s UDP downlink to client 0 under ``plan``, judged on
+    its first datagram after ``restart_us``; and the checker."""
+    testbed = Testbed(TestbedConfig(seed=seed, fault_plan=plan, **config))
     checker = testbed.install_invariant_checker()
     source, sink = testbed.add_downlink_udp_flow(0, rate_bps=2e6)
     source.start()
-    testbed.run_until(3 * SECOND)
+    testbed.run_until(until_us)
     invariants = checker.finish()
     after = [t - restart_us for t, _, _, _ in sink.arrivals if t >= restart_us]
     return {
@@ -271,7 +300,7 @@ def cold_restart(seed: int) -> Dict:
         "first_datagram_ms": after[0] / 1_000.0 if after else None,
         "delivered_after_restart": len(after),
         "invariants": invariants,
-    }
+    }, checker
 
 
 register(

@@ -41,12 +41,15 @@ from typing import Any, Dict
 #: v4: one record per client, the handoff slice's layout, replaces the
 #: per-store columns "selection_deadlines", "retry_deadlines",
 #: "selector", "directory", "index_cursors" and "last_heard".
-CHECKPOINT_VERSION = 4
+#: v5: a client record lost "retry_deadline_us": the selection tick
+#: retries a failover.
+CHECKPOINT_VERSION = 5
 
 #: Layout version of the *per-client* state slice that rides an
 #: inter-shard handoff message; merge refuses mismatches.
 #: v2: the same four client-state fields as checkpoint v3 went.
-CLIENT_STATE_VERSION = 2
+#: v3: "retry_deadline_us" went, as in checkpoint v5.
+CLIENT_STATE_VERSION = 3
 
 
 def canonical_json(value: Any) -> bytes:

@@ -80,10 +80,11 @@ of the node that crashed.
 
 * **AP crash.**  The affected clients are the ones the region's active
   controller has the AP serving at the crash instant.  Each recovers at
-  its first serving-update naming another AP of the region.  A client
-  the live active controller stops tracking first (it departed), or
-  that a serving-update puts in another region (a handoff), closes
-  without a verdict.
+  its first serving-update naming another AP of the region, or naming
+  the crashed AP after its ``restart`` fault (it took the client back
+  over a failover to itself).  A client the live active controller
+  stops tracking first (it departed), or that a serving-update puts in
+  another region (a handoff), closes without a verdict.
 * **Controller crash.**  The affected clients are every client the
   crashed controller tracked.  Each recovers at its first
   re-publication by the incarnation that took over (a serving-update
@@ -161,6 +162,8 @@ class CrashRecord:
     untracked: List[str] = field(default_factory=list)
     #: Crash → standby promotion (controller crash only).
     promotion_us: Optional[int] = None
+    #: Crash → restart of the crashed AP (AP crash only).
+    restart_us: Optional[int] = None
 
     def unrecovered(self) -> List[str]:
         """Affected clients with no recovery and no excuse (yet)."""
@@ -440,9 +443,15 @@ class InvariantChecker:
     # ------------------------------------------------------------------
 
     def _record_crash(self, event) -> None:
-        """Open a record; the node is still up, its state intact."""
+        """Open a record (the node is still up, its state intact), or
+        note an AP's restart on its open record."""
         action = event.tags.get("action")
         subject = str(event.tags.get("subject"))
+        if action == "restart":
+            for record in self._open:
+                if record.subject == subject and record.restart_us is None:
+                    record.restart_us = event.ts - record.t_us
+            return
         if action == "crash":
             shard = self._ap_region[subject]
             active = shard.active_controller()
@@ -493,7 +502,7 @@ class InvariantChecker:
             if shard is None or shard.region.shard != record.region:
                 record.untracked.append(client)  # handed to another region
             elif record.action == "crash":
-                if ap_id != record.subject:
+                if ap_id != record.subject or record.restart_us is not None:
                     record.recovered.append(
                         (client, event.ts - record.t_us, ap_id)
                     )

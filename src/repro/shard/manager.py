@@ -110,6 +110,10 @@ class RegionSpec:
         )
 
 
+#: Backhaul id of the classic (unsharded) region's warm standby.
+STANDBY_ID = "controller-b"
+
+
 def plan_regions(config: "TestbedConfig") -> List[RegionSpec]:
     """Partition the corridor into regions.
 
@@ -137,7 +141,7 @@ def plan_regions(config: "TestbedConfig") -> List[RegionSpec]:
         size = base + (1 if k < extra else 0)
         if shard_cfg is None:
             controller_id = "controller"
-            standby_id = config.wgtt.standby_id
+            standby_id = STANDBY_ID
         else:
             controller_id = shard_cfg.controller_id(k)
             standby_id = shard_cfg.standby_id(k)
@@ -366,9 +370,10 @@ class Shard:
 
     def _ship_tick(self) -> None:
         primary, standby = self.controller, self.standby
-        if standby.promoted:
-            # Failed over: nothing to ship (reverse shipping from the
-            # promoted standby to a repaired primary is future work).
+        if not (standby.alive and standby.role == "standby"):
+            # Promoted, or crashed (a restarted standby is inert for
+            # good): nothing will restore a checkpoint (reverse shipping
+            # to a repaired primary is future work).
             return
         if self.active_controller() is primary:
             data = primary.snapshot().to_bytes()

@@ -56,7 +56,7 @@ class ChurnDriver:
         #: Departed riders whose deregistration could not be delivered
         #: (controller down at departure time); drained by a retry timer.
         self._pending_dereg: List[str] = []
-        self._retry_timer = Timer(testbed.sim, self._retry_dereg)
+        self._dereg_timer = Timer(testbed.sim, self._retry_dereg)
         self.stats = {
             "arrivals": 0,
             "departures": 0,
@@ -171,8 +171,8 @@ class ChurnDriver:
             # Controller down: park the dereg, retry until delivered.
             self._pending_dereg.append(client_id)
             self.stats["dereg_deferred"] += 1
-            if not self._retry_timer.armed:
-                self._retry_timer.start(DEREG_RETRY_INTERVAL_US)
+            if not self._dereg_timer.armed:
+                self._dereg_timer.start(DEREG_RETRY_INTERVAL_US)
         testbed.retire_client(client_id)
 
     def _harvest(self, rider: _ActiveRider) -> None:
@@ -194,7 +194,7 @@ class ChurnDriver:
             else:
                 self._pending_dereg.append(client_id)
         if self._pending_dereg:
-            self._retry_timer.start(DEREG_RETRY_INTERVAL_US)
+            self._dereg_timer.start(DEREG_RETRY_INTERVAL_US)
 
     # ------------------------------------------------------------------
     # accounting
@@ -226,7 +226,7 @@ class ChurnDriver:
             for source in rider.sources:
                 source.stop()
             self._harvest(rider)
-        self._retry_timer.stop()
+        self._dereg_timer.stop()
 
     def collect_metrics(self) -> Dict[str, object]:
         """Metrics-registry collector (wired by the harness)."""

@@ -33,11 +33,11 @@ from tests.test_ha import enrich, make_controller
 
 #: sha256 of every checkpoint shipped in the HA drive below, joined.
 HA_CHECKPOINTS_SHA256 = (
-    "310dda764de567a62a2a1cf7c8b0df3eae6f5e3e4a781c9399e63f5d32850c61"
+    "36a942cb5bfa9840059e951eafad7bbd92c540645bd08bbeae2b4cec0ce2ee41"
 )
 #: sha256 of the handoff slice shipped in the corridor drive below.
 HANDOFF_SLICE_SHA256 = (
-    "9253d190cb625d35c42cd607b1ae371a88bbce5b6d545381bd1c14592314768e"
+    "ec2f104e9b11225e48ba8749110d36f45cb68c9e87cb1e04122e26f40432cec4"
 )
 #: sha256 of :func:`_drive_digest` for one region without a standby.
 CLASSIC_DRIVE_SHA256 = (
@@ -46,7 +46,7 @@ CLASSIC_DRIVE_SHA256 = (
 #: sha256 of :func:`_drive_digest` for one region with a standby whose
 #: primary is killed at 1.5 s and never restarted.
 HA_KILL_DRIVE_SHA256 = (
-    "92177d5737e4a737c3d9cbe4f38406ef4cb70d44f6599c39172a03fe7e6f2f00"
+    "b888f4e3687e7eba72313e8fc04efd26b78ed087e3520b8f150ae53bb5d2f7c6"
 )
 #: sha256 of :func:`_drive_digest` for the baseline scheme (it roams
 #: twice, so the over-the-air association path is in the stream).

@@ -124,26 +124,27 @@ class TestDownlinkGating:
 
 
 class TestFailoverRetry:
-    """_schedule_failover_retry: the graceful-degradation loop that
-    keeps hunting for a live AP after an evacuation found none."""
+    """The selection tick is the failover's retry loop: while the
+    serving AP is dead and no handshake is in flight, every tick hunts
+    for a live AP again."""
 
     def test_no_candidate_schedules_retry(self):
         sim, controller, sent = make_controller()
         sim.run(until_us=50_000)
         controller._ap_down("ap0")  # serving AP dies, nobody heard client0
         assert controller.stats["failover_no_candidate"] == 1
-        state = controller.client_state("client0")
-        assert state.retry_timer.armed
+        sim.run(until_us=sim.now + SELECTION_PERIOD_US)
+        assert controller.stats["failover_no_candidate"] == 2
 
     def test_retry_keeps_rescheduling_until_exhaustion_never_happens(self):
-        """Retries never give up silently: each barren attempt counts a
-        failover_no_candidate and re-arms the timer."""
+        """Each barren tick counts a failover_no_candidate; none is the
+        last."""
         sim, controller, sent = make_controller()
         sim.run(until_us=50_000)
         controller._ap_down("ap0")
         sim.run(until_us=sim.now + 4 * SELECTION_PERIOD_US + 1_000)
-        assert controller.stats["failover_no_candidate"] >= 3
-        assert controller.client_state("client0").retry_timer.armed
+        assert controller.stats["failover_no_candidate"] == 5
+        assert controller.stats["failovers_initiated"] == 0
 
     def test_retry_recovers_when_a_live_ap_hears_the_client(self):
         sim, controller, sent = make_controller()
@@ -156,30 +157,42 @@ class TestFailoverRetry:
         failover_targets = [ap for ap, kind, _ in sent if kind == "failover"]
         assert "ap1" in failover_targets
 
+    def test_aborted_failover_is_retried(self):
+        """A failover handshake that dies leaves the client on its dead
+        AP: the next tick starts another."""
+        sim, controller, sent = make_controller()
+        sim.run(until_us=50_000)
+        feed(controller, sim, "ap1", 20.0)
+        controller._ap_down("ap0")
+        assert controller.stats["failovers_initiated"] == 1
+        controller.coordinator.abort("client0")
+        sim.run(until_us=sim.now + SELECTION_PERIOD_US)
+        assert controller.stats["failovers_initiated"] == 2
+        assert controller.coordinator.busy("client0")
+
     def test_target_dying_mid_retry_is_survived(self):
-        """The AP the retry would have picked dies before the timer
-        fires: the retry must skip it and keep hunting, not crash or
-        start a handshake with a corpse."""
+        """The AP the retry would have picked dies before the tick: the
+        retry must skip it and keep hunting, not crash or start a
+        handshake with a corpse."""
         sim, controller, sent = make_controller()
         sim.run(until_us=50_000)
         controller._ap_down("ap0")
         feed(controller, sim, "ap1", 20.0)  # ap1 becomes the candidate
         controller._ap_down("ap1")  # ... and dies before the retry fires
+        barren = controller.stats["failover_no_candidate"]
         sim.run(until_us=sim.now + 3 * SELECTION_PERIOD_US + 1_000)
         handshake_targets = {
             p.target_ap for _, kind, p in sent if kind == "stop"
         } | {ap for ap, kind, _ in sent if kind == "failover"}
         assert "ap1" not in handshake_targets
-        assert controller.client_state("client0").retry_timer.armed
+        assert controller.stats["failover_no_candidate"] > barren
 
     def test_retry_noop_after_client_departs(self):
         sim, controller, sent = make_controller()
         sim.run(until_us=50_000)
         controller._ap_down("ap0")
         barren = controller.stats["failover_no_candidate"]
-        retry = controller.client_state("client0").retry_timer
         controller.deregister_client("client0")
-        assert not retry.armed
         sim.run(until_us=sim.now + 3 * SELECTION_PERIOD_US + 1_000)  # must not raise
         assert controller.stats["failover_no_candidate"] == barren
 
@@ -187,11 +200,11 @@ class TestFailoverRetry:
         sim, controller, sent = make_controller()
         sim.run(until_us=50_000)
         controller._ap_down("ap0")
-        retry = controller.client_state("client0").retry_timer
+        barren = controller.stats["failover_no_candidate"]
         controller.crash()
-        assert not retry.armed
         sim.run(until_us=sim.now + 3 * SELECTION_PERIOD_US + 1_000)  # must not raise
         assert not controller.tracked_clients()
+        assert controller.stats["failover_no_candidate"] == barren
 
 
 class TestClientDeparture:

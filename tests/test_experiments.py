@@ -63,6 +63,7 @@ class TestExtFaultsDriver:
         assert result["ok"] is True
         assert result["tcp_forward_progress"] is True
         assert result["summary"]["deadline_violations"] == 0
+        assert result["lone_ap_restart"]["crash_recovered"] is True
         assert all(
             latency <= result["deadline_ms"]
             for latency in result["failover_ms"]

@@ -107,6 +107,13 @@ def test_switch_to_self_rejected():
         coordinator.initiate("client0", "ap1", "ap1")
 
 
+def test_failover_to_self_allowed():
+    """A restarted AP that nobody else hears takes its client back."""
+    _, coordinator, _ = make_coordinator()
+    coordinator.initiate_failover("client0", "ap1", "ap1")
+    assert coordinator.busy("client0")
+
+
 def test_stale_ack_ignored():
     sim, coordinator, _ = make_coordinator()
     coordinator.initiate("client0", "ap1", "ap2")
@@ -151,16 +158,14 @@ def test_completed_switch_records_outcome():
 def test_retry_cap_enforced_with_outcome():
     """Retries are capped and exhaustion is a first-class outcome."""
     sim, coordinator, state = make_coordinator(drop_stops=100)
-    aborted = []
-    coordinator.on_abort = lambda record: aborted.append(record)
     coordinator.initiate("client0", "ap1", "ap2")
     sim.run()
     assert state["stops"] == SWITCH_RETRY_LIMIT + 1
     assert coordinator.abandoned == 1
-    record = coordinator.history[0]
+    assert not coordinator.busy("client0")
+    [record] = coordinator.history
     assert record.outcome == OUTCOME_ABORTED
     assert record.abort_reason == "retry limit exhausted"
-    assert aborted == [record]
 
 
 def test_backoff_bounds():
